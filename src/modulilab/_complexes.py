@@ -34,7 +34,10 @@ from .surface import ConformalSurface
 
 
 class SolverError(Exception):
-    """Iterative solve failed to reach the requested residual."""
+    """Restricted solve failed to reach the required residual."""
+
+
+SOLVE_RTOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +171,8 @@ class DolbeaultComplex:
     forms (per flattened entry).  ``dbar``/``dhol`` map 0-cochains to
     (0,1)/(1,0) coefficients.  ``laplacian`` is dbar_adj @ dbar;
     ``laplacian_sym`` the conjugation-equivariant symmetrization used by
-    the variation formulas.
+    the variation formulas.  ``kernel`` holds the exact kernel shared by
+    both Laplacians as columns; it is w0-orthonormalized on construction.
     """
 
     m: int
@@ -178,21 +182,13 @@ class DolbeaultComplex:
     w1: np.ndarray
     dbar: sp.csr_matrix
     dhol: sp.csr_matrix
-    dense_cap: int = 4000
+    kernel: np.ndarray
 
     def __post_init__(self):
         self._cache: dict = {}
-
-    def set_kernel_hint(self, columns: np.ndarray) -> None:
-        """Known kernel of the Laplacian (e.g. covariant-constant sections),
-        used above the dense cap where no spectral factorization exists.
-        Columns are w0-orthonormalized here."""
-        K = np.array(columns, dtype=complex)
-        for j in range(K.shape[1]):
-            for i in range(j):
-                K[:, j] -= K[:, i] * np.sum(self.w0 * np.conj(K[:, i]) * K[:, j])
-            K[:, j] /= np.sqrt(np.real(np.sum(self.w0 * np.abs(K[:, j]) ** 2)))
-        self._cache["kernel_hint"] = K
+        s = np.sqrt(self.w0)
+        K = np.asarray(self.kernel, dtype=complex).reshape(s.shape[0], -1)
+        self.kernel = np.linalg.qr(s[:, None] * K)[0] / s[:, None]
 
     # -- adjoints -----------------------------------------------------------
     def adjoint(self, M: sp.csr_matrix) -> sp.csr_matrix:
@@ -224,107 +220,54 @@ class DolbeaultComplex:
             ).tocsr()
         return self._cache["lap_sym"]
 
-    # -- symmetrized spectral data -------------------------------------------
-    def _eig(self, which: str):
-        key = ("eig", which)
-        if key not in self._cache:
-            lap = self.laplacian if which == "dbar" else self.laplacian_sym
-            n = lap.shape[0]
-            if n > self.dense_cap:
-                raise SolverError(
-                    f"dense spectral factorization requested above cap ({n} > {self.dense_cap})"
-                )
-            s = np.sqrt(self.w0)
-            Ssym = (lap.toarray() * (1.0 / s)[None, :]) * s[:, None]
-            Ssym = 0.5 * (Ssym + Ssym.conj().T)
-            evals, evecs = np.linalg.eigh(Ssym)
-            self._cache[key] = (evals, evecs)
-        return self._cache[key]
+    def _lap(self, which: str) -> sp.csr_matrix:
+        return self.laplacian if which == "dbar" else self.laplacian_sym
 
-    def _use_hint(self) -> bool:
-        return self.laplacian.shape[0] > self.dense_cap and "kernel_hint" in self._cache
-
-    def kernel_dim(self, which: str = "dbar", rel_tol: float = 1e-10) -> int:
-        if self._use_hint():
-            return self._cache["kernel_hint"].shape[1]
-        evals, _ = self._eig(which)
-        lam_max = float(evals[-1]) if evals.size else 0.0
-        return int(np.sum(evals <= rel_tol * max(lam_max, 1.0)))
-
-    def kernel_basis(self, which: str = "dbar", rel_tol: float = 1e-10) -> np.ndarray:
-        """Columns form a w0-orthonormal basis of ker(Laplacian)."""
-        if self._use_hint():
-            return self._cache["kernel_hint"]
-        evals, evecs = self._eig(which)
-        k = self.kernel_dim(which, rel_tol)
-        s = np.sqrt(self.w0)
-        return evecs[:, :k] / s[:, None]
-
-    def project_off_kernel(self, x: np.ndarray, which: str = "dbar") -> tuple[np.ndarray, float]:
-        """Remove the w0-orthogonal projection onto ker(Laplacian).
+    # -- kernel-restricted solves --------------------------------------------
+    def project_off_kernel(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+        """Remove the w0-orthogonal projection onto the kernel.
 
         Returns the projected vector and the norm of the removed part.
         """
-        K = self.kernel_basis(which)
-        if K.shape[1] == 0:
-            return x, 0.0
+        K = self.kernel
         coef = K.conj().T @ (self.w0 * x)
-        removed = K @ coef
-        return x - removed, float(np.sqrt(np.real(np.vdot(coef, coef))))
+        return x - K @ coef, float(np.linalg.norm(coef))
 
-    def delta0_solve(
-        self,
-        h: np.ndarray,
-        which: str = "dbar",
-        method: str = "auto",
-        rtol: float = 1e-10,
-    ) -> tuple[np.ndarray, dict]:
+    def _factor(self, which: str):
+        """Sparse LU of the kernel-bordered Hermitian system
+        [[W0 L, W0 K], [K^H W0, 0]], nonsingular exactly when K spans
+        ker L; factorized on first use and kept."""
+        key = ("lu", which)
+        if key not in self._cache:
+            WK = sp.csr_matrix(self.w0[:, None] * self.kernel)
+            WL = sp.diags(self.w0) @ self._lap(which)
+            B = sp.bmat([[WL, WK], [WK.conj().T, None]], format="csc")
+            try:
+                self._cache[key] = spla.splu(B)
+            except RuntimeError as e:  # exactly singular: K misses part of the kernel
+                raise SolverError(f"bordered {which} Laplacian is singular: {e}") from e
+        return self._cache[key]
+
+    def delta0_solve(self, h: np.ndarray, which: str = "dbar") -> tuple[np.ndarray, dict]:
         """Solve Laplacian x = (h projected off the kernel), x in ker^perp.
 
-        Dense spectral solve below ``dense_cap`` unknowns, conjugate
-        gradients on the Hermitian-symmetrized system above it.
+        One sparse LU per Laplacian (see ``_factor``), reused by every
+        later solve; raises SolverError when |L x - rhs| exceeds
+        ``SOLVE_RTOL`` times |h|.
         """
-        n = h.shape[0]
-        rhs, removed = self.project_off_kernel(h, which)
-        stats = {"kernel_removed": removed, "method": None, "residual": 0.0, "iterations": 0}
-        if method == "auto":
-            method = "dense" if n <= self.dense_cap else "cg"
-        lap = self.laplacian if which == "dbar" else self.laplacian_sym
-        s = np.sqrt(self.w0)
-        b = s * rhs
-        if method == "dense":
-            evals, evecs = self._eig(which)
-            k = self.kernel_dim(which)
-            coef = evecs.conj().T @ b
-            coef[:k] = 0.0
-            coef[k:] = coef[k:] / evals[k:]
-            x = (evecs @ coef) / s
-            stats["method"] = "dense"
-        elif method == "cg":
-            K = self.kernel_basis(which) * s[:, None]  # orthonormal in plain l2
-
-            def apply(vec):
-                vec = vec - K @ (K.conj().T @ vec)
-                out = s * (lap @ (vec / s))
-                return out - K @ (K.conj().T @ out)
-
-            op = spla.LinearOperator((n, n), matvec=apply, dtype=complex)
-            b_proj = b - K @ (K.conj().T @ b)
-            maxiter = 10 * n
-            y, info = spla.cg(op, b_proj, rtol=rtol, atol=0.0, maxiter=maxiter)
-            res = float(np.linalg.norm(apply(y) - b_proj) / max(np.linalg.norm(b_proj), 1e-300))
-            if info != 0 or res > 10 * rtol:
-                raise SolverError(
-                    f"cg failed after {maxiter} iterations, relative residual {res:.3e}"
-                )
-            x = y / s
-            stats.update(method="cg", residual=res)
-        else:
-            raise ValueError(f"unknown solve method {method!r}")
-        resid = lap @ x - rhs
-        stats["residual"] = float(
-            np.linalg.norm(resid) / max(np.linalg.norm(rhs), 1e-300)
-        )
+        reused = ("lu", which) in self._cache
+        lu = self._factor(which)
+        rhs, removed = self.project_off_kernel(h)
+        n = rhs.shape[0]
+        b = np.zeros(lu.shape[0], dtype=complex)
+        b[:n] = self.w0 * rhs
+        x = lu.solve(b)[:n]
+        # relative to h: projecting h off the kernel leaves roundoff of
+        # order eps*|h| that no x can match, which would swamp a tiny rhs
+        res = float(np.linalg.norm(self._lap(which) @ x - rhs) / max(np.linalg.norm(h), 1e-300))
+        if not res <= SOLVE_RTOL:
+            raise SolverError(f"{which} solve relative residual {res:.3e} exceeds {SOLVE_RTOL:.0e}")
+        stats = {"kernel_removed": removed, "method": "splu", "residual": res, "factor_reused": reused}
         return x, stats
 
     def harmonic_project(self, alpha: np.ndarray, which: str = "dbar") -> np.ndarray:
@@ -352,39 +295,44 @@ def _weights(geom: SurfaceGeometry, m: int, kind: str) -> tuple[np.ndarray, np.n
     return w0, w1
 
 
-@functools.lru_cache(maxsize=None)
-def scalar_complex(surface: ConformalSurface) -> DolbeaultComplex:
-    geom = geometry(surface)
-    spin = np.ones_like(geom.grad_bar)
-    transports = {"corner_vertex": geom.corner_vertex, "T": None}
-    w0, w1 = _weights(geom, 1, "function")
-    return DolbeaultComplex(
-        m=1,
-        n_vertices=geom.mass_rho.shape[0],
+def _build(geom: SurfaceGeometry, m: int, kind: str, spin, T, kernel) -> DolbeaultComplex:
+    transports = {"corner_vertex": geom.corner_vertex, "T": T}
+    w0, w1 = _weights(geom, m, kind)
+    V = geom.mass_rho.shape[0]
+    cx = DolbeaultComplex(
+        m=m,
+        n_vertices=V,
         n_faces=geom.area.shape[0],
         w0=w0,
         w1=w1,
-        dbar=_assemble(geom.grad_bar, spin, transports, geom.mass_rho.shape[0], 1),
-        dhol=_assemble(geom.grad_hol, spin, transports, geom.mass_rho.shape[0], 1),
+        dbar=_assemble(geom.grad_bar, spin, transports, V, m),
+        dhol=_assemble(geom.grad_hol, spin, transports, V, m),
+        kernel=kernel,
     )
+    if T is not None:
+        cx._cache["corner_T"] = T
+    return cx
+
+
+@functools.lru_cache(maxsize=None)
+def scalar_complex(surface: ConformalSurface) -> DolbeaultComplex:
+    """Functions -> scalar forms; the kernel is the constants."""
+    geom = geometry(surface)
+    ones = np.ones(geom.mass_rho.shape[0], dtype=complex)
+    return _build(geom, 1, "function", np.ones_like(geom.grad_bar), None, ones)
 
 
 @functools.lru_cache(maxsize=None)
 def tangent_complex(surface: ConformalSurface) -> DolbeaultComplex:
-    """Vector fields -> Beltrami coefficients (chart-rotation twisted)."""
+    """Vector fields -> Beltrami coefficients (chart-rotation twisted).
+
+    The field face_spin[ref(v)] reaches every corner of face f as
+    face_spin[f] (see ``corner_spin``), so its P1 gradient vanishes: the
+    twist is a pure gauge and this field spans the kernel.
+    """
     geom = geometry(surface)
-    spin = geom.corner_spin
-    transports = {"corner_vertex": geom.corner_vertex, "T": None}
-    w0, w1 = _weights(geom, 1, "vector")
-    return DolbeaultComplex(
-        m=1,
-        n_vertices=geom.mass_rho.shape[0],
-        n_faces=geom.area.shape[0],
-        w0=w0,
-        w1=w1,
-        dbar=_assemble(geom.grad_bar, spin, transports, geom.mass_rho.shape[0], 1),
-        dhol=_assemble(geom.grad_hol, spin, transports, geom.mass_rho.shape[0], 1),
-    )
+    kernel = geom.face_spin[geom.vertex_ref_face]
+    return _build(geom, 1, "vector", geom.corner_spin, None, kernel)
 
 
 def corner_transports(surface: ConformalSurface, transport_per_he: np.ndarray) -> np.ndarray:
@@ -411,30 +359,20 @@ def corner_transports(surface: ConformalSurface, transport_per_he: np.ndarray) -
     return T
 
 
-def endo_complex(surface: ConformalSurface, transport_per_he: np.ndarray) -> DolbeaultComplex:
+def endo_complex(
+    surface: ConformalSurface, transport_per_he: np.ndarray, kernel: np.ndarray
+) -> DolbeaultComplex:
     """End(E)-valued complex for a unitary edge-transport field.
 
     ``transport_per_he[h]`` maps the frame at origin(h) to the frame at
     head(h); values conjugate as T X T^H, so central phases drop out.
+    ``kernel`` holds the covariant-constant sections as columns.
     """
     geom = geometry(surface)
     n = transport_per_he.shape[1]
     T = corner_transports(surface, transport_per_he)
     spin = np.ones((geom.area.shape[0], 3), dtype=complex)
-    transports = {"corner_vertex": geom.corner_vertex, "T": T}
-    w0, w1 = _weights(geom, n, "function")
-    V = geom.mass_rho.shape[0]
-    cx = DolbeaultComplex(
-        m=n,
-        n_vertices=V,
-        n_faces=geom.area.shape[0],
-        w0=w0,
-        w1=w1,
-        dbar=_assemble(geom.grad_bar, spin, transports, V, n),
-        dhol=_assemble(geom.grad_hol, spin, transports, V, n),
-    )
-    cx._cache["corner_T"] = T
-    return cx
+    return _build(geom, n, "function", spin, T, kernel)
 
 
 # ---------------------------------------------------------------------------

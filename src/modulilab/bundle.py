@@ -24,6 +24,9 @@ logger = logging.getLogger(__name__)
 UNITARITY_TOL = 1e-10
 FLATNESS_TOL = 1e-10
 RELATION_TOL = 1e-8
+# Gram eigenvalues at or below this fraction of the largest (floored at 1)
+# span the commutant; squared singular values, so 1e-10 here is 1e-5 there
+COMMUTANT_REL_TOL = 1e-10
 
 
 class RelationError(Exception):
@@ -244,18 +247,25 @@ def refine_cocycle(c: UnitaryCocycle, child: HalfEdgeMesh) -> UnitaryCocycle:
     return out
 
 
-def is_irreducible(c: UnitaryCocycle) -> tuple[bool, int]:
-    """Commutant dimension of the transport algebra by dense null space."""
+def _commutant(c: UnitaryCocycle) -> np.ndarray:
+    """Orthonormal basis (columns, row-major vec) of the matrices X with
+    U X = X U for every transport: the null space of the n^2 x n^2 Gram
+    matrix sum_h A_h^H A_h, A_h = U_h (x) I - I (x) U_h^T."""
     n = c.rank
     eye = np.eye(n)
-    rows = []
-    for h in range(c.mesh.n_half_edges):
-        U = c.transport[h]
-        rows.append(np.kron(U, eye) - np.kron(eye, U.T))
-    A = np.vstack(rows)
-    s = np.linalg.svd(A, compute_uv=False)
-    tol = max(A.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0)
-    commutant_dim = int(np.sum(s <= max(tol, 1e-10)))
+    A = np.einsum("hab,cd->hacbd", c.transport, eye) - np.einsum(
+        "ab,hdc->hacbd", eye, c.transport
+    )
+    A = A.reshape(-1, n * n, n * n)
+    G = np.einsum("hki,hkj->ij", A.conj(), A)
+    lam, vecs = np.linalg.eigh(0.5 * (G + G.conj().T))
+    k = int(np.sum(lam <= COMMUTANT_REL_TOL * max(float(lam[-1]), 1.0)))
+    return vecs[:, :k]
+
+
+def is_irreducible(c: UnitaryCocycle) -> tuple[bool, int]:
+    """Commutant dimension of the transport algebra."""
+    commutant_dim = _commutant(c).shape[1]
     return commutant_dim == 1, commutant_dim
 
 
@@ -289,13 +299,8 @@ def _covariant_constant_columns(c: UnitaryCocycle) -> np.ndarray:
     """Parallel extensions of commutant elements over a vertex spanning
     tree: the exact kernel of the twisted Laplacians for a flat cocycle."""
     mesh, n = c.mesh, c.rank
-    eye = np.eye(n)
-    rows = [np.kron(U, eye) - np.kron(eye, U.T) for U in c.transport]
-    A = np.vstack(rows)
-    u, s, vh = np.linalg.svd(A, full_matrices=True)
-    tol = max(A.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0)
-    k = int(np.sum(s <= max(tol, 1e-10)))
-    commutant = [vh[vh.shape[0] - k + i].conj().reshape(n, n) for i in range(k)]
+    commutant = _commutant(c)
+    k = commutant.shape[1]
     V = mesh.n_vertices
     adj: list[list[tuple[int, int]]] = [[] for _ in range(V)]
     for h in range(mesh.n_half_edges):
@@ -314,9 +319,9 @@ def _covariant_constant_columns(c: UnitaryCocycle) -> np.ndarray:
                 parent_he[w] = h
                 queue.append(w)
     cols = np.zeros((V * n * n, k), dtype=complex)
-    for i, X0 in enumerate(commutant):
+    for i in range(k):
         vals = np.zeros((V, n, n), dtype=complex)
-        vals[0] = X0
+        vals[0] = commutant[:, i].reshape(n, n)
         for v in order[1:]:
             h = int(parent_he[v])
             U = c.transport[h]
@@ -329,9 +334,7 @@ def _covariant_constant_columns(c: UnitaryCocycle) -> np.ndarray:
 def operators(surface: ConformalSurface, c: UnitaryCocycle) -> DolbeaultComplex:
     if c.mesh is not surface.mesh:
         raise CocycleError("cocycle and surface live on different meshes")
-    cx = endo_complex(surface, c.transport)
-    cx.set_kernel_hint(_covariant_constant_columns(c))
-    return cx
+    return endo_complex(surface, c.transport, _covariant_constant_columns(c))
 
 
 def _flat(x: BundleCochain) -> np.ndarray:
@@ -379,15 +382,13 @@ def laplacian(phi: BundleCochain, c: UnitaryCocycle, S: ConformalSurface) -> Bun
     return _vertex(cx.laplacian @ _flat(phi), c.rank)
 
 
-def delta0_inverse(
-    h: BundleCochain, c: UnitaryCocycle, S: ConformalSurface, method: str = "auto"
-) -> BundleCochain:
+def delta0_inverse(h: BundleCochain, c: UnitaryCocycle, S: ConformalSurface) -> BundleCochain:
     """Unique solution of Laplacian x = proj(h) orthogonal to the
     covariant-constant kernel (computed, not assumed one-dimensional)."""
     if h.degree != "vertex":
         raise CocycleError("delta0_inverse expects a vertex cochain")
     cx = operators(S, c)
-    x, stats = cx.delta0_solve(_flat(h), which="dbar", method=method)
+    x, stats = cx.delta0_solve(_flat(h), which="dbar")
     logger.debug("delta0_inverse: %s", stats)
     return _vertex(x, c.rank)
 
@@ -398,10 +399,6 @@ def harmonic_projection(alpha: BundleCochain, c: UnitaryCocycle, S: ConformalSur
         raise CocycleError("harmonic_projection expects a (0,1) cochain")
     cx = operators(S, c)
     return _form(cx.harmonic_project(_flat(alpha)), c.rank, (0, 1))
-
-
-def kernel_dimension(c: UnitaryCocycle, S: ConformalSurface) -> int:
-    return operators(S, c).kernel_dim("dbar")
 
 
 def ip_bundle(x: BundleCochain, y: BundleCochain, c: UnitaryCocycle, S: ConformalSurface) -> complex:

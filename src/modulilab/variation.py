@@ -462,9 +462,13 @@ def projector_derivative_sweep(
     c: UnitaryCocycle,
     steps=(1e-3, 1e-4, 1e-5),
     seed: int = 0,
+    dense_cap: int = 6000,
 ) -> dict:
     """Error against step size plus the fitted log-log slope (expect 2)."""
-    errors = {float(h): projector_derivative_check(S, c, h_step=h, seed=seed) for h in steps}
+    errors = {
+        float(h): projector_derivative_check(S, c, h_step=h, seed=seed, dense_cap=dense_cap)
+        for h in steps
+    }
     hs = np.array(sorted(errors))
     es = np.array([errors[h] for h in hs])
     slope = float(np.polyfit(np.log(hs), np.log(np.maximum(es, 1e-300)), 1)[0])

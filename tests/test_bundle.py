@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from modulilab import bundle as bnd
+from modulilab import oracle
+from modulilab._complexes import SolverError, endo_complex
 from modulilab.bundle import (
     BundleCochain,
     CocycleError,
@@ -119,12 +121,14 @@ def test_delta0_rank1_trivial_matches_scalar(surf_hyp, triv1_r2, rng):
     assert np.linalg.norm(x_b.values.reshape(-1) - x_s) <= 1e-10 * np.linalg.norm(x_s)
 
 
-def test_delta0_cg_path(surf_hyp, su2_r2, rng):
+def test_delta0_factorized_matches_dense_oracle(surf_hyp, su2_r2, rng):
+    # the factorized solve against the independent dense spectral inverse
     V = surf_hyp.n_vertices
+    inv = oracle.restricted_inverse_dense(oracle.materialize("laplacian", su2_r2, surf_hyp))
     h = random_cochain(rng, V, 2, "vertex")
-    x_cg = bnd.delta0_inverse(h, su2_r2, surf_hyp, method="cg")
-    x_dn = bnd.delta0_inverse(h, su2_r2, surf_hyp, method="dense")
-    assert np.linalg.norm(x_cg.values - x_dn.values) <= 1e-8 * np.linalg.norm(x_dn.values)
+    x_lu = bnd.delta0_inverse(h, su2_r2, surf_hyp).values.reshape(-1)
+    x_dn = inv.matrix @ h.values.reshape(-1)
+    assert np.linalg.norm(x_lu - x_dn) <= 1e-8 * np.linalg.norm(x_dn)
 
 
 def test_harmonic_projection_properties(surf_hyp, su2_r2, rng):
@@ -145,7 +149,8 @@ def test_harmonic_projection_properties(surf_hyp, su2_r2, rng):
 def test_kernel_dim_equals_commutant(surf_hyp, su2_r2, triv1_r2, triv2_r2):
     for c in (su2_r2, triv1_r2, triv2_r2):
         _, cdim = is_irreducible(c)
-        assert bnd.kernel_dimension(c, surf_hyp) == cdim
+        lap = oracle.materialize("laplacian", c, surf_hyp)
+        assert oracle.kernel_dimension_dense(lap) == cdim
 
 
 def test_ad_rank1_vanishes(surf_hyp, triv1_r2, rng):
@@ -247,24 +252,32 @@ def test_cocycle_roundtrip(tmp_path, fan2):
     assert (loaded.rank, loaded.degree) == (2, 1)
 
 
-def test_kernel_hint_supports_iterative_path(surf_hyp_r1, su2_r1, rng):
-    # above the dense cap the solver must still run, using the exact
-    # covariant-constant kernel instead of a spectral factorization
+def test_exact_kernel_supports_factorized_solves(surf_hyp_r1, su2_r1, rng):
+    # the covariant constants the complex is built with annihilate both
+    # Laplacians, and both factorized solves match dense spectral inverses
     cx = bnd.operators(surf_hyp_r1, su2_r1)
-    K = cx._cache["kernel_hint"]
+    K = cx.kernel
+    assert K.shape[1] == 1
     assert np.linalg.norm(cx.laplacian @ K) <= 1e-12
     assert np.linalg.norm(cx.laplacian_sym @ K) <= 1e-12
-    old_cap = cx.dense_cap
-    try:
-        cx.dense_cap = 10
-        assert cx.kernel_dim() == 1
-        h = rng.standard_normal(K.shape[0]) + 1j * rng.standard_normal(K.shape[0])
-        x_cg, st = cx.delta0_solve(h, method="auto")
-        assert st["method"] == "cg"
-    finally:
-        cx.dense_cap = old_cap
-    x_dense, _ = cx.delta0_solve(h, method="dense")
-    assert np.linalg.norm(x_cg - x_dense) <= 1e-8 * np.linalg.norm(x_dense)
+    h = rng.standard_normal(K.shape[0]) + 1j * rng.standard_normal(K.shape[0])
+    for which, lap in (("dbar", cx.laplacian), ("sym", cx.laplacian_sym)):
+        dense = oracle.DenseOperator(lap.toarray(), {}, {}, cx.w0, cx.w0)
+        x_dense = oracle.restricted_inverse_dense(dense).matrix @ h
+        x_lu, st = cx.delta0_solve(h, which=which)
+        assert st["method"] == "splu"
+        assert np.linalg.norm(x_lu - x_dense) <= 1e-8 * np.linalg.norm(x_dense)
+
+
+def test_incomplete_kernel_fails_residual_gate(surf_hyp, triv2_r2, rng):
+    # a bordered system missing one of the four kernel directions cannot
+    # reach the residual gate: the solve must refuse, not return garbage
+    K = bnd._covariant_constant_columns(triv2_r2)
+    assert K.shape[1] == 4
+    cx = endo_complex(surf_hyp, triv2_r2.transport, K[:, :3])
+    h = rng.standard_normal(K.shape[0]) + 1j * rng.standard_normal(K.shape[0])
+    with pytest.raises(SolverError, match="residual"):
+        cx.delta0_solve(h)
 
 
 def test_cocycle_rejects_mismatched_surface(surf_hyp, fan2_r1):

@@ -41,6 +41,37 @@ def test_bad_config_exits_2(tmp_path):
     assert run_cli("check-operators", "--config", str(p3)).returncode == 2
 
 
+def _write(tmp_path, cfg) -> str:
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({**CFG_SMALL, **cfg}))
+    return str(p)
+
+
+def test_empty_seed_list_exits_2(tmp_path):
+    p = _write(tmp_path, {"seeds": []})
+    for cmd in ("positivity", "check-operators"):
+        r = run_cli(cmd, "--config", p, "--out", str(tmp_path / cmd))
+        assert r.returncode == 2, r.stderr
+        assert "seeds" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_non_integer_genus_exits_2(tmp_path):
+    p = _write(tmp_path, {"mesh": {"genus": "two", "refinements": 1}})
+    r = run_cli("check-operators", "--config", p, "--out", str(tmp_path / "out"))
+    assert r.returncode == 2, r.stderr
+    assert "mesh.genus" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_fd_steps_without_gated_step_exits_2(tmp_path):
+    # the gate is the error at step 1e-4; without that step there is no
+    # value to gate, and another step's error must not stand in for it
+    p = _write(tmp_path, {"fd_steps": [1e-3, 1e-5]})
+    r = run_cli("projector-derivative", "--config", p, "--out", str(tmp_path / "out"))
+    assert r.returncode == 2, r.stderr
+    assert "fd_steps" in r.stderr and "Traceback" not in r.stderr
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_scene_error_exits_2(tmp_path):
     # a mesh file that exists but fails validation is a config-class error
     bad_mesh = tmp_path / "bad.surf"

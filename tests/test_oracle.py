@@ -4,7 +4,8 @@ import pytest
 from modulilab import bundle as bnd
 from modulilab import oracle
 from modulilab.calculus import Beltrami
-from modulilab._complexes import scalar_complex
+from modulilab._complexes import scalar_complex, tangent_complex
+from modulilab.surface import equip_conformal, refine
 from conftest import random_cochain
 
 
@@ -66,19 +67,41 @@ def test_restricted_inverse_dense(surf_hyp_r1, su2_r1, rng):
     lap = oracle.materialize("laplacian", su2_r1, surf_hyp_r1)
     inv = oracle.restricted_inverse_dense(lap)
     cx = bnd.operators(surf_hyp_r1, su2_r1)
-    K = cx.kernel_basis("dbar")
+    K = cx.kernel
     proj = np.eye(lap.matrix.shape[0]) - K @ (K.conj().T * cx.w0[None, :])
     assert np.linalg.norm(lap.matrix @ inv.matrix - proj, 2) <= 1e-10
     assert oracle.kernel_dimension_dense(lap) == bnd.is_irreducible(su2_r1)[1]
-    # cross-path agreement with the iterative solver
+    # cross-path agreement with the factorized solver
     V, n = surf_hyp_r1.n_vertices, 2
     worst = 0.0
     for _ in range(20):
         h = random_cochain(rng, V, n, "vertex")
         x_dense = inv.matrix @ h.values.reshape(-1)
-        x_it = bnd.delta0_inverse(h, su2_r1, surf_hyp_r1, method="cg").values.reshape(-1)
-        worst = max(worst, np.linalg.norm(x_dense - x_it) / np.linalg.norm(x_dense))
+        x_lu = bnd.delta0_inverse(h, su2_r1, surf_hyp_r1).values.reshape(-1)
+        worst = max(worst, np.linalg.norm(x_dense - x_lu) / np.linalg.norm(x_dense))
     assert worst <= 1e-8
+
+
+@pytest.mark.parametrize("refinements", [1, 2, 3])
+@pytest.mark.parametrize("builder", [scalar_complex, tangent_complex])
+def test_closed_form_kernels_match_dense(fan2, refinements, builder):
+    # the constants and the spin field face_spin[ref(v)] are exact kernels,
+    # and the dense spectrum has no further kernel direction
+    mesh = fan2
+    for _ in range(refinements):
+        mesh = refine(mesh)
+    S = equip_conformal(mesh, layout="stored", density="hyperbolic")
+    cx = builder(S)
+    K = cx.kernel
+    for lap in (cx.laplacian, cx.laplacian_sym):
+        assert np.linalg.norm(lap @ K) <= 1e-12 * abs(lap).max() * np.linalg.norm(K)
+    dense = oracle.DenseOperator(cx.laplacian.toarray(), {}, {}, cx.w0, cx.w0)
+    assert oracle.kernel_dimension_dense(dense) == K.shape[1] == 1
+    s = np.sqrt(cx.w0)
+    Ssym = (dense.matrix / s[None, :]) * s[:, None]
+    _, U = np.linalg.eigh(0.5 * (Ssym + Ssym.conj().T))
+    overlap = abs(np.vdot(U[:, 0], s * K[:, 0]))
+    assert abs(overlap - 1.0) <= 1e-10
 
 
 def test_dense_cap(surf_hyp_r1, su2_r1):

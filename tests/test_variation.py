@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from modulilab import bundle as bnd
+from modulilab import oracle
 from modulilab import variation as var
+from modulilab._complexes import endo_complex
 from modulilab.bundle import BundleCochain
 from modulilab.calculus import Beltrami
 from modulilab.tangent import TangentVector, random_tangent
@@ -305,7 +307,18 @@ def test_solver_stats_log_kernel_projection(surf_hyp, su2_r2):
     rep = var.second_variation_universal(*vs, surf_hyp, su2_r2)
     assert len(rep.solver_stats) == 5
     for st in rep.solver_stats:
-        assert {"term", "kernel_removed", "residual", "method"} <= set(st)
+        assert {"term", "kernel_removed", "residual", "method", "factor_reused"} <= set(st)
+        assert "iterations" not in st
+        assert st["method"] == "splu"
+    # every solve after the first of a report reuses one factorization
+    assert all(st["factor_reused"] for st in rep.solver_stats[1:])
+
+
+def test_solver_stats_factor_reuse_on_fresh_complex(surf_hyp, su2_r2, rng):
+    cx = endo_complex(surf_hyp, su2_r2.transport, bnd._covariant_constant_columns(su2_r2))
+    h = rng.standard_normal(cx.w0.shape[0]) + 1j * rng.standard_normal(cx.w0.shape[0])
+    reused = [cx.delta0_solve(h, which=w)[1]["factor_reused"] for w in ("sym", "sym", "dbar")]
+    assert reused == [False, True, False]
 
 
 def test_genus3_pipeline(rng):
@@ -319,7 +332,7 @@ def test_genus3_pipeline(rng):
     c1 = bnd2.refine_cocycle(c0, m1)
     S = equip_conformal(m1, layout="stored", density="hyperbolic")
     assert bnd2.is_irreducible(c1) == (True, 1)
-    assert bnd2.kernel_dimension(c1, S) == 1
+    assert oracle.kernel_dimension_dense(oracle.materialize("laplacian", c1, S)) == 1
     vs = [random_tangent(S, c1, seed=i) for i in range(4)]
     uni = var.second_variation_universal(*vs, S, c1)
     fib = var.second_variation_fibered(*vs, S, c1)
@@ -396,6 +409,11 @@ def test_projector_derivative_small_error(surf_hyp_r1, su2_r1):
 def test_projector_derivative_slope(surf_hyp_r1, su2_r1):
     sweep = var.projector_derivative_sweep(surf_hyp_r1, su2_r1, steps=(1e-3, 1e-4, 1e-5), seed=0)
     assert abs(sweep["slope"] - 2.0) <= 0.2
+
+
+def test_projector_derivative_sweep_honours_dense_cap(surf_hyp_r1, su2_r1):
+    with pytest.raises(ValueError, match="dense"):
+        var.projector_derivative_sweep(surf_hyp_r1, su2_r1, steps=(1e-3, 1e-4), dense_cap=10)
 
 
 def test_projector_derivative_harmonic_orthogonality(surf_hyp_r1, su2_r1, rng):
