@@ -130,36 +130,20 @@ def geometry(surface: ConformalSurface) -> SurfaceGeometry:
 # assembled complex
 
 
-def _assemble(grad, spin, transports, n_vertices, m) -> sp.csr_matrix:
-    """Sparse (F*m^2) x (V*m^2) operator sum_k grad[f,k] spin[f,k] T X T^H."""
-    F = grad.shape[0]
-    blocks_per_face = 3
+def _assemble(weight, T, corner_vertex, n_vertices) -> sp.csr_matrix:
+    """Sparse (F*m^2) x (V*m^2) operator X -> sum_k weight[f,k] T X_v T^H,
+    v = corner_vertex[f,k], T = T[f,k]; row-major vec(T X T^H) is
+    kron(T, conj T) vec(X)."""
+    F, _, m, _ = T.shape
     m2 = m * m
-    rows = np.zeros(F * blocks_per_face * m2 * m2, dtype=np.int64)
-    cols = np.zeros_like(rows)
-    data = np.zeros(rows.shape[0], dtype=complex)
-    pos = 0
-    corner_vertex = transports["corner_vertex"]
-    T = transports["T"]
-    blk_idx = np.arange(m2)
-    for f in range(F):
-        for k in range(3):
-            v = corner_vertex[f, k]
-            if m == 1:
-                block = np.array([[grad[f, k] * spin[f, k]]])
-            else:
-                Tm = T[f, k]
-                block = grad[f, k] * spin[f, k] * np.kron(Tm, np.conj(Tm))
-            r0, c0 = f * m2, v * m2
-            rr = np.repeat(blk_idx, m2) + r0
-            cc = np.tile(blk_idx, m2) + c0
-            n = m2 * m2
-            rows[pos : pos + n] = rr
-            cols[pos : pos + n] = cc
-            data[pos : pos + n] = block.ravel()
-            pos += n
+    blocks = np.einsum("fkac,fkbd->fkabcd", T, np.conj(T)).reshape(F, 3, m2, m2)
+    blocks = weight[:, :, None, None] * blocks
+    idx = np.arange(m2)
+    rows = np.arange(F)[:, None, None, None] * m2 + idx[:, None]
+    cols = corner_vertex[:, :, None, None] * m2 + idx
+    rows, cols = np.broadcast_arrays(rows, cols)
     return sp.csr_matrix(
-        (data, (rows, cols)), shape=(F * m2, n_vertices * m2), dtype=complex
+        (blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(F * m2, n_vertices * m2), dtype=complex
     )
 
 
@@ -169,7 +153,11 @@ class DolbeaultComplex:
 
     ``w0``/``w1`` are the diagonal L2 weights on 0-cochains and on face
     forms (per flattened entry).  ``dbar``/``dhol`` map 0-cochains to
-    (0,1)/(1,0) coefficients.  ``laplacian`` is dbar_adj @ dbar;
+    (0,1)/(1,0) coefficients.  ``corner_avg`` (B) is the barycenter value
+    of the transported corner values, the same corner rule with weight
+    1/3 in place of the P1 gradient; ``lift`` is its area-weighted
+    transpose diag(1/mass_area) B^H diag(area), taking face fields back
+    to vertex frames.  ``laplacian`` is dbar_adj @ dbar;
     ``laplacian_sym`` the conjugation-equivariant symmetrization used by
     the variation formulas.  ``kernel`` holds the exact kernel shared by
     both Laplacians as columns; it is w0-orthonormalized on construction.
@@ -182,6 +170,8 @@ class DolbeaultComplex:
     w1: np.ndarray
     dbar: sp.csr_matrix
     dhol: sp.csr_matrix
+    corner_avg: sp.csr_matrix
+    lift: sp.csr_matrix
     kernel: np.ndarray
 
     def __post_init__(self):
@@ -191,20 +181,26 @@ class DolbeaultComplex:
         self.kernel = np.linalg.qr(s[:, None] * K)[0] / s[:, None]
 
     # -- adjoints -----------------------------------------------------------
-    def adjoint(self, M: sp.csr_matrix) -> sp.csr_matrix:
-        key = ("adj", id(M))
+    def _adjoint(self, name: str) -> sp.csr_matrix:
+        """W0^-1 M^H W1 for the face-valued operator ``name``, kept."""
+        key = name + "_star"
         if key not in self._cache:
+            M = getattr(self, name)
             A = sp.diags(1.0 / self.w0) @ M.conj().T.tocsr() @ sp.diags(self.w1)
             self._cache[key] = A.tocsr()
         return self._cache[key]
 
     @property
     def dbar_star(self) -> sp.csr_matrix:
-        return self.adjoint(self.dbar)
+        return self._adjoint("dbar")
 
     @property
     def dhol_star(self) -> sp.csr_matrix:
-        return self.adjoint(self.dhol)
+        return self._adjoint("dhol")
+
+    @property
+    def corner_avg_star(self) -> sp.csr_matrix:
+        return self._adjoint("corner_avg")
 
     @property
     def laplacian(self) -> sp.csr_matrix:
@@ -295,23 +291,33 @@ def _weights(geom: SurfaceGeometry, m: int, kind: str) -> tuple[np.ndarray, np.n
     return w0, w1
 
 
-def _build(geom: SurfaceGeometry, m: int, kind: str, spin, T, kernel) -> DolbeaultComplex:
-    transports = {"corner_vertex": geom.corner_vertex, "T": T}
+def _build(geom: SurfaceGeometry, kind: str, spin, T, kernel) -> DolbeaultComplex:
+    """Complex whose value at corner (f,k) is spin[f,k] T X T^H with T =
+    T[f,k], (F,3,m,m); the untwisted types pass 1x1 identity blocks."""
+    m = T.shape[-1]
     w0, w1 = _weights(geom, m, kind)
     V = geom.mass_rho.shape[0]
-    cx = DolbeaultComplex(
+    cv = geom.corner_vertex
+    B = _assemble(spin / 3.0, T, cv, V)
+    m2 = m * m
+    lift = sp.diags(1.0 / np.repeat(geom.mass_area, m2)) @ B.conj().T
+    lift = lift @ sp.diags(np.repeat(geom.area, m2))
+    return DolbeaultComplex(
         m=m,
         n_vertices=V,
         n_faces=geom.area.shape[0],
         w0=w0,
         w1=w1,
-        dbar=_assemble(geom.grad_bar, spin, transports, V, m),
-        dhol=_assemble(geom.grad_hol, spin, transports, V, m),
+        dbar=_assemble(geom.grad_bar * spin, T, cv, V),
+        dhol=_assemble(geom.grad_hol * spin, T, cv, V),
+        corner_avg=B,
+        lift=lift.tocsr(),
         kernel=kernel,
     )
-    if T is not None:
-        cx._cache["corner_T"] = T
-    return cx
+
+
+def _untwisted(geom: SurfaceGeometry) -> np.ndarray:
+    return np.ones(geom.corner_vertex.shape + (1, 1), dtype=complex)
 
 
 @functools.lru_cache(maxsize=None)
@@ -319,7 +325,7 @@ def scalar_complex(surface: ConformalSurface) -> DolbeaultComplex:
     """Functions -> scalar forms; the kernel is the constants."""
     geom = geometry(surface)
     ones = np.ones(geom.mass_rho.shape[0], dtype=complex)
-    return _build(geom, 1, "function", np.ones_like(geom.grad_bar), None, ones)
+    return _build(geom, "function", np.ones_like(geom.grad_bar), _untwisted(geom), ones)
 
 
 @functools.lru_cache(maxsize=None)
@@ -332,7 +338,7 @@ def tangent_complex(surface: ConformalSurface) -> DolbeaultComplex:
     """
     geom = geometry(surface)
     kernel = geom.face_spin[geom.vertex_ref_face]
-    return _build(geom, 1, "vector", geom.corner_spin, None, kernel)
+    return _build(geom, "vector", geom.corner_spin, _untwisted(geom), kernel)
 
 
 def corner_transports(surface: ConformalSurface, transport_per_he: np.ndarray) -> np.ndarray:
@@ -369,50 +375,37 @@ def endo_complex(
     ``kernel`` holds the covariant-constant sections as columns.
     """
     geom = geometry(surface)
-    n = transport_per_he.shape[1]
     T = corner_transports(surface, transport_per_he)
     spin = np.ones((geom.area.shape[0], 3), dtype=complex)
-    return _build(geom, n, "function", spin, T, kernel)
+    return _build(geom, "function", spin, T, kernel)
 
 
 # ---------------------------------------------------------------------------
 # pointwise machinery shared by bundle and variation code
 
 
-def vertex_to_face(cx: DolbeaultComplex, geom: SurfaceGeometry, x: np.ndarray) -> np.ndarray:
-    """P1 barycenter value of a 0-cochain on each face, in the face frame.
-
-    x has shape (V, m, m); returns (F, m, m).
-    """
-    T = cx._cache.get("corner_T")
-    F, m = cx.n_faces, cx.m
-    out = np.zeros((F, m, m), dtype=complex)
-    cv = geom.corner_vertex
-    for k in range(3):
-        vals = x[cv[:, k]]
-        if T is not None:
-            vals = np.einsum("fab,fbc,fdc->fad", T[:, k], vals, np.conj(T[:, k]))
-        out += vals
-    return out / 3.0
+def vertex_to_face(cx: DolbeaultComplex, x: np.ndarray) -> np.ndarray:
+    """P1 barycenter value of a 0-cochain on each face, in the face frame:
+    B x, with x of shape (V, m, m); returns (F, m, m)."""
+    return (cx.corner_avg @ x.reshape(-1)).reshape(cx.n_faces, cx.m, cx.m)
 
 
-def lift_to_vertices(
-    cx: DolbeaultComplex, geom: SurfaceGeometry, x_face: np.ndarray
-) -> np.ndarray:
+def lift_to_vertices(cx: DolbeaultComplex, x_face: np.ndarray) -> np.ndarray:
     """Area-weighted average of a face field onto vertices, transported
-    into vertex frames (inverse of the corner transports)."""
-    T = cx._cache.get("corner_T")
-    V, m = cx.n_vertices, cx.m
-    out = np.zeros((V, m, m), dtype=complex)
-    cv = geom.corner_vertex
-    w = geom.area / 3.0
-    for f in range(geom.area.shape[0]):
-        for k in range(3):
-            v = cv[f, k]
-            val = x_face[f]
-            if T is not None:
-                Tm = T[f, k]
-                val = Tm.conj().T @ val @ Tm
-            out[v] += w[f] * val
-    out /= geom.mass_area[:, None, None]
-    return out
+    into vertex frames: diag(1/mass_area) B^H diag(area) per m^2 entry."""
+    return (cx.lift @ x_face.reshape(-1)).reshape(cx.n_vertices, cx.m, cx.m)
+
+
+def ad(cx: DolbeaultComplex, nu: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Pointwise commutator [nu, B f] of a face field nu with a vertex
+    0-cochain f carried into the faces."""
+    fa = vertex_to_face(cx, f)
+    return nu @ fa - fa @ nu
+
+
+def ad_star(cx: DolbeaultComplex, nu: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Exact weighted adjoint of ``ad(cx, nu, .)``:
+    W0^-1 B^H W1 (nu^H alpha - alpha nu^H)."""
+    nu_h = np.conj(np.swapaxes(nu, 1, 2))
+    comm = nu_h @ alpha - alpha @ nu_h
+    return (cx.corner_avg_star @ comm.reshape(-1)).reshape(cx.n_vertices, cx.m, cx.m)

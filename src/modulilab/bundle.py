@@ -11,12 +11,14 @@ from __future__ import annotations
 import cmath
 import functools
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ._complexes import DolbeaultComplex, endo_complex, geometry, vertex_to_face
+from . import _complexes
+from ._complexes import DolbeaultComplex, endo_complex
 from .surface import ConformalSurface, HalfEdgeMesh
 
 logger = logging.getLogger(__name__)
@@ -414,64 +416,26 @@ def ip_bundle(x: BundleCochain, y: BundleCochain, c: UnitaryCocycle, S: Conforma
 # pointwise commutator action and its exact adjoint
 
 
-def ad_matrix(nu: BundleCochain, c: UnitaryCocycle, S: ConformalSurface):
-    """Sparse matrix of f -> [nu, f_face] from vertex cochains to (0,1)-forms.
-
-    f_face is the P1 barycenter average of the transported vertex values,
-    matching ``vertex_to_face``.
-    """
-    import scipy.sparse as sp
-
-    if nu.degree != (0, 1):
-        raise CocycleError("ad expects a (0,1)-form argument")
-    cx = operators(S, c)
-    geom = geometry(S)
-    n = c.rank
-    n2 = n * n
-    T = cx._cache["corner_T"]
-    F, V = cx.n_faces, cx.n_vertices
-    eye = np.eye(n)
-    rows, cols, data = [], [], []
-    blk = np.arange(n2)
-    for f in range(F):
-        L = np.kron(nu.values[f], eye) - np.kron(eye, nu.values[f].T)
-        for k in range(3):
-            v = geom.corner_vertex[f, k]
-            Tm = T[f, k]
-            block = (L @ np.kron(Tm, np.conj(Tm))) / 3.0
-            rows.append(np.repeat(blk, n2) + f * n2)
-            cols.append(np.tile(blk, n2) + v * n2)
-            data.append(block.ravel())
-    return sp.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(F * n2, V * n2),
-    )
-
-
 def ad_on_scalar(nu: BundleCochain, f: BundleCochain, c: UnitaryCocycle, S: ConformalSurface) -> BundleCochain:
     """Pointwise nu f - f nu in each face frame (f transported to faces)."""
     if f.degree != "vertex" or f.rank != nu.rank:
         raise CocycleError("ad_on_scalar expects a vertex cochain of matching rank")
-    cx = operators(S, c)
-    geom = geometry(S)
-    fa = vertex_to_face(cx, geom, f.values)
-    vals = nu.values @ fa - fa @ nu.values
-    return BundleCochain(vals, (0, 1))
+    return BundleCochain(_complexes.ad(operators(S, c), nu.values, f.values), (0, 1))
 
 
 def ad_star(nu: BundleCochain, alpha: BundleCochain, c: UnitaryCocycle, S: ConformalSurface) -> BundleCochain:
-    """Exact formal adjoint of ad_on_scalar(nu, .).
+    """Exact formal adjoint of ad_on_scalar(nu, .): W0^-1 B^H W1
+    (conj(nu)^T alpha - alpha conj(nu)^T), B the corner average.
 
     Under the conventions table this is the vertex-averaged
     -rho^{-1} (alpha conj(nu)^T - conj(nu)^T alpha); the constant is
     pinned by adjointness, not chosen per input.
     """
+    if nu.degree != (0, 1):
+        raise CocycleError("ad expects a (0,1)-form argument")
     if alpha.degree != (0, 1) or alpha.rank != nu.rank:
         raise CocycleError("ad_star expects a (0,1) cochain of matching rank")
-    cx = operators(S, c)
-    A = ad_matrix(nu, c, S)
-    out = (A.conj().T @ (cx.w1 * _flat(alpha))) / cx.w0
-    return _vertex(out, c.rank)
+    return _vertex(_complexes.ad_star(operators(S, c), nu.values, alpha.values), c.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +455,17 @@ def save_cocycle(c: UnitaryCocycle, path) -> None:
         fh.write(f"twist {c.marked_face}\n")
 
 
+def _numbers(fields, kind, lineno: int) -> list:
+    """Parse finite ``kind`` entries of one record line."""
+    try:
+        vals = [kind(x) for x in fields]
+    except ValueError:
+        vals = None
+    if vals is None or not all(math.isfinite(v) for v in vals):
+        raise CocycleError(f"line {lineno}: expected finite {kind.__name__} entries, got {' '.join(fields)!r}")
+    return vals
+
+
 def load_cocycle(mesh: HalfEdgeMesh, path) -> UnitaryCocycle:
     n = d = None
     gens: dict[str, np.ndarray] = {}
@@ -500,11 +475,11 @@ def load_cocycle(mesh: HalfEdgeMesh, path) -> UnitaryCocycle:
             if not parts or parts[0].startswith("#"):
                 continue
             if parts[0] == "cocycle" and len(parts) == 3:
-                n, d = int(parts[1]), int(parts[2])
+                n, d = _numbers(parts[1:], int, lineno)
             elif parts[0] == "gen":
                 if n is None:
                     raise CocycleError(f"line {lineno}: gen before header")
-                vals = [float(p) for p in parts[2:]]
+                vals = _numbers(parts[2:], float, lineno)
                 if len(vals) != 2 * n * n:
                     raise CocycleError(f"line {lineno}: need {2 * n * n} reals")
                 M = np.array(vals[0::2]) + 1j * np.array(vals[1::2])

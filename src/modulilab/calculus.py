@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conventions
-from ._complexes import geometry, scalar_complex, tangent_complex
+from ._complexes import geometry, scalar_complex
 from .surface import ConformalSurface
 
 
@@ -169,9 +169,6 @@ def wedge_trace_integrate(alpha, beta, surface: ConformalSurface) -> complex:
     return complex(np.einsum("f,fab,fba->", w, a_vals, b_vals))
 
 
-_KIND_COMPLEX = {"function": scalar_complex, "vector": tangent_complex}
-
-
 def _spin_power(surface: ConformalSurface, power: int) -> np.ndarray:
     geom = geometry(surface)
     return geom.corner_spin**power
@@ -189,13 +186,8 @@ def lift_face_field(
     """
     geom = geometry(surface)
     spin = _spin_power(surface, spin_power)
-    V = geom.mass_area.shape[0]
-    out = np.zeros(V, dtype=complex)
-    w = geom.area / 3.0
-    cv = geom.corner_vertex
-    for f in range(values.shape[0]):
-        for k in range(3):
-            out[cv[f, k]] += w[f] * values[f] / spin[f, k]
+    out = np.zeros(geom.mass_area.shape[0], dtype=complex)
+    np.add.at(out, geom.corner_vertex, (geom.area / 3.0 * values)[:, None] / spin)
     return out / geom.mass_area
 
 

@@ -8,7 +8,7 @@ timestamps are written.
 
 from __future__ import annotations
 
-import concurrent.futures
+import contextlib
 import copy
 import csv
 import json
@@ -53,7 +53,6 @@ DEFAULTS = {
     "adjoint_trials": 200,
     "oracle_rhs": 20,
     "tangent": {"mu_scale": 1.0, "nu_scale": 1.0},
-    "workers": 1,
     "fd_steps": [1e-3, 1e-4, 1e-5],
 }
 
@@ -207,23 +206,27 @@ def _common_options(fn):
     return fn
 
 
-def _load(config_path, **kw) -> dict:
+@contextlib.contextmanager
+def _config_errors(*errors):
+    """Exit 2 with the message of any of ``errors`` raised inside."""
     try:
-        return load_config(config_path, **kw)
-    except ConfigError as e:
+        yield
+    except errors as e:
         click.echo(f"config error: {e}", err=True)
         sys.exit(2)
+
+
+def _load(config_path, **kw) -> dict:
+    with _config_errors(ConfigError):
+        return load_config(config_path, **kw)
 
 
 def _scene(cfg: dict):
     from .bundle import CocycleError, RelationError
     from .surface import ChartError, MeshError
 
-    try:
+    with _config_errors(MeshError, ChartError, CocycleError, RelationError, ConfigError):
         return build_scene(cfg)
-    except (MeshError, ChartError, CocycleError, RelationError, ConfigError) as e:
-        click.echo(f"config error: {e}", err=True)
-        sys.exit(2)
 
 
 @main.command("check-operators")
@@ -253,14 +256,18 @@ def cmd_check_operators(config_path, seed, out, dense_cap, tol, density):
         worst = max(worst, abs(lhs - rhs) / scale)
     checks.append(_check("adjointness_residual", worst, tols["adjointness"]))
 
+    def dense(op_name):
+        with _config_errors(oracle.DenseCapError):
+            return oracle.materialize(op_name, c, S, dense_cap=cap)
+
     # dense projector algebra
-    P = oracle.materialize("projection", c, S, dense_cap=cap)
+    P = dense("projection")
     M = P.matrix
     s1 = np.sqrt(P.codomain_weight)
     Ms = (M * (1.0 / s1)[None, :]) * s1[:, None]
     checks.append(_check("projector_idempotent", float(np.linalg.norm(Ms @ Ms - Ms, 2)), tols["projector"]))
     checks.append(_check("projector_self_adjoint", float(np.linalg.norm(Ms - Ms.conj().T, 2)), tols["projector"]))
-    D = oracle.materialize("dbar", c, S, dense_cap=cap).matrix
+    D = dense("dbar").matrix
     Ds = (D * np.sqrt(P.codomain_weight)[:, None]) / np.sqrt(cx.w0)[None, :]
     checks.append(
         _check(
@@ -283,7 +290,7 @@ def cmd_check_operators(config_path, seed, out, dense_cap, tol, density):
     }
 
     # kernel dimension, counted spectrally on the dense Laplacian, vs commutant
-    lap = oracle.materialize("laplacian", c, S, dense_cap=cap)
+    lap = dense("laplacian")
     _, cdim = bnd.is_irreducible(c)
     kdim = oracle.kernel_dimension_dense(lap)
     checks.append(_check("kernel_equals_commutant", float(abs(kdim - cdim)), 0.5))
@@ -329,18 +336,7 @@ def cmd_second_variation(config_path, seed, out, dense_cap, tol, density):
     cfg = _load(config_path, seed=seed, out=out, dense_cap=dense_cap, tol=tol, density=density)
     S, c = _scene(cfg)
     tols = cfg["tolerances"]
-    seeds = [int(s) for s in cfg["seeds"]]
-    workers = int(cfg.get("workers", 1))
-    # the first seed runs alone: it builds every lazily factorized solve,
-    # so threads only read shared state and each solve's factor_reused
-    # flag is the same as in a sequential run
-    results = [_sample_reports(cfg, S, c, seeds[0])]
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
-            results += list(ex.map(lambda s: _sample_reports(cfg, S, c, s), seeds[1:]))
-    else:
-        results += [_sample_reports(cfg, S, c, s) for s in seeds[1:]]
-    results.sort(key=lambda r: r[0])
+    results = [_sample_reports(cfg, S, c, int(s)) for s in cfg["seeds"]]
     checks = []
     samples = []
     os.makedirs(cfg["out"], exist_ok=True)
@@ -404,9 +400,10 @@ def cmd_projector_derivative(config_path, seed, out, dense_cap, tol, density):
     S, c = _scene(cfg)
     tols = cfg["tolerances"]
     steps = [float(h) for h in cfg["fd_steps"]]
-    sweep = variation.projector_derivative_sweep(
-        S, c, steps=steps, seed=cfg["seeds"][0], dense_cap=int(cfg["dense_cap"])
-    )
+    with _config_errors(oracle.DenseCapError):
+        sweep = variation.projector_derivative_sweep(
+            S, c, steps=steps, seed=cfg["seeds"][0], dense_cap=int(cfg["dense_cap"])
+        )
     os.makedirs(cfg["out"], exist_ok=True)
     with open(os.path.join(cfg["out"], "fd_errors.csv"), "w", newline="") as fh:
         wr = csv.writer(fh)

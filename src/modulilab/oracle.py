@@ -18,8 +18,8 @@ from .bundle import BundleCochain, UnitaryCocycle, trivial_cocycle
 from .surface import ConformalSurface, HalfEdgeMesh, equip_conformal, mesh_from_faces
 
 
-class DenseCapError(Exception):
-    """Requested materialization exceeds the configured dense cap."""
+class DenseCapError(ValueError):
+    """Requested dense computation exceeds the configured dense cap."""
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def materialize(
     cod_dim = cod_sites * n * n
     if dom_dim + cod_dim > dense_cap:
         raise DenseCapError(
-            f"materialize({op_name}): dimension {dom_dim + cod_dim} exceeds cap {dense_cap}"
+            f"materialize({op_name}): dimension {dom_dim + cod_dim} exceeds dense_cap {dense_cap}"
         )
     M = np.zeros((cod_dim, dom_dim), dtype=complex)
     basis = np.zeros(dom_dim, dtype=complex)
@@ -119,15 +119,20 @@ def materialize(
     )
 
 
+def _weighted_eigh(delta: DenseOperator):
+    """Eigendecomposition of the weight-symmetrized operator
+    W^{1/2} M W^{-1/2}, with the square-root weights s."""
+    s = np.sqrt(delta.domain_weight)
+    Ssym = (delta.matrix * (1.0 / s)[None, :]) * s[:, None]
+    lam, U = np.linalg.eigh(0.5 * (Ssym + Ssym.conj().T))
+    return lam, U, s
+
+
 def restricted_inverse_dense(
     delta: DenseOperator, kernel_rel_tol: float = 1e-10
 ) -> DenseOperator:
     """Eigendecomposition inverse on the complement of the numerical kernel."""
-    w = delta.domain_weight
-    s = np.sqrt(w)
-    Ssym = (delta.matrix * (1.0 / s)[None, :]) * s[:, None]
-    Ssym = 0.5 * (Ssym + Ssym.conj().T)
-    lam, U = np.linalg.eigh(Ssym)
+    lam, U, s = _weighted_eigh(delta)
     lam_max = max(float(lam[-1]), 1.0)
     inv = np.where(lam > kernel_rel_tol * lam_max, 1.0 / np.maximum(lam, 1e-300), 0.0)
     M = (U * inv[None, :]) @ U.conj().T
@@ -142,11 +147,7 @@ def restricted_inverse_dense(
 
 
 def kernel_dimension_dense(delta: DenseOperator, kernel_rel_tol: float = 1e-10) -> int:
-    w = delta.domain_weight
-    s = np.sqrt(w)
-    Ssym = (delta.matrix * (1.0 / s)[None, :]) * s[:, None]
-    Ssym = 0.5 * (Ssym + Ssym.conj().T)
-    lam = np.linalg.eigvalsh(Ssym)
+    lam = _weighted_eigh(delta)[0]
     return int(np.sum(lam <= kernel_rel_tol * max(float(lam[-1]), 1.0)))
 
 
@@ -198,7 +199,7 @@ def torus_spectral_crosscheck(rank: int = 1, sizes=(4, 8, 16), dense_cap: int = 
         cx = bnd.operators(S, c)
         F, n = S.n_faces, rank
         if (F + S.n_vertices) * n * n > dense_cap:
-            raise DenseCapError("torus cross-check exceeds dense cap")
+            raise DenseCapError(f"torus cross-check exceeds dense_cap {dense_cap}")
         # constant (0,1)-form is discretely harmonic on the regular torus
         const = BundleCochain(np.broadcast_to(np.eye(n), (F, n, n)).copy(), (0, 1))
         r_const = np.linalg.norm(bnd.twisted_dbar_star(const, c, S).values)

@@ -13,6 +13,7 @@ from . import bundle as bnd
 from ._complexes import tangent_complex
 from .bundle import BundleCochain, UnitaryCocycle
 from .calculus import Beltrami, ip_beltrami
+from .oracle import DenseCapError
 from .surface import ConformalSurface
 
 logger = logging.getLogger(__name__)
@@ -102,35 +103,29 @@ def random_tangent(
     return TangentVector(mu=mu, nu=nu, harmonic=True)
 
 
+def _harmonic_columns(cx, dense_cap: int) -> np.ndarray:
+    """Columns spanning ker(dbar*) of a complex, orthonormal under w1, by
+    dense SVD of the weight-orthonormalized dbar."""
+    if sum(cx.dbar.shape) > dense_cap:
+        raise DenseCapError(f"dense basis computation exceeds dense_cap {dense_cap}")
+    Dt = (np.sqrt(cx.w1)[:, None] * cx.dbar.toarray()) / np.sqrt(cx.w0)[None, :]
+    u, s, _ = np.linalg.svd(Dt, full_matrices=True)
+    tol = max(Dt.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0)
+    rank = int(np.sum(s > max(tol, 1e-10)))
+    return u[:, rank:] / np.sqrt(cx.w1)[:, None]
+
+
 def harmonic_nu_basis(c: UnitaryCocycle, S: ConformalSurface, dense_cap: int = 6000) -> list:
     """Orthonormal basis of ker(twisted_dbar_star) by dense SVD."""
     irred, cdim = bnd.is_irreducible(c)
     if not irred:
         logger.warning("cocycle is reducible (commutant dimension %d)", cdim)
-    cx = bnd.operators(S, c)
-    m2 = c.rank * c.rank
-    dim = cx.n_faces * m2
-    if dim + cx.n_vertices * m2 > dense_cap:
-        raise ValueError(f"dense basis computation exceeds cap {dense_cap}")
-    D = cx.dbar.toarray()
-    Dt = (np.sqrt(cx.w1)[:, None] * D) / np.sqrt(cx.w0)[None, :]
-    u, s, _ = np.linalg.svd(Dt, full_matrices=True)
-    tol = max(Dt.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0)
-    rank = int(np.sum(s > max(tol, 1e-10)))
-    basis = u[:, rank:] / np.sqrt(cx.w1)[:, None]
+    basis = _harmonic_columns(bnd.operators(S, c), dense_cap)
     return [BundleCochain(basis[:, k].reshape(-1, c.rank, c.rank), (0, 1)) for k in range(basis.shape[1])]
 
 
 def harmonic_mu_basis(S: ConformalSurface, dense_cap: int = 6000) -> list:
-    cx = tangent_complex(S)
-    if cx.n_faces + cx.n_vertices > dense_cap:
-        raise ValueError(f"dense basis computation exceeds cap {dense_cap}")
-    D = cx.dbar.toarray()
-    Dt = (np.sqrt(cx.w1)[:, None] * D) / np.sqrt(cx.w0)[None, :]
-    u, s, _ = np.linalg.svd(Dt, full_matrices=True)
-    tol = max(Dt.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0)
-    rank = int(np.sum(s > max(tol, 1e-10)))
-    basis = u[:, rank:] / np.sqrt(cx.w1)[:, None]
+    basis = _harmonic_columns(tangent_complex(S), dense_cap)
     return [Beltrami(basis[:, k]) for k in range(basis.shape[1])]
 
 

@@ -28,14 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conventions
-from ._complexes import geometry, lift_to_vertices, vertex_to_face
-from .bundle import (
-    BundleCochain,
-    UnitaryCocycle,
-    ad_matrix,
-    operators,
-)
+from ._complexes import ad, ad_star, lift_to_vertices
+from .bundle import BundleCochain, UnitaryCocycle, operators
 from .calculus import Beltrami, beltrami_d_hol, ip_beltrami
+from .oracle import DenseCapError
 from .surface import ConformalSurface
 from .tangent import TangentVector
 
@@ -86,9 +82,7 @@ class _Workspace:
 
     def __init__(self, S: ConformalSurface, c: UnitaryCocycle):
         self.S = S
-        self.c = c
         self.cx = operators(S, c)
-        self.geom = geometry(S)
         self.n = c.rank
         self.stats: list = []
 
@@ -128,16 +122,12 @@ class _Workspace:
     # -- operator variations ---------------------------------------------
     def dD(self, v: TangentVector, f_vert: np.ndarray) -> np.ndarray:
         """(ad(nu) - mu d) applied to a vertex 0-cochain."""
-        fa = vertex_to_face(self.cx, self.geom, f_vert)
-        comm = v.nu.values @ fa - fa @ v.nu.values
-        return comm - v.mu.values[:, None, None] * self.dhol(f_vert)
+        return ad(self.cx, v.nu.values, f_vert) - v.mu.values[:, None, None] * self.dhol(f_vert)
 
     def xi(self, v: TangentVector, alpha: np.ndarray) -> np.ndarray:
         """d*(mu-bar alpha) - ad_star(nu, alpha) on a (0,1)-form."""
         first = self.dhol_star(np.conj(v.mu.values)[:, None, None] * alpha)
-        A = ad_matrix(BundleCochain(v.nu.values, (0, 1)), self.c, self.S)
-        second = (A.conj().T @ (self.cx.w1 * alpha.reshape(-1))) / self.cx.w0
-        return first - self._mat(second, "v")
+        return first - ad_star(self.cx, v.nu.values, alpha)
 
     def gauge_potential(self, va: TangentVector, vb: TangentVector, label: str) -> np.ndarray:
         """Delta0^{-1} of the lifted gauge-Hessian source for slot pair (a, b)."""
@@ -153,12 +143,12 @@ class _Workspace:
             - np.conj(dmu_b)[:, None, None] * nua
         )
         src *= conventions.GAUGE_SOURCE_CALIBRATION / rho[:, None, None]
-        lifted = lift_to_vertices(self.cx, self.geom, src)
+        lifted = lift_to_vertices(self.cx, src)
         return self.solve(lifted, label)
 
     def ad_of(self, g_vert: np.ndarray, form: np.ndarray) -> np.ndarray:
-        ga = vertex_to_face(self.cx, self.geom, g_vert)
-        return ga @ form - form @ ga
+        """[B g, form] = -ad(form) g."""
+        return -ad(self.cx, form, g_vert)
 
 
 def _check_inputs(S: ConformalSurface, c: UnitaryCocycle, vectors, need_harmonic: bool):
@@ -399,6 +389,19 @@ def positivity_certificate(
 # projector-derivative identity
 
 
+def _nonzero(lam: np.ndarray) -> np.ndarray:
+    """Eigenvalues of M^H M above the numerical kernel threshold."""
+    return lam > 1e-10 * max(lam[-1], 1.0)
+
+
+def _range_complement(M: np.ndarray, lam: np.ndarray, V: np.ndarray):
+    """(M^H M)^+ from the eigendecomposition (lam, V) of M^H M, and the
+    orthogonal projector I - M (M^H M)^+ M^H onto the complement of range M."""
+    inv = np.where(_nonzero(lam), 1.0 / np.maximum(lam, 1e-300), 0.0)
+    pinv = (V * inv[None, :]) @ V.conj().T
+    return pinv, np.eye(M.shape[0]) - M @ pinv @ M.conj().T
+
+
 def projector_derivative_check(
     S: ConformalSurface,
     c: UnitaryCocycle,
@@ -419,14 +422,12 @@ def projector_derivative_check(
     cx = operators(S, c)
     dim = cx.dbar.shape[0] + cx.dbar.shape[1]
     if dim > dense_cap:
-        raise ValueError(f"projector check needs dense operators ({dim} > {dense_cap})")
+        raise DenseCapError(f"projector check needs dense operators ({dim} > dense_cap {dense_cap})")
     s0 = np.sqrt(cx.w0)
     s1 = np.sqrt(cx.w1)
     D = (cx.dbar.toarray() * (1.0 / s0)[None, :]) * s1[:, None]
-    nv = D.shape[1]
-    evals, evecs = np.linalg.eigh(D.conj().T @ D)
-    kdim = int(np.sum(evals <= 1e-10 * max(evals[-1], 1.0)))
-    K = evecs[:, :kdim]
+    lam, V = np.linalg.eigh(D.conj().T @ D)
+    K = V[:, ~_nonzero(lam)]
     if perturbation is None:
         rng = np.random.default_rng(seed)
         A = rng.standard_normal(D.shape) + 1j * rng.standard_normal(D.shape)
@@ -439,15 +440,9 @@ def projector_derivative_check(
 
     def projector(t: float) -> np.ndarray:
         M = D + t * A
-        lam, V = np.linalg.eigh(M.conj().T @ M)
-        inv = np.where(lam > 1e-10 * max(lam[-1], 1.0), 1.0 / np.maximum(lam, 1e-300), 0.0)
-        pinv = (V * inv[None, :]) @ V.conj().T
-        return np.eye(D.shape[0]) - M @ pinv @ M.conj().T
+        return _range_complement(M, *np.linalg.eigh(M.conj().T @ M))[1]
 
-    lam, V = np.linalg.eigh(D.conj().T @ D)
-    inv = np.where(lam > 1e-10 * max(lam[-1], 1.0), 1.0 / np.maximum(lam, 1e-300), 0.0)
-    pinv0 = (V * inv[None, :]) @ V.conj().T
-    P0 = projector(0.0)
+    pinv0, P0 = _range_complement(D, lam, V)
     leibniz = -P0 @ A @ pinv0 @ D.conj().T - D @ pinv0 @ A.conj().T @ P0
     fd = (projector(h_step) - projector(-h_step)) / (2.0 * h_step)
     denom = np.linalg.norm(leibniz, 2)

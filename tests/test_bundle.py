@@ -3,7 +3,15 @@ import pytest
 
 from modulilab import bundle as bnd
 from modulilab import oracle
-from modulilab._complexes import SolverError, endo_complex
+from modulilab._complexes import (
+    SolverError,
+    corner_transports,
+    endo_complex,
+    geometry,
+    lift_to_vertices,
+    scalar_complex,
+    vertex_to_face,
+)
 from modulilab.bundle import (
     BundleCochain,
     CocycleError,
@@ -205,6 +213,70 @@ def test_ad_star_self_commutator_vanishes(surf_hyp, su2_r2):
     nu = BundleCochain(diag, (0, 1))
     out = bnd.ad_star(nu, nu, su2_r2, surf_hyp)
     assert np.linalg.norm(out.values) <= 1e-13
+
+
+# -- corner average B and its lift ------------------------------------------------
+
+CORNER_SCENES = [("surf_hyp_r1", "su2_r1"), ("surf_hyp", "su2_r2")]
+
+
+def _complex_transport_cocycle(mesh):
+    """Rank-2 cocycle with the su2 pair on the first handle and a commuting
+    random U(2) pair (W, W) on the second, so that the conjugation action
+    T X T^H of the corner transports is not real."""
+    chain = [mesh]
+    while chain[-1].refinement is not None:
+        chain.append(chain[-1].refinement.parent)
+    rng = np.random.default_rng(7)
+    W = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+    gens = [np.array([[0, 1j], [1j, 0]]), np.array([[0, 1], [-1, 0]], dtype=complex), W, W]
+    c = from_generators(chain[-1], 2, 1, gens)
+    for child in reversed(chain[:-1]):
+        c = refine_cocycle(c, child)
+    return c
+
+
+def _corner_complexes(request, surf, su2):
+    """su2, generic rank 2, trivial rank 2 and scalar complexes on one surface."""
+    S = request.getfixturevalue(surf)
+    cocycles = [request.getfixturevalue(su2), _complex_transport_cocycle(S.mesh), bnd.trivial_cocycle(S.mesh, 2)]
+    return S, [bnd.operators(S, c) for c in cocycles] + [scalar_complex(S)]
+
+
+@pytest.mark.parametrize("surf", [surf for surf, _ in CORNER_SCENES])
+def test_corner_average_is_mean_of_transported_corners(request, surf, rng):
+    S = request.getfixturevalue(surf)
+    c = _complex_transport_cocycle(S.mesh)
+    T = corner_transports(S, c.transport)
+    cv = geometry(S).corner_vertex
+    x = random_cochain(rng, S.n_vertices, 2, "vertex").values
+    ref = sum(T[:, k] @ x[cv[:, k]] @ np.conj(np.swapaxes(T[:, k], 1, 2)) for k in range(3)) / 3.0
+    got = vertex_to_face(bnd.operators(S, c), x)
+    assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("surf, su2", CORNER_SCENES)
+def test_lift_inverts_corner_average_on_kernel(request, surf, su2):
+    # a covariant constant reaches all three corners of a face as the same
+    # matrix, so averaging into faces and lifting back returns it
+    _, complexes = _corner_complexes(request, surf, su2)
+    for cx in complexes:
+        for k in range(cx.kernel.shape[1]):
+            x = cx.kernel[:, k].reshape(-1, cx.m, cx.m)
+            back = lift_to_vertices(cx, vertex_to_face(cx, x))
+            assert np.linalg.norm(back - x) <= 1e-12 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("surf, su2", CORNER_SCENES)
+def test_lift_is_area_weighted_adjoint_of_corner_average(request, surf, su2, rng):
+    S, complexes = _corner_complexes(request, surf, su2)
+    geom = geometry(S)
+    for cx in complexes:
+        x = random_cochain(rng, cx.n_vertices, cx.m, "vertex").values
+        y = random_cochain(rng, cx.n_faces, cx.m, (0, 1)).values
+        lhs = np.einsum("v,vab,vab->", geom.mass_area, lift_to_vertices(cx, y), np.conj(x))
+        rhs = np.einsum("f,fab,fab->", geom.area, y, np.conj(vertex_to_face(cx, x)))
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
 
 def test_restricted_inverse_positivity(surf_hyp, su2_r2, rng):
