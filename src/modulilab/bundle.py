@@ -73,16 +73,27 @@ def validate_cocycle(c: UnitaryCocycle) -> None:
     if U.shape != (H, n, n):
         raise CocycleError("transport array shape mismatch")
     eye = np.eye(n)
-    for h in range(H):
-        if np.linalg.norm(U[h].conj().T @ U[h] - eye) > UNITARITY_TOL:
+    UH = np.conj(np.swapaxes(U, 1, 2))
+    # every half-edge check runs before any face check, and the first
+    # offending index is named, with unitarity first at that index
+    not_inverse = ~np.all(U[mesh.twin] == UH, axis=(1, 2))
+    gram = UH @ U
+    del UH
+    gram -= eye
+    not_unitary = np.linalg.norm(gram, axis=(1, 2)) > UNITARITY_TOL
+    bad = np.flatnonzero(not_unitary | not_inverse)
+    if bad.size:
+        h = int(bad[0])
+        if not_unitary[h]:
             raise CocycleError(f"transport on half-edge {h} is not unitary")
-        if not np.array_equal(U[int(mesh.twin[h])], U[h].conj().T):
-            raise CocycleError(f"reverse transport on half-edge {h} is not the exact inverse")
-    for f in range(mesh.n_faces):
-        hol = U[3 * f + 2] @ U[3 * f + 1] @ U[3 * f]
-        target = c.twist_phase * eye if f == c.marked_face else eye
-        if np.linalg.norm(hol - target) > FLATNESS_TOL:
-            raise CocycleError(f"face {f} holonomy violates flatness/twist")
+        raise CocycleError(f"reverse transport on half-edge {h} is not the exact inverse")
+    U3 = U.reshape(mesh.n_faces, 3, n, n)
+    hol = U3[:, 2] @ U3[:, 1] @ U3[:, 0]
+    marked = np.arange(mesh.n_faces) == c.marked_face
+    target = np.where(marked[:, None, None], c.twist_phase * eye, eye)
+    bad = np.flatnonzero(np.linalg.norm(hol - target, axis=(1, 2)) > FLATNESS_TOL)
+    if bad.size:
+        raise CocycleError(f"face {int(bad[0])} holonomy violates flatness/twist")
 
 
 def _store(mesh: HalfEdgeMesh, directed: dict[int, np.ndarray], n: int) -> np.ndarray:

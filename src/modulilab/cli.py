@@ -107,6 +107,9 @@ def load_config(path, **cli_overrides) -> dict:
         raise ConfigError("seeds must be a non-empty list of integers")
     for s in seeds:
         _integer(s, "seeds")
+    for key in ("dense_cap", "adjoint_trials", "oracle_rhs"):
+        if _integer(cfg[key], key) < 1:
+            raise ConfigError(f"{key} must be a positive integer, got {cfg[key]!r}")
     steps = cfg["fd_steps"]
     if not isinstance(steps, list) or len(steps) < 2 or not all(_positive(h) for h in steps):
         raise ConfigError("fd_steps must list at least two positive step sizes")
@@ -237,7 +240,7 @@ def cmd_check_operators(config_path, seed, out, dense_cap, tol, density):
     cfg = _load(config_path, seed=seed, out=out, dense_cap=dense_cap, tol=tol, density=density)
     S, c = _scene(cfg)
     tols = cfg["tolerances"]
-    cap = int(cfg["dense_cap"])
+    cap = cfg["dense_cap"]
     cx = bnd.operators(S, c)
     rng = np.random.default_rng(cfg["seeds"][0])
     n = c.rank
@@ -245,7 +248,7 @@ def cmd_check_operators(config_path, seed, out, dense_cap, tol, density):
 
     # adjointness residuals over random trials
     worst = 0.0
-    for _ in range(int(cfg["adjoint_trials"])):
+    for _ in range(cfg["adjoint_trials"]):
         f = rng.standard_normal((S.n_vertices, n, n)) + 1j * rng.standard_normal((S.n_vertices, n, n))
         a = rng.standard_normal((S.n_faces, n, n)) + 1j * rng.standard_normal((S.n_faces, n, n))
         fb = bnd.BundleCochain(f, "vertex")
@@ -265,14 +268,14 @@ def cmd_check_operators(config_path, seed, out, dense_cap, tol, density):
     M = P.matrix
     s1 = np.sqrt(P.codomain_weight)
     Ms = (M * (1.0 / s1)[None, :]) * s1[:, None]
-    checks.append(_check("projector_idempotent", float(np.linalg.norm(Ms @ Ms - Ms, 2)), tols["projector"]))
-    checks.append(_check("projector_self_adjoint", float(np.linalg.norm(Ms - Ms.conj().T, 2)), tols["projector"]))
+    checks.append(_check("projector_idempotent", oracle.spectral_norm(Ms @ Ms - Ms), tols["projector"]))
+    checks.append(_check("projector_self_adjoint", oracle.spectral_norm(Ms - Ms.conj().T), tols["projector"]))
     D = dense("dbar").matrix
     Ds = (D * np.sqrt(P.codomain_weight)[:, None]) / np.sqrt(cx.w0)[None, :]
     checks.append(
         _check(
             "projector_annihilates_dbar",
-            float(np.linalg.norm(Ms @ Ds, 2) / max(np.linalg.norm(Ds, 2), 1e-300)),
+            oracle.spectral_norm(Ms @ Ds) / max(oracle.spectral_norm(Ds), 1e-300),
             tols["projector"],
         )
     )
@@ -298,7 +301,7 @@ def cmd_check_operators(config_path, seed, out, dense_cap, tol, density):
     # oracle equivalence of the factorized restricted inverse
     inv = oracle.restricted_inverse_dense(lap)
     worst = 0.0
-    for _ in range(int(cfg["oracle_rhs"])):
+    for _ in range(cfg["oracle_rhs"]):
         h = rng.standard_normal((S.n_vertices, n, n)) + 1j * rng.standard_normal((S.n_vertices, n, n))
         hb = bnd.BundleCochain(h, "vertex")
         x_fac = bnd.delta0_inverse(hb, c, S).values.reshape(-1)
@@ -402,7 +405,7 @@ def cmd_projector_derivative(config_path, seed, out, dense_cap, tol, density):
     steps = [float(h) for h in cfg["fd_steps"]]
     with _config_errors(oracle.DenseCapError):
         sweep = variation.projector_derivative_sweep(
-            S, c, steps=steps, seed=cfg["seeds"][0], dense_cap=int(cfg["dense_cap"])
+            S, c, steps=steps, seed=cfg["seeds"][0], dense_cap=cfg["dense_cap"]
         )
     os.makedirs(cfg["out"], exist_ok=True)
     with open(os.path.join(cfg["out"], "fd_errors.csv"), "w", newline="") as fh:

@@ -308,6 +308,60 @@ def test_twist_location_invisible_to_operators(fan2_r1, surf_hyp_r1, su2_r1):
     assert np.max(np.abs((cx1.dbar - cx2.dbar).toarray())) <= 1e-12
 
 
+def _first_defect_by_loop(c):
+    # reference: the same checks as plain loops over half-edges, then faces
+    U, eye = c.transport, np.eye(c.rank)
+    for h in range(c.mesh.n_half_edges):
+        if np.linalg.norm(U[h].conj().T @ U[h] - eye) > bnd.UNITARITY_TOL:
+            return f"transport on half-edge {h} is not unitary"
+        if not np.array_equal(U[int(c.mesh.twin[h])], U[h].conj().T):
+            return f"reverse transport on half-edge {h} is not the exact inverse"
+    for f in range(c.mesh.n_faces):
+        hol = U[3 * f + 2] @ U[3 * f + 1] @ U[3 * f]
+        target = c.twist_phase * eye if f == c.marked_face else eye
+        if np.linalg.norm(hol - target) > bnd.FLATNESS_TOL:
+            return f"face {f} holonomy violates flatness/twist"
+    return None
+
+
+def _break(c, kind):
+    # half-edges 7 and 40 of the r1 mesh come before their twins (10, 45)
+    U = c.transport.copy()
+    twin = c.mesh.twin
+    if kind == "not_unitary":  # also breaks the twin pair, at the same index
+        U[40] = 1.1 * U[40]
+    elif kind == "not_inverse":  # still unitary to 1e-10
+        U[twin[40]] = U[twin[40]] + 1e-14
+    elif kind == "holonomy":  # a phase on an edge pair breaks both of its faces
+        U[40] = np.exp(0.1j) * U[40]
+        U[twin[40]] = U[40].conj().T
+    elif kind == "both":  # a twin break before a unitarity break
+        U[twin[7]] = U[twin[7]] + 1e-14
+        U[40] = 1.1 * U[40]
+    return UnitaryCocycle(
+        mesh=c.mesh, rank=c.rank, degree=c.degree, transport=U,
+        marked_face=c.marked_face, generators=None,
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("not_unitary", "transport on half-edge 40 is not unitary"),
+        ("not_inverse", "reverse transport on half-edge 40 is not the exact inverse"),
+        ("holonomy", "face 13 holonomy violates flatness/twist"),
+        ("both", "reverse transport on half-edge 7 is not the exact inverse"),
+    ],
+)
+def test_validate_cocycle_names_first_defect(su2_r1, kind, message):
+    assert [int(su2_r1.mesh.twin[h]) for h in (7, 40)] == [10, 45]
+    c = _break(su2_r1, kind)
+    assert _first_defect_by_loop(c) == message
+    with pytest.raises(CocycleError) as err:
+        validate_cocycle(c)
+    assert str(err.value) == message
+
+
 def test_refine_preserves_flatness_and_irreducibility(fan2, fan2_r1):
     c = refine_cocycle(su2_preset(fan2), fan2_r1)
     validate_cocycle(c)

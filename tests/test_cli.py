@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -174,3 +175,34 @@ def test_projector_derivative_cmd(tmp_path, cfg_path):
     lines = (out / "fd_errors.csv").read_text().strip().splitlines()
     assert lines[0] == "step,rel_error"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("field", ["dense_cap", "adjoint_trials", "oracle_rhs"])
+@pytest.mark.parametrize("value", ["big", 1.5, -1])
+def test_count_fields_must_be_positive_integers(tmp_path, field, value):
+    p = _write(tmp_path, {field: value})
+    r = run_cli("check-operators", "--config", p, "--out", str(tmp_path / "out"))
+    assert r.returncode == 2, r.stderr
+    assert field in r.stderr and "Traceback" not in r.stderr
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SHIPPED = {
+    "genus2_trivial.json": {},
+    # the known failure of the shipped su2 config: the error at step 1e-4
+    # is 1.096e-6 against 1e-6 (the perturbation is scaled to 2|D|_2)
+    "genus2_su2.json": {"projector-derivative": ["fd_error_at_1e-4"]},
+}
+
+
+@pytest.mark.parametrize("config", sorted(SHIPPED))
+@pytest.mark.parametrize(
+    "cmd", ["check-operators", "second-variation", "positivity", "projector-derivative"]
+)
+def test_shipped_configs_smoke(tmp_path, config, cmd):
+    out = tmp_path / "out"
+    r = run_cli(cmd, "--config", str(CONFIGS / config), "--out", str(out))
+    failures = SHIPPED[config].get(cmd, [])
+    assert r.returncode == (1 if failures else 0), r.stdout + r.stderr
+    assert json.loads((out / "report.json").read_text())["failures"] == failures

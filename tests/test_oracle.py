@@ -109,6 +109,23 @@ def test_dense_cap(surf_hyp_r1, su2_r1):
         oracle.materialize("dbar", su2_r1, surf_hyp_r1, dense_cap=10)
 
 
+@pytest.mark.parametrize(
+    "shape, scale, hermitian",
+    [((40, 17), 1.0, False), ((17, 40), 1.0, False), ((30, 30), 1.0, True), ((25, 12), 1e-15, False)],
+)
+def test_spectral_norm_matches_svd(rng, shape, scale, hermitian):
+    X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if hermitian:
+        X = X + X.conj().T
+    X *= scale
+    ref = np.linalg.norm(X, 2)
+    assert abs(oracle.spectral_norm(X) - ref) <= 1e-13 * ref
+
+
+def test_spectral_norm_of_zero_matrix():
+    assert oracle.spectral_norm(np.zeros((6, 4), dtype=complex)) == 0.0
+
+
 def test_torus_mesh_valid():
     m = oracle.build_torus(4)
     assert m.genus == 1

@@ -411,6 +411,16 @@ def test_projector_derivative_slope(surf_hyp_r1, su2_r1):
     assert abs(sweep["slope"] - 2.0) <= 0.2
 
 
+def test_projector_derivative_sweep_matches_single_steps(surf_hyp_r1, su2_r1):
+    # the sweep shares one frame across its steps; each error must equal
+    # the one a separate check at that step computes from scratch
+    steps = (1e-3, 1e-4, 1e-5)
+    sweep = var.projector_derivative_sweep(surf_hyp_r1, su2_r1, steps=steps, seed=3)
+    for h in steps:
+        single = var.projector_derivative_check(surf_hyp_r1, su2_r1, h_step=h, seed=3)
+        assert abs(sweep["errors"][h] - single) <= 1e-12 * single
+
+
 def test_projector_derivative_sweep_honours_dense_cap(surf_hyp_r1, su2_r1):
     with pytest.raises(ValueError, match="dense"):
         var.projector_derivative_sweep(surf_hyp_r1, su2_r1, steps=(1e-3, 1e-4), dense_cap=10)
