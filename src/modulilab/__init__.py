@@ -21,6 +21,7 @@ from .variation import (
     VariationReport,
     metric_g,
     first_variation,
+    evaluate_quadruple,
     second_variation_universal,
     second_variation_fibered,
     difference_report,
@@ -50,6 +51,7 @@ __all__ = [
     "VariationReport",
     "metric_g",
     "first_variation",
+    "evaluate_quadruple",
     "second_variation_universal",
     "second_variation_fibered",
     "difference_report",

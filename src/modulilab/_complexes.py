@@ -30,7 +30,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import conventions
-from .surface import ConformalSurface
+from .surface import ConformalSurface, bfs_tree
 
 
 class SolverError(Exception):
@@ -74,43 +74,26 @@ def geometry(surface: ConformalSurface) -> SurfaceGeometry:
     # BFS tree over face adjacency accumulating chart rotations; tangent
     # coefficients in chart(f) equal face_spin[f]/face_spin[f'] times their
     # expression in chart(f') along tree paths.
+    levels, tree = bfs_tree(np.arange(0, H + 1, 3), mesh.twin // 3)
+    if sum(lvl.size for lvl in levels) != F:
+        raise ValueError("face adjacency graph is not connected")
     face_spin = np.zeros(F, dtype=complex)
     face_spin[0] = 1.0
-    visited = np.zeros(F, dtype=bool)
-    visited[0] = True
-    queue = [0]
-    while queue:
-        f = queue.pop(0)
-        for k in range(3):
-            h = 3 * f + k
-            t = int(mesh.twin[h])
-            ft = t // 3
-            if not visited[ft]:
-                visited[ft] = True
-                face_spin[ft] = surface.edge_rotation[h] * face_spin[f]
-                queue.append(ft)
-    if not visited.all():
-        raise ValueError("face adjacency graph is not connected")
+    for lvl in levels[1:]:
+        h = tree[lvl]
+        r, s = surface.edge_rotation[h], face_spin[h // 3]
+        # the product written out, as the scalar product rounds it: numpy's
+        # vectorized complex multiply may fuse multiply-adds
+        face_spin[lvl] = (r.real * s.real - r.imag * s.imag) + 1j * (r.real * s.imag + r.imag * s.real)
+    cv = corner_vertex.reshape(-1)
     vertex_ref_face = np.full(V, F, dtype=np.int64)
-    for f in range(F):
-        for k in range(3):
-            v = corner_vertex[f, k]
-            if f < vertex_ref_face[v]:
-                vertex_ref_face[v] = f
-    corner_spin = np.zeros((F, 3), dtype=complex)
-    for f in range(F):
-        for k in range(3):
-            corner_spin[f, k] = face_spin[f] / face_spin[vertex_ref_face[corner_vertex[f, k]]]
+    np.minimum.at(vertex_ref_face, cv, np.arange(H) // 3)
+    corner_spin = face_spin[:, None] / face_spin[vertex_ref_face[corner_vertex]]
     rho = surface.density
-    mass_rho = np.zeros(V)
-    mass_rho2 = np.zeros(V)
-    mass_area = np.zeros(V)
-    for f in range(F):
-        for k in range(3):
-            v = corner_vertex[f, k]
-            mass_rho[v] += rho[f] * S[f] / 3.0
-            mass_rho2[v] += rho[f] ** 2 * S[f] / 3.0
-            mass_area[v] += S[f] / 3.0
+
+    def mass(per_face):
+        return np.bincount(cv, weights=np.repeat(per_face / 3.0, 3), minlength=V)
+
     return SurfaceGeometry(
         corner_vertex=corner_vertex,
         grad_bar=grad_bar,
@@ -120,9 +103,9 @@ def geometry(surface: ConformalSurface) -> SurfaceGeometry:
         face_spin=face_spin,
         vertex_ref_face=vertex_ref_face,
         corner_spin=corner_spin,
-        mass_rho=mass_rho,
-        mass_rho2=mass_rho2,
-        mass_area=mass_area,
+        mass_rho=mass(rho * S),
+        mass_rho2=mass(rho**2 * S),
+        mass_area=mass(S),
     )
 
 
@@ -350,19 +333,11 @@ def corner_transports(surface: ConformalSurface, transport_per_he: np.ndarray) -
     mesh = surface.mesh
     F = mesh.n_faces
     n = transport_per_he.shape[1]
-    T = np.zeros((F, 3, n, n), dtype=complex)
-    for f in range(F):
-        verts = [int(mesh.origin[3 * f + k]) for k in range(3)]
-        a = int(np.argmin(verts))
-        for k in range(3):
-            step = (a - k) % 3
-            if step == 0:
-                T[f, k] = np.eye(n)
-            elif step == 1:
-                T[f, k] = transport_per_he[3 * f + k]
-            else:
-                T[f, k] = transport_per_he[3 * f + (k + 1) % 3] @ transport_per_he[3 * f + k]
-    return T
+    U = transport_per_he.reshape(F, 3, n, n)
+    a = np.argmin(mesh.origin.reshape(F, 3), axis=1)
+    step = ((a[:, None] - np.arange(3)) % 3)[:, :, None, None]
+    # two steps from corner k: U[3f+k+1] @ U[3f+k]
+    return np.where(step == 0, np.eye(n), np.where(step == 1, U, U[:, [1, 2, 0]] @ U))
 
 
 def endo_complex(

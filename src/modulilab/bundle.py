@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _complexes
 from ._complexes import DolbeaultComplex, endo_complex
-from .surface import ConformalSurface, HalfEdgeMesh
+from .surface import ConformalSurface, HalfEdgeMesh, bfs_tree, split_half_edges, vertex_adjacency
 
 logger = logging.getLogger(__name__)
 
@@ -96,22 +96,16 @@ def validate_cocycle(c: UnitaryCocycle) -> None:
         raise CocycleError(f"face {int(bad[0])} holonomy violates flatness/twist")
 
 
-def _store(mesh: HalfEdgeMesh, directed: dict[int, np.ndarray], n: int) -> np.ndarray:
-    """Fill the (H,n,n) array so that twins carry exact inverses."""
-    H = mesh.n_half_edges
-    U = np.zeros((H, n, n), dtype=complex)
-    done = np.zeros(H, dtype=bool)
-    for h in range(H):
-        if done[h]:
-            continue
-        t = int(mesh.twin[h])
-        M = directed.get(h)
-        if M is None:
-            M = directed[t].conj().T
-        U[h] = M
-        U[t] = M.conj().T
-        done[h] = done[t] = True
-    return U
+def _store(mesh: HalfEdgeMesh, directed: np.ndarray, given: np.ndarray) -> np.ndarray:
+    """(H,n,n) transports from the ``given`` entries of ``directed``, so
+    that twins carry exact inverses: each twin pair keeps the entry of
+    its lower half-edge when that one is given, else of its twin."""
+    h = np.arange(mesh.n_half_edges)
+    tw = mesh.twin
+    lo = np.minimum(h, tw)
+    own = np.where(given[lo], h == lo, h != lo)
+    inverse = np.conj(np.swapaxes(directed[tw], 1, 2))
+    return np.where(own[:, None, None], directed, inverse)
 
 
 def from_generators(
@@ -156,16 +150,17 @@ def from_generators(
         side[base + 2] = B
         side[base + 1] = A.conj().T
         side[base + 0] = B.conj().T
-    directed: dict[int, np.ndarray] = {}
-    for i in range(S):
-        directed[3 * i + 1] = side[i]
+    directed = np.zeros((3 * S, n, n), dtype=complex)
+    given = np.zeros(3 * S, dtype=bool)
+    directed[1::3] = side
+    given[0::3] = given[1::3] = True
     # spokes: S_0 = I and S_{i+1} = W_i S_i keeps faces 0..S-2 exactly flat;
     # the last face then carries the full relation product.
     spoke = eye.copy()
     for i in range(S):
         directed[3 * i] = spoke
         spoke = side[i] @ spoke
-    U = _store(mesh, directed, n)
+    U = _store(mesh, directed, given)
     c = UnitaryCocycle(
         mesh=mesh,
         rank=n,
@@ -214,40 +209,27 @@ def refine_cocycle(c: UnitaryCocycle, child: HalfEdgeMesh) -> UnitaryCocycle:
         raise CocycleError("child mesh was not refined from the cocycle's mesh")
     mesh = c.mesh
     n = c.rank
-    eye = np.eye(n)
     H = mesh.n_half_edges
-
-    def first_half(h: int) -> int:
-        f, k = divmod(h, 3)
-        return 12 * f + 3 * k
-
-    def second_half(h: int) -> int:
-        f, k = divmod(h, 3)
-        return 12 * f + 3 * ((k + 1) % 3) + 2
-
+    tw = mesh.twin
+    first, second = split_half_edges(H)
     # split each parent edge once: full transport on the origin half of the
     # canonical direction, identity on the half into the head
-    half = np.zeros((4 * H, n, n), dtype=complex)
-    for h in range(H):
-        t = int(mesh.twin[h])
-        if h < t:
-            half[first_half(h)] = c.transport[h]
-            half[second_half(h)] = eye
-            half[first_half(t)] = eye
-            half[second_half(t)] = c.transport[h].conj().T
-    directed: dict[int, np.ndarray] = {}
-    for h in range(H):
-        directed[first_half(h)] = half[first_half(h)]
-        if h < int(mesh.twin[h]):
-            directed[second_half(h)] = half[second_half(h)]
+    lo = np.flatnonzero(np.arange(H) < tw)
+    directed = np.zeros((4 * H, n, n), dtype=complex)
+    directed[first[lo]] = c.transport[lo]
+    directed[second[lo]] = np.eye(n)
+    directed[first[tw[lo]]] = np.eye(n)
+    directed[second[tw[lo]]] = np.conj(np.swapaxes(c.transport[lo], 1, 2))
+    given = np.zeros(4 * H, dtype=bool)
+    given[first] = True
+    given[second[lo]] = True
     # midline m_k -> m_{k-1} closes each corner face exactly; the central
     # face then carries a conjugate of the parent holonomy.
-    for f in range(mesh.n_faces):
-        for k in range(3):
-            A = half[12 * f + 3 * k]  # v_k -> m_k
-            C = half[12 * f + 3 * k + 2]  # m_{k-1} -> v_k
-            directed[12 * f + 3 * k + 1] = (A @ C).conj().T
-    U2 = _store(child, directed, n)
+    faces = directed.reshape(mesh.n_faces, 4, 3, n, n)
+    # corner face k: (v_k -> m_k) @ (m_{k-1} -> v_k), inverted
+    faces[:, :3, 1] = np.conj(np.swapaxes(faces[:, :3, 0] @ faces[:, :3, 2], -1, -2))
+    given.reshape(mesh.n_faces, 4, 3)[:, :3, 1] = True
+    U2 = _store(child, directed, given)
     out = UnitaryCocycle(
         mesh=child,
         rank=n,
@@ -314,33 +296,15 @@ def _covariant_constant_columns(c: UnitaryCocycle) -> np.ndarray:
     mesh, n = c.mesh, c.rank
     commutant = _commutant(c)
     k = commutant.shape[1]
-    V = mesh.n_vertices
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(V)]
-    for h in range(mesh.n_half_edges):
-        adj[int(mesh.origin[h])].append((mesh.head(h), h))
-    order = []
-    parent_he = np.full(V, -1, dtype=np.int64)
-    seen = np.zeros(V, dtype=bool)
-    seen[0] = True
-    queue = [0]
-    while queue:
-        v = queue.pop(0)
-        order.append(v)
-        for w, h in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                parent_he[w] = h
-                queue.append(w)
-    cols = np.zeros((V * n * n, k), dtype=complex)
-    for i in range(k):
-        vals = np.zeros((V, n, n), dtype=complex)
-        vals[0] = commutant[:, i].reshape(n, n)
-        for v in order[1:]:
-            h = int(parent_he[v])
-            U = c.transport[h]
-            vals[v] = U @ vals[int(c.mesh.origin[h])] @ U.conj().T
-        cols[:, i] = vals.reshape(-1)
-    return cols
+    indptr, out, heads = vertex_adjacency(mesh)
+    levels, tree = bfs_tree(indptr, heads)
+    vals = np.zeros((mesh.n_vertices, k, n, n), dtype=complex)
+    vals[0] = commutant.T.reshape(k, n, n)
+    for lvl in levels[1:]:
+        h = out[tree[lvl]]
+        U = c.transport[h][:, None]
+        vals[lvl] = U @ vals[mesh.origin[h]] @ np.conj(np.swapaxes(U, -1, -2))
+    return np.moveaxis(vals, 1, 0).reshape(k, -1).T
 
 
 @functools.lru_cache(maxsize=None)

@@ -94,9 +94,18 @@ def load_config(path, **cli_overrides) -> dict:
         elif key == "out":
             cfg["out"] = val
     cfg.setdefault("out", "out")
-    tol = cfg["tolerances"]
-    if any(float(t) <= 0 for t in tol.values()):
-        raise ConfigError("tolerances must be positive")
+    for key in ("mesh", "bundle", "tolerances", "tangent"):
+        if not isinstance(cfg[key], dict):
+            raise ConfigError(f"{key} must be a JSON object, got {cfg[key]!r}")
+    for name, t in cfg["tolerances"].items():
+        if not (_number(t) and t > 0):
+            raise ConfigError(f"tolerances.{name} must be a positive finite number, got {t!r}")
+    for key in ("mu_scale", "nu_scale"):
+        if not _number(cfg["tangent"].get(key)):
+            raise ConfigError(f"tangent.{key} must be a finite number, got {cfg['tangent'].get(key)!r}")
+    n = cfg["bundle"].get("n")
+    if n is not None and _integer(n, "bundle.n") < 1:
+        raise ConfigError(f"bundle.n must be a positive integer or null, got {n!r}")
     mesh_cfg = cfg["mesh"]
     if mesh_cfg.get("file") is None and _integer(mesh_cfg.get("genus"), "mesh.genus") < 2:
         raise ConfigError("genus must be >= 2 (torus geometry only via the cross-check)")
@@ -111,8 +120,8 @@ def load_config(path, **cli_overrides) -> dict:
         if _integer(cfg[key], key) < 1:
             raise ConfigError(f"{key} must be a positive integer, got {cfg[key]!r}")
     steps = cfg["fd_steps"]
-    if not isinstance(steps, list) or len(steps) < 2 or not all(_positive(h) for h in steps):
-        raise ConfigError("fd_steps must list at least two positive step sizes")
+    if not isinstance(steps, list) or not all(_number(h) and h > 0 for h in steps) or len(set(steps)) < 2:
+        raise ConfigError("fd_steps must list at least two distinct positive step sizes")
     if _fd_gate_step(steps) is None:
         raise ConfigError(f"fd_steps must include the gated step {FD_GATE_STEP:g}")
     for f in (mesh_cfg.get("file"), cfg["bundle"].get("generator_file")):
@@ -127,8 +136,8 @@ def _integer(value, field: str) -> int:
     return value
 
 
-def _positive(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and value > 0
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _fd_gate_step(steps):
@@ -150,7 +159,7 @@ def build_scene(cfg: dict):
     elif bcfg.get("preset") == "su2":
         c0 = su2_preset(cocycle_mesh)
     elif bcfg.get("preset") == "trivial":
-        c0 = trivial_cocycle(cocycle_mesh, int(bcfg.get("n") or 1))
+        c0 = trivial_cocycle(cocycle_mesh, bcfg.get("n") or 1)
     else:
         raise ConfigError(f"unknown bundle preset {bcfg.get('preset')!r}")
     for _ in range(int(mcfg.get("refinements", 0))):
@@ -325,10 +334,7 @@ def _sample_reports(cfg, S, c, seed):
         random_tangent(S, c, seed=seed * 10 + i, mu_scale=tcfg["mu_scale"], nu_scale=tcfg["nu_scale"])
         for i in range(4)
     ]
-    uni = variation.second_variation_universal(*vs, S, c)
-    fib = variation.second_variation_fibered(*vs, S, c)
-    diff = variation.difference_report(*vs, S, c)
-    return seed, uni, fib, diff
+    return (seed, *variation.evaluate_quadruple(*vs, S, c))
 
 
 @main.command("second-variation")

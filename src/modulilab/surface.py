@@ -109,6 +109,52 @@ class HalfEdgeMesh:
         )
 
 
+def next_index(n_half_edges: int) -> np.ndarray:
+    """``next`` of every half-edge: ``3f+k -> 3f+(k+1)%3``."""
+    h = np.arange(n_half_edges)
+    return h - h % 3 + (h + 1) % 3
+
+
+def vertex_adjacency(mesh: HalfEdgeMesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Outgoing half-edges of every vertex in increasing order, as CSR:
+    vertex v leaves along ``half_edges[indptr[v]:indptr[v+1]]`` to the
+    vertices ``heads`` at the same slots."""
+    counts = np.bincount(mesh.origin, minlength=mesh.n_vertices)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    half_edges = np.argsort(mesh.origin, kind="stable")
+    return indptr, half_edges, mesh.origin[next_index(mesh.n_half_edges)][half_edges]
+
+
+def bfs_tree(indptr: np.ndarray, dst: np.ndarray) -> tuple[list, np.ndarray]:
+    """Breadth-first search from node 0 of a graph in CSR form, one level
+    at a time.
+
+    Node u reaches ``dst[indptr[u]:indptr[u+1]]`` in that order.  Each
+    level scans its frontier in queue order and a newly found node keeps
+    the first slot that reaches it, so the levels and the tree are those
+    of a FIFO queue.  Returns the levels (node arrays, node 0 first) and
+    the tree slot of every node (-1 for node 0 and unreached nodes).
+    """
+    n = indptr.shape[0] - 1
+    tree = np.full(n, -1, dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    frontier = np.array([0], dtype=np.int64)
+    levels = []
+    while frontier.size:
+        levels.append(frontier)
+        start = indptr[frontier]
+        count = indptr[frontier + 1] - start
+        slots = np.repeat(start - (np.cumsum(count) - count), count) + np.arange(count.sum())
+        slots = slots[~seen[dst[slots]]]
+        _, first = np.unique(dst[slots], return_index=True)
+        slots = slots[np.sort(first)]
+        frontier = dst[slots]
+        seen[frontier] = True
+        tree[frontier] = slots
+    return levels, tree
+
+
 def validate_mesh(mesh: HalfEdgeMesh) -> None:
     """Raise MeshError unless the mesh is a closed, connected, oriented
     triangulation whose Euler characteristic matches its genus."""
@@ -130,27 +176,15 @@ def validate_mesh(mesh: HalfEdgeMesh) -> None:
     if not np.array_equal(tw[tw], ar):
         raise MeshError("twin is not an involution (non-manifold edge)")
     # twins traverse the same edge in opposite directions
-    nxt = 3 * (ar // 3) + (ar + 1) % 3
-    if not np.array_equal(org[tw], org[nxt]):
+    head = org[next_index(H)]
+    if not np.array_equal(org[tw], head):
         raise MeshError("twin endpoints inconsistent (orientation broken)")
     # every vertex is used
     if np.unique(org).size != mesh.n_vertices:
         raise MeshError("unused vertex indices")
-    # connectivity over the vertex graph
-    V = mesh.n_vertices
-    adj: list[list[int]] = [[] for _ in range(V)]
-    for h in range(H):
-        adj[org[h]].append(org[nxt[h]])
-    seen = np.zeros(V, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(w)
-    if not seen.all():
+    indptr, _, heads = vertex_adjacency(mesh)
+    levels, _ = bfs_tree(indptr, heads)
+    if sum(lvl.size for lvl in levels) != mesh.n_vertices:
         raise MeshError("mesh is not connected")
     euler = mesh.n_vertices - mesh.n_edges + mesh.n_faces
     if euler != 2 - 2 * mesh.genus:
@@ -230,6 +264,24 @@ def build_polygon_gluing(genus: int) -> HalfEdgeMesh:
     return mesh
 
 
+def split_half_edges(n_half_edges: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two halves of every parent half-edge under ``refine``: the
+    child leaving its origin and the child entering its head."""
+    f, k = np.divmod(np.arange(n_half_edges), 3)
+    return 12 * f + 3 * k, 12 * f + 3 * ((k + 1) % 3) + 2
+
+
+def _children(corners: np.ndarray, mids: np.ndarray) -> np.ndarray:
+    """(F,3) corner and (F,3) midpoint entries -> (4F,3) child faces
+    (c_k, m_k, m_{k-1}) for k = 0, 1, 2, then (m_0, m_1, m_2)."""
+    out = np.empty((corners.shape[0], 4, 3), dtype=np.result_type(corners, mids))
+    out[:, :3, 0] = corners
+    out[:, :3, 1] = mids
+    out[:, :3, 2] = np.roll(mids, 1, axis=1)
+    out[:, 3] = mids
+    return out.reshape(-1, 3)
+
+
 def refine(mesh: HalfEdgeMesh) -> HalfEdgeMesh:
     """1-to-4 triangle subdivision (one new vertex per edge).
 
@@ -239,55 +291,24 @@ def refine(mesh: HalfEdgeMesh) -> HalfEdgeMesh:
     """
     validate_mesh(mesh)
     H, F, V = mesh.n_half_edges, mesh.n_faces, mesh.n_vertices
-    eidx = mesh.edge_index()
-    edge_mid = V + eidx  # (H,) midpoint vertex per half-edge
-    H2 = 4 * H
-    origin = np.zeros(H2, dtype=np.int64)
-    twin = np.full(H2, -1, dtype=np.int64)
-
-    def child_he(f: int, c: int, k: int) -> int:
-        return 12 * f + 3 * c + k
-
-    for f in range(F):
-        h = [3 * f, 3 * f + 1, 3 * f + 2]
-        v = [int(mesh.origin[x]) for x in h]
-        m = [int(edge_mid[x]) for x in h]
-        for k in range(3):
-            kk = (k + 1) % 3
-            # corner face at v_k: (v_k, m_k, m_{k-1})
-            origin[child_he(f, k, 0)] = v[k]
-            origin[child_he(f, k, 1)] = m[k]
-            origin[child_he(f, k, 2)] = m[(k - 1) % 3]
-            # midline twins: corner-face he1 (m_k -> m_{k-1}) pairs with the
-            # central he (m_{k-1} -> m_k)
-            twin[child_he(f, k, 1)] = child_he(f, 3, (k + 2) % 3)
-            twin[child_he(f, 3, (k + 2) % 3)] = child_he(f, k, 1)
-        # central face (m0, m1, m2)
-        for k in range(3):
-            origin[child_he(f, 3, k)] = m[k]
+    edge_mid = V + mesh.edge_index()  # (H,) midpoint vertex per half-edge
+    origin = _children(mesh.origin.reshape(F, 3), edge_mid.reshape(F, 3)).reshape(-1)
     # halves of parent edges: first half of h twins second half of twin(h)
-    for h in range(H):
-        f, k = divmod(h, 3)
-        first = child_he(f, k, 0)
-        t = int(mesh.twin[h])
-        ft, kt = divmod(t, 3)
-        second_of_twin = child_he(ft, (kt + 1) % 3, 2)
-        twin[first] = second_of_twin
-        twin[second_of_twin] = first
-    labels = {}
-    for name, h in mesh.labels.items():
-        f, k = divmod(h, 3)
-        labels[name] = child_he(f, k, 0)  # label marks the first segment
+    first, second = split_half_edges(H)
+    twin = np.empty(4 * H, dtype=np.int64)
+    twin[first] = second[mesh.twin]
+    twin[second] = first[mesh.twin]
+    # midline twins: corner-face he1 (m_k -> m_{k-1}) pairs with the
+    # central he (m_{k-1} -> m_k)
+    f, k = np.divmod(np.arange(H), 3)
+    central = 12 * f + 9 + (k + 2) % 3
+    twin[first + 1] = central
+    twin[central] = first + 1
+    labels = {name: int(first[h]) for name, h in mesh.labels.items()}  # the first segment
     layout = None
     if mesh.layout is not None:
-        layout = np.zeros((4 * F, 3), dtype=complex)
-        for f in range(F):
-            z = mesh.layout[f]
-            w = [(z[k] + z[(k + 1) % 3]) / 2.0 for k in range(3)]
-            layout[4 * f + 0] = (z[0], w[0], w[2])
-            layout[4 * f + 1] = (z[1], w[1], w[0])
-            layout[4 * f + 2] = (z[2], w[2], w[1])
-            layout[4 * f + 3] = (w[0], w[1], w[2])
+        z = mesh.layout
+        layout = _children(z, (z + np.roll(z, -1, axis=1)) / 2.0)
     out = HalfEdgeMesh(
         origin=origin,
         twin=twin,
@@ -375,27 +396,31 @@ def _signed_area(z: np.ndarray) -> np.ndarray:
     return 0.5 * np.imag(np.conj(z[:, 1] - z[:, 0]) * (z[:, 2] - z[:, 0]))
 
 
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| rounded as the scalar ``abs`` rounds it (numpy's vectorized
+    complex ``abs`` can differ in the last bit)."""
+    return np.hypot(z.real, z.imag)
+
+
 def _edge_rotations(mesh: HalfEdgeMesh, chart: np.ndarray) -> np.ndarray:
-    H = mesh.n_half_edges
-    rot = np.zeros(H, dtype=complex)
-    for h in range(H):
-        f, k = divmod(h, 3)
-        t = int(mesh.twin[h])
-        ft, kt = divmod(t, 3)
-        pa = chart[f, k]
-        pb = chart[f, (k + 1) % 3]
-        qa = chart[ft, kt]
-        qb = chart[ft, (kt + 1) % 3]
-        la, lb = abs(pb - pa), abs(qa - qb)
-        if la == 0.0 or lb == 0.0:
-            raise ChartError(f"zero-length edge in chart of face {f}")
-        if abs(la - lb) > 1e-10 * max(la, lb):
-            raise ChartError(
-                f"shared-edge chart lengths disagree across half-edge {h}: {la} vs {lb}"
-            )
-        r = (qa - qb) / (pb - pa)
-        rot[h] = r / abs(r)
-    return rot
+    z = chart.reshape(-1)  # corner k of face f sits at 3f+k, like its half-edge
+    nxt = next_index(mesh.n_half_edges)
+    tw = mesh.twin
+    p = z[nxt] - z  # half-edge h in its own chart
+    q = z[tw] - z[nxt[tw]]  # the same edge in the twin's chart
+    la, lb = _modulus(p), _modulus(q)
+    zero = (la == 0.0) | (lb == 0.0)
+    mismatch = np.abs(la - lb) > 1e-10 * np.maximum(la, lb)
+    bad = np.flatnonzero(zero | mismatch)
+    if bad.size:
+        h = int(bad[0])
+        if zero[h]:
+            raise ChartError(f"zero-length edge in chart of face {h // 3}")
+        raise ChartError(
+            f"shared-edge chart lengths disagree across half-edge {h}: {la[h]} vs {lb[h]}"
+        )
+    r = q / p
+    return r / _modulus(r)
 
 
 def equip_conformal(
@@ -410,11 +435,12 @@ def equip_conformal(
     """
     validate_mesh(mesh)
     F = mesh.n_faces
-    for f in range(F):
-        if len(set(mesh.face_vertices(f))) != 3:
-            raise ChartError(
-                f"face {f} has repeated vertices; refine the mesh before equipping"
-            )
+    v = mesh.origin.reshape(F, 3)
+    repeated = np.flatnonzero((v[:, 0] == v[:, 1]) | (v[:, 1] == v[:, 2]) | (v[:, 2] == v[:, 0]))
+    if repeated.size:
+        raise ChartError(
+            f"face {int(repeated[0])} has repeated vertices; refine the mesh before equipping"
+        )
     if layout == "stored":
         if mesh.layout is None:
             raise ChartError("mesh carries no stored layout")

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,23 +266,54 @@ def _fibered_extra_terms(ws: _Workspace, v1, v2, v3, v4) -> list:
 _REMOVED_IN_FIBERED = ("cross_mu3", "cross_mu4")
 
 
-def _report(system, terms, ws, vectors) -> VariationReport:
-    total = complex(sum(val for _, val in terms))
+def _report(system, terms, stats, S, inputs) -> VariationReport:
+    return VariationReport(
+        coordinate_system=system,
+        terms=tuple(terms),
+        total=complex(sum(val for _, val in terms)),
+        inputs=inputs,
+        conventions_digest=conventions.digest(S.density_policy),
+        solver_stats=tuple(stats),
+    )
+
+
+def evaluate_quadruple(
+    v1: TangentVector,
+    v2: TangentVector,
+    v3: TangentVector,
+    v4: TangentVector,
+    S: ConformalSurface,
+    c: UnitaryCocycle,
+) -> tuple[VariationReport, VariationReport, VariationReport]:
+    """Universal, fibered and difference reports of one tangent quadruple.
+
+    The ten universal and four fibered-only terms are evaluated once, with
+    one solve per term label (nine), and each report is a view of that
+    term table.  The universal report carries the stats of its five
+    solves; the fibered and difference reports those of all nine.
+    """
+    vectors = (v1, v2, v3, v4)
+    _check_inputs(S, c, vectors, need_harmonic=True)
+    ws = _Workspace(S, c)
+    universal = _universal_terms(ws, *vectors)
+    n_universal = len(ws.stats)
+    extra = _fibered_extra_terms(ws, *vectors)
     inputs = {
-        "digest": _inputs_digest(
-            [v.mu.values for v in vectors] + [v.nu.values for v in vectors]
-        ),
+        "digest": _inputs_digest([v.mu.values for v in vectors] + [v.nu.values for v in vectors]),
         "mu_norms": [float(np.linalg.norm(v.mu.values)) for v in vectors],
         "nu_norms": [float(np.linalg.norm(v.nu.values)) for v in vectors],
         "harmonic": [bool(v.harmonic) for v in vectors],
     }
-    return VariationReport(
-        coordinate_system=system,
-        terms=tuple(terms),
-        total=total,
-        inputs=inputs,
-        conventions_digest=conventions.digest(ws.S.density_policy),
-        solver_stats=tuple(ws.stats),
+    table = dict(universal)
+    fibered = [(name, val) for name, val in universal if name not in _REMOVED_IN_FIBERED] + extra
+    # universal minus fibered: the removed cross terms with plus sign, the
+    # four fibered-only terms with minus
+    difference = [(f"removed_{name}", table[name]) for name in _REMOVED_IN_FIBERED]
+    difference += [(f"added_{name}", -val) for name, val in extra]
+    return (
+        _report("universal", universal, ws.stats[:n_universal], S, inputs),
+        _report("fibered", fibered, ws.stats, S, inputs),
+        _report("difference", difference, ws.stats, S, inputs),
     )
 
 
@@ -298,10 +330,7 @@ def second_variation_universal(
     Ten named terms; C-linear in slots 1 and 3, conjugate-linear in
     slots 2 and 4; Hermitian under (1<->2, 3<->4) with conjugation.
     """
-    _check_inputs(S, c, (v1, v2, v3, v4), need_harmonic=True)
-    ws = _Workspace(S, c)
-    terms = _universal_terms(ws, v1, v2, v3, v4)
-    return _report("universal", terms, ws, (v1, v2, v3, v4))
+    return evaluate_quadruple(v1, v2, v3, v4, S, c)[0]
 
 
 def second_variation_fibered(
@@ -315,15 +344,7 @@ def second_variation_fibered(
     """Mixed second derivative in the fibered coordinate system: the
     shared terms evaluated by the same code path, minus the two cross
     terms, plus four new solve-based integrals."""
-    _check_inputs(S, c, (v1, v2, v3, v4), need_harmonic=True)
-    ws = _Workspace(S, c)
-    shared = [
-        (name, val)
-        for name, val in _universal_terms(ws, v1, v2, v3, v4)
-        if name not in _REMOVED_IN_FIBERED
-    ]
-    terms = shared + _fibered_extra_terms(ws, v1, v2, v3, v4)
-    return _report("fibered", terms, ws, (v1, v2, v3, v4))
+    return evaluate_quadruple(v1, v2, v3, v4, S, c)[1]
 
 
 def difference_report(
@@ -336,13 +357,7 @@ def difference_report(
 ) -> VariationReport:
     """Universal minus fibered as a signed term list: the two removed
     cross terms enter with plus sign, the four new terms with minus."""
-    _check_inputs(S, c, (v1, v2, v3, v4), need_harmonic=True)
-    ws = _Workspace(S, c)
-    all_terms = dict(_universal_terms(ws, v1, v2, v3, v4))
-    extra = _fibered_extra_terms(ws, v1, v2, v3, v4)
-    terms = [(f"removed_{name}", all_terms[name]) for name in _REMOVED_IN_FIBERED]
-    terms += [(f"added_{name}", -val) for name, val in extra]
-    return _report("difference", terms, ws, (v1, v2, v3, v4))
+    return evaluate_quadruple(v1, v2, v3, v4, S, c)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +502,14 @@ def projector_derivative_sweep(
     seed: int = 0,
     dense_cap: int = 6000,
 ) -> dict:
-    """Error against step size plus the fitted log-log slope (expect 2)."""
+    """Error against step size plus the fitted log-log slope (expect 2).
+
+    Raises ValueError unless ``steps`` are positive and at least two of
+    them are distinct: a slope needs two points.
+    """
     steps = [float(h) for h in steps]
+    if not all(h > 0 and math.isfinite(h) for h in steps) or len(set(steps)) < 2:
+        raise ValueError(f"projector sweep needs at least two distinct positive finite steps, got {steps}")
     errors = dict(zip(steps, _projector_errors(S, c, steps, seed, None, dense_cap)))
     hs = np.array(sorted(errors))
     es = np.array([errors[h] for h in hs])

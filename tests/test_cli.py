@@ -187,6 +187,73 @@ def test_count_fields_must_be_positive_integers(tmp_path, field, value):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "cmd, override, field",
+    [
+        ("positivity", {"tolerances": {"projector": "x"}}, "tolerances.projector"),
+        ("second-variation", {"tangent": {"mu_scale": "x"}}, "tangent.mu_scale"),
+        ("positivity", {"bundle": {"preset": "trivial", "n": "two"}}, "bundle.n"),
+    ],
+)
+def test_typed_fields_exit_2(tmp_path, cmd, override, field):
+    p = _write(tmp_path, override)
+    r = run_cli(cmd, "--config", p, "--out", str(tmp_path / "out"))
+    assert r.returncode == 2, r.stderr
+    assert field in r.stderr and "Traceback" not in r.stderr
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        ({"tolerances": {"hermitian": float("inf")}}, "tolerances.hermitian"),
+        ({"tolerances": {"oracle": True}}, "tolerances.oracle"),
+        ({"tangent": {"nu_scale": None}}, "tangent.nu_scale"),
+        ({"bundle": {"preset": "trivial", "n": 0}}, "bundle.n"),
+        ({"bundle": {"preset": "trivial", "n": 1.0}}, "bundle.n"),
+        ({"tangent": 1.0}, "tangent"),
+        ({"fd_steps": [1e-4, 1e-4]}, "fd_steps"),
+    ],
+)
+def test_typed_fields_rejected_by_load_config(tmp_path, override, field):
+    from modulilab.cli import ConfigError, load_config
+
+    with pytest.raises(ConfigError, match=field.replace(".", r"\.")):
+        load_config(_write(tmp_path, override))
+
+
+def test_valid_typed_fields_load(tmp_path):
+    from modulilab.cli import load_config
+
+    cfg = load_config(_write(tmp_path, {"bundle": {"preset": "trivial", "n": None}, "tangent": {"mu_scale": 0}}))
+    assert cfg["bundle"]["n"] is None and cfg["tangent"]["mu_scale"] == 0
+
+
+def test_cli_seed_solves_once_per_term(monkeypatch, tmp_path):
+    # one CLI seed: two harmonic projections per sampled tangent (8 dbar
+    # solves) and one symmetrized solve per term label (9)
+    from modulilab import cli
+    from modulilab._complexes import DolbeaultComplex
+
+    cfg = cli.load_config(_write(tmp_path, {"seeds": [3]}))
+    S, c = cli.build_scene(cfg)
+    calls = []
+    solve = DolbeaultComplex.delta0_solve
+
+    def counted(self, h, which="dbar"):
+        calls.append(which)
+        return solve(self, h, which)
+
+    monkeypatch.setattr(DolbeaultComplex, "delta0_solve", counted)
+    _, uni, fib, diff = cli._sample_reports(cfg, S, c, 3)
+    assert len(calls) == 17
+    assert calls.count("dbar") == 8 and calls.count("sym") == 9
+    labels = [st["term"] for st in fib.solver_stats]
+    assert len(set(labels)) == 9
+    assert [st["term"] for st in diff.solver_stats] == labels
+    assert [st["term"] for st in uni.solver_stats] == labels[:5]
+
+
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SHIPPED = {
     "genus2_trivial.json": {},

@@ -138,6 +138,38 @@ def test_shared_terms_equal(surf_hyp, su2_r2):
         assert abs(uni[name] - fib[name]) <= 1e-10 * scale
 
 
+def test_evaluate_quadruple_matches_separate_evaluations(surf_hyp, su2_r2):
+    # the three API calls, and each system recomputed on a workspace of
+    # its own as the term functions define it
+    vs = quad(surf_hyp, su2_r2, 17)
+    uni, fib, dif = var.evaluate_quadruple(*vs, surf_hyp, su2_r2)
+    api = [f(*vs, surf_hyp, su2_r2) for f in (var.second_variation_universal, var.second_variation_fibered, var.difference_report)]
+
+    def workspace_terms(extra):
+        ws = var._Workspace(surf_hyp, su2_r2)
+        terms = var._universal_terms(ws, *vs)
+        return terms, (var._fibered_extra_terms(ws, *vs) if extra else [])
+
+    shared, _ = workspace_terms(False)
+    shared_f, extra_f = workspace_terms(True)
+    shared_d, extra_d = workspace_terms(True)
+    removed = var._REMOVED_IN_FIBERED
+    fresh = [
+        shared,
+        [t for t in shared_f if t[0] not in removed] + extra_f,
+        [(f"removed_{n}", v) for n, v in shared_d if n in removed] + [(f"added_{n}", -v) for n, v in extra_d],
+    ]
+    for rep, other, terms in zip((uni, fib, dif), api, fresh):
+        scale = max(abs(v) for _, v in rep.terms)
+        for ref in (dict(other.terms), dict(terms)):
+            assert [n for n, _ in rep.terms] == list(ref)
+            assert max(abs(v - ref[n]) for n, v in rep.terms) <= 1e-12 * scale
+        assert abs(rep.total - other.total) <= 1e-12 * scale
+        assert rep.inputs == other.inputs
+    assert [len(r.solver_stats) for r in (uni, fib, dif)] == [5, 9, 9]
+    assert dif.total == pytest.approx(uni.total - fib.total, rel=1e-12, abs=1e-12 * abs(uni.total))
+
+
 def test_multilinearity(surf_hyp, su2_r2):
     vs = quad(surf_hyp, su2_r2, 31)
     lam = 0.6 + 0.9j
@@ -424,6 +456,12 @@ def test_projector_derivative_sweep_matches_single_steps(surf_hyp_r1, su2_r1):
 def test_projector_derivative_sweep_honours_dense_cap(surf_hyp_r1, su2_r1):
     with pytest.raises(ValueError, match="dense"):
         var.projector_derivative_sweep(surf_hyp_r1, su2_r1, steps=(1e-3, 1e-4), dense_cap=10)
+
+
+@pytest.mark.parametrize("steps", [(1e-3,), (1e-4, 1e-4), (1e-3, 0.0), (1e-3, -1e-4)])
+def test_projector_derivative_sweep_needs_two_distinct_positive_steps(surf_hyp_r1, su2_r1, steps):
+    with pytest.raises(ValueError, match="two distinct positive"):
+        var.projector_derivative_sweep(surf_hyp_r1, su2_r1, steps=steps)
 
 
 def test_projector_derivative_harmonic_orthogonality(surf_hyp_r1, su2_r1, rng):
