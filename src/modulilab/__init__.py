@@ -15,7 +15,7 @@ from .surface import (
     load_mesh,
 )
 from .bundle import UnitaryCocycle, BundleCochain, from_generators, trivial_cocycle, su2_preset
-from .calculus import Scalar0Cochain, FormP0, Beltrami
+from .calculus import Beltrami
 from .tangent import TangentVector, ks_center, random_tangent
 from .variation import (
     VariationReport,
@@ -42,8 +42,6 @@ __all__ = [
     "from_generators",
     "trivial_cocycle",
     "su2_preset",
-    "Scalar0Cochain",
-    "FormP0",
     "Beltrami",
     "TangentVector",
     "ks_center",

@@ -140,10 +140,11 @@ class DolbeaultComplex:
     of the transported corner values, the same corner rule with weight
     1/3 in place of the P1 gradient; ``lift`` is its area-weighted
     transpose diag(1/mass_area) B^H diag(area), taking face fields back
-    to vertex frames.  ``laplacian`` is dbar_adj @ dbar;
-    ``laplacian_sym`` the conjugation-equivariant symmetrization used by
-    the variation formulas.  ``kernel`` holds the exact kernel shared by
-    both Laplacians as columns; it is w0-orthonormalized on construction.
+    to vertex frames.  ``laplacian`` is dbar_adj @ dbar, the one
+    Laplacian every restricted solve uses; on a flat bundle it equals
+    dhol_adj @ dhol to roundoff (see ``kahler_residual``).  ``kernel``
+    holds its exact kernel as columns; it is w0-orthonormalized on
+    construction.
     """
 
     m: int
@@ -191,17 +192,6 @@ class DolbeaultComplex:
             self._cache["lap"] = (self.dbar_star @ self.dbar).tocsr()
         return self._cache["lap"]
 
-    @property
-    def laplacian_sym(self) -> sp.csr_matrix:
-        if "lap_sym" not in self._cache:
-            self._cache["lap_sym"] = (
-                0.5 * (self.dbar_star @ self.dbar + self.dhol_star @ self.dhol)
-            ).tocsr()
-        return self._cache["lap_sym"]
-
-    def _lap(self, which: str) -> sp.csr_matrix:
-        return self.laplacian if which == "dbar" else self.laplacian_sym
-
     # -- kernel-restricted solves --------------------------------------------
     def project_off_kernel(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         """Remove the w0-orthogonal projection onto the kernel.
@@ -212,30 +202,29 @@ class DolbeaultComplex:
         coef = K.conj().T @ (self.w0 * x)
         return x - K @ coef, float(np.linalg.norm(coef))
 
-    def _factor(self, which: str):
+    def _factor(self):
         """Sparse LU of the kernel-bordered Hermitian system
         [[W0 L, W0 K], [K^H W0, 0]], nonsingular exactly when K spans
         ker L; factorized on first use and kept."""
-        key = ("lu", which)
-        if key not in self._cache:
+        if "lu" not in self._cache:
             WK = sp.csr_matrix(self.w0[:, None] * self.kernel)
-            WL = sp.diags(self.w0) @ self._lap(which)
+            WL = sp.diags(self.w0) @ self.laplacian
             B = sp.bmat([[WL, WK], [WK.conj().T, None]], format="csc")
             try:
-                self._cache[key] = spla.splu(B)
+                self._cache["lu"] = spla.splu(B)
             except RuntimeError as e:  # exactly singular: K misses part of the kernel
-                raise SolverError(f"bordered {which} Laplacian is singular: {e}") from e
-        return self._cache[key]
+                raise SolverError(f"bordered Laplacian is singular: {e}") from e
+        return self._cache["lu"]
 
-    def delta0_solve(self, h: np.ndarray, which: str = "dbar") -> tuple[np.ndarray, dict]:
+    def delta0_solve(self, h: np.ndarray) -> tuple[np.ndarray, dict]:
         """Solve Laplacian x = (h projected off the kernel), x in ker^perp.
 
-        One sparse LU per Laplacian (see ``_factor``), reused by every
+        One sparse LU per complex (see ``_factor``), reused by every
         later solve; raises SolverError when |L x - rhs| exceeds
         ``SOLVE_RTOL`` times |h|.
         """
-        reused = ("lu", which) in self._cache
-        lu = self._factor(which)
+        reused = "lu" in self._cache
+        lu = self._factor()
         rhs, removed = self.project_off_kernel(h)
         n = rhs.shape[0]
         b = np.zeros(lu.shape[0], dtype=complex)
@@ -243,17 +232,25 @@ class DolbeaultComplex:
         x = lu.solve(b)[:n]
         # relative to h: projecting h off the kernel leaves roundoff of
         # order eps*|h| that no x can match, which would swamp a tiny rhs
-        res = float(np.linalg.norm(self._lap(which) @ x - rhs) / max(np.linalg.norm(h), 1e-300))
+        res = float(np.linalg.norm(self.laplacian @ x - rhs) / max(np.linalg.norm(h), 1e-300))
         if not res <= SOLVE_RTOL:
-            raise SolverError(f"{which} solve relative residual {res:.3e} exceeds {SOLVE_RTOL:.0e}")
+            raise SolverError(f"solve relative residual {res:.3e} exceeds {SOLVE_RTOL:.0e}")
         stats = {"kernel_removed": removed, "method": "splu", "residual": res, "factor_reused": reused}
         return x, stats
 
-    def harmonic_project(self, alpha: np.ndarray, which: str = "dbar") -> np.ndarray:
+    def harmonic_project(self, alpha: np.ndarray) -> np.ndarray:
         """alpha - dbar Delta0^{-1} dbar* alpha (orthogonal onto ker dbar*)."""
         h = self.dbar_star @ alpha
-        x, _ = self.delta0_solve(h, which=which)
+        x, _ = self.delta0_solve(h)
         return alpha - self.dbar @ x
+
+
+def kahler_residual(cx: DolbeaultComplex) -> float:
+    """Relative Frobenius norm |dbar* dbar - d* d| / |dbar* dbar|: the
+    discrete Kaehler identity, exact to roundoff on a flat bundle, which
+    lets every solve use the one Laplacian dbar* dbar."""
+    lap_hol = cx.dhol_star @ cx.dhol
+    return float(spla.norm(cx.laplacian - lap_hol) / max(spla.norm(cx.laplacian), 1e-300))
 
 
 # ---------------------------------------------------------------------------
@@ -304,14 +301,6 @@ def _untwisted(geom: SurfaceGeometry) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def scalar_complex(surface: ConformalSurface) -> DolbeaultComplex:
-    """Functions -> scalar forms; the kernel is the constants."""
-    geom = geometry(surface)
-    ones = np.ones(geom.mass_rho.shape[0], dtype=complex)
-    return _build(geom, "function", np.ones_like(geom.grad_bar), _untwisted(geom), ones)
-
-
-@functools.lru_cache(maxsize=None)
 def tangent_complex(surface: ConformalSurface) -> DolbeaultComplex:
     """Vector fields -> Beltrami coefficients (chart-rotation twisted).
 
@@ -322,6 +311,19 @@ def tangent_complex(surface: ConformalSurface) -> DolbeaultComplex:
     geom = geometry(surface)
     kernel = geom.face_spin[geom.vertex_ref_face]
     return _build(geom, "vector", geom.corner_spin, _untwisted(geom), kernel)
+
+
+@functools.lru_cache(maxsize=None)
+def beltrami_complex(surface: ConformalSurface) -> DolbeaultComplex:
+    """Spin-2 fields (Beltrami coefficients) on vertices -> faces.
+
+    Only its corner operators are used: ``lift`` takes a Beltrami
+    coefficient to the vertex frames and ``dhol`` differentiates it back
+    on the faces.  It is never solved, so its kernel is left empty.
+    """
+    geom = geometry(surface)
+    empty = np.zeros((geom.mass_rho.shape[0], 0), dtype=complex)
+    return _build(geom, "vector", geom.corner_spin**2, _untwisted(geom), empty)
 
 
 def corner_transports(surface: ConformalSurface, transport_per_he: np.ndarray) -> np.ndarray:

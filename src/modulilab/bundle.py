@@ -292,7 +292,7 @@ class BundleCochain:
 
 def _covariant_constant_columns(c: UnitaryCocycle) -> np.ndarray:
     """Parallel extensions of commutant elements over a vertex spanning
-    tree: the exact kernel of the twisted Laplacians for a flat cocycle."""
+    tree: the exact kernel of the twisted Laplacian for a flat cocycle."""
     mesh, n = c.mesh, c.rank
     commutant = _commutant(c)
     k = commutant.shape[1]
@@ -365,7 +365,7 @@ def delta0_inverse(h: BundleCochain, c: UnitaryCocycle, S: ConformalSurface) -> 
     if h.degree != "vertex":
         raise CocycleError("delta0_inverse expects a vertex cochain")
     cx = operators(S, c)
-    x, stats = cx.delta0_solve(_flat(h), which="dbar")
+    x, stats = cx.delta0_solve(_flat(h))
     logger.debug("delta0_inverse: %s", stats)
     return _vertex(x, c.rank)
 

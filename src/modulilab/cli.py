@@ -21,6 +21,7 @@ import numpy as np
 
 from . import bundle as bnd
 from . import oracle, variation
+from ._complexes import kahler_residual
 from .bundle import trivial_cocycle, su2_preset, load_cocycle
 from .surface import (
     build_polygon_gluing,
@@ -57,6 +58,9 @@ DEFAULTS = {
 }
 
 FD_GATE_STEP = 1e-4  # the step whose finite-difference error is gated
+# |dbar* dbar - d* d|_F / |dbar* dbar|_F on End(E): roundoff on a flat
+# bundle, and what lets every solve use dbar* dbar alone
+KAHLER_TOL = 1e-12
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -244,8 +248,8 @@ def _scene(cfg: dict):
 @main.command("check-operators")
 @_common_options
 def cmd_check_operators(config_path, seed, out, dense_cap, tol, density):
-    """Operator invariant suite: adjointness, projector algebra, kernel
-    dimensions, oracle equivalence."""
+    """Operator invariant suite: adjointness, the Kaehler identity,
+    projector algebra, kernel dimensions, oracle equivalence."""
     cfg = _load(config_path, seed=seed, out=out, dense_cap=dense_cap, tol=tol, density=density)
     S, c = _scene(cfg)
     tols = cfg["tolerances"]
@@ -267,6 +271,7 @@ def cmd_check_operators(config_path, seed, out, dense_cap, tol, density):
         scale = max(abs(lhs), abs(rhs), 1.0)
         worst = max(worst, abs(lhs - rhs) / scale)
     checks.append(_check("adjointness_residual", worst, tols["adjointness"]))
+    checks.append(_check("kahler_identity", kahler_residual(cx), KAHLER_TOL))
 
     def dense(op_name):
         with _config_errors(oracle.DenseCapError):

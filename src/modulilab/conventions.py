@@ -14,8 +14,8 @@ can drift against another.  The table:
   dbar is the discretization of -rho^{-1} d on (0,1)-coefficients;
 * wedge integration maps the dzbar^dz coefficient on a face to
   2*Area_f, which equals (-i) times the geometric integral of
-  dzbar^dz = 2i dx^dy.  Hence i * wedge_trace_integrate(a, star(conj(a)^T))
-  reproduces ip_form(a, a) exactly;
+  dzbar^dz = 2i dx^dy.  Hence i times the wedge pairing (``variation._pair``)
+  of a with star(conj(a)^T) reproduces the L2 form pairing <a, a> exactly;
 * Beltrami differentials pair with weight rho*Area_f per face;
 * `ad_star` is the exact formal adjoint of the pointwise commutator
   action; under the weights above it equals -rho^{-1}[alpha, conj(nu)^T]
@@ -31,7 +31,7 @@ import json
 STAR_DZ = -1j
 STAR_DZBAR = 1j
 
-#: wedge_trace_integrate sends the per-face dzbar^dz coefficient to this
+#: the wedge pairing ``variation._pair`` sends the per-face dzbar^dz coefficient to this
 #: multiple of the chart area.
 WEDGE_AREA_FACTOR = 2.0
 
@@ -58,7 +58,7 @@ def digest(density_policy: str = "unspecified", **extra: object) -> dict:
         "scalar_weight": "2 * rho * area / 3 per corner",
         "form_weight": "2 * area",
         "beltrami_weight": "rho * area",
-        "variation_laplacian": "symmetrized (dbar*dbar + d*d)/2, kernel-restricted",
+        "variation_laplacian": "dbar*dbar (= d*d on flat bundles), kernel-restricted",
         "mu4_terms": "exact Hermitian mirrors of the mu3 terms",
         "density_policy": density_policy,
     }

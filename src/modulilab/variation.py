@@ -14,9 +14,11 @@ The operator variation in direction (mu, nu) acting on 0-cochains is
 ``ad(nu) - mu d``; the companion variation acting on (0,1)-forms is the
 composite ``d*(mu-bar .) - ad_star(nu, .)`` built from exact adjoints.
 Gauge-Hessian solves use the vertex-lifted source
-``rho^{-1}([nu_a, conj(nu_b)^T] - (d mu_a) conj(nu_b)^T - conj(d mu_b) nu_a)``
-and the conjugation-equivariant symmetrized Laplacian, which keeps the
-Hermitian symmetry of the totals exact at the discrete level.
+``rho^{-1}([nu_a, conj(nu_b)^T] - (d mu_a) conj(nu_b)^T - conj(d mu_b) nu_a)``.
+Every solve uses the one End(E) Laplacian dbar* dbar and its one LU.  On
+a flat bundle it equals d* d to roundoff (the discrete Kaehler identity,
+certified by ``check-operators`` as ``kahler_identity``), so the
+Hermitian symmetry of the totals holds to roundoff.
 """
 
 from __future__ import annotations
@@ -72,10 +74,20 @@ class VariationReport:
 
 
 def _inputs_digest(arrays) -> str:
+    """First 16 hex digits of the SHA-256 of the exact complex128 bytes of
+    ``arrays``: equal inputs give equal digests, and a change of one ulp
+    in any entry changes the digest (no tolerance for roundoff)."""
     h = hashlib.sha256()
     for a in arrays:
-        h.update(np.ascontiguousarray(np.round(np.asarray(a, dtype=complex), 12)).tobytes())
+        h.update(np.ascontiguousarray(a, dtype=complex).tobytes())
     return h.hexdigest()[:16]
+
+
+def _pair(S: ConformalSurface, a01: np.ndarray, b10: np.ndarray) -> complex:
+    """-i * integral tr(a ^ b) for (F,n,n) (0,1)- and (1,0)-coefficient
+    fields: sum_f WEDGE_AREA_FACTOR Area_f tr(a_f b_f)."""
+    w = conventions.WEDGE_AREA_FACTOR * S.area
+    return complex(np.einsum("f,fab,fba->", w, a01, b10))
 
 
 class _Workspace:
@@ -106,15 +118,13 @@ class _Workspace:
         return self._mat(self.cx.dhol_star @ form.reshape(-1), "v")
 
     def solve(self, h_vert: np.ndarray, label: str) -> np.ndarray:
-        x, st = self.cx.delta0_solve(h_vert.reshape(-1), which="sym")
+        x, st = self.cx.delta0_solve(h_vert.reshape(-1))
         st["term"] = label
         self.stats.append(st)
         return self._mat(x, "v")
 
     def pair(self, a01: np.ndarray, b10: np.ndarray) -> complex:
-        """-i * integral tr(a ^ b) under the conventions table."""
-        w = conventions.WEDGE_AREA_FACTOR * self.S.area
-        return complex(np.einsum("f,fab,fba->", w, a01, b10))
+        return _pair(self.S, a01, b10)
 
     @staticmethod
     def ct(x: np.ndarray) -> np.ndarray:
@@ -171,11 +181,8 @@ def metric_g(v1: TangentVector, v2: TangentVector, S: ConformalSurface, c: Unita
     The blocks are orthogonal: there is no mu-nu cross term.
     """
     _check_inputs(S, c, (v1, v2), need_harmonic=False)
-    w = conventions.WEDGE_AREA_FACTOR * S.area
-    # i * wedge_trace_integrate(nu1, star(conj(nu2)^T)) with star dz = -i dz
-    bundle_term = complex(
-        1j * np.einsum("f,fab,fba->", w, v1.nu.values, conventions.STAR_DZ * _Workspace.ct(v2.nu.values))
-    )
+    # i * (wedge pairing of nu1 with star(conj(nu2)^T)), star dz = -i dz
+    bundle_term = 1j * _pair(S, v1.nu.values, conventions.STAR_DZ * _Workspace.ct(v2.nu.values))
     return ip_beltrami(v1.mu, v2.mu, S) + bundle_term
 
 
@@ -194,21 +201,14 @@ def first_variation(
     in different orders here so the comparison is not vacuous.
     """
     _check_inputs(S, c, (v_dir, v1, v2), need_harmonic=False)
-    w = conventions.WEDGE_AREA_FACTOR * S.area
     nu = v_dir.nu.values
     nu1, nu2 = v1.nu.values, v2.nu.values
     mu1, mu2 = v1.mu.values, v2.mu.values
     if system == "universal":
-        d_eps = complex(np.einsum("f,fab,fba->", w, nu, np.conj(mu2)[:, None, None] * nu1))
-        d_eps_bar = complex(
-            np.einsum(
-                "f,fab,fba->",
-                w,
-                mu1[:, None, None] * _Workspace.ct(nu),
-                _Workspace.ct(nu2),
-            )
-        )
+        d_eps = _pair(S, nu, np.conj(mu2)[:, None, None] * nu1)
+        d_eps_bar = _pair(S, mu1[:, None, None] * _Workspace.ct(nu), _Workspace.ct(nu2))
     elif system == "fibered":
+        w = conventions.WEDGE_AREA_FACTOR * S.area
         d_eps = complex(np.sum(w * np.conj(mu2) * np.einsum("fab,fba->f", nu1, nu)))
         d_eps_bar = complex(
             np.sum(w * mu1 * np.einsum("fab,fba->f", _Workspace.ct(nu), _Workspace.ct(nu2)))
@@ -383,15 +383,7 @@ def positivity_certificate(
     h = ws.dhol_star(np.conj(mu2.values)[:, None, None] * nu1.values)
     x = ws.solve(h, "positivity_a")
     term_a = complex(np.sum(ws.cx.w0 * x.reshape(-1) * np.conj(h.reshape(-1))))
-    w = conventions.WEDGE_AREA_FACTOR * S.area
-    term_b = complex(
-        np.einsum(
-            "f,fab,fba->",
-            w * np.abs(mu2.values) ** 2,
-            nu1.values,
-            _Workspace.ct(nu1.values),
-        )
-    )
+    term_b = _pair(S, (np.abs(mu2.values) ** 2)[:, None, None] * nu1.values, _Workspace.ct(nu1.values))
     scale = max(abs(term_a), abs(term_b), 1e-300)
     if abs(term_a.imag) > 1e-10 * scale or abs(term_b.imag) > 1e-10 * scale:
         logger.warning(

@@ -62,6 +62,18 @@ def rng():
     return np.random.default_rng(20240814)
 
 
+def p1_dbar(S):
+    """Dense scalar P1 hat-gradient dbar stencil, straight from the geometry:
+    row f holds grad_bar[f, k] in the column of corner vertex k."""
+    from modulilab._complexes import geometry
+
+    geom = geometry(S)
+    D = np.zeros((S.n_faces, S.n_vertices), dtype=complex)
+    for k in range(3):
+        D[np.arange(S.n_faces), geom.corner_vertex[:, k]] = geom.grad_bar[:, k]
+    return D
+
+
 def random_cochain(rng, sites, n, degree):
     vals = rng.standard_normal((sites, n, n)) + 1j * rng.standard_normal((sites, n, n))
     return bnd.BundleCochain(vals, degree)

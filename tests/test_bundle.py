@@ -5,11 +5,13 @@ from modulilab import bundle as bnd
 from modulilab import oracle
 from modulilab._complexes import (
     SolverError,
+    beltrami_complex,
     corner_transports,
     endo_complex,
     geometry,
+    kahler_residual,
     lift_to_vertices,
-    scalar_complex,
+    tangent_complex,
     vertex_to_face,
 )
 from modulilab.bundle import (
@@ -25,7 +27,9 @@ from modulilab.bundle import (
     su2_preset,
     validate_cocycle,
 )
-from conftest import random_cochain
+from modulilab.cli import KAHLER_TOL
+from modulilab.surface import equip_conformal
+from conftest import p1_dbar, random_cochain
 
 
 def test_trivial_rank1_holonomies(fan2):
@@ -70,12 +74,18 @@ def test_twisted_dbar_kills_identity(surf_hyp, su2_r2):
 
 
 def test_rank1_trivial_reduces_to_scalar(surf_hyp, triv1_r2, rng):
-    from modulilab._complexes import scalar_complex
+    # the scalar complex is End(E) of the trivial line bundle: the P1
+    # stencil with weights 2 rho A/3 per corner on vertices, 2 A on faces
+    from modulilab import conventions
 
     cx_b = bnd.operators(surf_hyp, triv1_r2)
-    cx_s = scalar_complex(surf_hyp)
-    assert np.max(np.abs((cx_b.dbar - cx_s.dbar).toarray())) == 0.0
-    assert np.max(np.abs((cx_b.dbar_star - cx_s.dbar_star).toarray())) <= 1e-14
+    D = p1_dbar(surf_hyp)
+    assert np.max(np.abs(cx_b.dbar.toarray() - D)) == 0.0
+    geom = geometry(surf_hyp)
+    w0 = conventions.L2_GLOBAL_FACTOR * geom.mass_rho
+    w1 = conventions.L2_GLOBAL_FACTOR * geom.area
+    D_star = (D.conj().T * w1[None, :]) / w0[:, None]
+    assert np.max(np.abs(cx_b.dbar_star.toarray() - D_star)) <= 1e-14 * np.max(np.abs(D_star))
 
 
 def test_rank1_gauge_cocycle_reduces_to_scalar(fan2_r1, surf_hyp_r1, rng):
@@ -83,11 +93,8 @@ def test_rank1_gauge_cocycle_reduces_to_scalar(fan2_r1, surf_hyp_r1, rng):
     phases = [np.array([[np.exp(1j * t)]]) for t in (0.9, -0.2, 0.5, 1.7)]
     c = from_generators(fan2_r1.refinement.parent, 1, 0, phases)
     c = refine_cocycle(c, fan2_r1)
-    from modulilab._complexes import scalar_complex
-
     cx_b = bnd.operators(surf_hyp_r1, c)
-    cx_s = scalar_complex(surf_hyp_r1)
-    assert np.max(np.abs((cx_b.dbar - cx_s.dbar).toarray())) <= 1e-14
+    assert np.max(np.abs(cx_b.dbar.toarray() - p1_dbar(surf_hyp_r1))) <= 1e-14
 
 
 def test_adjointness(surf_hyp, su2_r2, rng):
@@ -117,16 +124,6 @@ def test_delta0_inverse_kills_covariant_constant(surf_hyp, su2_r2):
     h = BundleCochain(np.broadcast_to(np.eye(2), (V, 2, 2)).copy(), "vertex")
     out = bnd.delta0_inverse(h, su2_r2, surf_hyp)
     assert np.linalg.norm(out.values) <= 1e-10
-
-
-def test_delta0_rank1_trivial_matches_scalar(surf_hyp, triv1_r2, rng):
-    from modulilab._complexes import scalar_complex
-
-    V = surf_hyp.n_vertices
-    h = rng.standard_normal(V) + 1j * rng.standard_normal(V)
-    x_b = bnd.delta0_inverse(BundleCochain(h.reshape(V, 1, 1), "vertex"), triv1_r2, surf_hyp)
-    x_s, _ = scalar_complex(surf_hyp).delta0_solve(h)
-    assert np.linalg.norm(x_b.values.reshape(-1) - x_s) <= 1e-10 * np.linalg.norm(x_s)
 
 
 def test_delta0_factorized_matches_dense_oracle(surf_hyp, su2_r2, rng):
@@ -237,10 +234,16 @@ def _complex_transport_cocycle(mesh):
 
 
 def _corner_complexes(request, surf, su2):
-    """su2, generic rank 2, trivial rank 2 and scalar complexes on one surface."""
+    """su2, generic rank 2, trivial rank 2 and rank 1 End(E) complexes, and
+    the spin-1 (vector) and spin-2 (Beltrami) complexes on one surface."""
     S = request.getfixturevalue(surf)
-    cocycles = [request.getfixturevalue(su2), _complex_transport_cocycle(S.mesh), bnd.trivial_cocycle(S.mesh, 2)]
-    return S, [bnd.operators(S, c) for c in cocycles] + [scalar_complex(S)]
+    cocycles = [
+        request.getfixturevalue(su2),
+        _complex_transport_cocycle(S.mesh),
+        bnd.trivial_cocycle(S.mesh, 2),
+        bnd.trivial_cocycle(S.mesh, 1),
+    ]
+    return S, [bnd.operators(S, c) for c in cocycles] + [tangent_complex(S), beltrami_complex(S)]
 
 
 @pytest.mark.parametrize("surf", [surf for surf, _ in CORNER_SCENES])
@@ -379,20 +382,40 @@ def test_cocycle_roundtrip(tmp_path, fan2):
 
 
 def test_exact_kernel_supports_factorized_solves(surf_hyp_r1, su2_r1, rng):
-    # the covariant constants the complex is built with annihilate both
-    # Laplacians, and both factorized solves match dense spectral inverses
+    # the covariant constants the complex is built with annihilate the
+    # Laplacian, and the factorized solve matches the dense spectral inverse
     cx = bnd.operators(surf_hyp_r1, su2_r1)
     K = cx.kernel
     assert K.shape[1] == 1
     assert np.linalg.norm(cx.laplacian @ K) <= 1e-12
-    assert np.linalg.norm(cx.laplacian_sym @ K) <= 1e-12
     h = rng.standard_normal(K.shape[0]) + 1j * rng.standard_normal(K.shape[0])
-    for which, lap in (("dbar", cx.laplacian), ("sym", cx.laplacian_sym)):
-        dense = oracle.DenseOperator(lap.toarray(), {}, {}, cx.w0, cx.w0)
-        x_dense = oracle.restricted_inverse_dense(dense).matrix @ h
-        x_lu, st = cx.delta0_solve(h, which=which)
-        assert st["method"] == "splu"
-        assert np.linalg.norm(x_lu - x_dense) <= 1e-8 * np.linalg.norm(x_dense)
+    dense = oracle.DenseOperator(cx.laplacian.toarray(), {}, {}, cx.w0, cx.w0)
+    x_dense = oracle.restricted_inverse_dense(dense).matrix @ h
+    x_lu, st = cx.delta0_solve(h)
+    assert st["method"] == "splu"
+    assert np.linalg.norm(x_lu - x_dense) <= 1e-8 * np.linalg.norm(x_dense)
+
+
+@pytest.mark.parametrize("density", ["uniform", "hyperbolic"])
+@pytest.mark.parametrize("mesh_name", ["fan2_r1", "fan2_r2"])
+def test_kahler_identity_on_flat_bundles(request, mesh_name, density):
+    # dbar* dbar = d* d to roundoff on End(E) of a flat bundle: su2, a
+    # cocycle with a non-real conjugation action and a reducible rank 3
+    mesh = request.getfixturevalue(mesh_name)
+    S = equip_conformal(mesh, layout="stored", density=density)
+    su2 = request.getfixturevalue({"fan2_r1": "su2_r1", "fan2_r2": "su2_r2"}[mesh_name])
+    for c in (su2, _complex_transport_cocycle(mesh), bnd.trivial_cocycle(mesh, 3)):
+        assert kahler_residual(bnd.operators(S, c)) <= KAHLER_TOL
+
+
+def test_kahler_identity_fails_off_flat_bundles(surf_hyp_r1, rng):
+    # random unitary transports have curvature on every face, and the
+    # two Laplacians then differ at order one
+    H = surf_hyp_r1.mesh.n_half_edges
+    U = np.linalg.qr(rng.standard_normal((H, 2, 2)) + 1j * rng.standard_normal((H, 2, 2)))[0]
+    V = surf_hyp_r1.n_vertices
+    identity = np.broadcast_to(np.eye(2), (V, 2, 2)).reshape(-1, 1)
+    assert kahler_residual(endo_complex(surf_hyp_r1, U, identity)) > 1e-2
 
 
 def test_incomplete_kernel_fails_residual_gate(surf_hyp, triv2_r2, rng):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -230,24 +231,34 @@ def test_valid_typed_fields_load(tmp_path):
 
 
 def test_cli_seed_solves_once_per_term(monkeypatch, tmp_path):
-    # one CLI seed: two harmonic projections per sampled tangent (8 dbar
-    # solves) and one symmetrized solve per term label (9)
-    from modulilab import cli
+    # one CLI seed: two harmonic projections per sampled tangent (8 solves)
+    # and one solve per term label (9), on exactly two factorizations: one
+    # for End(E), one for the tangent complex
+    from modulilab import _complexes, cli
+    from modulilab import bundle as bnd
     from modulilab._complexes import DolbeaultComplex
 
     cfg = cli.load_config(_write(tmp_path, {"seeds": [3]}))
     S, c = cli.build_scene(cfg)
-    calls = []
-    solve = DolbeaultComplex.delta0_solve
+    calls, factored = [], []
+    solve, splu = DolbeaultComplex.delta0_solve, _complexes.spla.splu
 
-    def counted(self, h, which="dbar"):
-        calls.append(which)
-        return solve(self, h, which)
+    def counted(self, h):
+        calls.append(self)
+        return solve(self, h)
+
+    def counted_splu(A):
+        factored.append(A.shape[0])
+        return splu(A)
 
     monkeypatch.setattr(DolbeaultComplex, "delta0_solve", counted)
+    monkeypatch.setattr(_complexes.spla, "splu", counted_splu)
     _, uni, fib, diff = cli._sample_reports(cfg, S, c, 3)
+    endo, tangent = bnd.operators(S, c), _complexes.tangent_complex(S)
     assert len(calls) == 17
-    assert calls.count("dbar") == 8 and calls.count("sym") == 9
+    assert calls.count(tangent) == 4 and calls.count(endo) == 13
+    assert sorted(factored) == sorted(cx.w0.shape[0] + cx.kernel.shape[1] for cx in (endo, tangent))
+    assert all(st["factor_reused"] for st in fib.solver_stats)
     labels = [st["term"] for st in fib.solver_stats]
     assert len(set(labels)) == 9
     assert [st["term"] for st in diff.solver_stats] == labels
@@ -272,4 +283,26 @@ def test_shipped_configs_smoke(tmp_path, config, cmd):
     r = run_cli(cmd, "--config", str(CONFIGS / config), "--out", str(out))
     failures = SHIPPED[config].get(cmd, [])
     assert r.returncode == (1 if failures else 0), r.stdout + r.stderr
-    assert json.loads((out / "report.json").read_text())["failures"] == failures
+    report = json.loads((out / "report.json").read_text())
+    assert report["failures"] == failures
+    if cmd == "check-operators":
+        (kahler,) = [c for c in report["checks"] if c["name"] == "kahler_identity"]
+        assert kahler["pass"] and kahler["value"] <= 1e-12
+
+
+def test_benchmark_tracer_runs_positivity(tmp_path):
+    # the benchmark tracer imports each layer module by name and wraps its
+    # public functions; a missing module or a broken wrapper fails here
+    root = Path(__file__).resolve().parents[1]
+    cfg = _write(tmp_path, {"seeds": [0]})
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    r = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "trace_cli.py"), str(spans), "positivity",
+         "--config", cfg, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, cwd=root, env=env,
+    )
+    assert r.returncode == 0, r.stdout + r.stderr
+    names = {span[0] for span in json.loads(spans.read_text())["spans"]}
+    assert {"cli.cmd_positivity", "variation.positivity_certificate"} <= names

@@ -308,6 +308,15 @@ def test_report_deterministic(surf_hyp, su2_r2):
 # -- internal structure ----------------------------------------------------------
 
 
+def test_inputs_digest_hashes_exact_bytes(rng):
+    arrays = [rng.standard_normal(16) + 1j * rng.standard_normal(16), rng.standard_normal((16, 2, 2)) + 0j]
+    digest = var._inputs_digest(arrays)
+    assert var._inputs_digest([a.copy() for a in arrays]) == digest
+    bumped = arrays[0].copy()
+    bumped[3] = np.nextafter(bumped[3].real, np.inf) + 1j * bumped[3].imag
+    assert var._inputs_digest([bumped, arrays[1]]) != digest
+
+
 def test_operator_variation_adjoint_pair(surf_hyp, su2_r2, rng):
     # the (0,1)-side variation is minus the exact adjoint of the
     # 0-cochain-side variation, which is what makes the Hermitian
@@ -346,11 +355,18 @@ def test_solver_stats_log_kernel_projection(surf_hyp, su2_r2):
     assert all(st["factor_reused"] for st in rep.solver_stats[1:])
 
 
-def test_solver_stats_factor_reuse_on_fresh_complex(surf_hyp, su2_r2, rng):
+def test_solver_stats_factor_reuse_on_fresh_complex(surf_hyp, su2_r2, rng, monkeypatch):
+    # one LU per complex, shared by every solve and the harmonic projector
+    from modulilab import _complexes
+
     cx = endo_complex(surf_hyp, su2_r2.transport, bnd._covariant_constant_columns(su2_r2))
+    factored, splu = [], _complexes.spla.splu
+    monkeypatch.setattr(_complexes.spla, "splu", lambda A: factored.append(A.shape) or splu(A))
     h = rng.standard_normal(cx.w0.shape[0]) + 1j * rng.standard_normal(cx.w0.shape[0])
-    reused = [cx.delta0_solve(h, which=w)[1]["factor_reused"] for w in ("sym", "sym", "dbar")]
-    assert reused == [False, True, False]
+    reused = [cx.delta0_solve(h)[1]["factor_reused"] for _ in range(3)]
+    assert reused == [False, True, True]
+    cx.harmonic_project(rng.standard_normal(cx.w1.shape[0]) + 0j)
+    assert len(factored) == 1
 
 
 def test_genus3_pipeline(rng):
