@@ -14,7 +14,7 @@ from .surface import (
     save_mesh,
     load_mesh,
 )
-from .bundle import UnitaryCocycle, BundleCochain, from_generators, trivial_cocycle, su2_preset
+from .bundle import Scene, UnitaryCocycle, BundleCochain, from_generators, trivial_cocycle, su2_preset
 from .calculus import Beltrami
 from .tangent import TangentVector, ks_center, random_tangent
 from .variation import (
@@ -37,6 +37,7 @@ __all__ = [
     "equip_conformal",
     "save_mesh",
     "load_mesh",
+    "Scene",
     "UnitaryCocycle",
     "BundleCochain",
     "from_generators",

@@ -22,7 +22,6 @@ dbar phi_k = grad/2 and d phi_k = conj(grad)/2.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +58,6 @@ class SurfaceGeometry:
     mass_area: np.ndarray  # (V,) sum of A/3
 
 
-@functools.lru_cache(maxsize=None)
 def geometry(surface: ConformalSurface) -> SurfaceGeometry:
     mesh = surface.mesh
     F, V, H = mesh.n_faces, mesh.n_vertices, mesh.n_half_edges
@@ -300,50 +298,45 @@ def _untwisted(geom: SurfaceGeometry) -> np.ndarray:
     return np.ones(geom.corner_vertex.shape + (1, 1), dtype=complex)
 
 
-@functools.lru_cache(maxsize=None)
-def tangent_complex(surface: ConformalSurface) -> DolbeaultComplex:
+def tangent_complex(geom: SurfaceGeometry) -> DolbeaultComplex:
     """Vector fields -> Beltrami coefficients (chart-rotation twisted).
 
     The field face_spin[ref(v)] reaches every corner of face f as
     face_spin[f] (see ``corner_spin``), so its P1 gradient vanishes: the
     twist is a pure gauge and this field spans the kernel.
     """
-    geom = geometry(surface)
     kernel = geom.face_spin[geom.vertex_ref_face]
     return _build(geom, "vector", geom.corner_spin, _untwisted(geom), kernel)
 
 
-@functools.lru_cache(maxsize=None)
-def beltrami_complex(surface: ConformalSurface) -> DolbeaultComplex:
+def beltrami_complex(geom: SurfaceGeometry) -> DolbeaultComplex:
     """Spin-2 fields (Beltrami coefficients) on vertices -> faces.
 
     Only its corner operators are used: ``lift`` takes a Beltrami
     coefficient to the vertex frames and ``dhol`` differentiates it back
     on the faces.  It is never solved, so its kernel is left empty.
     """
-    geom = geometry(surface)
     empty = np.zeros((geom.mass_rho.shape[0], 0), dtype=complex)
     return _build(geom, "vector", geom.corner_spin**2, _untwisted(geom), empty)
 
 
-def corner_transports(surface: ConformalSurface, transport_per_he: np.ndarray) -> np.ndarray:
+def corner_transports(geom: SurfaceGeometry, transport_per_he: np.ndarray) -> np.ndarray:
     """Unitary transport from each corner vertex frame into the face frame.
 
     The face frame is the frame of the corner with the lowest vertex
     index; other corners transport forward along the face boundary.
     """
-    mesh = surface.mesh
-    F = mesh.n_faces
+    F = geom.corner_vertex.shape[0]
     n = transport_per_he.shape[1]
     U = transport_per_he.reshape(F, 3, n, n)
-    a = np.argmin(mesh.origin.reshape(F, 3), axis=1)
+    a = np.argmin(geom.corner_vertex, axis=1)
     step = ((a[:, None] - np.arange(3)) % 3)[:, :, None, None]
     # two steps from corner k: U[3f+k+1] @ U[3f+k]
     return np.where(step == 0, np.eye(n), np.where(step == 1, U, U[:, [1, 2, 0]] @ U))
 
 
 def endo_complex(
-    surface: ConformalSurface, transport_per_he: np.ndarray, kernel: np.ndarray
+    geom: SurfaceGeometry, transport_per_he: np.ndarray, kernel: np.ndarray
 ) -> DolbeaultComplex:
     """End(E)-valued complex for a unitary edge-transport field.
 
@@ -351,8 +344,7 @@ def endo_complex(
     head(h); values conjugate as T X T^H, so central phases drop out.
     ``kernel`` holds the covariant-constant sections as columns.
     """
-    geom = geometry(surface)
-    T = corner_transports(surface, transport_per_he)
+    T = corner_transports(geom, transport_per_he)
     spin = np.ones((geom.area.shape[0], 3), dtype=complex)
     return _build(geom, "function", spin, T, kernel)
 

@@ -4,13 +4,16 @@ A cocycle assigns a unitary parallel transport to every directed edge,
 with the face holonomies trivial except for one marked face carrying the
 central twist exp(2 pi i d/n).  End(E)-valued cochains conjugate by the
 transports, so the twist location never enters any operator.
+
+A ``Scene`` pairs one surface with one cocycle on its mesh and owns the
+complexes assembled on them; every computation takes the scene, or the
+one complex it uses.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
-import logging
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -18,10 +21,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _complexes
-from ._complexes import DolbeaultComplex, endo_complex
-from .surface import ConformalSurface, HalfEdgeMesh, bfs_tree, split_half_edges, vertex_adjacency
-
-logger = logging.getLogger(__name__)
+from ._complexes import DolbeaultComplex, SurfaceGeometry, endo_complex
+from .surface import (
+    ConformalSurface,
+    HalfEdgeMesh,
+    bfs_tree,
+    build_polygon_gluing,
+    split_half_edges,
+    vertex_adjacency,
+)
 
 UNITARITY_TOL = 1e-10
 FLATNESS_TOL = 1e-10
@@ -123,6 +131,10 @@ def from_generators(
     g = mesh.genus
     if len(generators) != 2 * g:
         raise CocycleError(f"need {2 * g} generators for genus {g}")
+    if g < 2 or not mesh.same_combinatorics(build_polygon_gluing(g)):
+        raise CocycleError(
+            "generator cocycles live on the 4g-gon fan; build them there and refine both together"
+        )
     gens = [np.asarray(G, dtype=complex) for G in generators]
     eye = np.eye(n)
     for G in gens:
@@ -265,7 +277,7 @@ def is_irreducible(c: UnitaryCocycle) -> tuple[bool, int]:
 
 
 # ---------------------------------------------------------------------------
-# cochains and twisted operators
+# cochains and the scene
 
 
 @dataclass(frozen=True)
@@ -307,110 +319,46 @@ def _covariant_constant_columns(c: UnitaryCocycle) -> np.ndarray:
     return np.moveaxis(vals, 1, 0).reshape(k, -1).T
 
 
-@functools.lru_cache(maxsize=None)
-def operators(surface: ConformalSurface, c: UnitaryCocycle) -> DolbeaultComplex:
-    if c.mesh is not surface.mesh:
-        raise CocycleError("cocycle and surface live on different meshes")
-    return endo_complex(surface, c.transport, _covariant_constant_columns(c))
+def operators(geom: SurfaceGeometry, c: UnitaryCocycle) -> DolbeaultComplex:
+    """The End(E)-valued complex of ``c`` on a surface geometry, with the
+    covariant constants as its exact kernel."""
+    return endo_complex(geom, c.transport, _covariant_constant_columns(c))
 
 
-def _flat(x: BundleCochain) -> np.ndarray:
-    return x.values.reshape(-1)
+@dataclass(frozen=True, eq=False)
+class Scene:
+    """One conformal surface with one flat cocycle on its mesh, and the
+    complexes built on them.
 
-
-def _vertex(values: np.ndarray, n: int) -> BundleCochain:
-    return BundleCochain(values.reshape(-1, n, n), "vertex")
-
-
-def _form(values: np.ndarray, n: int, tag) -> BundleCochain:
-    return BundleCochain(values.reshape(-1, n, n), tag)
-
-
-def twisted_dbar(phi: BundleCochain, c: UnitaryCocycle, S: ConformalSurface) -> BundleCochain:
-    if phi.degree != "vertex" or phi.rank != c.rank:
-        raise CocycleError("twisted_dbar expects a vertex cochain of matching rank")
-    cx = operators(S, c)
-    return _form(cx.dbar @ _flat(phi), c.rank, (0, 1))
-
-
-def twisted_d_hol(phi: BundleCochain, c: UnitaryCocycle, S: ConformalSurface) -> BundleCochain:
-    if phi.degree != "vertex" or phi.rank != c.rank:
-        raise CocycleError("twisted_d_hol expects a vertex cochain of matching rank")
-    cx = operators(S, c)
-    return _form(cx.dhol @ _flat(phi), c.rank, (1, 0))
-
-
-def twisted_dbar_star(alpha: BundleCochain, c: UnitaryCocycle, S: ConformalSurface) -> BundleCochain:
-    if alpha.degree != (0, 1) or alpha.rank != c.rank:
-        raise CocycleError("twisted_dbar_star expects a (0,1) cochain of matching rank")
-    cx = operators(S, c)
-    return _vertex(cx.dbar_star @ _flat(alpha), c.rank)
-
-
-def twisted_d_star(beta: BundleCochain, c: UnitaryCocycle, S: ConformalSurface) -> BundleCochain:
-    if beta.degree != (1, 0) or beta.rank != c.rank:
-        raise CocycleError("twisted_d_star expects a (1,0) cochain of matching rank")
-    cx = operators(S, c)
-    return _vertex(cx.dhol_star @ _flat(beta), c.rank)
-
-
-def laplacian(phi: BundleCochain, c: UnitaryCocycle, S: ConformalSurface) -> BundleCochain:
-    cx = operators(S, c)
-    return _vertex(cx.laplacian @ _flat(phi), c.rank)
-
-
-def delta0_inverse(h: BundleCochain, c: UnitaryCocycle, S: ConformalSurface) -> BundleCochain:
-    """Unique solution of Laplacian x = proj(h) orthogonal to the
-    covariant-constant kernel (computed, not assumed one-dimensional)."""
-    if h.degree != "vertex":
-        raise CocycleError("delta0_inverse expects a vertex cochain")
-    cx = operators(S, c)
-    x, stats = cx.delta0_solve(_flat(h))
-    logger.debug("delta0_inverse: %s", stats)
-    return _vertex(x, c.rank)
-
-
-def harmonic_projection(alpha: BundleCochain, c: UnitaryCocycle, S: ConformalSurface) -> BundleCochain:
-    """Orthogonal projector onto ker(twisted_dbar_star)."""
-    if alpha.degree != (0, 1):
-        raise CocycleError("harmonic_projection expects a (0,1) cochain")
-    cx = operators(S, c)
-    return _form(cx.harmonic_project(_flat(alpha)), c.rank, (0, 1))
-
-
-def ip_bundle(x: BundleCochain, y: BundleCochain, c: UnitaryCocycle, S: ConformalSurface) -> complex:
-    """L2 pairing tr(X conj(Y)^T) with the degree's diagonal weights."""
-    if x.degree != y.degree:
-        raise CocycleError("pairing needs equal degrees")
-    cx = operators(S, c)
-    w = cx.w0 if x.degree == "vertex" else cx.w1
-    return complex(np.sum(w * _flat(x) * np.conj(_flat(y))))
-
-
-# ---------------------------------------------------------------------------
-# pointwise commutator action and its exact adjoint
-
-
-def ad_on_scalar(nu: BundleCochain, f: BundleCochain, c: UnitaryCocycle, S: ConformalSurface) -> BundleCochain:
-    """Pointwise nu f - f nu in each face frame (f transported to faces)."""
-    if f.degree != "vertex" or f.rank != nu.rank:
-        raise CocycleError("ad_on_scalar expects a vertex cochain of matching rank")
-    return BundleCochain(_complexes.ad(operators(S, c), nu.values, f.values), (0, 1))
-
-
-def ad_star(nu: BundleCochain, alpha: BundleCochain, c: UnitaryCocycle, S: ConformalSurface) -> BundleCochain:
-    """Exact formal adjoint of ad_on_scalar(nu, .): W0^-1 B^H W1
-    (conj(nu)^T alpha - alpha conj(nu)^T), B the corner average.
-
-    Under the conventions table this is the vertex-averaged
-    -rho^{-1} (alpha conj(nu)^T - conj(nu)^T alpha); the constant is
-    pinned by adjointness, not chosen per input.
+    Each complex is assembled on first use and kept for the life of the
+    scene, with its factorization: ``endo`` (End(E)-valued cochains),
+    ``tangent`` (vector fields to Beltrami coefficients) and
+    ``beltrami`` (the spin-2 corner operators).  Nothing outlives the
+    scene, so dropping it frees the geometry, the complexes and their LUs.
     """
-    if nu.degree != (0, 1):
-        raise CocycleError("ad expects a (0,1)-form argument")
-    if alpha.degree != (0, 1) or alpha.rank != nu.rank:
-        raise CocycleError("ad_star expects a (0,1) cochain of matching rank")
-    return _vertex(_complexes.ad_star(operators(S, c), nu.values, alpha.values), c.rank)
+
+    surface: ConformalSurface
+    cocycle: UnitaryCocycle
+
+    def __post_init__(self):
+        if self.cocycle.mesh is not self.surface.mesh:
+            raise CocycleError("cocycle and surface live on different meshes")
+
+    @functools.cached_property
+    def geom(self) -> SurfaceGeometry:
+        return _complexes.geometry(self.surface)
+
+    @functools.cached_property
+    def endo(self) -> DolbeaultComplex:
+        return operators(self.geom, self.cocycle)
+
+    @functools.cached_property
+    def tangent(self) -> DolbeaultComplex:
+        return _complexes.tangent_complex(self.geom)
+
+    @functools.cached_property
+    def beltrami(self) -> DolbeaultComplex:
+        return _complexes.beltrami_complex(self.geom)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._complexes import beltrami_complex
+from ._complexes import DolbeaultComplex
 from .surface import ConformalSurface
 
 
@@ -38,13 +38,13 @@ def ip_beltrami(mu1: Beltrami, mu2: Beltrami, surface: ConformalSurface) -> comp
     return complex(np.sum(w * mu1.values * np.conj(mu2.values)))
 
 
-def beltrami_d_hol(mu: Beltrami, surface: ConformalSurface) -> np.ndarray:
+def beltrami_d_hol(mu: Beltrami, cx: DolbeaultComplex) -> np.ndarray:
     """Face-wise d/dz of a Beltrami coefficient (tensor weight 2).
 
-    Deterministic two-step stencil on the spin-2 complex: lift to the
-    vertex frames by transported area-weighted averaging, then
-    P1-differentiate in each face chart.  Exact on fields that are
-    restrictions of linear functions in a flat chart patch.
+    Deterministic two-step stencil on the spin-2 complex ``cx`` (a
+    scene's ``beltrami``): lift to the vertex frames by transported
+    area-weighted averaging, then P1-differentiate in each face chart.
+    Exact on fields that are restrictions of linear functions in a flat
+    chart patch.
     """
-    cx = beltrami_complex(surface)
     return cx.dhol @ (cx.lift @ mu.values)

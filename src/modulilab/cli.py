@@ -22,7 +22,7 @@ import numpy as np
 from . import bundle as bnd
 from . import oracle, variation
 from ._complexes import kahler_residual
-from .bundle import trivial_cocycle, su2_preset, load_cocycle
+from .bundle import Scene, trivial_cocycle, su2_preset, load_cocycle
 from .surface import (
     build_polygon_gluing,
     equip_conformal,
@@ -119,7 +119,8 @@ def load_config(path, **cli_overrides) -> dict:
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError("seeds must be a non-empty list of integers")
     for s in seeds:
-        _integer(s, "seeds")
+        if _integer(s, "seeds") < 0:
+            raise ConfigError(f"seeds must be non-negative integers, got {s!r}")
     for key in ("dense_cap", "adjoint_trials", "oracle_rhs"):
         if _integer(cfg[key], key) < 1:
             raise ConfigError(f"{key} must be a positive integer, got {cfg[key]!r}")
@@ -149,8 +150,8 @@ def _fd_gate_step(steps):
     return next((float(h) for h in steps if math.isclose(h, FD_GATE_STEP, rel_tol=1e-9)), None)
 
 
-def build_scene(cfg: dict):
-    """Mesh + conformal surface + cocycle from a config."""
+def build_scene(cfg: dict) -> Scene:
+    """The scene of a config: mesh, conformal surface and cocycle."""
     mcfg = cfg["mesh"]
     if mcfg.get("file"):
         mesh = load_mesh(mcfg["file"])
@@ -171,7 +172,7 @@ def build_scene(cfg: dict):
         c0 = bnd.refine_cocycle(c0, child)
         mesh = child
     S = equip_conformal(mesh, layout=mcfg.get("layout", "stored"), density=mcfg.get("density", "uniform"))
-    return S, c0
+    return Scene(S, c0)
 
 
 def _write_json(path, payload: dict) -> None:
@@ -251,10 +252,11 @@ def cmd_check_operators(config_path, seed, out, dense_cap, tol, density):
     """Operator invariant suite: adjointness, the Kaehler identity,
     projector algebra, kernel dimensions, oracle equivalence."""
     cfg = _load(config_path, seed=seed, out=out, dense_cap=dense_cap, tol=tol, density=density)
-    S, c = _scene(cfg)
+    scene = _scene(cfg)
+    S, c = scene.surface, scene.cocycle
     tols = cfg["tolerances"]
     cap = cfg["dense_cap"]
-    cx = bnd.operators(S, c)
+    cx = scene.endo
     rng = np.random.default_rng(cfg["seeds"][0])
     n = c.rank
     checks = []
@@ -264,10 +266,9 @@ def cmd_check_operators(config_path, seed, out, dense_cap, tol, density):
     for _ in range(cfg["adjoint_trials"]):
         f = rng.standard_normal((S.n_vertices, n, n)) + 1j * rng.standard_normal((S.n_vertices, n, n))
         a = rng.standard_normal((S.n_faces, n, n)) + 1j * rng.standard_normal((S.n_faces, n, n))
-        fb = bnd.BundleCochain(f, "vertex")
-        ab = bnd.BundleCochain(a, (0, 1))
-        lhs = bnd.ip_bundle(bnd.twisted_dbar(fb, c, S), ab, c, S)
-        rhs = bnd.ip_bundle(fb, bnd.twisted_dbar_star(ab, c, S), c, S)
+        f, a = f.reshape(-1), a.reshape(-1)
+        lhs = complex(np.sum(cx.w1 * (cx.dbar @ f) * np.conj(a)))
+        rhs = complex(np.sum(cx.w0 * f * np.conj(cx.dbar_star @ a)))
         scale = max(abs(lhs), abs(rhs), 1.0)
         worst = max(worst, abs(lhs - rhs) / scale)
     checks.append(_check("adjointness_residual", worst, tols["adjointness"]))
@@ -275,7 +276,7 @@ def cmd_check_operators(config_path, seed, out, dense_cap, tol, density):
 
     def dense(op_name):
         with _config_errors(oracle.DenseCapError):
-            return oracle.materialize(op_name, c, S, dense_cap=cap)
+            return oracle.materialize(op_name, scene, dense_cap=cap)
 
     # dense projector algebra
     P = dense("projection")
@@ -317,8 +318,7 @@ def cmd_check_operators(config_path, seed, out, dense_cap, tol, density):
     worst = 0.0
     for _ in range(cfg["oracle_rhs"]):
         h = rng.standard_normal((S.n_vertices, n, n)) + 1j * rng.standard_normal((S.n_vertices, n, n))
-        hb = bnd.BundleCochain(h, "vertex")
-        x_fac = bnd.delta0_inverse(hb, c, S).values.reshape(-1)
+        x_fac = cx.delta0_solve(h.reshape(-1))[0]
         x_dn = inv.matrix @ h.reshape(-1)
         worst = max(worst, np.linalg.norm(x_fac - x_dn) / max(np.linalg.norm(x_dn), 1e-300))
     checks.append(_check("delta0_factorized_vs_dense", worst, tols["oracle"]))
@@ -333,13 +333,13 @@ def cmd_check_operators(config_path, seed, out, dense_cap, tol, density):
     )
 
 
-def _sample_reports(cfg, S, c, seed):
+def _sample_reports(cfg, scene, seed):
     tcfg = cfg["tangent"]
     vs = [
-        random_tangent(S, c, seed=seed * 10 + i, mu_scale=tcfg["mu_scale"], nu_scale=tcfg["nu_scale"])
+        random_tangent(scene, seed=seed * 10 + i, mu_scale=tcfg["mu_scale"], nu_scale=tcfg["nu_scale"])
         for i in range(4)
     ]
-    return (seed, *variation.evaluate_quadruple(*vs, S, c))
+    return (seed, *variation.evaluate_quadruple(*vs, scene))
 
 
 @main.command("second-variation")
@@ -348,9 +348,9 @@ def cmd_second_variation(config_path, seed, out, dense_cap, tol, density):
     """Sample harmonic tangent quadruples; emit both coordinate-system
     reports and the difference report per sample."""
     cfg = _load(config_path, seed=seed, out=out, dense_cap=dense_cap, tol=tol, density=density)
-    S, c = _scene(cfg)
+    scene = _scene(cfg)
     tols = cfg["tolerances"]
-    results = [_sample_reports(cfg, S, c, int(s)) for s in cfg["seeds"]]
+    results = [_sample_reports(cfg, scene, int(s)) for s in cfg["seeds"]]
     checks = []
     samples = []
     os.makedirs(cfg["out"], exist_ok=True)
@@ -380,12 +380,13 @@ def cmd_second_variation(config_path, seed, out, dense_cap, tol, density):
 def cmd_positivity(config_path, seed, out, dense_cap, tol, density):
     """Positivity certificate over seeded samples, with CSV and plot data."""
     cfg = _load(config_path, seed=seed, out=out, dense_cap=dense_cap, tol=tol, density=density)
-    S, c = _scene(cfg)
+    scene = _scene(cfg)
+    S = scene.surface
     seeds = [int(s) for s in cfg["seeds"]]
     rows = []
     for s in seeds:
-        v = random_tangent(S, c, seed=s)
-        a, b, total = variation.positivity_certificate(v.mu, bnd.BundleCochain(v.nu.values, (0, 1)), S, c)
+        v = random_tangent(scene, seed=s)
+        a, b, total = variation.positivity_certificate(v.mu, v.nu, scene)
         mu_norm = float(np.sqrt(np.sum(S.density * S.area * np.abs(v.mu.values) ** 2)))
         nu_norm = float(np.sqrt(abs(np.sum(2.0 * S.area * np.einsum("fab,fab->f", v.nu.values, np.conj(v.nu.values))))))
         rows.append((s, a, b, total, mu_norm * nu_norm))
@@ -411,12 +412,12 @@ def cmd_positivity(config_path, seed, out, dense_cap, tol, density):
 def cmd_projector_derivative(config_path, seed, out, dense_cap, tol, density):
     """Finite-difference projector-derivative identity over step sizes."""
     cfg = _load(config_path, seed=seed, out=out, dense_cap=dense_cap, tol=tol, density=density)
-    S, c = _scene(cfg)
+    scene = _scene(cfg)
     tols = cfg["tolerances"]
     steps = [float(h) for h in cfg["fd_steps"]]
     with _config_errors(oracle.DenseCapError):
         sweep = variation.projector_derivative_sweep(
-            S, c, steps=steps, seed=cfg["seeds"][0], dense_cap=cfg["dense_cap"]
+            scene.endo, steps=steps, seed=cfg["seeds"][0], dense_cap=cfg["dense_cap"]
         )
     os.makedirs(cfg["out"], exist_ok=True)
     with open(os.path.join(cfg["out"], "fd_errors.csv"), "w", newline="") as fh:

@@ -1,8 +1,9 @@
 """Dense brute-force materializations: ground truth for equivalence tests.
 
-Operators are materialized column by column through the functional path,
-independently of the internal sparse assembly, and inverses are
-recomputed from scratch by eigendecomposition.  A flat-torus harness
+Operators are materialized column by column, by applying the operators of
+a scene's End(E) complex to unit vectors; inverses are recomputed from
+scratch by eigendecomposition, and harmonic bases by dense SVD.  This is
+the only module that does dense linear algebra.  A flat-torus harness
 cross-checks the End(E) operator algebra against closed-form continuum
 answers (the torus is a degenerate geometry used only for this check).
 """
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import bundle as bnd
-from .bundle import BundleCochain, UnitaryCocycle, trivial_cocycle
+from ._complexes import DolbeaultComplex, ad, ad_star
+from .bundle import Scene, trivial_cocycle
 from .surface import ConformalSurface, HalfEdgeMesh, equip_conformal, mesh_from_faces
 
 
@@ -41,61 +42,33 @@ _VERTEX = "vertex"
 _FORM01 = (0, 1)
 _FORM10 = (1, 0)
 
-
-def _apply(op_name: str, c: UnitaryCocycle, S: ConformalSurface, x: BundleCochain, aux):
-    if op_name == "dbar":
-        return bnd.twisted_dbar(x, c, S)
-    if op_name == "d_hol":
-        return bnd.twisted_d_hol(x, c, S)
-    if op_name == "dbar_star":
-        return bnd.twisted_dbar_star(x, c, S)
-    if op_name == "d_star":
-        return bnd.twisted_d_star(x, c, S)
-    if op_name == "laplacian":
-        return bnd.laplacian(x, c, S)
-    if op_name == "delta0_inverse":
-        return bnd.delta0_inverse(x, c, S)
-    if op_name == "projection":
-        return bnd.harmonic_projection(x, c, S)
-    if op_name == "ad":
-        return bnd.ad_on_scalar(aux, x, c, S)
-    if op_name == "ad_star":
-        return bnd.ad_star(aux, x, c, S)
-    if op_name == "mu_contract":
-        vals = aux.values[:, None, None] * x.values
-        return BundleCochain(vals, (0, 1))
-    raise ValueError(f"unknown operator {op_name!r}")
-
-
-_SIGNATURES = {
-    "dbar": (_VERTEX, _FORM01),
-    "d_hol": (_VERTEX, _FORM10),
-    "dbar_star": (_FORM01, _VERTEX),
-    "d_star": (_FORM10, _VERTEX),
-    "laplacian": (_VERTEX, _VERTEX),
-    "delta0_inverse": (_VERTEX, _VERTEX),
-    "projection": (_FORM01, _FORM01),
-    "ad": (_VERTEX, _FORM01),
-    "ad_star": (_FORM01, _VERTEX),
-    "mu_contract": (_FORM10, _FORM01),
+# name -> (domain degree, codomain degree, action on a flat cochain of the
+# End(E) complex cx); ``aux`` is the face field nu (F,n,n) of ad/ad_star
+# or the Beltrami values mu (F,) of mu_contract
+_OPERATORS = {
+    "dbar": (_VERTEX, _FORM01, lambda cx, x, aux: cx.dbar @ x),
+    "d_hol": (_VERTEX, _FORM10, lambda cx, x, aux: cx.dhol @ x),
+    "dbar_star": (_FORM01, _VERTEX, lambda cx, x, aux: cx.dbar_star @ x),
+    "d_star": (_FORM10, _VERTEX, lambda cx, x, aux: cx.dhol_star @ x),
+    "laplacian": (_VERTEX, _VERTEX, lambda cx, x, aux: cx.laplacian @ x),
+    "delta0_inverse": (_VERTEX, _VERTEX, lambda cx, x, aux: cx.delta0_solve(x)[0]),
+    "projection": (_FORM01, _FORM01, lambda cx, x, aux: cx.harmonic_project(x)),
+    "ad": (_VERTEX, _FORM01, lambda cx, x, aux: ad(cx, aux, x.reshape(-1, cx.m, cx.m))),
+    "ad_star": (_FORM01, _VERTEX, lambda cx, x, aux: ad_star(cx, aux, x.reshape(-1, cx.m, cx.m))),
+    "mu_contract": (_FORM10, _FORM01, lambda cx, x, aux: aux[:, None, None] * x.reshape(-1, cx.m, cx.m)),
 }
 
 
-def materialize(
-    op_name: str,
-    c: UnitaryCocycle,
-    S: ConformalSurface,
-    aux=None,
-    dense_cap: int = 6000,
-) -> DenseOperator:
-    """Column-by-column dense matrix of a functional-path operator."""
-    if op_name not in _SIGNATURES:
+def materialize(op_name: str, scene: Scene, aux=None, dense_cap: int = 6000) -> DenseOperator:
+    """Column-by-column dense matrix of an operator of the scene's End(E)
+    complex: column j is the operator applied to the j-th unit vector."""
+    if op_name not in _OPERATORS:
         raise ValueError(f"unknown operator {op_name!r}")
-    dom_deg, cod_deg = _SIGNATURES[op_name]
-    n = c.rank
-    V, F = S.n_vertices, S.n_faces
-    dom_sites = V if dom_deg == _VERTEX else F
-    cod_sites = V if cod_deg == _VERTEX else F
+    dom_deg, cod_deg, apply = _OPERATORS[op_name]
+    cx = scene.endo
+    n = cx.m
+    dom_sites = cx.n_vertices if dom_deg == _VERTEX else cx.n_faces
+    cod_sites = cx.n_vertices if cod_deg == _VERTEX else cx.n_faces
     dom_dim = dom_sites * n * n
     cod_dim = cod_sites * n * n
     if dom_dim + cod_dim > dense_cap:
@@ -107,9 +80,7 @@ def materialize(
     for j in range(dom_dim):
         basis[:] = 0.0
         basis[j] = 1.0
-        x = BundleCochain(basis.reshape(dom_sites, n, n), dom_deg)
-        M[:, j] = _apply(op_name, c, S, x, aux).values.reshape(-1)
-    cx = bnd.operators(S, c)
+        M[:, j] = apply(cx, basis, aux).reshape(-1)
     wv, wf = cx.w0, cx.w1
     return DenseOperator(
         matrix=M,
@@ -118,6 +89,18 @@ def materialize(
         domain_weight=wv if dom_deg == _VERTEX else wf,
         codomain_weight=wv if cod_deg == _VERTEX else wf,
     )
+
+
+def harmonic_basis(cx: DolbeaultComplex, dense_cap: int = 6000) -> np.ndarray:
+    """Columns spanning ker(dbar*) of a complex, orthonormal under w1, by
+    dense SVD of the weight-orthonormalized dbar."""
+    if sum(cx.dbar.shape) > dense_cap:
+        raise DenseCapError(f"dense basis computation exceeds dense_cap {dense_cap}")
+    Dt = (np.sqrt(cx.w1)[:, None] * cx.dbar.toarray()) / np.sqrt(cx.w0)[None, :]
+    u, s, _ = np.linalg.svd(Dt, full_matrices=True)
+    tol = max(Dt.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0)
+    rank = int(np.sum(s > max(tol, 1e-10)))
+    return u[:, rank:] / np.sqrt(cx.w1)[:, None]
 
 
 def spectral_norm(X: np.ndarray) -> float:
@@ -210,27 +193,25 @@ def torus_spectral_crosscheck(rank: int = 1, sizes=(4, 8, 16), dense_cap: int = 
     report: dict = {"levels": []}
     for m in sizes:
         S = torus_surface(m)
-        c = trivial_cocycle(S.mesh, rank)
-        cx = bnd.operators(S, c)
+        scene = Scene(S, trivial_cocycle(S.mesh, rank))
+        cx = scene.endo
         F, n = S.n_faces, rank
         if (F + S.n_vertices) * n * n > dense_cap:
             raise DenseCapError(f"torus cross-check exceeds dense_cap {dense_cap}")
         # constant (0,1)-form is discretely harmonic on the regular torus
-        const = BundleCochain(np.broadcast_to(np.eye(n), (F, n, n)).copy(), (0, 1))
-        r_const = np.linalg.norm(bnd.twisted_dbar_star(const, c, S).values)
+        const = np.broadcast_to(np.eye(n), (F, n, n)).reshape(-1)
+        r_const = np.linalg.norm(cx.dbar_star @ const)
         # projector algebra on the dense materialization
-        P = materialize("projection", c, S, dense_cap=dense_cap).matrix
+        P = materialize("projection", scene, dense_cap=dense_cap).matrix
         r_idem = spectral_norm(P @ P - P)
         # smooth test form: coefficient exp(2 pi i (x+y)/m) sampled at barycenters;
         # its continuum harmonic projection is zero (nonzero Fourier mode).
         bary = np.mean(S.chart, axis=1)
         coeff = np.exp(2j * np.pi * (bary.real + bary.imag) / m)
-        alpha = BundleCochain(
-            coeff[:, None, None] * np.broadcast_to(np.eye(n), (F, n, n)), (0, 1)
-        )
-        proj = bnd.harmonic_projection(alpha, c, S)
-        num = np.sqrt(abs(bnd.ip_bundle(proj, proj, c, S)))
-        den = np.sqrt(abs(bnd.ip_bundle(alpha, alpha, c, S)))
+        alpha = (coeff[:, None, None] * np.broadcast_to(np.eye(n), (F, n, n))).reshape(-1)
+        proj = cx.harmonic_project(alpha)
+        num = np.sqrt(abs(np.sum(cx.w1 * proj * np.conj(proj))))
+        den = np.sqrt(abs(np.sum(cx.w1 * alpha * np.conj(alpha))))
         report["levels"].append(
             {
                 "m": m,

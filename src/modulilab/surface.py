@@ -562,25 +562,34 @@ def save_conformal(surface: ConformalSurface, path) -> None:
 
 
 def load_conformal(mesh: HalfEdgeMesh, path) -> ConformalSurface:
+    """Read per-face charts and densities written by ``save_conformal``;
+    a face id outside 0..F-1 or given twice for one record kind raises
+    MeshFileError naming the line."""
     F = mesh.n_faces
     chart = np.full((F, 3), np.nan, dtype=complex)
     rho = np.full(F, np.nan)
+    seen = {"chart": set(), "rho": set()}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             parts = raw.split()
             if not parts or parts[0].startswith("#"):
                 continue
+            if (parts[0], len(parts)) not in (("chart", 8), ("rho", 3)):
+                raise MeshFileError(f"unknown record {parts[0]!r}", lineno)
             try:
-                if parts[0] == "chart" and len(parts) == 8:
-                    f = int(parts[1])
-                    vals = [float(p) for p in parts[2:]]
-                    chart[f] = [complex(vals[2 * k], vals[2 * k + 1]) for k in range(3)]
-                elif parts[0] == "rho" and len(parts) == 3:
-                    rho[int(parts[1])] = float(parts[2])
-                else:
-                    raise MeshFileError(f"unknown record {parts[0]!r}", lineno)
-            except (ValueError, IndexError):
+                f = int(parts[1])
+                vals = [float(p) for p in parts[2:]]
+            except ValueError:
                 raise MeshFileError("malformed conformal record", lineno)
+            if not 0 <= f < F:
+                raise MeshFileError(f"face id {f} out of range 0..{F - 1}", lineno)
+            if f in seen[parts[0]]:
+                raise MeshFileError(f"duplicate {parts[0]} record for face {f}", lineno)
+            seen[parts[0]].add(f)
+            if parts[0] == "chart":
+                chart[f] = [complex(vals[2 * k], vals[2 * k + 1]) for k in range(3)]
+            else:
+                rho[f] = vals[0]
     if np.any(np.isnan(chart)) or np.any(np.isnan(rho)):
         raise MeshFileError("missing chart or rho records")
     if np.any(rho <= 0.0):

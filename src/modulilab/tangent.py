@@ -4,19 +4,14 @@ End(E)-valued (0,1)-forms, with the center-point deformation maps."""
 
 from __future__ import annotations
 
-import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import bundle as bnd
-from ._complexes import tangent_complex
-from .bundle import BundleCochain, UnitaryCocycle
-from .calculus import Beltrami, ip_beltrami
-from .oracle import DenseCapError
-from .surface import ConformalSurface
-
-logger = logging.getLogger(__name__)
+from ._complexes import DolbeaultComplex
+from .bundle import BundleCochain, Scene
+from .calculus import Beltrami
 
 HARMONIC_TOL = 1e-8
 
@@ -32,132 +27,57 @@ class TangentVector:
             raise ValueError("nu must be a (0,1)-form cochain")
 
 
-@dataclass(frozen=True)
-class HarmonicBases:
-    mu_basis: list
-    nu_basis: list
-    mu_gram: np.ndarray
-    nu_gram: np.ndarray
-
-
-def project_harmonic_mu(mu: Beltrami, S: ConformalSurface) -> Beltrami:
+def project_harmonic_mu(mu: Beltrami, cx: DolbeaultComplex) -> Beltrami:
     """Orthogonal projection onto harmonic Beltrami coefficients under
     the density-weighted pairing, via I - D Delta0^{-1} D* for the
-    chart-rotation-twisted vector-field complex."""
-    cx = tangent_complex(S)
+    chart-rotation-twisted vector-field complex ``cx`` (a scene's
+    ``tangent``)."""
     return Beltrami(cx.harmonic_project(mu.values))
 
 
-def project_harmonic_nu(nu: BundleCochain, c: UnitaryCocycle, S: ConformalSurface) -> BundleCochain:
-    return bnd.harmonic_projection(nu, c, S)
-
-
-def ks_center(
-    mu_t: Beltrami, nu_t: BundleCochain, c: UnitaryCocycle, S: ConformalSurface
-) -> TangentVector:
-    """Center-point deformation map: the pair of harmonic projections.
+def ks_center(mu_t: Beltrami, nu_t: BundleCochain, scene: Scene) -> TangentVector:
+    """Center-point deformation map: the pair of harmonic projections,
+    onto ker D* of the scene's tangent complex and ker dbar* of its
+    End(E) complex.
 
     Complex-linear, annihilates exact inputs, fixes harmonic ones.
     """
-    return TangentVector(
-        mu=project_harmonic_mu(mu_t, S),
-        nu=project_harmonic_nu(nu_t, c, S),
-        harmonic=True,
-    )
+    mu = project_harmonic_mu(mu_t, scene.tangent)
+    nu = scene.endo.harmonic_project(nu_t.values.reshape(-1))
+    return TangentVector(mu=mu, nu=BundleCochain(nu.reshape(nu_t.values.shape), (0, 1)), harmonic=True)
 
 
-def is_harmonic(v: TangentVector, c: UnitaryCocycle, S: ConformalSurface, tol: float = HARMONIC_TOL) -> bool:
-    pm = project_harmonic_mu(v.mu, S)
-    pn = project_harmonic_nu(v.nu, c, S)
+def is_harmonic(v: TangentVector, scene: Scene, tol: float = HARMONIC_TOL) -> bool:
+    pm = project_harmonic_mu(v.mu, scene.tangent)
+    pn = scene.endo.harmonic_project(v.nu.values.reshape(-1))
     dm = np.linalg.norm(pm.values - v.mu.values)
-    dn = np.linalg.norm(pn.values - v.nu.values)
+    dn = np.linalg.norm(pn - v.nu.values.reshape(-1))
     scale = max(np.linalg.norm(v.mu.values), np.linalg.norm(v.nu.values), 1.0)
     return bool(max(dm, dn) <= tol * scale)
 
 
-def project_traceless(nu: BundleCochain) -> BundleCochain:
-    """Pointwise nu - (tr nu / n) I."""
-    n = nu.rank
-    tr = np.trace(nu.values, axis1=1, axis2=2) / n
-    vals = nu.values - tr[:, None, None] * np.eye(n)
-    return BundleCochain(vals, nu.degree)
-
-
 def random_tangent(
-    S: ConformalSurface,
-    c: UnitaryCocycle,
+    scene: Scene,
     seed: int,
-    scale: float = 1.0,
     mu_scale: float = 1.0,
     nu_scale: float = 1.0,
 ) -> TangentVector:
     """Reproducible harmonic tangent vector (projected Gaussian data)."""
     rng = np.random.default_rng(seed)
-    F, n = S.n_faces, c.rank
+    F, n = scene.surface.n_faces, scene.cocycle.rank
     raw_mu = rng.standard_normal(F) + 1j * rng.standard_normal(F)
     raw_nu = rng.standard_normal((F, n, n)) + 1j * rng.standard_normal((F, n, n))
-    mu = project_harmonic_mu(Beltrami(scale * mu_scale * raw_mu), S)
-    nu = project_harmonic_nu(
-        BundleCochain(scale * nu_scale * raw_nu, (0, 1)), c, S
-    )
-    return TangentVector(mu=mu, nu=nu, harmonic=True)
-
-
-def _harmonic_columns(cx, dense_cap: int) -> np.ndarray:
-    """Columns spanning ker(dbar*) of a complex, orthonormal under w1, by
-    dense SVD of the weight-orthonormalized dbar."""
-    if sum(cx.dbar.shape) > dense_cap:
-        raise DenseCapError(f"dense basis computation exceeds dense_cap {dense_cap}")
-    Dt = (np.sqrt(cx.w1)[:, None] * cx.dbar.toarray()) / np.sqrt(cx.w0)[None, :]
-    u, s, _ = np.linalg.svd(Dt, full_matrices=True)
-    tol = max(Dt.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0)
-    rank = int(np.sum(s > max(tol, 1e-10)))
-    return u[:, rank:] / np.sqrt(cx.w1)[:, None]
-
-
-def harmonic_nu_basis(c: UnitaryCocycle, S: ConformalSurface, dense_cap: int = 6000) -> list:
-    """Orthonormal basis of ker(twisted_dbar_star) by dense SVD."""
-    irred, cdim = bnd.is_irreducible(c)
-    if not irred:
-        logger.warning("cocycle is reducible (commutant dimension %d)", cdim)
-    basis = _harmonic_columns(bnd.operators(S, c), dense_cap)
-    return [BundleCochain(basis[:, k].reshape(-1, c.rank, c.rank), (0, 1)) for k in range(basis.shape[1])]
-
-
-def harmonic_mu_basis(S: ConformalSurface, dense_cap: int = 6000) -> list:
-    basis = _harmonic_columns(tangent_complex(S), dense_cap)
-    return [Beltrami(basis[:, k]) for k in range(basis.shape[1])]
-
-
-def harmonic_bases(c: UnitaryCocycle, S: ConformalSurface, dense_cap: int = 6000) -> HarmonicBases:
-    """Bases plus Gram matrices; dimensions are diagnostics, logged only."""
-    mus = harmonic_mu_basis(S, dense_cap)
-    nus = harmonic_nu_basis(c, S, dense_cap)
-    mg = np.array([[ip_beltrami(a, b, S) for b in mus] for a in mus])
-    ng = np.array(
-        [
-            [
-                bnd.ip_bundle(a, b, c, S)
-                for b in nus
-            ]
-            for a in nus
-        ]
-    )
-    logger.info(
-        "harmonic dimensions: beltrami %d, endo (0,1) %d (genus %d, rank %d)",
-        len(mus),
-        len(nus),
-        S.mesh.genus,
-        c.rank,
-    )
-    return HarmonicBases(mu_basis=mus, nu_basis=nus, mu_gram=mg, nu_gram=ng)
+    return ks_center(Beltrami(mu_scale * raw_mu), BundleCochain(nu_scale * raw_nu, (0, 1)), scene)
 
 
 # -- serialization of tangent vectors (experiment manifests) ----------------
 
 
+class TangentFileError(ValueError):
+    """Malformed tangent-vector file."""
+
+
 def save_tangent(v: TangentVector, path) -> None:
-    n = v.nu.rank
     with open(path, "w") as fh:
         for f, z in enumerate(v.mu.values):
             fh.write(f"mu {f} {float(z.real)!r} {float(z.imag)!r}\n")
@@ -166,18 +86,48 @@ def save_tangent(v: TangentVector, path) -> None:
             fh.write(f"nu {f} {nums}\n")
 
 
-def load_tangent(path, n: int, n_faces: int, harmonic: bool = False) -> TangentVector:
-    mu = np.zeros(n_faces, dtype=complex)
-    nu = np.zeros((n_faces, n, n), dtype=complex)
+def load_tangent(path, scene: Scene) -> TangentVector:
+    """Read a tangent vector of ``scene`` written by ``save_tangent``.
+
+    Every face needs exactly one ``mu f re im`` record and one
+    ``nu f re im ...`` record (2 n^2 reals, row-major).  Unknown records,
+    wrong entry counts, non-numeric or non-finite entries, and face ids
+    that are out of range or repeated raise TangentFileError naming the
+    line; a missing face raises it naming the face.  ``harmonic`` is
+    computed by ``is_harmonic``, not read.
+    """
+    F, n = scene.surface.n_faces, scene.cocycle.rank
+    reals = {"mu": 2, "nu": 2 * n * n}
+    vals = {kind: np.zeros((F, k // 2), dtype=complex) for kind, k in reals.items()}
+    seen = {kind: np.zeros(F, dtype=bool) for kind in reals}
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             parts = raw.split()
-            if not parts:
+            if not parts or parts[0].startswith("#"):
                 continue
-            if parts[0] == "mu":
-                mu[int(parts[1])] = complex(float(parts[2]), float(parts[3]))
-            elif parts[0] == "nu":
-                vals = [float(p) for p in parts[2:]]
-                M = np.array(vals[0::2]) + 1j * np.array(vals[1::2])
-                nu[int(parts[1])] = M.reshape(n, n)
-    return TangentVector(mu=Beltrami(mu), nu=BundleCochain(nu, (0, 1)), harmonic=harmonic)
+            kind = parts[0]
+            if kind not in reals:
+                raise TangentFileError(f"line {lineno}: unknown record {kind!r}")
+            if len(parts) != 2 + reals[kind]:
+                raise TangentFileError(
+                    f"line {lineno}: {kind} record needs a face id and {reals[kind]} reals, "
+                    f"got {len(parts) - 1} fields"
+                )
+            try:
+                f = int(parts[1])
+                x = [float(p) for p in parts[2:]]
+            except ValueError:
+                raise TangentFileError(f"line {lineno}: non-numeric entry in {kind} record") from None
+            if not all(math.isfinite(r) for r in x):
+                raise TangentFileError(f"line {lineno}: non-finite entry in {kind} record")
+            if not 0 <= f < F:
+                raise TangentFileError(f"line {lineno}: face id {f} out of range 0..{F - 1}")
+            if seen[kind][f]:
+                raise TangentFileError(f"line {lineno}: duplicate {kind} record for face {f}")
+            seen[kind][f] = True
+            vals[kind][f] = np.array(x[0::2]) + 1j * np.array(x[1::2])
+    for kind, got in seen.items():
+        if not got.all():
+            raise TangentFileError(f"missing {kind} record for face {int(np.argmin(got))}")
+    v = TangentVector(mu=Beltrami(vals["mu"][:, 0]), nu=BundleCochain(vals["nu"].reshape(F, n, n), (0, 1)))
+    return TangentVector(mu=v.mu, nu=v.nu, harmonic=is_harmonic(v, scene))

@@ -32,7 +32,8 @@ import numpy as np
 
 from . import conventions
 from ._complexes import ad, ad_star, lift_to_vertices
-from .bundle import BundleCochain, UnitaryCocycle, operators
+from ._complexes import DolbeaultComplex
+from .bundle import BundleCochain, Scene
 from .calculus import Beltrami, beltrami_d_hol, ip_beltrami
 from .oracle import DenseCapError, spectral_norm
 from .surface import ConformalSurface
@@ -93,10 +94,11 @@ def _pair(S: ConformalSurface, a01: np.ndarray, b10: np.ndarray) -> complex:
 class _Workspace:
     """Shared operator state for one variation evaluation."""
 
-    def __init__(self, S: ConformalSurface, c: UnitaryCocycle):
-        self.S = S
-        self.cx = operators(S, c)
-        self.n = c.rank
+    def __init__(self, scene: Scene):
+        self.scene = scene
+        self.S = scene.surface
+        self.cx = scene.endo
+        self.n = scene.cocycle.rank
         self.stats: list = []
 
     # -- array plumbing ------------------------------------------------------
@@ -145,8 +147,8 @@ class _Workspace:
         rho = self.S.density
         nua, nub = va.nu.values, vb.nu.values
         ctb = self.ct(nub)
-        dmu_a = beltrami_d_hol(va.mu, self.S)
-        dmu_b = beltrami_d_hol(vb.mu, self.S)
+        dmu_a = beltrami_d_hol(va.mu, self.scene.beltrami)
+        dmu_b = beltrami_d_hol(vb.mu, self.scene.beltrami)
         src = (
             nua @ ctb
             - ctb @ nua
@@ -162,8 +164,8 @@ class _Workspace:
         return -ad(self.cx, form, g_vert)
 
 
-def _check_inputs(S: ConformalSurface, c: UnitaryCocycle, vectors, need_harmonic: bool):
-    F, n = S.n_faces, c.rank
+def _check_inputs(scene: Scene, vectors, need_harmonic: bool):
+    F, n = scene.surface.n_faces, scene.cocycle.rank
     for v in vectors:
         if v.mu.values.shape != (F,) or v.nu.values.shape != (F, n, n):
             raise VariationInputError("tangent vector does not match surface/rank")
@@ -175,12 +177,13 @@ def _check_inputs(S: ConformalSurface, c: UnitaryCocycle, vectors, need_harmonic
 # metric and first variation
 
 
-def metric_g(v1: TangentVector, v2: TangentVector, S: ConformalSurface, c: UnitaryCocycle) -> complex:
+def metric_g(v1: TangentVector, v2: TangentVector, scene: Scene) -> complex:
     """Density-weighted Beltrami pairing plus the bundle form pairing.
 
     The blocks are orthogonal: there is no mu-nu cross term.
     """
-    _check_inputs(S, c, (v1, v2), need_harmonic=False)
+    _check_inputs(scene, (v1, v2), need_harmonic=False)
+    S = scene.surface
     # i * (wedge pairing of nu1 with star(conj(nu2)^T)), star dz = -i dz
     bundle_term = 1j * _pair(S, v1.nu.values, conventions.STAR_DZ * _Workspace.ct(v2.nu.values))
     return ip_beltrami(v1.mu, v2.mu, S) + bundle_term
@@ -190,8 +193,7 @@ def first_variation(
     v_dir: TangentVector,
     v1: TangentVector,
     v2: TangentVector,
-    S: ConformalSurface,
-    c: UnitaryCocycle,
+    scene: Scene,
     system: str = "universal",
 ) -> tuple[complex, complex]:
     """Holomorphic and antiholomorphic first derivatives of the metric
@@ -200,7 +202,8 @@ def first_variation(
     The two coordinate systems give the same integrals; they are summed
     in different orders here so the comparison is not vacuous.
     """
-    _check_inputs(S, c, (v_dir, v1, v2), need_harmonic=False)
+    _check_inputs(scene, (v_dir, v1, v2), need_harmonic=False)
+    S = scene.surface
     nu = v_dir.nu.values
     nu1, nu2 = v1.nu.values, v2.nu.values
     mu1, mu2 = v1.mu.values, v2.mu.values
@@ -282,8 +285,7 @@ def evaluate_quadruple(
     v2: TangentVector,
     v3: TangentVector,
     v4: TangentVector,
-    S: ConformalSurface,
-    c: UnitaryCocycle,
+    scene: Scene,
 ) -> tuple[VariationReport, VariationReport, VariationReport]:
     """Universal, fibered and difference reports of one tangent quadruple.
 
@@ -293,8 +295,8 @@ def evaluate_quadruple(
     solves; the fibered and difference reports those of all nine.
     """
     vectors = (v1, v2, v3, v4)
-    _check_inputs(S, c, vectors, need_harmonic=True)
-    ws = _Workspace(S, c)
+    _check_inputs(scene, vectors, need_harmonic=True)
+    ws = _Workspace(scene)
     universal = _universal_terms(ws, *vectors)
     n_universal = len(ws.stats)
     extra = _fibered_extra_terms(ws, *vectors)
@@ -311,9 +313,9 @@ def evaluate_quadruple(
     difference = [(f"removed_{name}", table[name]) for name in _REMOVED_IN_FIBERED]
     difference += [(f"added_{name}", -val) for name, val in extra]
     return (
-        _report("universal", universal, ws.stats[:n_universal], S, inputs),
-        _report("fibered", fibered, ws.stats, S, inputs),
-        _report("difference", difference, ws.stats, S, inputs),
+        _report("universal", universal, ws.stats[:n_universal], ws.S, inputs),
+        _report("fibered", fibered, ws.stats, ws.S, inputs),
+        _report("difference", difference, ws.stats, ws.S, inputs),
     )
 
 
@@ -322,15 +324,14 @@ def second_variation_universal(
     v2: TangentVector,
     v3: TangentVector,
     v4: TangentVector,
-    S: ConformalSurface,
-    c: UnitaryCocycle,
+    scene: Scene,
 ) -> VariationReport:
     """Mixed second derivative of the metric, joint-coordinate system.
 
     Ten named terms; C-linear in slots 1 and 3, conjugate-linear in
     slots 2 and 4; Hermitian under (1<->2, 3<->4) with conjugation.
     """
-    return evaluate_quadruple(v1, v2, v3, v4, S, c)[0]
+    return evaluate_quadruple(v1, v2, v3, v4, scene)[0]
 
 
 def second_variation_fibered(
@@ -338,13 +339,12 @@ def second_variation_fibered(
     v2: TangentVector,
     v3: TangentVector,
     v4: TangentVector,
-    S: ConformalSurface,
-    c: UnitaryCocycle,
+    scene: Scene,
 ) -> VariationReport:
     """Mixed second derivative in the fibered coordinate system: the
     shared terms evaluated by the same code path, minus the two cross
     terms, plus four new solve-based integrals."""
-    return evaluate_quadruple(v1, v2, v3, v4, S, c)[1]
+    return evaluate_quadruple(v1, v2, v3, v4, scene)[1]
 
 
 def difference_report(
@@ -352,12 +352,11 @@ def difference_report(
     v2: TangentVector,
     v3: TangentVector,
     v4: TangentVector,
-    S: ConformalSurface,
-    c: UnitaryCocycle,
+    scene: Scene,
 ) -> VariationReport:
     """Universal minus fibered as a signed term list: the two removed
     cross terms enter with plus sign, the four new terms with minus."""
-    return evaluate_quadruple(v1, v2, v3, v4, S, c)[2]
+    return evaluate_quadruple(v1, v2, v3, v4, scene)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +366,7 @@ def difference_report(
 def positivity_certificate(
     mu2: Beltrami,
     nu1: BundleCochain,
-    S: ConformalSurface,
-    c: UnitaryCocycle,
+    scene: Scene,
 ) -> tuple[float, float, float]:
     """Split of the restricted coordinate difference into two manifestly
     nonnegative pieces.
@@ -377,13 +375,13 @@ def positivity_certificate(
     term_b = sum 2 A |mu2|^2 |nu1|^2.  Their sum equals the difference
     report's total on the restriction nu4 = nu1, mu3 = mu2, rest zero.
     """
-    if nu1.degree != (0, 1) or nu1.rank != c.rank:
+    if nu1.degree != (0, 1) or nu1.rank != scene.cocycle.rank:
         raise VariationInputError("nu1 must be a (0,1) cochain of the cocycle rank")
-    ws = _Workspace(S, c)
+    ws = _Workspace(scene)
     h = ws.dhol_star(np.conj(mu2.values)[:, None, None] * nu1.values)
     x = ws.solve(h, "positivity_a")
     term_a = complex(np.sum(ws.cx.w0 * x.reshape(-1) * np.conj(h.reshape(-1))))
-    term_b = _pair(S, (np.abs(mu2.values) ** 2)[:, None, None] * nu1.values, _Workspace.ct(nu1.values))
+    term_b = _pair(ws.S, (np.abs(mu2.values) ** 2)[:, None, None] * nu1.values, _Workspace.ct(nu1.values))
     scale = max(abs(term_a), abs(term_b), 1e-300)
     if abs(term_a.imag) > 1e-10 * scale or abs(term_b.imag) > 1e-10 * scale:
         logger.warning(
@@ -410,8 +408,7 @@ def _range_complement(M: np.ndarray, lam: np.ndarray, V: np.ndarray):
 
 
 def _projector_errors(
-    S: ConformalSurface,
-    c: UnitaryCocycle,
+    cx: DolbeaultComplex,
     steps,
     seed: int,
     perturbation: np.ndarray | None,
@@ -421,7 +418,6 @@ def _projector_errors(
     projector at each of ``steps``, all against one frame: the weighted D,
     its eigendecomposition, the perturbation A and the Leibniz matrix are
     built once, and only P(+-h) depends on the step."""
-    cx = operators(S, c)
     dim = cx.dbar.shape[0] + cx.dbar.shape[1]
     if dim > dense_cap:
         raise DenseCapError(f"projector check needs dense operators ({dim} > dense_cap {dense_cap})")
@@ -468,8 +464,7 @@ def _projector_errors(
 
 
 def projector_derivative_check(
-    S: ConformalSurface,
-    c: UnitaryCocycle,
+    cx: DolbeaultComplex,
     h_step: float = 1e-4,
     seed: int = 0,
     perturbation: np.ndarray | None = None,
@@ -483,13 +478,13 @@ def projector_derivative_check(
     (I - kernel projector) so the covariant-constant kernel persists
     along the family, matching the geometric deformations.  Returns the
     relative operator-norm error of the central difference at ``h_step``.
+    ``cx`` is the End(E) complex of a scene.
     """
-    return _projector_errors(S, c, (h_step,), seed, perturbation, dense_cap)[0]
+    return _projector_errors(cx, (h_step,), seed, perturbation, dense_cap)[0]
 
 
 def projector_derivative_sweep(
-    S: ConformalSurface,
-    c: UnitaryCocycle,
+    cx: DolbeaultComplex,
     steps=(1e-3, 1e-4, 1e-5),
     seed: int = 0,
     dense_cap: int = 6000,
@@ -502,7 +497,7 @@ def projector_derivative_sweep(
     steps = [float(h) for h in steps]
     if not all(h > 0 and math.isfinite(h) for h in steps) or len(set(steps)) < 2:
         raise ValueError(f"projector sweep needs at least two distinct positive finite steps, got {steps}")
-    errors = dict(zip(steps, _projector_errors(S, c, steps, seed, None, dense_cap)))
+    errors = dict(zip(steps, _projector_errors(cx, steps, seed, None, dense_cap)))
     hs = np.array(sorted(errors))
     es = np.array([errors[h] for h in hs])
     slope = float(np.polyfit(np.log(hs), np.log(np.maximum(es, 1e-300)), 1)[0])

@@ -57,6 +57,21 @@ def triv2_r2(fan2_r2):
     return bnd.trivial_cocycle(fan2_r2, 2)
 
 
+@pytest.fixture(scope="session")
+def su2_scene(surf_hyp, su2_r2):
+    return bnd.Scene(surf_hyp, su2_r2)
+
+
+@pytest.fixture(scope="session")
+def su2_scene_r1(surf_hyp_r1, su2_r1):
+    return bnd.Scene(surf_hyp_r1, su2_r1)
+
+
+@pytest.fixture(scope="session")
+def triv1_scene(surf_hyp, triv1_r2):
+    return bnd.Scene(surf_hyp, triv1_r2)
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240814)
@@ -72,6 +87,11 @@ def p1_dbar(S):
     for k in range(3):
         D[np.arange(S.n_faces), geom.corner_vertex[:, k]] = geom.grad_bar[:, k]
     return D
+
+
+def ip(w, x, y):
+    """Weighted L2 pairing sum w x conj(y) of two cochains, flattened."""
+    return complex(np.sum(w * np.ravel(x) * np.conj(np.ravel(y))))
 
 
 def random_cochain(rng, sites, n, degree):

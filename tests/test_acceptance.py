@@ -13,10 +13,10 @@ import time
 import numpy as np
 from modulilab import bundle as bnd
 from modulilab import oracle, variation as var
-from modulilab.bundle import BundleCochain
+from modulilab.bundle import BundleCochain, Scene
 from modulilab.calculus import Beltrami
 from modulilab.tangent import TangentVector, random_tangent
-from conftest import random_cochain
+from conftest import ip, random_cochain
 
 
 def _line(criterion: str, ok: bool, detail: str) -> bool:
@@ -24,24 +24,24 @@ def _line(criterion: str, ok: bool, detail: str) -> bool:
     return ok
 
 
-def test_criterion_01_operator_algebra(surf_hyp, su2_r2, rng):
+def test_criterion_01_operator_algebra(su2_scene, rng):
     t0 = time.time()
-    P = oracle.materialize("projection", su2_r2, surf_hyp, dense_cap=6000)
+    P = oracle.materialize("projection", su2_scene, dense_cap=6000)
     s1 = np.sqrt(P.codomain_weight)
     Ms = (P.matrix * (1.0 / s1)[None, :]) * s1[:, None]
     e_idem = np.linalg.norm(Ms @ Ms - Ms, 2)
     e_sa = np.linalg.norm(Ms - Ms.conj().T, 2)
-    cx = bnd.operators(surf_hyp, su2_r2)
+    cx = su2_scene.endo
     D = cx.dbar.toarray()
     Ds = (D * s1[:, None]) / np.sqrt(cx.w0)[None, :]
     e_pd = np.linalg.norm(Ms @ Ds, 2) / np.linalg.norm(Ds, 2)
     worst_adj = 0.0
-    V, F = surf_hyp.n_vertices, surf_hyp.n_faces
+    V, F = cx.n_vertices, cx.n_faces
     for _ in range(1000):
-        f = random_cochain(rng, V, 2, "vertex")
-        a = random_cochain(rng, F, 2, (0, 1))
-        lhs = bnd.ip_bundle(bnd.twisted_dbar(f, su2_r2, surf_hyp), a, su2_r2, surf_hyp)
-        rhs = bnd.ip_bundle(f, bnd.twisted_dbar_star(a, su2_r2, surf_hyp), su2_r2, surf_hyp)
+        f = random_cochain(rng, V, 2, "vertex").values.reshape(-1)
+        a = random_cochain(rng, F, 2, (0, 1)).values.reshape(-1)
+        lhs = ip(cx.w1, cx.dbar @ f, a)
+        rhs = ip(cx.w0, f, cx.dbar_star @ a)
         worst_adj = max(worst_adj, abs(lhs - rhs) / max(abs(lhs), 1.0))
     elapsed = time.time() - t0
     ok = e_idem <= 1e-8 and e_sa <= 1e-8 and e_pd <= 1e-8 and worst_adj <= 1e-10 and elapsed <= 60
@@ -58,7 +58,7 @@ def test_criterion_02_kernel_commutant(surf_hyp, fan2_r2, su2_r2, triv1_r2, triv
     results = []
     for c, expect in ((su2_r2, 1), (triv1_r2, 1), (triv2_r2, 4), (triv3, 9)):
         _, cdim = bnd.is_irreducible(c)
-        kdim = oracle.kernel_dimension_dense(oracle.materialize("laplacian", c, surf_hyp))
+        kdim = oracle.kernel_dimension_dense(oracle.materialize("laplacian", Scene(surf_hyp, c)))
         results.append((kdim, cdim, expect))
     ok = all(k == c == e for k, c, e in results)
     assert _line(
@@ -68,29 +68,29 @@ def test_criterion_02_kernel_commutant(surf_hyp, fan2_r2, su2_r2, triv1_r2, triv
     )
 
 
-def test_criterion_03_oracle_equivalence(surf_hyp, su2_r2, rng):
-    lap = oracle.materialize("laplacian", su2_r2, surf_hyp, dense_cap=6000)
+def test_criterion_03_oracle_equivalence(su2_scene, rng):
+    lap = oracle.materialize("laplacian", su2_scene, dense_cap=6000)
     inv = oracle.restricted_inverse_dense(lap)
-    V = surf_hyp.n_vertices
+    cx = su2_scene.endo
     worst = 0.0
     for _ in range(100):
-        h = random_cochain(rng, V, 2, "vertex")
-        x_dense = inv.matrix @ h.values.reshape(-1)
-        x_lu = bnd.delta0_inverse(h, su2_r2, surf_hyp).values.reshape(-1)
+        h = random_cochain(rng, cx.n_vertices, 2, "vertex").values.reshape(-1)
+        x_dense = inv.matrix @ h
+        x_lu, _ = cx.delta0_solve(h)
         worst = max(worst, np.linalg.norm(x_lu - x_dense) / np.linalg.norm(x_dense))
     ok = worst <= 1e-8
     assert _line("3 oracle equivalence", ok, f"max rel diff {worst:.2e} over 100 rhs")
 
 
-def test_criterion_04_first_variation_agreement(surf_hyp, su2_r2):
+def test_criterion_04_first_variation_agreement(su2_scene):
     worst = 0.0
     biggest = 0.0
     for k in range(200):
-        v_dir = random_tangent(surf_hyp, su2_r2, seed=3 * k)
-        v1 = random_tangent(surf_hyp, su2_r2, seed=3 * k + 1)
-        v2 = random_tangent(surf_hyp, su2_r2, seed=3 * k + 2)
-        du = var.first_variation(v_dir, v1, v2, surf_hyp, su2_r2, "universal")
-        df = var.first_variation(v_dir, v1, v2, surf_hyp, su2_r2, "fibered")
+        v_dir = random_tangent(su2_scene, seed=3 * k)
+        v1 = random_tangent(su2_scene, seed=3 * k + 1)
+        v2 = random_tangent(su2_scene, seed=3 * k + 2)
+        du = var.first_variation(v_dir, v1, v2, su2_scene, "universal")
+        df = var.first_variation(v_dir, v1, v2, su2_scene, "fibered")
         for a, b in zip(du, df):
             worst = max(worst, abs(a - b) / max(abs(a), 1e-8))
             biggest = max(biggest, abs(a))
@@ -102,17 +102,17 @@ def test_criterion_04_first_variation_agreement(surf_hyp, su2_r2):
     )
 
 
-def test_criterion_05_second_variation_structure(surf_hyp, su2_r2):
+def test_criterion_05_second_variation_structure(su2_scene):
     worst_sum = 0.0
     worst_herm = 0.0
     for k in range(50):
-        vs = [random_tangent(surf_hyp, su2_r2, seed=1000 + 4 * k + i) for i in range(4)]
+        vs = [random_tangent(su2_scene, seed=1000 + 4 * k + i) for i in range(4)]
         sw = [vs[1], vs[0], vs[3], vs[2]]
         for fn in (var.second_variation_universal, var.second_variation_fibered):
-            rep = fn(*vs, surf_hyp, su2_r2)
+            rep = fn(*vs, su2_scene)
             ssum = complex(sum(v for _, v in rep.terms))
             worst_sum = max(worst_sum, abs(rep.total - ssum) / max(abs(ssum), 1.0))
-            rep_sw = fn(*sw, surf_hyp, su2_r2)
+            rep_sw = fn(*sw, su2_scene)
             worst_herm = max(
                 worst_herm,
                 abs(rep.total - np.conj(rep_sw.total)) / max(abs(rep.total), 1e-8),
@@ -125,27 +125,27 @@ def test_criterion_05_second_variation_structure(surf_hyp, su2_r2):
     )
 
 
-def test_criterion_06_coordinate_difference(surf_hyp, su2_r2):
-    vs = [random_tangent(surf_hyp, su2_r2, seed=90 + i) for i in range(4)]
-    uni = var.second_variation_universal(*vs, surf_hyp, su2_r2)
-    fib = var.second_variation_fibered(*vs, surf_hyp, su2_r2)
-    dif = var.difference_report(*vs, surf_hyp, su2_r2)
+def test_criterion_06_coordinate_difference(su2_scene):
+    vs = [random_tangent(su2_scene, seed=90 + i) for i in range(4)]
+    uni = var.second_variation_universal(*vs, su2_scene)
+    fib = var.second_variation_fibered(*vs, su2_scene)
+    dif = var.difference_report(*vs, su2_scene)
     scale = max(abs(uni.total), abs(fib.total), 1.0)
     recon = abs(dif.total - (uni.total - fib.total)) / scale
     systems_differ = abs(dif.total) > 1e-6 * scale  # third-order disagreement is real
     added = sum(1 for n, _ in dif.terms if n.startswith("added_"))
     removed = sum(1 for n, _ in dif.terms if n.startswith("removed_"))
-    F = surf_hyp.n_faces
+    F = su2_scene.surface.n_faces
     zmu = Beltrami(np.zeros(F, dtype=complex))
     znu = BundleCochain(np.zeros((F, 2, 2), dtype=complex), (0, 1))
     worst_imag = 0.0
     all_positive = True
     for k in range(50):
-        nu1 = random_tangent(surf_hyp, su2_r2, seed=5000 + 2 * k).nu
-        mu2 = random_tangent(surf_hyp, su2_r2, seed=5001 + 2 * k).mu
+        nu1 = random_tangent(su2_scene, seed=5000 + 2 * k).nu
+        mu2 = random_tangent(su2_scene, seed=5001 + 2 * k).mu
         v1 = TangentVector(zmu, nu1, harmonic=True)
         v2 = TangentVector(mu2, znu, harmonic=True)
-        d = var.difference_report(v1, v2, v2, v1, surf_hyp, su2_r2)
+        d = var.difference_report(v1, v2, v2, v1, su2_scene)
         worst_imag = max(worst_imag, abs(d.total.imag) / max(abs(d.total.real), 1e-30))
         all_positive = all_positive and d.total.real > 0.0
     ok = (
@@ -165,20 +165,20 @@ def test_criterion_06_coordinate_difference(surf_hyp, su2_r2):
     )
 
 
-def test_criterion_07_positivity_decomposition(surf_hyp, su2_r2):
-    F = surf_hyp.n_faces
+def test_criterion_07_positivity_decomposition(su2_scene):
+    F = su2_scene.surface.n_faces
     zmu = Beltrami(np.zeros(F, dtype=complex))
     znu = BundleCochain(np.zeros((F, 2, 2), dtype=complex), (0, 1))
     worst_recon = 0.0
     sign_ok = True
     for k in range(50):
-        nu1 = random_tangent(surf_hyp, su2_r2, seed=7000 + 2 * k).nu
-        mu2 = random_tangent(surf_hyp, su2_r2, seed=7001 + 2 * k).mu
-        a, b, total = var.positivity_certificate(mu2, nu1, surf_hyp, su2_r2)
+        nu1 = random_tangent(su2_scene, seed=7000 + 2 * k).nu
+        mu2 = random_tangent(su2_scene, seed=7001 + 2 * k).mu
+        a, b, total = var.positivity_certificate(mu2, nu1, su2_scene)
         sign_ok = sign_ok and a >= -1e-12 * max(abs(total), 1.0) and b > 0.0
         v1 = TangentVector(zmu, nu1, harmonic=True)
         v2 = TangentVector(mu2, znu, harmonic=True)
-        d = var.difference_report(v1, v2, v2, v1, surf_hyp, su2_r2)
+        d = var.difference_report(v1, v2, v2, v1, su2_scene)
         worst_recon = max(worst_recon, abs(d.total - total) / max(abs(total), 1.0))
     ok = sign_ok and worst_recon <= 1e-10
     assert _line(
@@ -188,10 +188,8 @@ def test_criterion_07_positivity_decomposition(surf_hyp, su2_r2):
     )
 
 
-def test_criterion_08_projector_derivative(surf_hyp_r1, su2_r1):
-    sweep = var.projector_derivative_sweep(
-        surf_hyp_r1, su2_r1, steps=(1e-3, 1e-4, 1e-5), seed=0
-    )
+def test_criterion_08_projector_derivative(su2_scene_r1):
+    sweep = var.projector_derivative_sweep(su2_scene_r1.endo, steps=(1e-3, 1e-4, 1e-5), seed=0)
     err = sweep["errors"][1e-4]
     slope = sweep["slope"]
     ok = err <= 1e-6 and abs(slope - 2.0) <= 0.2
@@ -202,10 +200,10 @@ def test_criterion_08_projector_derivative(surf_hyp_r1, su2_r1):
     )
 
 
-def test_criterion_09_rank1_mu_zero_vanishing(surf_hyp, triv1_r2):
-    vs = [random_tangent(surf_hyp, triv1_r2, seed=i, mu_scale=0.0) for i in range(4)]
-    uni = var.second_variation_universal(*vs, surf_hyp, triv1_r2)
-    fib = var.second_variation_fibered(*vs, surf_hyp, triv1_r2)
+def test_criterion_09_rank1_mu_zero_vanishing(triv1_scene):
+    vs = [random_tangent(triv1_scene, seed=i, mu_scale=0.0) for i in range(4)]
+    uni = var.second_variation_universal(*vs, triv1_scene)
+    fib = var.second_variation_fibered(*vs, triv1_scene)
     worst = max(abs(v) for _, v in uni.terms + fib.terms)
     ok = worst <= 1e-12 and abs(uni.total) <= 1e-12 and abs(fib.total) <= 1e-12
     assert _line("9 rank-1 / mu=0 vanishing", ok, f"max |term| = {worst:.2e}")

@@ -5,19 +5,19 @@ from modulilab import bundle as bnd
 from modulilab import oracle
 from modulilab._complexes import (
     SolverError,
-    beltrami_complex,
+    ad,
+    ad_star,
     corner_transports,
     endo_complex,
     geometry,
     kahler_residual,
     lift_to_vertices,
-    tangent_complex,
     vertex_to_face,
 )
 from modulilab.bundle import (
-    BundleCochain,
     CocycleError,
     RelationError,
+    Scene,
     UnitaryCocycle,
     from_generators,
     is_irreducible,
@@ -29,7 +29,7 @@ from modulilab.bundle import (
 )
 from modulilab.cli import KAHLER_TOL
 from modulilab.surface import equip_conformal
-from conftest import p1_dbar, random_cochain
+from conftest import ip, p1_dbar, random_cochain
 
 
 def test_trivial_rank1_holonomies(fan2):
@@ -66,22 +66,21 @@ def test_rank1_any_cocycle_irreducible(fan2):
     assert is_irreducible(c) == (True, 1)
 
 
-def test_twisted_dbar_kills_identity(surf_hyp, su2_r2):
-    V = surf_hyp.n_vertices
-    phi = BundleCochain(np.broadcast_to(np.eye(2), (V, 2, 2)).copy(), "vertex")
-    out = bnd.twisted_dbar(phi, su2_r2, surf_hyp)
-    assert np.linalg.norm(out.values) <= 1e-12
+def test_twisted_dbar_kills_identity(su2_scene):
+    V = su2_scene.surface.n_vertices
+    phi = np.broadcast_to(np.eye(2), (V, 2, 2)).reshape(-1)
+    assert np.linalg.norm(su2_scene.endo.dbar @ phi) <= 1e-12
 
 
-def test_rank1_trivial_reduces_to_scalar(surf_hyp, triv1_r2, rng):
+def test_rank1_trivial_reduces_to_scalar(triv1_scene, rng):
     # the scalar complex is End(E) of the trivial line bundle: the P1
     # stencil with weights 2 rho A/3 per corner on vertices, 2 A on faces
     from modulilab import conventions
 
-    cx_b = bnd.operators(surf_hyp, triv1_r2)
-    D = p1_dbar(surf_hyp)
+    cx_b = triv1_scene.endo
+    D = p1_dbar(triv1_scene.surface)
     assert np.max(np.abs(cx_b.dbar.toarray() - D)) == 0.0
-    geom = geometry(surf_hyp)
+    geom = triv1_scene.geom
     w0 = conventions.L2_GLOBAL_FACTOR * geom.mass_rho
     w1 = conventions.L2_GLOBAL_FACTOR * geom.area
     D_star = (D.conj().T * w1[None, :]) / w0[:, None]
@@ -93,123 +92,119 @@ def test_rank1_gauge_cocycle_reduces_to_scalar(fan2_r1, surf_hyp_r1, rng):
     phases = [np.array([[np.exp(1j * t)]]) for t in (0.9, -0.2, 0.5, 1.7)]
     c = from_generators(fan2_r1.refinement.parent, 1, 0, phases)
     c = refine_cocycle(c, fan2_r1)
-    cx_b = bnd.operators(surf_hyp_r1, c)
+    cx_b = Scene(surf_hyp_r1, c).endo
     assert np.max(np.abs(cx_b.dbar.toarray() - p1_dbar(surf_hyp_r1))) <= 1e-14
 
 
-def test_adjointness(surf_hyp, su2_r2, rng):
-    V, F = surf_hyp.n_vertices, surf_hyp.n_faces
+def test_adjointness(su2_scene, rng):
+    cx = su2_scene.endo
     worst = 0.0
     for _ in range(50):
-        f = random_cochain(rng, V, 2, "vertex")
-        a = random_cochain(rng, F, 2, (0, 1))
-        lhs = bnd.ip_bundle(bnd.twisted_dbar(f, su2_r2, surf_hyp), a, su2_r2, surf_hyp)
-        rhs = bnd.ip_bundle(f, bnd.twisted_dbar_star(a, su2_r2, surf_hyp), su2_r2, surf_hyp)
+        f = random_cochain(rng, cx.n_vertices, 2, "vertex").values.reshape(-1)
+        a = random_cochain(rng, cx.n_faces, 2, (0, 1)).values.reshape(-1)
+        lhs = ip(cx.w1, cx.dbar @ f, a)
+        rhs = ip(cx.w0, f, cx.dbar_star @ a)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1.0))
     assert worst <= 1e-10
 
 
-def test_delta0_inverse_roundtrip(surf_hyp, su2_r2, rng):
-    cx = bnd.operators(surf_hyp, su2_r2)
-    V = surf_hyp.n_vertices
-    g = random_cochain(rng, V, 2, "vertex")
+def test_delta0_inverse_roundtrip(su2_scene, rng):
+    cx = su2_scene.endo
+    g = random_cochain(rng, cx.n_vertices, 2, "vertex")
     gperp, _ = cx.project_off_kernel(g.values.reshape(-1))
-    h = bnd.laplacian(BundleCochain(gperp.reshape(V, 2, 2), "vertex"), su2_r2, surf_hyp)
-    back = bnd.delta0_inverse(h, su2_r2, surf_hyp)
-    assert np.linalg.norm(back.values.reshape(-1) - gperp) <= 1e-8 * np.linalg.norm(gperp)
+    back, _ = cx.delta0_solve(cx.laplacian @ gperp)
+    assert np.linalg.norm(back - gperp) <= 1e-8 * np.linalg.norm(gperp)
 
 
-def test_delta0_inverse_kills_covariant_constant(surf_hyp, su2_r2):
-    V = surf_hyp.n_vertices
-    h = BundleCochain(np.broadcast_to(np.eye(2), (V, 2, 2)).copy(), "vertex")
-    out = bnd.delta0_inverse(h, su2_r2, surf_hyp)
-    assert np.linalg.norm(out.values) <= 1e-10
+def test_delta0_inverse_kills_covariant_constant(su2_scene):
+    cx = su2_scene.endo
+    h = np.broadcast_to(np.eye(2), (cx.n_vertices, 2, 2)).reshape(-1)
+    out, _ = cx.delta0_solve(h)
+    assert np.linalg.norm(out) <= 1e-10
 
 
-def test_delta0_factorized_matches_dense_oracle(surf_hyp, su2_r2, rng):
+def test_delta0_factorized_matches_dense_oracle(su2_scene, rng):
     # the factorized solve against the independent dense spectral inverse
-    V = surf_hyp.n_vertices
-    inv = oracle.restricted_inverse_dense(oracle.materialize("laplacian", su2_r2, surf_hyp))
-    h = random_cochain(rng, V, 2, "vertex")
-    x_lu = bnd.delta0_inverse(h, su2_r2, surf_hyp).values.reshape(-1)
-    x_dn = inv.matrix @ h.values.reshape(-1)
+    cx = su2_scene.endo
+    inv = oracle.restricted_inverse_dense(oracle.materialize("laplacian", su2_scene))
+    h = random_cochain(rng, cx.n_vertices, 2, "vertex").values.reshape(-1)
+    x_lu, _ = cx.delta0_solve(h)
+    x_dn = inv.matrix @ h
     assert np.linalg.norm(x_lu - x_dn) <= 1e-8 * np.linalg.norm(x_dn)
 
 
-def test_harmonic_projection_properties(surf_hyp, su2_r2, rng):
-    V, F = surf_hyp.n_vertices, surf_hyp.n_faces
-    f = random_cochain(rng, V, 2, "vertex")
-    exact = bnd.twisted_dbar(f, su2_r2, surf_hyp)
-    killed = bnd.harmonic_projection(exact, su2_r2, surf_hyp)
-    assert np.linalg.norm(killed.values) <= 1e-8 * np.linalg.norm(exact.values)
-    a = random_cochain(rng, F, 2, (0, 1))
-    p1 = bnd.harmonic_projection(a, su2_r2, surf_hyp)
-    p2 = bnd.harmonic_projection(p1, su2_r2, surf_hyp)
-    assert np.linalg.norm(p2.values - p1.values) <= 1e-8 * np.linalg.norm(p1.values)
-    g = random_cochain(rng, V, 2, "vertex")
-    ortho = bnd.ip_bundle(p1, bnd.twisted_dbar(g, su2_r2, surf_hyp), su2_r2, surf_hyp)
-    assert abs(ortho) <= 1e-8 * np.linalg.norm(p1.values) * np.linalg.norm(g.values)
+def test_harmonic_projection_properties(su2_scene, rng):
+    cx = su2_scene.endo
+    V, F = cx.n_vertices, cx.n_faces
+    exact = cx.dbar @ random_cochain(rng, V, 2, "vertex").values.reshape(-1)
+    killed = cx.harmonic_project(exact)
+    assert np.linalg.norm(killed) <= 1e-8 * np.linalg.norm(exact)
+    a = random_cochain(rng, F, 2, (0, 1)).values.reshape(-1)
+    p1 = cx.harmonic_project(a)
+    p2 = cx.harmonic_project(p1)
+    assert np.linalg.norm(p2 - p1) <= 1e-8 * np.linalg.norm(p1)
+    g = random_cochain(rng, V, 2, "vertex").values.reshape(-1)
+    ortho = ip(cx.w1, p1, cx.dbar @ g)
+    assert abs(ortho) <= 1e-8 * np.linalg.norm(p1) * np.linalg.norm(g)
 
 
 def test_kernel_dim_equals_commutant(surf_hyp, su2_r2, triv1_r2, triv2_r2):
     for c in (su2_r2, triv1_r2, triv2_r2):
         _, cdim = is_irreducible(c)
-        lap = oracle.materialize("laplacian", c, surf_hyp)
+        lap = oracle.materialize("laplacian", Scene(surf_hyp, c))
         assert oracle.kernel_dimension_dense(lap) == cdim
 
 
-def test_ad_rank1_vanishes(surf_hyp, triv1_r2, rng):
-    V, F = surf_hyp.n_vertices, surf_hyp.n_faces
-    nu = random_cochain(rng, F, 1, (0, 1))
-    f = random_cochain(rng, V, 1, "vertex")
-    assert np.linalg.norm(bnd.ad_on_scalar(nu, f, triv1_r2, surf_hyp).values) == 0.0
-    a = random_cochain(rng, F, 1, (0, 1))
-    assert np.linalg.norm(bnd.ad_star(nu, a, triv1_r2, surf_hyp).values) <= 1e-14
+def test_ad_rank1_vanishes(triv1_scene, rng):
+    cx = triv1_scene.endo
+    V, F = cx.n_vertices, cx.n_faces
+    nu = random_cochain(rng, F, 1, (0, 1)).values
+    f = random_cochain(rng, V, 1, "vertex").values
+    assert np.linalg.norm(ad(cx, nu, f)) == 0.0
+    a = random_cochain(rng, F, 1, (0, 1)).values
+    assert np.linalg.norm(ad_star(cx, nu, a)) <= 1e-14
 
 
-def test_ad_kills_identity(surf_hyp, su2_r2, rng):
-    V, F = surf_hyp.n_vertices, surf_hyp.n_faces
-    nu = random_cochain(rng, F, 2, (0, 1))
-    ident = BundleCochain(np.broadcast_to(np.eye(2), (V, 2, 2)).copy(), "vertex")
-    assert np.linalg.norm(bnd.ad_on_scalar(nu, ident, su2_r2, surf_hyp).values) <= 1e-13
+def test_ad_kills_identity(su2_scene, rng):
+    cx = su2_scene.endo
+    nu = random_cochain(rng, cx.n_faces, 2, (0, 1)).values
+    ident = np.broadcast_to(np.eye(2), (cx.n_vertices, 2, 2))
+    assert np.linalg.norm(ad(cx, nu, ident)) <= 1e-13
 
 
-def test_ad_bilinearity(surf_hyp, su2_r2, rng):
-    V, F = surf_hyp.n_vertices, surf_hyp.n_faces
-    nu1 = random_cochain(rng, F, 2, (0, 1))
-    nu2 = random_cochain(rng, F, 2, (0, 1))
-    f = random_cochain(rng, V, 2, "vertex")
+def test_ad_bilinearity(su2_scene, rng):
+    cx = su2_scene.endo
+    V, F = cx.n_vertices, cx.n_faces
+    nu1 = random_cochain(rng, F, 2, (0, 1)).values
+    nu2 = random_cochain(rng, F, 2, (0, 1)).values
+    f = random_cochain(rng, V, 2, "vertex").values
     lam = 0.3 - 1.1j
-    combo = BundleCochain(nu1.values + lam * nu2.values, (0, 1))
-    lhs = bnd.ad_on_scalar(combo, f, su2_r2, surf_hyp).values
-    rhs = bnd.ad_on_scalar(nu1, f, su2_r2, surf_hyp).values + lam * bnd.ad_on_scalar(
-        nu2, f, su2_r2, surf_hyp
-    ).values
+    lhs = ad(cx, nu1 + lam * nu2, f)
+    rhs = ad(cx, nu1, f) + lam * ad(cx, nu2, f)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
-def test_ad_star_calibration_adjointness(surf_hyp, su2_r2, rng):
-    V, F = surf_hyp.n_vertices, surf_hyp.n_faces
+def test_ad_star_calibration_adjointness(su2_scene, rng):
+    cx = su2_scene.endo
+    V, F = cx.n_vertices, cx.n_faces
     worst = 0.0
     for _ in range(20):
-        nu = random_cochain(rng, F, 2, (0, 1))
-        f = random_cochain(rng, V, 2, "vertex")
-        a = random_cochain(rng, F, 2, (0, 1))
-        lhs = bnd.ip_bundle(bnd.ad_on_scalar(nu, f, su2_r2, surf_hyp), a, su2_r2, surf_hyp)
-        rhs = bnd.ip_bundle(f, bnd.ad_star(nu, a, su2_r2, surf_hyp), su2_r2, surf_hyp)
+        nu = random_cochain(rng, F, 2, (0, 1)).values
+        f = random_cochain(rng, V, 2, "vertex").values
+        a = random_cochain(rng, F, 2, (0, 1)).values
+        lhs = ip(cx.w1, ad(cx, nu, f), a)
+        rhs = ip(cx.w0, f, ad_star(cx, nu, a))
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1.0))
     assert worst <= 1e-10
 
 
-def test_ad_star_self_commutator_vanishes(surf_hyp, su2_r2):
+def test_ad_star_self_commutator_vanishes(su2_scene):
     # real diagonal nu commutes with its conjugate transpose
-    F = surf_hyp.n_faces
-    diag = np.zeros((F, 2, 2), dtype=complex)
-    diag[:, 0, 0] = 1.0
-    diag[:, 1, 1] = -2.0
-    nu = BundleCochain(diag, (0, 1))
-    out = bnd.ad_star(nu, nu, su2_r2, surf_hyp)
-    assert np.linalg.norm(out.values) <= 1e-13
+    F = su2_scene.surface.n_faces
+    nu = np.zeros((F, 2, 2), dtype=complex)
+    nu[:, 0, 0] = 1.0
+    nu[:, 1, 1] = -2.0
+    assert np.linalg.norm(ad_star(su2_scene.endo, nu, nu)) <= 1e-13
 
 
 # -- corner average B and its lift ------------------------------------------------
@@ -243,18 +238,19 @@ def _corner_complexes(request, surf, su2):
         bnd.trivial_cocycle(S.mesh, 2),
         bnd.trivial_cocycle(S.mesh, 1),
     ]
-    return S, [bnd.operators(S, c) for c in cocycles] + [tangent_complex(S), beltrami_complex(S)]
+    scenes = [Scene(S, c) for c in cocycles]
+    return S, [sc.endo for sc in scenes] + [scenes[0].tangent, scenes[0].beltrami]
 
 
 @pytest.mark.parametrize("surf", [surf for surf, _ in CORNER_SCENES])
 def test_corner_average_is_mean_of_transported_corners(request, surf, rng):
     S = request.getfixturevalue(surf)
-    c = _complex_transport_cocycle(S.mesh)
-    T = corner_transports(S, c.transport)
-    cv = geometry(S).corner_vertex
+    scene = Scene(S, _complex_transport_cocycle(S.mesh))
+    T = corner_transports(scene.geom, scene.cocycle.transport)
+    cv = scene.geom.corner_vertex
     x = random_cochain(rng, S.n_vertices, 2, "vertex").values
     ref = sum(T[:, k] @ x[cv[:, k]] @ np.conj(np.swapaxes(T[:, k], 1, 2)) for k in range(3)) / 3.0
-    got = vertex_to_face(bnd.operators(S, c), x)
+    got = vertex_to_face(scene.endo, x)
     assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
@@ -282,12 +278,12 @@ def test_lift_is_area_weighted_adjoint_of_corner_average(request, surf, su2, rng
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
 
-def test_restricted_inverse_positivity(surf_hyp, su2_r2, rng):
-    V = surf_hyp.n_vertices
+def test_restricted_inverse_positivity(su2_scene, rng):
+    cx = su2_scene.endo
     for _ in range(10):
-        h = random_cochain(rng, V, 2, "vertex")
-        x = bnd.delta0_inverse(h, su2_r2, surf_hyp)
-        val = bnd.ip_bundle(x, h, su2_r2, surf_hyp)
+        h = random_cochain(rng, cx.n_vertices, 2, "vertex").values.reshape(-1)
+        x, _ = cx.delta0_solve(h)
+        val = ip(cx.w0, x, h)
         assert val.real >= -1e-10 * abs(val)
 
 
@@ -306,8 +302,8 @@ def test_twist_location_invisible_to_operators(fan2_r1, surf_hyp_r1, su2_r1):
         mesh=c.mesh, rank=2, degree=1, transport=U, marked_face=t // 3, generators=None
     )
     validate_cocycle(moved)
-    cx1 = bnd.operators(surf_hyp_r1, c)
-    cx2 = bnd.operators(surf_hyp_r1, moved)
+    cx1 = Scene(surf_hyp_r1, c).endo
+    cx2 = Scene(surf_hyp_r1, moved).endo
     assert np.max(np.abs((cx1.dbar - cx2.dbar).toarray())) <= 1e-12
 
 
@@ -381,10 +377,10 @@ def test_cocycle_roundtrip(tmp_path, fan2):
     assert (loaded.rank, loaded.degree) == (2, 1)
 
 
-def test_exact_kernel_supports_factorized_solves(surf_hyp_r1, su2_r1, rng):
+def test_exact_kernel_supports_factorized_solves(su2_scene_r1, rng):
     # the covariant constants the complex is built with annihilate the
     # Laplacian, and the factorized solve matches the dense spectral inverse
-    cx = bnd.operators(surf_hyp_r1, su2_r1)
+    cx = su2_scene_r1.endo
     K = cx.kernel
     assert K.shape[1] == 1
     assert np.linalg.norm(cx.laplacian @ K) <= 1e-12
@@ -405,7 +401,7 @@ def test_kahler_identity_on_flat_bundles(request, mesh_name, density):
     S = equip_conformal(mesh, layout="stored", density=density)
     su2 = request.getfixturevalue({"fan2_r1": "su2_r1", "fan2_r2": "su2_r2"}[mesh_name])
     for c in (su2, _complex_transport_cocycle(mesh), bnd.trivial_cocycle(mesh, 3)):
-        assert kahler_residual(bnd.operators(S, c)) <= KAHLER_TOL
+        assert kahler_residual(Scene(S, c).endo) <= KAHLER_TOL
 
 
 def test_kahler_identity_fails_off_flat_bundles(surf_hyp_r1, rng):
@@ -415,7 +411,7 @@ def test_kahler_identity_fails_off_flat_bundles(surf_hyp_r1, rng):
     U = np.linalg.qr(rng.standard_normal((H, 2, 2)) + 1j * rng.standard_normal((H, 2, 2)))[0]
     V = surf_hyp_r1.n_vertices
     identity = np.broadcast_to(np.eye(2), (V, 2, 2)).reshape(-1, 1)
-    assert kahler_residual(endo_complex(surf_hyp_r1, U, identity)) > 1e-2
+    assert kahler_residual(endo_complex(geometry(surf_hyp_r1), U, identity)) > 1e-2
 
 
 def test_incomplete_kernel_fails_residual_gate(surf_hyp, triv2_r2, rng):
@@ -423,7 +419,7 @@ def test_incomplete_kernel_fails_residual_gate(surf_hyp, triv2_r2, rng):
     # reach the residual gate: the solve must refuse, not return garbage
     K = bnd._covariant_constant_columns(triv2_r2)
     assert K.shape[1] == 4
-    cx = endo_complex(surf_hyp, triv2_r2.transport, K[:, :3])
+    cx = endo_complex(geometry(surf_hyp), triv2_r2.transport, K[:, :3])
     h = rng.standard_normal(K.shape[0]) + 1j * rng.standard_normal(K.shape[0])
     with pytest.raises(SolverError, match="residual"):
         cx.delta0_solve(h)
@@ -432,4 +428,46 @@ def test_incomplete_kernel_fails_residual_gate(surf_hyp, triv2_r2, rng):
 def test_cocycle_rejects_mismatched_surface(surf_hyp, fan2_r1):
     c = bnd.refine_cocycle(su2_preset(fan2_r1.refinement.parent), fan2_r1)
     with pytest.raises(CocycleError):
-        bnd.operators(surf_hyp, c)
+        Scene(surf_hyp, c)
+
+
+def test_generators_need_the_fan(fan2_r1):
+    # generator cocycles are built on the 4g-gon fan and refined with it;
+    # a refined mesh of the same genus has other combinatorics
+    gens = su2_preset(fan2_r1.refinement.parent).generators
+    with pytest.raises(CocycleError, match="4g-gon fan"):
+        from_generators(fan2_r1, 2, 1, gens)
+
+
+def test_scene_builds_each_complex_on_first_use(surf_hyp_r1, su2_r1):
+    # the spin-2 complex is built only by the second variations, and each
+    # complex once per scene
+    from modulilab.tangent import random_tangent
+    from modulilab.variation import evaluate_quadruple, positivity_certificate
+
+    scene = Scene(surf_hyp_r1, su2_r1)
+    assert not {"geom", "endo", "tangent", "beltrami"} & set(vars(scene))
+    v = random_tangent(scene, seed=0)
+    positivity_certificate(v.mu, v.nu, scene)
+    assert {"geom", "endo", "tangent"} <= set(vars(scene)) and "beltrami" not in vars(scene)
+    built = (scene.geom, scene.endo, scene.tangent)
+    evaluate_quadruple(v, v, v, v, scene)
+    assert all(a is b for a, b in zip((scene.geom, scene.endo, scene.tangent), built))
+    assert "beltrami" in vars(scene)
+
+
+def test_dropped_scene_frees_its_surface(fan2_r1, su2_r1):
+    # nothing outside the scene keeps its surface, complexes or LUs alive
+    import gc
+    import weakref
+
+    from modulilab.tangent import random_tangent
+
+    S = equip_conformal(fan2_r1, layout="stored", density="hyperbolic")
+    scene = Scene(S, su2_r1)
+    v = random_tangent(scene, seed=0)
+    x, _ = scene.endo.delta0_solve(np.ones(scene.endo.w0.shape[0], dtype=complex))
+    refs = [weakref.ref(obj) for obj in (S, scene.endo, scene.tangent)]
+    del S, scene, v, x
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)

@@ -7,17 +7,27 @@ from hypothesis import given, settings, strategies as st
 
 from modulilab import bundle as bnd
 from modulilab import conventions
-from modulilab._complexes import beltrami_complex, geometry
-from modulilab.bundle import BundleCochain
+from modulilab._complexes import geometry
+from modulilab.bundle import BundleCochain, Scene
 from modulilab.calculus import Beltrami, beltrami_d_hol
 from modulilab.oracle import torus_surface
 from modulilab.surface import equip_conformal, mesh_from_faces
 from modulilab.variation import _pair
+from conftest import ip
 
 
 @pytest.fixture(scope="module")
 def torus8():
     return torus_surface(8)
+
+
+def _scalar_complex(S):
+    """The scalar complex: End(E) of the trivial line bundle."""
+    return Scene(S, bnd.trivial_cocycle(S.mesh, 1)).endo
+
+
+def _spin2(S):
+    return Scene(S, bnd.trivial_cocycle(S.mesh, 1)).beltrami
 
 
 @pytest.fixture(scope="module")
@@ -29,61 +39,55 @@ def pillow():
     return equip_conformal(mesh, layout="stored", density="uniform")
 
 
-def _scalar(values, degree):
-    """A scalar field as a rank-1 End(E) cochain."""
-    return BundleCochain(np.asarray(values, dtype=complex).reshape(-1, 1, 1), degree)
+def _random(rng, count):
+    return rng.standard_normal(count) + 1j * rng.standard_normal(count)
 
 
-def _random(rng, count, degree):
-    return _scalar(rng.standard_normal(count) + 1j * rng.standard_normal(count), degree)
-
-
-def test_constant_has_zero_derivative(surf_hyp, triv1_r2):
-    f = _scalar(np.full(surf_hyp.n_vertices, 2.3 - 0.7j), "vertex")
-    assert np.linalg.norm(bnd.twisted_dbar(f, triv1_r2, surf_hyp).values) <= 1e-12
-    assert np.linalg.norm(bnd.twisted_d_hol(f, triv1_r2, surf_hyp).values) <= 1e-12
+def test_constant_has_zero_derivative(triv1_scene):
+    cx = triv1_scene.endo
+    f = np.full(cx.n_vertices, 2.3 - 0.7j)
+    assert np.linalg.norm(cx.dbar @ f) <= 1e-12
+    assert np.linalg.norm(cx.dhol @ f) <= 1e-12
 
 
 def test_single_face_chart_gradient(pillow):
     # chart (0, 1, i) with values (0, 1, i): the identity chart function
-    c = bnd.trivial_cocycle(pillow.mesh, 1)
-    f = _scalar([0.0, 1.0, 1j], "vertex")
-    dh = bnd.twisted_d_hol(f, c, pillow).values.reshape(-1)
-    db = bnd.twisted_dbar(f, c, pillow).values.reshape(-1)
+    cx = _scalar_complex(pillow)
+    f = np.array([0.0, 1.0, 1j])
+    dh = cx.dhol @ f
+    db = cx.dbar @ f
     assert abs(dh[0] - 1.0) < 1e-14 and abs(db[0]) < 1e-14
     # on the mirror face the same values read as i * conj(z)
     assert abs(db[1] - 1j) < 1e-14 and abs(dh[1]) < 1e-14
 
 
-def test_adjointness_random(surf_hyp, triv1_r2, rng):
-    V, F, c = surf_hyp.n_vertices, surf_hyp.n_faces, triv1_r2
+def test_adjointness_random(triv1_scene, rng):
+    cx = triv1_scene.endo
+    V, F = cx.n_vertices, cx.n_faces
     worst = 0.0
     for _ in range(100):
-        f = _random(rng, V, "vertex")
-        a = _random(rng, F, (0, 1))
-        b = _random(rng, F, (1, 0))
-        r1 = bnd.ip_bundle(bnd.twisted_dbar(f, c, surf_hyp), a, c, surf_hyp) - bnd.ip_bundle(
-            f, bnd.twisted_dbar_star(a, c, surf_hyp), c, surf_hyp
-        )
-        r2 = bnd.ip_bundle(bnd.twisted_d_hol(f, c, surf_hyp), b, c, surf_hyp) - bnd.ip_bundle(
-            f, bnd.twisted_d_star(b, c, surf_hyp), c, surf_hyp
-        )
+        f = _random(rng, V)
+        a = _random(rng, F)
+        b = _random(rng, F)
+        r1 = ip(cx.w1, cx.dbar @ f, a) - ip(cx.w0, f, cx.dbar_star @ a)
+        r2 = ip(cx.w1, cx.dhol @ f, b) - ip(cx.w0, f, cx.dhol_star @ b)
         worst = max(worst, abs(r1), abs(r2))
     assert worst <= 1e-10
 
 
-def test_scalar_laplacian_annihilates_constants(surf_uni, triv1_r2):
-    f = _scalar(np.ones(surf_uni.n_vertices), "vertex")
-    assert np.linalg.norm(bnd.laplacian(f, triv1_r2, surf_uni).values) <= 1e-14
+def test_scalar_laplacian_annihilates_constants(surf_uni):
+    cx = _scalar_complex(surf_uni)
+    assert np.linalg.norm(cx.laplacian @ np.ones(cx.n_vertices)) <= 1e-14
 
 
-def test_dbar_star_zero(surf_hyp, triv1_r2):
-    z = _scalar(np.zeros(surf_hyp.n_faces), (0, 1))
-    assert np.linalg.norm(bnd.twisted_dbar_star(z, triv1_r2, surf_hyp).values) == 0.0
+def test_dbar_star_zero(triv1_scene):
+    cx = triv1_scene.endo
+    assert np.linalg.norm(cx.dbar_star @ np.zeros(cx.n_faces, dtype=complex)) == 0.0
 
 
-def test_hodge_star_conventions(surf_hyp, triv1_r2, rng):
-    F = surf_hyp.n_faces
+def test_hodge_star_conventions(triv1_scene, rng):
+    cx = triv1_scene.endo
+    F = cx.n_faces
     nu = rng.standard_normal(F) + 1j * rng.standard_normal(F)
     beta = rng.standard_normal(F) + 1j * rng.standard_normal(F)
     np.testing.assert_allclose(conventions.STAR_DZBAR * nu, 1j * nu)
@@ -93,8 +97,8 @@ def test_hodge_star_conventions(surf_hyp, triv1_r2, rng):
     # star is an isometry of the L2 pairing on 1-forms
     nu2 = rng.standard_normal(F) + 1j * rng.standard_normal(F)
     star = conventions.STAR_DZBAR
-    lhs = bnd.ip_bundle(_scalar(star * nu, (0, 1)), _scalar(star * nu2, (0, 1)), triv1_r2, surf_hyp)
-    rhs = bnd.ip_bundle(_scalar(nu, (0, 1)), _scalar(nu2, (0, 1)), triv1_r2, surf_hyp)
+    lhs = ip(cx.w1, star * nu, star * nu2)
+    rhs = ip(cx.w1, nu, nu2)
     assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
@@ -104,60 +108,62 @@ def test_hodge_star_type_error(surf_hyp):
         BundleCochain(np.zeros((surf_hyp.n_faces, 1, 1)), (2, 0))
 
 
-def test_ip_properties(surf_hyp, triv1_r2, rng):
-    V, c = surf_hyp.n_vertices, triv1_r2
-    f = _random(rng, V, "vertex")
-    g = _random(rng, V, "vertex")
-    ff = bnd.ip_bundle(f, f, c, surf_hyp)
+def test_ip_properties(triv1_scene, rng):
+    w0 = triv1_scene.endo.w0
+    V = w0.shape[0]
+    f = _random(rng, V)
+    g = _random(rng, V)
+    ff = ip(w0, f, f)
     assert ff.real > 0.0
     assert abs(ff.imag) <= 1e-14 * ff.real
-    assert abs(bnd.ip_bundle(f, g, c, surf_hyp) - np.conj(bnd.ip_bundle(g, f, c, surf_hyp))) <= 1e-12
+    assert abs(ip(w0, f, g) - np.conj(ip(w0, g, f))) <= 1e-12
 
 
-def test_ip_matches_dense_gram(surf_hyp, triv1_r2, rng):
+def test_ip_matches_dense_gram(triv1_scene, rng):
     # oracle: assemble the diagonal weight matrix explicitly
-    geom = geometry(surf_hyp)
+    geom = geometry(triv1_scene.surface)
     W = np.diag(conventions.L2_GLOBAL_FACTOR * geom.mass_rho)
-    V = surf_hyp.n_vertices
+    w0 = triv1_scene.endo.w0
+    V = w0.shape[0]
     basis = [rng.standard_normal(V) + 1j * rng.standard_normal(V) for _ in range(4)]
     for x in basis:
         for y in basis:
-            direct = bnd.ip_bundle(_scalar(x, "vertex"), _scalar(y, "vertex"), triv1_r2, surf_hyp)
+            direct = ip(w0, x, y)
             dense = np.conj(y) @ W @ x
             assert abs(direct - dense) <= 1e-12 * max(abs(direct), 1.0)
 
 
-def test_ip_form_positive_definite_dense(surf_hyp, triv1_r2):
+def test_ip_form_positive_definite_dense(triv1_scene):
     # Gram matrix of the standard coefficient basis under the form pairing
-    w1 = bnd.operators(surf_hyp, triv1_r2).w1
-    np.testing.assert_array_equal(w1, conventions.L2_GLOBAL_FACTOR * surf_hyp.area)
+    w1 = triv1_scene.endo.w1
+    np.testing.assert_array_equal(w1, conventions.L2_GLOBAL_FACTOR * triv1_scene.surface.area)
     assert np.min(np.linalg.eigvalsh(np.diag(w1))) > 0.0
 
 
-def test_mu_contract(surf_hyp, triv1_r2, rng):
+def test_mu_contract(triv1_scene, rng):
     # the Beltrami contraction (f dz) -> mu f dzbar of the operator
     # variation has the adjoint alpha -> conj(mu) alpha under the form
     # pairing, so d* (mu-bar .) is the exact adjoint of mu d
-    F, V, c = surf_hyp.n_faces, surf_hyp.n_vertices, triv1_r2
+    cx = triv1_scene.endo
+    F, V = cx.n_faces, cx.n_vertices
     mu = Beltrami(rng.standard_normal(F) + 1j * rng.standard_normal(F))
-    m = mu.values[:, None, None]
-    f = _random(rng, V, "vertex")
-    alpha = _random(rng, F, (0, 1))
-    contracted = BundleCochain(m * bnd.twisted_d_hol(f, c, surf_hyp).values, (0, 1))
-    back = bnd.twisted_d_star(BundleCochain(np.conj(m) * alpha.values, (1, 0)), c, surf_hyp)
-    lhs = bnd.ip_bundle(contracted, alpha, c, surf_hyp)
-    rhs = bnd.ip_bundle(f, back, c, surf_hyp)
+    f = _random(rng, V)
+    alpha = _random(rng, F)
+    contracted = mu.values * (cx.dhol @ f)
+    back = cx.dhol_star @ (np.conj(mu.values) * alpha)
+    lhs = ip(cx.w1, contracted, alpha)
+    rhs = ip(cx.w0, f, back)
     assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
-def test_wedge_trace_positivity(surf_hyp, triv1_r2, rng):
-    F = surf_hyp.n_faces
-    nu = _random(rng, F, (0, 1))
-    star_bar = conventions.STAR_DZ * np.conj(nu.values)  # star(conj(nu)^T), scalar case
-    val = 1j * _pair(surf_hyp, nu.values, star_bar)
+def test_wedge_trace_positivity(triv1_scene, rng):
+    S = triv1_scene.surface
+    nu = _random(rng, S.n_faces).reshape(-1, 1, 1)
+    star_bar = conventions.STAR_DZ * np.conj(nu)  # star(conj(nu)^T), scalar case
+    val = 1j * _pair(S, nu, star_bar)
     assert val.real > 0.0 and abs(val.imag) <= 1e-12 * val.real
     # conventions self-consistency: i * wedge pairing is the L2 form pairing
-    assert abs(val - bnd.ip_bundle(nu, nu, triv1_r2, surf_hyp)) <= 1e-12 * abs(val)
+    assert abs(val - ip(triv1_scene.endo.w1, nu, nu)) <= 1e-12 * abs(val)
 
 
 def test_wedge_trace_matrix_valued(surf_hyp, rng):
@@ -185,7 +191,7 @@ def test_face_derivative_constant(torus8):
     # uniform planar charts (corner spin 1): a constant Beltrami
     # coefficient lifts to a constant, and its derivative vanishes
     assert np.array_equal(geometry(torus8).corner_spin, np.ones((torus8.n_faces, 3)))
-    d = beltrami_d_hol(Beltrami(np.full(torus8.n_faces, 1.7 - 0.3j)), torus8)
+    d = beltrami_d_hol(Beltrami(np.full(torus8.n_faces, 1.7 - 0.3j)), _spin2(torus8))
     assert np.linalg.norm(d) <= 1e-13
 
 
@@ -194,7 +200,7 @@ def test_face_derivative_linear_exact(torus8):
     # recover the exact constant derivative
     bary = np.mean(torus8.chart, axis=1)
     a = 0.8 + 0.4j
-    d = beltrami_d_hol(Beltrami(a * bary), torus8)
+    d = beltrami_d_hol(Beltrami(a * bary), _spin2(torus8))
     interior = []
     m = 8
     for f in range(torus8.n_faces):
@@ -207,8 +213,8 @@ def test_face_derivative_linear_exact(torus8):
 
 def test_face_derivative_deterministic(surf_hyp, rng):
     vals = rng.standard_normal(surf_hyp.n_faces) + 1j * rng.standard_normal(surf_hyp.n_faces)
-    d1 = beltrami_d_hol(Beltrami(vals), surf_hyp)
-    d2 = beltrami_d_hol(Beltrami(vals.copy()), surf_hyp)
+    d1 = beltrami_d_hol(Beltrami(vals), _spin2(surf_hyp))
+    d2 = beltrami_d_hol(Beltrami(vals.copy()), _spin2(surf_hyp))
     assert np.array_equal(d1, d2)
 
 
@@ -225,9 +231,10 @@ def test_beltrami_d_hol_matches_two_step_stencil(request, surf, rng):
     np.add.at(lifted, geom.corner_vertex, (geom.area / 3.0 * vals)[:, None] / spin)
     lifted /= geom.mass_area
     ref = np.sum(geom.grad_hol * lifted[geom.corner_vertex] * spin, axis=1)
-    got = beltrami_d_hol(Beltrami(vals), S)
+    cx = _spin2(S)
+    got = beltrami_d_hol(Beltrami(vals), cx)
     assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
-    assert beltrami_complex(S).kernel.shape == (S.n_vertices, 0)
+    assert cx.kernel.shape == (S.n_vertices, 0)
 
 
 def test_beltrami_sup_norm_flag():

@@ -101,6 +101,33 @@ def test_bad_generator_entry_exits_2(tmp_path, entry):
     assert "line 2" in r.stderr and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("how", ["config", "option"])
+def test_negative_seed_exits_2(tmp_path, how):
+    # numpy refuses negative seeds; the config check must name the field
+    if how == "config":
+        args = ["--config", _write(tmp_path, {"seeds": [0, -1]})]
+    else:
+        args = ["--config", _write(tmp_path, {}), "--seed", "-1"]
+    r = run_cli("positivity", *args, "--out", str(tmp_path / "out"))
+    assert r.returncode == 2, r.stderr
+    assert "seeds" in r.stderr and "Traceback" not in r.stderr
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_generator_cocycle_on_refined_mesh_file_exits_2(tmp_path):
+    # generator cocycles live on the 4g-gon fan; a saved refined mesh has
+    # other combinatorics and must be refused, not indexed out of range
+    from modulilab.surface import build_polygon_gluing, refine, save_mesh
+
+    mesh = tmp_path / "r1.surf"
+    save_mesh(refine(build_polygon_gluing(2)), mesh)
+    p = _write(tmp_path, {"mesh": {"file": str(mesh), "refinements": 0, "layout": "equilateral"}})
+    r = run_cli("positivity", "--config", p, "--out", str(tmp_path / "out"))
+    assert r.returncode == 2, r.stderr
+    assert "4g-gon fan" in r.stderr and "Traceback" not in r.stderr
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_scene_error_exits_2(tmp_path):
     # a mesh file that exists but fails validation is a config-class error
     bad_mesh = tmp_path / "bad.surf"
@@ -235,11 +262,10 @@ def test_cli_seed_solves_once_per_term(monkeypatch, tmp_path):
     # and one solve per term label (9), on exactly two factorizations: one
     # for End(E), one for the tangent complex
     from modulilab import _complexes, cli
-    from modulilab import bundle as bnd
     from modulilab._complexes import DolbeaultComplex
 
     cfg = cli.load_config(_write(tmp_path, {"seeds": [3]}))
-    S, c = cli.build_scene(cfg)
+    scene = cli.build_scene(cfg)
     calls, factored = [], []
     solve, splu = DolbeaultComplex.delta0_solve, _complexes.spla.splu
 
@@ -253,8 +279,8 @@ def test_cli_seed_solves_once_per_term(monkeypatch, tmp_path):
 
     monkeypatch.setattr(DolbeaultComplex, "delta0_solve", counted)
     monkeypatch.setattr(_complexes.spla, "splu", counted_splu)
-    _, uni, fib, diff = cli._sample_reports(cfg, S, c, 3)
-    endo, tangent = bnd.operators(S, c), _complexes.tangent_complex(S)
+    _, uni, fib, diff = cli._sample_reports(cfg, scene, 3)
+    endo, tangent = scene.endo, scene.tangent
     assert len(calls) == 17
     assert calls.count(tangent) == 4 and calls.count(endo) == 13
     assert sorted(factored) == sorted(cx.w0.shape[0] + cx.kernel.shape[1] for cx in (endo, tangent))

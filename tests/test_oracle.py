@@ -3,59 +3,62 @@ import pytest
 
 from modulilab import bundle as bnd
 from modulilab import oracle
-from modulilab.calculus import Beltrami
-from modulilab._complexes import tangent_complex
+from modulilab._complexes import ad, ad_star
+from modulilab.bundle import Scene
 from modulilab.surface import equip_conformal, refine
 from conftest import p1_dbar, random_cochain
 
 
 def scalar_complex(S):
     """The scalar complex: End(E) of the trivial line bundle."""
-    return bnd.operators(S, bnd.trivial_cocycle(S.mesh, 1))
+    return Scene(S, bnd.trivial_cocycle(S.mesh, 1)).endo
 
 
-def test_materialize_matches_functional_path(surf_hyp_r1, su2_r1, rng):
-    V, F, n = surf_hyp_r1.n_vertices, surf_hyp_r1.n_faces, 2
-    D = oracle.materialize("dbar", su2_r1, surf_hyp_r1)
+def tangent_complex(S):
+    return Scene(S, bnd.trivial_cocycle(S.mesh, 1)).tangent
+
+
+def test_materialize_matches_functional_path(su2_scene_r1, rng):
+    cx = su2_scene_r1.endo
+    D = oracle.materialize("dbar", su2_scene_r1)
     worst = 0.0
     for _ in range(50):
-        f = random_cochain(rng, V, n, "vertex")
-        via_matrix = D.matrix @ f.values.reshape(-1)
-        direct = bnd.twisted_dbar(f, su2_r1, surf_hyp_r1).values.reshape(-1)
+        f = random_cochain(rng, cx.n_vertices, 2, "vertex").values.reshape(-1)
+        via_matrix = D.matrix @ f
+        direct = cx.dbar @ f
         worst = max(worst, np.linalg.norm(via_matrix - direct) / np.linalg.norm(direct))
     assert worst <= 1e-12
 
 
-def test_materialize_all_operators(surf_hyp_r1, su2_r1, rng):
-    # master oracle-equivalence: every functional-path operation equals
+def test_materialize_all_operators(su2_scene_r1, rng):
+    # master oracle-equivalence: every operation of the complex equals
     # its dense materialization on random inputs
-    V, F, n = surf_hyp_r1.n_vertices, surf_hyp_r1.n_faces, 2
-    nu = random_cochain(rng, F, n, (0, 1))
-    mu = Beltrami(rng.standard_normal(F) + 1j * rng.standard_normal(F))
+    cx = su2_scene_r1.endo
+    V, F, n = cx.n_vertices, cx.n_faces, 2
+    nu = random_cochain(rng, F, n, (0, 1)).values
+    mu = rng.standard_normal(F) + 1j * rng.standard_normal(F)
     cases = [
-        ("d_hol", None, "vertex", V),
-        ("dbar_star", None, (0, 1), F),
-        ("d_star", None, (1, 0), F),
-        ("laplacian", None, "vertex", V),
-        ("delta0_inverse", None, "vertex", V),
-        ("projection", None, (0, 1), F),
-        ("ad", nu, "vertex", V),
-        ("ad_star", nu, (0, 1), F),
-        ("mu_contract", mu, (1, 0), F),
+        ("d_hol", None, V, cx.dhol.__matmul__),
+        ("dbar_star", None, F, cx.dbar_star.__matmul__),
+        ("d_star", None, F, cx.dhol_star.__matmul__),
+        ("laplacian", None, V, cx.laplacian.__matmul__),
+        ("delta0_inverse", None, V, lambda x: cx.delta0_solve(x)[0]),
+        ("projection", None, F, cx.harmonic_project),
+        ("ad", nu, V, lambda x: ad(cx, nu, x.reshape(V, n, n))),
+        ("ad_star", nu, F, lambda x: ad_star(cx, nu, x.reshape(F, n, n))),
+        ("mu_contract", mu, F, lambda x: mu[:, None] * x.reshape(F, n * n)),
     ]
-    from modulilab.oracle import _apply
-
-    for name, aux, deg, sites in cases:
-        op = oracle.materialize(name, su2_r1, surf_hyp_r1, aux=aux)
+    for name, aux, sites, apply in cases:
+        op = oracle.materialize(name, su2_scene_r1, aux=aux)
         for _ in range(5):
-            x = random_cochain(rng, sites, n, deg)
-            direct = _apply(name, su2_r1, surf_hyp_r1, x, aux).values.reshape(-1)
-            via = op.matrix @ x.values.reshape(-1)
+            x = random_cochain(rng, sites, n, "vertex").values.reshape(-1)
+            direct = apply(x).reshape(-1)
+            via = op.matrix @ x
             assert np.linalg.norm(via - direct) <= 1e-12 * max(np.linalg.norm(direct), 1e-300)
 
 
-def test_materialized_laplacian_hermitian(surf_hyp_r1, su2_r1):
-    lap = oracle.materialize("laplacian", su2_r1, surf_hyp_r1)
+def test_materialized_laplacian_hermitian(su2_scene_r1):
+    lap = oracle.materialize("laplacian", su2_scene_r1)
     W = np.diag(lap.domain_weight)
     M = W @ lap.matrix
     assert np.linalg.norm(M - M.conj().T, 2) <= 1e-12 * np.linalg.norm(M, 2)
@@ -63,25 +66,24 @@ def test_materialized_laplacian_hermitian(surf_hyp_r1, su2_r1):
 
 def test_rank1_trivial_equals_scalar_entrywise(surf_hyp_r1, fan2_r1):
     c = bnd.trivial_cocycle(fan2_r1, 1)
-    D = oracle.materialize("dbar", c, surf_hyp_r1)
+    D = oracle.materialize("dbar", Scene(surf_hyp_r1, c))
     assert np.max(np.abs(D.matrix - p1_dbar(surf_hyp_r1))) == 0.0
 
 
-def test_restricted_inverse_dense(surf_hyp_r1, su2_r1, rng):
-    lap = oracle.materialize("laplacian", su2_r1, surf_hyp_r1)
+def test_restricted_inverse_dense(su2_scene_r1, rng):
+    lap = oracle.materialize("laplacian", su2_scene_r1)
     inv = oracle.restricted_inverse_dense(lap)
-    cx = bnd.operators(surf_hyp_r1, su2_r1)
+    cx = su2_scene_r1.endo
     K = cx.kernel
     proj = np.eye(lap.matrix.shape[0]) - K @ (K.conj().T * cx.w0[None, :])
     assert np.linalg.norm(lap.matrix @ inv.matrix - proj, 2) <= 1e-10
-    assert oracle.kernel_dimension_dense(lap) == bnd.is_irreducible(su2_r1)[1]
+    assert oracle.kernel_dimension_dense(lap) == bnd.is_irreducible(su2_scene_r1.cocycle)[1]
     # cross-path agreement with the factorized solver
-    V, n = surf_hyp_r1.n_vertices, 2
     worst = 0.0
     for _ in range(20):
-        h = random_cochain(rng, V, n, "vertex")
-        x_dense = inv.matrix @ h.values.reshape(-1)
-        x_lu = bnd.delta0_inverse(h, su2_r1, surf_hyp_r1).values.reshape(-1)
+        h = random_cochain(rng, cx.n_vertices, 2, "vertex").values.reshape(-1)
+        x_dense = inv.matrix @ h
+        x_lu, _ = cx.delta0_solve(h)
         worst = max(worst, np.linalg.norm(x_dense - x_lu) / np.linalg.norm(x_dense))
     assert worst <= 1e-8
 
@@ -108,9 +110,11 @@ def test_closed_form_kernels_match_dense(fan2, refinements, builder):
     assert abs(overlap - 1.0) <= 1e-10
 
 
-def test_dense_cap(surf_hyp_r1, su2_r1):
+def test_dense_cap(su2_scene_r1):
     with pytest.raises(oracle.DenseCapError):
-        oracle.materialize("dbar", su2_r1, surf_hyp_r1, dense_cap=10)
+        oracle.materialize("dbar", su2_scene_r1, dense_cap=10)
+    with pytest.raises(oracle.DenseCapError):
+        oracle.harmonic_basis(su2_scene_r1.endo, dense_cap=10)
 
 
 @pytest.mark.parametrize(

@@ -303,7 +303,7 @@ def test_scene_matches_loops_r1_to_r3(fan2, scene):
         assert np.array_equal(geom.vertex_ref_face, ref.pop("vertex_ref_face"))
         for name, want in ref.items():
             assert np.max(np.abs(getattr(geom, name) - want)) <= FLOAT_TOL, name
-        T = corner_transports(S, c.transport)
+        T = corner_transports(geom, c.transport)
         assert np.max(np.abs(T - _corner_transports_loop(S, c.transport))) <= FLOAT_TOL
         K = bnd._covariant_constant_columns(c)
         assert np.max(np.abs(K - _covariant_constant_loop(c))) <= FLOAT_TOL

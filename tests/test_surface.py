@@ -162,6 +162,31 @@ def test_conformal_roundtrip(tmp_path, fan2_r1, surf_hyp_r1):
     np.testing.assert_allclose(loaded.edge_rotation, surf_hyp_r1.edge_rotation, atol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "line, face, message",
+    [
+        (0, "-1", "line 1: face id -1 out of range"),
+        (3, "32", "line 4: face id 32 out of range"),
+        (3, "0", "line 4: duplicate chart record for face 0"),
+        (-1, "-1", "face id -1 out of range"),
+        (-1, "0", "duplicate rho record for face 0"),
+    ],
+)
+def test_conformal_rejects_bad_face_ids(tmp_path, fan2_r1, surf_hyp_r1, line, face, message):
+    # a negative id must not wrap to the last face, nor a repeated one
+    # silently overwrite the first
+    assert fan2_r1.n_faces == 32
+    p = tmp_path / "m.conf"
+    save_conformal(surf_hyp_r1, p)
+    lines = p.read_text().splitlines()
+    parts = lines[line].split()
+    parts[1] = face
+    lines[line] = " ".join(parts)
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshFileError, match=message):
+        load_conformal(fan2_r1, p)
+
+
 def test_refinement_record_links_parent(fan2, fan2_r1):
     assert fan2_r1.refinement is not None
     assert fan2_r1.refinement.parent is fan2

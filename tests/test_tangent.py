@@ -1,71 +1,69 @@
 import numpy as np
+import pytest
 
-from modulilab import bundle as bnd
+from modulilab import oracle
 from modulilab import tangent as tg
 from modulilab.bundle import BundleCochain
 from modulilab.calculus import Beltrami, ip_beltrami
-from modulilab._complexes import tangent_complex
 from conftest import random_cochain
 
 
-def test_project_kills_exact_beltrami(surf_hyp, rng):
+def test_project_kills_exact_beltrami(su2_scene, rng):
     # D(vector field) is exact and must project to zero
-    cx = tangent_complex(surf_hyp)
-    V = surf_hyp.n_vertices
+    cx = su2_scene.tangent
+    V = cx.n_vertices
     v = rng.standard_normal(V) + 1j * rng.standard_normal(V)
     exact = Beltrami(cx.dbar @ v)
-    out = tg.project_harmonic_mu(exact, surf_hyp)
+    out = tg.project_harmonic_mu(exact, cx)
     assert np.linalg.norm(out.values) <= 1e-8 * np.linalg.norm(exact.values)
 
 
-def test_project_mu_idempotent(surf_hyp, rng):
-    F = surf_hyp.n_faces
+def test_project_mu_idempotent(su2_scene, rng):
+    F = su2_scene.surface.n_faces
     mu = Beltrami(rng.standard_normal(F) + 1j * rng.standard_normal(F))
-    p1 = tg.project_harmonic_mu(mu, surf_hyp)
-    p2 = tg.project_harmonic_mu(p1, surf_hyp)
+    p1 = tg.project_harmonic_mu(mu, su2_scene.tangent)
+    p2 = tg.project_harmonic_mu(p1, su2_scene.tangent)
     assert np.linalg.norm(p2.values - p1.values) <= 1e-8 * np.linalg.norm(p1.values)
 
 
-def test_projection_orthogonal_to_exact(surf_hyp, rng):
-    cx = tangent_complex(surf_hyp)
-    V, F = surf_hyp.n_vertices, surf_hyp.n_faces
+def test_projection_orthogonal_to_exact(su2_scene, rng):
+    S, cx = su2_scene.surface, su2_scene.tangent
+    V, F = S.n_vertices, S.n_faces
     mu = Beltrami(rng.standard_normal(F) + 1j * rng.standard_normal(F))
-    p = tg.project_harmonic_mu(mu, surf_hyp)
+    p = tg.project_harmonic_mu(mu, cx)
     for _ in range(5):
         v = rng.standard_normal(V) + 1j * rng.standard_normal(V)
         exact = Beltrami(cx.dbar @ v)
-        ip = ip_beltrami(p, exact, surf_hyp)
+        ip = ip_beltrami(p, exact, S)
         assert abs(ip) <= 1e-8 * np.linalg.norm(p.values) * np.linalg.norm(exact.values)
 
 
-def test_ks_center_fixes_harmonic(surf_hyp, su2_r2, rng):
-    v = tg.random_tangent(surf_hyp, su2_r2, seed=3)
-    out = tg.ks_center(v.mu, v.nu, su2_r2, surf_hyp)
+def test_ks_center_fixes_harmonic(su2_scene):
+    v = tg.random_tangent(su2_scene, seed=3)
+    out = tg.ks_center(v.mu, v.nu, su2_scene)
     assert np.linalg.norm(out.mu.values - v.mu.values) <= 1e-8 * np.linalg.norm(v.mu.values)
     assert np.linalg.norm(out.nu.values - v.nu.values) <= 1e-8 * np.linalg.norm(v.nu.values)
 
 
-def test_ks_center_kills_exact(surf_hyp, su2_r2, rng):
-    cx = tangent_complex(surf_hyp)
-    V = surf_hyp.n_vertices
+def test_ks_center_kills_exact(su2_scene, rng):
+    S = su2_scene.surface
+    V, F = S.n_vertices, S.n_faces
     vfield = rng.standard_normal(V) + 1j * rng.standard_normal(V)
     g = random_cochain(rng, V, 2, "vertex")
-    mu_exact = Beltrami(cx.dbar @ vfield)
-    nu_exact = bnd.twisted_dbar(g, su2_r2, surf_hyp)
-    out = tg.ks_center(mu_exact, nu_exact, su2_r2, surf_hyp)
+    mu_exact = Beltrami(su2_scene.tangent.dbar @ vfield)
+    nu_exact = BundleCochain((su2_scene.endo.dbar @ g.values.reshape(-1)).reshape(F, 2, 2), (0, 1))
+    out = tg.ks_center(mu_exact, nu_exact, su2_scene)
     assert np.linalg.norm(out.mu.values) <= 1e-8 * np.linalg.norm(mu_exact.values)
     assert np.linalg.norm(out.nu.values) <= 1e-8 * np.linalg.norm(nu_exact.values)
 
 
-def test_ks_center_complex_linear(surf_hyp, su2_r2, rng):
-    F = surf_hyp.n_faces
+def test_ks_center_complex_linear(su2_scene, rng):
+    F = su2_scene.surface.n_faces
     mu = Beltrami(rng.standard_normal(F) + 1j * rng.standard_normal(F))
     nu = random_cochain(rng, F, 2, (0, 1))
     lam = 0.7 - 2.1j
-    base = tg.ks_center(mu, nu, su2_r2, surf_hyp)
-    scaled = tg.ks_center(
-        Beltrami(lam * mu.values), BundleCochain(lam * nu.values, (0, 1)), su2_r2, surf_hyp
-    )
+    base = tg.ks_center(mu, nu, su2_scene)
+    scaled = tg.ks_center(Beltrami(lam * mu.values), BundleCochain(lam * nu.values, (0, 1)), su2_scene)
     assert np.linalg.norm(scaled.mu.values - lam * base.mu.values) <= 1e-10 * np.linalg.norm(
         base.mu.values
     )
@@ -74,62 +72,100 @@ def test_ks_center_complex_linear(surf_hyp, su2_r2, rng):
     )
 
 
-def test_project_traceless(surf_hyp, rng):
-    F = surf_hyp.n_faces
-    nu = random_cochain(rng, F, 2, (0, 1))
-    nu0 = tg.project_traceless(nu)
-    assert np.max(np.abs(np.trace(nu0.values, axis1=1, axis2=2))) <= 1e-13
-    again = tg.project_traceless(nu0)
-    np.testing.assert_allclose(again.values, nu0.values, atol=1e-14)
-    # orthogonal split under the form pairing
-    trace_part = BundleCochain(nu.values - nu0.values, (0, 1))
-    w = 2.0 * surf_hyp.area
-    ip = np.einsum("f,fab,fab->", w, nu0.values, np.conj(trace_part.values))
-    assert abs(ip) <= 1e-10 * np.linalg.norm(nu.values) ** 2
-
-
-def test_random_tangent_reproducible(surf_hyp, su2_r2):
-    v1 = tg.random_tangent(surf_hyp, su2_r2, seed=42)
-    v2 = tg.random_tangent(surf_hyp, su2_r2, seed=42)
+def test_random_tangent_reproducible(su2_scene):
+    v1 = tg.random_tangent(su2_scene, seed=42)
+    v2 = tg.random_tangent(su2_scene, seed=42)
     assert np.array_equal(v1.mu.values, v2.mu.values)
     assert np.array_equal(v1.nu.values, v2.nu.values)
     assert v1.harmonic
-    v3 = tg.random_tangent(surf_hyp, su2_r2, seed=42, scale=0.0)
+    v3 = tg.random_tangent(su2_scene, seed=42, mu_scale=0.0, nu_scale=0.0)
     assert np.linalg.norm(v3.mu.values) == 0.0 and np.linalg.norm(v3.nu.values) == 0.0
-    assert tg.is_harmonic(v1, su2_r2, surf_hyp)
+    assert tg.is_harmonic(v1, su2_scene)
 
 
-def test_harmonic_nu_basis(surf_hyp_r1, su2_r1):
-    basis = tg.harmonic_nu_basis(su2_r1, surf_hyp_r1)
-    cx = bnd.operators(surf_hyp_r1, su2_r1)
+def _check_harmonic_basis(cx, smooth_dim):
+    basis = oracle.harmonic_basis(cx)
     # dimension agrees with a dense rank computation of dbar_star
     Ds = cx.dbar_star.toarray()
     expected = Ds.shape[1] - np.linalg.matrix_rank(Ds, tol=1e-10)
-    assert len(basis) == expected
-    for b in basis[:4]:
-        pb = bnd.harmonic_projection(b, su2_r1, surf_hyp_r1)
-        assert np.linalg.norm(pb.values - b.values) <= 1e-8
-    gram = np.array(
-        [
-            [bnd.ip_bundle(a, b, su2_r1, surf_hyp_r1) for b in basis]
-            for a in basis
-        ]
-    )
-    assert np.max(np.abs(gram - np.eye(len(basis)))) <= 1e-10
+    assert basis.shape[1] == expected
+    # larger-than-smooth discrete harmonic spaces are expected
+    assert basis.shape[1] >= smooth_dim
+    for k in range(basis.shape[1]):
+        b = basis[:, k]
+        assert np.linalg.norm(cx.harmonic_project(b) - b) <= 1e-8
+    gram = (basis.conj().T * cx.w1[None, :]) @ basis
+    assert np.max(np.abs(gram - np.eye(basis.shape[1]))) <= 1e-10
 
 
-def test_harmonic_bases_struct(surf_hyp_r1, su2_r1):
-    hb = tg.harmonic_bases(su2_r1, surf_hyp_r1)
-    assert np.max(np.abs(hb.nu_gram - np.eye(len(hb.nu_basis)))) <= 1e-10
-    assert np.max(np.abs(hb.mu_gram - np.eye(len(hb.mu_basis)))) <= 1e-10
-    # larger-than-smooth discrete harmonic spaces are expected; just logged
-    assert len(hb.mu_basis) >= 3 and len(hb.nu_basis) >= 1
+def test_harmonic_nu_basis(su2_scene_r1):
+    # End(E)-valued (0,1)-forms; the smooth dimension is n^2 (g - 1) + 1
+    _check_harmonic_basis(su2_scene_r1.endo, 2 * 2 * (2 - 1) + 1)
 
 
-def test_tangent_serialization_roundtrip(tmp_path, surf_hyp, su2_r2):
-    v = tg.random_tangent(surf_hyp, su2_r2, seed=5)
+def test_harmonic_mu_basis(su2_scene_r1):
+    # Beltrami coefficients; the smooth dimension is 3g - 3
+    _check_harmonic_basis(su2_scene_r1.tangent, 3 * 2 - 3)
+
+
+def test_tangent_serialization_roundtrip(tmp_path, su2_scene):
+    v = tg.random_tangent(su2_scene, seed=5)
     p = tmp_path / "v.tan"
     tg.save_tangent(v, p)
-    back = tg.load_tangent(p, n=2, n_faces=surf_hyp.n_faces, harmonic=True)
+    back = tg.load_tangent(p, su2_scene)
     np.testing.assert_allclose(back.mu.values, v.mu.values, atol=0, rtol=0)
     np.testing.assert_allclose(back.nu.values, v.nu.values, atol=0, rtol=0)
+    assert back.harmonic
+
+
+def test_load_tangent_computes_harmonic_flag(tmp_path, su2_scene, rng):
+    F = su2_scene.surface.n_faces
+    raw = tg.TangentVector(
+        Beltrami(rng.standard_normal(F) + 0j), BundleCochain(rng.standard_normal((F, 2, 2)) + 0j, (0, 1))
+    )
+    p = tmp_path / "raw.tan"
+    tg.save_tangent(raw, p)
+    assert not tg.load_tangent(p, su2_scene).harmonic
+
+
+def _edited(tmp_path, scene, edit):
+    """A saved tangent file of ``scene`` with ``edit`` applied to its lines."""
+    p = tmp_path / "v.tan"
+    tg.save_tangent(tg.random_tangent(scene, seed=5), p)
+    lines = p.read_text().splitlines()
+    p.write_text("\n".join(edit(lines)) + "\n")
+    return p
+
+
+def _set_field(lines, index, field, value):
+    parts = lines[index].split()
+    parts[field] = value
+    lines[index] = " ".join(parts)
+    return lines
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda ls: ls[:3] + ["sigma 0 1.0 2.0"] + ls[3:], "line 4: unknown record 'sigma'"),
+        (lambda ls: _set_field(ls, 2, 2, "1.5x"), "line 3: non-numeric entry"),
+        (lambda ls: _set_field(ls, 2, 1, "two"), "line 3: non-numeric entry"),
+        (lambda ls: _set_field(ls, 2, 3, "nan"), "line 3: non-finite entry"),
+        (lambda ls: _set_field(ls, -1, 4, "inf"), "non-finite entry"),
+        (lambda ls: _set_field(ls, 2, 1, "-1"), "line 3: face id -1 out of range"),
+        (lambda ls: _set_field(ls, 2, 1, "100000"), "line 3: face id 100000 out of range"),
+        (lambda ls: _set_field(ls, 2, 1, "1"), "line 3: duplicate mu record for face 1"),
+        (lambda ls: [x for x in ls if x.split()[:2] != ["nu", "7"]], "missing nu record for face 7"),
+        (lambda ls: [x for x in ls if x.split()[:2] != ["mu", "0"]], "missing mu record for face 0"),
+        (lambda ls: [ls[0] + " 0.5"] + ls[1:], "line 1: mu record needs a face id and 2 reals"),
+        (lambda ls: ls[:-1] + [" ".join(ls[-1].split()[:-1])], "nu record needs a face id and 8 reals"),
+    ],
+    ids=[
+        "unknown", "non_numeric", "non_integer_id", "nan", "inf", "negative_id", "id_out_of_range",
+        "duplicate", "missing_nu", "missing_mu", "mu_count", "nu_count",
+    ],
+)
+def test_load_tangent_rejects(tmp_path, su2_scene, edit, message):
+    p = _edited(tmp_path, su2_scene, edit)
+    with pytest.raises(tg.TangentFileError, match=message):
+        tg.load_tangent(p, su2_scene)
