@@ -26,7 +26,6 @@ from .variation import (
     second_variation_fibered,
     difference_report,
     positivity_certificate,
-    projector_derivative_check,
 )
 
 __all__ = [
@@ -55,5 +54,4 @@ __all__ = [
     "second_variation_fibered",
     "difference_report",
     "positivity_certificate",
-    "projector_derivative_check",
 ]

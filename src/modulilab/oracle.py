@@ -1,15 +1,21 @@
 """Dense brute-force materializations: ground truth for equivalence tests.
 
 Operators are materialized column by column, by applying the operators of
-a scene's End(E) complex to unit vectors; inverses are recomputed from
-scratch by eigendecomposition, and harmonic bases by dense SVD.  This is
-the only module that does dense linear algebra.  A flat-torus harness
+a scene's End(E) complex to unit vectors.  Every dense spectral
+computation goes through one weight-orthonormal frame per complex
+(``DenseFrame``), in which weighted adjoints are conjugate transposes:
+the eigendecomposition of D^H D there, with one kernel rule, gives the
+pseudo-inverse of the Laplacian, the harmonic projector, the kernel
+count and the harmonic basis.  This is the only module that does dense
+linear algebra; ``certify_operators`` and ``projector_derivative_sweep``
+are the dense certifications the CLI runs.  A flat-torus harness
 cross-checks the End(E) operator algebra against closed-form continuum
 answers (the torus is a degenerate geometry used only for this check).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,15 +33,14 @@ class DenseCapError(ValueError):
 @dataclass(frozen=True)
 class DenseOperator:
     matrix: np.ndarray
-    domain: dict  # {"degree": ..., "rank": n, "sites": count}
-    codomain: dict
     domain_weight: np.ndarray
     codomain_weight: np.ndarray
 
-    def adjoint(self) -> np.ndarray:
-        return (
-            self.matrix.conj().T * self.codomain_weight[None, :]
-        ) / self.domain_weight[:, None]
+    def framed(self) -> np.ndarray:
+        """W_cod^{1/2} M W_dom^{-1/2}: the matrix in the weight-orthonormal
+        frames, where its weighted adjoint is the conjugate transpose."""
+        s_dom, s_cod = np.sqrt(self.domain_weight), np.sqrt(self.codomain_weight)
+        return (self.matrix * (1.0 / s_dom)[None, :]) * s_cod[:, None]
 
 
 _VERTEX = "vertex"
@@ -66,11 +71,9 @@ def materialize(op_name: str, scene: Scene, aux=None, dense_cap: int = 6000) -> 
         raise ValueError(f"unknown operator {op_name!r}")
     dom_deg, cod_deg, apply = _OPERATORS[op_name]
     cx = scene.endo
-    n = cx.m
-    dom_sites = cx.n_vertices if dom_deg == _VERTEX else cx.n_faces
-    cod_sites = cx.n_vertices if cod_deg == _VERTEX else cx.n_faces
-    dom_dim = dom_sites * n * n
-    cod_dim = cod_sites * n * n
+    dom_w = cx.w0 if dom_deg == _VERTEX else cx.w1
+    cod_w = cx.w0 if cod_deg == _VERTEX else cx.w1
+    dom_dim, cod_dim = dom_w.shape[0], cod_w.shape[0]
     if dom_dim + cod_dim > dense_cap:
         raise DenseCapError(
             f"materialize({op_name}): dimension {dom_dim + cod_dim} exceeds dense_cap {dense_cap}"
@@ -81,25 +84,60 @@ def materialize(op_name: str, scene: Scene, aux=None, dense_cap: int = 6000) -> 
         basis[:] = 0.0
         basis[j] = 1.0
         M[:, j] = apply(cx, basis, aux).reshape(-1)
-    wv, wf = cx.w0, cx.w1
-    return DenseOperator(
-        matrix=M,
-        domain={"degree": dom_deg, "rank": n, "sites": dom_sites},
-        codomain={"degree": cod_deg, "rank": n, "sites": cod_sites},
-        domain_weight=wv if dom_deg == _VERTEX else wf,
-        codomain_weight=wv if cod_deg == _VERTEX else wf,
-    )
+    return DenseOperator(matrix=M, domain_weight=dom_w, codomain_weight=cod_w)
+
+
+# ---------------------------------------------------------------------------
+# the weight-orthonormal frame
+
+
+def _nonzero(lam: np.ndarray) -> np.ndarray:
+    """The kernel rule: eigenvalues of M^H M (ascending) above
+    1e-10 max(lam_max, 1) are nonzero."""
+    return lam > 1e-10 * max(lam[-1], 1.0)
+
+
+def _pinv(lam: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """(M^H M)^+ from the eigendecomposition (lam, V) of M^H M."""
+    inv = np.where(_nonzero(lam), 1.0 / np.maximum(lam, 1e-300), 0.0)
+    return (V * inv[None, :]) @ V.conj().T
+
+
+def _range_complement(M: np.ndarray, pinv: np.ndarray) -> np.ndarray:
+    """The orthogonal projector I - M (M^H M)^+ M^H onto the complement
+    of range M, from pinv = (M^H M)^+."""
+    return np.eye(M.shape[0]) - M @ pinv @ M.conj().T
+
+
+class DenseFrame:
+    """dbar of a complex in the weight-orthonormal frame,
+    D = W1^{1/2} dbar W0^{-1/2}, with the eigendecomposition (lam
+    ascending, V) of D^H D = W0^{1/2} Delta0 W0^{-1/2}.  ``pinv`` is the
+    framed Delta0^+; the harmonic projector is I - D Delta0^+ D^H.
+    Raises DenseCapError when dim C^0 + dim C^{0,1} exceeds ``dense_cap``."""
+
+    def __init__(self, cx: DolbeaultComplex, dense_cap: int = 6000):
+        dim = sum(cx.dbar.shape)
+        if dim > dense_cap:
+            raise DenseCapError(f"dense frame: dimension {dim} exceeds dense_cap {dense_cap}")
+        self.D = DenseOperator(cx.dbar.toarray(), cx.w0, cx.w1).framed()
+        self.lam, self.V = np.linalg.eigh(self.D.conj().T @ self.D)
+
+    @property
+    def kernel(self) -> np.ndarray:
+        """Orthonormal columns spanning the numerical kernel of D."""
+        return self.V[:, ~_nonzero(self.lam)]
+
+    def pinv(self) -> np.ndarray:
+        return _pinv(self.lam, self.V)
 
 
 def harmonic_basis(cx: DolbeaultComplex, dense_cap: int = 6000) -> np.ndarray:
-    """Columns spanning ker(dbar*) of a complex, orthonormal under w1, by
-    dense SVD of the weight-orthonormalized dbar."""
-    if sum(cx.dbar.shape) > dense_cap:
-        raise DenseCapError(f"dense basis computation exceeds dense_cap {dense_cap}")
-    Dt = (np.sqrt(cx.w1)[:, None] * cx.dbar.toarray()) / np.sqrt(cx.w0)[None, :]
-    u, s, _ = np.linalg.svd(Dt, full_matrices=True)
-    tol = max(Dt.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0)
-    rank = int(np.sum(s > max(tol, 1e-10)))
+    """Columns spanning ker(dbar*) of a complex, orthonormal under w1: the
+    left singular vectors of the frame's D past its rank."""
+    frame = DenseFrame(cx, dense_cap)
+    u = np.linalg.svd(frame.D, full_matrices=True)[0]
+    rank = int(np.sum(_nonzero(frame.lam)))
     return u[:, rank:] / np.sqrt(cx.w1)[:, None]
 
 
@@ -117,36 +155,101 @@ def spectral_norm(X: np.ndarray) -> float:
     return float(np.sqrt(max(top, 0.0)))
 
 
-def _weighted_eigh(delta: DenseOperator):
-    """Eigendecomposition of the weight-symmetrized operator
-    W^{1/2} M W^{-1/2}, with the square-root weights s."""
-    s = np.sqrt(delta.domain_weight)
-    Ssym = (delta.matrix * (1.0 / s)[None, :]) * s[:, None]
-    lam, U = np.linalg.eigh(0.5 * (Ssym + Ssym.conj().T))
-    return lam, U, s
+# ---------------------------------------------------------------------------
+# dense certification
 
 
-def restricted_inverse_dense(
-    delta: DenseOperator, kernel_rel_tol: float = 1e-10
-) -> DenseOperator:
-    """Eigendecomposition inverse on the complement of the numerical kernel."""
-    lam, U, s = _weighted_eigh(delta)
-    lam_max = max(float(lam[-1]), 1.0)
-    inv = np.where(lam > kernel_rel_tol * lam_max, 1.0 / np.maximum(lam, 1e-300), 0.0)
-    M = (U * inv[None, :]) @ U.conj().T
-    M = (M * s[None, :]) / s[:, None]
-    return DenseOperator(
-        matrix=M,
-        domain=delta.domain,
-        codomain=delta.codomain,
-        domain_weight=delta.domain_weight,
-        codomain_weight=delta.codomain_weight,
-    )
+def certify_operators(scene: Scene, dense_cap: int = 6000) -> dict:
+    """Dense values of the operator suite of the scene's End(E) complex,
+    in the weight-orthonormal frame against its D: the production dbar*
+    against D^H, the materialized factorized projection P (P^2 = P,
+    P = P^H, P D = 0, trace) and Delta0^{-1} (one solve per column)
+    against the frame's Delta0^+, and the frame's kernel count."""
+    frame = DenseFrame(scene.endo, dense_cap)
+    D, lam = frame.D, frame.lam
+    # |D|_2 and |Delta0^+|_2 from the frame's eigenvalues
+    d_norm = np.sqrt(lam[-1])
+    pinv_norm = 1.0 / lam[_nonzero(lam)][0]
+    star = materialize("dbar_star", scene, dense_cap=dense_cap).framed()
+    P = materialize("projection", scene, dense_cap=dense_cap).framed()
+    X = materialize("delta0_inverse", scene, dense_cap=dense_cap).framed()
+    return {
+        "adjointness_residual": spectral_norm(star - D.conj().T) / d_norm,
+        "projector_idempotent": spectral_norm(P @ P - P),
+        "projector_self_adjoint": spectral_norm(P - P.conj().T),
+        "projector_annihilates_dbar": spectral_norm(P @ D) / d_norm,
+        "kernel_dim": int(frame.kernel.shape[1]),
+        "delta0_factorized_vs_dense": spectral_norm(X - frame.pinv()) / pinv_norm,
+        "harmonic_nu_dim": int(round(float(np.trace(P).real))),
+    }
 
 
-def kernel_dimension_dense(delta: DenseOperator, kernel_rel_tol: float = 1e-10) -> int:
-    lam = _weighted_eigh(delta)[0]
-    return int(np.sum(lam <= kernel_rel_tol * max(float(lam[-1]), 1.0)))
+# ---------------------------------------------------------------------------
+# projector-derivative identity
+
+
+def projector_derivative_sweep(
+    cx: DolbeaultComplex,
+    steps=(1e-3, 1e-4, 1e-5),
+    seed: int = 0,
+    dense_cap: int = 6000,
+) -> dict:
+    """Finite-difference check of the projector derivative identity
+    dP = -P A Delta0^{-1} D* - D Delta0^{-1} A* P  for D(t) = D + t A,
+    over step sizes: the relative operator-norm error of the central
+    difference at each step plus the fitted log-log slope (expect 2).
+
+    Works in the weight-orthonormal frame, where adjoints are plain
+    conjugate transposes.  The random perturbation is composed with
+    (I - kernel projector) so the covariant-constant kernel persists
+    along the family, matching the geometric deformations.  The frame,
+    A and the Leibniz matrix are built once; only P(+-h) depends on the
+    step.  ``cx`` is the End(E) complex of a scene.  Raises ValueError
+    unless ``steps`` are positive and at least two of them are distinct:
+    a slope needs two points.
+    """
+    steps = [float(h) for h in steps]
+    if not all(h > 0 and math.isfinite(h) for h in steps) or len(set(steps)) < 2:
+        raise ValueError(f"projector sweep needs at least two distinct positive finite steps, got {steps}")
+    frame = DenseFrame(cx, dense_cap)
+    D = frame.D
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal(D.shape) + 1j * rng.standard_normal(D.shape)
+    # sized so the h^2 truncation term stays above the roundoff floor
+    # over the whole step sweep; the scale stays on the SVD norm
+    # because an ulp change in A moves the error at 1e-4 by about
+    # 1e-5 relative, and recorded errors must reproduce
+    A *= 2.0 * np.linalg.norm(D, 2) / max(np.linalg.norm(A, 2), 1e-300)
+    K = frame.kernel
+    A = A - (A @ K) @ K.conj().T
+
+    def projector(t: float) -> np.ndarray:
+        M = D + t * A
+        return _range_complement(M, _pinv(*np.linalg.eigh(M.conj().T @ M)))
+
+    pinv0 = frame.pinv()
+    P0 = _range_complement(D, pinv0)
+    leibniz = -P0 @ A @ pinv0 @ D.conj().T - D @ pinv0 @ A.conj().T @ P0
+    # frees and in-place updates keep at most two dense projectors alive
+    # at a time next to the Leibniz matrix, which sets the peak memory
+    del pinv0, P0
+    denom = spectral_norm(leibniz)
+    errors = {}
+    for h in steps:
+        fd = projector(h)
+        fd -= projector(-h)
+        fd /= 2.0 * h
+        fd -= leibniz
+        err = spectral_norm(fd)
+        del fd
+        if denom == 0.0:
+            errors[h] = 0.0 if err == 0.0 else float("inf")
+        else:
+            errors[h] = float(err / denom)
+    hs = np.array(sorted(errors))
+    es = np.array([errors[h] for h in hs])
+    slope = float(np.polyfit(np.log(hs), np.log(np.maximum(es, 1e-300)), 1)[0])
+    return {"errors": errors, "slope": slope}
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +299,6 @@ def torus_spectral_crosscheck(rank: int = 1, sizes=(4, 8, 16), dense_cap: int = 
         scene = Scene(S, trivial_cocycle(S.mesh, rank))
         cx = scene.endo
         F, n = S.n_faces, rank
-        if (F + S.n_vertices) * n * n > dense_cap:
-            raise DenseCapError(f"torus cross-check exceeds dense_cap {dense_cap}")
         # constant (0,1)-form is discretely harmonic on the regular torus
         const = np.broadcast_to(np.eye(n), (F, n, n)).reshape(-1)
         r_const = np.linalg.norm(cx.dbar_star @ const)

@@ -25,17 +25,14 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import conventions
 from ._complexes import ad, ad_star, lift_to_vertices
-from ._complexes import DolbeaultComplex
 from .bundle import BundleCochain, Scene
 from .calculus import Beltrami, beltrami_d_hol, ip_beltrami
-from .oracle import DenseCapError, spectral_norm
 from .surface import ConformalSurface
 from .tangent import TangentVector
 
@@ -388,117 +385,3 @@ def positivity_certificate(
             "positivity terms have imaginary parts %.3e / %.3e", term_a.imag, term_b.imag
         )
     return float(term_a.real), float(term_b.real), float(term_a.real + term_b.real)
-
-
-# ---------------------------------------------------------------------------
-# projector-derivative identity
-
-
-def _nonzero(lam: np.ndarray) -> np.ndarray:
-    """Eigenvalues of M^H M above the numerical kernel threshold."""
-    return lam > 1e-10 * max(lam[-1], 1.0)
-
-
-def _range_complement(M: np.ndarray, lam: np.ndarray, V: np.ndarray):
-    """(M^H M)^+ from the eigendecomposition (lam, V) of M^H M, and the
-    orthogonal projector I - M (M^H M)^+ M^H onto the complement of range M."""
-    inv = np.where(_nonzero(lam), 1.0 / np.maximum(lam, 1e-300), 0.0)
-    pinv = (V * inv[None, :]) @ V.conj().T
-    return pinv, np.eye(M.shape[0]) - M @ pinv @ M.conj().T
-
-
-def _projector_errors(
-    cx: DolbeaultComplex,
-    steps,
-    seed: int,
-    perturbation: np.ndarray | None,
-    dense_cap: int,
-) -> list[float]:
-    """Relative operator-norm error of the central difference of the
-    projector at each of ``steps``, all against one frame: the weighted D,
-    its eigendecomposition, the perturbation A and the Leibniz matrix are
-    built once, and only P(+-h) depends on the step."""
-    dim = cx.dbar.shape[0] + cx.dbar.shape[1]
-    if dim > dense_cap:
-        raise DenseCapError(f"projector check needs dense operators ({dim} > dense_cap {dense_cap})")
-    s0 = np.sqrt(cx.w0)
-    s1 = np.sqrt(cx.w1)
-    D = (cx.dbar.toarray() * (1.0 / s0)[None, :]) * s1[:, None]
-    lam, V = np.linalg.eigh(D.conj().T @ D)
-    K = V[:, ~_nonzero(lam)]
-    if perturbation is None:
-        rng = np.random.default_rng(seed)
-        A = rng.standard_normal(D.shape) + 1j * rng.standard_normal(D.shape)
-        # sized so the h^2 truncation term stays above the roundoff floor
-        # over the whole step sweep; the scale stays on the SVD norm
-        # because an ulp change in A moves the error at 1e-4 by about
-        # 1e-5 relative, and recorded errors must reproduce
-        A *= 2.0 * np.linalg.norm(D, 2) / max(np.linalg.norm(A, 2), 1e-300)
-    else:
-        A = np.asarray(perturbation, dtype=complex)
-    A = A - (A @ K) @ K.conj().T
-
-    def projector(t: float) -> np.ndarray:
-        M = D + t * A
-        return _range_complement(M, *np.linalg.eigh(M.conj().T @ M))[1]
-
-    pinv0, P0 = _range_complement(D, lam, V)
-    leibniz = -P0 @ A @ pinv0 @ D.conj().T - D @ pinv0 @ A.conj().T @ P0
-    # frees and in-place updates keep at most two dense projectors alive
-    # at a time next to the Leibniz matrix, which sets the peak memory
-    del pinv0, P0
-    denom = spectral_norm(leibniz)
-    errors = []
-    for h in steps:
-        fd = projector(h)
-        fd -= projector(-h)
-        fd /= 2.0 * h
-        fd -= leibniz
-        err = spectral_norm(fd)
-        del fd
-        if denom == 0.0:
-            errors.append(0.0 if err == 0.0 else float("inf"))
-        else:
-            errors.append(float(err / denom))
-    return errors
-
-
-def projector_derivative_check(
-    cx: DolbeaultComplex,
-    h_step: float = 1e-4,
-    seed: int = 0,
-    perturbation: np.ndarray | None = None,
-    dense_cap: int = 6000,
-) -> float:
-    """Finite-difference check of the projector derivative identity
-    dP = -P A Delta0^{-1} D* - D Delta0^{-1} A* P  for D(t) = D + t A.
-
-    Works in the weight-orthonormalized frame, where adjoints are plain
-    conjugate transposes.  The random perturbation is composed with
-    (I - kernel projector) so the covariant-constant kernel persists
-    along the family, matching the geometric deformations.  Returns the
-    relative operator-norm error of the central difference at ``h_step``.
-    ``cx`` is the End(E) complex of a scene.
-    """
-    return _projector_errors(cx, (h_step,), seed, perturbation, dense_cap)[0]
-
-
-def projector_derivative_sweep(
-    cx: DolbeaultComplex,
-    steps=(1e-3, 1e-4, 1e-5),
-    seed: int = 0,
-    dense_cap: int = 6000,
-) -> dict:
-    """Error against step size plus the fitted log-log slope (expect 2).
-
-    Raises ValueError unless ``steps`` are positive and at least two of
-    them are distinct: a slope needs two points.
-    """
-    steps = [float(h) for h in steps]
-    if not all(h > 0 and math.isfinite(h) for h in steps) or len(set(steps)) < 2:
-        raise ValueError(f"projector sweep needs at least two distinct positive finite steps, got {steps}")
-    errors = dict(zip(steps, _projector_errors(cx, steps, seed, None, dense_cap)))
-    hs = np.array(sorted(errors))
-    es = np.array([errors[h] for h in hs])
-    slope = float(np.polyfit(np.log(hs), np.log(np.maximum(es, 1e-300)), 1)[0])
-    return {"errors": errors, "slope": slope}

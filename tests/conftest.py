@@ -89,6 +89,14 @@ def p1_dbar(S):
     return D
 
 
+def dense_delta0_inverse(cx):
+    """Delta0^+ of a complex in cochain coordinates, from the dense frame."""
+    from modulilab.oracle import DenseFrame
+
+    s0 = np.sqrt(cx.w0)
+    return (DenseFrame(cx).pinv() * s0[None, :]) / s0[:, None]
+
+
 def ip(w, x, y):
     """Weighted L2 pairing sum w x conj(y) of two cochains, flattened."""
     return complex(np.sum(w * np.ravel(x) * np.conj(np.ravel(y))))

@@ -16,7 +16,7 @@ from modulilab import oracle, variation as var
 from modulilab.bundle import BundleCochain, Scene
 from modulilab.calculus import Beltrami
 from modulilab.tangent import TangentVector, random_tangent
-from conftest import ip, random_cochain
+from conftest import dense_delta0_inverse, ip, random_cochain
 
 
 def _line(criterion: str, ok: bool, detail: str) -> bool:
@@ -58,7 +58,7 @@ def test_criterion_02_kernel_commutant(surf_hyp, fan2_r2, su2_r2, triv1_r2, triv
     results = []
     for c, expect in ((su2_r2, 1), (triv1_r2, 1), (triv2_r2, 4), (triv3, 9)):
         _, cdim = bnd.is_irreducible(c)
-        kdim = oracle.kernel_dimension_dense(oracle.materialize("laplacian", Scene(surf_hyp, c)))
+        kdim = oracle.DenseFrame(Scene(surf_hyp, c).endo).kernel.shape[1]
         results.append((kdim, cdim, expect))
     ok = all(k == c == e for k, c, e in results)
     assert _line(
@@ -69,13 +69,12 @@ def test_criterion_02_kernel_commutant(surf_hyp, fan2_r2, su2_r2, triv1_r2, triv
 
 
 def test_criterion_03_oracle_equivalence(su2_scene, rng):
-    lap = oracle.materialize("laplacian", su2_scene, dense_cap=6000)
-    inv = oracle.restricted_inverse_dense(lap)
     cx = su2_scene.endo
+    inv = dense_delta0_inverse(cx)
     worst = 0.0
     for _ in range(100):
         h = random_cochain(rng, cx.n_vertices, 2, "vertex").values.reshape(-1)
-        x_dense = inv.matrix @ h
+        x_dense = inv @ h
         x_lu, _ = cx.delta0_solve(h)
         worst = max(worst, np.linalg.norm(x_lu - x_dense) / np.linalg.norm(x_dense))
     ok = worst <= 1e-8
@@ -189,7 +188,7 @@ def test_criterion_07_positivity_decomposition(su2_scene):
 
 
 def test_criterion_08_projector_derivative(su2_scene_r1):
-    sweep = var.projector_derivative_sweep(su2_scene_r1.endo, steps=(1e-3, 1e-4, 1e-5), seed=0)
+    sweep = oracle.projector_derivative_sweep(su2_scene_r1.endo, steps=(1e-3, 1e-4, 1e-5), seed=0)
     err = sweep["errors"][1e-4]
     slope = sweep["slope"]
     ok = err <= 1e-6 and abs(slope - 2.0) <= 0.2
@@ -215,8 +214,6 @@ def test_criterion_10_cli(tmp_path):
         "mesh": {"genus": 2, "refinements": 1, "density": "hyperbolic"},
         "bundle": {"preset": "su2"},
         "seeds": [0, 1],
-        "adjoint_trials": 50,
-        "oracle_rhs": 10,
     }
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))

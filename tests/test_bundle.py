@@ -29,7 +29,7 @@ from modulilab.bundle import (
 )
 from modulilab.cli import KAHLER_TOL
 from modulilab.surface import equip_conformal
-from conftest import ip, p1_dbar, random_cochain
+from conftest import dense_delta0_inverse, ip, p1_dbar, random_cochain
 
 
 def test_trivial_rank1_holonomies(fan2):
@@ -126,10 +126,10 @@ def test_delta0_inverse_kills_covariant_constant(su2_scene):
 def test_delta0_factorized_matches_dense_oracle(su2_scene, rng):
     # the factorized solve against the independent dense spectral inverse
     cx = su2_scene.endo
-    inv = oracle.restricted_inverse_dense(oracle.materialize("laplacian", su2_scene))
+    inv = dense_delta0_inverse(cx)
     h = random_cochain(rng, cx.n_vertices, 2, "vertex").values.reshape(-1)
     x_lu, _ = cx.delta0_solve(h)
-    x_dn = inv.matrix @ h
+    x_dn = inv @ h
     assert np.linalg.norm(x_lu - x_dn) <= 1e-8 * np.linalg.norm(x_dn)
 
 
@@ -151,8 +151,7 @@ def test_harmonic_projection_properties(su2_scene, rng):
 def test_kernel_dim_equals_commutant(surf_hyp, su2_r2, triv1_r2, triv2_r2):
     for c in (su2_r2, triv1_r2, triv2_r2):
         _, cdim = is_irreducible(c)
-        lap = oracle.materialize("laplacian", Scene(surf_hyp, c))
-        assert oracle.kernel_dimension_dense(lap) == cdim
+        assert oracle.DenseFrame(Scene(surf_hyp, c).endo).kernel.shape[1] == cdim
 
 
 def test_ad_rank1_vanishes(triv1_scene, rng):
@@ -385,8 +384,7 @@ def test_exact_kernel_supports_factorized_solves(su2_scene_r1, rng):
     assert K.shape[1] == 1
     assert np.linalg.norm(cx.laplacian @ K) <= 1e-12
     h = rng.standard_normal(K.shape[0]) + 1j * rng.standard_normal(K.shape[0])
-    dense = oracle.DenseOperator(cx.laplacian.toarray(), {}, {}, cx.w0, cx.w0)
-    x_dense = oracle.restricted_inverse_dense(dense).matrix @ h
+    x_dense = dense_delta0_inverse(cx) @ h
     x_lu, st = cx.delta0_solve(h)
     assert st["method"] == "splu"
     assert np.linalg.norm(x_lu - x_dense) <= 1e-8 * np.linalg.norm(x_dense)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,6 @@ CFG_SMALL = {
     "mesh": {"genus": 2, "refinements": 1, "layout": "stored", "density": "hyperbolic"},
     "bundle": {"preset": "su2"},
     "seeds": [0, 1],
-    "adjoint_trials": 20,
-    "oracle_rhs": 5,
 }
 
 
@@ -194,6 +193,23 @@ def test_positivity_cmd(tmp_path, cfg_path):
     assert plot[0] == "norm_product\ttotal"
 
 
+@pytest.mark.parametrize("scale", ["mu_scale", "nu_scale"])
+def test_positivity_honours_tangent_scales(tmp_path, scale):
+    # term_a and term_b are quadratic in mu and in nu: doubling either
+    # scale multiplies every row by 4
+    rows = {}
+    for factor in (1.0, 2.0):
+        p = _write(tmp_path, {"tangent": {scale: factor}})
+        out = tmp_path / f"out{factor}"
+        r = run_cli("positivity", "--config", p, "--out", str(out))
+        assert r.returncode == 0, r.stdout + r.stderr
+        rows[factor] = json.loads((out / "report.json").read_text())["rows"]
+    for base, scaled in zip(rows[1.0], rows[2.0]):
+        assert scaled[0] == base[0]
+        for b, x in zip(base[1:], scaled[1:]):
+            assert abs(x - 4.0 * b) <= 1e-12 * abs(4.0 * b)
+
+
 def test_projector_derivative_cmd(tmp_path, cfg_path):
     out = tmp_path / "out"
     r = run_cli("projector-derivative", "--config", cfg_path, "--out", str(out))
@@ -205,6 +221,8 @@ def test_projector_derivative_cmd(tmp_path, cfg_path):
     assert len(lines) == 4
 
 
+# adjoint_trials and oracle_rhs are no longer config keys: whatever their
+# value, they are refused by name as unknown keys
 @pytest.mark.parametrize("field", ["dense_cap", "adjoint_trials", "oracle_rhs"])
 @pytest.mark.parametrize("value", ["big", 1.5, -1])
 def test_count_fields_must_be_positive_integers(tmp_path, field, value):
@@ -234,7 +252,7 @@ def test_typed_fields_exit_2(tmp_path, cmd, override, field):
 @pytest.mark.parametrize(
     "override, field",
     [
-        ({"tolerances": {"hermitian": float("inf")}}, "tolerances.hermitian"),
+        ({"tolerances": {"fd_error": float("inf")}}, "tolerances.fd_error"),
         ({"tolerances": {"oracle": True}}, "tolerances.oracle"),
         ({"tangent": {"nu_scale": None}}, "tangent.nu_scale"),
         ({"bundle": {"preset": "trivial", "n": 0}}, "bundle.n"),
@@ -248,6 +266,32 @@ def test_typed_fields_rejected_by_load_config(tmp_path, override, field):
 
     with pytest.raises(ConfigError, match=field.replace(".", r"\.")):
         load_config(_write(tmp_path, override))
+
+
+@pytest.mark.parametrize(
+    "override, key",
+    [
+        ({"seed": [5]}, "seed"),
+        ({"mesh": {"genera": 3}}, "mesh.genera"),
+        ({"bundle": {"d": 3}}, "bundle.d"),
+        ({"tolerances": {"projectr": 1e-30}}, "tolerances.projectr"),
+        ({"tangent": {"mu": 2.0}}, "tangent.mu"),
+    ],
+)
+def test_unknown_keys_rejected_at_every_level(tmp_path, override, key):
+    from modulilab.cli import ConfigError, load_config
+
+    with pytest.raises(ConfigError, match=f"unknown config key {re.escape(key)}$"):
+        load_config(_write(tmp_path, override))
+
+
+def test_unknown_key_exits_2(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"tolerances": {"projectr": 1e-30}, "seed": [5], "adjoint_trials": 7}))
+    r = run_cli("check-operators", "--config", str(p), "--out", str(tmp_path / "out"))
+    assert r.returncode == 2, r.stderr
+    assert "unknown config key" in r.stderr and "Traceback" not in r.stderr
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_valid_typed_fields_load(tmp_path):
@@ -316,7 +360,15 @@ def test_shipped_configs_smoke(tmp_path, config, cmd):
         assert kahler["pass"] and kahler["value"] <= 1e-12
 
 
-def test_benchmark_tracer_runs_positivity(tmp_path):
+TRACED_SPANS = {
+    "positivity": {"cli.cmd_positivity", "variation.positivity_certificate"},
+    "check-operators": {"cli.cmd_check_operators", "oracle.certify_operators", "oracle.materialize"},
+    "projector-derivative": {"cli.cmd_projector_derivative", "oracle.projector_derivative_sweep"},
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(TRACED_SPANS))
+def test_benchmark_tracer_runs(tmp_path, cmd):
     # the benchmark tracer imports each layer module by name and wraps its
     # public functions; a missing module or a broken wrapper fails here
     root = Path(__file__).resolve().parents[1]
@@ -325,10 +377,13 @@ def test_benchmark_tracer_runs_positivity(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
     r = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "trace_cli.py"), str(spans), "positivity",
+        [sys.executable, str(root / "perfbench" / "trace_cli.py"), str(spans), cmd,
          "--config", cfg, "--out", str(tmp_path / "out")],
         capture_output=True, text=True, cwd=root, env=env,
     )
     assert r.returncode == 0, r.stdout + r.stderr
-    names = {span[0] for span in json.loads(spans.read_text())["spans"]}
-    assert {"cli.cmd_positivity", "variation.positivity_certificate"} <= names
+    traced = json.loads(spans.read_text())["spans"]
+    assert TRACED_SPANS[cmd] <= {span[0] for span in traced}
+    # the tracer reads the column count of every materialized operator
+    columns = [span[4] for span in traced if span[0] == "oracle.materialize"]
+    assert all(extras and extras["columns"] > 0 for extras in columns)

@@ -1,12 +1,18 @@
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import modulilab
 from modulilab import bundle as bnd
 from modulilab import oracle
-from modulilab._complexes import ad, ad_star
+from modulilab._complexes import DolbeaultComplex, ad, ad_star
 from modulilab.bundle import Scene
+from modulilab.cli import DEFAULTS
 from modulilab.surface import equip_conformal, refine
-from conftest import p1_dbar, random_cochain
+from conftest import dense_delta0_inverse, p1_dbar, random_cochain
 
 
 def scalar_complex(S):
@@ -72,17 +78,17 @@ def test_rank1_trivial_equals_scalar_entrywise(surf_hyp_r1, fan2_r1):
 
 def test_restricted_inverse_dense(su2_scene_r1, rng):
     lap = oracle.materialize("laplacian", su2_scene_r1)
-    inv = oracle.restricted_inverse_dense(lap)
     cx = su2_scene_r1.endo
+    inv = dense_delta0_inverse(cx)
     K = cx.kernel
     proj = np.eye(lap.matrix.shape[0]) - K @ (K.conj().T * cx.w0[None, :])
-    assert np.linalg.norm(lap.matrix @ inv.matrix - proj, 2) <= 1e-10
-    assert oracle.kernel_dimension_dense(lap) == bnd.is_irreducible(su2_scene_r1.cocycle)[1]
+    assert np.linalg.norm(lap.matrix @ inv - proj, 2) <= 1e-10
+    assert oracle.DenseFrame(cx).kernel.shape[1] == bnd.is_irreducible(su2_scene_r1.cocycle)[1]
     # cross-path agreement with the factorized solver
     worst = 0.0
     for _ in range(20):
         h = random_cochain(rng, cx.n_vertices, 2, "vertex").values.reshape(-1)
-        x_dense = inv.matrix @ h
+        x_dense = inv @ h
         x_lu, _ = cx.delta0_solve(h)
         worst = max(worst, np.linalg.norm(x_dense - x_lu) / np.linalg.norm(x_dense))
     assert worst <= 1e-8
@@ -101,12 +107,9 @@ def test_closed_form_kernels_match_dense(fan2, refinements, builder):
     K = cx.kernel
     lap = cx.laplacian
     assert np.linalg.norm(lap @ K) <= 1e-12 * abs(lap).max() * np.linalg.norm(K)
-    dense = oracle.DenseOperator(cx.laplacian.toarray(), {}, {}, cx.w0, cx.w0)
-    assert oracle.kernel_dimension_dense(dense) == K.shape[1] == 1
-    s = np.sqrt(cx.w0)
-    Ssym = (dense.matrix / s[None, :]) * s[:, None]
-    _, U = np.linalg.eigh(0.5 * (Ssym + Ssym.conj().T))
-    overlap = abs(np.vdot(U[:, 0], s * K[:, 0]))
+    frame = oracle.DenseFrame(cx)
+    assert frame.kernel.shape[1] == K.shape[1] == 1
+    overlap = abs(np.vdot(frame.kernel[:, 0], np.sqrt(cx.w0) * K[:, 0]))
     assert abs(overlap - 1.0) <= 1e-10
 
 
@@ -115,6 +118,76 @@ def test_dense_cap(su2_scene_r1):
         oracle.materialize("dbar", su2_scene_r1, dense_cap=10)
     with pytest.raises(oracle.DenseCapError):
         oracle.harmonic_basis(su2_scene_r1.endo, dense_cap=10)
+    with pytest.raises(oracle.DenseCapError):
+        oracle.certify_operators(su2_scene_r1, dense_cap=10)
+
+
+def test_certify_operators_values(su2_scene_r1):
+    dense = oracle.certify_operators(su2_scene_r1)
+    for name in (
+        "adjointness_residual",
+        "projector_idempotent",
+        "projector_self_adjoint",
+        "projector_annihilates_dbar",
+        "delta0_factorized_vs_dense",
+    ):
+        assert 0.0 <= dense[name] <= 1e-12, name
+    assert dense["kernel_dim"] == 1
+    assert dense["harmonic_nu_dim"] == oracle.harmonic_basis(su2_scene_r1.endo).shape[1]
+
+
+# Each rewritten check must see a break of the operator it certifies: a
+# fresh scene (its own complexes), one operator broken, and the matching
+# value over its gate.
+TOLS = DEFAULTS["tolerances"]
+
+
+def test_certify_detects_scaled_delta0_solve(monkeypatch, surf_hyp_r1, su2_r1):
+    solve = DolbeaultComplex.delta0_solve
+
+    def scaled(self, h):
+        x, stats = solve(self, h)
+        return x * (1.0 + 1e-6), stats
+
+    monkeypatch.setattr(DolbeaultComplex, "delta0_solve", scaled)
+    dense = oracle.certify_operators(Scene(surf_hyp_r1, su2_r1))
+    assert dense["delta0_factorized_vs_dense"] > TOLS["oracle"]
+
+
+def test_certify_detects_perturbed_dbar_star(surf_hyp_r1, su2_r1):
+    scene = Scene(surf_hyp_r1, su2_r1)
+    cx = scene.endo
+    # the Laplacian is built first, from the intact dbar*, so that the
+    # solves stay exact and only the adjoint is broken
+    cx.laplacian
+    cx.dbar_star.data[0] *= 1.0 + 1e-6  # dbar* is built once and kept
+    assert oracle.certify_operators(scene)["adjointness_residual"] > TOLS["adjointness"]
+
+
+def test_certify_detects_identity_projection(monkeypatch, surf_hyp_r1, su2_r1):
+    monkeypatch.setattr(DolbeaultComplex, "harmonic_project", lambda self, alpha: alpha.copy())
+    dense = oracle.certify_operators(Scene(surf_hyp_r1, su2_r1))
+    assert dense["projector_annihilates_dbar"] > TOLS["projector"]
+
+
+def test_dense_algebra_only_in_oracle():
+    # dense linear algebra is the independent ground truth and lives in
+    # oracle.py alone; bundle._commutant works on the n^2 x n^2 fiber
+    # Gram matrix, not on a mesh-sized one, and bundle cannot import oracle
+    src = Path(modulilab.__file__).parent
+    words = re.compile(r"toarray\(|\b(eigh|svd|pinv)\b|scipy\.linalg")
+    hits = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "oracle.py":
+            continue
+        text = path.read_text()
+        if path.name == "bundle.py":
+            tree = ast.parse(text)
+            (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_commutant"]
+            lines = text.splitlines()
+            text = "\n".join(lines[: fn.lineno - 1] + lines[fn.end_lineno :])
+        hits += [f"{path.name}: {line.strip()}" for line in text.splitlines() if words.search(line)]
+    assert hits == []
 
 
 @pytest.mark.parametrize(
