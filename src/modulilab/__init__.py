@@ -19,12 +19,10 @@ from .calculus import Beltrami
 from .tangent import TangentVector, ks_center, random_tangent
 from .variation import (
     VariationReport,
+    QuadrupleReport,
     metric_g,
     first_variation,
     evaluate_quadruple,
-    second_variation_universal,
-    second_variation_fibered,
-    difference_report,
     positivity_certificate,
 )
 
@@ -47,11 +45,9 @@ __all__ = [
     "ks_center",
     "random_tangent",
     "VariationReport",
+    "QuadrupleReport",
     "metric_g",
     "first_variation",
     "evaluate_quadruple",
-    "second_variation_universal",
-    "second_variation_fibered",
-    "difference_report",
     "positivity_certificate",
 ]

@@ -20,9 +20,10 @@ import click
 import numpy as np
 
 from . import bundle as bnd
-from . import oracle, variation
+from . import conventions, oracle, variation
 from ._complexes import kahler_residual
 from .bundle import Scene, trivial_cocycle, su2_preset, load_cocycle
+from .calculus import ip_beltrami
 from .surface import (
     build_polygon_gluing,
     equip_conformal,
@@ -74,7 +75,9 @@ def _merge(base: dict, override: dict, prefix: str = "") -> dict:
     return out
 
 
-def load_config(path, **cli_overrides) -> dict:
+def load_config(path, seed=None, out=None) -> dict:
+    """The config at ``path`` laid over DEFAULTS; ``seed`` and ``out``
+    (the --seed and --out flags) override ``seeds`` and ``out``."""
     cfg = copy.deepcopy(DEFAULTS)
     if path is not None:
         try:
@@ -85,19 +88,10 @@ def load_config(path, **cli_overrides) -> dict:
         if not isinstance(user, dict):
             raise ConfigError("config must be a JSON object")
         cfg = _merge(cfg, user)
-    for key, val in cli_overrides.items():
-        if val is None:
-            continue
-        if key == "seed":
-            cfg["seeds"] = [int(val)]
-        elif key == "density":
-            cfg = _merge(cfg, {"mesh": {"density": val}})
-        elif key == "dense_cap":
-            cfg["dense_cap"] = int(val)
-        elif key == "tol":
-            cfg = _merge(cfg, {"tolerances": {"projector": float(val), "oracle": float(val)}})
-        elif key == "out":
-            cfg["out"] = val
+    if seed is not None:
+        cfg["seeds"] = [seed]
+    if out is not None:
+        cfg["out"] = out
     for key in ("mesh", "bundle", "tolerances", "tangent"):
         if not isinstance(cfg[key], dict):
             raise ConfigError(f"{key} must be a JSON object, got {cfg[key]!r}")
@@ -151,26 +145,23 @@ def _fd_gate_step(steps):
 
 def build_scene(cfg: dict) -> Scene:
     """The scene of a config: mesh, conformal surface and cocycle."""
-    mcfg = cfg["mesh"]
-    if mcfg.get("file"):
-        mesh = load_mesh(mcfg["file"])
+    mcfg, bcfg = cfg["mesh"], cfg["bundle"]
+    mesh = load_mesh(mcfg["file"]) if mcfg["file"] else build_polygon_gluing(mcfg["genus"])
+    if bcfg["generator_file"]:
+        c0 = load_cocycle(mesh, bcfg["generator_file"])
+    elif bcfg["preset"] == "su2":
+        c0 = su2_preset(mesh)
+    elif bcfg["preset"] == "trivial":
+        c0 = trivial_cocycle(mesh, bcfg["n"] or 1)
     else:
-        mesh = build_polygon_gluing(int(mcfg["genus"]))
-    cocycle_mesh = mesh
-    bcfg = cfg["bundle"]
-    if bcfg.get("generator_file"):
-        c0 = load_cocycle(cocycle_mesh, bcfg["generator_file"])
-    elif bcfg.get("preset") == "su2":
-        c0 = su2_preset(cocycle_mesh)
-    elif bcfg.get("preset") == "trivial":
-        c0 = trivial_cocycle(cocycle_mesh, bcfg.get("n") or 1)
-    else:
-        raise ConfigError(f"unknown bundle preset {bcfg.get('preset')!r}")
-    for _ in range(int(mcfg.get("refinements", 0))):
+        raise ConfigError(f"unknown bundle preset {bcfg['preset']!r}")
+    if bcfg["n"] is not None and bcfg["n"] != c0.rank:
+        raise ConfigError(f"bundle.n is {bcfg['n']}, but the configured cocycle has rank {c0.rank}")
+    for _ in range(mcfg["refinements"]):
         child = refine(mesh)
         c0 = bnd.refine_cocycle(c0, child)
         mesh = child
-    S = equip_conformal(mesh, layout=mcfg.get("layout", "stored"), density=mcfg.get("density", "uniform"))
+    S = equip_conformal(mesh, layout=mcfg["layout"], density=mcfg["density"])
     return Scene(S, c0)
 
 
@@ -214,11 +205,6 @@ def _common_options(fn):
     fn = click.option("--config", "config_path", type=click.Path(), default=None)(fn)
     fn = click.option("--seed", type=int, default=None)(fn)
     fn = click.option("--out", type=click.Path(), default=None)(fn)
-    fn = click.option("--dense-cap", type=int, default=None)(fn)
-    fn = click.option("--tol", type=float, default=None)(fn)
-    fn = click.option(
-        "--density", type=click.Choice(["uniform", "hyperbolic"]), default=None
-    )(fn)
     return fn
 
 
@@ -232,9 +218,9 @@ def _config_errors(*errors):
         sys.exit(2)
 
 
-def _load(config_path, **kw) -> dict:
+def _load(config_path, seed, out) -> dict:
     with _config_errors(ConfigError):
-        return load_config(config_path, **kw)
+        return load_config(config_path, seed=seed, out=out)
 
 
 def _scene(cfg: dict):
@@ -247,10 +233,10 @@ def _scene(cfg: dict):
 
 @main.command("check-operators")
 @_common_options
-def cmd_check_operators(config_path, seed, out, dense_cap, tol, density):
+def cmd_check_operators(config_path, seed, out):
     """Operator invariant suite: adjointness, the Kaehler identity,
     projector algebra, kernel dimensions, oracle equivalence."""
-    cfg = _load(config_path, seed=seed, out=out, dense_cap=dense_cap, tol=tol, density=density)
+    cfg = _load(config_path, seed, out)
     scene = _scene(cfg)
     S, c = scene.surface, scene.cocycle
     tols = cfg["tolerances"]
@@ -294,57 +280,51 @@ def _tangent(cfg, scene, seed):
 
 
 def _sample_reports(cfg, scene, seed):
+    """The quadruple report of a seed: tangents seeded 10 seed + i."""
     vs = [_tangent(cfg, scene, seed * 10 + i) for i in range(4)]
-    return (seed, *variation.evaluate_quadruple(*vs, scene))
+    return variation.evaluate_quadruple(*vs, scene)
 
 
 @main.command("second-variation")
 @_common_options
-def cmd_second_variation(config_path, seed, out, dense_cap, tol, density):
-    """Sample harmonic tangent quadruples; emit both coordinate-system
-    reports and the difference report per sample."""
-    cfg = _load(config_path, seed=seed, out=out, dense_cap=dense_cap, tol=tol, density=density)
+def cmd_second_variation(config_path, seed, out):
+    """Sample harmonic tangent quadruples; emit both coordinate systems
+    and their difference per sample."""
+    cfg = _load(config_path, seed, out)
     scene = _scene(cfg)
     tols = cfg["tolerances"]
-    results = [_sample_reports(cfg, scene, int(s)) for s in cfg["seeds"]]
+    results = [(s, _sample_reports(cfg, scene, s)) for s in cfg["seeds"]]
     checks = []
     samples = []
     os.makedirs(cfg["out"], exist_ok=True)
     with open(os.path.join(cfg["out"], "terms.csv"), "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["seed", "system", "term", "re", "im"])
-        for s, uni, fib, diff in results:
-            for rep in (uni, fib, diff):
+        for s, quad in results:
+            for rep in quad.systems:
                 for name, val in rep.terms:
                     wr.writerow([s, rep.coordinate_system, name, repr(val.real), repr(val.imag)])
+            uni, fib, diff = quad.systems
             recon = abs(diff.total - (uni.total - fib.total))
             scale = max(abs(uni.total), abs(fib.total), 1.0)
             checks.append(_check(f"difference_reconciles_seed{s}", recon / scale, tols["difference"]))
-            samples.append(
-                {
-                    "seed": s,
-                    "universal": uni.to_json_dict(),
-                    "fibered": fib.to_json_dict(),
-                    "difference": diff.to_json_dict(),
-                }
-            )
-    sys.exit(_finish(cfg["out"], "second-variation", checks, {"samples": samples}))
+            samples.append({"seed": s, **quad.to_json_dict()})
+    extra = {"conventions_digest": conventions.digest(scene.surface.density_policy), "samples": samples}
+    sys.exit(_finish(cfg["out"], "second-variation", checks, extra))
 
 
 @main.command("positivity")
 @_common_options
-def cmd_positivity(config_path, seed, out, dense_cap, tol, density):
+def cmd_positivity(config_path, seed, out):
     """Positivity certificate over seeded samples, with CSV and plot data."""
-    cfg = _load(config_path, seed=seed, out=out, dense_cap=dense_cap, tol=tol, density=density)
+    cfg = _load(config_path, seed, out)
     scene = _scene(cfg)
-    S = scene.surface
-    seeds = [int(s) for s in cfg["seeds"]]
     rows = []
-    for s in seeds:
+    for s in cfg["seeds"]:
         v = _tangent(cfg, scene, s)
         a, b, total = variation.positivity_certificate(v.mu, v.nu, scene)
-        mu_norm = float(np.sqrt(np.sum(S.density * S.area * np.abs(v.mu.values) ** 2)))
-        nu_norm = float(np.sqrt(abs(np.sum(2.0 * S.area * np.einsum("fab,fab->f", v.nu.values, np.conj(v.nu.values))))))
+        mu_norm = math.sqrt(ip_beltrami(v.mu, v.mu, scene.surface).real)
+        nu_norm = math.sqrt(np.sum(scene.endo.w1 * np.abs(v.nu.values.reshape(-1)) ** 2))
         rows.append((s, a, b, total, mu_norm * nu_norm))
     os.makedirs(cfg["out"], exist_ok=True)
     with open(os.path.join(cfg["out"], "positivity.csv"), "w", newline="") as fh:
@@ -365,9 +345,9 @@ def cmd_positivity(config_path, seed, out, dense_cap, tol, density):
 
 @main.command("projector-derivative")
 @_common_options
-def cmd_projector_derivative(config_path, seed, out, dense_cap, tol, density):
+def cmd_projector_derivative(config_path, seed, out):
     """Finite-difference projector-derivative identity over step sizes."""
-    cfg = _load(config_path, seed=seed, out=out, dense_cap=dense_cap, tol=tol, density=density)
+    cfg = _load(config_path, seed, out)
     scene = _scene(cfg)
     tols = cfg["tolerances"]
     steps = [float(h) for h in cfg["fd_steps"]]

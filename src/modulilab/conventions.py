@@ -25,9 +25,6 @@ can drift against another.  The table:
 
 from __future__ import annotations
 
-import hashlib
-import json
-
 STAR_DZ = -1j
 STAR_DZBAR = 1j
 
@@ -46,9 +43,10 @@ AD_STAR_CALIBRATION = -1.0
 GAUGE_SOURCE_CALIBRATION = 1.0
 
 
-def digest(density_policy: str = "unspecified", **extra: object) -> dict:
-    """Conventions record embedded in every report."""
-    d = {
+def digest(density_policy: str) -> dict:
+    """Conventions record, written once at the top of the
+    ``second-variation`` report."""
+    return {
         "star_dz": "-i",
         "star_dzbar": "+i",
         "wedge_area_factor": WEDGE_AREA_FACTOR,
@@ -62,10 +60,3 @@ def digest(density_policy: str = "unspecified", **extra: object) -> dict:
         "mu4_terms": "exact Hermitian mirrors of the mu3 terms",
         "density_policy": density_policy,
     }
-    d.update(extra)
-    return d
-
-
-def digest_hash(d: dict) -> str:
-    blob = json.dumps(d, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]

@@ -82,12 +82,6 @@ class HalfEdgeMesh:
     def head(self, h: int) -> int:
         return int(self.origin[self.next_he(h)])
 
-    def face_of(self, h: int) -> int:
-        return h // 3
-
-    def face_half_edges(self, f: int) -> tuple[int, int, int]:
-        return (3 * f, 3 * f + 1, 3 * f + 2)
-
     def face_vertices(self, f: int) -> tuple[int, int, int]:
         return (int(self.origin[3 * f]), int(self.origin[3 * f + 1]), int(self.origin[3 * f + 2]))
 

@@ -45,30 +45,49 @@ class VariationInputError(Exception):
 
 @dataclass(frozen=True)
 class VariationReport:
+    """One coordinate system's view of a quadruple: its named terms and
+    their sum."""
+
     coordinate_system: str
     terms: tuple  # ((name, complex), ...)
-    total: complex
-    inputs: dict  # norms of the four slots plus a content digest
-    conventions_digest: dict
-    solver_stats: tuple
 
     @property
-    def inputs_digest(self) -> str:
-        return self.inputs["digest"]
+    def total(self) -> complex:
+        return complex(sum(val for _, val in self.terms))
 
     def to_json_dict(self) -> dict:
+        total = self.total
         return {
-            "system": self.coordinate_system,
             "terms": [
                 {"name": name, "re": float(val.real), "im": float(val.imag)}
                 for name, val in self.terms
             ],
-            "total": {"re": float(self.total.real), "im": float(self.total.imag)},
-            "inputs_digest": self.inputs["digest"],
-            "inputs_manifest": {k: v for k, v in self.inputs.items() if k != "digest"},
-            "conventions_digest": self.conventions_digest,
-            "solver_stats": list(self.solver_stats),
+            "total": {"re": float(total.real), "im": float(total.imag)},
         }
+
+
+@dataclass(frozen=True)
+class QuadrupleReport:
+    """The three systems of one tangent quadruple, with the inputs (the
+    norms of the four slots plus a content digest) and the nine labelled
+    solver stats that all three share."""
+
+    universal: VariationReport
+    fibered: VariationReport
+    difference: VariationReport
+    inputs: dict
+    solver_stats: tuple
+
+    @property
+    def systems(self) -> tuple[VariationReport, VariationReport, VariationReport]:
+        return self.universal, self.fibered, self.difference
+
+    def to_json_dict(self) -> dict:
+        d = {rep.coordinate_system: rep.to_json_dict() for rep in self.systems}
+        d["inputs_digest"] = self.inputs["digest"]
+        d["inputs_manifest"] = {k: v for k, v in self.inputs.items() if k != "digest"}
+        d["solver_stats"] = list(self.solver_stats)
+        return d
 
 
 def _inputs_digest(arrays) -> str:
@@ -106,9 +125,6 @@ class _Workspace:
 
     def dhol(self, vert: np.ndarray) -> np.ndarray:
         return self._mat(self.cx.dhol @ vert.reshape(-1), "f")
-
-    def dbar(self, vert: np.ndarray) -> np.ndarray:
-        return self._mat(self.cx.dbar @ vert.reshape(-1), "f")
 
     def dbar_star(self, form: np.ndarray) -> np.ndarray:
         return self._mat(self.cx.dbar_star @ form.reshape(-1), "v")
@@ -155,10 +171,6 @@ class _Workspace:
         src *= conventions.GAUGE_SOURCE_CALIBRATION / rho[:, None, None]
         lifted = lift_to_vertices(self.cx, src)
         return self.solve(lifted, label)
-
-    def ad_of(self, g_vert: np.ndarray, form: np.ndarray) -> np.ndarray:
-        """[B g, form] = -ad(form) g."""
-        return -ad(self.cx, form, g_vert)
 
 
 def _check_inputs(scene: Scene, vectors, need_harmonic: bool):
@@ -233,7 +245,8 @@ def _universal_terms(ws: _Workspace, v1, v2, v3, v4) -> list:
     y_m4 = ws.solve(ws.dbar_star(mu4[:, None, None] * ct(nu1)), "opvar_mu4")
     terms = [
         ("opvar_proj", ws.pair(ws.dD(v1, y_xi), ct(nu4))),
-        ("gauge_ad", ws.pair(ws.ad_of(G12, nu3), ct(nu4))),
+        # [B G12, nu3] = -ad(nu3) G12
+        ("gauge_ad", ws.pair(-ad(ws.cx, nu3, G12), ct(nu4))),
         ("density_cross", -ws.pair((mu1 * np.conj(mu2))[:, None, None] * nu3, ct(nu4))),
         ("opvar_mu3", ws.pair(ws.dD(v1, y_m3), ct(nu4))),
         ("gauge_mu3", ws.pair(mu3[:, None, None] * ws.dhol(G12), ct(nu4))),
@@ -266,36 +279,29 @@ def _fibered_extra_terms(ws: _Workspace, v1, v2, v3, v4) -> list:
 _REMOVED_IN_FIBERED = ("cross_mu3", "cross_mu4")
 
 
-def _report(system, terms, stats, S, inputs) -> VariationReport:
-    return VariationReport(
-        coordinate_system=system,
-        terms=tuple(terms),
-        total=complex(sum(val for _, val in terms)),
-        inputs=inputs,
-        conventions_digest=conventions.digest(S.density_policy),
-        solver_stats=tuple(stats),
-    )
-
-
 def evaluate_quadruple(
     v1: TangentVector,
     v2: TangentVector,
     v3: TangentVector,
     v4: TangentVector,
     scene: Scene,
-) -> tuple[VariationReport, VariationReport, VariationReport]:
-    """Universal, fibered and difference reports of one tangent quadruple.
+) -> QuadrupleReport:
+    """Mixed second derivative of the metric in both coordinate systems,
+    and their difference, for one tangent quadruple.
 
-    The ten universal and four fibered-only terms are evaluated once, with
-    one solve per term label (nine), and each report is a view of that
-    term table.  The universal report carries the stats of its five
-    solves; the fibered and difference reports those of all nine.
+    The ten universal (joint-coordinate) and four fibered-only terms are
+    evaluated once, with one solve per term label (nine), and the three
+    systems are views of that term table.  The fibered system drops the
+    two cross terms and adds the four solve-based integrals; the
+    difference (universal minus fibered) lists the removed cross terms
+    with plus sign and the four new terms with minus.  Every total is
+    C-linear in slots 1 and 3, conjugate-linear in slots 2 and 4, and
+    Hermitian under (1<->2, 3<->4) with conjugation.
     """
     vectors = (v1, v2, v3, v4)
     _check_inputs(scene, vectors, need_harmonic=True)
     ws = _Workspace(scene)
     universal = _universal_terms(ws, *vectors)
-    n_universal = len(ws.stats)
     extra = _fibered_extra_terms(ws, *vectors)
     inputs = {
         "digest": _inputs_digest([v.mu.values for v in vectors] + [v.nu.values for v in vectors]),
@@ -305,55 +311,15 @@ def evaluate_quadruple(
     }
     table = dict(universal)
     fibered = [(name, val) for name, val in universal if name not in _REMOVED_IN_FIBERED] + extra
-    # universal minus fibered: the removed cross terms with plus sign, the
-    # four fibered-only terms with minus
     difference = [(f"removed_{name}", table[name]) for name in _REMOVED_IN_FIBERED]
     difference += [(f"added_{name}", -val) for name, val in extra]
-    return (
-        _report("universal", universal, ws.stats[:n_universal], ws.S, inputs),
-        _report("fibered", fibered, ws.stats, ws.S, inputs),
-        _report("difference", difference, ws.stats, ws.S, inputs),
+    return QuadrupleReport(
+        universal=VariationReport("universal", tuple(universal)),
+        fibered=VariationReport("fibered", tuple(fibered)),
+        difference=VariationReport("difference", tuple(difference)),
+        inputs=inputs,
+        solver_stats=tuple(ws.stats),
     )
-
-
-def second_variation_universal(
-    v1: TangentVector,
-    v2: TangentVector,
-    v3: TangentVector,
-    v4: TangentVector,
-    scene: Scene,
-) -> VariationReport:
-    """Mixed second derivative of the metric, joint-coordinate system.
-
-    Ten named terms; C-linear in slots 1 and 3, conjugate-linear in
-    slots 2 and 4; Hermitian under (1<->2, 3<->4) with conjugation.
-    """
-    return evaluate_quadruple(v1, v2, v3, v4, scene)[0]
-
-
-def second_variation_fibered(
-    v1: TangentVector,
-    v2: TangentVector,
-    v3: TangentVector,
-    v4: TangentVector,
-    scene: Scene,
-) -> VariationReport:
-    """Mixed second derivative in the fibered coordinate system: the
-    shared terms evaluated by the same code path, minus the two cross
-    terms, plus four new solve-based integrals."""
-    return evaluate_quadruple(v1, v2, v3, v4, scene)[1]
-
-
-def difference_report(
-    v1: TangentVector,
-    v2: TangentVector,
-    v3: TangentVector,
-    v4: TangentVector,
-    scene: Scene,
-) -> VariationReport:
-    """Universal minus fibered as a signed term list: the two removed
-    cross terms enter with plus sign, the four new terms with minus."""
-    return evaluate_quadruple(v1, v2, v3, v4, scene)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +336,8 @@ def positivity_certificate(
 
     term_a = <Delta0^{-1} h, h> with h = d*(mu2-bar nu1) (PSD solve);
     term_b = sum 2 A |mu2|^2 |nu1|^2.  Their sum equals the difference
-    report's total on the restriction nu4 = nu1, mu3 = mu2, rest zero.
+    total of ``evaluate_quadruple`` on the restriction nu4 = nu1,
+    mu3 = mu2, rest zero.
     """
     if nu1.degree != (0, 1) or nu1.rank != scene.cocycle.rank:
         raise VariationInputError("nu1 must be a (0,1) cochain of the cocycle rank")

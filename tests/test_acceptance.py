@@ -106,12 +106,11 @@ def test_criterion_05_second_variation_structure(su2_scene):
     worst_herm = 0.0
     for k in range(50):
         vs = [random_tangent(su2_scene, seed=1000 + 4 * k + i) for i in range(4)]
-        sw = [vs[1], vs[0], vs[3], vs[2]]
-        for fn in (var.second_variation_universal, var.second_variation_fibered):
-            rep = fn(*vs, su2_scene)
+        q = var.evaluate_quadruple(*vs, su2_scene)
+        q_sw = var.evaluate_quadruple(vs[1], vs[0], vs[3], vs[2], su2_scene)
+        for rep, rep_sw in ((q.universal, q_sw.universal), (q.fibered, q_sw.fibered)):
             ssum = complex(sum(v for _, v in rep.terms))
             worst_sum = max(worst_sum, abs(rep.total - ssum) / max(abs(ssum), 1.0))
-            rep_sw = fn(*sw, su2_scene)
             worst_herm = max(
                 worst_herm,
                 abs(rep.total - np.conj(rep_sw.total)) / max(abs(rep.total), 1e-8),
@@ -126,9 +125,7 @@ def test_criterion_05_second_variation_structure(su2_scene):
 
 def test_criterion_06_coordinate_difference(su2_scene):
     vs = [random_tangent(su2_scene, seed=90 + i) for i in range(4)]
-    uni = var.second_variation_universal(*vs, su2_scene)
-    fib = var.second_variation_fibered(*vs, su2_scene)
-    dif = var.difference_report(*vs, su2_scene)
+    uni, fib, dif = var.evaluate_quadruple(*vs, su2_scene).systems
     scale = max(abs(uni.total), abs(fib.total), 1.0)
     recon = abs(dif.total - (uni.total - fib.total)) / scale
     systems_differ = abs(dif.total) > 1e-6 * scale  # third-order disagreement is real
@@ -144,7 +141,7 @@ def test_criterion_06_coordinate_difference(su2_scene):
         mu2 = random_tangent(su2_scene, seed=5001 + 2 * k).mu
         v1 = TangentVector(zmu, nu1, harmonic=True)
         v2 = TangentVector(mu2, znu, harmonic=True)
-        d = var.difference_report(v1, v2, v2, v1, su2_scene)
+        d = var.evaluate_quadruple(v1, v2, v2, v1, su2_scene).difference
         worst_imag = max(worst_imag, abs(d.total.imag) / max(abs(d.total.real), 1e-30))
         all_positive = all_positive and d.total.real > 0.0
     ok = (
@@ -177,7 +174,7 @@ def test_criterion_07_positivity_decomposition(su2_scene):
         sign_ok = sign_ok and a >= -1e-12 * max(abs(total), 1.0) and b > 0.0
         v1 = TangentVector(zmu, nu1, harmonic=True)
         v2 = TangentVector(mu2, znu, harmonic=True)
-        d = var.difference_report(v1, v2, v2, v1, su2_scene)
+        d = var.evaluate_quadruple(v1, v2, v2, v1, su2_scene).difference
         worst_recon = max(worst_recon, abs(d.total - total) / max(abs(total), 1.0))
     ok = sign_ok and worst_recon <= 1e-10
     assert _line(
@@ -201,8 +198,8 @@ def test_criterion_08_projector_derivative(su2_scene_r1):
 
 def test_criterion_09_rank1_mu_zero_vanishing(triv1_scene):
     vs = [random_tangent(triv1_scene, seed=i, mu_scale=0.0) for i in range(4)]
-    uni = var.second_variation_universal(*vs, triv1_scene)
-    fib = var.second_variation_fibered(*vs, triv1_scene)
+    q = var.evaluate_quadruple(*vs, triv1_scene)
+    uni, fib = q.universal, q.fibered
     worst = max(abs(v) for _, v in uni.terms + fib.terms)
     ok = worst <= 1e-12 and abs(uni.total) <= 1e-12 and abs(fib.total) <= 1e-12
     assert _line("9 rank-1 / mu=0 vanishing", ok, f"max |term| = {worst:.2e}")

@@ -74,9 +74,9 @@ def test_fd_steps_without_gated_step_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("cmd", ["check-operators", "projector-derivative"])
-def test_dense_cap_exceeded_exits_2(tmp_path, cfg_path, cmd):
+def test_dense_cap_exceeded_exits_2(tmp_path, cmd):
     out = tmp_path / "out"
-    r = run_cli(cmd, "--config", cfg_path, "--dense-cap", "10", "--out", str(out))
+    r = run_cli(cmd, "--config", _write(tmp_path, {"dense_cap": 10}), "--out", str(out))
     assert r.returncode == 2, r.stderr
     assert "dense_cap" in r.stderr and "Traceback" not in r.stderr
     assert not (out / "report.json").exists()
@@ -153,11 +153,20 @@ def test_second_variation_cmd_and_determinism(tmp_path, cfg_path):
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
     assert (out1 / "terms.csv").read_bytes() == (out2 / "terms.csv").read_bytes()
     rep = json.loads((out1 / "report.json").read_text())
-    assert len(rep["samples"]) == 2
+    # inputs, solver stats and conventions are written once; each system
+    # holds only its terms and total
+    assert set(rep) == {"checks", "command", "conventions_digest", "failures", "passed", "samples"}
+    assert rep["conventions_digest"]["density_policy"] == "hyperbolic"
+    assert [s["seed"] for s in rep["samples"]] == [0, 1]
     for s in rep["samples"]:
+        assert set(s) == {"seed", "universal", "fibered", "difference", "inputs_digest", "inputs_manifest", "solver_stats"}
+        for system in ("universal", "fibered", "difference"):
+            assert set(s[system]) == {"terms", "total"}
         assert len(s["universal"]["terms"]) == 10
         assert len(s["fibered"]["terms"]) == 12
         assert len(s["difference"]["terms"]) == 6
+        assert len(s["solver_stats"]) == 9
+        assert s["inputs_manifest"]["harmonic"] == [True] * 4
 
 
 def test_trivial_rank1_mu_zero_totals_vanish(tmp_path):
@@ -323,16 +332,55 @@ def test_cli_seed_solves_once_per_term(monkeypatch, tmp_path):
 
     monkeypatch.setattr(DolbeaultComplex, "delta0_solve", counted)
     monkeypatch.setattr(_complexes.spla, "splu", counted_splu)
-    _, uni, fib, diff = cli._sample_reports(cfg, scene, 3)
+    quad = cli._sample_reports(cfg, scene, 3)
     endo, tangent = scene.endo, scene.tangent
     assert len(calls) == 17
     assert calls.count(tangent) == 4 and calls.count(endo) == 13
     assert sorted(factored) == sorted(cx.w0.shape[0] + cx.kernel.shape[1] for cx in (endo, tangent))
-    assert all(st["factor_reused"] for st in fib.solver_stats)
-    labels = [st["term"] for st in fib.solver_stats]
-    assert len(set(labels)) == 9
-    assert [st["term"] for st in diff.solver_stats] == labels
-    assert [st["term"] for st in uni.solver_stats] == labels[:5]
+    assert all(st["factor_reused"] for st in quad.solver_stats)
+    # the five universal solves first, then the four fibered-only ones
+    assert [st["term"] for st in quad.solver_stats] == [
+        "gauge_12", "gauge_21", "opvar_proj", "opvar_mu3", "opvar_mu4",
+        "new_tei_mu3", "new_tei_mu4", "new_opvar_mu3_bar", "new_opvar_mu4_bar",
+    ]
+
+
+@pytest.mark.parametrize(
+    "bundle, rank",
+    [({"preset": "su2", "n": 3}, 2), ({"preset": "su2", "n": 1}, 2), ({"preset": "trivial", "n": 2}, None)],
+    ids=["su2-n3", "su2-n1", "trivial-n2"],
+)
+def test_bundle_n_must_match_cocycle_rank(tmp_path, bundle, rank):
+    # bundle.n is the rank; a value the cocycle does not have is refused,
+    # not ignored
+    r = run_cli("positivity", "--config", _write(tmp_path, {"bundle": bundle}), "--out", str(tmp_path / "out"))
+    if rank is None:
+        assert r.returncode == 0, r.stdout + r.stderr
+    else:
+        assert r.returncode == 2, r.stdout + r.stderr
+        assert "bundle.n" in r.stderr and f"rank {rank}" in r.stderr and "Traceback" not in r.stderr
+        assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_bundle_n_checked_against_generator_file(tmp_path):
+    from modulilab.bundle import save_cocycle, su2_preset
+    from modulilab.surface import build_polygon_gluing
+
+    gen = tmp_path / "su2.gen"
+    save_cocycle(su2_preset(build_polygon_gluing(2)), gen)
+    for n, code in ((2, 0), (4, 2)):
+        p = _write(tmp_path, {"bundle": {"generator_file": str(gen), "n": n}})
+        r = run_cli("positivity", "--config", p, "--out", str(tmp_path / f"out{n}"))
+        assert r.returncode == code, r.stdout + r.stderr
+    assert "bundle.n" in r.stderr
+
+
+def test_removed_flags_are_refused(tmp_path):
+    # the config keys are the one way to set tolerances, density and the
+    # dense cap
+    for flag, value in (("--tol", "1e-3"), ("--density", "uniform"), ("--dense-cap", "10")):
+        r = run_cli("check-operators", "--config", _write(tmp_path, {}), flag, value)
+        assert r.returncode == 2 and "No such option" in r.stderr, r.stderr
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -361,6 +409,12 @@ def test_shipped_configs_smoke(tmp_path, config, cmd):
 
 
 TRACED_SPANS = {
+    "second-variation": {
+        "cli.cmd_second_variation",
+        "cli._sample_reports",
+        "variation.evaluate_quadruple",
+        "_complexes.delta0_solve",
+    },
     "positivity": {"cli.cmd_positivity", "variation.positivity_certificate"},
     "check-operators": {"cli.cmd_check_operators", "oracle.certify_operators", "oracle.materialize"},
     "projector-derivative": {"cli.cmd_projector_derivative", "oracle.projector_derivative_sweep"},

@@ -90,48 +90,44 @@ def test_first_variation_hermitian_family(su2_scene):
 
 def test_report_sums_terms(su2_scene):
     vs = quad(su2_scene, 7)
-    for rep in (
-        var.second_variation_universal(*vs, su2_scene),
-        var.second_variation_fibered(*vs, su2_scene),
-    ):
+    for rep in var.evaluate_quadruple(*vs, su2_scene).systems:
         s = complex(sum(v for _, v in rep.terms))
         assert abs(rep.total - s) <= 1e-12 * max(abs(s), 1.0)
 
 
 def test_term_counts(su2_scene):
     vs = quad(su2_scene, 7)
-    uni = var.second_variation_universal(*vs, su2_scene)
-    fib = var.second_variation_fibered(*vs, su2_scene)
-    assert len(uni.terms) == 10
-    assert len(fib.terms) == 12
+    q = var.evaluate_quadruple(*vs, su2_scene)
+    assert [len(rep.terms) for rep in q.systems] == [10, 12, 6]
+    assert [rep.coordinate_system for rep in q.systems] == ["universal", "fibered", "difference"]
 
 
 def test_zero_inputs_zero(su2_scene):
     z = zero_tv(su2_scene)
-    rep = var.second_variation_universal(z, z, z, z, su2_scene)
-    assert rep.total == 0.0
+    q = var.evaluate_quadruple(z, z, z, z, su2_scene)
+    assert q.universal.total == 0.0
+    assert q.difference.total == 0.0
 
 
 def test_rank1_mu_zero_vanishes(triv1_scene):
     vs = quad(triv1_scene, 3, mu_scale=0.0)
-    uni = var.second_variation_universal(*vs, triv1_scene)
-    fib = var.second_variation_fibered(*vs, triv1_scene)
-    assert max(abs(v) for _, v in uni.terms + fib.terms) <= 1e-12
+    q = var.evaluate_quadruple(*vs, triv1_scene)
+    assert max(abs(v) for _, v in q.universal.terms + q.fibered.terms) <= 1e-12
 
 
 def test_hermitian_symmetry_both_systems(su2_scene):
     for seed in (0, 11):
         vs = quad(su2_scene, 200 + seed)
-        for fn in (var.second_variation_universal, var.second_variation_fibered):
-            a = fn(vs[0], vs[1], vs[2], vs[3], su2_scene).total
-            b = fn(vs[1], vs[0], vs[3], vs[2], su2_scene).total
+        q = var.evaluate_quadruple(vs[0], vs[1], vs[2], vs[3], su2_scene)
+        q_sw = var.evaluate_quadruple(vs[1], vs[0], vs[3], vs[2], su2_scene)
+        for a, b in ((q.universal.total, q_sw.universal.total), (q.fibered.total, q_sw.fibered.total)):
             assert abs(a - np.conj(b)) <= 1e-8 * max(abs(a), 1e-6)
 
 
 def test_shared_terms_equal(su2_scene):
     vs = quad(su2_scene, 5)
-    uni = dict(var.second_variation_universal(*vs, su2_scene).terms)
-    fib = dict(var.second_variation_fibered(*vs, su2_scene).terms)
+    q = var.evaluate_quadruple(*vs, su2_scene)
+    uni, fib = dict(q.universal.terms), dict(q.fibered.terms)
     shared = set(uni) & set(fib)
     assert len(shared) == 8
     scale = max(abs(v) for v in uni.values())
@@ -140,11 +136,10 @@ def test_shared_terms_equal(su2_scene):
 
 
 def test_evaluate_quadruple_matches_separate_evaluations(su2_scene):
-    # the three API calls, and each system recomputed on a workspace of
-    # its own as the term functions define it
+    # each system recomputed on a workspace of its own, as the term
+    # functions define it
     vs = quad(su2_scene, 17)
-    uni, fib, dif = var.evaluate_quadruple(*vs, su2_scene)
-    api = [f(*vs, su2_scene) for f in (var.second_variation_universal, var.second_variation_fibered, var.difference_report)]
+    q = var.evaluate_quadruple(*vs, su2_scene)
 
     def workspace_terms(extra):
         ws = var._Workspace(su2_scene)
@@ -160,26 +155,29 @@ def test_evaluate_quadruple_matches_separate_evaluations(su2_scene):
         [t for t in shared_f if t[0] not in removed] + extra_f,
         [(f"removed_{n}", v) for n, v in shared_d if n in removed] + [(f"added_{n}", -v) for n, v in extra_d],
     ]
-    for rep, other, terms in zip((uni, fib, dif), api, fresh):
+    for rep, terms in zip(q.systems, fresh):
         scale = max(abs(v) for _, v in rep.terms)
-        for ref in (dict(other.terms), dict(terms)):
-            assert [n for n, _ in rep.terms] == list(ref)
-            assert max(abs(v - ref[n]) for n, v in rep.terms) <= 1e-12 * scale
-        assert abs(rep.total - other.total) <= 1e-12 * scale
-        assert rep.inputs == other.inputs
-    assert [len(r.solver_stats) for r in (uni, fib, dif)] == [5, 9, 9]
+        ref = dict(terms)
+        assert [n for n, _ in rep.terms] == list(ref)
+        assert max(abs(v - ref[n]) for n, v in rep.terms) <= 1e-12 * scale
+    # one solve per term label: the five universal ones, then the four
+    # fibered-only ones
+    labels = [st["term"] for st in q.solver_stats]
+    assert labels[:5] == ["gauge_12", "gauge_21", "opvar_proj", "opvar_mu3", "opvar_mu4"]
+    assert labels[5:] == [name for name, _ in extra_f]
+    uni, fib, dif = q.systems
     assert dif.total == pytest.approx(uni.total - fib.total, rel=1e-12, abs=1e-12 * abs(uni.total))
 
 
 def test_multilinearity(su2_scene):
     vs = quad(su2_scene, 31)
     lam = 0.6 + 0.9j
-    base = var.second_variation_universal(*vs, su2_scene).total
+    base = var.evaluate_quadruple(*vs, su2_scene).universal.total
     expect = [lam, np.conj(lam), lam, np.conj(lam)]
     for slot in range(4):
         args = list(vs)
         args[slot] = scale_tv(args[slot], lam)
-        scaled = var.second_variation_universal(*args, su2_scene).total
+        scaled = var.evaluate_quadruple(*args, su2_scene).universal.total
         assert abs(scaled - expect[slot] * base) <= 1e-10 * abs(base)
 
 
@@ -187,17 +185,14 @@ def test_requires_harmonic_flag(su2_scene):
     vs = quad(su2_scene, 7)
     bad = TangentVector(vs[0].mu, vs[0].nu, harmonic=False)
     with pytest.raises(var.VariationInputError):
-        var.second_variation_universal(bad, vs[1], vs[2], vs[3], su2_scene)
+        var.evaluate_quadruple(bad, vs[1], vs[2], vs[3], su2_scene)
 
 
 def test_uniform_density_runs(surf_uni, fan2_r2):
     scene = Scene(surf_uni, bnd.trivial_cocycle(fan2_r2, 2))
     vs = quad(scene, 9)
-    uni = var.second_variation_universal(*vs, scene)
-    fib = var.second_variation_fibered(*vs, scene)
-    dif = var.difference_report(*vs, scene)
+    uni, fib, dif = var.evaluate_quadruple(*vs, scene).systems
     assert abs(dif.total - (uni.total - fib.total)) <= 1e-10 * max(abs(uni.total), 1.0)
-    assert uni.conventions_digest["density_policy"] == "uniform"
 
 
 # -- difference and positivity -------------------------------------------------
@@ -205,7 +200,7 @@ def test_uniform_density_runs(surf_uni, fan2_r2):
 
 def test_difference_bookkeeping(su2_scene):
     vs = quad(su2_scene, 13)
-    dif = var.difference_report(*vs, su2_scene)
+    dif = var.evaluate_quadruple(*vs, su2_scene).difference
     added = [n for n, _ in dif.terms if n.startswith("added_")]
     removed = [n for n, _ in dif.terms if n.startswith("removed_")]
     assert len(added) == 4 and len(removed) == 2
@@ -214,16 +209,14 @@ def test_difference_bookkeeping(su2_scene):
 def test_difference_reconciles(su2_scene):
     for seed in range(3):
         vs = quad(su2_scene, 400 + seed)
-        uni = var.second_variation_universal(*vs, su2_scene)
-        fib = var.second_variation_fibered(*vs, su2_scene)
-        dif = var.difference_report(*vs, su2_scene)
+        uni, fib, dif = var.evaluate_quadruple(*vs, su2_scene).systems
         scale = max(abs(uni.total), abs(fib.total), 1.0)
         assert abs(dif.total - (uni.total - fib.total)) <= 1e-10 * scale
 
 
 def test_difference_zero_inputs(su2_scene):
     z = zero_tv(su2_scene)
-    assert var.difference_report(z, z, z, z, su2_scene).total == 0.0
+    assert var.evaluate_quadruple(z, z, z, z, su2_scene).difference.total == 0.0
 
 
 def test_positivity_zero_inputs(su2_scene):
@@ -256,7 +249,7 @@ def test_positivity_matches_restricted_difference(su2_scene):
     znu = BundleCochain(np.zeros((F, 2, 2), dtype=complex), (0, 1))
     v1 = TangentVector(zmu, nu1, harmonic=True)
     v2 = TangentVector(mu2, znu, harmonic=True)
-    dif = var.difference_report(v1, v2, v2, v1, su2_scene)
+    dif = var.evaluate_quadruple(v1, v2, v2, v1, su2_scene).difference
     assert abs(dif.total.imag) <= 1e-10 * max(abs(dif.total.real), 1e-30)
     assert abs(dif.total - total) <= 1e-10 * max(abs(total), 1.0)
 
@@ -278,20 +271,14 @@ def test_term_a_nonnegative_for_arbitrary_inputs(su2_scene, rng):
 
 def test_report_json_schema(su2_scene):
     vs = quad(su2_scene, 17)
-    rep = var.second_variation_universal(*vs, su2_scene)
-    d = rep.to_json_dict()
+    d = var.evaluate_quadruple(*vs, su2_scene).to_json_dict()
     blob = json.dumps(d, sort_keys=True)
-    assert set(d) == {
-        "system",
-        "terms",
-        "total",
-        "inputs_digest",
-        "inputs_manifest",
-        "conventions_digest",
-        "solver_stats",
-    }
-    for t in d["terms"]:
-        assert set(t) == {"name", "re", "im"}
+    assert set(d) == {"universal", "fibered", "difference", "inputs_digest", "inputs_manifest", "solver_stats"}
+    for system in ("universal", "fibered", "difference"):
+        assert set(d[system]) == {"terms", "total"}
+        for t in d[system]["terms"]:
+            assert set(t) == {"name", "re", "im"}
+    assert len(d["solver_stats"]) == 9
     assert d["inputs_manifest"]["harmonic"] == [True] * 4
     assert len(d["inputs_manifest"]["mu_norms"]) == 4
     assert json.loads(blob) == d
@@ -299,8 +286,8 @@ def test_report_json_schema(su2_scene):
 
 def test_report_deterministic(su2_scene):
     vs = quad(su2_scene, 23)
-    r1 = var.second_variation_universal(*vs, su2_scene)
-    r2 = var.second_variation_universal(*vs, su2_scene)
+    r1 = var.evaluate_quadruple(*vs, su2_scene)
+    r2 = var.evaluate_quadruple(*vs, su2_scene)
     assert json.dumps(r1.to_json_dict(), sort_keys=True) == json.dumps(
         r2.to_json_dict(), sort_keys=True
     )
@@ -346,13 +333,13 @@ def test_gauge_potential_conjugation_symmetry(su2_scene):
 
 def test_solver_stats_log_kernel_projection(su2_scene):
     vs = quad(su2_scene, 19)
-    rep = var.second_variation_universal(*vs, su2_scene)
-    assert len(rep.solver_stats) == 5
+    rep = var.evaluate_quadruple(*vs, su2_scene)
+    assert len(rep.solver_stats) == 9
     for st in rep.solver_stats:
         assert {"term", "kernel_removed", "residual", "method", "factor_reused"} <= set(st)
         assert "iterations" not in st
         assert st["method"] == "splu"
-    # every solve after the first of a report reuses one factorization
+    # every solve after the first of a quadruple reuses one factorization
     assert all(st["factor_reused"] for st in rep.solver_stats[1:])
 
 
@@ -384,11 +371,9 @@ def test_genus3_pipeline(rng):
     scene = Scene(S, c1)
     assert oracle.DenseFrame(scene.endo).kernel.shape[1] == 1
     vs = [random_tangent(scene, seed=i) for i in range(4)]
-    uni = var.second_variation_universal(*vs, scene)
-    fib = var.second_variation_fibered(*vs, scene)
-    dif = var.difference_report(*vs, scene)
+    uni, fib, dif = var.evaluate_quadruple(*vs, scene).systems
     assert abs(dif.total - (uni.total - fib.total)) <= 1e-10 * max(abs(uni.total), 1.0)
-    sw = var.second_variation_universal(vs[1], vs[0], vs[3], vs[2], scene)
+    sw = var.evaluate_quadruple(vs[1], vs[0], vs[3], vs[2], scene).universal
     assert abs(uni.total - np.conj(sw.total)) <= 1e-8 * abs(uni.total)
     a, b, tot = var.positivity_certificate(vs[1].mu, vs[0].nu, scene)
     assert a >= 0 and b > 0 and tot > 0
@@ -435,11 +420,11 @@ def test_gauge_naturality(fan2_r1, surf_hyp_r1, su2_r1, rng):
     g_old = var.metric_g(vs[0], vs[1], old)
     g_new = var.metric_g(pushed[0], pushed[1], new)
     assert abs(g_old - g_new) <= 1e-10 * abs(g_old)
-    t_old = var.second_variation_universal(*vs, old).total
-    t_new = var.second_variation_universal(*pushed, new).total
+    q_old = var.evaluate_quadruple(*vs, old)
+    q_new = var.evaluate_quadruple(*pushed, new)
+    t_old, t_new = q_old.universal.total, q_new.universal.total
     assert abs(t_old - t_new) <= 1e-8 * abs(t_old)
-    f_old = var.second_variation_fibered(*vs, old).total
-    f_new = var.second_variation_fibered(*pushed, new).total
+    f_old, f_new = q_old.fibered.total, q_new.fibered.total
     assert abs(f_old - f_new) <= 1e-8 * abs(f_old)
 
 
