@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -25,8 +24,13 @@ from ._complexes import DolbeaultComplex, SurfaceGeometry, endo_complex
 from .surface import (
     ConformalSurface,
     HalfEdgeMesh,
+    Kind,
+    Reals,
+    RecordFileError,
     bfs_tree,
     build_polygon_gluing,
+    generator_names,
+    read_records,
     split_half_edges,
     vertex_adjacency,
 )
@@ -216,8 +220,7 @@ def refine_cocycle(c: UnitaryCocycle, child: HalfEdgeMesh) -> UnitaryCocycle:
     flat.  The central child face inherits the parent holonomy, so the
     twist moves to the central child of the old marked face.
     """
-    rec = child.refinement
-    if rec is None or rec.parent is not c.mesh:
+    if child.parent is not c.mesh:
         raise CocycleError("child mesh was not refined from the cocycle's mesh")
     mesh = c.mesh
     n = c.rank
@@ -366,56 +369,31 @@ class Scene:
 
 
 def save_cocycle(c: UnitaryCocycle, path) -> None:
+    """Write ``cocycle n d``, ``gen <name> <2 n^2 reals>`` per generator and ``twist <face>``."""
     if c.generators is None:
         raise CocycleError("only generator-built cocycles serialize")
-    g = c.mesh.genus
-    names = [x for j in range(1, g + 1) for x in (f"a{j}", f"b{j}")]
     with open(path, "w") as fh:
         fh.write(f"cocycle {c.rank} {c.degree}\n")
-        for name, G in zip(names, c.generators):
+        for name, G in zip(generator_names(c.mesh.genus), c.generators):
             nums = " ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in G.ravel())
             fh.write(f"gen {name} {nums}\n")
         fh.write(f"twist {c.marked_face}\n")
 
 
-def _numbers(fields, kind, lineno: int) -> list:
-    """Parse finite ``kind`` entries of one record line."""
-    try:
-        vals = [kind(x) for x in fields]
-    except ValueError:
-        vals = None
-    if vals is None or not all(math.isfinite(v) for v in vals):
-        raise CocycleError(f"line {lineno}: expected finite {kind.__name__} entries, got {' '.join(fields)!r}")
-    return vals
-
-
 def load_cocycle(mesh: HalfEdgeMesh, path) -> UnitaryCocycle:
-    n = d = None
-    gens: dict[str, np.ndarray] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            parts = raw.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if parts[0] == "cocycle" and len(parts) == 3:
-                n, d = _numbers(parts[1:], int, lineno)
-            elif parts[0] == "gen":
-                if n is None:
-                    raise CocycleError(f"line {lineno}: gen before header")
-                vals = _numbers(parts[2:], float, lineno)
-                if len(vals) != 2 * n * n:
-                    raise CocycleError(f"line {lineno}: need {2 * n * n} reals")
-                M = np.array(vals[0::2]) + 1j * np.array(vals[1::2])
-                gens[parts[1]] = M.reshape(n, n)
-            elif parts[0] == "twist" and len(parts) == 2:
-                pass  # twist face is reconstructed by from_generators
-            else:
-                raise CocycleError(f"line {lineno}: unknown record {parts[0]!r}")
-    if n is None:
-        raise CocycleError("missing cocycle header")
-    g = mesh.genus
-    try:
-        ordered = [gens[x] for j in range(1, g + 1) for x in (f"a{j}", f"b{j}")]
-    except KeyError as e:
-        raise CocycleError(f"missing generator {e}")
-    return from_generators(mesh, n, d, ordered)
+    """Build the cocycle of a generator file written by ``save_cocycle``
+    on the fan ``mesh``; ``surface.read_records`` lists what it rejects.
+    Each of a1, b1, ..., ag, bg needs one ``gen`` record, and ``twist``
+    must name the face that ``from_generators`` marks."""
+    names = generator_names(mesh.genus)
+
+    def body(head):
+        return {"gen": Kind((names, Reals(2 * head[0] ** 2))), "twist": Kind(("integer",))}
+
+    records = read_records(path, "cocycle", Kind(("count", "integer")), body)
+    n, d = records["cocycle"][1]
+    c = from_generators(mesh, n, d, [records["gen"][x][1][1].view(complex).reshape(n, n) for x in names])
+    line, (twist,) = records["twist"]
+    if twist != c.marked_face:
+        raise RecordFileError(f"twist face {twist} is not the marked face {c.marked_face}", line)
+    return c

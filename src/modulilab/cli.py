@@ -22,13 +22,10 @@ import numpy as np
 from . import bundle as bnd
 from . import conventions, oracle, variation
 from ._complexes import kahler_residual
-from .bundle import Scene, trivial_cocycle, su2_preset, load_cocycle
+from .bundle import CocycleError, RelationError, Scene, trivial_cocycle, su2_preset, load_cocycle
 from .calculus import ip_beltrami
 from .surface import (
-    build_polygon_gluing,
-    equip_conformal,
-    load_mesh,
-    refine,
+    ChartError, MeshError, RecordFileError, build_polygon_gluing, equip_conformal, load_mesh, refine
 )
 from .tangent import random_tangent
 
@@ -123,8 +120,8 @@ def load_config(path, seed=None, out=None) -> dict:
     if _fd_gate_step(steps) is None:
         raise ConfigError(f"fd_steps must include the gated step {FD_GATE_STEP:g}")
     for f in (mesh_cfg.get("file"), cfg["bundle"].get("generator_file")):
-        if f is not None and not os.path.exists(f):
-            raise ConfigError(f"referenced file does not exist: {f}")
+        if f is not None and not os.path.isfile(f):
+            raise ConfigError(f"referenced file does not exist or is not a file: {f}")
     return cfg
 
 
@@ -224,10 +221,7 @@ def _load(config_path, seed, out) -> dict:
 
 
 def _scene(cfg: dict):
-    from .bundle import CocycleError, RelationError
-    from .surface import ChartError, MeshError
-
-    with _config_errors(MeshError, ChartError, CocycleError, RelationError, ConfigError):
+    with _config_errors(RecordFileError, MeshError, ChartError, CocycleError, RelationError, ConfigError):
         return build_scene(cfg)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -22,26 +22,8 @@ class MeshError(Exception):
     """Invalid mesh combinatorics."""
 
 
-class MeshFileError(MeshError):
-    """Malformed mesh or conformal-data file."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-
-
 class ChartError(Exception):
     """Degenerate or inconsistent chart data."""
-
-
-@dataclass(frozen=True, eq=False)
-class RefinementRecord:
-    """Links a refined mesh to its parent (needed to pull back transports)."""
-
-    parent: "HalfEdgeMesh"
-    edge_mid: np.ndarray  # (H_parent,) midpoint vertex id per parent half-edge
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,8 +34,9 @@ class HalfEdgeMesh:
     oppositely oriented mate; ``next`` of ``3f+k`` is ``3f+(k+1)%3``.
     ``labels`` marks the positively-directed generator half-edges of a
     polygon gluing (``a1``, ``b1``, ...).  ``layout`` optionally carries
-    per-face corner positions of the construction layout (used for the
-    hyperbolic density policy); it is not serialized.
+    per-face corner positions of the construction layout (the stored
+    charts, and the hyperbolic density policy).  ``parent`` is the mesh
+    that ``refine`` subdivided into this one, to pull transports back.
     """
 
     origin: np.ndarray
@@ -62,7 +45,7 @@ class HalfEdgeMesh:
     n_vertices: int
     labels: dict = field(default_factory=dict)
     layout: Optional[np.ndarray] = None
-    refinement: Optional[RefinementRecord] = None
+    parent: Optional["HalfEdgeMesh"] = None
 
     @property
     def n_half_edges(self) -> int:
@@ -310,7 +293,7 @@ def refine(mesh: HalfEdgeMesh) -> HalfEdgeMesh:
         n_vertices=V + H // 2,
         labels=labels,
         layout=layout,
-        refinement=RefinementRecord(parent=mesh, edge_mid=edge_mid),
+        parent=mesh,
     )
     validate_mesh(out)
     return out
@@ -445,8 +428,8 @@ def equip_conformal(
     else:
         raise ChartError(f"unknown layout policy {layout!r}")
     area = _signed_area(chart)
-    if np.any(area <= 0.0):
-        raise ChartError("degenerate or negatively oriented chart triangle")
+    if not np.all(np.isfinite(area) & (area > 0.0)):
+        raise ChartError("degenerate, non-finite or negatively oriented chart triangle")
     if density == "uniform":
         rho = np.ones(F)
     elif density == "hyperbolic":
@@ -473,130 +456,148 @@ def equip_conformal(
 
 
 # ---------------------------------------------------------------------------
-# serialization (line-oriented text formats)
+# line-record files: one ``kind field ...`` record per line, ``#`` comments
+
+
+class RecordFileError(Exception):
+    """A line-record file that cannot be read exactly; ``line`` is the offending line or None."""
+
+    def __init__(self, message: str, line: int | None = None):
+        self.line = line
+        super().__init__(message if line is None else f"line {line}: {message}")
+
+
+class Reals(int):
+    """A field of that many finite reals, read as one float array."""
+
+
+class Kind(NamedTuple):
+    """The fields of one record kind, after its name (see ``read_records``)."""
+
+    fields: tuple
+    optional: int = 0
+    required: bool = True
+
+
+def _keys(kind: Kind):
+    return kind.fields[0] if isinstance(kind.fields[0], (range, tuple)) else (None,)
+
+
+def _value(field, tokens: list):
+    if isinstance(field, tuple):
+        if tokens[0] not in field:
+            raise ValueError(f"name {tokens[0]!r} is not one of {', '.join(field)}")
+        return tokens[0]
+    reals = isinstance(field, Reals)
+    try:
+        x = np.array([float(t) for t in tokens]) if reals else int(tokens[0])
+    except ValueError:
+        raise ValueError(f"non-{'numeric' if reals else 'integer'} entry in {' '.join(tokens)!r}") from None
+    if reals and not np.all(np.isfinite(x)):
+        raise ValueError(f"non-finite entry in {' '.join(tokens)!r}")
+    if field == "count" and x < 1 or isinstance(field, range) and x not in field:
+        raise ValueError(f"{x} is out of range {'1..' if field == 'count' else f'0..{len(field) - 1}'}")
+    return x
+
+
+def read_records(path, header: str, head: Kind, body) -> dict:
+    """The records of a line-record file: ``{key: (line, values)}`` for a
+    kind keyed by its first field (a range of ids or a tuple of names),
+    ``(line, values)`` for any other kind.
+
+    Fields are ``"count"`` (positive), ``"integer"``, ranges, name tuples
+    and ``Reals``; the last ``optional`` fields may be left off (None),
+    and a kind that is not ``required`` may be absent.  The first record
+    is ``header`` with fields ``head``; ``body(values)`` gives the other
+    kinds, raising ValueError on inconsistent values.
+
+    One RecordFileError, naming the line, rejects an unknown record, a
+    wrong field count, a non-numeric or non-finite entry, a count or id
+    out of range, a name outside its set, a repeated key or name and,
+    after the last line, a missing record (naming its key).
+    """
+    kinds, out, seen = {header: head}, {}, set()
+    with open(path, errors="replace") as fh:  # an undecodable byte reads as an unknown token
+        for line, raw in enumerate(fh, start=1):
+            name, *tokens = raw.split() or ["#"]
+            if name.startswith("#"):
+                continue
+            kind = kinds.get(name)
+            if kind is None:
+                where = "" if out else f" before {header!r}"
+                raise RecordFileError(f"unknown record {name!r}{where}", line)
+            widths = [f if isinstance(f, Reals) else 1 for f in kind.fields]
+            least, most = sum(widths) - kind.optional, sum(widths)
+            if not least <= len(tokens) <= most:
+                need = least if len(tokens) < least else most
+                raise RecordFileError(f"{name} record needs {need} fields, got {len(tokens)}", line)
+            ends = np.cumsum(widths)
+            try:
+                values = [_value(f, tokens[e - w : e]) if e <= len(tokens) else None
+                          for f, e, w in zip(kind.fields, ends, widths)]
+                if not out:
+                    kinds.update(body(values))
+            except ValueError as e:
+                raise RecordFileError(f"{name} record: {e}", line) from None
+            key = None if _keys(kind) == (None,) else values[0]
+            names = [v for f, v in zip(kind.fields[1:], values[1:]) if isinstance(f, tuple) and v is not None]
+            for mark in [key] + names:
+                if (name, mark) in seen:
+                    what = "" if mark is None else f" for {mark}"
+                    raise RecordFileError(f"repeated {name} record{what}", line)
+                seen.add((name, mark))
+            out.setdefault(name, {})[key] = (line, values)
+    for name, kind in kinds.items():
+        if name in out or kind.required:
+            for key in _keys(kind):
+                if key not in out.get(name, ()):
+                    raise RecordFileError(f"missing {name} record" + ("" if key is None else f" for {key}"))
+            out[name] = out[name].get(None, out[name])
+    return out
+
+
+def generator_names(genus: int) -> tuple:
+    """``a1, b1, ..., ag, bg``: the generator edges of a genus-g fan, in relation order."""
+    return tuple(f"{x}{j}" for j in range(1, genus + 1) for x in "ab")
 
 
 def save_mesh(mesh: HalfEdgeMesh, path) -> None:
+    """Write ``surf V E F genus``, one ``he h origin twin next face [label]``
+    record per half-edge and, when the mesh has a layout, one ``layout f
+    z0re z0im z1re z1im z2re z2im`` record per face in repr floats."""
     he_label = {h: name for name, h in mesh.labels.items()}
     with open(path, "w") as fh:
-        fh.write(
-            f"surf {mesh.n_vertices} {mesh.n_edges} {mesh.n_faces} {mesh.genus}\n"
-        )
+        fh.write(f"surf {mesh.n_vertices} {mesh.n_edges} {mesh.n_faces} {mesh.genus}\n")
         for h in range(mesh.n_half_edges):
-            nxt = mesh.next_he(h)
-            line = f"he {h} {int(mesh.origin[h])} {int(mesh.twin[h])} {nxt} {h // 3}"
-            if h in he_label:
-                line += f" {he_label[h]}"
-            fh.write(line + "\n")
+            label = f" {he_label[h]}" if h in he_label else ""
+            fh.write(f"he {h} {int(mesh.origin[h])} {int(mesh.twin[h])} {mesh.next_he(h)} {h // 3}{label}\n")
+        for f, z in enumerate([] if mesh.layout is None else np.asarray(mesh.layout, dtype=complex)):
+            fh.write(f"layout {f} " + " ".join(repr(float(x)) for x in z.view(float)) + "\n")
 
 
 def load_mesh(path) -> HalfEdgeMesh:
-    origin = twin = None
-    labels: dict[str, int] = {}
-    header = None
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            parts = raw.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if parts[0] == "surf":
-                if len(parts) != 5:
-                    raise MeshFileError("header needs V E F genus", lineno)
-                try:
-                    V, E, F, genus = (int(p) for p in parts[1:])
-                except ValueError:
-                    raise MeshFileError("non-integer header field", lineno)
-                header = (V, E, F, genus)
-                origin = np.full(3 * F, -1, dtype=np.int64)
-                twin = np.full(3 * F, -1, dtype=np.int64)
-            elif parts[0] == "he":
-                if header is None:
-                    raise MeshFileError("half-edge record before header", lineno)
-                if len(parts) not in (6, 7):
-                    raise MeshFileError("he record needs 5 integer fields", lineno)
-                try:
-                    h, org, tw, nxt, face = (int(p) for p in parts[1:6])
-                except ValueError:
-                    raise MeshFileError("non-integer he field", lineno)
-                if not (0 <= h < origin.shape[0]):
-                    raise MeshFileError(f"half-edge id {h} out of range", lineno)
-                if face != h // 3 or nxt != 3 * (h // 3) + (h + 1) % 3:
-                    raise MeshFileError(
-                        "half-edges must be grouped 3 per face with cyclic next",
-                        lineno,
-                    )
-                origin[h] = org
-                twin[h] = tw
-                if len(parts) == 7:
-                    labels[parts[6]] = h
-            else:
-                raise MeshFileError(f"unknown record {parts[0]!r}", lineno)
-    if header is None:
-        raise MeshFileError("missing header")
-    V, E, F, genus = header
-    if origin is None or np.any(origin < 0) or np.any(twin < 0):
-        raise MeshFileError("truncated file: missing half-edge records")
-    mesh = HalfEdgeMesh(
-        origin=origin, twin=twin, genus=genus, n_vertices=V, labels=labels
-    )
+    """Read a mesh written by ``save_mesh``; ``read_records`` lists what
+    it rejects.  The header must describe a closed triangulated surface
+    (2E = 3F and V - E + F = 2 - 2 genus), the half-edges come three per
+    face with cyclic ``next``, and the layout covers every face or none."""
+
+    def body(header):
+        V, E, F, genus = header
+        if 2 * E != 3 * F or V - E + F != 2 - 2 * genus:
+            raise ValueError(f"V, E, F = {V}, {E}, {F} do not close up to a surface of genus {genus}")
+        ids = (range(3 * F), range(V), range(3 * F), "integer", "integer", generator_names(genus))
+        return {"he": Kind(ids, optional=1), "layout": Kind((range(F), Reals(6)), required=False)}
+
+    records = read_records(path, "surf", Kind(("count",) * 4), body)
+    V, _, F, genus = records["surf"][1]
+    he, layout = records["he"], records.get("layout")
+    for h, (line, (_, _, _, nxt, face, _)) in he.items():
+        if face != h // 3 or nxt != 3 * (h // 3) + (h + 1) % 3:
+            raise RecordFileError("half-edges must be grouped 3 per face with cyclic next", line)
+    origin, twin = np.array([[he[h][1][k] for h in range(3 * F)] for k in (1, 2)], dtype=np.int64)
+    if layout is not None:
+        layout = np.array([layout[f][1][1] for f in range(F)]).view(complex)
+    labels = {v[5]: h for h, (_, v) in he.items() if v[5] is not None}
+    mesh = HalfEdgeMesh(origin=origin, twin=twin, genus=genus, n_vertices=V, labels=labels, layout=layout)
     validate_mesh(mesh)
-    if mesh.n_edges != E:
-        raise MeshFileError(f"header edge count {E} != {mesh.n_edges}")
     return mesh
-
-
-def save_conformal(surface: ConformalSurface, path) -> None:
-    with open(path, "w") as fh:
-        for f in range(surface.n_faces):
-            z = surface.chart[f]
-            nums = " ".join(f"{float(z[k].real)!r} {float(z[k].imag)!r}" for k in range(3))
-            fh.write(f"chart {f} {nums}\n")
-        for f in range(surface.n_faces):
-            fh.write(f"rho {f} {float(surface.density[f])!r}\n")
-
-
-def load_conformal(mesh: HalfEdgeMesh, path) -> ConformalSurface:
-    """Read per-face charts and densities written by ``save_conformal``;
-    a face id outside 0..F-1 or given twice for one record kind raises
-    MeshFileError naming the line."""
-    F = mesh.n_faces
-    chart = np.full((F, 3), np.nan, dtype=complex)
-    rho = np.full(F, np.nan)
-    seen = {"chart": set(), "rho": set()}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            parts = raw.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if (parts[0], len(parts)) not in (("chart", 8), ("rho", 3)):
-                raise MeshFileError(f"unknown record {parts[0]!r}", lineno)
-            try:
-                f = int(parts[1])
-                vals = [float(p) for p in parts[2:]]
-            except ValueError:
-                raise MeshFileError("malformed conformal record", lineno)
-            if not 0 <= f < F:
-                raise MeshFileError(f"face id {f} out of range 0..{F - 1}", lineno)
-            if f in seen[parts[0]]:
-                raise MeshFileError(f"duplicate {parts[0]} record for face {f}", lineno)
-            seen[parts[0]].add(f)
-            if parts[0] == "chart":
-                chart[f] = [complex(vals[2 * k], vals[2 * k + 1]) for k in range(3)]
-            else:
-                rho[f] = vals[0]
-    if np.any(np.isnan(chart)) or np.any(np.isnan(rho)):
-        raise MeshFileError("missing chart or rho records")
-    if np.any(rho <= 0.0):
-        raise MeshFileError("density must be positive")
-    area = _signed_area(chart)
-    if np.any(area <= 0.0):
-        raise ChartError("degenerate chart triangle in file")
-    rot = _edge_rotations(mesh, chart)
-    return ConformalSurface(
-        mesh=mesh,
-        chart=chart,
-        edge_rotation=rot,
-        density=rho,
-        area=area,
-        density_policy="file",
-    )

@@ -28,7 +28,7 @@ from modulilab.bundle import (
     validate_cocycle,
 )
 from modulilab.cli import KAHLER_TOL
-from modulilab.surface import equip_conformal
+from modulilab.surface import RecordFileError, equip_conformal
 from conftest import dense_delta0_inverse, ip, p1_dbar, random_cochain
 
 
@@ -90,7 +90,7 @@ def test_rank1_trivial_reduces_to_scalar(triv1_scene, rng):
 def test_rank1_gauge_cocycle_reduces_to_scalar(fan2_r1, surf_hyp_r1, rng):
     # End(E) of any line bundle is trivial: the conjugation kills phases
     phases = [np.array([[np.exp(1j * t)]]) for t in (0.9, -0.2, 0.5, 1.7)]
-    c = from_generators(fan2_r1.refinement.parent, 1, 0, phases)
+    c = from_generators(fan2_r1.parent, 1, 0, phases)
     c = refine_cocycle(c, fan2_r1)
     cx_b = Scene(surf_hyp_r1, c).endo
     assert np.max(np.abs(cx_b.dbar.toarray() - p1_dbar(surf_hyp_r1))) <= 1e-14
@@ -216,8 +216,8 @@ def _complex_transport_cocycle(mesh):
     random U(2) pair (W, W) on the second, so that the conjugation action
     T X T^H of the corner transports is not real."""
     chain = [mesh]
-    while chain[-1].refinement is not None:
-        chain.append(chain[-1].refinement.parent)
+    while chain[-1].parent is not None:
+        chain.append(chain[-1].parent)
     rng = np.random.default_rng(7)
     W = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
     gens = [np.array([[0, 1j], [1j, 0]]), np.array([[0, 1], [-1, 0]], dtype=complex), W, W]
@@ -372,8 +372,45 @@ def test_cocycle_roundtrip(tmp_path, fan2):
     p = tmp_path / "c.coc"
     save_cocycle(c, p)
     loaded = load_cocycle(fan2, p)
-    np.testing.assert_allclose(loaded.transport, c.transport, atol=1e-12)
-    assert (loaded.rank, loaded.degree) == (2, 1)
+    assert np.array_equal(loaded.transport, c.transport)
+    assert (loaded.rank, loaded.degree, loaded.marked_face) == (2, 1, 7)
+
+
+def _set_field(lines, index, field, value):
+    parts = lines[index].split()
+    parts[field] = value
+    lines[index] = " ".join(parts)
+    return lines
+
+
+# the su2 generator file: line 1 is the header, lines 2-5 the gen
+# records of a1, b1, a2, b2 and line 6 the twist record
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda ls: _set_field(ls, 1, 1, "a9"), "line 2: gen record: name 'a9' is not one of a1, b1, a2, b2"),
+        (lambda ls: ls[:5] + ls[4:], "line 6: repeated gen record for b2"),
+        (lambda ls: _set_field(ls, 5, 1, "banana"), "line 6: twist record: non-integer entry in 'banana'"),
+        (lambda ls: _set_field(ls, 5, 1, "3"), "line 6: twist face 3 is not the marked face 7"),
+        (lambda ls: ls[:3] + ls[4:], "^missing gen record for a2$"),
+        (lambda ls: ls[:5], "^missing twist record$"),
+        (lambda ls: ls + ls[5:], "line 7: repeated twist record"),
+        (lambda ls: _set_field(ls, 0, 1, "0"), "line 1: cocycle record: 0 is out of range 1.."),
+        (lambda ls: ls[1:2] + ls[:1] + ls[2:], "line 1: unknown record 'gen' before 'cocycle'"),
+        (lambda ls: [ls[0], ls[1] + " 0.0"] + ls[2:], "line 2: gen record needs 9 fields, got 10"),
+        (lambda ls: _set_field(ls, 2, 4, "1e400"), "line 3: gen record: non-finite entry"),
+    ],
+    ids=[
+        "unknown_name", "repeated_name", "twist_not_integer", "twist_wrong_face", "missing_gen",
+        "missing_twist", "repeated_twist", "zero_rank", "before_header", "gen_count", "overflow",
+    ],
+)
+def test_load_cocycle_rejects(tmp_path, fan2, edit, message):
+    p = tmp_path / "c.coc"
+    save_cocycle(su2_preset(fan2), p)
+    p.write_text("\n".join(edit(p.read_text().splitlines())) + "\n")
+    with pytest.raises(RecordFileError, match=message):
+        load_cocycle(fan2, p)
 
 
 def test_exact_kernel_supports_factorized_solves(su2_scene_r1, rng):
@@ -424,7 +461,7 @@ def test_incomplete_kernel_fails_residual_gate(surf_hyp, triv2_r2, rng):
 
 
 def test_cocycle_rejects_mismatched_surface(surf_hyp, fan2_r1):
-    c = bnd.refine_cocycle(su2_preset(fan2_r1.refinement.parent), fan2_r1)
+    c = bnd.refine_cocycle(su2_preset(fan2_r1.parent), fan2_r1)
     with pytest.raises(CocycleError):
         Scene(surf_hyp, c)
 
@@ -432,7 +469,7 @@ def test_cocycle_rejects_mismatched_surface(surf_hyp, fan2_r1):
 def test_generators_need_the_fan(fan2_r1):
     # generator cocycles are built on the 4g-gon fan and refined with it;
     # a refined mesh of the same genus has other combinatorics
-    gens = su2_preset(fan2_r1.refinement.parent).generators
+    gens = su2_preset(fan2_r1.parent).generators
     with pytest.raises(CocycleError, match="4g-gon fan"):
         from_generators(fan2_r1, 2, 1, gens)
 

@@ -136,6 +136,56 @@ def test_scene_error_exits_2(tmp_path):
     assert run_cli("check-operators", "--config", str(p)).returncode == 2
 
 
+@pytest.mark.parametrize("header", ["surf 2 12 -1 2", "surf 2 12 0 2", "surf 2 12 9 2"])
+def test_bad_mesh_header_exits_2(tmp_path, header):
+    # a negative, zero or inconsistent face count is refused at line 1,
+    # before any array is sized from it
+    from modulilab.surface import build_polygon_gluing, save_mesh
+
+    mesh = tmp_path / "fan.surf"
+    save_mesh(build_polygon_gluing(2), mesh)
+    mesh.write_text("\n".join([header] + mesh.read_text().splitlines()[1:]) + "\n")
+    p = _write(tmp_path, {"mesh": {"file": str(mesh), "refinements": 0}})
+    r = run_cli("positivity", "--config", p, "--out", str(tmp_path / "out"))
+    assert r.returncode == 2, r.stderr
+    assert "line 1" in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("what", ["directory", "non_utf8"])
+def test_unreadable_mesh_file_exits_2(tmp_path, what):
+    mesh = tmp_path / "fan.surf"
+    if what == "directory":
+        mesh.mkdir()
+    else:
+        mesh.write_bytes(b"surf 2 12 8 2\n\xff\xfe 0 0\n")
+    p = _write(tmp_path, {"mesh": {"file": str(mesh), "refinements": 0}})
+    r = run_cli("positivity", "--config", p, "--out", str(tmp_path / "out"))
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert ("line 2" if what == "non_utf8" else "not a file") in r.stderr
+
+
+def test_saved_fan_mesh_file_matches_built_fan(tmp_path):
+    # the mesh file keeps its layout: a saved fan under the default
+    # stored layout gives the genus-built scene's outputs byte for byte
+    from modulilab.surface import build_polygon_gluing, save_mesh
+
+    mesh = tmp_path / "fan.surf"
+    save_mesh(build_polygon_gluing(2), mesh)
+    shipped = json.loads((CONFIGS / "genus2_su2.json").read_text())
+    from_file = tmp_path / "from_file.json"
+    from_file.write_text(json.dumps({**shipped, "mesh": {**shipped["mesh"], "file": str(mesh)}}))
+    outputs = {"second-variation": ["report.json", "terms.csv"], "positivity": ["report.json", "positivity.csv"]}
+    for cmd in outputs:
+        runs = []
+        for name, cfg in (("shipped", str(CONFIGS / "genus2_su2.json")), ("file", str(from_file))):
+            out = tmp_path / cmd / name
+            r = run_cli(cmd, "--config", cfg, "--seed", "0", "--out", str(out))
+            assert r.returncode == 0, r.stdout + r.stderr
+            runs.append([(out / f).read_bytes() for f in outputs[cmd]])
+        assert runs[0] == runs[1], cmd
+
+
 def test_check_operators(tmp_path, cfg_path):
     out = tmp_path / "out"
     r = run_cli("check-operators", "--config", cfg_path, "--out", str(out))

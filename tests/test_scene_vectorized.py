@@ -67,7 +67,7 @@ def _refine_loop(mesh):
             layout[4 * f + 1] = (z[1], w[1], w[0])
             layout[4 * f + 2] = (z[2], w[2], w[1])
             layout[4 * f + 3] = (w[0], w[1], w[2])
-    return origin, twin, labels, layout, edge_mid
+    return origin, twin, labels, layout
 
 
 def _store_loop(mesh, directed, n):
@@ -272,12 +272,11 @@ def _chain(base, levels, cocycle):
     out = []
     for _ in range(levels):
         child = refine(mesh)
-        origin, twin, labels, layout, edge_mid = _refine_loop(mesh)
+        origin, twin, labels, layout = _refine_loop(mesh)
         assert np.array_equal(child.origin, origin)
         assert np.array_equal(child.twin, twin)
         assert child.labels == labels
         assert np.array_equal(child.layout, layout)
-        assert np.array_equal(child.refinement.edge_mid, edge_mid)
         ref = _refine_cocycle_loop(c, child)
         c = bnd.refine_cocycle(c, child)
         assert np.max(np.abs(c.transport - ref)) <= FLOAT_TOL

@@ -2,17 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modulilab.oracle import build_torus
 from modulilab.surface import (
     ChartError,
     MeshError,
-    MeshFileError,
+    RecordFileError,
     UnsupportedGenusError,
     build_polygon_gluing,
     equip_conformal,
-    load_conformal,
     load_mesh,
     refine,
-    save_conformal,
     save_mesh,
     validate_mesh,
 )
@@ -94,6 +93,16 @@ def test_hyperbolic_density_positive(surf_hyp):
     assert surf_hyp.density.max() > 2 * surf_hyp.density.min()  # genuinely non-constant
 
 
+def test_equip_rejects_non_finite_chart_area(fan2_r1):
+    # corners this far out (finite, so a layout record reads them)
+    # overflow the chart areas to inf: refused, not an infinite total area
+    from dataclasses import replace
+
+    mesh = replace(fan2_r1, layout=fan2_r1.layout * 1e155)
+    with np.errstate(over="ignore"), pytest.raises(ChartError, match="non-finite"):
+        equip_conformal(mesh, layout="stored", density="uniform")
+
+
 def test_hyperbolic_density_needs_layout(fan2_r1):
     with pytest.raises(ChartError):
         equip_conformal(fan2_r1, layout="equilateral", density="hyperbolic")
@@ -104,6 +113,7 @@ def test_mesh_roundtrip(tmp_path, fan2_r1):
     save_mesh(fan2_r1, p)
     loaded = load_mesh(p)
     assert loaded.same_combinatorics(fan2_r1)
+    assert loaded.layout.tobytes() == fan2_r1.layout.tobytes()
 
 
 def test_mesh_roundtrip_base(tmp_path, fan2):
@@ -112,22 +122,33 @@ def test_mesh_roundtrip_base(tmp_path, fan2):
     assert load_mesh(p).same_combinatorics(fan2)
 
 
+def test_mesh_without_layout_loads(tmp_path, fan2):
+    # layout records are optional: a file without them loads with no layout
+    p = _edited(tmp_path, fan2, lambda ls: [x for x in ls if not x.startswith("layout")])
+    loaded = load_mesh(p)
+    assert loaded.same_combinatorics(fan2) and loaded.layout is None
+
+
+def test_torus_mesh_roundtrip(tmp_path):
+    # genus 1, no generator labels, a layout with integer corners
+    m = build_torus(3)
+    p = tmp_path / "t.surf"
+    save_mesh(m, p)
+    loaded = load_mesh(p)
+    assert loaded.same_combinatorics(m) and loaded.labels == {}
+    assert loaded.layout.tobytes() == m.layout.tobytes()
+
+
 def test_truncated_file(tmp_path, fan2):
-    p = tmp_path / "m.surf"
-    save_mesh(fan2, p)
-    lines = p.read_text().splitlines()
-    p.write_text("\n".join(lines[:-3]) + "\n")
-    with pytest.raises(MeshFileError):
+    # the last three half-edge records and the layout records are cut off
+    p = _edited(tmp_path, fan2, lambda ls: ls[:-11])
+    with pytest.raises(RecordFileError, match="^missing he record for 21$"):
         load_mesh(p)
 
 
 def test_malformed_line_reports_lineno(tmp_path, fan2):
-    p = tmp_path / "m.surf"
-    save_mesh(fan2, p)
-    lines = p.read_text().splitlines()
-    lines[3] = "he wat 0 0 0 0"
-    p.write_text("\n".join(lines) + "\n")
-    with pytest.raises(MeshFileError) as e:
+    p = _edited(tmp_path, fan2, lambda ls: _set_field(ls, 3, 1, "wat"))
+    with pytest.raises(RecordFileError) as e:
         load_mesh(p)
     assert e.value.line == 4
 
@@ -154,39 +175,99 @@ def test_non_manifold_edge_rejected(tmp_path, fan2):
 
 
 def test_conformal_roundtrip(tmp_path, fan2_r1, surf_hyp_r1):
-    p = tmp_path / "m.conf"
-    save_conformal(surf_hyp_r1, p)
-    loaded = load_conformal(fan2_r1, p)
-    np.testing.assert_allclose(loaded.chart, surf_hyp_r1.chart, rtol=0, atol=0)
-    np.testing.assert_allclose(loaded.density, surf_hyp_r1.density, rtol=0, atol=0)
-    np.testing.assert_allclose(loaded.edge_rotation, surf_hyp_r1.edge_rotation, atol=1e-15)
+    # the layout records carry the stored charts: equipping the loaded
+    # mesh gives the same charts, density and rotations, bit for bit
+    p = tmp_path / "m.surf"
+    save_mesh(fan2_r1, p)
+    loaded = equip_conformal(load_mesh(p), layout="stored", density="hyperbolic")
+    for name in ("chart", "density", "area", "edge_rotation"):
+        assert getattr(loaded, name).tobytes() == getattr(surf_hyp_r1, name).tobytes(), name
+
+
+def _edited(tmp_path, mesh, edit):
+    """A saved file of ``mesh`` with ``edit`` applied to its lines."""
+    p = tmp_path / "m.surf"
+    save_mesh(mesh, p)
+    p.write_text("\n".join(edit(p.read_text().splitlines())) + "\n")
+    return p
+
+
+def _set_field(lines, index, field, value):
+    parts = lines[index].split()
+    parts[field] = value
+    lines[index] = " ".join(parts)
+    return lines
+
+
+# the genus-2 fan file: line 1 is the header, lines 2-25 the he records
+# of half-edges 0..23 and lines 26-33 the layout records of faces 0..7
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda ls: ls[:3] + ["sigma 0 1.0 2.0"] + ls[3:], "line 4: unknown record 'sigma'"),
+        (lambda ls: _set_field(ls, 27, 2, "1.5x"), "line 28: layout record: non-numeric entry"),
+        (lambda ls: _set_field(ls, 27, 1, "two"), "line 28: layout record: non-integer entry in 'two'"),
+        (lambda ls: _set_field(ls, 27, 3, "nan"), "line 28: layout record: non-finite entry"),
+        (lambda ls: _set_field(ls, -1, 4, "inf"), "line 33: layout record: non-finite entry"),
+        (lambda ls: _set_field(ls, 27, 1, "-1"), "line 28: layout record: -1 is out of range 0..7"),
+        (lambda ls: _set_field(ls, 27, 1, "100000"), "line 28: layout record: 100000 is out of range 0..7"),
+        (lambda ls: _set_field(ls, 27, 1, "1"), "line 28: repeated layout record for 1"),
+        (lambda ls: [x for x in ls if x.split()[:2] != ["layout", "7"]], "missing layout record for 7"),
+        (lambda ls: [x for x in ls if x.split()[:2] != ["he", "0"]], "missing he record for 0"),
+        (lambda ls: _set_field(ls, 25, 7, ls[25].split()[7] + " 0.5"), "line 26: layout record needs 7 fields, got 8"),
+        (lambda ls: ls[:-1] + [" ".join(ls[-1].split()[:-1])], "line 33: layout record needs 7 fields, got 6"),
+    ],
+    ids=[
+        "unknown", "non_numeric", "non_integer_id", "nan", "inf", "negative_id", "id_out_of_range",
+        "duplicate", "missing_layout", "missing_he", "layout_count_high", "layout_count_low",
+    ],
+)
+def test_layout_record_rejects(tmp_path, fan2, edit, message):
+    p = _edited(tmp_path, fan2, edit)
+    with pytest.raises(RecordFileError, match=message):
+        load_mesh(p)
 
 
 @pytest.mark.parametrize(
-    "line, face, message",
+    "header, message",
     [
-        (0, "-1", "line 1: face id -1 out of range"),
-        (3, "32", "line 4: face id 32 out of range"),
-        (3, "0", "line 4: duplicate chart record for face 0"),
-        (-1, "-1", "face id -1 out of range"),
-        (-1, "0", "duplicate rho record for face 0"),
+        ("surf 2 12 -1 2", "line 1: surf record: -1 is out of range 1.."),
+        ("surf 2 12 0 2", "line 1: surf record: 0 is out of range 1.."),
+        ("surf 2 12 9 2", "line 1: surf record: V, E, F = 2, 12, 9 do not close up"),
+        ("surf 2 12 8 3", "line 1: surf record: V, E, F = 2, 12, 8 do not close up to a surface of genus 3"),
+        ("surf 2 12 8", "line 1: surf record needs 4 fields, got 3"),
     ],
+    ids=["negative_faces", "zero_faces", "odd_faces", "wrong_genus", "short"],
 )
-def test_conformal_rejects_bad_face_ids(tmp_path, fan2_r1, surf_hyp_r1, line, face, message):
-    # a negative id must not wrap to the last face, nor a repeated one
-    # silently overwrite the first
-    assert fan2_r1.n_faces == 32
-    p = tmp_path / "m.conf"
-    save_conformal(surf_hyp_r1, p)
-    lines = p.read_text().splitlines()
-    parts = lines[line].split()
-    parts[1] = face
-    lines[line] = " ".join(parts)
-    p.write_text("\n".join(lines) + "\n")
-    with pytest.raises(MeshFileError, match=message):
-        load_conformal(fan2_r1, p)
+def test_mesh_header_rejected(tmp_path, fan2, header, message):
+    # nothing is sized from a header that is not a closed triangulation
+    p = _edited(tmp_path, fan2, lambda ls: [header] + ls[1:])
+    with pytest.raises(RecordFileError, match=message):
+        load_mesh(p)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda ls: ls[1:2] + ls[:1] + ls[2:], "line 1: unknown record 'he' before 'surf'"),
+        (lambda ls: ls[:2] + ls[:1] + ls[2:], "line 3: repeated surf record"),
+        (lambda ls: ["# a comment", ""] + ls, None),
+        (lambda ls: _set_field(ls, 8, 6, "c1"), "line 9: he record: name 'c1' is not one of a1, b1, a2, b2"),
+        (lambda ls: _set_field(ls, 8, 6, "a1"), "line 24: repeated he record for a1"),
+        (lambda ls: _set_field(ls, 8, 4, "9"), "line 9: half-edges must be grouped 3 per face"),
+        (lambda ls: _set_field(ls, 8, 2, "2"), "line 9: he record: 2 is out of range 0..1"),
+    ],
+    ids=["before_header", "repeated_header", "comments", "unknown_label", "repeated_label", "bad_next", "bad_origin"],
+)
+def test_mesh_records_rejected(tmp_path, fan2, edit, message):
+    p = _edited(tmp_path, fan2, edit)
+    if message is None:
+        assert load_mesh(p).same_combinatorics(fan2)
+        return
+    with pytest.raises(RecordFileError, match=message):
+        load_mesh(p)
 
 
 def test_refinement_record_links_parent(fan2, fan2_r1):
-    assert fan2_r1.refinement is not None
-    assert fan2_r1.refinement.parent is fan2
+    assert fan2_r1.parent is fan2
+    assert fan2.parent is None

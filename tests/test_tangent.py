@@ -80,7 +80,6 @@ def test_random_tangent_reproducible(su2_scene):
     assert v1.harmonic
     v3 = tg.random_tangent(su2_scene, seed=42, mu_scale=0.0, nu_scale=0.0)
     assert np.linalg.norm(v3.mu.values) == 0.0 and np.linalg.norm(v3.nu.values) == 0.0
-    assert tg.is_harmonic(v1, su2_scene)
 
 
 def _check_harmonic_basis(cx, smooth_dim):
@@ -107,65 +106,3 @@ def test_harmonic_mu_basis(su2_scene_r1):
     # Beltrami coefficients; the smooth dimension is 3g - 3
     _check_harmonic_basis(su2_scene_r1.tangent, 3 * 2 - 3)
 
-
-def test_tangent_serialization_roundtrip(tmp_path, su2_scene):
-    v = tg.random_tangent(su2_scene, seed=5)
-    p = tmp_path / "v.tan"
-    tg.save_tangent(v, p)
-    back = tg.load_tangent(p, su2_scene)
-    np.testing.assert_allclose(back.mu.values, v.mu.values, atol=0, rtol=0)
-    np.testing.assert_allclose(back.nu.values, v.nu.values, atol=0, rtol=0)
-    assert back.harmonic
-
-
-def test_load_tangent_computes_harmonic_flag(tmp_path, su2_scene, rng):
-    F = su2_scene.surface.n_faces
-    raw = tg.TangentVector(
-        Beltrami(rng.standard_normal(F) + 0j), BundleCochain(rng.standard_normal((F, 2, 2)) + 0j, (0, 1))
-    )
-    p = tmp_path / "raw.tan"
-    tg.save_tangent(raw, p)
-    assert not tg.load_tangent(p, su2_scene).harmonic
-
-
-def _edited(tmp_path, scene, edit):
-    """A saved tangent file of ``scene`` with ``edit`` applied to its lines."""
-    p = tmp_path / "v.tan"
-    tg.save_tangent(tg.random_tangent(scene, seed=5), p)
-    lines = p.read_text().splitlines()
-    p.write_text("\n".join(edit(lines)) + "\n")
-    return p
-
-
-def _set_field(lines, index, field, value):
-    parts = lines[index].split()
-    parts[field] = value
-    lines[index] = " ".join(parts)
-    return lines
-
-
-@pytest.mark.parametrize(
-    "edit, message",
-    [
-        (lambda ls: ls[:3] + ["sigma 0 1.0 2.0"] + ls[3:], "line 4: unknown record 'sigma'"),
-        (lambda ls: _set_field(ls, 2, 2, "1.5x"), "line 3: non-numeric entry"),
-        (lambda ls: _set_field(ls, 2, 1, "two"), "line 3: non-numeric entry"),
-        (lambda ls: _set_field(ls, 2, 3, "nan"), "line 3: non-finite entry"),
-        (lambda ls: _set_field(ls, -1, 4, "inf"), "non-finite entry"),
-        (lambda ls: _set_field(ls, 2, 1, "-1"), "line 3: face id -1 out of range"),
-        (lambda ls: _set_field(ls, 2, 1, "100000"), "line 3: face id 100000 out of range"),
-        (lambda ls: _set_field(ls, 2, 1, "1"), "line 3: duplicate mu record for face 1"),
-        (lambda ls: [x for x in ls if x.split()[:2] != ["nu", "7"]], "missing nu record for face 7"),
-        (lambda ls: [x for x in ls if x.split()[:2] != ["mu", "0"]], "missing mu record for face 0"),
-        (lambda ls: [ls[0] + " 0.5"] + ls[1:], "line 1: mu record needs a face id and 2 reals"),
-        (lambda ls: ls[:-1] + [" ".join(ls[-1].split()[:-1])], "nu record needs a face id and 8 reals"),
-    ],
-    ids=[
-        "unknown", "non_numeric", "non_integer_id", "nan", "inf", "negative_id", "id_out_of_range",
-        "duplicate", "missing_nu", "missing_mu", "mu_count", "nu_count",
-    ],
-)
-def test_load_tangent_rejects(tmp_path, su2_scene, edit, message):
-    p = _edited(tmp_path, su2_scene, edit)
-    with pytest.raises(tg.TangentFileError, match=message):
-        tg.load_tangent(p, su2_scene)
