@@ -14,9 +14,8 @@ from .surface import (
     save_mesh,
     load_mesh,
 )
-from .bundle import Scene, UnitaryCocycle, BundleCochain, from_generators, trivial_cocycle, su2_preset
-from .calculus import Beltrami
-from .tangent import TangentVector, ks_center, random_tangent
+from .bundle import Scene, UnitaryCocycle, from_generators, trivial_cocycle, su2_preset
+from .tangent import ks_center, random_tangent
 from .variation import (
     VariationReport,
     QuadrupleReport,
@@ -36,12 +35,9 @@ __all__ = [
     "load_mesh",
     "Scene",
     "UnitaryCocycle",
-    "BundleCochain",
     "from_generators",
     "trivial_cocycle",
     "su2_preset",
-    "Beltrami",
-    "TangentVector",
     "ks_center",
     "random_tangent",
     "VariationReport",

@@ -280,29 +280,7 @@ def is_irreducible(c: UnitaryCocycle) -> tuple[bool, int]:
 
 
 # ---------------------------------------------------------------------------
-# cochains and the scene
-
-
-@dataclass(frozen=True)
-class BundleCochain:
-    """End(E)-valued cochain: vertex 0-cochain or (0,1)/(1,0) face form.
-
-    Vertex values live in each vertex's own frame; face coefficients in
-    the face frame (lowest-index corner, transported along the boundary).
-    """
-
-    values: np.ndarray  # (V,n,n) or (F,n,n)
-    degree: object  # "vertex", (0,1) or (1,0)
-
-    def __post_init__(self):
-        if self.degree not in ("vertex", (0, 1), (1, 0)):
-            raise ValueError(f"bad cochain degree {self.degree!r}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("non-finite cochain entries")
-
-    @property
-    def rank(self) -> int:
-        return self.values.shape[1]
+# the scene
 
 
 def _covariant_constant_columns(c: UnitaryCocycle) -> np.ndarray:

@@ -315,10 +315,10 @@ def cmd_positivity(config_path, seed, out):
     scene = _scene(cfg)
     rows = []
     for s in cfg["seeds"]:
-        v = _tangent(cfg, scene, s)
-        a, b, total = variation.positivity_certificate(v.mu, v.nu, scene)
-        mu_norm = math.sqrt(ip_beltrami(v.mu, v.mu, scene.surface).real)
-        nu_norm = math.sqrt(np.sum(scene.endo.w1 * np.abs(v.nu.values.reshape(-1)) ** 2))
+        mu, nu = _tangent(cfg, scene, s)
+        a, b, total = variation.positivity_certificate(mu, nu, scene)
+        mu_norm = math.sqrt(ip_beltrami(mu, mu, scene.surface).real)
+        nu_norm = math.sqrt(np.sum(scene.endo.w1 * np.abs(nu.reshape(-1)) ** 2))
         rows.append((s, a, b, total, mu_norm * nu_norm))
     os.makedirs(cfg["out"], exist_ok=True)
     with open(os.path.join(cfg["out"], "positivity.csv"), "w", newline="") as fh:

@@ -8,9 +8,7 @@ the eigendecomposition of D^H D there, with one kernel rule, gives the
 pseudo-inverse of the Laplacian, the harmonic projector, the kernel
 count and the harmonic basis.  This is the only module that does dense
 linear algebra; ``certify_operators`` and ``projector_derivative_sweep``
-are the dense certifications the CLI runs.  A flat-torus harness
-cross-checks the End(E) operator algebra against closed-form continuum
-answers (the torus is a degenerate geometry used only for this check).
+are the dense certifications the CLI runs.
 """
 
 from __future__ import annotations
@@ -22,8 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from ._complexes import DolbeaultComplex, ad, ad_star
-from .bundle import Scene, trivial_cocycle
-from .surface import ConformalSurface, HalfEdgeMesh, equip_conformal, mesh_from_faces
+from .bundle import Scene
 
 
 class DenseCapError(ValueError):
@@ -250,77 +247,3 @@ def projector_derivative_sweep(
     es = np.array([errors[h] for h in hs])
     slope = float(np.polyfit(np.log(hs), np.log(np.maximum(es, 1e-300)), 1)[0])
     return {"errors": errors, "slope": slope}
-
-
-# ---------------------------------------------------------------------------
-# flat-torus harness
-
-
-def build_torus(m: int) -> HalfEdgeMesh:
-    """Regular m x m triangulated flat torus with planar charts."""
-    if m < 2:
-        raise ValueError("torus grid needs m >= 2")
-
-    def vid(i: int, j: int) -> int:
-        return (i % m) * m + (j % m)
-
-    faces = []
-    layout_rows = []
-    for i in range(m):
-        for j in range(m):
-            z00 = complex(i, j)
-            z10 = complex(i + 1, j)
-            z01 = complex(i, j + 1)
-            z11 = complex(i + 1, j + 1)
-            faces.append((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)))
-            layout_rows.append((z00, z10, z11))
-            faces.append((vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)))
-            layout_rows.append((z00, z11, z01))
-    layout = np.array(layout_rows, dtype=complex)
-    return mesh_from_faces(faces, genus=1, layout=layout)
-
-
-def torus_surface(m: int) -> ConformalSurface:
-    return equip_conformal(build_torus(m), layout="stored", density="uniform")
-
-
-def torus_spectral_crosscheck(rank: int = 1, sizes=(4, 8, 16), dense_cap: int = 6000) -> dict:
-    """Compare the mesh harmonic projector with the continuum answer.
-
-    On the flat torus with the trivial bundle the continuum harmonic
-    (0,1)-forms are the constants.  The report carries the projector
-    idempotency residual, the residual of the constant form under
-    dbar_star and the projector error on a sampled smooth form for each
-    refinement level (the error must decrease).
-    """
-    report: dict = {"levels": []}
-    for m in sizes:
-        S = torus_surface(m)
-        scene = Scene(S, trivial_cocycle(S.mesh, rank))
-        cx = scene.endo
-        F, n = S.n_faces, rank
-        # constant (0,1)-form is discretely harmonic on the regular torus
-        const = np.broadcast_to(np.eye(n), (F, n, n)).reshape(-1)
-        r_const = np.linalg.norm(cx.dbar_star @ const)
-        # projector algebra on the dense materialization
-        P = materialize("projection", scene, dense_cap=dense_cap).matrix
-        r_idem = spectral_norm(P @ P - P)
-        # smooth test form: coefficient exp(2 pi i (x+y)/m) sampled at barycenters;
-        # its continuum harmonic projection is zero (nonzero Fourier mode).
-        bary = np.mean(S.chart, axis=1)
-        coeff = np.exp(2j * np.pi * (bary.real + bary.imag) / m)
-        alpha = (coeff[:, None, None] * np.broadcast_to(np.eye(n), (F, n, n))).reshape(-1)
-        proj = cx.harmonic_project(alpha)
-        num = np.sqrt(abs(np.sum(cx.w1 * proj * np.conj(proj))))
-        den = np.sqrt(abs(np.sum(cx.w1 * alpha * np.conj(alpha))))
-        report["levels"].append(
-            {
-                "m": m,
-                "idempotency": float(r_idem),
-                "constant_form_residual": float(r_const),
-                "smooth_projection_error": float(num / den),
-            }
-        )
-    errs = [lvl["smooth_projection_error"] for lvl in report["levels"]]
-    report["monotone_decrease"] = all(b < a for a, b in zip(errs, errs[1:]))
-    return report

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -299,41 +300,6 @@ def refine(mesh: HalfEdgeMesh) -> HalfEdgeMesh:
     return out
 
 
-def mesh_from_faces(faces, genus: int, layout: Optional[np.ndarray] = None) -> HalfEdgeMesh:
-    """Build a half-edge mesh from (v0,v1,v2) triples.
-
-    Each undirected vertex pair must be shared by exactly two faces with
-    opposite orientations (used by the torus cross-check harness; the
-    polygon gluings have multi-edges and cannot be expressed this way).
-    """
-    faces = [tuple(int(v) for v in f) for f in faces]
-    F = len(faces)
-    H = 3 * F
-    origin = np.zeros(H, dtype=np.int64)
-    for f, (a, b, c) in enumerate(faces):
-        origin[3 * f] = a
-        origin[3 * f + 1] = b
-        origin[3 * f + 2] = c
-    directed: dict[tuple[int, int], int] = {}
-    for f, (a, b, c) in enumerate(faces):
-        for k, (p, q) in enumerate(((a, b), (b, c), (c, a))):
-            if (p, q) in directed:
-                raise MeshError(f"duplicate directed edge {(p, q)}")
-            directed[(p, q)] = 3 * f + k
-    twin = np.full(H, -1, dtype=np.int64)
-    for (p, q), h in directed.items():
-        t = directed.get((q, p))
-        if t is None:
-            raise MeshError(f"boundary edge {(p, q)} in closed mesh")
-        twin[h] = t
-    n_vertices = int(origin.max()) + 1
-    mesh = HalfEdgeMesh(
-        origin=origin, twin=twin, genus=genus, n_vertices=n_vertices, layout=layout
-    )
-    validate_mesh(mesh)
-    return mesh
-
-
 # ---------------------------------------------------------------------------
 # conformal structure
 
@@ -471,6 +437,16 @@ class Reals(int):
     """A field of that many finite reals, read as one float array."""
 
 
+class Labels(int):
+    """A generator label ``a<j>`` or ``b<j>`` with 1 <= j <= that many (the
+    genus), checked label by label so that nothing is sized from a genus."""
+
+
+def _is_label(name: str, genus: int) -> bool:
+    m = re.fullmatch(r"[ab]([1-9][0-9]*)", name)
+    return m is not None and len(m[1]) <= len(str(genus)) and int(m[1]) <= genus
+
+
 class Kind(NamedTuple):
     """The fields of one record kind, after its name (see ``read_records``)."""
 
@@ -484,6 +460,11 @@ def _keys(kind: Kind):
 
 
 def _value(field, tokens: list):
+    if isinstance(field, Labels):
+        if not _is_label(tokens[0], field):
+            shown = ", ".join(generator_names(field)) if field <= 3 else f"a1, b1, ..., a{field}, b{field}"
+            raise ValueError(f"name {tokens[0][:40]!r} is not one of {shown}")
+        return tokens[0]
     if isinstance(field, tuple):
         if tokens[0] not in field:
             raise ValueError(f"name {tokens[0]!r} is not one of {', '.join(field)}")
@@ -505,8 +486,8 @@ def read_records(path, header: str, head: Kind, body) -> dict:
     kind keyed by its first field (a range of ids or a tuple of names),
     ``(line, values)`` for any other kind.
 
-    Fields are ``"count"`` (positive), ``"integer"``, ranges, name tuples
-    and ``Reals``; the last ``optional`` fields may be left off (None),
+    Fields are ``"count"`` (positive), ``"integer"``, ranges, name tuples,
+    ``Labels`` and ``Reals``; the last ``optional`` fields may be left off (None),
     and a kind that is not ``required`` may be absent.  The first record
     is ``header`` with fields ``head``; ``body(values)`` gives the other
     kinds, raising ValueError on inconsistent values.
@@ -540,7 +521,8 @@ def read_records(path, header: str, head: Kind, body) -> dict:
             except ValueError as e:
                 raise RecordFileError(f"{name} record: {e}", line) from None
             key = None if _keys(kind) == (None,) else values[0]
-            names = [v for f, v in zip(kind.fields[1:], values[1:]) if isinstance(f, tuple) and v is not None]
+            names = [v for f, v in zip(kind.fields[1:], values[1:])
+                     if isinstance(f, (tuple, Labels)) and v is not None]
             for mark in [key] + names:
                 if (name, mark) in seen:
                     what = "" if mark is None else f" for {mark}"
@@ -585,7 +567,7 @@ def load_mesh(path) -> HalfEdgeMesh:
         V, E, F, genus = header
         if 2 * E != 3 * F or V - E + F != 2 - 2 * genus:
             raise ValueError(f"V, E, F = {V}, {E}, {F} do not close up to a surface of genus {genus}")
-        ids = (range(3 * F), range(V), range(3 * F), "integer", "integer", generator_names(genus))
+        ids = (range(3 * F), range(V), range(3 * F), "integer", "integer", Labels(genus))
         return {"he": Kind(ids, optional=1), "layout": Kind((range(F), Reals(6)), required=False)}
 
     records = read_records(path, "surf", Kind(("count",) * 4), body)

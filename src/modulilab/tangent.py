@@ -1,47 +1,26 @@
-"""Tangent vectors to the moduli of (surface, flat bundle) pairs at the
-center point: harmonic Beltrami differentials paired with harmonic
-End(E)-valued (0,1)-forms, with the center-point deformation maps."""
+"""Tangents to the moduli of (surface, flat bundle) pairs at the center
+point, with the center-point deformation map.  A tangent is the pair of
+arrays ``(mu, nu)``: mu (F,) complex Beltrami coefficients and nu
+(F, n, n) complex End(E)-valued (0,1)-form coefficients in the face
+frames."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ._complexes import DolbeaultComplex
-from .bundle import BundleCochain, Scene
-from .calculus import Beltrami
+from .bundle import Scene
 
 
-@dataclass(frozen=True)
-class TangentVector:
-    mu: Beltrami
-    nu: BundleCochain
-    harmonic: bool = False
-
-    def __post_init__(self):
-        if self.nu.degree != (0, 1):
-            raise ValueError("nu must be a (0,1)-form cochain")
-
-
-def project_harmonic_mu(mu: Beltrami, cx: DolbeaultComplex) -> Beltrami:
-    """Orthogonal projection onto harmonic Beltrami coefficients under
-    the density-weighted pairing, via I - D Delta0^{-1} D* for the
-    chart-rotation-twisted vector-field complex ``cx`` (a scene's
-    ``tangent``)."""
-    return Beltrami(cx.harmonic_project(mu.values))
-
-
-def ks_center(mu_t: Beltrami, nu_t: BundleCochain, scene: Scene) -> TangentVector:
+def ks_center(mu: np.ndarray, nu: np.ndarray, scene: Scene) -> tuple[np.ndarray, np.ndarray]:
     """Center-point deformation map: the pair of harmonic projections,
     onto ker D* of the scene's tangent complex and ker dbar* of its
     End(E) complex.
 
     Complex-linear, annihilates exact inputs, fixes harmonic ones.
     """
-    mu = project_harmonic_mu(mu_t, scene.tangent)
-    nu = scene.endo.harmonic_project(nu_t.values.reshape(-1))
-    return TangentVector(mu=mu, nu=BundleCochain(nu.reshape(nu_t.values.shape), (0, 1)), harmonic=True)
+    mu_h = scene.tangent.harmonic_project(mu)
+    nu_h = scene.endo.harmonic_project(nu.reshape(-1)).reshape(nu.shape)
+    return mu_h, nu_h
 
 
 def random_tangent(
@@ -49,11 +28,10 @@ def random_tangent(
     seed: int,
     mu_scale: float = 1.0,
     nu_scale: float = 1.0,
-) -> TangentVector:
-    """Reproducible harmonic tangent vector (projected Gaussian data)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reproducible harmonic tangent (projected Gaussian data)."""
     rng = np.random.default_rng(seed)
     F, n = scene.surface.n_faces, scene.cocycle.rank
     raw_mu = rng.standard_normal(F) + 1j * rng.standard_normal(F)
     raw_nu = rng.standard_normal((F, n, n)) + 1j * rng.standard_normal((F, n, n))
-    return ks_center(Beltrami(mu_scale * raw_mu), BundleCochain(nu_scale * raw_nu, (0, 1)), scene)
-
+    return ks_center(mu_scale * raw_mu, nu_scale * raw_nu, scene)

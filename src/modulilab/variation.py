@@ -1,5 +1,6 @@
 """Metric on the moduli of (surface, flat bundle) pairs and its first and
 second variations in the two coordinate systems, with per-term reports.
+Tangents are ``(mu, nu)`` pairs of arrays (see :mod:`modulilab.tangent`).
 
 Term calculus
 -------------
@@ -30,11 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conventions
-from ._complexes import ad, ad_star, lift_to_vertices
-from .bundle import BundleCochain, Scene
-from .calculus import Beltrami, beltrami_d_hol, ip_beltrami
+from ._complexes import SOLVE_RTOL, DolbeaultComplex, ad, ad_star, lift_to_vertices
+from .bundle import Scene
+from .calculus import beltrami_d_hol, ip_beltrami
 from .surface import ConformalSurface
-from .tangent import TangentVector
 
 logger = logging.getLogger(__name__)
 
@@ -146,22 +146,23 @@ class _Workspace:
         return np.conj(np.swapaxes(x, 1, 2))
 
     # -- operator variations ---------------------------------------------
-    def dD(self, v: TangentVector, f_vert: np.ndarray) -> np.ndarray:
+    def dD(self, v: tuple, f_vert: np.ndarray) -> np.ndarray:
         """(ad(nu) - mu d) applied to a vertex 0-cochain."""
-        return ad(self.cx, v.nu.values, f_vert) - v.mu.values[:, None, None] * self.dhol(f_vert)
+        mu, nu = v
+        return ad(self.cx, nu, f_vert) - mu[:, None, None] * self.dhol(f_vert)
 
-    def xi(self, v: TangentVector, alpha: np.ndarray) -> np.ndarray:
+    def xi(self, v: tuple, alpha: np.ndarray) -> np.ndarray:
         """d*(mu-bar alpha) - ad_star(nu, alpha) on a (0,1)-form."""
-        first = self.dhol_star(np.conj(v.mu.values)[:, None, None] * alpha)
-        return first - ad_star(self.cx, v.nu.values, alpha)
+        mu, nu = v
+        return self.dhol_star(np.conj(mu)[:, None, None] * alpha) - ad_star(self.cx, nu, alpha)
 
-    def gauge_potential(self, va: TangentVector, vb: TangentVector, label: str) -> np.ndarray:
+    def gauge_potential(self, va: tuple, vb: tuple, label: str) -> np.ndarray:
         """Delta0^{-1} of the lifted gauge-Hessian source for slot pair (a, b)."""
         rho = self.S.density
-        nua, nub = va.nu.values, vb.nu.values
+        (mua, nua), (mub, nub) = va, vb
         ctb = self.ct(nub)
-        dmu_a = beltrami_d_hol(va.mu, self.scene.beltrami)
-        dmu_b = beltrami_d_hol(vb.mu, self.scene.beltrami)
+        dmu_a = beltrami_d_hol(mua, self.scene.beltrami)
+        dmu_b = beltrami_d_hol(mub, self.scene.beltrami)
         src = (
             nua @ ctb
             - ctb @ nua
@@ -173,35 +174,48 @@ class _Workspace:
         return self.solve(lifted, label)
 
 
-def _check_inputs(scene: Scene, vectors, need_harmonic: bool):
+def _harmonic_defect(cx: DolbeaultComplex, x: np.ndarray) -> float:
+    """|dbar* x| / |(|dbar*| |x|)|: roundoff for x in ker dbar*, of order
+    one for raw data, 0 for x = 0 and NaN for non-finite x."""
+    scale = np.linalg.norm(abs(cx.dbar_star) @ np.abs(x))
+    return float(np.linalg.norm(cx.dbar_star @ x) / max(scale, 1e-300))
+
+
+def _check_inputs(scene: Scene, vectors, harmonic: bool = False):
+    """Shapes of the (mu, nu) pairs; with ``harmonic``, each mu must be in
+    ker D* of ``scene.tangent`` and each nu in ker dbar* of ``scene.endo``."""
     F, n = scene.surface.n_faces, scene.cocycle.rank
-    for v in vectors:
-        if v.mu.values.shape != (F,) or v.nu.values.shape != (F, n, n):
+    for slot, (mu, nu) in enumerate(vectors, start=1):
+        if np.shape(mu) != (F,) or np.shape(nu) != (F, n, n):
             raise VariationInputError("tangent vector does not match surface/rank")
-        if need_harmonic and not v.harmonic:
-            raise VariationInputError("second variations require harmonic-flagged inputs")
+        kernels = (("mu", scene.tangent, mu), ("nu", scene.endo, nu.reshape(-1))) if harmonic else ()
+        for name, cx, x in kernels:
+            defect = _harmonic_defect(cx, x)
+            if not (defect <= SOLVE_RTOL):
+                raise VariationInputError(f"slot {slot}: {name} is not harmonic (defect {defect:.1e})")
 
 
 # ---------------------------------------------------------------------------
 # metric and first variation
 
 
-def metric_g(v1: TangentVector, v2: TangentVector, scene: Scene) -> complex:
+def metric_g(v1: tuple, v2: tuple, scene: Scene) -> complex:
     """Density-weighted Beltrami pairing plus the bundle form pairing.
 
     The blocks are orthogonal: there is no mu-nu cross term.
     """
-    _check_inputs(scene, (v1, v2), need_harmonic=False)
+    _check_inputs(scene, (v1, v2))
+    (mu1, nu1), (mu2, nu2) = v1, v2
     S = scene.surface
     # i * (wedge pairing of nu1 with star(conj(nu2)^T)), star dz = -i dz
-    bundle_term = 1j * _pair(S, v1.nu.values, conventions.STAR_DZ * _Workspace.ct(v2.nu.values))
-    return ip_beltrami(v1.mu, v2.mu, S) + bundle_term
+    bundle_term = 1j * _pair(S, nu1, conventions.STAR_DZ * _Workspace.ct(nu2))
+    return ip_beltrami(mu1, mu2, S) + bundle_term
 
 
 def first_variation(
-    v_dir: TangentVector,
-    v1: TangentVector,
-    v2: TangentVector,
+    v_dir: tuple,
+    v1: tuple,
+    v2: tuple,
     scene: Scene,
     system: str = "universal",
 ) -> tuple[complex, complex]:
@@ -211,11 +225,10 @@ def first_variation(
     The two coordinate systems give the same integrals; they are summed
     in different orders here so the comparison is not vacuous.
     """
-    _check_inputs(scene, (v_dir, v1, v2), need_harmonic=False)
+    _check_inputs(scene, (v_dir, v1, v2))
     S = scene.surface
-    nu = v_dir.nu.values
-    nu1, nu2 = v1.nu.values, v2.nu.values
-    mu1, mu2 = v1.mu.values, v2.mu.values
+    nu = v_dir[1]
+    (mu1, nu1), (mu2, nu2) = v1, v2
     if system == "universal":
         d_eps = _pair(S, nu, np.conj(mu2)[:, None, None] * nu1)
         d_eps_bar = _pair(S, mu1[:, None, None] * _Workspace.ct(nu), _Workspace.ct(nu2))
@@ -235,8 +248,7 @@ def first_variation(
 
 
 def _universal_terms(ws: _Workspace, v1, v2, v3, v4) -> list:
-    mu1, mu2, mu3, mu4 = (v.mu.values for v in (v1, v2, v3, v4))
-    nu1, nu2, nu3, nu4 = (v.nu.values for v in (v1, v2, v3, v4))
+    (mu1, nu1), (mu2, nu2), (mu3, nu3), (mu4, nu4) = v1, v2, v3, v4
     ct = ws.ct
     G12 = ws.gauge_potential(v1, v2, "gauge_12")
     G21 = ws.gauge_potential(v2, v1, "gauge_21")
@@ -261,8 +273,7 @@ def _universal_terms(ws: _Workspace, v1, v2, v3, v4) -> list:
 
 def _fibered_extra_terms(ws: _Workspace, v1, v2, v3, v4) -> list:
     """The four integrals present only in the fibered coordinates."""
-    mu1, mu2, mu3, mu4 = (v.mu.values for v in (v1, v2, v3, v4))
-    nu1, nu2, nu3, nu4 = (v.nu.values for v in (v1, v2, v3, v4))
+    (mu1, nu1), (mu2, nu2), (mu3, nu3), (mu4, nu4) = v1, v2, v3, v4
     ct = ws.ct
     y_t3 = ws.solve(ws.dhol_star(np.conj(mu2)[:, None, None] * nu1), "new_tei_mu3")
     y_t4 = ws.solve(ws.dhol_star(np.conj(mu1)[:, None, None] * nu2), "new_tei_mu4")
@@ -280,10 +291,10 @@ _REMOVED_IN_FIBERED = ("cross_mu3", "cross_mu4")
 
 
 def evaluate_quadruple(
-    v1: TangentVector,
-    v2: TangentVector,
-    v3: TangentVector,
-    v4: TangentVector,
+    v1: tuple,
+    v2: tuple,
+    v3: tuple,
+    v4: tuple,
     scene: Scene,
 ) -> QuadrupleReport:
     """Mixed second derivative of the metric in both coordinate systems,
@@ -296,18 +307,18 @@ def evaluate_quadruple(
     difference (universal minus fibered) lists the removed cross terms
     with plus sign and the four new terms with minus.  Every total is
     C-linear in slots 1 and 3, conjugate-linear in slots 2 and 4, and
-    Hermitian under (1<->2, 3<->4) with conjugation.
+    Hermitian under (1<->2, 3<->4) with conjugation.  Every slot must be
+    harmonic to SOLVE_RTOL (see ``_harmonic_defect``).
     """
     vectors = (v1, v2, v3, v4)
-    _check_inputs(scene, vectors, need_harmonic=True)
+    _check_inputs(scene, vectors, harmonic=True)
     ws = _Workspace(scene)
     universal = _universal_terms(ws, *vectors)
     extra = _fibered_extra_terms(ws, *vectors)
     inputs = {
-        "digest": _inputs_digest([v.mu.values for v in vectors] + [v.nu.values for v in vectors]),
-        "mu_norms": [float(np.linalg.norm(v.mu.values)) for v in vectors],
-        "nu_norms": [float(np.linalg.norm(v.nu.values)) for v in vectors],
-        "harmonic": [bool(v.harmonic) for v in vectors],
+        "digest": _inputs_digest([mu for mu, _ in vectors] + [nu for _, nu in vectors]),
+        "mu_norms": [float(np.linalg.norm(mu)) for mu, _ in vectors],
+        "nu_norms": [float(np.linalg.norm(nu)) for _, nu in vectors],
     }
     table = dict(universal)
     fibered = [(name, val) for name, val in universal if name not in _REMOVED_IN_FIBERED] + extra
@@ -327,8 +338,8 @@ def evaluate_quadruple(
 
 
 def positivity_certificate(
-    mu2: Beltrami,
-    nu1: BundleCochain,
+    mu2: np.ndarray,
+    nu1: np.ndarray,
     scene: Scene,
 ) -> tuple[float, float, float]:
     """Split of the restricted coordinate difference into two manifestly
@@ -339,13 +350,12 @@ def positivity_certificate(
     total of ``evaluate_quadruple`` on the restriction nu4 = nu1,
     mu3 = mu2, rest zero.
     """
-    if nu1.degree != (0, 1) or nu1.rank != scene.cocycle.rank:
-        raise VariationInputError("nu1 must be a (0,1) cochain of the cocycle rank")
+    _check_inputs(scene, [(mu2, nu1)])
     ws = _Workspace(scene)
-    h = ws.dhol_star(np.conj(mu2.values)[:, None, None] * nu1.values)
+    h = ws.dhol_star(np.conj(mu2)[:, None, None] * nu1)
     x = ws.solve(h, "positivity_a")
     term_a = complex(np.sum(ws.cx.w0 * x.reshape(-1) * np.conj(h.reshape(-1))))
-    term_b = _pair(ws.S, (np.abs(mu2.values) ** 2)[:, None, None] * nu1.values, _Workspace.ct(nu1.values))
+    term_b = _pair(ws.S, (np.abs(mu2) ** 2)[:, None, None] * nu1, _Workspace.ct(nu1))
     scale = max(abs(term_a), abs(term_b), 1e-300)
     if abs(term_a.imag) > 1e-10 * scale or abs(term_b.imag) > 1e-10 * scale:
         logger.warning(

@@ -102,6 +102,6 @@ def ip(w, x, y):
     return complex(np.sum(w * np.ravel(x) * np.conj(np.ravel(y))))
 
 
-def random_cochain(rng, sites, n, degree):
-    vals = rng.standard_normal((sites, n, n)) + 1j * rng.standard_normal((sites, n, n))
-    return bnd.BundleCochain(vals, degree)
+def random_cochain(rng, sites, n):
+    """Gaussian End(E)-valued cochain: (sites, n, n) complex, on vertices or faces."""
+    return rng.standard_normal((sites, n, n)) + 1j * rng.standard_normal((sites, n, n))

@@ -13,9 +13,8 @@ import time
 import numpy as np
 from modulilab import bundle as bnd
 from modulilab import oracle, variation as var
-from modulilab.bundle import BundleCochain, Scene
-from modulilab.calculus import Beltrami
-from modulilab.tangent import TangentVector, random_tangent
+from modulilab.bundle import Scene
+from modulilab.tangent import random_tangent
 from conftest import dense_delta0_inverse, ip, random_cochain
 
 
@@ -38,8 +37,8 @@ def test_criterion_01_operator_algebra(su2_scene, rng):
     worst_adj = 0.0
     V, F = cx.n_vertices, cx.n_faces
     for _ in range(1000):
-        f = random_cochain(rng, V, 2, "vertex").values.reshape(-1)
-        a = random_cochain(rng, F, 2, (0, 1)).values.reshape(-1)
+        f = random_cochain(rng, V, 2).reshape(-1)
+        a = random_cochain(rng, F, 2).reshape(-1)
         lhs = ip(cx.w1, cx.dbar @ f, a)
         rhs = ip(cx.w0, f, cx.dbar_star @ a)
         worst_adj = max(worst_adj, abs(lhs - rhs) / max(abs(lhs), 1.0))
@@ -73,7 +72,7 @@ def test_criterion_03_oracle_equivalence(su2_scene, rng):
     inv = dense_delta0_inverse(cx)
     worst = 0.0
     for _ in range(100):
-        h = random_cochain(rng, cx.n_vertices, 2, "vertex").values.reshape(-1)
+        h = random_cochain(rng, cx.n_vertices, 2).reshape(-1)
         x_dense = inv @ h
         x_lu, _ = cx.delta0_solve(h)
         worst = max(worst, np.linalg.norm(x_lu - x_dense) / np.linalg.norm(x_dense))
@@ -132,15 +131,15 @@ def test_criterion_06_coordinate_difference(su2_scene):
     added = sum(1 for n, _ in dif.terms if n.startswith("added_"))
     removed = sum(1 for n, _ in dif.terms if n.startswith("removed_"))
     F = su2_scene.surface.n_faces
-    zmu = Beltrami(np.zeros(F, dtype=complex))
-    znu = BundleCochain(np.zeros((F, 2, 2), dtype=complex), (0, 1))
+    zmu = np.zeros(F, dtype=complex)
+    znu = np.zeros((F, 2, 2), dtype=complex)
     worst_imag = 0.0
     all_positive = True
     for k in range(50):
-        nu1 = random_tangent(su2_scene, seed=5000 + 2 * k).nu
-        mu2 = random_tangent(su2_scene, seed=5001 + 2 * k).mu
-        v1 = TangentVector(zmu, nu1, harmonic=True)
-        v2 = TangentVector(mu2, znu, harmonic=True)
+        nu1 = random_tangent(su2_scene, seed=5000 + 2 * k)[1]
+        mu2 = random_tangent(su2_scene, seed=5001 + 2 * k)[0]
+        v1 = (zmu, nu1)
+        v2 = (mu2, znu)
         d = var.evaluate_quadruple(v1, v2, v2, v1, su2_scene).difference
         worst_imag = max(worst_imag, abs(d.total.imag) / max(abs(d.total.real), 1e-30))
         all_positive = all_positive and d.total.real > 0.0
@@ -163,17 +162,17 @@ def test_criterion_06_coordinate_difference(su2_scene):
 
 def test_criterion_07_positivity_decomposition(su2_scene):
     F = su2_scene.surface.n_faces
-    zmu = Beltrami(np.zeros(F, dtype=complex))
-    znu = BundleCochain(np.zeros((F, 2, 2), dtype=complex), (0, 1))
+    zmu = np.zeros(F, dtype=complex)
+    znu = np.zeros((F, 2, 2), dtype=complex)
     worst_recon = 0.0
     sign_ok = True
     for k in range(50):
-        nu1 = random_tangent(su2_scene, seed=7000 + 2 * k).nu
-        mu2 = random_tangent(su2_scene, seed=7001 + 2 * k).mu
+        nu1 = random_tangent(su2_scene, seed=7000 + 2 * k)[1]
+        mu2 = random_tangent(su2_scene, seed=7001 + 2 * k)[0]
         a, b, total = var.positivity_certificate(mu2, nu1, su2_scene)
         sign_ok = sign_ok and a >= -1e-12 * max(abs(total), 1.0) and b > 0.0
-        v1 = TangentVector(zmu, nu1, harmonic=True)
-        v2 = TangentVector(mu2, znu, harmonic=True)
+        v1 = (zmu, nu1)
+        v2 = (mu2, znu)
         d = var.evaluate_quadruple(v1, v2, v2, v1, su2_scene).difference
         worst_recon = max(worst_recon, abs(d.total - total) / max(abs(total), 1.0))
     ok = sign_ok and worst_recon <= 1e-10

@@ -100,8 +100,8 @@ def test_adjointness(su2_scene, rng):
     cx = su2_scene.endo
     worst = 0.0
     for _ in range(50):
-        f = random_cochain(rng, cx.n_vertices, 2, "vertex").values.reshape(-1)
-        a = random_cochain(rng, cx.n_faces, 2, (0, 1)).values.reshape(-1)
+        f = random_cochain(rng, cx.n_vertices, 2).reshape(-1)
+        a = random_cochain(rng, cx.n_faces, 2).reshape(-1)
         lhs = ip(cx.w1, cx.dbar @ f, a)
         rhs = ip(cx.w0, f, cx.dbar_star @ a)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1.0))
@@ -110,8 +110,8 @@ def test_adjointness(su2_scene, rng):
 
 def test_delta0_inverse_roundtrip(su2_scene, rng):
     cx = su2_scene.endo
-    g = random_cochain(rng, cx.n_vertices, 2, "vertex")
-    gperp, _ = cx.project_off_kernel(g.values.reshape(-1))
+    g = random_cochain(rng, cx.n_vertices, 2)
+    gperp, _ = cx.project_off_kernel(g.reshape(-1))
     back, _ = cx.delta0_solve(cx.laplacian @ gperp)
     assert np.linalg.norm(back - gperp) <= 1e-8 * np.linalg.norm(gperp)
 
@@ -127,7 +127,7 @@ def test_delta0_factorized_matches_dense_oracle(su2_scene, rng):
     # the factorized solve against the independent dense spectral inverse
     cx = su2_scene.endo
     inv = dense_delta0_inverse(cx)
-    h = random_cochain(rng, cx.n_vertices, 2, "vertex").values.reshape(-1)
+    h = random_cochain(rng, cx.n_vertices, 2).reshape(-1)
     x_lu, _ = cx.delta0_solve(h)
     x_dn = inv @ h
     assert np.linalg.norm(x_lu - x_dn) <= 1e-8 * np.linalg.norm(x_dn)
@@ -136,14 +136,14 @@ def test_delta0_factorized_matches_dense_oracle(su2_scene, rng):
 def test_harmonic_projection_properties(su2_scene, rng):
     cx = su2_scene.endo
     V, F = cx.n_vertices, cx.n_faces
-    exact = cx.dbar @ random_cochain(rng, V, 2, "vertex").values.reshape(-1)
+    exact = cx.dbar @ random_cochain(rng, V, 2).reshape(-1)
     killed = cx.harmonic_project(exact)
     assert np.linalg.norm(killed) <= 1e-8 * np.linalg.norm(exact)
-    a = random_cochain(rng, F, 2, (0, 1)).values.reshape(-1)
+    a = random_cochain(rng, F, 2).reshape(-1)
     p1 = cx.harmonic_project(a)
     p2 = cx.harmonic_project(p1)
     assert np.linalg.norm(p2 - p1) <= 1e-8 * np.linalg.norm(p1)
-    g = random_cochain(rng, V, 2, "vertex").values.reshape(-1)
+    g = random_cochain(rng, V, 2).reshape(-1)
     ortho = ip(cx.w1, p1, cx.dbar @ g)
     assert abs(ortho) <= 1e-8 * np.linalg.norm(p1) * np.linalg.norm(g)
 
@@ -157,16 +157,16 @@ def test_kernel_dim_equals_commutant(surf_hyp, su2_r2, triv1_r2, triv2_r2):
 def test_ad_rank1_vanishes(triv1_scene, rng):
     cx = triv1_scene.endo
     V, F = cx.n_vertices, cx.n_faces
-    nu = random_cochain(rng, F, 1, (0, 1)).values
-    f = random_cochain(rng, V, 1, "vertex").values
+    nu = random_cochain(rng, F, 1)
+    f = random_cochain(rng, V, 1)
     assert np.linalg.norm(ad(cx, nu, f)) == 0.0
-    a = random_cochain(rng, F, 1, (0, 1)).values
+    a = random_cochain(rng, F, 1)
     assert np.linalg.norm(ad_star(cx, nu, a)) <= 1e-14
 
 
 def test_ad_kills_identity(su2_scene, rng):
     cx = su2_scene.endo
-    nu = random_cochain(rng, cx.n_faces, 2, (0, 1)).values
+    nu = random_cochain(rng, cx.n_faces, 2)
     ident = np.broadcast_to(np.eye(2), (cx.n_vertices, 2, 2))
     assert np.linalg.norm(ad(cx, nu, ident)) <= 1e-13
 
@@ -174,9 +174,9 @@ def test_ad_kills_identity(su2_scene, rng):
 def test_ad_bilinearity(su2_scene, rng):
     cx = su2_scene.endo
     V, F = cx.n_vertices, cx.n_faces
-    nu1 = random_cochain(rng, F, 2, (0, 1)).values
-    nu2 = random_cochain(rng, F, 2, (0, 1)).values
-    f = random_cochain(rng, V, 2, "vertex").values
+    nu1 = random_cochain(rng, F, 2)
+    nu2 = random_cochain(rng, F, 2)
+    f = random_cochain(rng, V, 2)
     lam = 0.3 - 1.1j
     lhs = ad(cx, nu1 + lam * nu2, f)
     rhs = ad(cx, nu1, f) + lam * ad(cx, nu2, f)
@@ -188,9 +188,9 @@ def test_ad_star_calibration_adjointness(su2_scene, rng):
     V, F = cx.n_vertices, cx.n_faces
     worst = 0.0
     for _ in range(20):
-        nu = random_cochain(rng, F, 2, (0, 1)).values
-        f = random_cochain(rng, V, 2, "vertex").values
-        a = random_cochain(rng, F, 2, (0, 1)).values
+        nu = random_cochain(rng, F, 2)
+        f = random_cochain(rng, V, 2)
+        a = random_cochain(rng, F, 2)
         lhs = ip(cx.w1, ad(cx, nu, f), a)
         rhs = ip(cx.w0, f, ad_star(cx, nu, a))
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1.0))
@@ -247,7 +247,7 @@ def test_corner_average_is_mean_of_transported_corners(request, surf, rng):
     scene = Scene(S, _complex_transport_cocycle(S.mesh))
     T = corner_transports(scene.geom, scene.cocycle.transport)
     cv = scene.geom.corner_vertex
-    x = random_cochain(rng, S.n_vertices, 2, "vertex").values
+    x = random_cochain(rng, S.n_vertices, 2)
     ref = sum(T[:, k] @ x[cv[:, k]] @ np.conj(np.swapaxes(T[:, k], 1, 2)) for k in range(3)) / 3.0
     got = vertex_to_face(scene.endo, x)
     assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
@@ -270,8 +270,8 @@ def test_lift_is_area_weighted_adjoint_of_corner_average(request, surf, su2, rng
     S, complexes = _corner_complexes(request, surf, su2)
     geom = geometry(S)
     for cx in complexes:
-        x = random_cochain(rng, cx.n_vertices, cx.m, "vertex").values
-        y = random_cochain(rng, cx.n_faces, cx.m, (0, 1)).values
+        x = random_cochain(rng, cx.n_vertices, cx.m)
+        y = random_cochain(rng, cx.n_faces, cx.m)
         lhs = np.einsum("v,vab,vab->", geom.mass_area, lift_to_vertices(cx, y), np.conj(x))
         rhs = np.einsum("f,fab,fab->", geom.area, y, np.conj(vertex_to_face(cx, x)))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
@@ -280,7 +280,7 @@ def test_lift_is_area_weighted_adjoint_of_corner_average(request, surf, su2, rng
 def test_restricted_inverse_positivity(su2_scene, rng):
     cx = su2_scene.endo
     for _ in range(10):
-        h = random_cochain(rng, cx.n_vertices, 2, "vertex").values.reshape(-1)
+        h = random_cochain(rng, cx.n_vertices, 2).reshape(-1)
         x, _ = cx.delta0_solve(h)
         val = ip(cx.w0, x, h)
         assert val.real >= -1e-10 * abs(val)
@@ -483,7 +483,7 @@ def test_scene_builds_each_complex_on_first_use(surf_hyp_r1, su2_r1):
     scene = Scene(surf_hyp_r1, su2_r1)
     assert not {"geom", "endo", "tangent", "beltrami"} & set(vars(scene))
     v = random_tangent(scene, seed=0)
-    positivity_certificate(v.mu, v.nu, scene)
+    positivity_certificate(*v, scene)
     assert {"geom", "endo", "tangent"} <= set(vars(scene)) and "beltrami" not in vars(scene)
     built = (scene.geom, scene.endo, scene.tangent)
     evaluate_quadruple(v, v, v, v, scene)

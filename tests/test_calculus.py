@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 from modulilab import bundle as bnd
 from modulilab import conventions
 from modulilab._complexes import geometry
-from modulilab.bundle import BundleCochain, Scene
-from modulilab.calculus import Beltrami, beltrami_d_hol
-from modulilab.oracle import torus_surface
-from modulilab.surface import equip_conformal, mesh_from_faces
+from modulilab.bundle import Scene
+from modulilab.calculus import beltrami_d_hol
+from modulilab.surface import equip_conformal
 from modulilab.variation import _pair
 from conftest import ip
+from flat_torus import mesh_from_faces, torus_surface
 
 
 @pytest.fixture(scope="module")
@@ -102,12 +102,6 @@ def test_hodge_star_conventions(triv1_scene, rng):
     assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
-def test_hodge_star_type_error(surf_hyp):
-    # cochains carry only vertex, (0,1) and (1,0) degrees
-    with pytest.raises(ValueError, match="degree"):
-        BundleCochain(np.zeros((surf_hyp.n_faces, 1, 1)), (2, 0))
-
-
 def test_ip_properties(triv1_scene, rng):
     w0 = triv1_scene.endo.w0
     V = w0.shape[0]
@@ -146,11 +140,11 @@ def test_mu_contract(triv1_scene, rng):
     # pairing, so d* (mu-bar .) is the exact adjoint of mu d
     cx = triv1_scene.endo
     F, V = cx.n_faces, cx.n_vertices
-    mu = Beltrami(rng.standard_normal(F) + 1j * rng.standard_normal(F))
+    mu = _random(rng, F)
     f = _random(rng, V)
     alpha = _random(rng, F)
-    contracted = mu.values * (cx.dhol @ f)
-    back = cx.dhol_star @ (np.conj(mu.values) * alpha)
+    contracted = mu * (cx.dhol @ f)
+    back = cx.dhol_star @ (np.conj(mu) * alpha)
     lhs = ip(cx.w1, contracted, alpha)
     rhs = ip(cx.w0, f, back)
     assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
@@ -191,7 +185,7 @@ def test_face_derivative_constant(torus8):
     # uniform planar charts (corner spin 1): a constant Beltrami
     # coefficient lifts to a constant, and its derivative vanishes
     assert np.array_equal(geometry(torus8).corner_spin, np.ones((torus8.n_faces, 3)))
-    d = beltrami_d_hol(Beltrami(np.full(torus8.n_faces, 1.7 - 0.3j)), _spin2(torus8))
+    d = beltrami_d_hol(np.full(torus8.n_faces, 1.7 - 0.3j), _spin2(torus8))
     assert np.linalg.norm(d) <= 1e-13
 
 
@@ -200,7 +194,7 @@ def test_face_derivative_linear_exact(torus8):
     # recover the exact constant derivative
     bary = np.mean(torus8.chart, axis=1)
     a = 0.8 + 0.4j
-    d = beltrami_d_hol(Beltrami(a * bary), _spin2(torus8))
+    d = beltrami_d_hol(a * bary, _spin2(torus8))
     interior = []
     m = 8
     for f in range(torus8.n_faces):
@@ -213,8 +207,8 @@ def test_face_derivative_linear_exact(torus8):
 
 def test_face_derivative_deterministic(surf_hyp, rng):
     vals = rng.standard_normal(surf_hyp.n_faces) + 1j * rng.standard_normal(surf_hyp.n_faces)
-    d1 = beltrami_d_hol(Beltrami(vals), _spin2(surf_hyp))
-    d2 = beltrami_d_hol(Beltrami(vals.copy()), _spin2(surf_hyp))
+    d1 = beltrami_d_hol(vals, _spin2(surf_hyp))
+    d2 = beltrami_d_hol(vals.copy(), _spin2(surf_hyp))
     assert np.array_equal(d1, d2)
 
 
@@ -232,14 +226,9 @@ def test_beltrami_d_hol_matches_two_step_stencil(request, surf, rng):
     lifted /= geom.mass_area
     ref = np.sum(geom.grad_hol * lifted[geom.corner_vertex] * spin, axis=1)
     cx = _spin2(S)
-    got = beltrami_d_hol(Beltrami(vals), cx)
+    got = beltrami_d_hol(vals, cx)
     assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
     assert cx.kernel.shape == (S.n_vertices, 0)
-
-
-def test_beltrami_sup_norm_flag():
-    assert Beltrami(np.array([0.5, 1.5 + 0j])).sup_norm_warning
-    assert not Beltrami(np.array([0.5, 0.9 + 0j])).sup_norm_warning
 
 
 @settings(max_examples=20, deadline=None)

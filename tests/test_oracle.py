@@ -13,6 +13,7 @@ from modulilab.bundle import Scene
 from modulilab.cli import DEFAULTS
 from modulilab.surface import equip_conformal, refine
 from conftest import dense_delta0_inverse, p1_dbar, random_cochain
+from flat_torus import build_torus, torus_spectral_crosscheck
 
 
 def scalar_complex(S):
@@ -29,7 +30,7 @@ def test_materialize_matches_functional_path(su2_scene_r1, rng):
     D = oracle.materialize("dbar", su2_scene_r1)
     worst = 0.0
     for _ in range(50):
-        f = random_cochain(rng, cx.n_vertices, 2, "vertex").values.reshape(-1)
+        f = random_cochain(rng, cx.n_vertices, 2).reshape(-1)
         via_matrix = D.matrix @ f
         direct = cx.dbar @ f
         worst = max(worst, np.linalg.norm(via_matrix - direct) / np.linalg.norm(direct))
@@ -41,7 +42,7 @@ def test_materialize_all_operators(su2_scene_r1, rng):
     # its dense materialization on random inputs
     cx = su2_scene_r1.endo
     V, F, n = cx.n_vertices, cx.n_faces, 2
-    nu = random_cochain(rng, F, n, (0, 1)).values
+    nu = random_cochain(rng, F, n)
     mu = rng.standard_normal(F) + 1j * rng.standard_normal(F)
     cases = [
         ("d_hol", None, V, cx.dhol.__matmul__),
@@ -57,7 +58,7 @@ def test_materialize_all_operators(su2_scene_r1, rng):
     for name, aux, sites, apply in cases:
         op = oracle.materialize(name, su2_scene_r1, aux=aux)
         for _ in range(5):
-            x = random_cochain(rng, sites, n, "vertex").values.reshape(-1)
+            x = random_cochain(rng, sites, n).reshape(-1)
             direct = apply(x).reshape(-1)
             via = op.matrix @ x
             assert np.linalg.norm(via - direct) <= 1e-12 * max(np.linalg.norm(direct), 1e-300)
@@ -87,7 +88,7 @@ def test_restricted_inverse_dense(su2_scene_r1, rng):
     # cross-path agreement with the factorized solver
     worst = 0.0
     for _ in range(20):
-        h = random_cochain(rng, cx.n_vertices, 2, "vertex").values.reshape(-1)
+        h = random_cochain(rng, cx.n_vertices, 2).reshape(-1)
         x_dense = inv @ h
         x_lu, _ = cx.delta0_solve(h)
         worst = max(worst, np.linalg.norm(x_dense - x_lu) / np.linalg.norm(x_dense))
@@ -208,13 +209,13 @@ def test_spectral_norm_of_zero_matrix():
 
 
 def test_torus_mesh_valid():
-    m = oracle.build_torus(4)
+    m = build_torus(4)
     assert m.genus == 1
     assert m.n_vertices - m.n_edges + m.n_faces == 0
 
 
 def test_torus_crosscheck():
-    rep = oracle.torus_spectral_crosscheck(rank=1, sizes=(4, 8, 16))
+    rep = torus_spectral_crosscheck(rank=1, sizes=(4, 8, 16))
     for lvl in rep["levels"]:
         assert lvl["idempotency"] <= 1e-10
         assert lvl["constant_form_residual"] <= 1e-12
@@ -222,6 +223,6 @@ def test_torus_crosscheck():
 
 
 def test_torus_crosscheck_rank2():
-    rep = oracle.torus_spectral_crosscheck(rank=2, sizes=(4, 8))
+    rep = torus_spectral_crosscheck(rank=2, sizes=(4, 8))
     assert rep["levels"][0]["constant_form_residual"] <= 1e-12
     assert rep["levels"][1]["smooth_projection_error"] < rep["levels"][0]["smooth_projection_error"]

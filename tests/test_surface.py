@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modulilab.oracle import build_torus
 from modulilab.surface import (
     ChartError,
     MeshError,
@@ -15,6 +14,7 @@ from modulilab.surface import (
     save_mesh,
     validate_mesh,
 )
+from flat_torus import build_torus
 
 
 def test_fan_genus2_counts(fan2):
@@ -253,11 +253,19 @@ def test_mesh_header_rejected(tmp_path, fan2, header, message):
         (lambda ls: ls[:2] + ls[:1] + ls[2:], "line 3: repeated surf record"),
         (lambda ls: ["# a comment", ""] + ls, None),
         (lambda ls: _set_field(ls, 8, 6, "c1"), "line 9: he record: name 'c1' is not one of a1, b1, a2, b2"),
+        (lambda ls: _set_field(ls, 8, 6, "a0"), "line 9: he record: name 'a0' is not one of a1, b1, a2, b2$"),
+        (lambda ls: _set_field(ls, 8, 6, "a01"), "line 9: he record: name 'a01' is not one of a1, b1, a2, b2$"),
+        (lambda ls: _set_field(ls, 8, 6, "a3"), "line 9: he record: name 'a3' is not one of a1, b1, a2, b2$"),
+        (lambda ls: _set_field(ls, 8, 6, "b10"), "line 9: he record: name 'b10' is not one of a1, b1, a2, b2$"),
+        (lambda ls: _set_field(ls, 8, 6, "a\u00b2"), "line 9: he record: name 'a\u00b2' is not one of a1, b1, a2, b2$"),
         (lambda ls: _set_field(ls, 8, 6, "a1"), "line 24: repeated he record for a1"),
         (lambda ls: _set_field(ls, 8, 4, "9"), "line 9: half-edges must be grouped 3 per face"),
         (lambda ls: _set_field(ls, 8, 2, "2"), "line 9: he record: 2 is out of range 0..1"),
     ],
-    ids=["before_header", "repeated_header", "comments", "unknown_label", "repeated_label", "bad_next", "bad_origin"],
+    ids=[
+        "before_header", "repeated_header", "comments", "unknown_label", "label_zero", "label_leading_zero",
+        "label_above_genus", "label_two_digits", "label_superscript", "repeated_label", "bad_next", "bad_origin",
+    ],
 )
 def test_mesh_records_rejected(tmp_path, fan2, edit, message):
     p = _edited(tmp_path, fan2, edit)
@@ -266,6 +274,29 @@ def test_mesh_records_rejected(tmp_path, fan2, edit, message):
         return
     with pytest.raises(RecordFileError, match=message):
         load_mesh(p)
+
+
+def test_huge_genus_header_sizes_nothing(tmp_path):
+    # a header that closes up at genus 10**6 is rejected without building
+    # anything of the genus's size, and a bad label gets a short message
+    import tracemalloc
+
+    header = "surf 2 6000000 4000000 1000000\n"
+    p = tmp_path / "m.surf"
+    p.write_text(header)
+    tracemalloc.start()
+    try:
+        with pytest.raises(RecordFileError, match="missing he record for 0"):
+            load_mesh(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
+    for label in ("zz", "a1000001", "q" * 10_000):
+        p.write_text(header + f"he 0 0 1 1 0 {label}\n")
+        with pytest.raises(RecordFileError, match="not one of a1, b1, ..., a1000000, b1000000") as e:
+            load_mesh(p)
+        assert len(str(e.value)) < 200
 
 
 def test_refinement_record_links_parent(fan2, fan2_r1):

@@ -7,9 +7,8 @@ from modulilab import bundle as bnd
 from modulilab import oracle
 from modulilab import variation as var
 from modulilab._complexes import endo_complex
-from modulilab.bundle import BundleCochain, Scene
-from modulilab.calculus import Beltrami
-from modulilab.tangent import TangentVector, random_tangent
+from modulilab.bundle import Scene
+from modulilab.tangent import random_tangent
 
 
 def quad(scene, base_seed, **kw):
@@ -18,17 +17,12 @@ def quad(scene, base_seed, **kw):
 
 def zero_tv(scene):
     F, n = scene.surface.n_faces, scene.cocycle.rank
-    return TangentVector(
-        Beltrami(np.zeros(F, dtype=complex)),
-        BundleCochain(np.zeros((F, n, n), dtype=complex), (0, 1)),
-        harmonic=True,
-    )
+    return np.zeros(F, dtype=complex), np.zeros((F, n, n), dtype=complex)
 
 
 def scale_tv(v, lam):
-    return TangentVector(
-        Beltrami(lam * v.mu.values), BundleCochain(lam * v.nu.values, (0, 1)), harmonic=True
-    )
+    mu, nu = v
+    return lam * mu, lam * nu
 
 
 # -- metric ------------------------------------------------------------------
@@ -52,8 +46,9 @@ def test_metric_hermitian(su2_scene):
 def test_metric_blocks_orthogonal(su2_scene):
     v1 = random_tangent(su2_scene, seed=3)
     v2 = random_tangent(su2_scene, seed=4)
-    mu_only = TangentVector(v1.mu, zero_tv(su2_scene).nu, harmonic=True)
-    nu_only = TangentVector(zero_tv(su2_scene).mu, v2.nu, harmonic=True)
+    zmu, znu = zero_tv(su2_scene)
+    mu_only = (v1[0], znu)
+    nu_only = (zmu, v2[1])
     assert var.metric_g(mu_only, nu_only, su2_scene) == 0.0
 
 
@@ -63,7 +58,7 @@ def test_metric_blocks_orthogonal(su2_scene):
 def test_first_variation_zero_direction_nu(su2_scene):
     v1 = random_tangent(su2_scene, seed=1)
     v2 = random_tangent(su2_scene, seed=2)
-    v_dir = TangentVector(v1.mu, zero_tv(su2_scene).nu, harmonic=True)
+    v_dir = (v1[0], zero_tv(su2_scene)[1])
     for system in ("universal", "fibered"):
         d, db = var.first_variation(v_dir, v1, v2, su2_scene, system)
         assert d == 0.0 and db == 0.0
@@ -181,11 +176,35 @@ def test_multilinearity(su2_scene):
         assert abs(scaled - expect[slot] * base) <= 1e-10 * abs(base)
 
 
-def test_requires_harmonic_flag(su2_scene):
+def test_requires_harmonic_data(su2_scene, rng):
+    # harmonicity is read off the data: |dbar* x| against |dbar*| |x|,
+    # for mu on the tangent complex and nu on the End(E) complex
     vs = quad(su2_scene, 7)
-    bad = TangentVector(vs[0].mu, vs[0].nu, harmonic=False)
-    with pytest.raises(var.VariationInputError):
-        var.evaluate_quadruple(bad, vs[1], vs[2], vs[3], su2_scene)
+    (mu, nu), rest = vs[0], vs[1:]
+    F = su2_scene.surface.n_faces
+    raw_mu = rng.standard_normal(F) + 1j * rng.standard_normal(F)
+    raw_nu = rng.standard_normal((F, 2, 2)) + 1j * rng.standard_normal((F, 2, 2))
+    nan_nu = nu.copy()
+    nan_nu[3, 0, 1] = np.nan
+    for bad, what in (((raw_mu, nu), "mu"), ((mu, raw_nu), "nu"), ((mu, nan_nu), "nu")):
+        with pytest.raises(var.VariationInputError, match=f"slot 1: {what} is not harmonic"):
+            var.evaluate_quadruple(bad, *rest, su2_scene)
+    # the defect is scale-free: zero and rescaled harmonic tangents pass
+    z = zero_tv(su2_scene)
+    var.evaluate_quadruple(z, z, z, z, su2_scene)
+    var.evaluate_quadruple((1e-9 * mu, 1e9 * nu), *rest, su2_scene)
+
+
+def test_harmonic_defect_scale(su2_scene, rng):
+    # projected tangents read at roundoff, raw Gaussian data at order one
+    F = su2_scene.surface.n_faces
+    for seed in range(4):
+        mu, nu = random_tangent(su2_scene, seed=seed)
+        assert var._harmonic_defect(su2_scene.tangent, mu) <= 1e-14
+        assert var._harmonic_defect(su2_scene.endo, nu.reshape(-1)) <= 1e-14
+    raw = rng.standard_normal(F) + 1j * rng.standard_normal(F)
+    assert var._harmonic_defect(su2_scene.tangent, raw) >= 0.1
+    assert var._harmonic_defect(su2_scene.tangent, np.zeros(F, dtype=complex)) == 0.0
 
 
 def test_uniform_density_runs(surf_uni, fan2_r2):
@@ -221,11 +240,11 @@ def test_difference_zero_inputs(su2_scene):
 
 def test_positivity_zero_inputs(su2_scene):
     F = su2_scene.surface.n_faces
-    zero_mu = Beltrami(np.zeros(F, dtype=complex))
-    zero_nu = BundleCochain(np.zeros((F, 2, 2), dtype=complex), (0, 1))
-    v = random_tangent(su2_scene, seed=1)
-    assert var.positivity_certificate(zero_mu, v.nu, su2_scene) == (0.0, 0.0, 0.0)
-    a, b, t = var.positivity_certificate(v.mu, zero_nu, su2_scene)
+    zero_mu = np.zeros(F, dtype=complex)
+    zero_nu = np.zeros((F, 2, 2), dtype=complex)
+    mu, nu = random_tangent(su2_scene, seed=1)
+    assert var.positivity_certificate(zero_mu, nu, su2_scene) == (0.0, 0.0, 0.0)
+    a, b, t = var.positivity_certificate(mu, zero_nu, su2_scene)
     assert a <= 1e-20 and b == 0.0 and t <= 1e-20
 
 
@@ -233,7 +252,7 @@ def test_positivity_random_presets(su2_scene):
     for seed in range(8):
         va = random_tangent(su2_scene, seed=500 + seed)
         vb = random_tangent(su2_scene, seed=600 + seed)
-        a, b, total = var.positivity_certificate(vb.mu, va.nu, su2_scene)
+        a, b, total = var.positivity_certificate(vb[0], va[1], su2_scene)
         assert a >= -1e-12 * max(total, 1.0)
         assert b > 0.0
         assert total > 0.0
@@ -242,13 +261,11 @@ def test_positivity_random_presets(su2_scene):
 def test_positivity_matches_restricted_difference(su2_scene):
     va = random_tangent(su2_scene, seed=71)
     vb = random_tangent(su2_scene, seed=72)
-    nu1, mu2 = va.nu, vb.mu
+    nu1, mu2 = va[1], vb[0]
     a, b, total = var.positivity_certificate(mu2, nu1, su2_scene)
-    F = su2_scene.surface.n_faces
-    zmu = Beltrami(np.zeros(F, dtype=complex))
-    znu = BundleCochain(np.zeros((F, 2, 2), dtype=complex), (0, 1))
-    v1 = TangentVector(zmu, nu1, harmonic=True)
-    v2 = TangentVector(mu2, znu, harmonic=True)
+    zmu, znu = zero_tv(su2_scene)
+    v1 = (zmu, nu1)
+    v2 = (mu2, znu)
     dif = var.evaluate_quadruple(v1, v2, v2, v1, su2_scene).difference
     assert abs(dif.total.imag) <= 1e-10 * max(abs(dif.total.real), 1e-30)
     assert abs(dif.total - total) <= 1e-10 * max(abs(total), 1.0)
@@ -258,10 +275,8 @@ def test_term_a_nonnegative_for_arbitrary_inputs(su2_scene, rng):
     # PSD solve guarantees the sign even off the harmonic subspace
     F = su2_scene.surface.n_faces
     for _ in range(5):
-        mu = Beltrami(rng.standard_normal(F) + 1j * rng.standard_normal(F))
-        nu = BundleCochain(
-            rng.standard_normal((F, 2, 2)) + 1j * rng.standard_normal((F, 2, 2)), (0, 1)
-        )
+        mu = rng.standard_normal(F) + 1j * rng.standard_normal(F)
+        nu = rng.standard_normal((F, 2, 2)) + 1j * rng.standard_normal((F, 2, 2))
         a, b, _ = var.positivity_certificate(mu, nu, su2_scene)
         assert a >= -1e-12 * max(a + b, 1.0) and b >= 0.0
 
@@ -279,7 +294,6 @@ def test_report_json_schema(su2_scene):
         for t in d[system]["terms"]:
             assert set(t) == {"name", "re", "im"}
     assert len(d["solver_stats"]) == 9
-    assert d["inputs_manifest"]["harmonic"] == [True] * 4
     assert len(d["inputs_manifest"]["mu_norms"]) == 4
     assert json.loads(blob) == d
 
@@ -375,7 +389,7 @@ def test_genus3_pipeline(rng):
     assert abs(dif.total - (uni.total - fib.total)) <= 1e-10 * max(abs(uni.total), 1.0)
     sw = var.evaluate_quadruple(vs[1], vs[0], vs[3], vs[2], scene).universal
     assert abs(uni.total - np.conj(sw.total)) <= 1e-8 * abs(uni.total)
-    a, b, tot = var.positivity_certificate(vs[1].mu, vs[0].nu, scene)
+    a, b, tot = var.positivity_certificate(vs[1][0], vs[0][1], scene)
     assert a >= 0 and b > 0 and tot > 0
 
 
@@ -411,8 +425,8 @@ def test_gauge_naturality(fan2_r1, surf_hyp_r1, su2_r1, rng):
     Gf = g[anchor]
 
     def push(v):
-        nu2 = np.einsum("fab,fbc,fdc->fad", Gf, v.nu.values, np.conj(Gf))
-        return TangentVector(v.mu, BundleCochain(nu2, (0, 1)), harmonic=True)
+        mu, nu = v
+        return mu, np.einsum("fab,fbc,fdc->fad", Gf, nu, np.conj(Gf))
 
     old, new = Scene(surf_hyp_r1, su2_r1), Scene(surf_hyp_r1, moved)
     vs = [random_tangent(old, seed=40 + i) for i in range(4)]
