@@ -22,6 +22,7 @@ dbar phi_k = grad/2 and d phi_k = conj(grad)/2.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,9 +124,11 @@ def _assemble(weight, T, corner_vertex, n_vertices) -> sp.csr_matrix:
     rows = np.arange(F)[:, None, None, None] * m2 + idx[:, None]
     cols = corner_vertex[:, :, None, None] * m2 + idx
     rows, cols = np.broadcast_arrays(rows, cols)
-    return sp.csr_matrix(
+    M = sp.csr_matrix(
         (blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(F * m2, n_vertices * m2), dtype=complex
     )
+    M.eliminate_zeros()  # monomial transports leave exact zeros in the Kronecker blocks
+    return M
 
 
 @dataclass(eq=False)
@@ -138,11 +141,11 @@ class DolbeaultComplex:
     of the transported corner values, the same corner rule with weight
     1/3 in place of the P1 gradient; ``lift`` is its area-weighted
     transpose diag(1/mass_area) B^H diag(area), taking face fields back
-    to vertex frames.  ``laplacian`` is dbar_adj @ dbar, the one
-    Laplacian every restricted solve uses; on a flat bundle it equals
-    dhol_adj @ dhol to roundoff (see ``kahler_residual``).  ``kernel``
-    holds its exact kernel as columns; it is w0-orthonormalized on
-    construction.
+    to vertex frames.  ``star`` applies weighted adjoints.  ``laplacian``
+    is dbar* dbar, the one Laplacian every restricted solve uses; on a
+    flat bundle it equals d* d to roundoff (see ``kahler_residual``).
+    ``kernel`` holds its exact kernel as columns; it is w0-orthonormalized
+    on construction.
     """
 
     m: int
@@ -157,38 +160,19 @@ class DolbeaultComplex:
     kernel: np.ndarray
 
     def __post_init__(self):
-        self._cache: dict = {}
         s = np.sqrt(self.w0)
         K = np.asarray(self.kernel, dtype=complex).reshape(s.shape[0], -1)
         self.kernel = np.linalg.qr(s[:, None] * K)[0] / s[:, None]
 
     # -- adjoints -----------------------------------------------------------
-    def _adjoint(self, name: str) -> sp.csr_matrix:
-        """W0^-1 M^H W1 for the face-valued operator ``name``, kept."""
-        key = name + "_star"
-        if key not in self._cache:
-            M = getattr(self, name)
-            A = sp.diags(1.0 / self.w0) @ M.conj().T.tocsr() @ sp.diags(self.w1)
-            self._cache[key] = A.tocsr()
-        return self._cache[key]
+    def star(self, M: sp.csr_matrix, y: np.ndarray) -> np.ndarray:
+        """W0^-1 M^H W1 y for a face-valued operator M of this complex,
+        applied through the transpose of M; the adjoint is never stored."""
+        return np.conj(M.T @ np.conj(self.w1 * y)) / self.w0
 
-    @property
-    def dbar_star(self) -> sp.csr_matrix:
-        return self._adjoint("dbar")
-
-    @property
-    def dhol_star(self) -> sp.csr_matrix:
-        return self._adjoint("dhol")
-
-    @property
-    def corner_avg_star(self) -> sp.csr_matrix:
-        return self._adjoint("corner_avg")
-
-    @property
+    @functools.cached_property
     def laplacian(self) -> sp.csr_matrix:
-        if "lap" not in self._cache:
-            self._cache["lap"] = (self.dbar_star @ self.dbar).tocsr()
-        return self._cache["lap"]
+        return _gram(self, self.dbar)
 
     # -- kernel-restricted solves --------------------------------------------
     def project_off_kernel(self, x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -200,29 +184,28 @@ class DolbeaultComplex:
         coef = K.conj().T @ (self.w0 * x)
         return x - K @ coef, float(np.linalg.norm(coef))
 
-    def _factor(self):
+    @functools.cached_property
+    def lu(self):
         """Sparse LU of the kernel-bordered Hermitian system
         [[W0 L, W0 K], [K^H W0, 0]], nonsingular exactly when K spans
         ker L; factorized on first use and kept."""
-        if "lu" not in self._cache:
-            WK = sp.csr_matrix(self.w0[:, None] * self.kernel)
-            WL = sp.diags(self.w0) @ self.laplacian
-            B = sp.bmat([[WL, WK], [WK.conj().T, None]], format="csc")
-            try:
-                self._cache["lu"] = spla.splu(B)
-            except RuntimeError as e:  # exactly singular: K misses part of the kernel
-                raise SolverError(f"bordered Laplacian is singular: {e}") from e
-        return self._cache["lu"]
+        WK = sp.csr_matrix(self.w0[:, None] * self.kernel)
+        WL = sp.diags(self.w0) @ self.laplacian
+        B = sp.bmat([[WL, WK], [WK.conj().T, None]], format="csc")
+        try:
+            return spla.splu(B)
+        except RuntimeError as e:  # exactly singular: K misses part of the kernel
+            raise SolverError(f"bordered Laplacian is singular: {e}") from e
 
     def delta0_solve(self, h: np.ndarray) -> tuple[np.ndarray, dict]:
         """Solve Laplacian x = (h projected off the kernel), x in ker^perp.
 
-        One sparse LU per complex (see ``_factor``), reused by every
-        later solve; raises SolverError when |L x - rhs| exceeds
-        ``SOLVE_RTOL`` times |h|.
+        One sparse LU per complex (see ``lu``), reused by every later
+        solve; raises SolverError when |L x - rhs| exceeds ``SOLVE_RTOL``
+        times |h|.
         """
-        reused = "lu" in self._cache
-        lu = self._factor()
+        reused = "lu" in self.__dict__
+        lu = self.lu
         rhs, removed = self.project_off_kernel(h)
         n = rhs.shape[0]
         b = np.zeros(lu.shape[0], dtype=complex)
@@ -238,16 +221,21 @@ class DolbeaultComplex:
 
     def harmonic_project(self, alpha: np.ndarray) -> np.ndarray:
         """alpha - dbar Delta0^{-1} dbar* alpha (orthogonal onto ker dbar*)."""
-        h = self.dbar_star @ alpha
+        h = self.star(self.dbar, alpha)
         x, _ = self.delta0_solve(h)
         return alpha - self.dbar @ x
+
+
+def _gram(cx: DolbeaultComplex, M: sp.csr_matrix) -> sp.csr_matrix:
+    """W0^-1 M^H W1 M for a face-valued operator M of ``cx``: a Laplacian."""
+    return (sp.diags(1.0 / cx.w0) @ M.conj().T @ sp.diags(cx.w1) @ M).tocsr()
 
 
 def kahler_residual(cx: DolbeaultComplex) -> float:
     """Relative Frobenius norm |dbar* dbar - d* d| / |dbar* dbar|: the
     discrete Kaehler identity, exact to roundoff on a flat bundle, which
     lets every solve use the one Laplacian dbar* dbar."""
-    lap_hol = cx.dhol_star @ cx.dhol
+    lap_hol = _gram(cx, cx.dhol)
     return float(spla.norm(cx.laplacian - lap_hol) / max(spla.norm(cx.laplacian), 1e-300))
 
 
@@ -377,4 +365,4 @@ def ad_star(cx: DolbeaultComplex, nu: np.ndarray, alpha: np.ndarray) -> np.ndarr
     W0^-1 B^H W1 (nu^H alpha - alpha nu^H)."""
     nu_h = np.conj(np.swapaxes(nu, 1, 2))
     comm = nu_h @ alpha - alpha @ nu_h
-    return (cx.corner_avg_star @ comm.reshape(-1)).reshape(cx.n_vertices, cx.m, cx.m)
+    return cx.star(cx.corner_avg, comm.reshape(-1)).reshape(cx.n_vertices, cx.m, cx.m)

@@ -50,8 +50,8 @@ _FORM10 = (1, 0)
 _OPERATORS = {
     "dbar": (_VERTEX, _FORM01, lambda cx, x, aux: cx.dbar @ x),
     "d_hol": (_VERTEX, _FORM10, lambda cx, x, aux: cx.dhol @ x),
-    "dbar_star": (_FORM01, _VERTEX, lambda cx, x, aux: cx.dbar_star @ x),
-    "d_star": (_FORM10, _VERTEX, lambda cx, x, aux: cx.dhol_star @ x),
+    "dbar_star": (_FORM01, _VERTEX, lambda cx, x, aux: cx.star(cx.dbar, x)),
+    "d_star": (_FORM10, _VERTEX, lambda cx, x, aux: cx.star(cx.dhol, x)),
     "laplacian": (_VERTEX, _VERTEX, lambda cx, x, aux: cx.laplacian @ x),
     "delta0_inverse": (_VERTEX, _VERTEX, lambda cx, x, aux: cx.delta0_solve(x)[0]),
     "projection": (_FORM01, _FORM01, lambda cx, x, aux: cx.harmonic_project(x)),
@@ -94,23 +94,12 @@ def _nonzero(lam: np.ndarray) -> np.ndarray:
     return lam > 1e-10 * max(lam[-1], 1.0)
 
 
-def _pinv(lam: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """(M^H M)^+ from the eigendecomposition (lam, V) of M^H M."""
-    inv = np.where(_nonzero(lam), 1.0 / np.maximum(lam, 1e-300), 0.0)
-    return (V * inv[None, :]) @ V.conj().T
-
-
-def _range_complement(M: np.ndarray, pinv: np.ndarray) -> np.ndarray:
-    """The orthogonal projector I - M (M^H M)^+ M^H onto the complement
-    of range M, from pinv = (M^H M)^+."""
-    return np.eye(M.shape[0]) - M @ pinv @ M.conj().T
-
-
 class DenseFrame:
     """dbar of a complex in the weight-orthonormal frame,
     D = W1^{1/2} dbar W0^{-1/2}, with the eigendecomposition (lam
-    ascending, V) of D^H D = W0^{1/2} Delta0 W0^{-1/2}.  ``pinv`` is the
-    framed Delta0^+; the harmonic projector is I - D Delta0^+ D^H.
+    ascending, V) of D^H D = W0^{1/2} Delta0 W0^{-1/2}; its top ``rank``
+    eigenvalues are nonzero.  ``pinv`` is the framed Delta0^+; the
+    harmonic projector is I - D Delta0^+ D^H.
     Raises DenseCapError when dim C^0 + dim C^{0,1} exceeds ``dense_cap``."""
 
     def __init__(self, cx: DolbeaultComplex, dense_cap: int = 6000):
@@ -125,8 +114,13 @@ class DenseFrame:
         """Orthonormal columns spanning the numerical kernel of D."""
         return self.V[:, ~_nonzero(self.lam)]
 
+    @property
+    def rank(self) -> int:
+        return int(np.sum(_nonzero(self.lam)))
+
     def pinv(self) -> np.ndarray:
-        return _pinv(self.lam, self.V)
+        inv = np.where(_nonzero(self.lam), 1.0 / np.maximum(self.lam, 1e-300), 0.0)
+        return (self.V * inv[None, :]) @ self.V.conj().T
 
 
 def harmonic_basis(cx: DolbeaultComplex, dense_cap: int = 6000) -> np.ndarray:
@@ -134,8 +128,7 @@ def harmonic_basis(cx: DolbeaultComplex, dense_cap: int = 6000) -> np.ndarray:
     left singular vectors of the frame's D past its rank."""
     frame = DenseFrame(cx, dense_cap)
     u = np.linalg.svd(frame.D, full_matrices=True)[0]
-    rank = int(np.sum(_nonzero(frame.lam)))
-    return u[:, rank:] / np.sqrt(cx.w1)[:, None]
+    return u[:, frame.rank :] / np.sqrt(cx.w1)[:, None]
 
 
 def spectral_norm(X: np.ndarray) -> float:
@@ -166,7 +159,7 @@ def certify_operators(scene: Scene, dense_cap: int = 6000) -> dict:
     D, lam = frame.D, frame.lam
     # |D|_2 and |Delta0^+|_2 from the frame's eigenvalues
     d_norm = np.sqrt(lam[-1])
-    pinv_norm = 1.0 / lam[_nonzero(lam)][0]
+    pinv_norm = 1.0 / lam[-frame.rank]
     star = materialize("dbar_star", scene, dense_cap=dense_cap).framed()
     P = materialize("projection", scene, dense_cap=dense_cap).framed()
     X = materialize("delta0_inverse", scene, dense_cap=dense_cap).framed()
@@ -204,28 +197,35 @@ def projector_derivative_sweep(
     step.  ``cx`` is the End(E) complex of a scene.  Raises ValueError
     unless ``steps`` are positive and at least two of them are distinct:
     a slope needs two points.
+
+    Two errors set the scale of A: truncation grows like
+    (|A|/sigma_min)^2 h^2 (sigma_min the smallest nonzero singular value
+    of D) and roundoff like kappa eps / h (kappa = |D|_2 / sigma_min).
+    |A| = sqrt(2 |D|_2 sigma_min), between the two scales, keeps the
+    first under the gate at 1e-4 and the second under the truncation at
+    1e-5.  P(t) = I - U_r U_r^H from the thin SVD of D + tA, r = rank D,
+    keeps the roundoff at kappa, not the kappa^2 of (D + tA)^H (D + tA).
     """
     steps = [float(h) for h in steps]
     if not all(h > 0 and math.isfinite(h) for h in steps) or len(set(steps)) < 2:
         raise ValueError(f"projector sweep needs at least two distinct positive finite steps, got {steps}")
     frame = DenseFrame(cx, dense_cap)
-    D = frame.D
+    D, rank = frame.D, frame.rank
     rng = np.random.default_rng(seed)
     A = rng.standard_normal(D.shape) + 1j * rng.standard_normal(D.shape)
-    # sized so the h^2 truncation term stays above the roundoff floor
-    # over the whole step sweep; the scale stays on the SVD norm
-    # because an ulp change in A moves the error at 1e-4 by about
-    # 1e-5 relative, and recorded errors must reproduce
-    A *= 2.0 * np.linalg.norm(D, 2) / max(np.linalg.norm(A, 2), 1e-300)
+    # |D|_2 and |A|_2 stay on the SVD norm so that A, and with it the
+    # recorded errors, reproduce bit for bit; sigma_min = sqrt(lam[-rank])
+    scale = np.sqrt(2.0 * np.linalg.norm(D, 2) * np.sqrt(frame.lam[-rank]))
+    A *= scale / max(np.linalg.norm(A, 2), 1e-300)
     K = frame.kernel
     A = A - (A @ K) @ K.conj().T
 
     def projector(t: float) -> np.ndarray:
-        M = D + t * A
-        return _range_complement(M, _pinv(*np.linalg.eigh(M.conj().T @ M)))
+        U = scipy.linalg.svd(D + t * A, full_matrices=False)[0][:, :rank]
+        return np.eye(D.shape[0]) - U @ U.conj().T
 
     pinv0 = frame.pinv()
-    P0 = _range_complement(D, pinv0)
+    P0 = np.eye(D.shape[0]) - D @ pinv0 @ D.conj().T
     leibniz = -P0 @ A @ pinv0 @ D.conj().T - D @ pinv0 @ A.conj().T @ P0
     # frees and in-place updates keep at most two dense projectors alive
     # at a time next to the Leibniz matrix, which sets the peak memory

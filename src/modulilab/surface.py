@@ -467,15 +467,15 @@ def _value(field, tokens: list):
         return tokens[0]
     if isinstance(field, tuple):
         if tokens[0] not in field:
-            raise ValueError(f"name {tokens[0]!r} is not one of {', '.join(field)}")
+            raise ValueError(f"name {tokens[0][:40]!r} is not one of {', '.join(field)}")
         return tokens[0]
     reals = isinstance(field, Reals)
     try:
         x = np.array([float(t) for t in tokens]) if reals else int(tokens[0])
     except ValueError:
-        raise ValueError(f"non-{'numeric' if reals else 'integer'} entry in {' '.join(tokens)!r}") from None
+        raise ValueError(f"non-{'numeric' if reals else 'integer'} entry in {' '.join(tokens)[:40]!r}") from None
     if reals and not np.all(np.isfinite(x)):
-        raise ValueError(f"non-finite entry in {' '.join(tokens)!r}")
+        raise ValueError(f"non-finite entry in {' '.join(tokens)[:40]!r}")
     if field == "count" and x < 1 or isinstance(field, range) and x not in field:
         raise ValueError(f"{x} is out of range {'1..' if field == 'count' else f'0..{len(field) - 1}'}")
     return x

@@ -126,11 +126,8 @@ class _Workspace:
     def dhol(self, vert: np.ndarray) -> np.ndarray:
         return self._mat(self.cx.dhol @ vert.reshape(-1), "f")
 
-    def dbar_star(self, form: np.ndarray) -> np.ndarray:
-        return self._mat(self.cx.dbar_star @ form.reshape(-1), "v")
-
-    def dhol_star(self, form: np.ndarray) -> np.ndarray:
-        return self._mat(self.cx.dhol_star @ form.reshape(-1), "v")
+    def star(self, M, form: np.ndarray) -> np.ndarray:
+        return self._mat(self.cx.star(M, form.reshape(-1)), "v")
 
     def solve(self, h_vert: np.ndarray, label: str) -> np.ndarray:
         x, st = self.cx.delta0_solve(h_vert.reshape(-1))
@@ -154,7 +151,7 @@ class _Workspace:
     def xi(self, v: tuple, alpha: np.ndarray) -> np.ndarray:
         """d*(mu-bar alpha) - ad_star(nu, alpha) on a (0,1)-form."""
         mu, nu = v
-        return self.dhol_star(np.conj(mu)[:, None, None] * alpha) - ad_star(self.cx, nu, alpha)
+        return self.star(self.cx.dhol, np.conj(mu)[:, None, None] * alpha) - ad_star(self.cx, nu, alpha)
 
     def gauge_potential(self, va: tuple, vb: tuple, label: str) -> np.ndarray:
         """Delta0^{-1} of the lifted gauge-Hessian source for slot pair (a, b)."""
@@ -174,23 +171,25 @@ class _Workspace:
         return self.solve(lifted, label)
 
 
-def _harmonic_defect(cx: DolbeaultComplex, x: np.ndarray) -> float:
-    """|dbar* x| / |(|dbar*| |x|)|: roundoff for x in ker dbar*, of order
-    one for raw data, 0 for x = 0 and NaN for non-finite x."""
-    scale = np.linalg.norm(abs(cx.dbar_star) @ np.abs(x))
-    return float(np.linalg.norm(cx.dbar_star @ x) / max(scale, 1e-300))
+def _harmonic_defect(cx: DolbeaultComplex, x: np.ndarray, abs_dbar) -> float:
+    """|dbar* x| / |(|dbar*| |x|)| with ``abs_dbar`` = |dbar|: roundoff for
+    x in ker dbar*, of order one for raw data, 0 for x = 0 and NaN for
+    non-finite x."""
+    scale = np.linalg.norm(cx.star(abs_dbar, np.abs(x)))
+    return float(np.linalg.norm(cx.star(cx.dbar, x)) / max(scale, 1e-300))
 
 
 def _check_inputs(scene: Scene, vectors, harmonic: bool = False):
     """Shapes of the (mu, nu) pairs; with ``harmonic``, each mu must be in
     ker D* of ``scene.tangent`` and each nu in ker dbar* of ``scene.endo``."""
     F, n = scene.surface.n_faces, scene.cocycle.rank
+    if any(np.shape(mu) != (F,) or np.shape(nu) != (F, n, n) for mu, nu in vectors):
+        raise VariationInputError("tangent vector does not match surface/rank")
+    kernels = [("mu", scene.tangent), ("nu", scene.endo)] if harmonic else []
+    abs_dbar = [abs(cx.dbar) for _, cx in kernels]  # once per complex, not per slot
     for slot, (mu, nu) in enumerate(vectors, start=1):
-        if np.shape(mu) != (F,) or np.shape(nu) != (F, n, n):
-            raise VariationInputError("tangent vector does not match surface/rank")
-        kernels = (("mu", scene.tangent, mu), ("nu", scene.endo, nu.reshape(-1))) if harmonic else ()
-        for name, cx, x in kernels:
-            defect = _harmonic_defect(cx, x)
+        for (name, cx), a, x in zip(kernels, abs_dbar, (mu, nu.reshape(-1))):
+            defect = _harmonic_defect(cx, x, a)
             if not (defect <= SOLVE_RTOL):
                 raise VariationInputError(f"slot {slot}: {name} is not harmonic (defect {defect:.1e})")
 
@@ -253,8 +252,8 @@ def _universal_terms(ws: _Workspace, v1, v2, v3, v4) -> list:
     G12 = ws.gauge_potential(v1, v2, "gauge_12")
     G21 = ws.gauge_potential(v2, v1, "gauge_21")
     y_xi = ws.solve(ws.xi(v2, nu3), "opvar_proj")
-    y_m3 = ws.solve(ws.dbar_star(mu3[:, None, None] * ct(nu2)), "opvar_mu3")
-    y_m4 = ws.solve(ws.dbar_star(mu4[:, None, None] * ct(nu1)), "opvar_mu4")
+    y_m3 = ws.solve(ws.star(ws.cx.dbar, mu3[:, None, None] * ct(nu2)), "opvar_mu3")
+    y_m4 = ws.solve(ws.star(ws.cx.dbar, mu4[:, None, None] * ct(nu1)), "opvar_mu4")
     terms = [
         ("opvar_proj", ws.pair(ws.dD(v1, y_xi), ct(nu4))),
         # [B G12, nu3] = -ad(nu3) G12
@@ -275,10 +274,10 @@ def _fibered_extra_terms(ws: _Workspace, v1, v2, v3, v4) -> list:
     """The four integrals present only in the fibered coordinates."""
     (mu1, nu1), (mu2, nu2), (mu3, nu3), (mu4, nu4) = v1, v2, v3, v4
     ct = ws.ct
-    y_t3 = ws.solve(ws.dhol_star(np.conj(mu2)[:, None, None] * nu1), "new_tei_mu3")
-    y_t4 = ws.solve(ws.dhol_star(np.conj(mu1)[:, None, None] * nu2), "new_tei_mu4")
-    y_b3 = ws.solve(ws.dbar_star(mu1[:, None, None] * ct(nu2)), "new_opvar_mu3_bar")
-    y_b4 = ws.solve(ws.dbar_star(mu2[:, None, None] * ct(nu1)), "new_opvar_mu4_bar")
+    y_t3 = ws.solve(ws.star(ws.cx.dhol, np.conj(mu2)[:, None, None] * nu1), "new_tei_mu3")
+    y_t4 = ws.solve(ws.star(ws.cx.dhol, np.conj(mu1)[:, None, None] * nu2), "new_tei_mu4")
+    y_b3 = ws.solve(ws.star(ws.cx.dbar, mu1[:, None, None] * ct(nu2)), "new_opvar_mu3_bar")
+    y_b4 = ws.solve(ws.star(ws.cx.dbar, mu2[:, None, None] * ct(nu1)), "new_opvar_mu4_bar")
     return [
         ("new_tei_mu3", -ws.pair(mu3[:, None, None] * ws.dhol(y_t3), ct(nu4))),
         ("new_tei_mu4", -ws.pair(nu3, ct(mu4[:, None, None] * ws.dhol(y_t4)))),
@@ -352,7 +351,7 @@ def positivity_certificate(
     """
     _check_inputs(scene, [(mu2, nu1)])
     ws = _Workspace(scene)
-    h = ws.dhol_star(np.conj(mu2)[:, None, None] * nu1)
+    h = ws.star(ws.cx.dhol, np.conj(mu2)[:, None, None] * nu1)
     x = ws.solve(h, "positivity_a")
     term_a = complex(np.sum(ws.cx.w0 * x.reshape(-1) * np.conj(h.reshape(-1))))
     term_b = _pair(ws.S, (np.abs(mu2) ** 2)[:, None, None] * nu1, _Workspace.ct(nu1))

@@ -97,6 +97,12 @@ def dense_delta0_inverse(cx):
     return (DenseFrame(cx).pinv() * s0[None, :]) / s0[:, None]
 
 
+def dense_star(cx, M):
+    """W0^-1 M^H W1 of a face operator M of a complex, column by column
+    through ``cx.star``."""
+    return np.column_stack([cx.star(M, e) for e in np.eye(M.shape[0], dtype=complex)])
+
+
 def ip(w, x, y):
     """Weighted L2 pairing sum w x conj(y) of two cochains, flattened."""
     return complex(np.sum(w * np.ravel(x) * np.conj(np.ravel(y))))

@@ -83,7 +83,7 @@ def torus_spectral_crosscheck(rank: int = 1, sizes=(4, 8, 16), dense_cap: int = 
     On the flat torus with the trivial bundle the continuum harmonic
     (0,1)-forms are the constants.  The report carries the projector
     idempotency residual, the residual of the constant form under
-    dbar_star and the projector error on a sampled smooth form for each
+    dbar* and the projector error on a sampled smooth form for each
     refinement level (the error must decrease).
     """
     report: dict = {"levels": []}
@@ -94,7 +94,7 @@ def torus_spectral_crosscheck(rank: int = 1, sizes=(4, 8, 16), dense_cap: int = 
         F, n = S.n_faces, rank
         # constant (0,1)-form is discretely harmonic on the regular torus
         const = np.broadcast_to(np.eye(n), (F, n, n)).reshape(-1)
-        r_const = np.linalg.norm(cx.dbar_star @ const)
+        r_const = np.linalg.norm(cx.star(cx.dbar, const))
         # projector algebra on the dense materialization
         P = materialize("projection", scene, dense_cap=dense_cap).matrix
         r_idem = spectral_norm(P @ P - P)

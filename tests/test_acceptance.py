@@ -40,7 +40,7 @@ def test_criterion_01_operator_algebra(su2_scene, rng):
         f = random_cochain(rng, V, 2).reshape(-1)
         a = random_cochain(rng, F, 2).reshape(-1)
         lhs = ip(cx.w1, cx.dbar @ f, a)
-        rhs = ip(cx.w0, f, cx.dbar_star @ a)
+        rhs = ip(cx.w0, f, cx.star(cx.dbar, a))
         worst_adj = max(worst_adj, abs(lhs - rhs) / max(abs(lhs), 1.0))
     elapsed = time.time() - t0
     ok = e_idem <= 1e-8 and e_sa <= 1e-8 and e_pd <= 1e-8 and worst_adj <= 1e-10 and elapsed <= 60

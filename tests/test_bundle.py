@@ -29,7 +29,7 @@ from modulilab.bundle import (
 )
 from modulilab.cli import KAHLER_TOL
 from modulilab.surface import RecordFileError, equip_conformal
-from conftest import dense_delta0_inverse, ip, p1_dbar, random_cochain
+from conftest import dense_delta0_inverse, dense_star, ip, p1_dbar, random_cochain
 
 
 def test_trivial_rank1_holonomies(fan2):
@@ -84,7 +84,7 @@ def test_rank1_trivial_reduces_to_scalar(triv1_scene, rng):
     w0 = conventions.L2_GLOBAL_FACTOR * geom.mass_rho
     w1 = conventions.L2_GLOBAL_FACTOR * geom.area
     D_star = (D.conj().T * w1[None, :]) / w0[:, None]
-    assert np.max(np.abs(cx_b.dbar_star.toarray() - D_star)) <= 1e-14 * np.max(np.abs(D_star))
+    assert np.max(np.abs(dense_star(cx_b, cx_b.dbar) - D_star)) <= 1e-14 * np.max(np.abs(D_star))
 
 
 def test_rank1_gauge_cocycle_reduces_to_scalar(fan2_r1, surf_hyp_r1, rng):
@@ -103,7 +103,7 @@ def test_adjointness(su2_scene, rng):
         f = random_cochain(rng, cx.n_vertices, 2).reshape(-1)
         a = random_cochain(rng, cx.n_faces, 2).reshape(-1)
         lhs = ip(cx.w1, cx.dbar @ f, a)
-        rhs = ip(cx.w0, f, cx.dbar_star @ a)
+        rhs = ip(cx.w0, f, cx.star(cx.dbar, a))
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1.0))
     assert worst <= 1e-10
 
@@ -275,6 +275,16 @@ def test_lift_is_area_weighted_adjoint_of_corner_average(request, surf, su2, rng
         lhs = np.einsum("v,vab,vab->", geom.mass_area, lift_to_vertices(cx, y), np.conj(x))
         rhs = np.einsum("f,fab,fab->", geom.area, y, np.conj(vertex_to_face(cx, x)))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+
+@pytest.mark.parametrize("surf, su2", CORNER_SCENES)
+def test_stored_operators_hold_no_explicit_zero(request, surf, su2):
+    # every product with a stored operator, and with its transpose in
+    # ``star``, runs over its stored entries: none of them may be a zero
+    _, complexes = _corner_complexes(request, surf, su2)
+    for cx in complexes:
+        for M in (cx.dbar, cx.dhol, cx.corner_avg, cx.lift, cx.laplacian):
+            assert M.nnz == np.count_nonzero(M.data)
 
 
 def test_restricted_inverse_positivity(su2_scene, rng):

@@ -46,8 +46,8 @@ def test_materialize_all_operators(su2_scene_r1, rng):
     mu = rng.standard_normal(F) + 1j * rng.standard_normal(F)
     cases = [
         ("d_hol", None, V, cx.dhol.__matmul__),
-        ("dbar_star", None, F, cx.dbar_star.__matmul__),
-        ("d_star", None, F, cx.dhol_star.__matmul__),
+        ("dbar_star", None, F, lambda x: cx.star(cx.dbar, x)),
+        ("d_star", None, F, lambda x: cx.star(cx.dhol, x)),
         ("laplacian", None, V, cx.laplacian.__matmul__),
         ("delta0_inverse", None, V, lambda x: cx.delta0_solve(x)[0]),
         ("projection", None, F, cx.harmonic_project),
@@ -155,14 +155,19 @@ def test_certify_detects_scaled_delta0_solve(monkeypatch, surf_hyp_r1, su2_r1):
     assert dense["delta0_factorized_vs_dense"] > TOLS["oracle"]
 
 
-def test_certify_detects_perturbed_dbar_star(surf_hyp_r1, su2_r1):
-    scene = Scene(surf_hyp_r1, su2_r1)
-    cx = scene.endo
-    # the Laplacian is built first, from the intact dbar*, so that the
-    # solves stay exact and only the adjoint is broken
-    cx.laplacian
-    cx.dbar_star.data[0] *= 1.0 + 1e-6  # dbar* is built once and kept
-    assert oracle.certify_operators(scene)["adjointness_residual"] > TOLS["adjointness"]
+def test_certify_detects_perturbed_dbar_star(monkeypatch, surf_hyp_r1, su2_r1):
+    # every applied adjoint has its first entry scaled, which scales the
+    # first row of the materialized dbar*; the Laplacian and the solves
+    # do not go through ``star``, so Delta0^{-1} stays exact
+    star = DolbeaultComplex.star
+
+    def perturbed(self, M, y):
+        out = star(self, M, y)
+        out[0] *= 1.0 + 1e-6
+        return out
+
+    monkeypatch.setattr(DolbeaultComplex, "star", perturbed)
+    assert oracle.certify_operators(Scene(surf_hyp_r1, su2_r1))["adjointness_residual"] > TOLS["adjointness"]
 
 
 def test_certify_detects_identity_projection(monkeypatch, surf_hyp_r1, su2_r1):

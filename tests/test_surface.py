@@ -216,16 +216,19 @@ def _set_field(lines, index, field, value):
         (lambda ls: [x for x in ls if x.split()[:2] != ["he", "0"]], "missing he record for 0"),
         (lambda ls: _set_field(ls, 25, 7, ls[25].split()[7] + " 0.5"), "line 26: layout record needs 7 fields, got 8"),
         (lambda ls: ls[:-1] + [" ".join(ls[-1].split()[:-1])], "line 33: layout record needs 7 fields, got 6"),
+        (lambda ls: _set_field(ls, 27, 2, "1" * 10**6 + "x"), "line 28: layout record: non-numeric entry in '1{40}'$"),
     ],
     ids=[
         "unknown", "non_numeric", "non_integer_id", "nan", "inf", "negative_id", "id_out_of_range",
-        "duplicate", "missing_layout", "missing_he", "layout_count_high", "layout_count_low",
+        "duplicate", "missing_layout", "missing_he", "layout_count_high", "layout_count_low", "huge_token",
     ],
 )
 def test_layout_record_rejects(tmp_path, fan2, edit, message):
     p = _edited(tmp_path, fan2, edit)
-    with pytest.raises(RecordFileError, match=message):
+    with pytest.raises(RecordFileError, match=message) as e:
         load_mesh(p)
+    # a bad token is echoed cut short, however long it is
+    assert len(str(e.value)) < 200
 
 
 @pytest.mark.parametrize(
