@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bundle as bnd
 from . import conventions, oracle, variation
-from ._complexes import kahler_residual
+from ._complexes import SolverError, kahler_residual
 from .bundle import CocycleError, RelationError, Scene, trivial_cocycle, su2_preset, load_cocycle
 from .calculus import ip_beltrami
 from .surface import (
@@ -38,24 +38,27 @@ DEFAULTS = {
     "mesh": {"genus": 2, "refinements": 2, "layout": "stored", "density": "uniform", "file": None},
     "bundle": {"preset": "su2", "n": None, "generator_file": None},
     "seeds": [0, 1, 2, 3],
-    "tolerances": {
-        "projector": 1e-8,
-        "adjointness": 1e-10,
-        "oracle": 1e-8,
-        "difference": 1e-10,
-        "fd_error": 1e-6,
-        "slope": 0.2,
-    },
     "dense_cap": 6000,
     "tangent": {"mu_scale": 1.0, "nu_scale": 1.0},
-    "fd_steps": [1e-3, 1e-4, 1e-5],
     "out": "out",
 }
 
-FD_GATE_STEP = 1e-4  # the step whose finite-difference error is gated
-# |dbar* dbar - d* d|_F / |dbar* dbar|_F on End(E): roundoff on a flat
-# bundle, and what lets every solve use dbar* dbar alone
-KAHLER_TOL = 1e-12
+# The gate of every check, by check name (a per-seed check drops its
+# _seed<s> suffix).  Changing a gate is a code change, noted in CHANGES.md.
+TOLERANCES = {
+    "adjointness_residual": 1e-10,
+    "kahler_identity": 1e-12,  # roundoff on a flat bundle; lets every solve use dbar* dbar alone
+    **dict.fromkeys(("projector_idempotent", "projector_self_adjoint", "projector_annihilates_dbar"), 1e-8),
+    "kernel_equals_commutant": 0.5,  # |kernel dim - commutant dim|, an integer
+    "delta0_factorized_vs_dense": 1e-8,
+    "difference_reconciles": 1e-10,
+    "term_a_nonneg": 1e-12,  # times max(|total|, 1)
+    "total_positive": 0.5,  # value 0 when the total is positive, else 1
+    "evaluated": 0.5,  # value 1: the seed's solve or input check failed
+    "fd_error_at_1e-4": 1e-6,  # the error at FD_STEPS[1]
+    "loglog_slope_near_2": 0.2,
+}
+FD_STEPS = (1e-3, 1e-4, 1e-5)  # projector-derivative finite-difference steps
 
 
 def _merge(base: dict, override: dict, prefix: str = "") -> dict:
@@ -89,12 +92,9 @@ def load_config(path, seed=None, out=None) -> dict:
         cfg["seeds"] = [seed]
     if out is not None:
         cfg["out"] = out
-    for key in ("mesh", "bundle", "tolerances", "tangent"):
+    for key in ("mesh", "bundle", "tangent"):
         if not isinstance(cfg[key], dict):
             raise ConfigError(f"{key} must be a JSON object, got {cfg[key]!r}")
-    for name, t in cfg["tolerances"].items():
-        if not (_number(t) and t > 0):
-            raise ConfigError(f"tolerances.{name} must be a positive finite number, got {t!r}")
     for key in ("mu_scale", "nu_scale"):
         if not _number(cfg["tangent"].get(key)):
             raise ConfigError(f"tangent.{key} must be a finite number, got {cfg['tangent'].get(key)!r}")
@@ -112,13 +112,10 @@ def load_config(path, seed=None, out=None) -> dict:
     for s in seeds:
         if _integer(s, "seeds") < 0:
             raise ConfigError(f"seeds must be non-negative integers, got {s!r}")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"seeds must not repeat a seed, got {seeds!r}")
     if _integer(cfg["dense_cap"], "dense_cap") < 1:
         raise ConfigError(f"dense_cap must be a positive integer, got {cfg['dense_cap']!r}")
-    steps = cfg["fd_steps"]
-    if not isinstance(steps, list) or not all(_number(h) and h > 0 for h in steps) or len(set(steps)) < 2:
-        raise ConfigError("fd_steps must list at least two distinct positive step sizes")
-    if _fd_gate_step(steps) is None:
-        raise ConfigError(f"fd_steps must include the gated step {FD_GATE_STEP:g}")
     for f in (mesh_cfg.get("file"), cfg["bundle"].get("generator_file")):
         if f is not None and not os.path.isfile(f):
             raise ConfigError(f"referenced file does not exist or is not a file: {f}")
@@ -133,11 +130,6 @@ def _integer(value, field: str) -> int:
 
 def _number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
-def _fd_gate_step(steps):
-    """The configured step equal to FD_GATE_STEP (to rounding), or None."""
-    return next((float(h) for h in steps if math.isclose(h, FD_GATE_STEP, rel_tol=1e-9)), None)
 
 
 def build_scene(cfg: dict) -> Scene:
@@ -182,12 +174,26 @@ def _finish(out_dir: str, name: str, checks: list[dict], extra: dict | None = No
     _write_json(os.path.join(out_dir, "report.json"), payload)
     for c in checks:
         status = "PASS" if c["pass"] else "FAIL"
-        click.echo(f"[{status}] {c['name']}: {c['value']:.3e} (tol {c['tol']:.1e})")
+        message = f": {c['message']}" if "message" in c else ""
+        click.echo(f"[{status}] {c['name']}: {c['value']:.3e} (tol {c['tol']:.1e}){message}")
     return 0 if not failures else 1
 
 
-def _check(name: str, value: float, tol: float) -> dict:
+def _check(gate: str, value: float, seed: int | None = None, scale: float = 1.0) -> dict:
+    """``value`` against ``scale`` times ``TOLERANCES[gate]``, named ``gate`` or ``<gate>_seed<seed>``."""
+    name = gate if seed is None else f"{gate}_seed{seed}"
+    tol = TOLERANCES[gate] * scale
     return {"name": name, "value": float(value), "tol": float(tol), "pass": bool(value <= tol)}
+
+
+@contextlib.contextmanager
+def _seed_failures(checks: list[dict], seed: int):
+    """Record a SolverError or VariationInputError raised inside as the
+    failing check ``evaluated_seed<seed>``, carrying the message."""
+    try:
+        yield
+    except (SolverError, variation.VariationInputError) as e:
+        checks.append({**_check("evaluated", 1.0, seed=seed), "message": f"{type(e).__name__}: {e}"})
 
 
 # ---------------------------------------------------------------------------
@@ -233,19 +239,18 @@ def cmd_check_operators(config_path, seed, out):
     cfg = _load(config_path, seed, out)
     scene = _scene(cfg)
     S, c = scene.surface, scene.cocycle
-    tols = cfg["tolerances"]
     with _config_errors(oracle.DenseCapError):
         dense = oracle.certify_operators(scene, dense_cap=cfg["dense_cap"])
     kdim = dense["kernel_dim"]
     _, cdim = bnd.is_irreducible(c)
     checks = [
-        _check("adjointness_residual", dense["adjointness_residual"], tols["adjointness"]),
-        _check("kahler_identity", kahler_residual(scene.endo), KAHLER_TOL),
+        _check("adjointness_residual", dense["adjointness_residual"]),
+        _check("kahler_identity", kahler_residual(scene.endo)),
     ]
     for name in ("projector_idempotent", "projector_self_adjoint", "projector_annihilates_dbar"):
-        checks.append(_check(name, dense[name], tols["projector"]))
-    checks.append(_check("kernel_equals_commutant", float(abs(kdim - cdim)), 0.5))
-    checks.append(_check("delta0_factorized_vs_dense", dense["delta0_factorized_vs_dense"], tols["oracle"]))
+        checks.append(_check(name, dense[name]))
+    checks.append(_check("kernel_equals_commutant", float(abs(kdim - cdim))))
+    checks.append(_check("delta0_factorized_vs_dense", dense["delta0_factorized_vs_dense"]))
 
     # recorded diagnostics (not assertions): the discrete harmonic spaces
     # of this P1/P0 complex are larger than the smooth dimensions
@@ -286,23 +291,22 @@ def cmd_second_variation(config_path, seed, out):
     and their difference per sample."""
     cfg = _load(config_path, seed, out)
     scene = _scene(cfg)
-    tols = cfg["tolerances"]
-    results = [(s, _sample_reports(cfg, scene, s)) for s in cfg["seeds"]]
-    checks = []
-    samples = []
+    checks, samples = [], []
     os.makedirs(cfg["out"], exist_ok=True)
     with open(os.path.join(cfg["out"], "terms.csv"), "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["seed", "system", "term", "re", "im"])
-        for s, quad in results:
-            for rep in quad.systems:
-                for name, val in rep.terms:
-                    wr.writerow([s, rep.coordinate_system, name, repr(val.real), repr(val.imag)])
-            uni, fib, diff = quad.systems
-            recon = abs(diff.total - (uni.total - fib.total))
-            scale = max(abs(uni.total), abs(fib.total), 1.0)
-            checks.append(_check(f"difference_reconciles_seed{s}", recon / scale, tols["difference"]))
-            samples.append({"seed": s, **quad.to_json_dict()})
+        for s in cfg["seeds"]:
+            with _seed_failures(checks, s):
+                quad = _sample_reports(cfg, scene, s)
+                for rep in quad.systems:
+                    for name, val in rep.terms:
+                        wr.writerow([s, rep.coordinate_system, name, repr(val.real), repr(val.imag)])
+                uni, fib, diff = quad.systems
+                recon = abs(diff.total - (uni.total - fib.total))
+                scale = max(abs(uni.total), abs(fib.total), 1.0)
+                checks.append(_check("difference_reconciles", recon / scale, seed=s))
+                samples.append({"seed": s, **quad.to_json_dict()})
     extra = {"conventions_digest": conventions.digest(scene.surface.density_policy), "samples": samples}
     sys.exit(_finish(cfg["out"], "second-variation", checks, extra))
 
@@ -313,28 +317,25 @@ def cmd_positivity(config_path, seed, out):
     """Positivity certificate over seeded samples, with CSV and plot data."""
     cfg = _load(config_path, seed, out)
     scene = _scene(cfg)
-    rows = []
-    for s in cfg["seeds"]:
-        mu, nu = _tangent(cfg, scene, s)
-        a, b, total = variation.positivity_certificate(mu, nu, scene)
-        mu_norm = math.sqrt(ip_beltrami(mu, mu, scene.surface).real)
-        nu_norm = math.sqrt(np.sum(scene.endo.w1 * np.abs(nu.reshape(-1)) ** 2))
-        rows.append((s, a, b, total, mu_norm * nu_norm))
+    checks, rows = [], []
     os.makedirs(cfg["out"], exist_ok=True)
-    with open(os.path.join(cfg["out"], "positivity.csv"), "w", newline="") as fh:
+    with open(os.path.join(cfg["out"], "positivity.csv"), "w", newline="") as fh, \
+            open(os.path.join(cfg["out"], "plotdata.tsv"), "w") as plot:
         wr = csv.writer(fh)
         wr.writerow(["seed", "term_a", "term_b", "total"])
-        for s, a, b, total, _ in rows:
-            wr.writerow([s, repr(a), repr(b), repr(total)])
-    with open(os.path.join(cfg["out"], "plotdata.tsv"), "w") as fh:
-        fh.write("norm_product\ttotal\n")
-        for s, a, b, total, np_ in rows:
-            fh.write(f"{np_!r}\t{total!r}\n")
-    checks = []
-    for s, a, b, total, _ in rows:
-        checks.append(_check(f"term_a_nonneg_seed{s}", max(0.0, -a), 1e-12 * max(abs(total), 1.0)))
-        checks.append(_check(f"total_positive_seed{s}", 0.0 if total > 0 else 1.0, 0.5))
-    sys.exit(_finish(cfg["out"], "positivity", checks, {"rows": [list(map(float, r[:4])) for r in rows]}))
+        plot.write("norm_product\ttotal\n")
+        for s in cfg["seeds"]:
+            with _seed_failures(checks, s):
+                mu, nu = _tangent(cfg, scene, s)
+                a, b, total = variation.positivity_certificate(mu, nu, scene)
+                mu_norm = math.sqrt(ip_beltrami(mu, mu, scene.surface).real)
+                nu_norm = math.sqrt(np.sum(scene.endo.w1 * np.abs(nu.reshape(-1)) ** 2))
+                wr.writerow([s, repr(a), repr(b), repr(total)])
+                plot.write(f"{mu_norm * nu_norm!r}\t{total!r}\n")
+                checks.append(_check("term_a_nonneg", max(0.0, -a), seed=s, scale=max(abs(total), 1.0)))
+                checks.append(_check("total_positive", 0.0 if total > 0 else 1.0, seed=s))
+                rows.append([float(s), float(a), float(b), float(total)])
+    sys.exit(_finish(cfg["out"], "positivity", checks, {"rows": rows}))
 
 
 @main.command("projector-derivative")
@@ -343,11 +344,9 @@ def cmd_projector_derivative(config_path, seed, out):
     """Finite-difference projector-derivative identity over step sizes."""
     cfg = _load(config_path, seed, out)
     scene = _scene(cfg)
-    tols = cfg["tolerances"]
-    steps = [float(h) for h in cfg["fd_steps"]]
     with _config_errors(oracle.DenseCapError):
         sweep = oracle.projector_derivative_sweep(
-            scene.endo, steps=steps, seed=cfg["seeds"][0], dense_cap=cfg["dense_cap"]
+            scene.endo, steps=FD_STEPS, seed=cfg["seeds"][0], dense_cap=cfg["dense_cap"]
         )
     os.makedirs(cfg["out"], exist_ok=True)
     with open(os.path.join(cfg["out"], "fd_errors.csv"), "w", newline="") as fh:
@@ -356,8 +355,8 @@ def cmd_projector_derivative(config_path, seed, out):
         for h in sorted(sweep["errors"], reverse=True):
             wr.writerow([repr(h), repr(sweep["errors"][h])])
     checks = [
-        _check("fd_error_at_1e-4", sweep["errors"][_fd_gate_step(steps)], tols["fd_error"]),
-        _check("loglog_slope_near_2", abs(sweep["slope"] - 2.0), tols["slope"]),
+        _check("fd_error_at_1e-4", sweep["errors"][FD_STEPS[1]]),
+        _check("loglog_slope_near_2", abs(sweep["slope"] - 2.0)),
     ]
     sys.exit(_finish(cfg["out"], "projector-derivative", checks, {"slope": sweep["slope"]}))
 

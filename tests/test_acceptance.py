@@ -11,7 +11,9 @@ import sys
 import time
 
 import numpy as np
+from click.testing import CliRunner
 from modulilab import bundle as bnd
+from modulilab import cli
 from modulilab import oracle, variation as var
 from modulilab.bundle import Scene
 from modulilab.tangent import random_tangent
@@ -204,7 +206,7 @@ def test_criterion_09_rank1_mu_zero_vanishing(triv1_scene):
     assert _line("9 rank-1 / mu=0 vanishing", ok, f"max |term| = {worst:.2e}")
 
 
-def test_criterion_10_cli(tmp_path):
+def test_criterion_10_cli(tmp_path, monkeypatch):
     t0 = time.time()
     cfg = {
         "mesh": {"genus": 2, "refinements": 1, "density": "hyperbolic"},
@@ -228,12 +230,9 @@ def test_criterion_10_cli(tmp_path):
     identical = (tmp_path / "d1" / "report.json").read_bytes() == (
         tmp_path / "d2" / "report.json"
     ).read_bytes()
-    # exit codes must track outcomes: unsatisfiable tolerance -> 1, bad config -> 2
-    tight = dict(cfg)
-    tight["tolerances"] = {"projector": 1e-30}
-    p2 = tmp_path / "tight.json"
-    p2.write_text(json.dumps(tight))
-    r_fail = run("check-operators", "--config", str(p2), "--out", str(tmp_path / "tight"))
+    # exit codes must track outcomes: unsatisfiable gate -> 1, bad config -> 2
+    monkeypatch.setitem(cli.TOLERANCES, "projector_idempotent", 1e-30)
+    r_fail = CliRunner().invoke(cli.main, ["check-operators", "--config", str(p), "--out", str(tmp_path / "tight")])
     p3 = tmp_path / "bad.json"
     p3.write_text("{broken")
     r_bad = run("check-operators", "--config", str(p3))
@@ -241,7 +240,7 @@ def test_criterion_10_cli(tmp_path):
     ok = (
         all(code == 0 for code in codes.values())
         and identical
-        and r_fail.returncode == 1
+        and r_fail.exit_code == 1
         and r_bad.returncode == 2
         and elapsed <= 600
     )
@@ -249,6 +248,6 @@ def test_criterion_10_cli(tmp_path):
         "10 cli determinism and exit codes",
         ok,
         f"exit codes {codes}, byte-identical: {identical}, "
-        f"forced-failure exit {r_fail.returncode}, config-error exit {r_bad.returncode}, "
+        f"forced-failure exit {r_fail.exit_code}, config-error exit {r_bad.returncode}, "
         f"{elapsed:.0f}s",
     )

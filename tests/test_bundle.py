@@ -27,7 +27,7 @@ from modulilab.bundle import (
     su2_preset,
     validate_cocycle,
 )
-from modulilab.cli import KAHLER_TOL
+from modulilab.cli import TOLERANCES
 from modulilab.surface import RecordFileError, equip_conformal
 from conftest import dense_delta0_inverse, dense_star, ip, p1_dbar, random_cochain
 
@@ -446,7 +446,7 @@ def test_kahler_identity_on_flat_bundles(request, mesh_name, density):
     S = equip_conformal(mesh, layout="stored", density=density)
     su2 = request.getfixturevalue({"fan2_r1": "su2_r1", "fan2_r2": "su2_r2"}[mesh_name])
     for c in (su2, _complex_transport_cocycle(mesh), bnd.trivial_cocycle(mesh, 3)):
-        assert kahler_residual(Scene(S, c).endo) <= KAHLER_TOL
+        assert kahler_residual(Scene(S, c).endo) <= TOLERANCES["kahler_identity"]
 
 
 def test_kahler_identity_fails_off_flat_bundles(surf_hyp_r1, rng):

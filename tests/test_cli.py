@@ -37,9 +37,6 @@ def test_bad_config_exits_2(tmp_path):
     p2 = tmp_path / "bad2.json"
     p2.write_text(json.dumps({"mesh": {"genus": 1}}))
     assert run_cli("check-operators", "--config", str(p2)).returncode == 2
-    p3 = tmp_path / "bad3.json"
-    p3.write_text(json.dumps({"tolerances": {"projector": -1.0}}))
-    assert run_cli("check-operators", "--config", str(p3)).returncode == 2
 
 
 def _write(tmp_path, cfg) -> str:
@@ -61,16 +58,6 @@ def test_non_integer_genus_exits_2(tmp_path):
     r = run_cli("check-operators", "--config", p, "--out", str(tmp_path / "out"))
     assert r.returncode == 2, r.stderr
     assert "mesh.genus" in r.stderr and "Traceback" not in r.stderr
-
-
-def test_fd_steps_without_gated_step_exits_2(tmp_path):
-    # the gate is the error at step 1e-4; without that step there is no
-    # value to gate, and another step's error must not stand in for it
-    p = _write(tmp_path, {"fd_steps": [1e-3, 1e-5]})
-    r = run_cli("projector-derivative", "--config", p, "--out", str(tmp_path / "out"))
-    assert r.returncode == 2, r.stderr
-    assert "fd_steps" in r.stderr and "Traceback" not in r.stderr
-    assert not (tmp_path / "out" / "report.json").exists()
 
 
 @pytest.mark.parametrize("cmd", ["check-operators", "projector-derivative"])
@@ -295,7 +282,7 @@ def test_count_fields_must_be_positive_integers(tmp_path, field, value):
 @pytest.mark.parametrize(
     "cmd, override, field",
     [
-        ("positivity", {"tolerances": {"projector": "x"}}, "tolerances.projector"),
+        ("positivity", {"seeds": [0, 0]}, "seeds"),
         ("second-variation", {"tangent": {"mu_scale": "x"}}, "tangent.mu_scale"),
         ("positivity", {"bundle": {"preset": "trivial", "n": "two"}}, "bundle.n"),
     ],
@@ -311,13 +298,12 @@ def test_typed_fields_exit_2(tmp_path, cmd, override, field):
 @pytest.mark.parametrize(
     "override, field",
     [
-        ({"tolerances": {"fd_error": float("inf")}}, "tolerances.fd_error"),
-        ({"tolerances": {"oracle": True}}, "tolerances.oracle"),
+        ({"seeds": [0, 0]}, "seeds"),
+        ({"seeds": 3}, "seeds"),
         ({"tangent": {"nu_scale": None}}, "tangent.nu_scale"),
         ({"bundle": {"preset": "trivial", "n": 0}}, "bundle.n"),
         ({"bundle": {"preset": "trivial", "n": 1.0}}, "bundle.n"),
         ({"tangent": 1.0}, "tangent"),
-        ({"fd_steps": [1e-4, 1e-4]}, "fd_steps"),
     ],
 )
 def test_typed_fields_rejected_by_load_config(tmp_path, override, field):
@@ -333,8 +319,10 @@ def test_typed_fields_rejected_by_load_config(tmp_path, override, field):
         ({"seed": [5]}, "seed"),
         ({"mesh": {"genera": 3}}, "mesh.genera"),
         ({"bundle": {"d": 3}}, "bundle.d"),
-        ({"tolerances": {"projectr": 1e-30}}, "tolerances.projectr"),
+        # gates and finite-difference steps are code, not config
+        ({"tolerances": {"projector": 1e-8}}, "tolerances"),
         ({"tangent": {"mu": 2.0}}, "tangent.mu"),
+        ({"fd_steps": [1e-3, 1e-4, 1e-5]}, "fd_steps"),
     ],
 )
 def test_unknown_keys_rejected_at_every_level(tmp_path, override, key):
@@ -351,6 +339,52 @@ def test_unknown_key_exits_2(tmp_path):
     assert r.returncode == 2, r.stderr
     assert "unknown config key" in r.stderr and "Traceback" not in r.stderr
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("cmd", ["second-variation", "positivity"])
+def test_solver_failure_is_a_failing_check(tmp_path, cmd):
+    # at mu_scale 1e300 the solve residual is nan: the seed becomes a
+    # failing check that names it, and report.json stays strict JSON
+    out = tmp_path / "out"
+    p = _write(tmp_path, {"seeds": [0], "tangent": {"mu_scale": 1e300}})
+    r = run_cli(cmd, "--config", p, "--out", str(out))
+    assert r.returncode == 1, r.stdout + r.stderr
+    assert "Traceback" not in r.stderr
+    text = (out / "report.json").read_text()
+    assert "NaN" not in text and "Infinity" not in text
+    rep = json.loads(text)
+    assert rep["failures"] == ["evaluated_seed0"]
+    assert "SolverError" in rep["checks"][0]["message"]
+    assert rep["samples" if cmd == "second-variation" else "rows"] == []
+
+
+def test_failed_seed_leaves_the_others_running(monkeypatch, tmp_path):
+    # a seed whose solve fails is left out of samples and terms.csv; the
+    # seeds after it still run, and the command exits 1
+    from click.testing import CliRunner
+    from modulilab import cli
+    from modulilab._complexes import SolverError
+
+    sample = cli._sample_reports
+
+    def failing(cfg, scene, seed):
+        if seed == 1:
+            raise SolverError("solve relative residual nan exceeds 1e-08")
+        return sample(cfg, scene, seed)
+
+    monkeypatch.setattr(cli, "_sample_reports", failing)
+    out = tmp_path / "out"
+    p = _write(tmp_path, {"seeds": [0, 1, 2]})
+    r = CliRunner().invoke(cli.main, ["second-variation", "--config", p, "--out", str(out)])
+    assert r.exit_code == 1, r.output
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["failures"] == ["evaluated_seed1"]
+    assert [c["name"] for c in rep["checks"]] == [
+        "difference_reconciles_seed0", "evaluated_seed1", "difference_reconciles_seed2"
+    ]
+    assert [s["seed"] for s in rep["samples"]] == [0, 2]
+    rows = (out / "terms.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[0] for row in rows} == {"0", "2"}
 
 
 def test_valid_typed_fields_load(tmp_path):
@@ -426,8 +460,7 @@ def test_bundle_n_checked_against_generator_file(tmp_path):
 
 
 def test_removed_flags_are_refused(tmp_path):
-    # the config keys are the one way to set tolerances, density and the
-    # dense cap
+    # density and the dense cap are config keys; tolerances are code
     for flag, value in (("--tol", "1e-3"), ("--density", "uniform"), ("--dense-cap", "10")):
         r = run_cli("check-operators", "--config", _write(tmp_path, {}), flag, value)
         assert r.returncode == 2 and "No such option" in r.stderr, r.stderr

@@ -10,7 +10,7 @@ from modulilab import bundle as bnd
 from modulilab import oracle
 from modulilab._complexes import DolbeaultComplex, ad, ad_star
 from modulilab.bundle import Scene
-from modulilab.cli import DEFAULTS
+from modulilab.cli import TOLERANCES
 from modulilab.surface import equip_conformal, refine
 from conftest import dense_delta0_inverse, p1_dbar, random_cochain
 from flat_torus import build_torus, torus_spectral_crosscheck
@@ -140,7 +140,7 @@ def test_certify_operators_values(su2_scene_r1):
 # Each rewritten check must see a break of the operator it certifies: a
 # fresh scene (its own complexes), one operator broken, and the matching
 # value over its gate.
-TOLS = DEFAULTS["tolerances"]
+TOLS = TOLERANCES
 
 
 def test_certify_detects_scaled_delta0_solve(monkeypatch, surf_hyp_r1, su2_r1):
@@ -152,7 +152,7 @@ def test_certify_detects_scaled_delta0_solve(monkeypatch, surf_hyp_r1, su2_r1):
 
     monkeypatch.setattr(DolbeaultComplex, "delta0_solve", scaled)
     dense = oracle.certify_operators(Scene(surf_hyp_r1, su2_r1))
-    assert dense["delta0_factorized_vs_dense"] > TOLS["oracle"]
+    assert dense["delta0_factorized_vs_dense"] > TOLS["delta0_factorized_vs_dense"]
 
 
 def test_certify_detects_perturbed_dbar_star(monkeypatch, surf_hyp_r1, su2_r1):
@@ -167,13 +167,13 @@ def test_certify_detects_perturbed_dbar_star(monkeypatch, surf_hyp_r1, su2_r1):
         return out
 
     monkeypatch.setattr(DolbeaultComplex, "star", perturbed)
-    assert oracle.certify_operators(Scene(surf_hyp_r1, su2_r1))["adjointness_residual"] > TOLS["adjointness"]
+    assert oracle.certify_operators(Scene(surf_hyp_r1, su2_r1))["adjointness_residual"] > TOLS["adjointness_residual"]
 
 
 def test_certify_detects_identity_projection(monkeypatch, surf_hyp_r1, su2_r1):
     monkeypatch.setattr(DolbeaultComplex, "harmonic_project", lambda self, alpha: alpha.copy())
     dense = oracle.certify_operators(Scene(surf_hyp_r1, su2_r1))
-    assert dense["projector_annihilates_dbar"] > TOLS["projector"]
+    assert dense["projector_annihilates_dbar"] > TOLS["projector_annihilates_dbar"]
 
 
 def test_dense_algebra_only_in_oracle():
