@@ -24,6 +24,7 @@ from ._complexes import DolbeaultComplex, SurfaceGeometry, endo_complex
 from .surface import (
     ConformalSurface,
     HalfEdgeMesh,
+    InputError,
     Kind,
     Reals,
     RecordFileError,
@@ -43,7 +44,7 @@ RELATION_TOL = 1e-8
 COMMUTANT_REL_TOL = 1e-10
 
 
-class RelationError(Exception):
+class RelationError(InputError):
     """Generator matrices violate the required central relation."""
 
     def __init__(self, residual: float):
@@ -53,7 +54,7 @@ class RelationError(Exception):
         )
 
 
-class CocycleError(Exception):
+class CocycleError(InputError):
     """Invalid cocycle data."""
 
 

@@ -1,7 +1,8 @@
 """Batch driver: config ingestion, experiment execution, report persistence.
 
 Exit codes: 0 all asserted invariants pass, 1 numerical assertion
-failure (machine-readable failure list in report.json), 2 config error.
+failure (machine-readable failure list in report.json), 2 config or
+input error (any ``surface.InputError``), mapped in one place: ``_command``.
 Reports are deterministic for a fixed seed list: keys are sorted and no
 timestamps are written.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import csv
+import functools
 import json
 import math
 import os
@@ -22,15 +24,13 @@ import numpy as np
 from . import bundle as bnd
 from . import conventions, oracle, variation
 from ._complexes import SolverError, kahler_residual
-from .bundle import CocycleError, RelationError, Scene, trivial_cocycle, su2_preset, load_cocycle
+from .bundle import Scene, trivial_cocycle, su2_preset, load_cocycle
 from .calculus import ip_beltrami
-from .surface import (
-    ChartError, MeshError, RecordFileError, build_polygon_gluing, equip_conformal, load_mesh, refine
-)
+from .surface import InputError, build_polygon_gluing, equip_conformal, load_mesh, refine
 from .tangent import random_tangent
 
 
-class ConfigError(Exception):
+class ConfigError(InputError):
     pass
 
 
@@ -54,7 +54,7 @@ TOLERANCES = {
     "difference_reconciles": 1e-10,
     "term_a_nonneg": 1e-12,  # times max(|total|, 1)
     "total_positive": 0.5,  # value 0 when the total is positive, else 1
-    "evaluated": 0.5,  # value 1: the seed's solve or input check failed
+    "evaluated": 0.5,  # value 1: a solve, input check or finiteness check failed
     "fd_error_at_1e-4": 1e-6,  # the error at FD_STEPS[1]
     "loglog_slope_near_2": 0.2,
 }
@@ -81,9 +81,9 @@ def load_config(path, seed=None, out=None) -> dict:
     cfg = copy.deepcopy(DEFAULTS)
     if path is not None:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 user = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read config {path}: {e}")
         if not isinstance(user, dict):
             raise ConfigError("config must be a JSON object")
@@ -92,6 +92,8 @@ def load_config(path, seed=None, out=None) -> dict:
         cfg["seeds"] = [seed]
     if out is not None:
         cfg["out"] = out
+    if not isinstance(cfg["out"], str) or not cfg["out"]:
+        raise ConfigError(f"out must be a non-empty directory path, got {cfg['out']!r}")
     for key in ("mesh", "bundle", "tangent"):
         if not isinstance(cfg[key], dict):
             raise ConfigError(f"{key} must be a JSON object, got {cfg[key]!r}")
@@ -156,7 +158,7 @@ def build_scene(cfg: dict) -> Scene:
 
 def _write_json(path, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -170,7 +172,6 @@ def _finish(out_dir: str, name: str, checks: list[dict], extra: dict | None = No
     }
     if extra:
         payload.update(extra)
-    os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "report.json"), payload)
     for c in checks:
         status = "PASS" if c["pass"] else "FAIL"
@@ -187,13 +188,21 @@ def _check(gate: str, value: float, seed: int | None = None, scale: float = 1.0)
 
 
 @contextlib.contextmanager
-def _seed_failures(checks: list[dict], seed: int):
-    """Record a SolverError or VariationInputError raised inside as the
-    failing check ``evaluated_seed<seed>``, carrying the message."""
+def _evaluation_failures(checks: list[dict], seed: int | None = None):
+    """Record a SolverError, VariationInputError or FloatingPointError raised
+    inside as the failing check ``evaluated[_seed<seed>]``, carrying the message."""
     try:
         yield
-    except (SolverError, variation.VariationInputError) as e:
+    except (SolverError, variation.VariationInputError, FloatingPointError) as e:
         checks.append({**_check("evaluated", 1.0, seed=seed), "message": f"{type(e).__name__}: {e}"})
+
+
+def _require_finite(named) -> None:
+    """Raise FloatingPointError naming the first ``(name, value)`` pair
+    whose value is not finite: a nan or an overflow is not a result."""
+    for name, value in named:
+        if not np.isfinite(value):
+            raise FloatingPointError(f"{name} = {value!r} is not finite")
 
 
 # ---------------------------------------------------------------------------
@@ -204,43 +213,48 @@ def main():
     """Moduli-metric verification lab."""
 
 
-def _common_options(fn):
-    fn = click.option("--config", "config_path", type=click.Path(), default=None)(fn)
-    fn = click.option("--seed", type=int, default=None)(fn)
-    fn = click.option("--out", type=click.Path(), default=None)(fn)
-    return fn
+def _command(name: str):
+    """Register ``fn(cfg, scene) -> exit code`` as the command ``name`` of
+    ``main`` with --config, --seed and --out: load the config, build the
+    scene, create the out directory, run ``fn``.  Any InputError exits 2
+    with its message; an evaluation failure that ``fn`` lets through is
+    the one failing check ``evaluated`` of its report.json, exit 1."""
+
+    def register(fn):
+        @main.command(name)
+        @click.option("--config", "config_path", type=click.Path(), default=None)
+        @click.option("--seed", type=int, default=None)
+        @click.option("--out", type=click.Path(), default=None)
+        @functools.wraps(fn)
+        def command(config_path, seed, out):
+            try:
+                cfg = load_config(config_path, seed=seed, out=out)
+                scene = build_scene(cfg)
+                try:
+                    os.makedirs(cfg["out"], exist_ok=True)
+                except OSError as e:
+                    raise ConfigError(f"cannot create the out directory {cfg['out']!r}: {e}") from None
+                failed = []
+                with _evaluation_failures(failed):
+                    code = fn(cfg, scene)
+                if failed:
+                    code = _finish(cfg["out"], name, failed)
+            except InputError as e:
+                click.echo(f"config error: {e}", err=True)
+                code = 2
+            sys.exit(code)
+
+        return command
+
+    return register
 
 
-@contextlib.contextmanager
-def _config_errors(*errors):
-    """Exit 2 with the message of any of ``errors`` raised inside."""
-    try:
-        yield
-    except errors as e:
-        click.echo(f"config error: {e}", err=True)
-        sys.exit(2)
-
-
-def _load(config_path, seed, out) -> dict:
-    with _config_errors(ConfigError):
-        return load_config(config_path, seed=seed, out=out)
-
-
-def _scene(cfg: dict):
-    with _config_errors(RecordFileError, MeshError, ChartError, CocycleError, RelationError, ConfigError):
-        return build_scene(cfg)
-
-
-@main.command("check-operators")
-@_common_options
-def cmd_check_operators(config_path, seed, out):
+@_command("check-operators")
+def cmd_check_operators(cfg, scene):
     """Operator invariant suite: adjointness, the Kaehler identity,
     projector algebra, kernel dimensions, oracle equivalence."""
-    cfg = _load(config_path, seed, out)
-    scene = _scene(cfg)
     S, c = scene.surface, scene.cocycle
-    with _config_errors(oracle.DenseCapError):
-        dense = oracle.certify_operators(scene, dense_cap=cfg["dense_cap"])
+    dense = oracle.certify_operators(scene, dense_cap=cfg["dense_cap"])
     kdim = dense["kernel_dim"]
     _, cdim = bnd.is_irreducible(c)
     checks = [
@@ -262,14 +276,8 @@ def cmd_check_operators(config_path, seed, out):
         "faces": S.n_faces,
         "vertices": S.n_vertices,
     }
-    sys.exit(
-        _finish(
-            cfg["out"],
-            "check-operators",
-            checks,
-            {"kernel_dim": kdim, "commutant_dim": cdim, "diagnostics": diagnostics},
-        )
-    )
+    extra = {"kernel_dim": kdim, "commutant_dim": cdim, "diagnostics": diagnostics}
+    return _finish(cfg["out"], "check-operators", checks, extra)
 
 
 def _tangent(cfg, scene, seed):
@@ -284,21 +292,22 @@ def _sample_reports(cfg, scene, seed):
     return variation.evaluate_quadruple(*vs, scene)
 
 
-@main.command("second-variation")
-@_common_options
-def cmd_second_variation(config_path, seed, out):
+@_command("second-variation")
+def cmd_second_variation(cfg, scene):
     """Sample harmonic tangent quadruples; emit both coordinate systems
     and their difference per sample."""
-    cfg = _load(config_path, seed, out)
-    scene = _scene(cfg)
     checks, samples = [], []
-    os.makedirs(cfg["out"], exist_ok=True)
     with open(os.path.join(cfg["out"], "terms.csv"), "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["seed", "system", "term", "re", "im"])
         for s in cfg["seeds"]:
-            with _seed_failures(checks, s):
+            with _evaluation_failures(checks, s):
                 quad = _sample_reports(cfg, scene, s)
+                _require_finite(
+                    (f"{rep.coordinate_system} {name}", val)
+                    for rep in quad.systems
+                    for name, val in (*rep.terms, ("total", rep.total))
+                )
                 for rep in quad.systems:
                     for name, val in rep.terms:
                         wr.writerow([s, rep.coordinate_system, name, repr(val.real), repr(val.imag)])
@@ -308,47 +317,40 @@ def cmd_second_variation(config_path, seed, out):
                 checks.append(_check("difference_reconciles", recon / scale, seed=s))
                 samples.append({"seed": s, **quad.to_json_dict()})
     extra = {"conventions_digest": conventions.digest(scene.surface.density_policy), "samples": samples}
-    sys.exit(_finish(cfg["out"], "second-variation", checks, extra))
+    return _finish(cfg["out"], "second-variation", checks, extra)
 
 
-@main.command("positivity")
-@_common_options
-def cmd_positivity(config_path, seed, out):
+@_command("positivity")
+def cmd_positivity(cfg, scene):
     """Positivity certificate over seeded samples, with CSV and plot data."""
-    cfg = _load(config_path, seed, out)
-    scene = _scene(cfg)
     checks, rows = [], []
-    os.makedirs(cfg["out"], exist_ok=True)
     with open(os.path.join(cfg["out"], "positivity.csv"), "w", newline="") as fh, \
             open(os.path.join(cfg["out"], "plotdata.tsv"), "w") as plot:
         wr = csv.writer(fh)
         wr.writerow(["seed", "term_a", "term_b", "total"])
         plot.write("norm_product\ttotal\n")
         for s in cfg["seeds"]:
-            with _seed_failures(checks, s):
+            with _evaluation_failures(checks, s):
                 mu, nu = _tangent(cfg, scene, s)
                 a, b, total = variation.positivity_certificate(mu, nu, scene)
                 mu_norm = math.sqrt(ip_beltrami(mu, mu, scene.surface).real)
                 nu_norm = math.sqrt(np.sum(scene.endo.w1 * np.abs(nu.reshape(-1)) ** 2))
+                norm_product = mu_norm * nu_norm
+                _require_finite((("term_a", a), ("term_b", b), ("total", total), ("norm_product", norm_product)))
                 wr.writerow([s, repr(a), repr(b), repr(total)])
-                plot.write(f"{mu_norm * nu_norm!r}\t{total!r}\n")
+                plot.write(f"{norm_product!r}\t{total!r}\n")
                 checks.append(_check("term_a_nonneg", max(0.0, -a), seed=s, scale=max(abs(total), 1.0)))
                 checks.append(_check("total_positive", 0.0 if total > 0 else 1.0, seed=s))
                 rows.append([float(s), float(a), float(b), float(total)])
-    sys.exit(_finish(cfg["out"], "positivity", checks, {"rows": rows}))
+    return _finish(cfg["out"], "positivity", checks, {"rows": rows})
 
 
-@main.command("projector-derivative")
-@_common_options
-def cmd_projector_derivative(config_path, seed, out):
+@_command("projector-derivative")
+def cmd_projector_derivative(cfg, scene):
     """Finite-difference projector-derivative identity over step sizes."""
-    cfg = _load(config_path, seed, out)
-    scene = _scene(cfg)
-    with _config_errors(oracle.DenseCapError):
-        sweep = oracle.projector_derivative_sweep(
-            scene.endo, steps=FD_STEPS, seed=cfg["seeds"][0], dense_cap=cfg["dense_cap"]
-        )
-    os.makedirs(cfg["out"], exist_ok=True)
+    sweep = oracle.projector_derivative_sweep(
+        scene.endo, steps=FD_STEPS, seed=cfg["seeds"][0], dense_cap=cfg["dense_cap"]
+    )
     with open(os.path.join(cfg["out"], "fd_errors.csv"), "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["step", "rel_error"])
@@ -358,7 +360,7 @@ def cmd_projector_derivative(config_path, seed, out):
         _check("fd_error_at_1e-4", sweep["errors"][FD_STEPS[1]]),
         _check("loglog_slope_near_2", abs(sweep["slope"] - 2.0)),
     ]
-    sys.exit(_finish(cfg["out"], "projector-derivative", checks, {"slope": sweep["slope"]}))
+    return _finish(cfg["out"], "projector-derivative", checks, {"slope": sweep["slope"]})
 
 
 if __name__ == "__main__":

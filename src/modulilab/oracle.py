@@ -19,11 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._complexes import DolbeaultComplex, ad, ad_star
+from ._complexes import DolbeaultComplex
 from .bundle import Scene
+from .surface import InputError
 
 
-class DenseCapError(ValueError):
+class DenseCapError(InputError, ValueError):
     """Requested dense computation exceeds the configured dense cap."""
 
 
@@ -40,36 +41,23 @@ class DenseOperator:
         return (self.matrix * (1.0 / s_dom)[None, :]) * s_cod[:, None]
 
 
-_VERTEX = "vertex"
-_FORM01 = (0, 1)
-_FORM10 = (1, 0)
-
-# name -> (domain degree, codomain degree, action on a flat cochain of the
-# End(E) complex cx); ``aux`` is the face field nu (F,n,n) of ad/ad_star
-# or the Beltrami values mu (F,) of mu_contract
+# name -> (domain weight, codomain weight, action on a flat cochain of the
+# End(E) complex cx): the three operators certify_operators materializes
 _OPERATORS = {
-    "dbar": (_VERTEX, _FORM01, lambda cx, x, aux: cx.dbar @ x),
-    "d_hol": (_VERTEX, _FORM10, lambda cx, x, aux: cx.dhol @ x),
-    "dbar_star": (_FORM01, _VERTEX, lambda cx, x, aux: cx.star(cx.dbar, x)),
-    "d_star": (_FORM10, _VERTEX, lambda cx, x, aux: cx.star(cx.dhol, x)),
-    "laplacian": (_VERTEX, _VERTEX, lambda cx, x, aux: cx.laplacian @ x),
-    "delta0_inverse": (_VERTEX, _VERTEX, lambda cx, x, aux: cx.delta0_solve(x)[0]),
-    "projection": (_FORM01, _FORM01, lambda cx, x, aux: cx.harmonic_project(x)),
-    "ad": (_VERTEX, _FORM01, lambda cx, x, aux: ad(cx, aux, x.reshape(-1, cx.m, cx.m))),
-    "ad_star": (_FORM01, _VERTEX, lambda cx, x, aux: ad_star(cx, aux, x.reshape(-1, cx.m, cx.m))),
-    "mu_contract": (_FORM10, _FORM01, lambda cx, x, aux: aux[:, None, None] * x.reshape(-1, cx.m, cx.m)),
+    "dbar_star": ("w1", "w0", lambda cx, x: cx.star(cx.dbar, x)),
+    "delta0_inverse": ("w0", "w0", lambda cx, x: cx.delta0_solve(x)[0]),
+    "projection": ("w1", "w1", lambda cx, x: cx.harmonic_project(x)),
 }
 
 
-def materialize(op_name: str, scene: Scene, aux=None, dense_cap: int = 6000) -> DenseOperator:
+def materialize(op_name: str, scene: Scene, dense_cap: int = 6000) -> DenseOperator:
     """Column-by-column dense matrix of an operator of the scene's End(E)
     complex: column j is the operator applied to the j-th unit vector."""
     if op_name not in _OPERATORS:
         raise ValueError(f"unknown operator {op_name!r}")
-    dom_deg, cod_deg, apply = _OPERATORS[op_name]
+    dom, cod, apply = _OPERATORS[op_name]
     cx = scene.endo
-    dom_w = cx.w0 if dom_deg == _VERTEX else cx.w1
-    cod_w = cx.w0 if cod_deg == _VERTEX else cx.w1
+    dom_w, cod_w = getattr(cx, dom), getattr(cx, cod)
     dom_dim, cod_dim = dom_w.shape[0], cod_w.shape[0]
     if dom_dim + cod_dim > dense_cap:
         raise DenseCapError(
@@ -80,7 +68,7 @@ def materialize(op_name: str, scene: Scene, aux=None, dense_cap: int = 6000) -> 
     for j in range(dom_dim):
         basis[:] = 0.0
         basis[j] = 1.0
-        M[:, j] = apply(cx, basis, aux).reshape(-1)
+        M[:, j] = apply(cx, basis).reshape(-1)
     return DenseOperator(matrix=M, domain_weight=dom_w, codomain_weight=cod_w)
 
 

@@ -19,11 +19,15 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 
-class MeshError(Exception):
+class InputError(Exception):
+    """A malformed config or input file; the CLI reports it and exits 2."""
+
+
+class MeshError(InputError):
     """Invalid mesh combinatorics."""
 
 
-class ChartError(Exception):
+class ChartError(InputError):
     """Degenerate or inconsistent chart data."""
 
 
@@ -425,7 +429,7 @@ def equip_conformal(
 # line-record files: one ``kind field ...`` record per line, ``#`` comments
 
 
-class RecordFileError(Exception):
+class RecordFileError(InputError):
     """A line-record file that cannot be read exactly; ``line`` is the offending line or None."""
 
     def __init__(self, message: str, line: int | None = None):

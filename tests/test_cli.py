@@ -29,6 +29,15 @@ def cfg_path(tmp_path_factory):
     return str(p)
 
 
+def _strict_json(text: str):
+    """``json.loads`` that refuses the NaN, Infinity and -Infinity tokens."""
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_bad_config_exits_2(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
@@ -37,6 +46,40 @@ def test_bad_config_exits_2(tmp_path):
     p2 = tmp_path / "bad2.json"
     p2.write_text(json.dumps({"mesh": {"genus": 1}}))
     assert run_cli("check-operators", "--config", str(p2)).returncode == 2
+    # an out that is not a non-empty string or cannot be created, and a
+    # config that is not UTF-8 or nests deeper than the decoder recurses
+    (tmp_path / "file").write_text("")
+    cases = [(json.dumps({"out": out}).encode(), "out") for out in (5, None, "")]
+    cases.append((json.dumps({"out": str(tmp_path / "file" / "out")}).encode(), "out directory"))
+    cases += [(b"\xff\xfe{}", "cannot read config"), (b"[" * 200_000, "cannot read config")]
+    for content, field in cases:
+        p.write_bytes(content)
+        r = run_cli("positivity", "--config", str(p))
+        assert r.returncode == 2, r.stderr
+        assert field in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize(
+    "module, error",
+    [
+        ("surface", "MeshError"),
+        ("surface", "ChartError"),
+        ("surface", "RecordFileError"),
+        ("bundle", "CocycleError"),
+        ("bundle", "RelationError"),
+        ("oracle", "DenseCapError"),
+        ("cli", "ConfigError"),
+    ],
+)
+def test_input_errors_share_one_base(module, error):
+    # every class the CLI maps to exit 2 derives from surface.InputError;
+    # DenseCapError stays a ValueError for callers of the oracle
+    import importlib
+
+    from modulilab import oracle, surface
+
+    assert issubclass(getattr(importlib.import_module(f"modulilab.{module}"), error), surface.InputError)
+    assert issubclass(oracle.DenseCapError, ValueError)
 
 
 def _write(tmp_path, cfg) -> str:
@@ -343,19 +386,40 @@ def test_unknown_key_exits_2(tmp_path):
 
 @pytest.mark.parametrize("cmd", ["second-variation", "positivity"])
 def test_solver_failure_is_a_failing_check(tmp_path, cmd):
-    # at mu_scale 1e300 the solve residual is nan: the seed becomes a
-    # failing check that names it, and report.json stays strict JSON
+    # at mu_scale 1e300 the solve residual is nan, and at 1e160 the solves
+    # pass but the terms overflow: each seed becomes a failing check that
+    # names its error, and report.json stays strict JSON
+    for scale, seeds, error in ((1e300, [0], "SolverError"), (1e160, [0, 1], "FloatingPointError")):
+        out = tmp_path / f"out{scale:g}"
+        p = _write(tmp_path, {"seeds": seeds, "tangent": {"mu_scale": scale}})
+        r = run_cli(cmd, "--config", p, "--out", str(out))
+        assert r.returncode == 1, r.stdout + r.stderr
+        assert "Traceback" not in r.stderr
+        rep = _strict_json((out / "report.json").read_text())
+        assert rep["failures"] == [f"evaluated_seed{s}" for s in seeds]
+        assert all(error in c["message"] for c in rep["checks"])
+        assert rep["samples" if cmd == "second-variation" else "rows"] == []
+        csv_name = "terms.csv" if cmd == "second-variation" else "positivity.csv"
+        assert len((out / csv_name).read_text().splitlines()) == 1
+
+
+def test_solver_failure_outside_the_seeds_is_a_failing_check(monkeypatch, tmp_path):
+    # a failed solve in check-operators' dense materialization is the one
+    # failing check ``evaluated``, exit 1
+    from click.testing import CliRunner
+    from modulilab import cli
+    from modulilab._complexes import DolbeaultComplex, SolverError
+
+    def failing(self, h):
+        raise SolverError("solve relative residual nan exceeds 1e-08")
+
+    monkeypatch.setattr(DolbeaultComplex, "delta0_solve", failing)
     out = tmp_path / "out"
-    p = _write(tmp_path, {"seeds": [0], "tangent": {"mu_scale": 1e300}})
-    r = run_cli(cmd, "--config", p, "--out", str(out))
-    assert r.returncode == 1, r.stdout + r.stderr
-    assert "Traceback" not in r.stderr
-    text = (out / "report.json").read_text()
-    assert "NaN" not in text and "Infinity" not in text
-    rep = json.loads(text)
-    assert rep["failures"] == ["evaluated_seed0"]
-    assert "SolverError" in rep["checks"][0]["message"]
-    assert rep["samples" if cmd == "second-variation" else "rows"] == []
+    r = CliRunner().invoke(cli.main, ["check-operators", "--config", _write(tmp_path, {}), "--out", str(out)])
+    assert r.exit_code == 1, r.output
+    rep = _strict_json((out / "report.json").read_text())
+    assert rep["failures"] == ["evaluated"]
+    assert rep["checks"][0]["message"] == "SolverError: solve relative residual nan exceeds 1e-08"
 
 
 def test_failed_seed_leaves_the_others_running(monkeypatch, tmp_path):
@@ -479,7 +543,7 @@ def test_shipped_configs_smoke(tmp_path, config, cmd):
     out = tmp_path / "out"
     r = run_cli(cmd, "--config", str(CONFIGS / config), "--out", str(out))
     assert r.returncode == 0, r.stdout + r.stderr
-    report = json.loads((out / "report.json").read_text())
+    report = _strict_json((out / "report.json").read_text())
     assert report["failures"] == []
     if cmd == "check-operators":
         (kahler,) = [c for c in report["checks"] if c["name"] == "kahler_identity"]
