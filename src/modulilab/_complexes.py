@@ -139,9 +139,8 @@ class DolbeaultComplex:
     forms (per flattened entry).  ``dbar``/``dhol`` map 0-cochains to
     (0,1)/(1,0) coefficients.  ``corner_avg`` (B) is the barycenter value
     of the transported corner values, the same corner rule with weight
-    1/3 in place of the P1 gradient; ``lift`` is its area-weighted
-    transpose diag(1/mass_area) B^H diag(area), taking face fields back
-    to vertex frames.  ``star`` applies weighted adjoints.  ``laplacian``
+    1/3 in place of the P1 gradient.  ``star`` applies weighted adjoints,
+    and ``lift_to_vertices`` the area-weighted adjoint of B.  ``laplacian``
     is dbar* dbar, the one Laplacian every restricted solve uses; on a
     flat bundle it equals d* d to roundoff (see ``kahler_residual``).
     ``kernel`` holds its exact kernel as columns; it is w0-orthonormalized
@@ -156,7 +155,6 @@ class DolbeaultComplex:
     dbar: sp.csr_matrix
     dhol: sp.csr_matrix
     corner_avg: sp.csr_matrix
-    lift: sp.csr_matrix
     kernel: np.ndarray
 
     def __post_init__(self):
@@ -243,69 +241,36 @@ def kahler_residual(cx: DolbeaultComplex) -> float:
 # complex builders
 
 
-def _weights(geom: SurfaceGeometry, m: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    gf = conventions.L2_GLOBAL_FACTOR
-    m2 = m * m
-    if kind == "function":
-        w0 = np.repeat(gf * geom.mass_rho, m2)
-        w1 = np.repeat(gf * geom.area, m2)
-    elif kind == "vector":
-        w0 = np.repeat(geom.mass_rho2, m2)
-        w1 = np.repeat(geom.rho * geom.area, m2)  # Beltrami pairing
-    else:
-        raise ValueError(kind)
-    return w0, w1
-
-
-def _build(geom: SurfaceGeometry, kind: str, spin, T, kernel) -> DolbeaultComplex:
+def _build(geom: SurfaceGeometry, spin, T, w0, w1, kernel) -> DolbeaultComplex:
     """Complex whose value at corner (f,k) is spin[f,k] T X T^H with T =
-    T[f,k], (F,3,m,m); the untwisted types pass 1x1 identity blocks."""
-    m = T.shape[-1]
-    w0, w1 = _weights(geom, m, kind)
+    T[f,k], (F,3,m,m), and the L2 weights ``w0``/``w1`` per flattened entry."""
     V = geom.mass_rho.shape[0]
     cv = geom.corner_vertex
-    B = _assemble(spin / 3.0, T, cv, V)
-    m2 = m * m
-    lift = sp.diags(1.0 / np.repeat(geom.mass_area, m2)) @ B.conj().T
-    lift = lift @ sp.diags(np.repeat(geom.area, m2))
     return DolbeaultComplex(
-        m=m,
+        m=T.shape[-1],
         n_vertices=V,
         n_faces=geom.area.shape[0],
         w0=w0,
         w1=w1,
         dbar=_assemble(geom.grad_bar * spin, T, cv, V),
         dhol=_assemble(geom.grad_hol * spin, T, cv, V),
-        corner_avg=B,
-        lift=lift.tocsr(),
+        corner_avg=_assemble(spin / 3.0, T, cv, V),
         kernel=kernel,
     )
 
 
-def _untwisted(geom: SurfaceGeometry) -> np.ndarray:
-    return np.ones(geom.corner_vertex.shape + (1, 1), dtype=complex)
-
-
 def tangent_complex(geom: SurfaceGeometry) -> DolbeaultComplex:
-    """Vector fields -> Beltrami coefficients (chart-rotation twisted).
+    """Vector fields -> Beltrami coefficients: twisted by the chart
+    rotations (``corner_spin``), not by the bundle (1x1 identity
+    transports), with the Beltrami pairing rho * area on the faces.
 
     The field face_spin[ref(v)] reaches every corner of face f as
     face_spin[f] (see ``corner_spin``), so its P1 gradient vanishes: the
     twist is a pure gauge and this field spans the kernel.
     """
+    T = np.ones(geom.corner_vertex.shape + (1, 1), dtype=complex)
     kernel = geom.face_spin[geom.vertex_ref_face]
-    return _build(geom, "vector", geom.corner_spin, _untwisted(geom), kernel)
-
-
-def beltrami_complex(geom: SurfaceGeometry) -> DolbeaultComplex:
-    """Spin-2 fields (Beltrami coefficients) on vertices -> faces.
-
-    Only its corner operators are used: ``lift`` takes a Beltrami
-    coefficient to the vertex frames and ``dhol`` differentiates it back
-    on the faces.  It is never solved, so its kernel is left empty.
-    """
-    empty = np.zeros((geom.mass_rho.shape[0], 0), dtype=complex)
-    return _build(geom, "vector", geom.corner_spin**2, _untwisted(geom), empty)
+    return _build(geom, geom.corner_spin, T, geom.mass_rho2, geom.rho * geom.area, kernel)
 
 
 def corner_transports(geom: SurfaceGeometry, transport_per_he: np.ndarray) -> np.ndarray:
@@ -334,7 +299,9 @@ def endo_complex(
     """
     T = corner_transports(geom, transport_per_he)
     spin = np.ones((geom.area.shape[0], 3), dtype=complex)
-    return _build(geom, "function", spin, T, kernel)
+    gf, m2 = conventions.L2_GLOBAL_FACTOR, T.shape[-1] ** 2
+    w0, w1 = np.repeat(gf * geom.mass_rho, m2), np.repeat(gf * geom.area, m2)
+    return _build(geom, spin, T, w0, w1, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +314,13 @@ def vertex_to_face(cx: DolbeaultComplex, x: np.ndarray) -> np.ndarray:
     return (cx.corner_avg @ x.reshape(-1)).reshape(cx.n_faces, cx.m, cx.m)
 
 
-def lift_to_vertices(cx: DolbeaultComplex, x_face: np.ndarray) -> np.ndarray:
+def lift_to_vertices(cx: DolbeaultComplex, geom: SurfaceGeometry, x_face: np.ndarray) -> np.ndarray:
     """Area-weighted average of a face field onto vertices, transported
-    into vertex frames: diag(1/mass_area) B^H diag(area) per m^2 entry."""
-    return (cx.lift @ x_face.reshape(-1)).reshape(cx.n_vertices, cx.m, cx.m)
+    into vertex frames: diag(1/mass_area) B^H diag(area) per m^2 entry,
+    applied through the transpose of B like ``star``; returns (V, m, m)."""
+    y = geom.area[:, None, None] * x_face.reshape(cx.n_faces, cx.m, cx.m)
+    x = np.conj(cx.corner_avg.T @ np.conj(y.reshape(-1))).reshape(cx.n_vertices, cx.m, cx.m)
+    return x / geom.mass_area[:, None, None]
 
 
 def ad(cx: DolbeaultComplex, nu: np.ndarray, f: np.ndarray) -> np.ndarray:

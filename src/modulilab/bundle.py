@@ -312,11 +312,11 @@ class Scene:
     """One conformal surface with one flat cocycle on its mesh, and the
     complexes built on them.
 
-    Each complex is assembled on first use and kept for the life of the
-    scene, with its factorization: ``endo`` (End(E)-valued cochains),
-    ``tangent`` (vector fields to Beltrami coefficients) and
-    ``beltrami`` (the spin-2 corner operators).  Nothing outlives the
-    scene, so dropping it frees the geometry, the complexes and their LUs.
+    Each of the two complexes is assembled on first use and kept for the
+    life of the scene, with its factorization: ``endo`` (End(E)-valued
+    cochains) and ``tangent`` (vector fields to Beltrami coefficients).
+    Nothing outlives the scene, so dropping it frees the geometry, the
+    complexes and their LUs.
     """
 
     surface: ConformalSurface
@@ -337,10 +337,6 @@ class Scene:
     @functools.cached_property
     def tangent(self) -> DolbeaultComplex:
         return _complexes.tangent_complex(self.geom)
-
-    @functools.cached_property
-    def beltrami(self) -> DolbeaultComplex:
-        return _complexes.beltrami_complex(self.geom)
 
 
 # ---------------------------------------------------------------------------

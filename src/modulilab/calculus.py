@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._complexes import DolbeaultComplex
+from ._complexes import lift_to_vertices
+from .bundle import Scene
 from .surface import ConformalSurface
 
 
@@ -21,13 +22,23 @@ def ip_beltrami(mu1: np.ndarray, mu2: np.ndarray, surface: ConformalSurface) -> 
     return complex(np.sum(w * mu1 * np.conj(mu2)))
 
 
-def beltrami_d_hol(mu: np.ndarray, cx: DolbeaultComplex) -> np.ndarray:
+def beltrami_d_hol(mu: np.ndarray, scene: Scene) -> np.ndarray:
     """Face-wise d/dz of a Beltrami coefficient (tensor weight 2).
 
-    Deterministic two-step stencil on the spin-2 complex ``cx`` (a
-    scene's ``beltrami``): lift to the vertex frames by transported
-    area-weighted averaging, then P1-differentiate in each face chart.
-    Exact on fields that are restrictions of linear functions in a flat
-    chart patch.
+    Deterministic two-step stencil: lift to the vertex frames by
+    transported area-weighted averaging, then P1-differentiate in each
+    face chart.  Exact on fields that are restrictions of linear
+    functions in a flat chart patch.
+
+    It runs on the spin-1 tangent complex of the scene, with D its
+    ``dhol`` and L its lift (``lift_to_vertices``).  With fs = face_spin
+    and r[v] = fs[ref(v)], corner_spin[f,k] = fs[f] conj(r[v]), so the
+    spin-2 corner weight corner_spin^2 is fs[f] corner_spin conj(r[v]):
+    the spin-2 derivative is diag(fs) D diag(conj r) and the spin-2 lift
+    diag(r) L diag(conj fs).  Their product is diag(fs) D L diag(conj fs),
+    exact to roundoff because |r| = 1: every face_spin is a product of
+    unit edge rotations.
     """
-    return cx.dhol @ (cx.lift @ mu)
+    tangent, fs = scene.tangent, scene.geom.face_spin
+    lifted = lift_to_vertices(tangent, scene.geom, np.conj(fs) * mu)
+    return fs * (tangent.dhol @ lifted.reshape(-1))

@@ -189,11 +189,15 @@ def _check(gate: str, value: float, seed: int | None = None, scale: float = 1.0)
 
 @contextlib.contextmanager
 def _evaluation_failures(checks: list[dict], seed: int | None = None):
-    """Record a SolverError, VariationInputError or FloatingPointError raised
-    inside as the failing check ``evaluated[_seed<seed>]``, carrying the message."""
+    """Record a SolverError, VariationInputError, FloatingPointError or
+    MemoryError raised inside as the failing check ``evaluated[_seed<seed>]``,
+    carrying the message.  Numpy's overflow, invalid and divide warnings are
+    silenced inside: a non-finite value is a failure of ``_require_finite``,
+    which names it, not a warning."""
     try:
-        yield
-    except (SolverError, variation.VariationInputError, FloatingPointError) as e:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            yield
+    except (SolverError, variation.VariationInputError, FloatingPointError, MemoryError) as e:
         checks.append({**_check("evaluated", 1.0, seed=seed), "message": f"{type(e).__name__}: {e}"})
 
 
@@ -215,10 +219,11 @@ def main():
 
 def _command(name: str):
     """Register ``fn(cfg, scene) -> exit code`` as the command ``name`` of
-    ``main`` with --config, --seed and --out: load the config, build the
-    scene, create the out directory, run ``fn``.  Any InputError exits 2
-    with its message; an evaluation failure that ``fn`` lets through is
-    the one failing check ``evaluated`` of its report.json, exit 1."""
+    ``main`` with --config, --seed and --out: load the config, create the
+    out directory, build the scene, run ``fn``.  Any InputError exits 2
+    with its message; an evaluation failure that the scene build or ``fn``
+    lets through is the one failing check ``evaluated`` of its
+    report.json, exit 1."""
 
     def register(fn):
         @main.command(name)
@@ -229,14 +234,13 @@ def _command(name: str):
         def command(config_path, seed, out):
             try:
                 cfg = load_config(config_path, seed=seed, out=out)
-                scene = build_scene(cfg)
                 try:
                     os.makedirs(cfg["out"], exist_ok=True)
                 except OSError as e:
                     raise ConfigError(f"cannot create the out directory {cfg['out']!r}: {e}") from None
                 failed = []
                 with _evaluation_failures(failed):
-                    code = fn(cfg, scene)
+                    code = fn(cfg, build_scene(cfg))
                 if failed:
                     code = _finish(cfg["out"], name, failed)
             except InputError as e:

@@ -5,8 +5,8 @@ a scene's End(E) complex to unit vectors.  Every dense spectral
 computation goes through one weight-orthonormal frame per complex
 (``DenseFrame``), in which weighted adjoints are conjugate transposes:
 the eigendecomposition of D^H D there, with one kernel rule, gives the
-pseudo-inverse of the Laplacian, the harmonic projector, the kernel
-count and the harmonic basis.  This is the only module that does dense
+pseudo-inverse of the Laplacian, the harmonic projector and the
+kernel count.  This is the only module that does dense
 linear algebra; ``certify_operators`` and ``projector_derivative_sweep``
 are the dense certifications the CLI runs.
 """
@@ -109,14 +109,6 @@ class DenseFrame:
     def pinv(self) -> np.ndarray:
         inv = np.where(_nonzero(self.lam), 1.0 / np.maximum(self.lam, 1e-300), 0.0)
         return (self.V * inv[None, :]) @ self.V.conj().T
-
-
-def harmonic_basis(cx: DolbeaultComplex, dense_cap: int = 6000) -> np.ndarray:
-    """Columns spanning ker(dbar*) of a complex, orthonormal under w1: the
-    left singular vectors of the frame's D past its rank."""
-    frame = DenseFrame(cx, dense_cap)
-    u = np.linalg.svd(frame.D, full_matrices=True)[0]
-    return u[:, frame.rank :] / np.sqrt(cx.w1)[:, None]
 
 
 def spectral_norm(X: np.ndarray) -> float:

@@ -67,12 +67,6 @@ class HalfEdgeMesh:
     def next_he(self, h: int) -> int:
         return 3 * (h // 3) + (h + 1) % 3
 
-    def head(self, h: int) -> int:
-        return int(self.origin[self.next_he(h)])
-
-    def face_vertices(self, f: int) -> tuple[int, int, int]:
-        return (int(self.origin[3 * f]), int(self.origin[3 * f + 1]), int(self.origin[3 * f + 2]))
-
     def edge_index(self) -> np.ndarray:
         """Undirected edge id per half-edge (shared with the twin)."""
         reps = np.minimum(np.arange(self.n_half_edges), self.twin)
@@ -334,9 +328,6 @@ class ConformalSurface:
     @property
     def n_vertices(self) -> int:
         return self.mesh.n_vertices
-
-    def total_area(self) -> float:
-        return float(np.sum(self.density * self.area))
 
 
 def _signed_area(z: np.ndarray) -> np.ndarray:

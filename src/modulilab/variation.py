@@ -158,8 +158,8 @@ class _Workspace:
         rho = self.S.density
         (mua, nua), (mub, nub) = va, vb
         ctb = self.ct(nub)
-        dmu_a = beltrami_d_hol(mua, self.scene.beltrami)
-        dmu_b = beltrami_d_hol(mub, self.scene.beltrami)
+        dmu_a = beltrami_d_hol(mua, self.scene)
+        dmu_b = beltrami_d_hol(mub, self.scene)
         src = (
             nua @ ctb
             - ctb @ nua
@@ -167,7 +167,7 @@ class _Workspace:
             - np.conj(dmu_b)[:, None, None] * nua
         )
         src *= conventions.GAUGE_SOURCE_CALIBRATION / rho[:, None, None]
-        lifted = lift_to_vertices(self.cx, src)
+        lifted = lift_to_vertices(self.cx, self.scene.geom, src)
         return self.solve(lifted, label)
 
 

@@ -97,6 +97,16 @@ def dense_delta0_inverse(cx):
     return (DenseFrame(cx).pinv() * s0[None, :]) / s0[:, None]
 
 
+def harmonic_basis(cx):
+    """Columns spanning ker(dbar*) of a complex, orthonormal under w1: the
+    left singular vectors of the dense frame's D past its rank."""
+    from modulilab.oracle import DenseFrame
+
+    frame = DenseFrame(cx)
+    u = np.linalg.svd(frame.D, full_matrices=True)[0]
+    return u[:, frame.rank :] / np.sqrt(cx.w1)[:, None]
+
+
 def dense_star(cx, M):
     """W0^-1 M^H W1 of a face operator M of a complex, column by column
     through ``cx.star``."""

@@ -229,7 +229,7 @@ def _complex_transport_cocycle(mesh):
 
 def _corner_complexes(request, surf, su2):
     """su2, generic rank 2, trivial rank 2 and rank 1 End(E) complexes, and
-    the spin-1 (vector) and spin-2 (Beltrami) complexes on one surface."""
+    the spin-1 (vector) complex on one surface."""
     S = request.getfixturevalue(surf)
     cocycles = [
         request.getfixturevalue(su2),
@@ -238,7 +238,7 @@ def _corner_complexes(request, surf, su2):
         bnd.trivial_cocycle(S.mesh, 1),
     ]
     scenes = [Scene(S, c) for c in cocycles]
-    return S, [sc.endo for sc in scenes] + [scenes[0].tangent, scenes[0].beltrami]
+    return S, [sc.endo for sc in scenes] + [scenes[0].tangent]
 
 
 @pytest.mark.parametrize("surf", [surf for surf, _ in CORNER_SCENES])
@@ -257,11 +257,12 @@ def test_corner_average_is_mean_of_transported_corners(request, surf, rng):
 def test_lift_inverts_corner_average_on_kernel(request, surf, su2):
     # a covariant constant reaches all three corners of a face as the same
     # matrix, so averaging into faces and lifting back returns it
-    _, complexes = _corner_complexes(request, surf, su2)
+    S, complexes = _corner_complexes(request, surf, su2)
+    geom = geometry(S)
     for cx in complexes:
         for k in range(cx.kernel.shape[1]):
             x = cx.kernel[:, k].reshape(-1, cx.m, cx.m)
-            back = lift_to_vertices(cx, vertex_to_face(cx, x))
+            back = lift_to_vertices(cx, geom, vertex_to_face(cx, x))
             assert np.linalg.norm(back - x) <= 1e-12 * np.linalg.norm(x)
 
 
@@ -272,7 +273,7 @@ def test_lift_is_area_weighted_adjoint_of_corner_average(request, surf, su2, rng
     for cx in complexes:
         x = random_cochain(rng, cx.n_vertices, cx.m)
         y = random_cochain(rng, cx.n_faces, cx.m)
-        lhs = np.einsum("v,vab,vab->", geom.mass_area, lift_to_vertices(cx, y), np.conj(x))
+        lhs = np.einsum("v,vab,vab->", geom.mass_area, lift_to_vertices(cx, geom, y), np.conj(x))
         rhs = np.einsum("f,fab,fab->", geom.area, y, np.conj(vertex_to_face(cx, x)))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
@@ -283,7 +284,7 @@ def test_stored_operators_hold_no_explicit_zero(request, surf, su2):
     # ``star``, runs over its stored entries: none of them may be a zero
     _, complexes = _corner_complexes(request, surf, su2)
     for cx in complexes:
-        for M in (cx.dbar, cx.dhol, cx.corner_avg, cx.lift, cx.laplacian):
+        for M in (cx.dbar, cx.dhol, cx.corner_avg, cx.laplacian):
             assert M.nnz == np.count_nonzero(M.data)
 
 
@@ -485,20 +486,20 @@ def test_generators_need_the_fan(fan2_r1):
 
 
 def test_scene_builds_each_complex_on_first_use(surf_hyp_r1, su2_r1):
-    # the spin-2 complex is built only by the second variations, and each
-    # complex once per scene
+    # each of the two complexes is built once per scene, and the second
+    # variations need no complex beyond them
     from modulilab.tangent import random_tangent
     from modulilab.variation import evaluate_quadruple, positivity_certificate
 
     scene = Scene(surf_hyp_r1, su2_r1)
-    assert not {"geom", "endo", "tangent", "beltrami"} & set(vars(scene))
+    assert not {"geom", "endo", "tangent"} & set(vars(scene))
     v = random_tangent(scene, seed=0)
     positivity_certificate(*v, scene)
-    assert {"geom", "endo", "tangent"} <= set(vars(scene)) and "beltrami" not in vars(scene)
+    assert {"geom", "endo", "tangent"} <= set(vars(scene))
     built = (scene.geom, scene.endo, scene.tangent)
     evaluate_quadruple(v, v, v, v, scene)
     assert all(a is b for a, b in zip((scene.geom, scene.endo, scene.tangent), built))
-    assert "beltrami" in vars(scene)
+    assert not hasattr(scene, "beltrami")
 
 
 def test_dropped_scene_frees_its_surface(fan2_r1, su2_r1):

@@ -14,11 +14,12 @@ CFG_SMALL = {
 }
 
 
-def run_cli(*args):
+def run_cli(*args, python_flags=(), **kwargs):
     return subprocess.run(
-        [sys.executable, "-m", "modulilab.cli", *args],
+        [sys.executable, *python_flags, "-m", "modulilab.cli", *args],
         capture_output=True,
         text=True,
+        **kwargs,
     )
 
 
@@ -388,13 +389,19 @@ def test_unknown_key_exits_2(tmp_path):
 def test_solver_failure_is_a_failing_check(tmp_path, cmd):
     # at mu_scale 1e300 the solve residual is nan, and at 1e160 the solves
     # pass but the terms overflow: each seed becomes a failing check that
-    # names its error, and report.json stays strict JSON
-    for scale, seeds, error in ((1e300, [0], "SolverError"), (1e160, [0, 1], "FloatingPointError")):
-        out = tmp_path / f"out{scale:g}"
+    # names its error, and report.json stays strict JSON.  The overflow
+    # warns nothing, so that warnings turned into errors change nothing.
+    cases = [
+        (1e300, [0], "SolverError", ()),
+        (1e160, [0, 1], "FloatingPointError", ()),
+        (1e160, [0, 1], "FloatingPointError", ("-W", "error")),
+    ]
+    for i, (scale, seeds, error, flags) in enumerate(cases):
+        out = tmp_path / f"out{i}"
         p = _write(tmp_path, {"seeds": seeds, "tangent": {"mu_scale": scale}})
-        r = run_cli(cmd, "--config", p, "--out", str(out))
+        r = run_cli(cmd, "--config", p, "--out", str(out), python_flags=flags)
         assert r.returncode == 1, r.stdout + r.stderr
-        assert "Traceback" not in r.stderr
+        assert "Traceback" not in r.stderr and "RuntimeWarning" not in r.stderr, r.stderr
         rep = _strict_json((out / "report.json").read_text())
         assert rep["failures"] == [f"evaluated_seed{s}" for s in seeds]
         assert all(error in c["message"] for c in rep["checks"])
@@ -420,6 +427,44 @@ def test_solver_failure_outside_the_seeds_is_a_failing_check(monkeypatch, tmp_pa
     rep = _strict_json((out / "report.json").read_text())
     assert rep["failures"] == ["evaluated"]
     assert rep["checks"][0]["message"] == "SolverError: solve relative residual nan exceeds 1e-08"
+
+
+def test_memory_error_building_the_scene_is_a_failing_check(monkeypatch, tmp_path):
+    # a scene too large to allocate is the one failing check ``evaluated``,
+    # exit 1, with the report written
+    from click.testing import CliRunner
+    from modulilab import cli
+
+    def failing(genus):
+        raise MemoryError("Unable to allocate 8.94 GiB")
+
+    monkeypatch.setattr(cli, "build_polygon_gluing", failing)
+    out = tmp_path / "out"
+    r = CliRunner().invoke(cli.main, ["positivity", "--config", _write(tmp_path, {}), "--out", str(out)])
+    assert r.exit_code == 1, r.output
+    rep = _strict_json((out / "report.json").read_text())
+    assert rep["failures"] == ["evaluated"]
+    assert rep["checks"][0]["message"] == "MemoryError: Unable to allocate 8.94 GiB"
+
+
+def test_huge_genus_is_a_failing_check_under_an_address_space_limit(tmp_path):
+    # the 4g-gon fan of genus 1e8 needs about 9 GiB for its first array;
+    # under a 4 GiB address-space limit on the child the allocation fails
+    # at once, before any page is touched
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"mesh": {"genus": 100_000_000, "refinements": 0}, "seeds": [0]}))
+    out = tmp_path / "out"
+    r = run_cli("positivity", "--config", str(p), "--out", str(out), preexec_fn=limit)
+    assert r.returncode == 1, r.stdout + r.stderr
+    assert "Traceback" not in r.stderr
+    rep = _strict_json((out / "report.json").read_text())
+    assert rep["failures"] == ["evaluated"]
+    assert rep["checks"][0]["message"].startswith("MemoryError")
 
 
 def test_failed_seed_leaves_the_others_running(monkeypatch, tmp_path):

@@ -138,7 +138,7 @@ def _edge_rotations_loop(mesh, chart):
 
 def _repeated_vertex_loop(mesh):
     for f in range(mesh.n_faces):
-        if len(set(mesh.face_vertices(f))) != 3:
+        if len(set(mesh.origin[3 * f : 3 * f + 3])) != 3:
             return f"face {f} has repeated vertices; refine the mesh before equipping"
     return None
 
@@ -146,7 +146,7 @@ def _repeated_vertex_loop(mesh):
 def _connected_loop(mesh):
     adj = [[] for _ in range(mesh.n_vertices)]
     for h in range(mesh.n_half_edges):
-        adj[mesh.origin[h]].append(mesh.head(h))
+        adj[mesh.origin[h]].append(int(mesh.origin[mesh.next_he(h)]))
     seen = np.zeros(mesh.n_vertices, dtype=bool)
     stack = [0]
     seen[0] = True
@@ -230,7 +230,7 @@ def _corner_transports_loop(surface, U):
 def _vertex_tree_loop(mesh):
     adj = [[] for _ in range(mesh.n_vertices)]
     for h in range(mesh.n_half_edges):
-        adj[int(mesh.origin[h])].append((mesh.head(h), h))
+        adj[int(mesh.origin[h])].append((int(mesh.origin[mesh.next_he(h)]), h))
     order, parent_he = [], np.full(mesh.n_vertices, -1, dtype=np.int64)
     seen = np.zeros(mesh.n_vertices, dtype=bool)
     seen[0] = True

@@ -1,9 +1,8 @@
 import numpy as np
 
-from modulilab import oracle
 from modulilab import tangent as tg
 from modulilab.calculus import ip_beltrami
-from conftest import dense_star, random_cochain
+from conftest import dense_star, harmonic_basis, random_cochain
 
 
 def _gaussian(rng, F):
@@ -78,7 +77,7 @@ def test_random_tangent_reproducible(su2_scene):
 
 
 def _check_harmonic_basis(cx, smooth_dim):
-    basis = oracle.harmonic_basis(cx)
+    basis = harmonic_basis(cx)
     # dimension agrees with a dense rank computation of dbar*
     Ds = dense_star(cx, cx.dbar)
     expected = Ds.shape[1] - np.linalg.matrix_rank(Ds, tol=1e-10)

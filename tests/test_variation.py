@@ -413,7 +413,7 @@ def test_gauge_naturality(fan2_r1, surf_hyp_r1, su2_r1, rng):
         g[v] = q
     U2 = np.zeros_like(su2_r1.transport)
     for h in range(mesh.n_half_edges):
-        U2[h] = g[mesh.head(h)] @ su2_r1.transport[h] @ g[int(mesh.origin[h])].conj().T
+        U2[h] = g[mesh.origin[mesh.next_he(h)]] @ su2_r1.transport[h] @ g[int(mesh.origin[h])].conj().T
     for h in range(mesh.n_half_edges):  # keep twins exact inverses
         t = int(mesh.twin[h])
         if h < t:
@@ -424,9 +424,7 @@ def test_gauge_naturality(fan2_r1, surf_hyp_r1, su2_r1, rng):
     validate_cocycle(moved)
 
     # face frames conjugate by the gauge at the lowest-index corner
-    anchor = np.array(
-        [mesh.face_vertices(f)[int(np.argmin(mesh.face_vertices(f)))] for f in range(mesh.n_faces)]
-    )
+    anchor = mesh.origin.reshape(-1, 3).min(axis=1)
     Gf = g[anchor]
 
     def push(v):
