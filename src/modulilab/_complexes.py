@@ -164,9 +164,10 @@ class DolbeaultComplex:
 
     # -- adjoints -----------------------------------------------------------
     def star(self, M: sp.csr_matrix, y: np.ndarray) -> np.ndarray:
-        """W0^-1 M^H W1 y for a face-valued operator M of this complex,
-        applied through the transpose of M; the adjoint is never stored."""
-        return np.conj(M.T @ np.conj(self.w1 * y)) / self.w0
+        """W0^-1 M^H W1 y for a face-valued operator M of this complex and
+        a vector or an (N, k) block y, applied through the transpose of M;
+        the adjoint is never stored."""
+        return np.conj(M.T @ np.conj(_rows(self.w1, y) * y)) / _rows(self.w0, y)
 
     @functools.cached_property
     def laplacian(self) -> sp.csr_matrix:
@@ -174,13 +175,15 @@ class DolbeaultComplex:
 
     # -- kernel-restricted solves --------------------------------------------
     def project_off_kernel(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        """Remove the w0-orthogonal projection onto the kernel.
+        """Remove the w0-orthogonal projection onto the kernel from a
+        vector or from each column of an (N, k) block.
 
-        Returns the projected vector and the norm of the removed part.
+        Returns the projected x and the norm of the removed part (the
+        largest over the columns).
         """
         K = self.kernel
-        coef = K.conj().T @ (self.w0 * x)
-        return x - K @ coef, float(np.linalg.norm(coef))
+        coef = K.conj().T @ (_rows(self.w0, x) * x)
+        return x - K @ coef, float(np.max(_norms(coef)))
 
     @functools.cached_property
     def lu(self):
@@ -196,32 +199,47 @@ class DolbeaultComplex:
             raise SolverError(f"bordered Laplacian is singular: {e}") from e
 
     def delta0_solve(self, h: np.ndarray) -> tuple[np.ndarray, dict]:
-        """Solve Laplacian x = (h projected off the kernel), x in ker^perp.
+        """Solve Laplacian x = (h projected off the kernel), x in ker^perp,
+        for a vector h or for each column of an (N, k) block h.
 
         One sparse LU per complex (see ``lu``), reused by every later
-        solve; raises SolverError when |L x - rhs| exceeds ``SOLVE_RTOL``
-        times |h|.
+        solve, and one multi-column solve for a block; raises SolverError
+        when |L x - rhs| of any column exceeds ``SOLVE_RTOL`` times |h|
+        of that column.  The stats carry the largest residual and removed
+        kernel norm over the columns.
         """
         reused = "lu" in self.__dict__
         lu = self.lu
         rhs, removed = self.project_off_kernel(h)
         n = rhs.shape[0]
-        b = np.zeros(lu.shape[0], dtype=complex)
-        b[:n] = self.w0 * rhs
+        b = np.zeros((lu.shape[0],) + rhs.shape[1:], dtype=complex)
+        b[:n] = _rows(self.w0, rhs) * rhs
         x = lu.solve(b)[:n]
         # relative to h: projecting h off the kernel leaves roundoff of
         # order eps*|h| that no x can match, which would swamp a tiny rhs
-        res = float(np.linalg.norm(self.laplacian @ x - rhs) / max(np.linalg.norm(h), 1e-300))
+        res = float(np.max(_norms(self.laplacian @ x - rhs) / np.maximum(_norms(h), 1e-300)))
         if not res <= SOLVE_RTOL:
             raise SolverError(f"solve relative residual {res:.3e} exceeds {SOLVE_RTOL:.0e}")
         stats = {"kernel_removed": removed, "method": "splu", "residual": res, "factor_reused": reused}
         return x, stats
 
     def harmonic_project(self, alpha: np.ndarray) -> np.ndarray:
-        """alpha - dbar Delta0^{-1} dbar* alpha (orthogonal onto ker dbar*)."""
+        """alpha - dbar Delta0^{-1} dbar* alpha (orthogonal onto ker dbar*),
+        for a vector or for each column of an (N, k) block."""
         h = self.star(self.dbar, alpha)
         x, _ = self.delta0_solve(h)
         return alpha - self.dbar @ x
+
+
+def _rows(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A per-entry weight shaped to scale the rows of x, a vector or an
+    (N, k) block."""
+    return w if x.ndim == 1 else w[:, None]
+
+
+def _norms(x: np.ndarray):
+    """The 2-norm of a vector, or the 2-norms of the columns of a block."""
+    return np.linalg.norm(x) if x.ndim == 1 else np.linalg.norm(x, axis=0)
 
 
 def _gram(cx: DolbeaultComplex, M: sp.csr_matrix) -> sp.csr_matrix:

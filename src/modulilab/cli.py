@@ -59,6 +59,9 @@ TOLERANCES = {
     "loglog_slope_near_2": 0.2,
 }
 FD_STEPS = (1e-3, 1e-4, 1e-5)  # projector-derivative finite-difference steps
+# The largest size n^2 F/2 of a generated mesh (see _check_size): su2 at
+# genus 2 and refinement 6, the largest size run under 3 GiB.
+MAX_UNKNOWNS = 65_536
 
 
 def _merge(base: dict, override: dict, prefix: str = "") -> dict:
@@ -108,6 +111,8 @@ def load_config(path, seed=None, out=None) -> dict:
         raise ConfigError("genus must be >= 2 (torus geometry only via the cross-check)")
     if _integer(mesh_cfg.get("refinements"), "mesh.refinements") < 0:
         raise ConfigError("mesh.refinements must be >= 0")
+    if mesh_cfg.get("file") is None:
+        _check_size(mesh_cfg["genus"], mesh_cfg["refinements"], cfg["bundle"])
     seeds = cfg["seeds"]
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError("seeds must be a non-empty list of integers")
@@ -122,6 +127,25 @@ def load_config(path, seed=None, out=None) -> dict:
         if f is not None and not os.path.isfile(f):
             raise ConfigError(f"referenced file does not exist or is not a file: {f}")
     return cfg
+
+
+def _check_size(genus: int, refinements: int, bundle: dict) -> None:
+    """Raise ConfigError when the 4g-gon fan refined r times has a size
+    n^2 F/2 = n^2 2g 4^r above MAX_UNKNOWNS.  By Euler's formula, V = 2 -
+    2g + F/2, so the size bounds the End(E) unknowns n^2 V, and unlike V
+    (2 at r = 0) it grows with the genus.  The rank n is ``bundle.n``,
+    else 2 for su2 and 1 otherwise (a generator file's rank is known only
+    once it is read).  Past 32 refinements the size is named as a lower
+    bound, taken at 32."""
+    n = bundle.get("n") or (2 if bundle.get("preset") == "su2" and not bundle.get("generator_file") else 1)
+    r = min(refinements, 32)
+    count = n * n * 2 * genus * 4**r
+    if count > MAX_UNKNOWNS:
+        at_least = "at least " if r < refinements else ""
+        raise ConfigError(
+            f"mesh.genus {genus} at {refinements} refinements with rank {n} has size n^2 F/2 = "
+            f"{at_least}{count}, above the bound {MAX_UNKNOWNS} (F = 4g 4^r faces)"
+        )
 
 
 def _integer(value, field: str) -> int:
@@ -198,7 +222,24 @@ def _evaluation_failures(checks: list[dict], seed: int | None = None):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             yield
     except (SolverError, variation.VariationInputError, FloatingPointError, MemoryError) as e:
-        checks.append({**_check("evaluated", 1.0, seed=seed), "message": f"{type(e).__name__}: {e}"})
+        checks.append({**_check("evaluated", 1.0, seed=seed), "message": _failure_message(e)})
+
+
+def _failure_message(e: BaseException) -> str:
+    """``<class>: <message>``, or, for an exception without a message (a
+    bare MemoryError from an allocator), ``<class> in <function>``: the
+    innermost function of this package in its traceback, as
+    ``<class>.<method>`` for a method."""
+    if str(e):
+        return f"{type(e).__name__}: {e}"
+    package, where, tb = os.path.dirname(os.path.abspath(__file__)), "?", e.__traceback__
+    while tb is not None:
+        frame = tb.tb_frame
+        if os.path.dirname(os.path.abspath(frame.f_code.co_filename)) == package:
+            owner = frame.f_locals.get("self")
+            where = frame.f_code.co_name if owner is None else f"{type(owner).__name__}.{frame.f_code.co_name}"
+        tb = tb.tb_next
+    return f"{type(e).__name__} in {where}"
 
 
 def _require_finite(named) -> None:

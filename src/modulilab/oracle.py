@@ -1,14 +1,15 @@
 """Dense brute-force materializations: ground truth for equivalence tests.
 
-Operators are materialized column by column, by applying the operators of
-a scene's End(E) complex to unit vectors.  Every dense spectral
+Operators are materialized by applying the production operators of a
+scene's End(E) complex to blocks of unit vectors.  Every dense spectral
 computation goes through one weight-orthonormal frame per complex
 (``DenseFrame``), in which weighted adjoints are conjugate transposes:
 the eigendecomposition of D^H D there, with one kernel rule, gives the
-pseudo-inverse of the Laplacian, the harmonic projector and the
-kernel count.  This is the only module that does dense
-linear algebra; ``certify_operators`` and ``projector_derivative_sweep``
-are the dense certifications the CLI runs.
+pseudo-inverse of the Laplacian, the harmonic projector, the kernel
+count, the singular values and vectors of D, and the range bases of the
+projector sweep; no SVD is taken.  This is the only module that does
+dense linear algebra; ``certify_operators`` and
+``projector_derivative_sweep`` are the dense certifications the CLI runs.
 """
 
 from __future__ import annotations
@@ -50,9 +51,16 @@ _OPERATORS = {
 }
 
 
+# unit columns per block that ``materialize`` feeds the production
+# methods: wide enough to amortize their per-call cost, narrow enough that
+# a block's temporaries stay far below the dense matrices being filled
+MATERIALIZE_BLOCK = 32
+
+
 def materialize(op_name: str, scene: Scene, dense_cap: int = 6000) -> DenseOperator:
-    """Column-by-column dense matrix of an operator of the scene's End(E)
-    complex: column j is the operator applied to the j-th unit vector."""
+    """Dense matrix of an operator of the scene's End(E) complex: column
+    j is the production operator applied to the j-th unit vector, fed to
+    it in blocks of ``MATERIALIZE_BLOCK`` unit columns."""
     if op_name not in _OPERATORS:
         raise ValueError(f"unknown operator {op_name!r}")
     dom, cod, apply = _OPERATORS[op_name]
@@ -63,12 +71,10 @@ def materialize(op_name: str, scene: Scene, dense_cap: int = 6000) -> DenseOpera
         raise DenseCapError(
             f"materialize({op_name}): dimension {dom_dim + cod_dim} exceeds dense_cap {dense_cap}"
         )
-    M = np.zeros((cod_dim, dom_dim), dtype=complex)
-    basis = np.zeros(dom_dim, dtype=complex)
-    for j in range(dom_dim):
-        basis[:] = 0.0
-        basis[j] = 1.0
-        M[:, j] = apply(cx, basis).reshape(-1)
+    M = np.empty((cod_dim, dom_dim), dtype=complex)
+    for j in range(0, dom_dim, MATERIALIZE_BLOCK):
+        k = min(MATERIALIZE_BLOCK, dom_dim - j)
+        M[:, j : j + k] = apply(cx, np.eye(dom_dim, k, -j, dtype=complex))
     return DenseOperator(matrix=M, domain_weight=dom_w, codomain_weight=cod_w)
 
 
@@ -111,14 +117,19 @@ class DenseFrame:
         return (self.V * inv[None, :]) @ self.V.conj().T
 
 
-def spectral_norm(X: np.ndarray) -> float:
+def spectral_norm(X: np.ndarray, hermitian: bool = False) -> float:
     """Operator 2-norm of a dense matrix: the square root of the top
-    eigenvalue of the smaller Gram matrix (X^H X or X X^H).
+    eigenvalue of the smaller Gram matrix (X^H X or X X^H), or, for a
+    matrix Hermitian by construction (``hermitian``; only its lower
+    triangle is read), the largest |eigenvalue| of X itself.
 
-    The top eigenvalue of the Gram matrix carries the relative accuracy
-    of a backward-stable eigensolver, so this agrees with the SVD norm
-    to roundoff at a fraction of its cost, for norms between about
-    1e-150 and 1e150 (the Gram entries are squares)."""
+    The extreme eigenvalues carry the relative accuracy of a
+    backward-stable eigensolver, so this agrees with the SVD norm to
+    roundoff at a fraction of its cost; through the Gram matrix, for
+    norms between about 1e-150 and 1e150 (its entries are squares)."""
+    if hermitian:
+        lam = scipy.linalg.eigh(X, lower=True, eigvals_only=True)
+        return float(max(-lam[0], lam[-1], 0.0))
     G = X.conj().T @ X if X.shape[0] >= X.shape[1] else X @ X.conj().T
     k = G.shape[0]
     top = scipy.linalg.eigh(G, eigvals_only=True, subset_by_index=[k - 1, k - 1])[0]
@@ -133,7 +144,7 @@ def certify_operators(scene: Scene, dense_cap: int = 6000) -> dict:
     """Dense values of the operator suite of the scene's End(E) complex,
     in the weight-orthonormal frame against its D: the production dbar*
     against D^H, the materialized factorized projection P (P^2 = P,
-    P = P^H, P D = 0, trace) and Delta0^{-1} (one solve per column)
+    P = P^H, P D = 0, trace) and Delta0^{-1} (block solves of unit columns)
     against the frame's Delta0^+, and the frame's kernel count."""
     frame = DenseFrame(scene.endo, dense_cap)
     D, lam = frame.D, frame.lam
@@ -141,15 +152,19 @@ def certify_operators(scene: Scene, dense_cap: int = 6000) -> dict:
     d_norm = np.sqrt(lam[-1])
     pinv_norm = 1.0 / lam[-frame.rank]
     star = materialize("dbar_star", scene, dense_cap=dense_cap).framed()
-    P = materialize("projection", scene, dense_cap=dense_cap).framed()
+    values = {"adjointness_residual": spectral_norm(star - D.conj().T) / d_norm}
+    del star
     X = materialize("delta0_inverse", scene, dense_cap=dense_cap).framed()
+    values["delta0_factorized_vs_dense"] = spectral_norm(X - frame.pinv()) / pinv_norm
+    del X
+    P = materialize("projection", scene, dense_cap=dense_cap).framed()
     return {
-        "adjointness_residual": spectral_norm(star - D.conj().T) / d_norm,
+        **values,
         "projector_idempotent": spectral_norm(P @ P - P),
-        "projector_self_adjoint": spectral_norm(P - P.conj().T),
+        # i (P - P^H) is Hermitian by construction and has the norm of P - P^H
+        "projector_self_adjoint": spectral_norm(1j * (P - P.conj().T), hermitian=True),
         "projector_annihilates_dbar": spectral_norm(P @ D) / d_norm,
         "kernel_dim": int(frame.kernel.shape[1]),
-        "delta0_factorized_vs_dense": spectral_norm(X - frame.pinv()) / pinv_norm,
         "harmonic_nu_dim": int(round(float(np.trace(P).real))),
     }
 
@@ -170,54 +185,58 @@ def projector_derivative_sweep(
     difference at each step plus the fitted log-log slope (expect 2).
 
     Works in the weight-orthonormal frame, where adjoints are plain
-    conjugate transposes.  The random perturbation is composed with
-    (I - kernel projector) so the covariant-constant kernel persists
-    along the family, matching the geometric deformations.  The frame,
-    A and the Leibniz matrix are built once; only P(+-h) depends on the
-    step.  ``cx`` is the End(E) complex of a scene.  Raises ValueError
-    unless ``steps`` are positive and at least two of them are distinct:
-    a slope needs two points.
+    conjugate transposes, from the frame's one eigendecomposition.  The
+    random perturbation is composed with (I - kernel projector) so the
+    covariant-constant kernel persists along the family, matching the
+    geometric deformations.  ``cx`` is the End(E) complex of a scene.
+    Raises ValueError unless ``steps`` are positive and at least two of
+    them are distinct: a slope needs two points.
 
     Two errors set the scale of A: truncation grows like
     (|A|/sigma_min)^2 h^2 (sigma_min the smallest nonzero singular value
     of D) and roundoff like kappa eps / h (kappa = |D|_2 / sigma_min).
     |A| = sqrt(2 |D|_2 sigma_min), between the two scales, keeps the
     first under the gate at 1e-4 and the second under the truncation at
-    1e-5.  P(t) = I - U_r U_r^H from the thin SVD of D + tA, r = rank D,
-    keeps the roundoff at kappa, not the kappa^2 of (D + tA)^H (D + tA).
+    1e-5; |D|_2 and sigma_min are read off the frame's eigenvalues.
+
+    D(t) annihilates ker D, so with V_r the frame's nonzero eigenvectors
+    the columns of (D + tA) V_r span the range of D(t), and P(t) = I -
+    Q Q^H with Q from their Householder QR.  That keeps the roundoff at
+    kappa eps, not the kappa^2 of (D + tA)^H (D + tA).  With U = D V_r
+    Sigma^-1 (the left singular vectors) and N = P(0) A V_r Sigma^-1,
+    dP(0) = -(N U^H + U N^H), and |dP(0)|_2 = |N|_2 exactly, because
+    U^H N = 0.  Each error matrix is Hermitian by construction: only its
+    lower triangle is formed, and its norm is its largest |eigenvalue|.
     """
     steps = [float(h) for h in steps]
     if not all(h > 0 and math.isfinite(h) for h in steps) or len(set(steps)) < 2:
         raise ValueError(f"projector sweep needs at least two distinct positive finite steps, got {steps}")
     frame = DenseFrame(cx, dense_cap)
-    D, rank = frame.D, frame.rank
+    D, lam, rank = frame.D, frame.lam, frame.rank
     rng = np.random.default_rng(seed)
     A = rng.standard_normal(D.shape) + 1j * rng.standard_normal(D.shape)
-    # |D|_2 and |A|_2 stay on the SVD norm so that A, and with it the
-    # recorded errors, reproduce bit for bit; sigma_min = sqrt(lam[-rank])
-    scale = np.sqrt(2.0 * np.linalg.norm(D, 2) * np.sqrt(frame.lam[-rank]))
-    A *= scale / max(np.linalg.norm(A, 2), 1e-300)
+    A *= np.sqrt(2.0 * np.sqrt(lam[-1]) * np.sqrt(lam[-rank])) / max(spectral_norm(A), 1e-300)
     K = frame.kernel
-    A = A - (A @ K) @ K.conj().T
-
-    def projector(t: float) -> np.ndarray:
-        U = scipy.linalg.svd(D + t * A, full_matrices=False)[0][:, :rank]
-        return np.eye(D.shape[0]) - U @ U.conj().T
-
-    pinv0 = frame.pinv()
-    P0 = np.eye(D.shape[0]) - D @ pinv0 @ D.conj().T
-    leibniz = -P0 @ A @ pinv0 @ D.conj().T - D @ pinv0 @ A.conj().T @ P0
-    # frees and in-place updates keep at most two dense projectors alive
-    # at a time next to the Leibniz matrix, which sets the peak memory
-    del pinv0, P0
-    denom = spectral_norm(leibniz)
+    A -= (A @ K) @ K.conj().T
+    Vr, sigma = frame.V[:, -rank:], np.sqrt(lam[-rank:])
+    DV, AV = D @ Vr, A @ Vr
+    del A
+    U = DV / sigma
+    N = AV / sigma
+    N -= U @ (U.conj().T @ N)
+    denom = spectral_norm(N)
+    # lower triangle of the Leibniz matrix -(N U^H + U N^H)
+    leibniz = scipy.linalg.blas.zher2k(-1.0, N, U, lower=1)
+    del U, N
     errors = {}
     for h in steps:
-        fd = projector(h)
-        fd -= projector(-h)
-        fd /= 2.0 * h
-        fd -= leibniz
-        err = spectral_norm(fd)
+        q_minus = scipy.linalg.qr(DV - h * AV, mode="economic")[0]
+        q_plus = scipy.linalg.qr(DV + h * AV, mode="economic")[0]
+        # (P(h) - P(-h)) / 2h - leibniz, lower triangle
+        fd = scipy.linalg.blas.zherk(0.5 / h, q_minus, beta=-1.0, c=leibniz, lower=1)
+        fd = scipy.linalg.blas.zherk(-0.5 / h, q_plus, beta=1.0, c=fd, lower=1, overwrite_c=1)
+        del q_minus, q_plus
+        err = spectral_norm(fd, hermitian=True)
         del fd
         if denom == 0.0:
             errors[h] = 0.0 if err == 0.0 else float("inf")

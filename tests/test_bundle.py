@@ -4,6 +4,7 @@ import pytest
 from modulilab import bundle as bnd
 from modulilab import oracle
 from modulilab._complexes import (
+    SOLVE_RTOL,
     SolverError,
     ad,
     ad_star,
@@ -131,6 +132,65 @@ def test_delta0_factorized_matches_dense_oracle(su2_scene, rng):
     x_lu, _ = cx.delta0_solve(h)
     x_dn = inv @ h
     assert np.linalg.norm(x_lu - x_dn) <= 1e-8 * np.linalg.norm(x_dn)
+
+
+def _parent_solve(cx, h):
+    """delta0_solve of a vector, written out as it was before blocks."""
+    K, n = cx.kernel, h.shape[0]
+    coef = K.conj().T @ (cx.w0 * h)
+    rhs = h - K @ coef
+    b = np.zeros(cx.lu.shape[0], dtype=complex)
+    b[:n] = cx.w0 * rhs
+    x = cx.lu.solve(b)[:n]
+    res = float(np.linalg.norm(cx.laplacian @ x - rhs) / max(np.linalg.norm(h), 1e-300))
+    return x, {"kernel_removed": float(np.linalg.norm(coef)), "method": "splu", "residual": res, "factor_reused": True}
+
+
+def test_vector_calls_are_bit_identical_to_the_vector_formulas(su2_scene, rng):
+    # taking blocks changed nothing for a vector: every value of the
+    # second-variation pipeline goes through these calls
+    cx = su2_scene.endo
+    cx.lu
+    y = random_cochain(rng, cx.n_faces, 2).reshape(-1)
+    h = random_cochain(rng, cx.n_vertices, 2).reshape(-1)
+    star = np.conj(cx.dbar.T @ np.conj(cx.w1 * y)) / cx.w0
+    assert np.array_equal(cx.star(cx.dbar, y), star)
+    x, stats = cx.delta0_solve(h)
+    x_ref, stats_ref = _parent_solve(cx, h)
+    assert np.array_equal(x, x_ref) and stats == stats_ref
+    assert np.array_equal(cx.harmonic_project(y), y - cx.dbar @ _parent_solve(cx, star)[0])
+
+
+def test_block_calls_match_column_calls(su2_scene, rng):
+    # an (N, k) block gives, column by column, the vector call's result;
+    # the stats carry the worst column
+    cx = su2_scene.endo
+    faces = np.column_stack([random_cochain(rng, cx.n_faces, 2).reshape(-1) for _ in range(5)])
+    verts = np.column_stack([random_cochain(rng, cx.n_vertices, 2).reshape(-1) for _ in range(5)])
+
+    def agree(block, columns):
+        ref = np.column_stack(columns)
+        assert block.shape == ref.shape
+        assert np.all(np.linalg.norm(block - ref, axis=0) <= 1e-14 * np.linalg.norm(ref, axis=0))
+
+    agree(cx.star(cx.dbar, faces), [cx.star(cx.dbar, y) for y in faces.T])
+    agree(cx.harmonic_project(faces), [cx.harmonic_project(y) for y in faces.T])
+    x, stats = cx.delta0_solve(verts)
+    columns = [cx.delta0_solve(h) for h in verts.T]
+    agree(x, [c[0] for c in columns])
+    worst = max(c[1]["kernel_removed"] for c in columns)
+    assert abs(stats["kernel_removed"] - worst) <= 1e-12 * worst
+    # residuals are roundoff, so the block's worst only shares their order
+    assert stats["residual"] <= 100 * max(c[1]["residual"] for c in columns) <= SOLVE_RTOL
+
+
+def test_block_solve_gates_each_column(su2_scene, rng):
+    # one column that no solve can match fails the whole block
+    cx = su2_scene.endo
+    verts = np.column_stack([random_cochain(rng, cx.n_vertices, 2).reshape(-1) for _ in range(3)])
+    verts[0, 1] = np.nan
+    with pytest.raises(SolverError, match="residual nan"):
+        cx.delta0_solve(verts)
 
 
 def test_harmonic_projection_properties(su2_scene, rng):

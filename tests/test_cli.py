@@ -448,9 +448,10 @@ def test_memory_error_building_the_scene_is_a_failing_check(monkeypatch, tmp_pat
 
 
 def test_huge_genus_is_a_failing_check_under_an_address_space_limit(tmp_path):
-    # the 4g-gon fan of genus 1e8 needs about 9 GiB for its first array;
-    # under a 4 GiB address-space limit on the child the allocation fails
-    # at once, before any page is touched
+    # the 4g-gon fan of genus 1e8 would need about 9 GiB for its first
+    # array; load_config rejects its size before anything is allocated, so
+    # under a 4 GiB address-space limit on the child it is a config error,
+    # exit 2, naming the size and the bound
     import resource
 
     def limit():
@@ -460,11 +461,66 @@ def test_huge_genus_is_a_failing_check_under_an_address_space_limit(tmp_path):
     p.write_text(json.dumps({"mesh": {"genus": 100_000_000, "refinements": 0}, "seeds": [0]}))
     out = tmp_path / "out"
     r = run_cli("positivity", "--config", str(p), "--out", str(out), preexec_fn=limit)
-    assert r.returncode == 1, r.stdout + r.stderr
+    assert r.returncode == 2, r.stdout + r.stderr
     assert "Traceback" not in r.stderr
+    assert "800000000" in r.stderr and "65536" in r.stderr, r.stderr
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "mesh, bundle, size",
+    [
+        ({"genus": 100_000_000, "refinements": 0}, {}, "800000000"),
+        ({"genus": 2, "refinements": 7}, {}, "262144"),
+        ({"genus": 3, "refinements": 6}, {"preset": "trivial", "n": 2}, "98304"),
+        ({"genus": 2, "refinements": 10**9}, {}, "at least "),
+    ],
+)
+def test_size_bound_rejects_before_allocating(tmp_path, mesh, bundle, size):
+    # the size n^2 F/2 of a generated mesh is checked in load_config, in
+    # well under 0.1 s, also for a genus or a refinement count far past it
+    import time
+
+    from modulilab import cli
+
+    p = _write(tmp_path, {"mesh": mesh, "bundle": bundle})
+    t0 = time.perf_counter()
+    with pytest.raises(cli.ConfigError, match=f"n\\^2 F/2 = {size}.*above the bound {cli.MAX_UNKNOWNS}"):
+        cli.load_config(p)
+    assert time.perf_counter() - t0 < 0.1
+
+
+@pytest.mark.parametrize(
+    "mesh, bundle",
+    [
+        ({"genus": 2, "refinements": 6}, {}),  # su2 at r6: the bound itself
+        ({"genus": 2, "refinements": 7}, {"preset": "trivial", "n": 1}),
+        ({"genus": 3, "refinements": 5}, {}),
+    ],
+)
+def test_size_bound_admits_the_ladder(tmp_path, mesh, bundle):
+    from modulilab import cli
+
+    cli.load_config(_write(tmp_path, {"mesh": mesh, "bundle": bundle}))
+
+
+def test_bare_memory_error_names_its_function(monkeypatch, tmp_path):
+    # a MemoryError without a message (SuperLU running out of memory)
+    # names the innermost function of the package it was raised under
+    from click.testing import CliRunner
+    from modulilab import cli
+    from modulilab import _complexes
+
+    def failing(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(_complexes.spla, "splu", failing)
+    out = tmp_path / "out"
+    r = CliRunner().invoke(cli.main, ["positivity", "--config", _write(tmp_path, CFG_SMALL), "--out", str(out)])
+    assert r.exit_code == 1, r.output
     rep = _strict_json((out / "report.json").read_text())
-    assert rep["failures"] == ["evaluated"]
-    assert rep["checks"][0]["message"].startswith("MemoryError")
+    assert rep["failures"] == ["evaluated_seed0", "evaluated_seed1"]
+    assert [c["message"] for c in rep["checks"]] == ["MemoryError in DolbeaultComplex.lu"] * 2
 
 
 def test_failed_seed_leaves_the_others_running(monkeypatch, tmp_path):

@@ -196,10 +196,50 @@ def test_spectral_norm_matches_svd(rng, shape, scale, hermitian):
     X *= scale
     ref = np.linalg.norm(X, 2)
     assert abs(oracle.spectral_norm(X) - ref) <= 1e-13 * ref
+    if hermitian:
+        # from the lower triangle alone
+        assert abs(oracle.spectral_norm(np.tril(X), hermitian=True) - ref) <= 1e-13 * ref
 
 
 def test_spectral_norm_of_zero_matrix():
     assert oracle.spectral_norm(np.zeros((6, 4), dtype=complex)) == 0.0
+
+
+def svd_projector_errors(cx, steps, seed):
+    """The projector-derivative errors of ``oracle.projector_derivative_sweep``
+    computed the independent way: P(t) = I - U_r U_r^H from the thin SVD
+    of D + tA, the Leibniz matrix from the frame's pseudo-inverse, and
+    every norm from the SVD."""
+    frame = oracle.DenseFrame(cx)
+    D, rank = frame.D, frame.rank
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal(D.shape) + 1j * rng.standard_normal(D.shape)
+    A *= np.sqrt(2.0 * np.linalg.norm(D, 2) * np.sqrt(frame.lam[-rank])) / np.linalg.norm(A, 2)
+    K = frame.kernel
+    A = A - (A @ K) @ K.conj().T
+
+    def projector(t):
+        U = np.linalg.svd(D + t * A, full_matrices=False)[0][:, :rank]
+        return np.eye(D.shape[0]) - U @ U.conj().T
+
+    pinv0, P0 = frame.pinv(), projector(0.0)
+    leibniz = -P0 @ A @ pinv0 @ D.conj().T - D @ pinv0 @ A.conj().T @ P0
+    denom = np.linalg.norm(leibniz, 2)
+    return {h: np.linalg.norm((projector(h) - projector(-h)) / (2 * h) - leibniz, 2) / denom for h in steps}
+
+
+@pytest.mark.parametrize("preset", ["su2", "trivial3"])
+def test_projector_sweep_matches_svd_reference(surf_hyp_r1, su2_r1, fan2_r1, preset):
+    # QR range bases and norms from the frame reproduce the SVD
+    # projectors' error at the gated step, and both gates pass
+    cocycle = su2_r1 if preset == "su2" else bnd.trivial_cocycle(fan2_r1, 3)
+    cx = Scene(surf_hyp_r1, cocycle).endo
+    for seed in range(8):
+        sweep = oracle.projector_derivative_sweep(cx, steps=(1e-3, 1e-4, 1e-5), seed=seed)
+        ref = svd_projector_errors(cx, (1e-4,), seed)
+        assert abs(sweep["errors"][1e-4] - ref[1e-4]) <= 1e-3 * ref[1e-4], seed
+        assert sweep["errors"][1e-4] <= TOLS["fd_error_at_1e-4"], seed
+        assert abs(sweep["slope"] - 2.0) <= TOLS["loglog_slope_near_2"], seed
 
 
 def test_torus_mesh_valid():
