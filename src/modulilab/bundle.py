@@ -30,7 +30,6 @@ from .surface import (
     RecordFileError,
     bfs_tree,
     build_polygon_gluing,
-    generator_names,
     read_records,
     split_half_edges,
     vertex_adjacency,
@@ -130,8 +129,8 @@ def from_generators(
     the ascending relation product (A1 B1 A1^-1 B1^-1)...(Ag Bg Ag^-1 Bg^-1)
     = exp(2 pi i d/n) I to 1e-8.  Transports: identity on a spanning
     spoke tree seeded by the recursion that makes every fan face flat,
-    generator matrices on the labeled sides; the residual twist lands on
-    the last face.
+    generator matrices on the sides; the residual twist lands on the
+    last face.
     """
     g = mesh.genus
     if len(generators) != 2 * g:
@@ -157,16 +156,11 @@ def from_generators(
         raise RelationError(residual)
 
     S = 4 * g
-    # side transports from the labels: block base 4(g-j) holds
-    # (Bj^-1, Aj^-1, Bj, Aj); twins receive inverses automatically.
-    side = [None] * S
-    for j in range(1, g + 1):
-        base = 4 * (g - j)
-        A, B = gens[2 * (j - 1)], gens[2 * (j - 1) + 1]
-        side[base + 3] = A
-        side[base + 2] = B
-        side[base + 1] = A.conj().T
-        side[base + 0] = B.conj().T
+    # side s of block b = s // 4 carries (Bj^-1, Aj^-1, Bj, Aj)[s % 4] with
+    # j = g - b, so the last-face holonomy is the ascending commutator
+    # product; twins receive inverses automatically.
+    A, B = np.stack(gens[0::2]), np.stack(gens[1::2])
+    side = np.stack([B.conj().swapaxes(1, 2), A.conj().swapaxes(1, 2), B, A], axis=1)[::-1].reshape(S, n, n)
     directed = np.zeros((3 * S, n, n), dtype=complex)
     given = np.zeros(3 * S, dtype=bool)
     directed[1::3] = side
@@ -341,6 +335,12 @@ class Scene:
 
 # ---------------------------------------------------------------------------
 # serialization
+
+
+def generator_names(genus: int) -> tuple:
+    """``a1, b1, ..., ag, bg``: the names of the generators (A1, B1, ...,
+    Ag, Bg) of ``from_generators``, in relation order."""
+    return tuple(f"{x}{j}" for j in range(1, genus + 1) for x in "ab")
 
 
 def save_cocycle(c: UnitaryCocycle, path) -> None:

@@ -59,7 +59,7 @@ TOLERANCES = {
     "loglog_slope_near_2": 0.2,
 }
 FD_STEPS = (1e-3, 1e-4, 1e-5)  # projector-derivative finite-difference steps
-# The largest size n^2 F/2 of a generated mesh (see _check_size): su2 at
+# The largest size n^2 F/2 of a refined mesh (see _check_size): su2 at
 # genus 2 and refinement 6, the largest size run under 3 GiB.
 MAX_UNKNOWNS = 65_536
 
@@ -112,7 +112,10 @@ def load_config(path, seed=None, out=None) -> dict:
     if _integer(mesh_cfg.get("refinements"), "mesh.refinements") < 0:
         raise ConfigError("mesh.refinements must be >= 0")
     if mesh_cfg.get("file") is None:
-        _check_size(mesh_cfg["genus"], mesh_cfg["refinements"], cfg["bundle"])
+        # a first bound, before anything is allocated; build_scene bounds the built pair
+        b = cfg["bundle"]
+        n = b.get("n") or (2 if b.get("preset") == "su2" and not b.get("generator_file") else 1)
+        _check_size(f"mesh.genus {mesh_cfg['genus']}", 4 * mesh_cfg["genus"], n, mesh_cfg["refinements"])
     seeds = cfg["seeds"]
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError("seeds must be a non-empty list of integers")
@@ -129,22 +132,21 @@ def load_config(path, seed=None, out=None) -> dict:
     return cfg
 
 
-def _check_size(genus: int, refinements: int, bundle: dict) -> None:
-    """Raise ConfigError when the 4g-gon fan refined r times has a size
-    n^2 F/2 = n^2 2g 4^r above MAX_UNKNOWNS.  By Euler's formula, V = 2 -
-    2g + F/2, so the size bounds the End(E) unknowns n^2 V, and unlike V
-    (2 at r = 0) it grows with the genus.  The rank n is ``bundle.n``,
-    else 2 for su2 and 1 otherwise (a generator file's rank is known only
-    once it is read).  Past 32 refinements the size is named as a lower
-    bound, taken at 32."""
-    n = bundle.get("n") or (2 if bundle.get("preset") == "su2" and not bundle.get("generator_file") else 1)
+def _check_size(base: str, faces: int, n: int, refinements: int) -> None:
+    """Raise ConfigError when a base mesh of ``faces`` faces at rank n,
+    refined r times, has a size n^2 F/2 = n^2 faces 4^r / 2 above
+    MAX_UNKNOWNS.  By Euler's formula, V = 2 - 2g + F/2, so the size
+    bounds the End(E) unknowns n^2 V, and unlike V (2 at r = 0 on the
+    fan) it grows with the genus.  ``base`` names the base in the
+    message.  Past 32 refinements the size is named as a lower bound,
+    taken at 32."""
     r = min(refinements, 32)
-    count = n * n * 2 * genus * 4**r
+    count = n * n * faces * 4**r // 2
     if count > MAX_UNKNOWNS:
         at_least = "at least " if r < refinements else ""
         raise ConfigError(
-            f"mesh.genus {genus} at {refinements} refinements with rank {n} has size n^2 F/2 = "
-            f"{at_least}{count}, above the bound {MAX_UNKNOWNS} (F = 4g 4^r faces)"
+            f"{base} at {refinements} refinements with rank {n} has size n^2 F/2 = "
+            f"{at_least}{count}, above the bound {MAX_UNKNOWNS} (F = {faces} * 4^r faces)"
         )
 
 
@@ -172,6 +174,7 @@ def build_scene(cfg: dict) -> Scene:
         raise ConfigError(f"unknown bundle preset {bcfg['preset']!r}")
     if bcfg["n"] is not None and bcfg["n"] != c0.rank:
         raise ConfigError(f"bundle.n is {bcfg['n']}, but the configured cocycle has rank {c0.rank}")
+    _check_size("the base pair", mesh.n_faces, c0.rank, mcfg["refinements"])
     for _ in range(mcfg["refinements"]):
         child = refine(mesh)
         c0 = bnd.refine_cocycle(c0, child)

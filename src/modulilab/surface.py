@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -36,19 +35,17 @@ class HalfEdgeMesh:
     """Closed oriented triangulated surface of genus >= 1.
 
     ``origin[h]`` is the source vertex of half-edge ``h``; ``twin[h]`` the
-    oppositely oriented mate; ``next`` of ``3f+k`` is ``3f+(k+1)%3``.
-    ``labels`` marks the positively-directed generator half-edges of a
-    polygon gluing (``a1``, ``b1``, ...).  ``layout`` optionally carries
-    per-face corner positions of the construction layout (the stored
-    charts, and the hyperbolic density policy).  ``parent`` is the mesh
-    that ``refine`` subdivided into this one, to pull transports back.
+    oppositely oriented mate; ``next`` of ``3f+k`` is ``3f+(k+1)%3``
+    (``next_index``).  ``layout`` optionally carries per-face corner
+    positions of the construction layout (the stored charts, and the
+    hyperbolic density policy).  ``parent`` is the mesh that ``refine``
+    subdivided into this one, to pull transports back.
     """
 
     origin: np.ndarray
     twin: np.ndarray
     genus: int
     n_vertices: int
-    labels: dict = field(default_factory=dict)
     layout: Optional[np.ndarray] = None
     parent: Optional["HalfEdgeMesh"] = None
 
@@ -64,9 +61,6 @@ class HalfEdgeMesh:
     def n_edges(self) -> int:
         return self.origin.shape[0] // 2
 
-    def next_he(self, h: int) -> int:
-        return 3 * (h // 3) + (h + 1) % 3
-
     def edge_index(self) -> np.ndarray:
         """Undirected edge id per half-edge (shared with the twin)."""
         reps = np.minimum(np.arange(self.n_half_edges), self.twin)
@@ -81,7 +75,6 @@ class HalfEdgeMesh:
             and self.n_vertices == other.n_vertices
             and np.array_equal(self.origin, other.origin)
             and np.array_equal(self.twin, other.twin)
-            and self.labels == other.labels
         )
 
 
@@ -167,9 +160,6 @@ def validate_mesh(mesh: HalfEdgeMesh) -> None:
         raise MeshError(
             f"Euler characteristic {euler} does not match genus {mesh.genus}"
         )
-    for label, h in mesh.labels.items():
-        if not (0 <= h < H):
-            raise MeshError(f"label {label} marks invalid half-edge {h}")
 
 
 class UnsupportedGenusError(MeshError):
@@ -190,9 +180,8 @@ def build_polygon_gluing(genus: int) -> HalfEdgeMesh:
     Vertices: 0 = center, 1 = the single glued boundary vertex.  Face i
     is the triangle (center, corner_i, corner_{i+1}); its half-edges are
     (spoke_i, side_i, reversed spoke_{i+1}).  Side pairing glues side s
-    with side s+2 inside each block of four, realizing the relation word
-    whose ordered product around the last face is
-    (A1 B1 A1^-1 B1^-1)...(Ag Bg Ag^-1 Bg^-1).
+    with side s+2 inside each block of four; ``bundle.from_generators``
+    places the generators on the sides.
 
     The mesh carries a layout: the regular hyperbolic 4g-gon in the
     Poincare disk (corners at the radius where the angle sum closes up),
@@ -200,42 +189,18 @@ def build_polygon_gluing(genus: int) -> HalfEdgeMesh:
     """
     if genus < 2:
         raise UnsupportedGenusError(f"genus must be >= 2, got {genus}")
-    g = genus
-    S = 4 * g  # polygon sides = fan faces
-    H = 3 * S
-    origin = np.zeros(H, dtype=np.int64)
-    twin = np.full(H, -1, dtype=np.int64)
-    # face i half-edges: 3i: center->corner_i (spoke_i), 3i+1: corner_i->corner_{i+1}
-    # (side_i), 3i+2: corner_{i+1}->center (reversed spoke_{i+1}).
-    for i in range(S):
-        origin[3 * i] = 0
-        origin[3 * i + 1] = 1
-        origin[3 * i + 2] = 1
-    for i in range(S):
-        j = (i - 1) % S
-        twin[3 * i] = 3 * j + 2  # spoke_i appears reversed in face i-1
-        twin[3 * j + 2] = 3 * i
-    for b in range(g):
-        s0 = 4 * b
-        for (sa, sb) in ((s0, s0 + 2), (s0 + 1, s0 + 3)):
-            twin[3 * sa + 1] = 3 * sb + 1
-            twin[3 * sb + 1] = 3 * sa + 1
-    # generator labels: block base 4(g-j) carries (Bj^-1, Aj^-1, Bj, Aj)
-    # on sides base..base+3, so the last-face holonomy is the ascending
-    # commutator product.
-    labels = {}
-    for j in range(1, g + 1):
-        base = 4 * (g - j)
-        labels[f"a{j}"] = 3 * (base + 3) + 1
-        labels[f"b{j}"] = 3 * (base + 2) + 1
-    R = _regular_polygon_radius(g)
-    corners = np.array([R * cmath.exp(2j * math.pi * i / S) for i in range(S)])
-    layout = np.zeros((S, 3), dtype=complex)
-    for i in range(S):
-        layout[i] = (0.0, corners[i], corners[(i + 1) % S])
-    mesh = HalfEdgeMesh(
-        origin=origin, twin=twin, genus=g, n_vertices=2, labels=labels, layout=layout
-    )
+    S = 4 * genus  # polygon sides = fan faces
+    i = np.arange(S)
+    origin = np.tile(np.array([0, 1, 1], dtype=np.int64), S)
+    twin = np.empty(3 * S, dtype=np.int64)
+    twin[0::3] = 3 * ((i - 1) % S) + 2  # spoke_i appears reversed in face i-1
+    twin[2::3] = 3 * ((i + 1) % S)
+    twin[1::3] = 3 * (i ^ 2) + 1  # side s glued to side s XOR 2
+    R = _regular_polygon_radius(genus)
+    # corners one scalar exp at a time: a vectorized exp may round differently
+    corners = np.array([R * cmath.exp(2j * math.pi * k / S) for k in range(S)])
+    layout = np.stack([np.zeros(S, dtype=complex), corners, np.roll(corners, -1)], axis=1)
+    mesh = HalfEdgeMesh(origin=origin, twin=twin, genus=genus, n_vertices=2, layout=layout)
     validate_mesh(mesh)
     return mesh
 
@@ -280,7 +245,6 @@ def refine(mesh: HalfEdgeMesh) -> HalfEdgeMesh:
     central = 12 * f + 9 + (k + 2) % 3
     twin[first + 1] = central
     twin[central] = first + 1
-    labels = {name: int(first[h]) for name, h in mesh.labels.items()}  # the first segment
     layout = None
     if mesh.layout is not None:
         z = mesh.layout
@@ -290,7 +254,6 @@ def refine(mesh: HalfEdgeMesh) -> HalfEdgeMesh:
         twin=twin,
         genus=mesh.genus,
         n_vertices=V + H // 2,
-        labels=labels,
         layout=layout,
         parent=mesh,
     )
@@ -432,21 +395,10 @@ class Reals(int):
     """A field of that many finite reals, read as one float array."""
 
 
-class Labels(int):
-    """A generator label ``a<j>`` or ``b<j>`` with 1 <= j <= that many (the
-    genus), checked label by label so that nothing is sized from a genus."""
-
-
-def _is_label(name: str, genus: int) -> bool:
-    m = re.fullmatch(r"[ab]([1-9][0-9]*)", name)
-    return m is not None and len(m[1]) <= len(str(genus)) and int(m[1]) <= genus
-
-
 class Kind(NamedTuple):
     """The fields of one record kind, after its name (see ``read_records``)."""
 
     fields: tuple
-    optional: int = 0
     required: bool = True
 
 
@@ -455,11 +407,6 @@ def _keys(kind: Kind):
 
 
 def _value(field, tokens: list):
-    if isinstance(field, Labels):
-        if not _is_label(tokens[0], field):
-            shown = ", ".join(generator_names(field)) if field <= 3 else f"a1, b1, ..., a{field}, b{field}"
-            raise ValueError(f"name {tokens[0][:40]!r} is not one of {shown}")
-        return tokens[0]
     if isinstance(field, tuple):
         if tokens[0] not in field:
             raise ValueError(f"name {tokens[0][:40]!r} is not one of {', '.join(field)}")
@@ -481,18 +428,17 @@ def read_records(path, header: str, head: Kind, body) -> dict:
     kind keyed by its first field (a range of ids or a tuple of names),
     ``(line, values)`` for any other kind.
 
-    Fields are ``"count"`` (positive), ``"integer"``, ranges, name tuples,
-    ``Labels`` and ``Reals``; the last ``optional`` fields may be left off (None),
-    and a kind that is not ``required`` may be absent.  The first record
-    is ``header`` with fields ``head``; ``body(values)`` gives the other
-    kinds, raising ValueError on inconsistent values.
+    Fields are ``"count"`` (positive), ``"integer"``, ranges, name tuples
+    and ``Reals``; a kind that is not ``required`` may be absent.  The
+    first record is ``header`` with fields ``head``; ``body(values)``
+    gives the other kinds, raising ValueError on inconsistent values.
 
     One RecordFileError, naming the line, rejects an unknown record, a
     wrong field count, a non-numeric or non-finite entry, a count or id
-    out of range, a name outside its set, a repeated key or name and,
-    after the last line, a missing record (naming its key).
+    out of range, a name outside its set, a repeated key (or unkeyed
+    record) and, after the last line, a missing record (naming its key).
     """
-    kinds, out, seen = {header: head}, {}, set()
+    kinds, out = {header: head}, {}
     with open(path, errors="replace") as fh:  # an undecodable byte reads as an unknown token
         for line, raw in enumerate(fh, start=1):
             name, *tokens = raw.split() or ["#"]
@@ -503,26 +449,18 @@ def read_records(path, header: str, head: Kind, body) -> dict:
                 where = "" if out else f" before {header!r}"
                 raise RecordFileError(f"unknown record {name!r}{where}", line)
             widths = [f if isinstance(f, Reals) else 1 for f in kind.fields]
-            least, most = sum(widths) - kind.optional, sum(widths)
-            if not least <= len(tokens) <= most:
-                need = least if len(tokens) < least else most
-                raise RecordFileError(f"{name} record needs {need} fields, got {len(tokens)}", line)
+            if len(tokens) != sum(widths):
+                raise RecordFileError(f"{name} record needs {sum(widths)} fields, got {len(tokens)}", line)
             ends = np.cumsum(widths)
             try:
-                values = [_value(f, tokens[e - w : e]) if e <= len(tokens) else None
-                          for f, e, w in zip(kind.fields, ends, widths)]
+                values = [_value(f, tokens[e - w : e]) for f, e, w in zip(kind.fields, ends, widths)]
                 if not out:
                     kinds.update(body(values))
             except ValueError as e:
                 raise RecordFileError(f"{name} record: {e}", line) from None
             key = None if _keys(kind) == (None,) else values[0]
-            names = [v for f, v in zip(kind.fields[1:], values[1:])
-                     if isinstance(f, (tuple, Labels)) and v is not None]
-            for mark in [key] + names:
-                if (name, mark) in seen:
-                    what = "" if mark is None else f" for {mark}"
-                    raise RecordFileError(f"repeated {name} record{what}", line)
-                seen.add((name, mark))
+            if key in out.get(name, ()):
+                raise RecordFileError(f"repeated {name} record" + ("" if key is None else f" for {key}"), line)
             out.setdefault(name, {})[key] = (line, values)
     for name, kind in kinds.items():
         if name in out or kind.required:
@@ -533,21 +471,15 @@ def read_records(path, header: str, head: Kind, body) -> dict:
     return out
 
 
-def generator_names(genus: int) -> tuple:
-    """``a1, b1, ..., ag, bg``: the generator edges of a genus-g fan, in relation order."""
-    return tuple(f"{x}{j}" for j in range(1, genus + 1) for x in "ab")
-
-
 def save_mesh(mesh: HalfEdgeMesh, path) -> None:
-    """Write ``surf V E F genus``, one ``he h origin twin next face [label]``
+    """Write ``surf V E F genus``, one ``he h origin twin next face``
     record per half-edge and, when the mesh has a layout, one ``layout f
     z0re z0im z1re z1im z2re z2im`` record per face in repr floats."""
-    he_label = {h: name for name, h in mesh.labels.items()}
+    nxt = next_index(mesh.n_half_edges)
     with open(path, "w") as fh:
         fh.write(f"surf {mesh.n_vertices} {mesh.n_edges} {mesh.n_faces} {mesh.genus}\n")
         for h in range(mesh.n_half_edges):
-            label = f" {he_label[h]}" if h in he_label else ""
-            fh.write(f"he {h} {int(mesh.origin[h])} {int(mesh.twin[h])} {mesh.next_he(h)} {h // 3}{label}\n")
+            fh.write(f"he {h} {int(mesh.origin[h])} {int(mesh.twin[h])} {int(nxt[h])} {h // 3}\n")
         for f, z in enumerate([] if mesh.layout is None else np.asarray(mesh.layout, dtype=complex)):
             fh.write(f"layout {f} " + " ".join(repr(float(x)) for x in z.view(float)) + "\n")
 
@@ -562,19 +494,18 @@ def load_mesh(path) -> HalfEdgeMesh:
         V, E, F, genus = header
         if 2 * E != 3 * F or V - E + F != 2 - 2 * genus:
             raise ValueError(f"V, E, F = {V}, {E}, {F} do not close up to a surface of genus {genus}")
-        ids = (range(3 * F), range(V), range(3 * F), "integer", "integer", Labels(genus))
-        return {"he": Kind(ids, optional=1), "layout": Kind((range(F), Reals(6)), required=False)}
+        he = Kind((range(3 * F), range(V), range(3 * F), "integer", "integer"))
+        return {"he": he, "layout": Kind((range(F), Reals(6)), required=False)}
 
     records = read_records(path, "surf", Kind(("count",) * 4), body)
     V, _, F, genus = records["surf"][1]
     he, layout = records["he"], records.get("layout")
-    for h, (line, (_, _, _, nxt, face, _)) in he.items():
+    for h, (line, (_, _, _, nxt, face)) in he.items():
         if face != h // 3 or nxt != 3 * (h // 3) + (h + 1) % 3:
             raise RecordFileError("half-edges must be grouped 3 per face with cyclic next", line)
     origin, twin = np.array([[he[h][1][k] for h in range(3 * F)] for k in (1, 2)], dtype=np.int64)
     if layout is not None:
         layout = np.array([layout[f][1][1] for f in range(F)]).view(complex)
-    labels = {v[5]: h for h, (_, v) in he.items() if v[5] is not None}
-    mesh = HalfEdgeMesh(origin=origin, twin=twin, genus=genus, n_vertices=V, labels=labels, layout=layout)
+    mesh = HalfEdgeMesh(origin=origin, twin=twin, genus=genus, n_vertices=V, layout=layout)
     validate_mesh(mesh)
     return mesh

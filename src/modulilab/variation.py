@@ -153,13 +153,11 @@ class _Workspace:
         mu, nu = v
         return self.star(self.cx.dhol, np.conj(mu)[:, None, None] * alpha) - ad_star(self.cx, nu, alpha)
 
-    def gauge_potential(self, va: tuple, vb: tuple, label: str) -> np.ndarray:
-        """Delta0^{-1} of the lifted gauge-Hessian source for slot pair (a, b)."""
+    def gauge_potential(self, nua, nub, dmu_a, dmu_b, label: str) -> np.ndarray:
+        """Delta0^{-1} of the lifted gauge-Hessian source for slot pair (a, b),
+        from each slot's nu and the spin-2 derivative of its mu."""
         rho = self.S.density
-        (mua, nua), (mub, nub) = va, vb
         ctb = self.ct(nub)
-        dmu_a = beltrami_d_hol(mua, self.scene)
-        dmu_b = beltrami_d_hol(mub, self.scene)
         src = (
             nua @ ctb
             - ctb @ nua
@@ -249,8 +247,9 @@ def first_variation(
 def _universal_terms(ws: _Workspace, v1, v2, v3, v4) -> list:
     (mu1, nu1), (mu2, nu2), (mu3, nu3), (mu4, nu4) = v1, v2, v3, v4
     ct = ws.ct
-    G12 = ws.gauge_potential(v1, v2, "gauge_12")
-    G21 = ws.gauge_potential(v2, v1, "gauge_21")
+    dmu1, dmu2 = (beltrami_d_hol(mu, ws.scene) for mu in (mu1, mu2))
+    G12 = ws.gauge_potential(nu1, nu2, dmu1, dmu2, "gauge_12")
+    G21 = ws.gauge_potential(nu2, nu1, dmu2, dmu1, "gauge_21")
     y_xi = ws.solve(ws.xi(v2, nu3), "opvar_proj")
     y_m3 = ws.solve(ws.star(ws.cx.dbar, mu3[:, None, None] * ct(nu2)), "opvar_mu3")
     y_m4 = ws.solve(ws.star(ws.cx.dbar, mu4[:, None, None] * ct(nu1)), "opvar_mu4")

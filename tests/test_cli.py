@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 CFG_SMALL = {
@@ -502,6 +503,32 @@ def test_size_bound_admits_the_ladder(tmp_path, mesh, bundle):
     from modulilab import cli
 
     cli.load_config(_write(tmp_path, {"mesh": mesh, "bundle": bundle}))
+
+
+def test_size_bound_covers_file_backed_pairs(tmp_path):
+    # a mesh file or a generator file is sized once the base pair is
+    # built, from its own face count and rank, before any refinement
+    import time
+
+    from click.testing import CliRunner
+    from modulilab import cli
+    from modulilab.bundle import from_generators, save_cocycle
+    from modulilab.surface import build_polygon_gluing, save_mesh
+
+    fan = build_polygon_gluing(2)
+    save_mesh(fan, tmp_path / "fan.surf")
+    save_cocycle(from_generators(fan, 3, 0, [np.eye(3)] * 4), tmp_path / "rank3.gen")
+    cases = [
+        ({"file": str(tmp_path / "fan.surf"), "refinements": 9}, {"preset": "trivial", "n": 1}, 1_048_576),
+        ({"refinements": 6}, {"generator_file": str(tmp_path / "rank3.gen")}, 147_456),
+    ]
+    for mesh, bundle, size in cases:
+        p = _write(tmp_path, {"mesh": mesh, "bundle": bundle})
+        t0 = time.perf_counter()
+        r = CliRunner().invoke(cli.main, ["positivity", "--config", p, "--out", str(tmp_path / "out")])
+        assert time.perf_counter() - t0 < 1.0
+        assert r.exit_code == 2, r.output
+        assert f"n^2 F/2 = {size}, above the bound {cli.MAX_UNKNOWNS}" in r.output
 
 
 def test_bare_memory_error_names_its_function(monkeypatch, tmp_path):

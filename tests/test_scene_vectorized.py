@@ -3,8 +3,12 @@
 The loop versions below are kept as the reference: they are the
 straightforward statement of each construction, with FIFO queues for the
 spanning trees.  Numbering and trees must agree exactly, floating-point
-fields to 1e-15, and the validators must name the same first offender.
+fields to 1e-15 (the fan and its generator transports bit for bit), and
+the validators must name the same first offender.
 """
+
+import cmath
+import math
 
 import numpy as np
 import pytest
@@ -16,8 +20,11 @@ from modulilab.surface import (
     HalfEdgeMesh,
     MeshError,
     _edge_rotations,
+    _regular_polygon_radius,
     bfs_tree,
+    build_polygon_gluing,
     equip_conformal,
+    next_index,
     refine,
     validate_mesh,
     vertex_adjacency,
@@ -56,7 +63,6 @@ def _refine_loop(mesh):
         ft, kt = divmod(t, 3)
         twin[child_he(f, k, 0)] = child_he(ft, (kt + 1) % 3, 2)
         twin[child_he(ft, (kt + 1) % 3, 2)] = child_he(f, k, 0)
-    labels = {name: child_he(*divmod(h, 3), 0) for name, h in mesh.labels.items()}
     layout = None
     if mesh.layout is not None:
         layout = np.zeros((4 * F, 3), dtype=complex)
@@ -67,7 +73,55 @@ def _refine_loop(mesh):
             layout[4 * f + 1] = (z[1], w[1], w[0])
             layout[4 * f + 2] = (z[2], w[2], w[1])
             layout[4 * f + 3] = (w[0], w[1], w[2])
-    return origin, twin, labels, layout
+    return origin, twin, layout
+
+
+def _polygon_gluing_loop(g):
+    """origin, twin and layout of the 4g-gon fan, one side at a time."""
+    S = 4 * g
+    origin = np.zeros(3 * S, dtype=np.int64)
+    twin = np.full(3 * S, -1, dtype=np.int64)
+    for i in range(S):
+        origin[3 * i] = 0
+        origin[3 * i + 1] = 1
+        origin[3 * i + 2] = 1
+    for i in range(S):
+        j = (i - 1) % S
+        twin[3 * i] = 3 * j + 2
+        twin[3 * j + 2] = 3 * i
+    for b in range(g):
+        s0 = 4 * b
+        for sa, sb in ((s0, s0 + 2), (s0 + 1, s0 + 3)):
+            twin[3 * sa + 1] = 3 * sb + 1
+            twin[3 * sb + 1] = 3 * sa + 1
+    R = _regular_polygon_radius(g)
+    corners = np.array([R * cmath.exp(2j * math.pi * i / S) for i in range(S)])
+    layout = np.zeros((S, 3), dtype=complex)
+    for i in range(S):
+        layout[i] = (0.0, corners[i], corners[(i + 1) % S])
+    return origin, twin, layout
+
+
+def _from_generators_loop(mesh, n, gens):
+    """Transports of ``from_generators``: block base 4(g-j) holds
+    (Bj^-1, Aj^-1, Bj, Aj), and the spokes close faces 0..S-2."""
+    g = mesh.genus
+    S = 4 * g
+    side = [None] * S
+    for j in range(1, g + 1):
+        base = 4 * (g - j)
+        A, B = gens[2 * (j - 1)], gens[2 * (j - 1) + 1]
+        side[base + 3] = A
+        side[base + 2] = B
+        side[base + 1] = A.conj().T
+        side[base + 0] = B.conj().T
+    directed = {}
+    spoke = np.eye(n, dtype=complex)
+    for i in range(S):
+        directed[3 * i] = spoke
+        directed[3 * i + 1] = side[i]
+        spoke = side[i] @ spoke
+    return _store_loop(mesh, directed, n)
 
 
 def _store_loop(mesh, directed, n):
@@ -145,8 +199,9 @@ def _repeated_vertex_loop(mesh):
 
 def _connected_loop(mesh):
     adj = [[] for _ in range(mesh.n_vertices)]
+    nxt = next_index(mesh.n_half_edges)
     for h in range(mesh.n_half_edges):
-        adj[mesh.origin[h]].append(int(mesh.origin[mesh.next_he(h)]))
+        adj[mesh.origin[h]].append(int(mesh.origin[nxt[h]]))
     seen = np.zeros(mesh.n_vertices, dtype=bool)
     stack = [0]
     seen[0] = True
@@ -229,8 +284,9 @@ def _corner_transports_loop(surface, U):
 
 def _vertex_tree_loop(mesh):
     adj = [[] for _ in range(mesh.n_vertices)]
+    nxt = next_index(mesh.n_half_edges)
     for h in range(mesh.n_half_edges):
-        adj[int(mesh.origin[h])].append((int(mesh.origin[mesh.next_he(h)]), h))
+        adj[int(mesh.origin[h])].append((int(mesh.origin[nxt[h]]), h))
     order, parent_he = [], np.full(mesh.n_vertices, -1, dtype=np.int64)
     seen = np.zeros(mesh.n_vertices, dtype=bool)
     seen[0] = True
@@ -272,10 +328,9 @@ def _chain(base, levels, cocycle):
     out = []
     for _ in range(levels):
         child = refine(mesh)
-        origin, twin, labels, layout = _refine_loop(mesh)
+        origin, twin, layout = _refine_loop(mesh)
         assert np.array_equal(child.origin, origin)
         assert np.array_equal(child.twin, twin)
-        assert child.labels == labels
         assert np.array_equal(child.layout, layout)
         ref = _refine_cocycle_loop(c, child)
         c = bnd.refine_cocycle(c, child)
@@ -322,6 +377,37 @@ def test_spanning_trees_match_fifo_loops(fan2, levels):
     assert np.array_equal(np.where(vertex_tree >= 0, out[vertex_tree], -1), parent_he)
 
 
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("g", range(2, 9))
+def test_fan_matches_loop_bit_for_bit(g):
+    mesh = build_polygon_gluing(g)
+    for got, want in zip((mesh.origin, mesh.twin, mesh.layout), _polygon_gluing_loop(g)):
+        assert _same_bits(got, want)
+
+
+def _conjugated_su2(g, rng):
+    """The su2 pair conjugated by a random unitary on the first handle and
+    a commuting random pair (W, W) on the others."""
+    P, W = (np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0] for _ in range(2))
+    pair = [P @ X @ P.conj().T for X in (np.array([[0, 1j], [1j, 0]]), np.array([[0, 1], [-1, 0]], dtype=complex))]
+    return pair + [W, W] * (g - 1)
+
+
+@pytest.mark.parametrize("g, preset", [(2, "su2"), (3, "su2"), (4, "su2"), (2, "conjugated"), (3, "conjugated")])
+def test_generator_transports_match_loop_bit_for_bit(g, preset):
+    mesh = build_polygon_gluing(g)
+    if preset == "su2":
+        c = bnd.su2_preset(mesh)
+        gens = list(c.generators)
+    else:
+        gens = _conjugated_su2(g, np.random.default_rng(g))
+        c = bnd.from_generators(mesh, 2, 1, gens)
+    assert _same_bits(c.transport, _from_generators_loop(mesh, 2, gens))
+
+
 # -- validators name the same first offender ---------------------------------------
 
 
@@ -354,7 +440,7 @@ def test_repeated_vertices_match_loop(fan2):
 
 
 def _with(mesh, **fields):
-    kw = dict(origin=mesh.origin, twin=mesh.twin, genus=mesh.genus, n_vertices=mesh.n_vertices, labels=mesh.labels)
+    kw = dict(origin=mesh.origin, twin=mesh.twin, genus=mesh.genus, n_vertices=mesh.n_vertices)
     kw.update(fields)
     return HalfEdgeMesh(**kw)
 
@@ -370,8 +456,3 @@ def test_disconnected_mesh_named(fan2_r1):
     assert not _connected_loop(two)
     assert _message(validate_mesh, two) == "mesh is not connected"
 
-
-def test_bad_label_named(fan2_r1):
-    bad = _with(fan2_r1, labels={**fan2_r1.labels, "a1": fan2_r1.n_half_edges + 5})
-    assert _connected_loop(bad)
-    assert _message(validate_mesh, bad) == f"label a1 marks invalid half-edge {fan2_r1.n_half_edges + 5}"

@@ -10,6 +10,7 @@ from modulilab.surface import (
     build_polygon_gluing,
     equip_conformal,
     load_mesh,
+    next_index,
     refine,
     save_mesh,
     validate_mesh,
@@ -36,10 +37,6 @@ def test_fan_rejects_low_genus():
         build_polygon_gluing(0)
 
 
-def test_fan_labels(fan2):
-    assert set(fan2.labels) == {"a1", "b1", "a2", "b2"}
-
-
 def test_refine_counts(fan2, fan2_r1):
     assert fan2_r1.n_faces == 4 * fan2.n_faces == 32
     assert fan2_r1.genus == fan2.genus
@@ -58,9 +55,10 @@ def test_refined_faces_have_distinct_vertices(fan2_r1):
 
 def test_orientation_consistency(fan2_r1):
     m = fan2_r1
+    nxt = next_index(m.n_half_edges)
     for h in range(m.n_half_edges):
-        assert m.origin[m.twin[h]] == m.origin[m.next_he(h)]
-        assert m.next_he(m.next_he(m.next_he(h))) == h
+        assert m.origin[m.twin[h]] == m.origin[nxt[h]]
+        assert nxt[nxt[nxt[h]]] == h
 
 
 @settings(max_examples=8, deadline=None)
@@ -130,12 +128,12 @@ def test_mesh_without_layout_loads(tmp_path, fan2):
 
 
 def test_torus_mesh_roundtrip(tmp_path):
-    # genus 1, no generator labels, a layout with integer corners
+    # genus 1, a layout with integer corners
     m = build_torus(3)
     p = tmp_path / "t.surf"
     save_mesh(m, p)
     loaded = load_mesh(p)
-    assert loaded.same_combinatorics(m) and loaded.labels == {}
+    assert loaded.same_combinatorics(m)
     assert loaded.layout.tobytes() == m.layout.tobytes()
 
 
@@ -231,6 +229,11 @@ def test_layout_record_rejects(tmp_path, fan2, edit, message):
     assert len(str(e.value)) < 200
 
 
+def _labelled(index, label):
+    """Append ``label`` to the record at ``index``."""
+    return lambda ls: _set_field(ls, index, -1, f"{ls[index].split()[-1]} {label}")
+
+
 @pytest.mark.parametrize(
     "header, message",
     [
@@ -255,13 +258,14 @@ def test_mesh_header_rejected(tmp_path, fan2, header, message):
         (lambda ls: ls[1:2] + ls[:1] + ls[2:], "line 1: unknown record 'he' before 'surf'"),
         (lambda ls: ls[:2] + ls[:1] + ls[2:], "line 3: repeated surf record"),
         (lambda ls: ["# a comment", ""] + ls, None),
-        (lambda ls: _set_field(ls, 8, 6, "c1"), "line 9: he record: name 'c1' is not one of a1, b1, a2, b2"),
-        (lambda ls: _set_field(ls, 8, 6, "a0"), "line 9: he record: name 'a0' is not one of a1, b1, a2, b2$"),
-        (lambda ls: _set_field(ls, 8, 6, "a01"), "line 9: he record: name 'a01' is not one of a1, b1, a2, b2$"),
-        (lambda ls: _set_field(ls, 8, 6, "a3"), "line 9: he record: name 'a3' is not one of a1, b1, a2, b2$"),
-        (lambda ls: _set_field(ls, 8, 6, "b10"), "line 9: he record: name 'b10' is not one of a1, b1, a2, b2$"),
-        (lambda ls: _set_field(ls, 8, 6, "a\u00b2"), "line 9: he record: name 'a\u00b2' is not one of a1, b1, a2, b2$"),
-        (lambda ls: _set_field(ls, 8, 6, "a1"), "line 24: repeated he record for a1"),
+        # a trailing label, as older files carried, is a sixth field
+        (_labelled(8, "c1"), "line 9: he record needs 5 fields, got 6$"),
+        (_labelled(8, "a0"), "line 9: he record needs 5 fields, got 6$"),
+        (_labelled(8, "a01"), "line 9: he record needs 5 fields, got 6$"),
+        (_labelled(8, "a3"), "line 9: he record needs 5 fields, got 6$"),
+        (_labelled(8, "b10"), "line 9: he record needs 5 fields, got 6$"),
+        (_labelled(8, "a\u00b2"), "line 9: he record needs 5 fields, got 6$"),
+        (lambda ls: _labelled(23, "a1")(_labelled(8, "b2")(ls)), "line 9: he record needs 5 fields, got 6$"),
         (lambda ls: _set_field(ls, 8, 4, "9"), "line 9: half-edges must be grouped 3 per face"),
         (lambda ls: _set_field(ls, 8, 2, "2"), "line 9: he record: 2 is out of range 0..1"),
     ],
@@ -281,7 +285,7 @@ def test_mesh_records_rejected(tmp_path, fan2, edit, message):
 
 def test_huge_genus_header_sizes_nothing(tmp_path):
     # a header that closes up at genus 10**6 is rejected without building
-    # anything of the genus's size, and a bad label gets a short message
+    # anything of the genus's size, and a sixth field gets a short message
     import tracemalloc
 
     header = "surf 2 6000000 4000000 1000000\n"
@@ -295,9 +299,9 @@ def test_huge_genus_header_sizes_nothing(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 10_000_000
-    for label in ("zz", "a1000001", "q" * 10_000):
-        p.write_text(header + f"he 0 0 1 1 0 {label}\n")
-        with pytest.raises(RecordFileError, match="not one of a1, b1, ..., a1000000, b1000000") as e:
+    for token in ("zz", "a1000001", "q" * 10_000):
+        p.write_text(header + f"he 0 0 1 1 0 {token}\n")
+        with pytest.raises(RecordFileError, match="^line 2: he record needs 5 fields, got 6$") as e:
             load_mesh(p)
         assert len(str(e.value)) < 200
 

@@ -7,6 +7,7 @@ from modulilab import bundle as bnd
 from modulilab import oracle
 from modulilab import variation as var
 from modulilab._complexes import endo_complex
+from modulilab.calculus import beltrami_d_hol
 from modulilab.bundle import Scene
 from modulilab.tangent import random_tangent
 
@@ -344,8 +345,10 @@ def test_gauge_potential_conjugation_symmetry(su2_scene):
     ws = var._Workspace(su2_scene)
     va = random_tangent(su2_scene, seed=81)
     vb = random_tangent(su2_scene, seed=82)
-    g_ab = ws.gauge_potential(va, vb, "ab")
-    g_ba = ws.gauge_potential(vb, va, "ba")
+    (mua, nua), (mub, nub) = va, vb
+    dmu_a, dmu_b = beltrami_d_hol(mua, su2_scene), beltrami_d_hol(mub, su2_scene)
+    g_ab = ws.gauge_potential(nua, nub, dmu_a, dmu_b, "ab")
+    g_ba = ws.gauge_potential(nub, nua, dmu_b, dmu_a, "ba")
     flip = np.conj(np.swapaxes(g_ba, 1, 2))
     assert np.linalg.norm(g_ab - flip) <= 1e-10 * np.linalg.norm(g_ab)
 
@@ -403,6 +406,7 @@ def test_gauge_naturality(fan2_r1, surf_hyp_r1, su2_r1, rng):
     # data conjugated into the new face frames, must leave the metric and
     # the second variation invariant; this exercises every frame convention
     from modulilab.bundle import UnitaryCocycle, validate_cocycle
+    from modulilab.surface import next_index
 
     mesh = fan2_r1
     V, n = mesh.n_vertices, 2
@@ -412,8 +416,9 @@ def test_gauge_naturality(fan2_r1, surf_hyp_r1, su2_r1, rng):
         q, _ = np.linalg.qr(a)
         g[v] = q
     U2 = np.zeros_like(su2_r1.transport)
+    head = mesh.origin[next_index(mesh.n_half_edges)]
     for h in range(mesh.n_half_edges):
-        U2[h] = g[mesh.origin[mesh.next_he(h)]] @ su2_r1.transport[h] @ g[int(mesh.origin[h])].conj().T
+        U2[h] = g[head[h]] @ su2_r1.transport[h] @ g[int(mesh.origin[h])].conj().T
     for h in range(mesh.n_half_edges):  # keep twins exact inverses
         t = int(mesh.twin[h])
         if h < t:
