@@ -1,16 +1,13 @@
 """Assembly of the twisted P1/P0 Dolbeault complexes.
 
 One code path serves every twisted complex in the package.  A complex is
-specified by, per (face, corner):
-
-* a unit scalar ``spin`` factor carrying the chart-tensor indices of the
-  0-cochain type (1 for functions, the chart-rotation transport for
-  vector fields);
-* a unitary ``transport`` matrix carrying the bundle conjugation
-  (identity blocks for untwisted types).
+specified by a unitary ``transport`` matrix per (face, corner), carrying
+the bundle conjugation (identity blocks for untwisted types), and a unit
+``phase`` per face: 1, or for vector fields the chart rotation
+``face_spin`` from face 0.
 
 A 0-cochain value X at vertex v enters face f as
-``spin[f,k] * T[f,k] X T[f,k]^H``; the face operators are the P1 hat
+``phase[f] * T[f,k] X T[f,k]^H``; the face operators are the P1 hat
 gradients of those transported values, split into dz and dzbar parts.
 Adjoints are true matrix adjoints under diagonal weights, never an
 independent stencil, so adjointness identities hold to roundoff.
@@ -47,13 +44,10 @@ SOLVE_RTOL = 1e-8
 @dataclass(frozen=True, eq=False)
 class SurfaceGeometry:
     corner_vertex: np.ndarray  # (F,3) int
-    grad_bar: np.ndarray  # (F,3) complex, dbar of hat functions
-    grad_hol: np.ndarray  # (F,3) complex
+    grad_bar: np.ndarray  # (F,3) complex, dbar of hat functions; d is its conjugate
     area: np.ndarray  # (F,)
     rho: np.ndarray  # (F,)
     face_spin: np.ndarray  # (F,) unit complex, chart transport from face 0 via a BFS tree
-    vertex_ref_face: np.ndarray  # (V,) int
-    corner_spin: np.ndarray  # (F,3) complex, vector-type transport vertex -> face
     mass_rho: np.ndarray  # (V,) sum of rho*A/3 over incident corners
     mass_rho2: np.ndarray  # (V,) sum of rho^2*A/3
     mass_area: np.ndarray  # (V,) sum of A/3
@@ -69,7 +63,6 @@ def geometry(surface: ConformalSurface) -> SurfaceGeometry:
     for k in range(3):
         grad[:, k] = 1j * (z[:, (k + 2) % 3] - z[:, (k + 1) % 3]) / (2.0 * S)
     grad_bar = grad / 2.0
-    grad_hol = np.conj(grad) / 2.0
     # BFS tree over face adjacency accumulating chart rotations; tangent
     # coefficients in chart(f) equal face_spin[f]/face_spin[f'] times their
     # expression in chart(f') along tree paths.
@@ -85,9 +78,6 @@ def geometry(surface: ConformalSurface) -> SurfaceGeometry:
         # vectorized complex multiply may fuse multiply-adds
         face_spin[lvl] = (r.real * s.real - r.imag * s.imag) + 1j * (r.real * s.imag + r.imag * s.real)
     cv = corner_vertex.reshape(-1)
-    vertex_ref_face = np.full(V, F, dtype=np.int64)
-    np.minimum.at(vertex_ref_face, cv, np.arange(H) // 3)
-    corner_spin = face_spin[:, None] / face_spin[vertex_ref_face[corner_vertex]]
     rho = surface.density
 
     def mass(per_face):
@@ -96,12 +86,9 @@ def geometry(surface: ConformalSurface) -> SurfaceGeometry:
     return SurfaceGeometry(
         corner_vertex=corner_vertex,
         grad_bar=grad_bar,
-        grad_hol=grad_hol,
         area=S.copy(),
         rho=rho.copy(),
         face_spin=face_spin,
-        vertex_ref_face=vertex_ref_face,
-        corner_spin=corner_spin,
         mass_rho=mass(rho * S),
         mass_rho2=mass(rho**2 * S),
         mass_area=mass(S),
@@ -259,36 +246,38 @@ def kahler_residual(cx: DolbeaultComplex) -> float:
 # complex builders
 
 
-def _build(geom: SurfaceGeometry, spin, T, w0, w1, kernel) -> DolbeaultComplex:
-    """Complex whose value at corner (f,k) is spin[f,k] T X T^H with T =
-    T[f,k], (F,3,m,m), and the L2 weights ``w0``/``w1`` per flattened entry."""
+def _build(geom: SurfaceGeometry, T, w0, w1, kernel, phase=1.0) -> DolbeaultComplex:
+    """Complex whose value at corner (f,k) is phase[f] T X T^H with T =
+    T[f,k], (F,3,m,m), a unit ``phase`` per face (F,) or 1, and the L2
+    weights ``w0``/``w1`` per flattened entry."""
     V = geom.mass_rho.shape[0]
     cv = geom.corner_vertex
+    p = np.reshape(phase, (-1, 1))
     return DolbeaultComplex(
         m=T.shape[-1],
         n_vertices=V,
         n_faces=geom.area.shape[0],
         w0=w0,
         w1=w1,
-        dbar=_assemble(geom.grad_bar * spin, T, cv, V),
-        dhol=_assemble(geom.grad_hol * spin, T, cv, V),
-        corner_avg=_assemble(spin / 3.0, T, cv, V),
+        dbar=_assemble(p * geom.grad_bar, T, cv, V),
+        dhol=_assemble(p * np.conj(geom.grad_bar), T, cv, V),
+        corner_avg=_assemble(p / 3.0, T, cv, V),
         kernel=kernel,
     )
 
 
 def tangent_complex(geom: SurfaceGeometry) -> DolbeaultComplex:
-    """Vector fields -> Beltrami coefficients: twisted by the chart
-    rotations (``corner_spin``), not by the bundle (1x1 identity
-    transports), with the Beltrami pairing rho * area on the faces.
+    """Vector fields -> Beltrami coefficients in the face gauge: the scalar
+    P1 stencil times the chart rotation ``face_spin[f]`` of each face (1x1
+    identity transports), with the Beltrami pairing rho * area on the
+    faces.  Vertex values are written in the chart of face 0.
 
-    The field face_spin[ref(v)] reaches every corner of face f as
-    face_spin[f] (see ``corner_spin``), so its P1 gradient vanishes: the
-    twist is a pure gauge and this field spans the kernel.
+    The three P1 gradients of a face sum to zero, so the constants span
+    the kernel.
     """
     T = np.ones(geom.corner_vertex.shape + (1, 1), dtype=complex)
-    kernel = geom.face_spin[geom.vertex_ref_face]
-    return _build(geom, geom.corner_spin, T, geom.mass_rho2, geom.rho * geom.area, kernel)
+    kernel = np.ones(geom.mass_rho.shape[0])
+    return _build(geom, T, geom.mass_rho2, geom.rho * geom.area, kernel, geom.face_spin)
 
 
 def corner_transports(geom: SurfaceGeometry, transport_per_he: np.ndarray) -> np.ndarray:
@@ -316,10 +305,9 @@ def endo_complex(
     ``kernel`` holds the covariant-constant sections as columns.
     """
     T = corner_transports(geom, transport_per_he)
-    spin = np.ones((geom.area.shape[0], 3), dtype=complex)
     gf, m2 = conventions.L2_GLOBAL_FACTOR, T.shape[-1] ** 2
     w0, w1 = np.repeat(gf * geom.mass_rho, m2), np.repeat(gf * geom.area, m2)
-    return _build(geom, spin, T, w0, w1, kernel)
+    return _build(geom, T, w0, w1, kernel)
 
 
 # ---------------------------------------------------------------------------

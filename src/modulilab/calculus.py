@@ -31,13 +31,9 @@ def beltrami_d_hol(mu: np.ndarray, scene: Scene) -> np.ndarray:
     functions in a flat chart patch.
 
     It runs on the spin-1 tangent complex of the scene, with D its
-    ``dhol`` and L its lift (``lift_to_vertices``).  With fs = face_spin
-    and r[v] = fs[ref(v)], corner_spin[f,k] = fs[f] conj(r[v]), so the
-    spin-2 corner weight corner_spin^2 is fs[f] corner_spin conj(r[v]):
-    the spin-2 derivative is diag(fs) D diag(conj r) and the spin-2 lift
-    diag(r) L diag(conj fs).  Their product is diag(fs) D L diag(conj fs),
-    exact to roundoff because |r| = 1: every face_spin is a product of
-    unit edge rotations.
+    ``dhol`` and L its lift (``lift_to_vertices``).  A spin-2 corner
+    weight is fs[f]^2 with fs = face_spin, while D and L carry fs[f] and
+    conj(fs[f]) once each, so the spin-2 operator is fs D L (conj(fs) mu).
     """
     tangent, fs = scene.tangent, scene.geom.face_spin
     lifted = lift_to_vertices(tangent, scene.geom, np.conj(fs) * mu)

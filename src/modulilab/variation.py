@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conventions
-from ._complexes import SOLVE_RTOL, DolbeaultComplex, ad, ad_star, lift_to_vertices
+from ._complexes import SOLVE_RTOL, DolbeaultComplex, SolverError, ad, ad_star, lift_to_vertices
 from .bundle import Scene
 from .calculus import beltrami_d_hol, ip_beltrami
 from .surface import ConformalSurface
@@ -130,7 +130,10 @@ class _Workspace:
         return self._mat(self.cx.star(M, form.reshape(-1)), "v")
 
     def solve(self, h_vert: np.ndarray, label: str) -> np.ndarray:
-        x, st = self.cx.delta0_solve(h_vert.reshape(-1))
+        try:
+            x, st = self.cx.delta0_solve(h_vert.reshape(-1))
+        except SolverError as e:
+            raise SolverError(f"{label}: {e}") from e
         st["term"] = label
         self.stats.append(st)
         return self._mat(x, "v")

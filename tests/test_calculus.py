@@ -3,17 +3,20 @@ table, the wedge pairing and the Beltrami derivative."""
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from modulilab import bundle as bnd
 from modulilab import conventions
-from modulilab._complexes import geometry
+from modulilab._complexes import DolbeaultComplex, _assemble, geometry, lift_to_vertices
 from modulilab.bundle import Scene
 from modulilab.calculus import beltrami_d_hol
 from modulilab.surface import equip_conformal, refine
+from modulilab.tangent import ks_center
 from modulilab.variation import _pair
 from conftest import ip
 from flat_torus import mesh_from_faces, torus_surface
+from test_scene_vectorized import _geometry_loop
 
 
 @pytest.fixture(scope="module")
@@ -183,9 +186,9 @@ def test_wedge_trace_type_error(surf_hyp, rng):
 
 
 def test_face_derivative_constant(torus8):
-    # uniform planar charts (corner spin 1): a constant Beltrami
+    # uniform planar charts (face spin 1): a constant Beltrami
     # coefficient lifts to a constant, and its derivative vanishes
-    assert np.array_equal(geometry(torus8).corner_spin, np.ones((torus8.n_faces, 3)))
+    assert np.array_equal(geometry(torus8).face_spin, np.ones(torus8.n_faces))
     d = beltrami_d_hol(np.full(torus8.n_faces, 1.7 - 0.3j), _spin2(torus8))
     assert np.linalg.norm(d) <= 1e-13
 
@@ -222,18 +225,61 @@ def surf_uni_r4(fan2_r2):
 @pytest.mark.parametrize("surf", ["surf_hyp_r1", "surf_hyp", "surf_uni", "surf_uni_r4"])
 def test_beltrami_d_hol_matches_two_step_stencil(request, surf, rng):
     # reference: average the face values, rotated into each vertex's
-    # reference chart by corner_spin^-2, onto vertices with area weights,
-    # rotate back into every face chart and take the P1 d/dz
+    # reference chart by corner_spin^-2 (corner_spin[f,k] =
+    # face_spin[f]/face_spin[ref(v)], ref(v) the lowest face at v), onto
+    # vertices with area weights, rotate back into every face chart and
+    # take the P1 d/dz
     S = request.getfixturevalue(surf)
     geom = geometry(S)
     vals = rng.standard_normal(S.n_faces) + 1j * rng.standard_normal(S.n_faces)
-    spin = geom.corner_spin**2
+    spin = _geometry_loop(S)["corner_spin"] ** 2
     lifted = np.zeros(S.n_vertices, dtype=complex)
     np.add.at(lifted, geom.corner_vertex, (geom.area / 3.0 * vals)[:, None] / spin)
     lifted /= geom.mass_area
-    ref = np.sum(geom.grad_hol * lifted[geom.corner_vertex] * spin, axis=1)
+    ref = np.sum(np.conj(geom.grad_bar) * lifted[geom.corner_vertex] * spin, axis=1)
     got = beltrami_d_hol(vals, _spin2(S))
     assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+def _twisted_tangent(S, geom):
+    """The tangent complex twisted per corner by the loop reference's
+    corner_spin, whose kernel is the vertex gauge face_spin[ref(v)]."""
+    loop = _geometry_loop(S)
+    spin, cv, V = loop["corner_spin"], geom.corner_vertex, S.n_vertices
+    T = np.ones(cv.shape + (1, 1), dtype=complex)
+    return DolbeaultComplex(
+        m=1,
+        n_vertices=V,
+        n_faces=S.n_faces,
+        w0=geom.mass_rho2,
+        w1=geom.rho * geom.area,
+        dbar=_assemble(geom.grad_bar * spin, T, cv, V),
+        dhol=_assemble(np.conj(geom.grad_bar) * spin, T, cv, V),
+        corner_avg=_assemble(spin / 3.0, T, cv, V),
+        kernel=loop["face_spin"][loop["vertex_ref_face"]],
+    )
+
+
+@pytest.mark.parametrize("refinements", [1, 2, 3, 4])
+@pytest.mark.parametrize("layout, density", [("stored", "hyperbolic"), ("equilateral", "uniform")])
+def test_face_gauge_tangent_matches_twisted_reference(fan2, refinements, layout, density, rng):
+    # the face-gauge complex is the twisted one times the unit vertex
+    # gauge r = face_spin[ref(v)]: the constants span its kernel, and the
+    # harmonic projection and the spin-2 derivative do not see r
+    mesh = fan2
+    for _ in range(refinements):
+        mesh = refine(mesh)
+    scene = _spin2(equip_conformal(mesh, layout=layout, density=density))
+    tangent, fs = scene.tangent, scene.geom.face_spin
+    assert np.linalg.norm(tangent.dbar @ np.ones(tangent.n_vertices)) <= 1e-13 * spla.norm(tangent.dbar)
+    twisted = _twisted_tangent(scene.surface, scene.geom)
+    mu = _random(rng, scene.surface.n_faces)
+    got = ks_center(mu, np.zeros((mu.shape[0], 1, 1), dtype=complex), scene)[0]
+    want = twisted.harmonic_project(mu)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    lifted = lift_to_vertices(twisted, scene.geom, np.conj(fs) * mu)
+    want = fs * (twisted.dhol @ lifted.reshape(-1))
+    assert np.linalg.norm(beltrami_d_hol(mu, scene) - want) <= 1e-13 * np.linalg.norm(want)
 
 
 @settings(max_examples=20, deadline=None)

@@ -89,7 +89,7 @@ def test_restricted_inverse_dense(su2_scene_r1, rng):
 @pytest.mark.parametrize("refinements", [1, 2, 3])
 @pytest.mark.parametrize("builder", [scalar_complex, tangent_complex])
 def test_closed_form_kernels_match_dense(fan2, refinements, builder):
-    # the constants and the spin field face_spin[ref(v)] are exact kernels,
+    # the constants are exact kernels of both complexes,
     # and the dense spectrum has no further kernel direction
     mesh = fan2
     for _ in range(refinements):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from modulilab import bundle as bnd
-from modulilab._complexes import corner_transports, geometry
+from modulilab._complexes import corner_transports, geometry, tangent_complex
 from modulilab.surface import (
     ChartError,
     HalfEdgeMesh,
@@ -265,6 +265,17 @@ def _geometry_loop(surface):
     }
 
 
+def _twisted_dbar_loop(surface, corner_spin):
+    """The P1 dzbar stencil twisted per corner by ``corner_spin``, (F, V)."""
+    mesh, z, S = surface.mesh, surface.chart, surface.area
+    D = np.zeros((mesh.n_faces, mesh.n_vertices), dtype=complex)
+    for f in range(mesh.n_faces):
+        for k in range(3):
+            grad_bar = 1j * (z[f, (k + 2) % 3] - z[f, (k + 1) % 3]) / (4.0 * S[f])
+            D[f, mesh.origin[3 * f + k]] += grad_bar * corner_spin[f, k]
+    return D
+
+
 def _corner_transports_loop(surface, U):
     mesh = surface.mesh
     n = U.shape[1]
@@ -354,9 +365,14 @@ def test_scene_matches_loops_r1_to_r3(fan2, scene):
         S = equip_conformal(mesh, layout=layout, density=density)
         assert np.max(np.abs(S.edge_rotation - _edge_rotations_loop(mesh, S.chart))) <= FLOAT_TOL
         geom, ref = geometry(S), _geometry_loop(S)
-        assert np.array_equal(geom.vertex_ref_face, ref.pop("vertex_ref_face"))
+        # the face-gauge tangent dbar is the twisted stencil times the
+        # vertex gauge r = face_spin[ref(v)]
+        r = ref["face_spin"][ref.pop("vertex_ref_face")]
+        twisted = _twisted_dbar_loop(S, ref.pop("corner_spin")) * r
         for name, want in ref.items():
             assert np.max(np.abs(getattr(geom, name) - want)) <= FLOAT_TOL, name
+        dbar = tangent_complex(geom).dbar.toarray()
+        assert np.max(np.abs(dbar - twisted)) <= FLOAT_TOL * np.max(np.abs(twisted))
         T = corner_transports(geom, c.transport)
         assert np.max(np.abs(T - _corner_transports_loop(S, c.transport))) <= FLOAT_TOL
         K = bnd._covariant_constant_columns(c)

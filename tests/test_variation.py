@@ -365,6 +365,19 @@ def test_solver_stats_log_kernel_projection(su2_scene):
     assert all(st["factor_reused"] for st in rep.solver_stats[1:])
 
 
+def test_failed_term_solve_names_its_term(su2_scene, monkeypatch):
+    # tangents sampled at the shipped tolerance; with no residual allowed,
+    # the first term solve fails, and the error names that term
+    from modulilab import _complexes
+
+    vs = quad(su2_scene, 0)
+    monkeypatch.setattr(_complexes, "SOLVE_RTOL", 0.0)
+    with pytest.raises(_complexes.SolverError) as err:
+        var.evaluate_quadruple(*vs, su2_scene)
+    assert str(err.value).startswith("gauge_12: solve relative residual ")
+    assert str(err.value).endswith(" exceeds 0e+00")
+
+
 def test_solver_stats_factor_reuse_on_fresh_complex(su2_scene, rng, monkeypatch):
     # one LU per complex, shared by every solve and the harmonic projector
     from modulilab import _complexes
