@@ -131,7 +131,9 @@ class DolbeaultComplex:
     is dbar* dbar, the one Laplacian every restricted solve uses; on a
     flat bundle it equals d* d to roundoff (see ``kahler_residual``).
     ``kernel`` holds its exact kernel as columns; it is w0-orthonormalized
-    on construction.
+    on construction.  The complex owns the cochain layout: ``apply`` (M x),
+    ``star`` and the solves take a vector, an (N, k) block, per-site values
+    (sites, m, m) or a block of those, and answer in the same layout.
     """
 
     m: int
@@ -149,12 +151,16 @@ class DolbeaultComplex:
         K = np.asarray(self.kernel, dtype=complex).reshape(s.shape[0], -1)
         self.kernel = np.linalg.qr(s[:, None] * K)[0] / s[:, None]
 
-    # -- adjoints -----------------------------------------------------------
+    # -- operators and adjoints ------------------------------------------------
+    def apply(self, M: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+        """M x for an operator M of this complex."""
+        return _layout(M @ x.reshape(M.shape[1], -1), x)
+
     def star(self, M: sp.csr_matrix, y: np.ndarray) -> np.ndarray:
-        """W0^-1 M^H W1 y for a face-valued operator M of this complex and
-        a vector or an (N, k) block y, applied through the transpose of M;
-        the adjoint is never stored."""
-        return np.conj(M.T @ np.conj(_rows(self.w1, y) * y)) / _rows(self.w0, y)
+        """W0^-1 M^H W1 y for a face-valued operator M of this complex,
+        applied through the transpose of M; the adjoint is never stored."""
+        Y = y.reshape(M.shape[0], -1)
+        return _layout(np.conj(M.T @ np.conj(self.w1[:, None] * Y)) / self.w0[:, None], y)
 
     @functools.cached_property
     def laplacian(self) -> sp.csr_matrix:
@@ -162,15 +168,15 @@ class DolbeaultComplex:
 
     # -- kernel-restricted solves --------------------------------------------
     def project_off_kernel(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        """Remove the w0-orthogonal projection onto the kernel from a
-        vector or from each column of an (N, k) block.
+        """Remove each column's w0-orthogonal projection onto the kernel.
 
         Returns the projected x and the norm of the removed part (the
         largest over the columns).
         """
         K = self.kernel
-        coef = K.conj().T @ (_rows(self.w0, x) * x)
-        return x - K @ coef, float(np.max(_norms(coef)))
+        X = x.reshape(K.shape[0], -1)
+        coef = K.conj().T @ (self.w0[:, None] * X)
+        return _layout(X - K @ coef, x), float(np.max(_norms(coef)))
 
     @functools.cached_property
     def lu(self):
@@ -187,46 +193,45 @@ class DolbeaultComplex:
 
     def delta0_solve(self, h: np.ndarray) -> tuple[np.ndarray, dict]:
         """Solve Laplacian x = (h projected off the kernel), x in ker^perp,
-        for a vector h or for each column of an (N, k) block h.
+        for each column of h.
 
         One sparse LU per complex (see ``lu``), reused by every later
-        solve, and one multi-column solve for a block; raises SolverError
-        when |L x - rhs| of any column exceeds ``SOLVE_RTOL`` times |h|
-        of that column.  The stats carry the largest residual and removed
-        kernel norm over the columns.
+        solve, and one multi-column solve for all columns; raises
+        SolverError when |L x - rhs| of any column exceeds ``SOLVE_RTOL``
+        times |h| of that column.  The stats carry the largest residual
+        and removed kernel norm over the columns.
         """
         reused = "lu" in self.__dict__
         lu = self.lu
-        rhs, removed = self.project_off_kernel(h)
+        H = h.reshape(self.w0.shape[0], -1)
+        rhs, removed = self.project_off_kernel(H)
         n = rhs.shape[0]
-        b = np.zeros((lu.shape[0],) + rhs.shape[1:], dtype=complex)
-        b[:n] = _rows(self.w0, rhs) * rhs
+        b = np.zeros((lu.shape[0], rhs.shape[1]), dtype=complex)
+        b[:n] = self.w0[:, None] * rhs
         x = lu.solve(b)[:n]
         # relative to h: projecting h off the kernel leaves roundoff of
         # order eps*|h| that no x can match, which would swamp a tiny rhs
-        res = float(np.max(_norms(self.laplacian @ x - rhs) / np.maximum(_norms(h), 1e-300)))
+        res = float(np.max(_norms(self.laplacian @ x - rhs) / np.maximum(_norms(H), 1e-300)))
         if not res <= SOLVE_RTOL:
             raise SolverError(f"solve relative residual {res:.3e} exceeds {SOLVE_RTOL:.0e}")
         stats = {"kernel_removed": removed, "method": "splu", "residual": res, "factor_reused": reused}
-        return x, stats
+        return _layout(x, h), stats
 
     def harmonic_project(self, alpha: np.ndarray) -> np.ndarray:
-        """alpha - dbar Delta0^{-1} dbar* alpha (orthogonal onto ker dbar*),
-        for a vector or for each column of an (N, k) block."""
-        h = self.star(self.dbar, alpha)
-        x, _ = self.delta0_solve(h)
-        return alpha - self.dbar @ x
+        """alpha - dbar Delta0^{-1} dbar* alpha (orthogonal onto ker dbar*)."""
+        x, _ = self.delta0_solve(self.star(self.dbar, alpha))
+        return alpha - self.apply(self.dbar, x)
 
 
-def _rows(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A per-entry weight shaped to scale the rows of x, a vector or an
-    (N, k) block."""
-    return w if x.ndim == 1 else w[:, None]
+def _layout(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The (N', k) result y of a method that read its input x as
+    x.reshape(N, -1), in the layout of x."""
+    return y.reshape((-1,) + x.shape[1:])
 
 
-def _norms(x: np.ndarray):
-    """The 2-norm of a vector, or the 2-norms of the columns of a block."""
-    return np.linalg.norm(x) if x.ndim == 1 else np.linalg.norm(x, axis=0)
+def _norms(X: np.ndarray) -> np.ndarray:
+    """Column 2-norms, each the norm of that 1-D column as for a vector."""
+    return np.array([np.linalg.norm(c) for c in X.T])
 
 
 def _gram(cx: DolbeaultComplex, M: sp.csr_matrix) -> sp.csr_matrix:
@@ -317,7 +322,7 @@ def endo_complex(
 def vertex_to_face(cx: DolbeaultComplex, x: np.ndarray) -> np.ndarray:
     """P1 barycenter value of a 0-cochain on each face, in the face frame:
     B x, with x of shape (V, m, m); returns (F, m, m)."""
-    return (cx.corner_avg @ x.reshape(-1)).reshape(cx.n_faces, cx.m, cx.m)
+    return cx.apply(cx.corner_avg, x)
 
 
 def lift_to_vertices(cx: DolbeaultComplex, geom: SurfaceGeometry, x_face: np.ndarray) -> np.ndarray:
@@ -341,4 +346,4 @@ def ad_star(cx: DolbeaultComplex, nu: np.ndarray, alpha: np.ndarray) -> np.ndarr
     W0^-1 B^H W1 (nu^H alpha - alpha nu^H)."""
     nu_h = np.conj(np.swapaxes(nu, 1, 2))
     comm = nu_h @ alpha - alpha @ nu_h
-    return cx.star(cx.corner_avg, comm.reshape(-1)).reshape(cx.n_vertices, cx.m, cx.m)
+    return cx.star(cx.corner_avg, comm)

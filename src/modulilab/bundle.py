@@ -63,8 +63,8 @@ class UnitaryCocycle:
 
     ``transport[h]`` maps the frame at origin(h) to the frame at
     head(h); ``transport[twin(h)]`` is stored as the exact conjugate
-    transpose.  ``generators`` optionally keeps the defining matrices
-    for serialization.
+    transpose.  ``generators`` keeps the defining matrices of a cocycle
+    on the 4g-gon fan for serialization; refinement drops them.
     """
 
     mesh: HalfEdgeMesh
@@ -246,7 +246,6 @@ def refine_cocycle(c: UnitaryCocycle, child: HalfEdgeMesh) -> UnitaryCocycle:
         degree=c.degree,
         transport=U2,
         marked_face=4 * c.marked_face + 3,
-        generators=c.generators,
     )
     validate_cocycle(out)
     return out

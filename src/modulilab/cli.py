@@ -107,6 +107,9 @@ def load_config(path, seed=None, out=None) -> dict:
     if n is not None and _integer(n, "bundle.n") < 1:
         raise ConfigError(f"bundle.n must be a positive integer or null, got {n!r}")
     mesh_cfg = cfg["mesh"]
+    for key, f in (("mesh.file", mesh_cfg["file"]), ("bundle.generator_file", cfg["bundle"]["generator_file"])):
+        if f is not None and not (isinstance(f, str) and os.path.isfile(f)):  # isfile(0) stats stdin
+            raise ConfigError(f"{key} must be null or a path; referenced file does not exist or is not a file: {f!r}")
     if mesh_cfg.get("file") is None and _integer(mesh_cfg.get("genus"), "mesh.genus") < 2:
         raise ConfigError("genus must be >= 2 (torus geometry only via the cross-check)")
     if _integer(mesh_cfg.get("refinements"), "mesh.refinements") < 0:
@@ -114,7 +117,7 @@ def load_config(path, seed=None, out=None) -> dict:
     if mesh_cfg.get("file") is None:
         # a first bound, before anything is allocated; build_scene bounds the built pair
         b = cfg["bundle"]
-        n = b.get("n") or (2 if b.get("preset") == "su2" and not b.get("generator_file") else 1)
+        n = b.get("n") or (2 if b.get("preset") == "su2" and b.get("generator_file") is None else 1)
         _check_size(f"mesh.genus {mesh_cfg['genus']}", 4 * mesh_cfg["genus"], n, mesh_cfg["refinements"])
     seeds = cfg["seeds"]
     if not isinstance(seeds, list) or not seeds:
@@ -126,9 +129,6 @@ def load_config(path, seed=None, out=None) -> dict:
         raise ConfigError(f"seeds must not repeat a seed, got {seeds!r}")
     if _integer(cfg["dense_cap"], "dense_cap") < 1:
         raise ConfigError(f"dense_cap must be a positive integer, got {cfg['dense_cap']!r}")
-    for f in (mesh_cfg.get("file"), cfg["bundle"].get("generator_file")):
-        if f is not None and not os.path.isfile(f):
-            raise ConfigError(f"referenced file does not exist or is not a file: {f}")
     return cfg
 
 
@@ -163,8 +163,8 @@ def _number(value) -> bool:
 def build_scene(cfg: dict) -> Scene:
     """The scene of a config: mesh, conformal surface and cocycle."""
     mcfg, bcfg = cfg["mesh"], cfg["bundle"]
-    mesh = load_mesh(mcfg["file"]) if mcfg["file"] else build_polygon_gluing(mcfg["genus"])
-    if bcfg["generator_file"]:
+    mesh = load_mesh(mcfg["file"]) if mcfg["file"] is not None else build_polygon_gluing(mcfg["genus"])
+    if bcfg["generator_file"] is not None:
         c0 = load_cocycle(mesh, bcfg["generator_file"])
     elif bcfg["preset"] == "su2":
         c0 = su2_preset(mesh)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._complexes import SolverError
 from .bundle import Scene
 
 
@@ -18,9 +19,13 @@ def ks_center(mu: np.ndarray, nu: np.ndarray, scene: Scene) -> tuple[np.ndarray,
 
     Complex-linear, annihilates exact inputs, fixes harmonic ones.
     """
-    mu_h = scene.tangent.harmonic_project(mu)
-    nu_h = scene.endo.harmonic_project(nu.reshape(-1)).reshape(nu.shape)
-    return mu_h, nu_h
+    out = []
+    for slot, cx, x in (("mu", scene.tangent, mu), ("nu", scene.endo, nu)):
+        try:
+            out.append(cx.harmonic_project(x))
+        except SolverError as e:
+            raise SolverError(f"{slot} projection: {e}") from e
+    return tuple(out)
 
 
 def random_tangent(

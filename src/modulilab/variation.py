@@ -114,29 +114,19 @@ class _Workspace:
         self.scene = scene
         self.S = scene.surface
         self.cx = scene.endo
-        self.n = scene.cocycle.rank
         self.stats: list = []
 
-    # -- array plumbing ------------------------------------------------------
-    def _mat(self, flat: np.ndarray, sites: str) -> np.ndarray:
-        n = self.n
-        count = self.cx.n_vertices if sites == "v" else self.cx.n_faces
-        return flat.reshape(count, n, n)
-
     def dhol(self, vert: np.ndarray) -> np.ndarray:
-        return self._mat(self.cx.dhol @ vert.reshape(-1), "f")
-
-    def star(self, M, form: np.ndarray) -> np.ndarray:
-        return self._mat(self.cx.star(M, form.reshape(-1)), "v")
+        return self.cx.apply(self.cx.dhol, vert)
 
     def solve(self, h_vert: np.ndarray, label: str) -> np.ndarray:
         try:
-            x, st = self.cx.delta0_solve(h_vert.reshape(-1))
+            x, st = self.cx.delta0_solve(h_vert)
         except SolverError as e:
             raise SolverError(f"{label}: {e}") from e
         st["term"] = label
         self.stats.append(st)
-        return self._mat(x, "v")
+        return x
 
     def pair(self, a01: np.ndarray, b10: np.ndarray) -> complex:
         return _pair(self.S, a01, b10)
@@ -154,7 +144,7 @@ class _Workspace:
     def xi(self, v: tuple, alpha: np.ndarray) -> np.ndarray:
         """d*(mu-bar alpha) - ad_star(nu, alpha) on a (0,1)-form."""
         mu, nu = v
-        return self.star(self.cx.dhol, np.conj(mu)[:, None, None] * alpha) - ad_star(self.cx, nu, alpha)
+        return self.cx.star(self.cx.dhol, np.conj(mu)[:, None, None] * alpha) - ad_star(self.cx, nu, alpha)
 
     def gauge_potential(self, nua, nub, dmu_a, dmu_b, label: str) -> np.ndarray:
         """Delta0^{-1} of the lifted gauge-Hessian source for slot pair (a, b),
@@ -189,7 +179,7 @@ def _check_inputs(scene: Scene, vectors, harmonic: bool = False):
     kernels = [("mu", scene.tangent), ("nu", scene.endo)] if harmonic else []
     abs_dbar = [abs(cx.dbar) for _, cx in kernels]  # once per complex, not per slot
     for slot, (mu, nu) in enumerate(vectors, start=1):
-        for (name, cx), a, x in zip(kernels, abs_dbar, (mu, nu.reshape(-1))):
+        for (name, cx), a, x in zip(kernels, abs_dbar, (mu, nu)):
             defect = _harmonic_defect(cx, x, a)
             if not (defect <= SOLVE_RTOL):
                 raise VariationInputError(f"slot {slot}: {name} is not harmonic (defect {defect:.1e})")
@@ -254,8 +244,8 @@ def _universal_terms(ws: _Workspace, v1, v2, v3, v4) -> list:
     G12 = ws.gauge_potential(nu1, nu2, dmu1, dmu2, "gauge_12")
     G21 = ws.gauge_potential(nu2, nu1, dmu2, dmu1, "gauge_21")
     y_xi = ws.solve(ws.xi(v2, nu3), "opvar_proj")
-    y_m3 = ws.solve(ws.star(ws.cx.dbar, mu3[:, None, None] * ct(nu2)), "opvar_mu3")
-    y_m4 = ws.solve(ws.star(ws.cx.dbar, mu4[:, None, None] * ct(nu1)), "opvar_mu4")
+    y_m3 = ws.solve(ws.cx.star(ws.cx.dbar, mu3[:, None, None] * ct(nu2)), "opvar_mu3")
+    y_m4 = ws.solve(ws.cx.star(ws.cx.dbar, mu4[:, None, None] * ct(nu1)), "opvar_mu4")
     terms = [
         ("opvar_proj", ws.pair(ws.dD(v1, y_xi), ct(nu4))),
         # [B G12, nu3] = -ad(nu3) G12
@@ -276,10 +266,10 @@ def _fibered_extra_terms(ws: _Workspace, v1, v2, v3, v4) -> list:
     """The four integrals present only in the fibered coordinates."""
     (mu1, nu1), (mu2, nu2), (mu3, nu3), (mu4, nu4) = v1, v2, v3, v4
     ct = ws.ct
-    y_t3 = ws.solve(ws.star(ws.cx.dhol, np.conj(mu2)[:, None, None] * nu1), "new_tei_mu3")
-    y_t4 = ws.solve(ws.star(ws.cx.dhol, np.conj(mu1)[:, None, None] * nu2), "new_tei_mu4")
-    y_b3 = ws.solve(ws.star(ws.cx.dbar, mu1[:, None, None] * ct(nu2)), "new_opvar_mu3_bar")
-    y_b4 = ws.solve(ws.star(ws.cx.dbar, mu2[:, None, None] * ct(nu1)), "new_opvar_mu4_bar")
+    y_t3 = ws.solve(ws.cx.star(ws.cx.dhol, np.conj(mu2)[:, None, None] * nu1), "new_tei_mu3")
+    y_t4 = ws.solve(ws.cx.star(ws.cx.dhol, np.conj(mu1)[:, None, None] * nu2), "new_tei_mu4")
+    y_b3 = ws.solve(ws.cx.star(ws.cx.dbar, mu1[:, None, None] * ct(nu2)), "new_opvar_mu3_bar")
+    y_b4 = ws.solve(ws.cx.star(ws.cx.dbar, mu2[:, None, None] * ct(nu1)), "new_opvar_mu4_bar")
     return [
         ("new_tei_mu3", -ws.pair(mu3[:, None, None] * ws.dhol(y_t3), ct(nu4))),
         ("new_tei_mu4", -ws.pair(nu3, ct(mu4[:, None, None] * ws.dhol(y_t4)))),
@@ -353,9 +343,9 @@ def positivity_certificate(
     """
     _check_inputs(scene, [(mu2, nu1)])
     ws = _Workspace(scene)
-    h = ws.star(ws.cx.dhol, np.conj(mu2)[:, None, None] * nu1)
+    h = ws.cx.star(ws.cx.dhol, np.conj(mu2)[:, None, None] * nu1)
     x = ws.solve(h, "positivity_a")
-    term_a = complex(np.sum(ws.cx.w0 * x.reshape(-1) * np.conj(h.reshape(-1))))
+    term_a = complex(np.sum(ws.cx.w0.reshape(x.shape) * x * np.conj(h)))
     term_b = _pair(ws.S, (np.abs(mu2) ** 2)[:, None, None] * nu1, _Workspace.ct(nu1))
     scale = max(abs(term_a), abs(term_b), 1e-300)
     if abs(term_a.imag) > 1e-10 * scale or abs(term_b.imag) > 1e-10 * scale:

@@ -184,6 +184,31 @@ def test_block_calls_match_column_calls(su2_scene, rng):
     assert stats["residual"] <= 100 * max(c[1]["residual"] for c in columns) <= SOLVE_RTOL
 
 
+def test_complex_methods_keep_the_callers_layout(su2_scene_r1, rng):
+    # a vector, an (N, k) block, per-site values (sites, m, m) and a block
+    # (sites, m, m, k) of them all run the one (N, k) path and come back in
+    # their own layout; per-site calls agree bit for bit with flat ones
+    k = 3
+    for cx in (su2_scene_r1.endo, su2_scene_r1.tangent):
+        m, V, F = cx.m, cx.n_vertices, cx.n_faces
+        calls = [
+            (lambda x: cx.star(cx.dbar, x), F, V),
+            (lambda x: cx.apply(cx.dbar, x), V, F),
+            (lambda x: cx.project_off_kernel(x)[0], V, V),
+            (lambda x: cx.delta0_solve(x)[0], V, V),
+            (cx.harmonic_project, F, F),
+        ]
+        for call, sites_in, sites_out in calls:
+            sites_block = rng.standard_normal((sites_in, m, m, k)) + 1j * rng.standard_normal((sites_in, m, m, k))
+            sites = np.ascontiguousarray(sites_block[..., 0])
+            vector, block = call(sites.reshape(-1)), call(sites_block.reshape(-1, k))
+            assert vector.shape == (sites_out * m * m,) and block.shape == (sites_out * m * m, k)
+            per_site, per_site_block = call(sites), call(sites_block)
+            assert per_site.shape == (sites_out, m, m) and per_site_block.shape == (sites_out, m, m, k)
+            assert np.array_equal(per_site.reshape(-1), vector)
+            assert np.array_equal(per_site_block.reshape(-1, k), block)
+
+
 def test_block_solve_gates_each_column(su2_scene, rng):
     # one column that no solve can match fails the whole block
     cx = su2_scene.endo
@@ -445,6 +470,16 @@ def test_cocycle_roundtrip(tmp_path, fan2):
     loaded = load_cocycle(fan2, p)
     assert np.array_equal(loaded.transport, c.transport)
     assert (loaded.rank, loaded.degree, loaded.marked_face) == (2, 1, 7)
+
+
+def test_refined_cocycle_does_not_serialize(tmp_path, fan2_r1):
+    # generators describe a cocycle on the fan; a refined cocycle keeps
+    # none, so it cannot write a file that no mesh loads
+    c = refine_cocycle(su2_preset(fan2_r1.parent), fan2_r1)
+    assert c.generators is None
+    with pytest.raises(CocycleError, match="only generator-built cocycles serialize"):
+        save_cocycle(c, tmp_path / "r1.coc")
+    assert not (tmp_path / "r1.coc").exists()
 
 
 def _set_field(lines, index, field, value):

@@ -197,6 +197,25 @@ def test_unreadable_mesh_file_exits_2(tmp_path, what):
     assert ("line 2" if what == "non_utf8" else "not a file") in r.stderr
 
 
+@pytest.mark.parametrize(
+    "cfg, key",
+    [
+        ({"mesh": {"file": 0, "genus": 2.5}}, "mesh.file"),
+        ({"bundle": {"generator_file": 0}}, "bundle.generator_file"),
+    ],
+)
+def test_file_key_that_is_not_a_string_exits_2(tmp_path, cfg, key):
+    # 0 is no path, even when file descriptor 0 is a regular file
+    stdin = tmp_path / "stdin.txt"
+    stdin.write_text("not a mesh\n")
+    p = _write(tmp_path, cfg)
+    with open(stdin) as fh:
+        r = run_cli("positivity", "--config", p, "--out", str(tmp_path / "out"), stdin=fh)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "Traceback" not in r.stderr
+    assert f"{key} must be null or a path" in r.stderr and "not a file" in r.stderr
+
+
 def test_saved_fan_mesh_file_matches_built_fan(tmp_path):
     # the mesh file keeps its layout: a saved fan under the default
     # stored layout gives the genus-built scene's outputs byte for byte
@@ -393,7 +412,7 @@ def test_solver_failure_is_a_failing_check(tmp_path, cmd):
     # names its error, and report.json stays strict JSON.  The overflow
     # warns nothing, so that warnings turned into errors change nothing.
     cases = [
-        (1e300, [0], "SolverError", ()),
+        (1e300, [0], "SolverError: mu projection: ", ()),
         (1e160, [0, 1], "FloatingPointError", ()),
         (1e160, [0, 1], "FloatingPointError", ("-W", "error")),
     ]
