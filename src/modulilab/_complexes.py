@@ -8,13 +8,10 @@ the bundle conjugation (identity blocks for untwisted types), and a unit
 
 A 0-cochain value X at vertex v enters face f as
 ``phase[f] * T[f,k] X T[f,k]^H``; the face operators are the P1 hat
-gradients of those transported values, split into dz and dzbar parts.
-Adjoints are true matrix adjoints under diagonal weights, never an
-independent stencil, so adjointness identities hold to roundoff.
-
-P1 hat gradients on a chart triangle (z0,z1,z2) with signed area S:
-grad phi_k = i (z_{k+2} - z_{k+1}) / (2S) as gx + i gy, hence
-dbar phi_k = grad/2 and d phi_k = conj(grad)/2.
+gradients of those transported values (``ConformalSurface.grad_bar``),
+split into dz and dzbar parts.  Adjoints are true matrix adjoints under
+diagonal weights, never an independent stencil, so adjointness
+identities hold to roundoff.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import conventions
-from .surface import ConformalSurface, bfs_tree
+from .surface import ConformalSurface
 
 
 class SolverError(Exception):
@@ -35,64 +32,6 @@ class SolverError(Exception):
 
 
 SOLVE_RTOL = 1e-8
-
-
-# ---------------------------------------------------------------------------
-# per-surface geometry
-
-
-@dataclass(frozen=True, eq=False)
-class SurfaceGeometry:
-    corner_vertex: np.ndarray  # (F,3) int
-    grad_bar: np.ndarray  # (F,3) complex, dbar of hat functions; d is its conjugate
-    area: np.ndarray  # (F,)
-    rho: np.ndarray  # (F,)
-    face_spin: np.ndarray  # (F,) unit complex, chart transport from face 0 via a BFS tree
-    mass_rho: np.ndarray  # (V,) sum of rho*A/3 over incident corners
-    mass_rho2: np.ndarray  # (V,) sum of rho^2*A/3
-    mass_area: np.ndarray  # (V,) sum of A/3
-
-
-def geometry(surface: ConformalSurface) -> SurfaceGeometry:
-    mesh = surface.mesh
-    F, V, H = mesh.n_faces, mesh.n_vertices, mesh.n_half_edges
-    corner_vertex = mesh.origin.reshape(F, 3).copy()
-    z = surface.chart
-    S = surface.area
-    grad = np.zeros((F, 3), dtype=complex)
-    for k in range(3):
-        grad[:, k] = 1j * (z[:, (k + 2) % 3] - z[:, (k + 1) % 3]) / (2.0 * S)
-    grad_bar = grad / 2.0
-    # BFS tree over face adjacency accumulating chart rotations; tangent
-    # coefficients in chart(f) equal face_spin[f]/face_spin[f'] times their
-    # expression in chart(f') along tree paths.
-    levels, tree = bfs_tree(np.arange(0, H + 1, 3), mesh.twin // 3)
-    if sum(lvl.size for lvl in levels) != F:
-        raise ValueError("face adjacency graph is not connected")
-    face_spin = np.zeros(F, dtype=complex)
-    face_spin[0] = 1.0
-    for lvl in levels[1:]:
-        h = tree[lvl]
-        r, s = surface.edge_rotation[h], face_spin[h // 3]
-        # the product written out, as the scalar product rounds it: numpy's
-        # vectorized complex multiply may fuse multiply-adds
-        face_spin[lvl] = (r.real * s.real - r.imag * s.imag) + 1j * (r.real * s.imag + r.imag * s.real)
-    cv = corner_vertex.reshape(-1)
-    rho = surface.density
-
-    def mass(per_face):
-        return np.bincount(cv, weights=np.repeat(per_face / 3.0, 3), minlength=V)
-
-    return SurfaceGeometry(
-        corner_vertex=corner_vertex,
-        grad_bar=grad_bar,
-        area=S.copy(),
-        rho=rho.copy(),
-        face_spin=face_spin,
-        mass_rho=mass(rho * S),
-        mass_rho2=mass(rho**2 * S),
-        mass_area=mass(S),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +72,8 @@ class DolbeaultComplex:
     ``kernel`` holds its exact kernel as columns; it is w0-orthonormalized
     on construction.  The complex owns the cochain layout: ``apply`` (M x),
     ``star`` and the solves take a vector, an (N, k) block, per-site values
-    (sites, m, m) or a block of those, and answer in the same layout.
+    (N/m^2, m, m) or a block (N/m^2, m, m, k) of those, and answer in the
+    same layout; any other shape raises ValueError.
     """
 
     m: int
@@ -154,13 +94,20 @@ class DolbeaultComplex:
     # -- operators and adjoints ------------------------------------------------
     def apply(self, M: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
         """M x for an operator M of this complex."""
-        return _layout(M @ x.reshape(M.shape[1], -1), x)
+        return _layout(M @ self._read(x, M.shape[1]), x)
 
     def star(self, M: sp.csr_matrix, y: np.ndarray) -> np.ndarray:
         """W0^-1 M^H W1 y for a face-valued operator M of this complex,
         applied through the transpose of M; the adjoint is never stored."""
-        Y = y.reshape(M.shape[0], -1)
+        Y = self._read(y, M.shape[0])
         return _layout(np.conj(M.T @ np.conj(self.w1[:, None] * Y)) / self.w0[:, None], y)
+
+    def _read(self, x: np.ndarray, n: int) -> np.ndarray:
+        """x as an (n, k) block, for a layout of n rows (see above)."""
+        s, m = x.shape, self.m
+        if not (s[:1] == (n,) and x.ndim <= 2 or s[:3] == (n // (m * m), m, m) and x.ndim <= 4):
+            raise ValueError(f"cochain of shape {s} does not fit the layout of {n} rows")
+        return x.reshape(n, -1)
 
     @functools.cached_property
     def laplacian(self) -> sp.csr_matrix:
@@ -174,7 +121,7 @@ class DolbeaultComplex:
         largest over the columns).
         """
         K = self.kernel
-        X = x.reshape(K.shape[0], -1)
+        X = self._read(x, K.shape[0])
         coef = K.conj().T @ (self.w0[:, None] * X)
         return _layout(X - K @ coef, x), float(np.max(_norms(coef)))
 
@@ -203,7 +150,7 @@ class DolbeaultComplex:
         """
         reused = "lu" in self.__dict__
         lu = self.lu
-        H = h.reshape(self.w0.shape[0], -1)
+        H = self._read(h, self.w0.shape[0])
         rhs, removed = self.project_off_kernel(H)
         n = rhs.shape[0]
         b = np.zeros((lu.shape[0], rhs.shape[1]), dtype=complex)
@@ -224,8 +171,8 @@ class DolbeaultComplex:
 
 
 def _layout(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The (N', k) result y of a method that read its input x as
-    x.reshape(N, -1), in the layout of x."""
+    """The (N', k) result y of a method that read its input x with
+    ``_read``, in the layout of x."""
     return y.reshape((-1,) + x.shape[1:])
 
 
@@ -251,27 +198,26 @@ def kahler_residual(cx: DolbeaultComplex) -> float:
 # complex builders
 
 
-def _build(geom: SurfaceGeometry, T, w0, w1, kernel, phase=1.0) -> DolbeaultComplex:
+def _build(S: ConformalSurface, T, w0, w1, kernel, phase=1.0) -> DolbeaultComplex:
     """Complex whose value at corner (f,k) is phase[f] T X T^H with T =
     T[f,k], (F,3,m,m), a unit ``phase`` per face (F,) or 1, and the L2
     weights ``w0``/``w1`` per flattened entry."""
-    V = geom.mass_rho.shape[0]
-    cv = geom.corner_vertex
+    V, cv = S.n_vertices, S.corner_vertex
     p = np.reshape(phase, (-1, 1))
     return DolbeaultComplex(
         m=T.shape[-1],
         n_vertices=V,
-        n_faces=geom.area.shape[0],
+        n_faces=S.n_faces,
         w0=w0,
         w1=w1,
-        dbar=_assemble(p * geom.grad_bar, T, cv, V),
-        dhol=_assemble(p * np.conj(geom.grad_bar), T, cv, V),
+        dbar=_assemble(p * S.grad_bar, T, cv, V),
+        dhol=_assemble(p * np.conj(S.grad_bar), T, cv, V),
         corner_avg=_assemble(p / 3.0, T, cv, V),
         kernel=kernel,
     )
 
 
-def tangent_complex(geom: SurfaceGeometry) -> DolbeaultComplex:
+def tangent_complex(S: ConformalSurface) -> DolbeaultComplex:
     """Vector fields -> Beltrami coefficients in the face gauge: the scalar
     P1 stencil times the chart rotation ``face_spin[f]`` of each face (1x1
     identity transports), with the Beltrami pairing rho * area on the
@@ -280,39 +226,36 @@ def tangent_complex(geom: SurfaceGeometry) -> DolbeaultComplex:
     The three P1 gradients of a face sum to zero, so the constants span
     the kernel.
     """
-    T = np.ones(geom.corner_vertex.shape + (1, 1), dtype=complex)
-    kernel = np.ones(geom.mass_rho.shape[0])
-    return _build(geom, T, geom.mass_rho2, geom.rho * geom.area, kernel, geom.face_spin)
+    T = np.ones(S.corner_vertex.shape + (1, 1), dtype=complex)
+    rho = S.density
+    return _build(S, T, S.lumped(rho**2 * S.area), rho * S.area, np.ones(S.n_vertices), S.face_spin)
 
 
-def corner_transports(geom: SurfaceGeometry, transport_per_he: np.ndarray) -> np.ndarray:
+def corner_transports(S: ConformalSurface, transport_per_he: np.ndarray) -> np.ndarray:
     """Unitary transport from each corner vertex frame into the face frame.
 
     The face frame is the frame of the corner with the lowest vertex
     index; other corners transport forward along the face boundary.
     """
-    F = geom.corner_vertex.shape[0]
     n = transport_per_he.shape[1]
-    U = transport_per_he.reshape(F, 3, n, n)
-    a = np.argmin(geom.corner_vertex, axis=1)
+    U = transport_per_he.reshape(S.n_faces, 3, n, n)
+    a = np.argmin(S.corner_vertex, axis=1)
     step = ((a[:, None] - np.arange(3)) % 3)[:, :, None, None]
     # two steps from corner k: U[3f+k+1] @ U[3f+k]
     return np.where(step == 0, np.eye(n), np.where(step == 1, U, U[:, [1, 2, 0]] @ U))
 
 
-def endo_complex(
-    geom: SurfaceGeometry, transport_per_he: np.ndarray, kernel: np.ndarray
-) -> DolbeaultComplex:
+def endo_complex(S: ConformalSurface, transport_per_he: np.ndarray, kernel: np.ndarray) -> DolbeaultComplex:
     """End(E)-valued complex for a unitary edge-transport field.
 
     ``transport_per_he[h]`` maps the frame at origin(h) to the frame at
     head(h); values conjugate as T X T^H, so central phases drop out.
     ``kernel`` holds the covariant-constant sections as columns.
     """
-    T = corner_transports(geom, transport_per_he)
+    T = corner_transports(S, transport_per_he)
     gf, m2 = conventions.L2_GLOBAL_FACTOR, T.shape[-1] ** 2
-    w0, w1 = np.repeat(gf * geom.mass_rho, m2), np.repeat(gf * geom.area, m2)
-    return _build(geom, T, w0, w1, kernel)
+    w0, w1 = np.repeat(gf * S.lumped(S.density * S.area), m2), np.repeat(gf * S.area, m2)
+    return _build(S, T, w0, w1, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +268,13 @@ def vertex_to_face(cx: DolbeaultComplex, x: np.ndarray) -> np.ndarray:
     return cx.apply(cx.corner_avg, x)
 
 
-def lift_to_vertices(cx: DolbeaultComplex, geom: SurfaceGeometry, x_face: np.ndarray) -> np.ndarray:
+def lift_to_vertices(cx: DolbeaultComplex, S: ConformalSurface, x_face: np.ndarray) -> np.ndarray:
     """Area-weighted average of a face field onto vertices, transported
-    into vertex frames: diag(1/mass_area) B^H diag(area) per m^2 entry,
+    into vertex frames: diag(1/lumped area) B^H diag(area) per m^2 entry,
     applied through the transpose of B like ``star``; returns (V, m, m)."""
-    y = geom.area[:, None, None] * x_face.reshape(cx.n_faces, cx.m, cx.m)
+    y = S.area[:, None, None] * x_face.reshape(cx.n_faces, cx.m, cx.m)
     x = np.conj(cx.corner_avg.T @ np.conj(y.reshape(-1))).reshape(cx.n_vertices, cx.m, cx.m)
-    return x / geom.mass_area[:, None, None]
+    return x / S.lumped(S.area)[:, None, None]
 
 
 def ad(cx: DolbeaultComplex, nu: np.ndarray, f: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _complexes
-from ._complexes import DolbeaultComplex, SurfaceGeometry, endo_complex
+from ._complexes import DolbeaultComplex, endo_complex
 from .surface import (
     ConformalSurface,
     HalfEdgeMesh,
@@ -294,10 +294,10 @@ def _covariant_constant_columns(c: UnitaryCocycle) -> np.ndarray:
     return np.moveaxis(vals, 1, 0).reshape(k, -1).T
 
 
-def operators(geom: SurfaceGeometry, c: UnitaryCocycle) -> DolbeaultComplex:
-    """The End(E)-valued complex of ``c`` on a surface geometry, with the
+def operators(S: ConformalSurface, c: UnitaryCocycle) -> DolbeaultComplex:
+    """The End(E)-valued complex of ``c`` on a surface, with the
     covariant constants as its exact kernel."""
-    return endo_complex(geom, c.transport, _covariant_constant_columns(c))
+    return endo_complex(S, c.transport, _covariant_constant_columns(c))
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,8 +308,8 @@ class Scene:
     Each of the two complexes is assembled on first use and kept for the
     life of the scene, with its factorization: ``endo`` (End(E)-valued
     cochains) and ``tangent`` (vector fields to Beltrami coefficients).
-    Nothing outlives the scene, so dropping it frees the geometry, the
-    complexes and their LUs.
+    Nothing outlives the scene, so dropping it frees the surface with
+    its geometry, the complexes and their LUs.
     """
 
     surface: ConformalSurface
@@ -320,16 +320,12 @@ class Scene:
             raise CocycleError("cocycle and surface live on different meshes")
 
     @functools.cached_property
-    def geom(self) -> SurfaceGeometry:
-        return _complexes.geometry(self.surface)
-
-    @functools.cached_property
     def endo(self) -> DolbeaultComplex:
-        return operators(self.geom, self.cocycle)
+        return operators(self.surface, self.cocycle)
 
     @functools.cached_property
     def tangent(self) -> DolbeaultComplex:
-        return _complexes.tangent_complex(self.geom)
+        return _complexes.tangent_complex(self.surface)
 
 
 # ---------------------------------------------------------------------------

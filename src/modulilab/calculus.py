@@ -35,6 +35,6 @@ def beltrami_d_hol(mu: np.ndarray, scene: Scene) -> np.ndarray:
     weight is fs[f]^2 with fs = face_spin, while D and L carry fs[f] and
     conj(fs[f]) once each, so the spin-2 operator is fs D L (conj(fs) mu).
     """
-    tangent, fs = scene.tangent, scene.geom.face_spin
-    lifted = lift_to_vertices(tangent, scene.geom, np.conj(fs) * mu)
+    tangent, fs = scene.tangent, scene.surface.face_spin
+    lifted = lift_to_vertices(tangent, scene.surface, np.conj(fs) * mu)
     return fs * (tangent.dhol @ lifted.reshape(-1))

@@ -110,8 +110,11 @@ def load_config(path, seed=None, out=None) -> dict:
     for key, f in (("mesh.file", mesh_cfg["file"]), ("bundle.generator_file", cfg["bundle"]["generator_file"])):
         if f is not None and not (isinstance(f, str) and os.path.isfile(f)):  # isfile(0) stats stdin
             raise ConfigError(f"{key} must be null or a path; referenced file does not exist or is not a file: {f!r}")
-    if mesh_cfg.get("file") is None and _integer(mesh_cfg.get("genus"), "mesh.genus") < 2:
-        raise ConfigError("genus must be >= 2 (torus geometry only via the cross-check)")
+    # checked even where a file decides the value
+    if _integer(mesh_cfg.get("genus"), "mesh.genus") < 2:
+        raise ConfigError("mesh.genus must be >= 2 (torus geometry only via the cross-check)")
+    if cfg["bundle"].get("preset") not in ("su2", "trivial"):
+        raise ConfigError(f"bundle.preset must be 'su2' or 'trivial', got {cfg['bundle'].get('preset')!r}")
     if _integer(mesh_cfg.get("refinements"), "mesh.refinements") < 0:
         raise ConfigError("mesh.refinements must be >= 0")
     if mesh_cfg.get("file") is None:
@@ -164,14 +167,14 @@ def build_scene(cfg: dict) -> Scene:
     """The scene of a config: mesh, conformal surface and cocycle."""
     mcfg, bcfg = cfg["mesh"], cfg["bundle"]
     mesh = load_mesh(mcfg["file"]) if mcfg["file"] is not None else build_polygon_gluing(mcfg["genus"])
+    if mesh.genus < 2:
+        raise ConfigError(f"mesh.file {mcfg['file']!r} has genus {mesh.genus}; genus must be >= 2")
     if bcfg["generator_file"] is not None:
         c0 = load_cocycle(mesh, bcfg["generator_file"])
     elif bcfg["preset"] == "su2":
         c0 = su2_preset(mesh)
-    elif bcfg["preset"] == "trivial":
-        c0 = trivial_cocycle(mesh, bcfg["n"] or 1)
     else:
-        raise ConfigError(f"unknown bundle preset {bcfg['preset']!r}")
+        c0 = trivial_cocycle(mesh, bcfg["n"] or 1)
     if bcfg["n"] is not None and bcfg["n"] != c0.rank:
         raise ConfigError(f"bundle.n is {bcfg['n']}, but the configured cocycle has rank {c0.rank}")
     _check_size("the base pair", mesh.n_faces, c0.rank, mcfg["refinements"])

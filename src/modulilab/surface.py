@@ -11,6 +11,7 @@ calculus never needs).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -275,6 +276,10 @@ class ConformalSurface:
     ``density[f]`` is the positive area density rho on face f (for a
     hyperbolic-layout pullback, 1/rho plays the role of the squared
     height coordinate).
+
+    The record also carries the geometry its complexes read: the P1
+    gradients ``grad_bar`` and the chart transport ``face_spin``,
+    computed on first use and kept, and the lumped vertex sums ``lumped``.
     """
 
     mesh: HalfEdgeMesh
@@ -291,6 +296,47 @@ class ConformalSurface:
     @property
     def n_vertices(self) -> int:
         return self.mesh.n_vertices
+
+    @property
+    def corner_vertex(self) -> np.ndarray:
+        """(F,3) vertex of corner k of face f."""
+        return self.mesh.origin.reshape(-1, 3)
+
+    @functools.cached_property
+    def grad_bar(self) -> np.ndarray:
+        """(F,3) dbar of the P1 hat functions; d is its conjugate.  On a
+        chart triangle (z0,z1,z2) with signed area S,
+        grad phi_k = i (z_{k+2} - z_{k+1}) / (2S) as gx + i gy, hence
+        dbar phi_k = grad/2 and d phi_k = conj(grad)/2."""
+        z, S = self.chart, self.area
+        grad = np.zeros((self.n_faces, 3), dtype=complex)
+        for k in range(3):
+            grad[:, k] = 1j * (z[:, (k + 2) % 3] - z[:, (k + 1) % 3]) / (2.0 * S)
+        return grad / 2.0
+
+    @functools.cached_property
+    def face_spin(self) -> np.ndarray:
+        """(F,) unit complex chart transport from face 0 along a BFS tree
+        over face adjacency: tangent coefficients in chart(f) equal
+        face_spin[f]/face_spin[f'] times their expression in chart(f')
+        along tree paths."""
+        mesh = self.mesh
+        levels, tree = bfs_tree(np.arange(0, mesh.n_half_edges + 1, 3), mesh.twin // 3)
+        if sum(lvl.size for lvl in levels) != mesh.n_faces:
+            raise ValueError("face adjacency graph is not connected")
+        face_spin = np.zeros(mesh.n_faces, dtype=complex)
+        face_spin[0] = 1.0
+        for lvl in levels[1:]:
+            h = tree[lvl]
+            r, s = self.edge_rotation[h], face_spin[h // 3]
+            # the product written out, as the scalar product rounds it: numpy's
+            # vectorized complex multiply may fuse multiply-adds
+            face_spin[lvl] = (r.real * s.real - r.imag * s.imag) + 1j * (r.real * s.imag + r.imag * s.real)
+        return face_spin
+
+    def lumped(self, per_face: np.ndarray) -> np.ndarray:
+        """(V,) sum of per_face/3 over the corners at each vertex."""
+        return np.bincount(self.mesh.origin, weights=np.repeat(per_face / 3.0, 3), minlength=self.n_vertices)
 
 
 def _signed_area(z: np.ndarray) -> np.ndarray:

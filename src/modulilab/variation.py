@@ -158,7 +158,7 @@ class _Workspace:
             - np.conj(dmu_b)[:, None, None] * nua
         )
         src *= conventions.GAUGE_SOURCE_CALIBRATION / rho[:, None, None]
-        lifted = lift_to_vertices(self.cx, self.scene.geom, src)
+        lifted = lift_to_vertices(self.cx, self.S, src)
         return self.solve(lifted, label)
 
 

@@ -80,12 +80,9 @@ def rng():
 def p1_dbar(S):
     """Dense scalar P1 hat-gradient dbar stencil, straight from the geometry:
     row f holds grad_bar[f, k] in the column of corner vertex k."""
-    from modulilab._complexes import geometry
-
-    geom = geometry(S)
     D = np.zeros((S.n_faces, S.n_vertices), dtype=complex)
     for k in range(3):
-        D[np.arange(S.n_faces), geom.corner_vertex[:, k]] = geom.grad_bar[:, k]
+        D[np.arange(S.n_faces), S.corner_vertex[:, k]] = S.grad_bar[:, k]
     return D
 
 

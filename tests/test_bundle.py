@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from modulilab._complexes import (
     ad_star,
     corner_transports,
     endo_complex,
-    geometry,
     kahler_residual,
     lift_to_vertices,
     vertex_to_face,
@@ -81,9 +82,9 @@ def test_rank1_trivial_reduces_to_scalar(triv1_scene, rng):
     cx_b = triv1_scene.endo
     D = p1_dbar(triv1_scene.surface)
     assert np.max(np.abs(cx_b.dbar.toarray() - D)) == 0.0
-    geom = triv1_scene.geom
-    w0 = conventions.L2_GLOBAL_FACTOR * geom.mass_rho
-    w1 = conventions.L2_GLOBAL_FACTOR * geom.area
+    S = triv1_scene.surface
+    w0 = conventions.L2_GLOBAL_FACTOR * S.lumped(S.density * S.area)
+    w1 = conventions.L2_GLOBAL_FACTOR * S.area
     D_star = (D.conj().T * w1[None, :]) / w0[:, None]
     assert np.max(np.abs(dense_star(cx_b, cx_b.dbar) - D_star)) <= 1e-14 * np.max(np.abs(D_star))
 
@@ -209,6 +210,23 @@ def test_complex_methods_keep_the_callers_layout(su2_scene_r1, rng):
             assert np.array_equal(per_site_block.reshape(-1, k), block)
 
 
+def test_complex_refuses_a_layout_that_does_not_fit(su2_scene_r1):
+    # twice the rows is no (N, 2) block, and per-site values need (m, m)
+    cx = su2_scene_r1.endo
+    N0, N1 = cx.w0.shape[0], cx.w1.shape[0]
+    calls = [
+        (lambda x: cx.star(cx.dbar, x), np.ones(2 * N1)),
+        (lambda x: cx.apply(cx.dbar, x), np.ones(2 * N0)),
+        (lambda x: cx.project_off_kernel(x), np.ones(2 * N0)),
+        (lambda x: cx.delta0_solve(x), np.ones(2 * N0)),
+        (lambda x: cx.apply(cx.dbar, x), np.ones((cx.n_vertices, 1, 4))),
+        (lambda x: cx.star(cx.dbar, x), np.ones((cx.n_faces, 2, 2, 1, 1))),
+    ]
+    for call, x in calls:
+        with pytest.raises(ValueError, match=re.escape(f"shape {x.shape}")):
+            call(x)
+
+
 def test_block_solve_gates_each_column(su2_scene, rng):
     # one column that no solve can match fails the whole block
     cx = su2_scene.endo
@@ -330,8 +348,8 @@ def _corner_complexes(request, surf, su2):
 def test_corner_average_is_mean_of_transported_corners(request, surf, rng):
     S = request.getfixturevalue(surf)
     scene = Scene(S, _complex_transport_cocycle(S.mesh))
-    T = corner_transports(scene.geom, scene.cocycle.transport)
-    cv = scene.geom.corner_vertex
+    T = corner_transports(S, scene.cocycle.transport)
+    cv = S.corner_vertex
     x = random_cochain(rng, S.n_vertices, 2)
     ref = sum(T[:, k] @ x[cv[:, k]] @ np.conj(np.swapaxes(T[:, k], 1, 2)) for k in range(3)) / 3.0
     got = vertex_to_face(scene.endo, x)
@@ -343,23 +361,21 @@ def test_lift_inverts_corner_average_on_kernel(request, surf, su2):
     # a covariant constant reaches all three corners of a face as the same
     # matrix, so averaging into faces and lifting back returns it
     S, complexes = _corner_complexes(request, surf, su2)
-    geom = geometry(S)
     for cx in complexes:
         for k in range(cx.kernel.shape[1]):
             x = cx.kernel[:, k].reshape(-1, cx.m, cx.m)
-            back = lift_to_vertices(cx, geom, vertex_to_face(cx, x))
+            back = lift_to_vertices(cx, S, vertex_to_face(cx, x))
             assert np.linalg.norm(back - x) <= 1e-12 * np.linalg.norm(x)
 
 
 @pytest.mark.parametrize("surf, su2", CORNER_SCENES)
 def test_lift_is_area_weighted_adjoint_of_corner_average(request, surf, su2, rng):
     S, complexes = _corner_complexes(request, surf, su2)
-    geom = geometry(S)
     for cx in complexes:
         x = random_cochain(rng, cx.n_vertices, cx.m)
         y = random_cochain(rng, cx.n_faces, cx.m)
-        lhs = np.einsum("v,vab,vab->", geom.mass_area, lift_to_vertices(cx, geom, y), np.conj(x))
-        rhs = np.einsum("f,fab,fab->", geom.area, y, np.conj(vertex_to_face(cx, x)))
+        lhs = np.einsum("v,vab,vab->", S.lumped(S.area), lift_to_vertices(cx, S, y), np.conj(x))
+        rhs = np.einsum("f,fab,fab->", S.area, y, np.conj(vertex_to_face(cx, x)))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
 
@@ -552,7 +568,7 @@ def test_kahler_identity_fails_off_flat_bundles(surf_hyp_r1, rng):
     U = np.linalg.qr(rng.standard_normal((H, 2, 2)) + 1j * rng.standard_normal((H, 2, 2)))[0]
     V = surf_hyp_r1.n_vertices
     identity = np.broadcast_to(np.eye(2), (V, 2, 2)).reshape(-1, 1)
-    assert kahler_residual(endo_complex(geometry(surf_hyp_r1), U, identity)) > 1e-2
+    assert kahler_residual(endo_complex(surf_hyp_r1, U, identity)) > 1e-2
 
 
 def test_incomplete_kernel_fails_residual_gate(surf_hyp, triv2_r2, rng):
@@ -560,7 +576,7 @@ def test_incomplete_kernel_fails_residual_gate(surf_hyp, triv2_r2, rng):
     # reach the residual gate: the solve must refuse, not return garbage
     K = bnd._covariant_constant_columns(triv2_r2)
     assert K.shape[1] == 4
-    cx = endo_complex(geometry(surf_hyp), triv2_r2.transport, K[:, :3])
+    cx = endo_complex(surf_hyp, triv2_r2.transport, K[:, :3])
     h = rng.standard_normal(K.shape[0]) + 1j * rng.standard_normal(K.shape[0])
     with pytest.raises(SolverError, match="residual"):
         cx.delta0_solve(h)
@@ -581,19 +597,21 @@ def test_generators_need_the_fan(fan2_r1):
 
 
 def test_scene_builds_each_complex_on_first_use(surf_hyp_r1, su2_r1):
-    # each of the two complexes is built once per scene, and the second
-    # variations need no complex beyond them
+    # each of the two complexes is built once per scene, the surface's
+    # geometry once per surface, and the second variations need no
+    # complex beyond them; a freshly equipped surface has no cache yet
     from modulilab.tangent import random_tangent
     from modulilab.variation import evaluate_quadruple, positivity_certificate
 
-    scene = Scene(surf_hyp_r1, su2_r1)
-    assert not {"geom", "endo", "tangent"} & set(vars(scene))
+    S = equip_conformal(surf_hyp_r1.mesh, layout="stored", density="hyperbolic")
+    scene = Scene(S, su2_r1)
+    assert not {"endo", "tangent"} & set(vars(scene)) and "grad_bar" not in vars(S)
     v = random_tangent(scene, seed=0)
     positivity_certificate(*v, scene)
-    assert {"geom", "endo", "tangent"} <= set(vars(scene))
-    built = (scene.geom, scene.endo, scene.tangent)
+    assert {"endo", "tangent"} <= set(vars(scene)) and "grad_bar" in vars(S)
+    built = (S.grad_bar, scene.endo, scene.tangent)
     evaluate_quadruple(v, v, v, v, scene)
-    assert all(a is b for a, b in zip((scene.geom, scene.endo, scene.tangent), built))
+    assert all(a is b for a, b in zip((S.grad_bar, scene.endo, scene.tangent), built))
     assert not hasattr(scene, "beltrami")
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from modulilab import bundle as bnd
 from modulilab import conventions
-from modulilab._complexes import DolbeaultComplex, _assemble, geometry, lift_to_vertices
+from modulilab._complexes import DolbeaultComplex, _assemble, lift_to_vertices
 from modulilab.bundle import Scene
 from modulilab.calculus import beltrami_d_hol
 from modulilab.surface import equip_conformal, refine
@@ -119,8 +119,8 @@ def test_ip_properties(triv1_scene, rng):
 
 def test_ip_matches_dense_gram(triv1_scene, rng):
     # oracle: assemble the diagonal weight matrix explicitly
-    geom = geometry(triv1_scene.surface)
-    W = np.diag(conventions.L2_GLOBAL_FACTOR * geom.mass_rho)
+    S = triv1_scene.surface
+    W = np.diag(conventions.L2_GLOBAL_FACTOR * S.lumped(S.density * S.area))
     w0 = triv1_scene.endo.w0
     V = w0.shape[0]
     basis = [rng.standard_normal(V) + 1j * rng.standard_normal(V) for _ in range(4)]
@@ -188,7 +188,7 @@ def test_wedge_trace_type_error(surf_hyp, rng):
 def test_face_derivative_constant(torus8):
     # uniform planar charts (face spin 1): a constant Beltrami
     # coefficient lifts to a constant, and its derivative vanishes
-    assert np.array_equal(geometry(torus8).face_spin, np.ones(torus8.n_faces))
+    assert np.array_equal(torus8.face_spin, np.ones(torus8.n_faces))
     d = beltrami_d_hol(np.full(torus8.n_faces, 1.7 - 0.3j), _spin2(torus8))
     assert np.linalg.norm(d) <= 1e-13
 
@@ -230,31 +230,30 @@ def test_beltrami_d_hol_matches_two_step_stencil(request, surf, rng):
     # vertices with area weights, rotate back into every face chart and
     # take the P1 d/dz
     S = request.getfixturevalue(surf)
-    geom = geometry(S)
     vals = rng.standard_normal(S.n_faces) + 1j * rng.standard_normal(S.n_faces)
     spin = _geometry_loop(S)["corner_spin"] ** 2
     lifted = np.zeros(S.n_vertices, dtype=complex)
-    np.add.at(lifted, geom.corner_vertex, (geom.area / 3.0 * vals)[:, None] / spin)
-    lifted /= geom.mass_area
-    ref = np.sum(np.conj(geom.grad_bar) * lifted[geom.corner_vertex] * spin, axis=1)
+    np.add.at(lifted, S.corner_vertex, (S.area / 3.0 * vals)[:, None] / spin)
+    lifted /= S.lumped(S.area)
+    ref = np.sum(np.conj(S.grad_bar) * lifted[S.corner_vertex] * spin, axis=1)
     got = beltrami_d_hol(vals, _spin2(S))
     assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
-def _twisted_tangent(S, geom):
+def _twisted_tangent(S):
     """The tangent complex twisted per corner by the loop reference's
     corner_spin, whose kernel is the vertex gauge face_spin[ref(v)]."""
     loop = _geometry_loop(S)
-    spin, cv, V = loop["corner_spin"], geom.corner_vertex, S.n_vertices
+    spin, cv, V = loop["corner_spin"], S.corner_vertex, S.n_vertices
     T = np.ones(cv.shape + (1, 1), dtype=complex)
     return DolbeaultComplex(
         m=1,
         n_vertices=V,
         n_faces=S.n_faces,
-        w0=geom.mass_rho2,
-        w1=geom.rho * geom.area,
-        dbar=_assemble(geom.grad_bar * spin, T, cv, V),
-        dhol=_assemble(np.conj(geom.grad_bar) * spin, T, cv, V),
+        w0=S.lumped(S.density**2 * S.area),
+        w1=S.density * S.area,
+        dbar=_assemble(S.grad_bar * spin, T, cv, V),
+        dhol=_assemble(np.conj(S.grad_bar) * spin, T, cv, V),
         corner_avg=_assemble(spin / 3.0, T, cv, V),
         kernel=loop["face_spin"][loop["vertex_ref_face"]],
     )
@@ -270,14 +269,14 @@ def test_face_gauge_tangent_matches_twisted_reference(fan2, refinements, layout,
     for _ in range(refinements):
         mesh = refine(mesh)
     scene = _spin2(equip_conformal(mesh, layout=layout, density=density))
-    tangent, fs = scene.tangent, scene.geom.face_spin
+    tangent, fs = scene.tangent, scene.surface.face_spin
     assert np.linalg.norm(tangent.dbar @ np.ones(tangent.n_vertices)) <= 1e-13 * spla.norm(tangent.dbar)
-    twisted = _twisted_tangent(scene.surface, scene.geom)
+    twisted = _twisted_tangent(scene.surface)
     mu = _random(rng, scene.surface.n_faces)
     got = ks_center(mu, np.zeros((mu.shape[0], 1, 1), dtype=complex), scene)[0]
     want = twisted.harmonic_project(mu)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
-    lifted = lift_to_vertices(twisted, scene.geom, np.conj(fs) * mu)
+    lifted = lift_to_vertices(twisted, scene.surface, np.conj(fs) * mu)
     want = fs * (twisted.dhol @ lifted.reshape(-1))
     assert np.linalg.norm(beltrami_d_hol(mu, scene) - want) <= 1e-13 * np.linalg.norm(want)
 

@@ -216,6 +216,43 @@ def test_file_key_that_is_not_a_string_exits_2(tmp_path, cfg, key):
     assert f"{key} must be null or a path" in r.stderr and "not a file" in r.stderr
 
 
+def test_mesh_file_of_genus_below_2_exits_2(tmp_path):
+    # a torus file reaches no gate of the genus key, but runs no command
+    from flat_torus import build_torus
+    from modulilab.surface import save_mesh
+
+    save_mesh(build_torus(4), tmp_path / "torus.surf")
+    mesh = {"file": str(tmp_path / "torus.surf"), "refinements": 0, "density": "uniform"}
+    p = _write(tmp_path, {"mesh": mesh, "bundle": {"preset": "trivial"}})
+    for cmd in ("check-operators", "positivity"):
+        r = run_cli(cmd, "--config", p, "--out", str(tmp_path / cmd))
+        assert r.returncode == 2, r.stdout + r.stderr
+        assert "mesh.file" in r.stderr and "genus 1" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_keys_that_a_file_decides_are_still_checked(tmp_path):
+    # the file decides the value, but a malformed key is refused
+    from click.testing import CliRunner
+    from modulilab import cli
+    from modulilab.bundle import save_cocycle, su2_preset
+    from modulilab.surface import build_polygon_gluing, save_mesh
+
+    fan, gen = str(tmp_path / "fan.surf"), str(tmp_path / "su2.gen")
+    save_mesh(build_polygon_gluing(2), fan)
+    save_cocycle(su2_preset(build_polygon_gluing(2)), gen)
+    cases = [
+        ({"mesh": {"file": fan, "genus": "abc"}}, "mesh.genus"),
+        ({"mesh": {"file": fan, "genus": 1}}, "mesh.genus"),
+        ({"bundle": {"generator_file": gen, "preset": "bogus"}}, "bundle.preset"),
+        ({"bundle": {"preset": ["su2"]}}, "bundle.preset"),
+    ]
+    for cfg, key in cases:
+        args = ["positivity", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "out")]
+        r = CliRunner().invoke(cli.main, args)
+        assert r.exit_code == 2, (cfg, r.output)
+        assert key in r.output, r.output
+
+
 def test_saved_fan_mesh_file_matches_built_fan(tmp_path):
     # the mesh file keeps its layout: a saved fan under the default
     # stored layout gives the genus-built scene's outputs byte for byte

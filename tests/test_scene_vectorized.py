@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from modulilab import bundle as bnd
-from modulilab._complexes import corner_transports, geometry, tangent_complex
+from modulilab._complexes import corner_transports, tangent_complex
 from modulilab.surface import (
     ChartError,
     HalfEdgeMesh,
@@ -364,16 +364,19 @@ def test_scene_matches_loops_r1_to_r3(fan2, scene):
     for mesh, c in _chain(fan2, 3, cocycle):
         S = equip_conformal(mesh, layout=layout, density=density)
         assert np.max(np.abs(S.edge_rotation - _edge_rotations_loop(mesh, S.chart))) <= FLOAT_TOL
-        geom, ref = geometry(S), _geometry_loop(S)
+        ref = _geometry_loop(S)
         # the face-gauge tangent dbar is the twisted stencil times the
         # vertex gauge r = face_spin[ref(v)]
         r = ref["face_spin"][ref.pop("vertex_ref_face")]
         twisted = _twisted_dbar_loop(S, ref.pop("corner_spin")) * r
+        rho, A = S.density, S.area
+        got = {"face_spin": S.face_spin, "mass_rho": S.lumped(rho * A)}
+        got.update(mass_rho2=S.lumped(rho**2 * A), mass_area=S.lumped(A))
         for name, want in ref.items():
-            assert np.max(np.abs(getattr(geom, name) - want)) <= FLOAT_TOL, name
-        dbar = tangent_complex(geom).dbar.toarray()
+            assert np.max(np.abs(got[name] - want)) <= FLOAT_TOL, name
+        dbar = tangent_complex(S).dbar.toarray()
         assert np.max(np.abs(dbar - twisted)) <= FLOAT_TOL * np.max(np.abs(twisted))
-        T = corner_transports(geom, c.transport)
+        T = corner_transports(S, c.transport)
         assert np.max(np.abs(T - _corner_transports_loop(S, c.transport))) <= FLOAT_TOL
         K = bnd._covariant_constant_columns(c)
         assert np.max(np.abs(K - _covariant_constant_loop(c))) <= FLOAT_TOL

@@ -382,7 +382,7 @@ def test_solver_stats_factor_reuse_on_fresh_complex(su2_scene, rng, monkeypatch)
     # one LU per complex, shared by every solve and the harmonic projector
     from modulilab import _complexes
 
-    cx = endo_complex(su2_scene.geom, su2_scene.cocycle.transport, bnd._covariant_constant_columns(su2_scene.cocycle))
+    cx = endo_complex(su2_scene.surface, su2_scene.cocycle.transport, bnd._covariant_constant_columns(su2_scene.cocycle))
     factored, splu = [], _complexes.spla.splu
     monkeypatch.setattr(_complexes.spla, "splu", lambda A: factored.append(A.shape) or splu(A))
     h = rng.standard_normal(cx.w0.shape[0]) + 1j * rng.standard_normal(cx.w0.shape[0])
