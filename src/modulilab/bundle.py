@@ -28,11 +28,9 @@ from .surface import (
     Kind,
     Reals,
     RecordFileError,
-    bfs_tree,
     build_polygon_gluing,
     read_records,
     split_half_edges,
-    vertex_adjacency,
 )
 
 UNITARITY_TOL = 1e-10
@@ -254,50 +252,30 @@ def refine_cocycle(c: UnitaryCocycle, child: HalfEdgeMesh) -> UnitaryCocycle:
 def _commutant(c: UnitaryCocycle) -> np.ndarray:
     """Orthonormal basis (columns, row-major vec) of the matrices X with
     U X = X U for every transport: the null space of the n^2 x n^2 Gram
-    matrix sum_h A_h^H A_h, A_h = U_h (x) I - I (x) U_h^T."""
+    matrix sum_h A_h^H A_h, A_h = U_h (x) I - I (x) U_h^T, summed over
+    the distinct transports (keyed by their bytes) times their counts."""
     n = c.rank
-    eye = np.eye(n)
-    A = np.einsum("hab,cd->hacbd", c.transport, eye) - np.einsum(
-        "ab,hdc->hacbd", eye, c.transport
-    )
+    U = np.ascontiguousarray(c.transport)
+    keys = U.reshape(len(U), -1).view(f"V{U[0].nbytes}")[:, 0]
+    _, first, count = np.unique(keys, return_index=True, return_counts=True)
+    U, eye = U[first], np.eye(n)
+    A = np.einsum("hab,cd->hacbd", U, eye) - np.einsum("ab,hdc->hacbd", eye, U)
     A = A.reshape(-1, n * n, n * n)
-    G = np.einsum("hki,hkj->ij", A.conj(), A)
+    G = np.einsum("h,hki,hkj->ij", count, A.conj(), A)
     lam, vecs = np.linalg.eigh(0.5 * (G + G.conj().T))
     k = int(np.sum(lam <= COMMUTANT_REL_TOL * max(float(lam[-1]), 1.0)))
     return vecs[:, :k]
-
-
-def is_irreducible(c: UnitaryCocycle) -> tuple[bool, int]:
-    """Commutant dimension of the transport algebra."""
-    commutant_dim = _commutant(c).shape[1]
-    return commutant_dim == 1, commutant_dim
 
 
 # ---------------------------------------------------------------------------
 # the scene
 
 
-def _covariant_constant_columns(c: UnitaryCocycle) -> np.ndarray:
-    """Parallel extensions of commutant elements over a vertex spanning
-    tree: the exact kernel of the twisted Laplacian for a flat cocycle."""
-    mesh, n = c.mesh, c.rank
-    commutant = _commutant(c)
-    k = commutant.shape[1]
-    indptr, out, heads = vertex_adjacency(mesh)
-    levels, tree = bfs_tree(indptr, heads)
-    vals = np.zeros((mesh.n_vertices, k, n, n), dtype=complex)
-    vals[0] = commutant.T.reshape(k, n, n)
-    for lvl in levels[1:]:
-        h = out[tree[lvl]]
-        U = c.transport[h][:, None]
-        vals[lvl] = U @ vals[mesh.origin[h]] @ np.conj(np.swapaxes(U, -1, -2))
-    return np.moveaxis(vals, 1, 0).reshape(k, -1).T
-
-
 def operators(S: ConformalSurface, c: UnitaryCocycle) -> DolbeaultComplex:
-    """The End(E)-valued complex of ``c`` on a surface, with the
-    covariant constants as its exact kernel."""
-    return endo_complex(S, c.transport, _covariant_constant_columns(c))
+    """The End(E)-valued complex of ``c`` on a surface.  Its exact kernel,
+    the covariant constants, is the commutant at every vertex: an X that
+    commutes with every transport satisfies U X U^H = X on every edge."""
+    return endo_complex(S, c.transport, np.tile(_commutant(c), (S.n_vertices, 1)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -78,6 +78,17 @@ def _merge(base: dict, override: dict, prefix: str = "") -> dict:
     return out
 
 
+def _json_object(pairs: list) -> dict:
+    """A JSON object of the config; a key given twice is refused, not
+    resolved to its last value."""
+    out = {}
+    for k, v in pairs:
+        if k in out:
+            raise ConfigError(f"repeated config key {k}")
+        out[k] = v
+    return out
+
+
 def load_config(path, seed=None, out=None) -> dict:
     """The config at ``path`` laid over DEFAULTS; ``seed`` and ``out``
     (the --seed and --out flags) override ``seeds`` and ``out``."""
@@ -85,7 +96,7 @@ def load_config(path, seed=None, out=None) -> dict:
     if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
-                user = json.load(fh)
+                user = json.load(fh, object_pairs_hook=_json_object)
         except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read config {path}: {e}")
         if not isinstance(user, dict):
@@ -306,8 +317,7 @@ def cmd_check_operators(cfg, scene):
     projector algebra, kernel dimensions, oracle equivalence."""
     S, c = scene.surface, scene.cocycle
     dense = oracle.certify_operators(scene, dense_cap=cfg["dense_cap"])
-    kdim = dense["kernel_dim"]
-    _, cdim = bnd.is_irreducible(c)
+    kdim, cdim = dense["kernel_dim"], scene.endo.kernel.shape[1]
     checks = [
         _check("adjointness_residual", dense["adjointness_residual"]),
         _check("kahler_identity", kahler_residual(scene.endo)),

@@ -21,8 +21,8 @@ from modulilab.bundle import (
     RelationError,
     Scene,
     UnitaryCocycle,
+    _commutant,
     from_generators,
-    is_irreducible,
     load_cocycle,
     refine_cocycle,
     save_cocycle,
@@ -30,7 +30,7 @@ from modulilab.bundle import (
     validate_cocycle,
 )
 from modulilab.cli import TOLERANCES
-from modulilab.surface import RecordFileError, equip_conformal
+from modulilab.surface import RecordFileError, equip_conformal, refine
 from conftest import dense_delta0_inverse, dense_star, ip, p1_dbar, random_cochain
 
 
@@ -56,16 +56,31 @@ def test_relation_violation_reports_residual(fan2):
 
 
 def test_commutant_dimensions(fan2_r2, su2_r2, triv1_r2, triv2_r2):
-    assert is_irreducible(su2_r2) == (True, 1)
-    assert is_irreducible(triv1_r2) == (True, 1)
-    irred, dim = is_irreducible(triv2_r2)
-    assert not irred and dim == 4
+    assert _commutant(su2_r2).shape[1] == 1
+    assert _commutant(triv1_r2).shape[1] == 1
+    assert _commutant(triv2_r2).shape[1] == 4
+
+
+def test_commutant_allocates_no_per_half_edge_stack(fan2_r2):
+    # the Gram matrix sums over the distinct transports: no (H, n^2, n^2)
+    # Kronecker stack, whose n^4 entries per half-edge would be 16x the
+    # transports themselves at rank 4
+    import tracemalloc
+
+    c = bnd.trivial_cocycle(refine(fan2_r2), 4)
+    tracemalloc.start()
+    try:
+        assert _commutant(c).shape[1] == 16
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * c.transport.nbytes, (peak, c.transport.nbytes)
 
 
 def test_rank1_any_cocycle_irreducible(fan2):
     phases = [np.array([[np.exp(1j * t)]]) for t in (0.3, 1.1, -0.4, 2.2)]
     c = from_generators(fan2, 1, 0, phases)
-    assert is_irreducible(c) == (True, 1)
+    assert _commutant(c).shape[1] == 1
 
 
 def test_twisted_dbar_kills_identity(su2_scene):
@@ -253,7 +268,7 @@ def test_harmonic_projection_properties(su2_scene, rng):
 
 def test_kernel_dim_equals_commutant(surf_hyp, su2_r2, triv1_r2, triv2_r2):
     for c in (su2_r2, triv1_r2, triv2_r2):
-        _, cdim = is_irreducible(c)
+        cdim = _commutant(c).shape[1]
         assert oracle.DenseFrame(Scene(surf_hyp, c).endo).kernel.shape[1] == cdim
 
 
@@ -475,7 +490,7 @@ def test_validate_cocycle_names_first_defect(su2_r1, kind, message):
 def test_refine_preserves_flatness_and_irreducibility(fan2, fan2_r1):
     c = refine_cocycle(su2_preset(fan2), fan2_r1)
     validate_cocycle(c)
-    assert is_irreducible(c) == (True, 1)
+    assert _commutant(c).shape[1] == 1
     assert c.marked_face == 4 * su2_preset(fan2).marked_face + 3
 
 
@@ -574,7 +589,7 @@ def test_kahler_identity_fails_off_flat_bundles(surf_hyp_r1, rng):
 def test_incomplete_kernel_fails_residual_gate(surf_hyp, triv2_r2, rng):
     # a bordered system missing one of the four kernel directions cannot
     # reach the residual gate: the solve must refuse, not return garbage
-    K = bnd._covariant_constant_columns(triv2_r2)
+    K = np.tile(_commutant(triv2_r2), (surf_hyp.n_vertices, 1))
     assert K.shape[1] == 4
     cx = endo_complex(surf_hyp, triv2_r2.transport, K[:, :3])
     h = rng.standard_normal(K.shape[0]) + 1j * rng.standard_normal(K.shape[0])

@@ -442,6 +442,28 @@ def test_unknown_key_exits_2(tmp_path):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"seeds": [0], "seeds": [1], "mesh": {"refinements": 1}}', "seeds"),
+        ('{"seeds": [0], "mesh": {"refinements": 1, "genus": 2, "refinements": 0}}', "refinements"),
+    ],
+)
+def test_repeated_key_exits_2(tmp_path, text, key):
+    # JSON parsers keep the last of a repeated key; a config that says a
+    # thing twice is refused at any depth instead of running one of them
+    from modulilab.cli import ConfigError, load_config
+
+    p = tmp_path / "cfg.json"
+    p.write_text(text)
+    with pytest.raises(ConfigError, match=f"repeated config key {key}$"):
+        load_config(str(p))
+    r = run_cli("positivity", "--config", str(p), "--out", str(tmp_path / "out"))
+    assert r.returncode == 2, r.stderr
+    assert f"repeated config key {key}" in r.stderr and "Traceback" not in r.stderr
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 @pytest.mark.parametrize("cmd", ["second-variation", "positivity"])
 def test_solver_failure_is_a_failing_check(tmp_path, cmd):
     # at mu_scale 1e300 the solve residual is nan, and at 1e160 the solves

@@ -313,22 +313,6 @@ def _vertex_tree_loop(mesh):
     return order, parent_he
 
 
-def _covariant_constant_loop(c):
-    mesh, n = c.mesh, c.rank
-    commutant = bnd._commutant(c)
-    order, parent_he = _vertex_tree_loop(mesh)
-    cols = np.zeros((mesh.n_vertices * n * n, commutant.shape[1]), dtype=complex)
-    for i in range(commutant.shape[1]):
-        vals = np.zeros((mesh.n_vertices, n, n), dtype=complex)
-        vals[0] = commutant[:, i].reshape(n, n)
-        for v in order[1:]:
-            h = int(parent_he[v])
-            U = c.transport[h]
-            vals[v] = U @ vals[int(mesh.origin[h])] @ U.conj().T
-        cols[:, i] = vals.reshape(-1)
-    return cols
-
-
 # -- scenes ------------------------------------------------------------------------
 
 
@@ -378,8 +362,14 @@ def test_scene_matches_loops_r1_to_r3(fan2, scene):
         assert np.max(np.abs(dbar - twisted)) <= FLOAT_TOL * np.max(np.abs(twisted))
         T = corner_transports(S, c.transport)
         assert np.max(np.abs(T - _corner_transports_loop(S, c.transport))) <= FLOAT_TOL
-        K = bnd._covariant_constant_columns(c)
-        assert np.max(np.abs(K - _covariant_constant_loop(c))) <= FLOAT_TOL
+        # the kernel columns are covariant constants: U_h X(origin h) U_h^H
+        # = X(head h) on every half-edge
+        n, V = c.rank, mesh.n_vertices
+        X = np.tile(bnd._commutant(c), (V, 1)).T.reshape(-1, V, n, n)
+        U = c.transport
+        moved = U @ X[:, mesh.origin] @ U.conj().swapaxes(1, 2)
+        defect = np.max(np.abs(moved - X[:, mesh.origin[next_index(mesh.n_half_edges)]]))
+        assert defect <= 16 * np.finfo(float).eps * np.max(np.abs(X))
 
 
 @pytest.mark.parametrize("levels", [1, 2, 3])
