@@ -38,23 +38,20 @@ SOLVE_RTOL = 1e-8
 # assembled complex
 
 
-def _assemble(weight, T, corner_vertex, n_vertices) -> sp.csr_matrix:
-    """Sparse (F*m^2) x (V*m^2) operator X -> sum_k weight[f,k] T X_v T^H,
-    v = corner_vertex[f,k], T = T[f,k]; row-major vec(T X T^H) is
-    kron(T, conj T) vec(X)."""
-    F, _, m, _ = T.shape
-    m2 = m * m
+def _assemble(weights, T, corner_vertex, n_vertices) -> tuple[sp.csr_matrix, ...]:
+    """Sparse (F*m^2) x (V*m^2) operators X -> sum_k w[f,k] T X_v T^H,
+    v = corner_vertex[f,k], T = T[f,k], one per corner weight w in
+    ``weights``, broadcast to (F,3).  Row-major vec(T X T^H) is
+    kron(T, conj T) vec(X): the Kronecker blocks are formed once and only
+    their nonzero entries enter the operators, which store no zeros."""
+    F, m2 = T.shape[0], T.shape[-1] ** 2
     blocks = np.einsum("fkac,fkbd->fkabcd", T, np.conj(T)).reshape(F, 3, m2, m2)
-    blocks = weight[:, :, None, None] * blocks
-    idx = np.arange(m2)
-    rows = np.arange(F)[:, None, None, None] * m2 + idx[:, None]
-    cols = corner_vertex[:, :, None, None] * m2 + idx
-    rows, cols = np.broadcast_arrays(rows, cols)
-    M = sp.csr_matrix(
-        (blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(F * m2, n_vertices * m2), dtype=complex
+    f, k, i, j = np.nonzero(blocks)
+    vals, entries = blocks[f, k, i, j], (f * m2 + i, corner_vertex[f, k] * m2 + j)
+    shape = (F * m2, n_vertices * m2)
+    return tuple(
+        sp.csr_matrix((np.broadcast_to(w, (F, 3))[f, k] * vals, entries), shape=shape, dtype=complex) for w in weights
     )
-    M.eliminate_zeros()  # monomial transports leave exact zeros in the Kronecker blocks
-    return M
 
 
 @dataclass(eq=False)
@@ -204,15 +201,16 @@ def _build(S: ConformalSurface, T, w0, w1, kernel, phase=1.0) -> DolbeaultComple
     weights ``w0``/``w1`` per flattened entry."""
     V, cv = S.n_vertices, S.corner_vertex
     p = np.reshape(phase, (-1, 1))
+    dbar, dhol, corner_avg = _assemble((p * S.grad_bar, p * np.conj(S.grad_bar), p / 3.0), T, cv, V)
     return DolbeaultComplex(
         m=T.shape[-1],
         n_vertices=V,
         n_faces=S.n_faces,
         w0=w0,
         w1=w1,
-        dbar=_assemble(p * S.grad_bar, T, cv, V),
-        dhol=_assemble(p * np.conj(S.grad_bar), T, cv, V),
-        corner_avg=_assemble(p / 3.0, T, cv, V),
+        dbar=dbar,
+        dhol=dhol,
+        corner_avg=corner_avg,
         kernel=kernel,
     )
 

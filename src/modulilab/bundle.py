@@ -35,7 +35,6 @@ from .surface import (
 
 UNITARITY_TOL = 1e-10
 FLATNESS_TOL = 1e-10
-RELATION_TOL = 1e-8
 # Gram eigenvalues at or below this fraction of the largest (floored at 1)
 # span the commutant; squared singular values, so 1e-10 here is 1e-5 there
 COMMUTANT_REL_TOL = 1e-10
@@ -47,7 +46,7 @@ class RelationError(InputError):
     def __init__(self, residual: float):
         self.residual = residual
         super().__init__(
-            f"generator relation violated: residual {residual:.3e} exceeds {RELATION_TOL:.0e}"
+            f"generator relation violated: residual {residual:.3e} exceeds {FLATNESS_TOL:.0e}"
         )
 
 
@@ -125,10 +124,10 @@ def from_generators(
 
     ``generators`` is (A1, B1, ..., Ag, Bg).  The matrices must satisfy
     the ascending relation product (A1 B1 A1^-1 B1^-1)...(Ag Bg Ag^-1 Bg^-1)
-    = exp(2 pi i d/n) I to 1e-8.  Transports: identity on a spanning
-    spoke tree seeded by the recursion that makes every fan face flat,
-    generator matrices on the sides; the residual twist lands on the
-    last face.
+    = exp(2 pi i d/n) I to ``FLATNESS_TOL``, the flatness gate of the
+    last face, whose holonomy is that product.  Transports: identity on a
+    spanning spoke tree seeded by the recursion that makes every fan face
+    flat, generator matrices on the sides; the twist lands on the last face.
     """
     g = mesh.genus
     if len(generators) != 2 * g:
@@ -150,7 +149,7 @@ def from_generators(
         A, B = gens[2 * j], gens[2 * j + 1]
         rel = rel @ (A @ B @ A.conj().T @ B.conj().T)
     residual = float(np.linalg.norm(rel - zeta * eye))
-    if residual > RELATION_TOL:
+    if residual > FLATNESS_TOL:
         raise RelationError(residual)
 
     S = 4 * g

@@ -55,6 +55,23 @@ def test_relation_violation_reports_residual(fan2):
     assert e.value.residual > 1e-2
 
 
+def test_relation_gated_where_the_last_face_is(fan2):
+    # the last fan face carries the relation product and is gated at
+    # FLATNESS_TOL, so the relation is too: a residual above it is named
+    # as a relation residual, not as a face of the cocycle
+    su2 = list(su2_preset(fan2).generators)
+
+    def nudged(eps):
+        return [su2[0] @ np.diag([np.exp(1j * eps), np.exp(-1j * eps)])] + su2[1:]
+
+    validate_cocycle(from_generators(fan2, 2, 1, nudged(1e-11)))  # residual 2.8e-11
+    for eps in (5e-11, 5e-10):  # residuals 1.4e-10 and 1.4e-9
+        with pytest.raises(RelationError) as e:
+            from_generators(fan2, 2, 1, nudged(eps))
+        assert bnd.FLATNESS_TOL < e.value.residual <= 3 * eps
+        assert f"{e.value.residual:.3e}" in str(e.value)
+
+
 def test_commutant_dimensions(fan2_r2, su2_r2, triv1_r2, triv2_r2):
     assert _commutant(su2_r2).shape[1] == 1
     assert _commutant(triv1_r2).shape[1] == 1
@@ -75,6 +92,27 @@ def test_commutant_allocates_no_per_half_edge_stack(fan2_r2):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * c.transport.nbytes, (peak, c.transport.nbytes)
+
+
+def test_endo_assembly_allocates_one_kronecker_stack(fan2_r2):
+    # the three face operators share one (F, 3, n^2, n^2) Kronecker stack
+    # and take only its nonzero entries: no stack per operator and no row
+    # or column index arrays the size of the stack
+    import tracemalloc
+
+    mesh = refine(fan2_r2)
+    S = equip_conformal(mesh, layout="equilateral", density="uniform")
+    c = bnd.trivial_cocycle(mesh, 4)
+    kernel = np.tile(_commutant(c), (S.n_vertices, 1))
+    S.grad_bar  # geometry is computed and kept before the window opens
+    stack = S.n_faces * 3 * 4**4 * 16
+    tracemalloc.start()
+    try:
+        endo_complex(S, c.transport, kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * stack, (peak, stack)
 
 
 def test_rank1_any_cocycle_irreducible(fan2):

@@ -246,15 +246,16 @@ def _twisted_tangent(S):
     loop = _geometry_loop(S)
     spin, cv, V = loop["corner_spin"], S.corner_vertex, S.n_vertices
     T = np.ones(cv.shape + (1, 1), dtype=complex)
+    dbar, dhol, corner_avg = _assemble((S.grad_bar * spin, np.conj(S.grad_bar) * spin, spin / 3.0), T, cv, V)
     return DolbeaultComplex(
         m=1,
         n_vertices=V,
         n_faces=S.n_faces,
         w0=S.lumped(S.density**2 * S.area),
         w1=S.density * S.area,
-        dbar=_assemble(S.grad_bar * spin, T, cv, V),
-        dhol=_assemble(np.conj(S.grad_bar) * spin, T, cv, V),
-        corner_avg=_assemble(spin / 3.0, T, cv, V),
+        dbar=dbar,
+        dhol=dhol,
+        corner_avg=corner_avg,
         kernel=loop["face_spin"][loop["vertex_ref_face"]],
     )
 

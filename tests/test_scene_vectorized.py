@@ -293,6 +293,24 @@ def _corner_transports_loop(surface, U):
     return T
 
 
+def _corner_operators_loop(surface, T, phase):
+    """dbar, dhol and corner_avg as dense matrices: w[f,k] kron(T, conj T)
+    added into block (f, corner_vertex[f,k]) for each face f and corner k,
+    with T = T[f,k] and w the corner weight of each operator."""
+    F, _, m, _ = T.shape
+    m2 = m * m
+    p = np.broadcast_to(np.reshape(phase, (-1, 1)), (F, 3))
+    out = []
+    for w in (p * surface.grad_bar, p * np.conj(surface.grad_bar), p / 3.0):
+        D = np.zeros((F * m2, surface.n_vertices * m2), dtype=complex)
+        for f in range(F):
+            for k in range(3):
+                v = surface.corner_vertex[f, k]
+                D[f * m2 : (f + 1) * m2, v * m2 : (v + 1) * m2] += w[f, k] * np.kron(T[f, k], np.conj(T[f, k]))
+        out.append(D)
+    return out
+
+
 def _vertex_tree_loop(mesh):
     adj = [[] for _ in range(mesh.n_vertices)]
     nxt = next_index(mesh.n_half_edges)
@@ -415,6 +433,32 @@ def test_generator_transports_match_loop_bit_for_bit(g, preset):
         gens = _conjugated_su2(g, np.random.default_rng(g))
         c = bnd.from_generators(mesh, 2, 1, gens)
     assert _same_bits(c.transport, _from_generators_loop(mesh, 2, gens))
+
+
+@pytest.mark.parametrize(
+    "g, kind", [(2, "su2"), (2, "conjugated"), (3, "conjugated"), (2, "trivial_rank3"), (2, "tangent")]
+)
+def test_operators_match_corner_loop(g, kind):
+    fan = build_polygon_gluing(g)
+    mesh = refine(fan)
+    if kind == "conjugated":
+        c = bnd.from_generators(fan, 2, 1, _conjugated_su2(g, np.random.default_rng(g)))
+    else:
+        c = bnd.su2_preset(fan)
+    c = bnd.refine_cocycle(c, mesh)
+    if kind == "trivial_rank3":
+        c = bnd.trivial_cocycle(mesh, 3)
+    S = equip_conformal(mesh, layout="stored", density="hyperbolic")
+    if kind == "tangent":
+        cx, T, phase = tangent_complex(S), np.ones((S.n_faces, 3, 1, 1)), S.face_spin
+    else:
+        cx, T, phase = bnd.Scene(S, c).endo, corner_transports(S, c.transport), 1.0
+    # preset transports have entries 0, +-1 and +-i, so each product is exact
+    tol = 2 * np.finfo(float).eps if kind == "conjugated" else 0.0
+    for M, ref in zip((cx.dbar, cx.dhol, cx.corner_avg), _corner_operators_loop(S, T, phase)):
+        assert M.has_canonical_format
+        assert M.nnz == np.count_nonzero(ref)  # no explicit zero is stored
+        assert np.max(np.abs(M.toarray() - ref)) <= tol * np.max(np.abs(ref))
 
 
 # -- validators name the same first offender ---------------------------------------
