@@ -28,7 +28,12 @@ from .surface import ConformalSurface
 
 
 class SolverError(Exception):
-    """Restricted solve failed to reach the required residual."""
+    """Restricted solve failed to reach the required residual; ``column``
+    is the first failing column of the solved block, or None."""
+
+    def __init__(self, message: str, column: int | None = None):
+        super().__init__(message)
+        self.column = column
 
 
 SOLVE_RTOL = 1e-8
@@ -141,9 +146,10 @@ class DolbeaultComplex:
 
         One sparse LU per complex (see ``lu``), reused by every later
         solve, and one multi-column solve for all columns; raises
-        SolverError when |L x - rhs| of any column exceeds ``SOLVE_RTOL``
-        times |h| of that column.  The stats carry the largest residual
-        and removed kernel norm over the columns.
+        SolverError, carrying the first failing ``column``, when
+        |L x - rhs| of a column exceeds ``SOLVE_RTOL`` times |h| of that
+        column.  The stats carry the largest residual and removed kernel
+        norm over the columns.
         """
         reused = "lu" in self.__dict__
         lu = self.lu
@@ -155,10 +161,11 @@ class DolbeaultComplex:
         x = lu.solve(b)[:n]
         # relative to h: projecting h off the kernel leaves roundoff of
         # order eps*|h| that no x can match, which would swamp a tiny rhs
-        res = float(np.max(_norms(self.laplacian @ x - rhs) / np.maximum(_norms(H), 1e-300)))
-        if not res <= SOLVE_RTOL:
-            raise SolverError(f"solve relative residual {res:.3e} exceeds {SOLVE_RTOL:.0e}")
-        stats = {"kernel_removed": removed, "method": "splu", "residual": res, "factor_reused": reused}
+        res = _norms(self.laplacian @ x - rhs) / np.maximum(_norms(H), 1e-300)
+        if not np.all(res <= SOLVE_RTOL):
+            j = int(np.argmin(res <= SOLVE_RTOL))  # the first failing column
+            raise SolverError(f"solve relative residual {res[j]:.3e} exceeds {SOLVE_RTOL:.0e}", column=j)
+        stats = {"kernel_removed": removed, "method": "splu", "residual": float(np.max(res)), "factor_reused": reused}
         return _layout(x, h), stats
 
     def harmonic_project(self, alpha: np.ndarray) -> np.ndarray:

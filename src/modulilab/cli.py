@@ -341,16 +341,11 @@ def cmd_check_operators(cfg, scene):
     return _finish(cfg["out"], "check-operators", checks, extra)
 
 
-def _tangent(cfg, scene, seed):
-    """The sampled tangent of a seed, at the configured scales."""
-    tcfg = cfg["tangent"]
-    return random_tangent(scene, seed=seed, mu_scale=tcfg["mu_scale"], nu_scale=tcfg["nu_scale"])
-
-
 def _sample_reports(cfg, scene, seed):
-    """The quadruple report of a seed: tangents seeded 10 seed + i."""
-    vs = [_tangent(cfg, scene, seed * 10 + i) for i in range(4)]
-    return variation.evaluate_quadruple(*vs, scene)
+    """The quadruple report of a seed: tangents seeded 10 seed + i, at the
+    configured scales (the keys of ``cfg["tangent"]``)."""
+    mu, nu = random_tangent(scene, [seed * 10 + i for i in range(4)], **cfg["tangent"])
+    return variation.evaluate_quadruple(*((mu[:, i], nu[..., i]) for i in range(4)), scene)
 
 
 @_command("second-variation")
@@ -392,7 +387,7 @@ def cmd_positivity(cfg, scene):
         plot.write("norm_product\ttotal\n")
         for s in cfg["seeds"]:
             with _evaluation_failures(checks, s):
-                mu, nu = _tangent(cfg, scene, s)
+                mu, nu = (x[..., 0] for x in random_tangent(scene, [s], **cfg["tangent"]))
                 a, b, total = variation.positivity_certificate(mu, nu, scene)
                 mu_norm = math.sqrt(ip_beltrami(mu, mu, scene.surface).real)
                 nu_norm = math.sqrt(np.sum(scene.endo.w1 * np.abs(nu.reshape(-1)) ** 2))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conventions
-from ._complexes import SOLVE_RTOL, DolbeaultComplex, SolverError, ad, ad_star, lift_to_vertices
+from ._complexes import SOLVE_RTOL, DolbeaultComplex, SolverError, _norms, ad, ad_star, lift_to_vertices
 from .bundle import Scene
 from .calculus import beltrami_d_hol, ip_beltrami
 from .surface import ConformalSurface
@@ -69,8 +69,9 @@ class VariationReport:
 @dataclass(frozen=True)
 class QuadrupleReport:
     """The three systems of one tangent quadruple, with the inputs (the
-    norms of the four slots plus a content digest) and the nine labelled
-    solver stats that all three share."""
+    norms of the four slots plus a content digest) and the stats of the
+    one term solve that all three share, labelled with the nine terms of
+    its columns."""
 
     universal: VariationReport
     fibered: VariationReport
@@ -107,80 +108,61 @@ def _pair(S: ConformalSurface, a01: np.ndarray, b10: np.ndarray) -> complex:
     return complex(np.einsum("f,fab,fba->", w, a01, b10))
 
 
-class _Workspace:
-    """Shared operator state for one variation evaluation."""
-
-    def __init__(self, scene: Scene):
-        self.scene = scene
-        self.S = scene.surface
-        self.cx = scene.endo
-        self.stats: list = []
-
-    def dhol(self, vert: np.ndarray) -> np.ndarray:
-        return self.cx.apply(self.cx.dhol, vert)
-
-    def solve(self, h_vert: np.ndarray, label: str) -> np.ndarray:
-        try:
-            x, st = self.cx.delta0_solve(h_vert)
-        except SolverError as e:
-            raise SolverError(f"{label}: {e}") from e
-        st["term"] = label
-        self.stats.append(st)
-        return x
-
-    def pair(self, a01: np.ndarray, b10: np.ndarray) -> complex:
-        return _pair(self.S, a01, b10)
-
-    @staticmethod
-    def ct(x: np.ndarray) -> np.ndarray:
-        return np.conj(np.swapaxes(x, 1, 2))
-
-    # -- operator variations ---------------------------------------------
-    def dD(self, v: tuple, f_vert: np.ndarray) -> np.ndarray:
-        """(ad(nu) - mu d) applied to a vertex 0-cochain."""
-        mu, nu = v
-        return ad(self.cx, nu, f_vert) - mu[:, None, None] * self.dhol(f_vert)
-
-    def xi(self, v: tuple, alpha: np.ndarray) -> np.ndarray:
-        """d*(mu-bar alpha) - ad_star(nu, alpha) on a (0,1)-form."""
-        mu, nu = v
-        return self.cx.star(self.cx.dhol, np.conj(mu)[:, None, None] * alpha) - ad_star(self.cx, nu, alpha)
-
-    def gauge_potential(self, nua, nub, dmu_a, dmu_b, label: str) -> np.ndarray:
-        """Delta0^{-1} of the lifted gauge-Hessian source for slot pair (a, b),
-        from each slot's nu and the spin-2 derivative of its mu."""
-        rho = self.S.density
-        ctb = self.ct(nub)
-        src = (
-            nua @ ctb
-            - ctb @ nua
-            - dmu_a[:, None, None] * ctb
-            - np.conj(dmu_b)[:, None, None] * nua
-        )
-        src *= conventions.GAUGE_SOURCE_CALIBRATION / rho[:, None, None]
-        lifted = lift_to_vertices(self.cx, self.S, src)
-        return self.solve(lifted, label)
+def _ct(x: np.ndarray) -> np.ndarray:
+    """Pointwise conjugate transpose of (sites, n, n) values."""
+    return np.conj(np.swapaxes(x, 1, 2))
 
 
-def _harmonic_defect(cx: DolbeaultComplex, x: np.ndarray, abs_dbar) -> float:
-    """|dbar* x| / |(|dbar*| |x|)| with ``abs_dbar`` = |dbar|: roundoff for
-    x in ker dbar*, of order one for raw data, 0 for x = 0 and NaN for
-    non-finite x."""
-    scale = np.linalg.norm(cx.star(abs_dbar, np.abs(x)))
-    return float(np.linalg.norm(cx.star(cx.dbar, x)) / max(scale, 1e-300))
+# -- operator variations and the gauge source --------------------------------
+
+
+def _dD(cx: DolbeaultComplex, v: tuple, f_vert: np.ndarray) -> np.ndarray:
+    """(ad(nu) - mu d) applied to a vertex 0-cochain."""
+    mu, nu = v
+    return ad(cx, nu, f_vert) - mu[:, None, None] * cx.apply(cx.dhol, f_vert)
+
+
+def _xi(cx: DolbeaultComplex, v: tuple, alpha: np.ndarray) -> np.ndarray:
+    """d*(mu-bar alpha) - ad_star(nu, alpha) on a (0,1)-form."""
+    mu, nu = v
+    return cx.star(cx.dhol, np.conj(mu)[:, None, None] * alpha) - ad_star(cx, nu, alpha)
+
+
+def _gauge_source(cx: DolbeaultComplex, S: ConformalSurface, nua, nub, dmu_a, dmu_b) -> np.ndarray:
+    """The lifted gauge-Hessian source for slot pair (a, b), from each
+    slot's nu and the spin-2 derivative of its mu; Delta0^{-1} of it is
+    the gauge potential G_ab."""
+    ctb = _ct(nub)
+    src = nua @ ctb - ctb @ nua - dmu_a[:, None, None] * ctb - np.conj(dmu_b)[:, None, None] * nua
+    src *= conventions.GAUGE_SOURCE_CALIBRATION / S.density[:, None, None]
+    return lift_to_vertices(cx, S, src)
+
+
+def _harmonic_defect(cx: DolbeaultComplex, x: np.ndarray, abs_dbar) -> np.ndarray:
+    """|dbar* x| / |(|dbar*| |x|)| of each column of a vector or (N, k)
+    block x, with ``abs_dbar`` = |dbar|: roundoff for x in ker dbar*, of
+    order one for raw data, 0 for x = 0 and NaN for non-finite x."""
+    X = x.reshape(len(x), -1)
+    scale = _norms(cx.star(abs_dbar, np.abs(X)))
+    return _norms(cx.star(cx.dbar, X)) / np.maximum(scale, 1e-300)
 
 
 def _check_inputs(scene: Scene, vectors, harmonic: bool = False):
     """Shapes of the (mu, nu) pairs; with ``harmonic``, each mu must be in
-    ker D* of ``scene.tangent`` and each nu in ker dbar* of ``scene.endo``."""
+    ker D* of ``scene.tangent`` and each nu in ker dbar* of ``scene.endo``.
+    The slots are checked as one block per complex, and the first
+    non-harmonic slot is named, its mu before its nu."""
     F, n = scene.surface.n_faces, scene.cocycle.rank
     if any(np.shape(mu) != (F,) or np.shape(nu) != (F, n, n) for mu, nu in vectors):
         raise VariationInputError("tangent vector does not match surface/rank")
-    kernels = [("mu", scene.tangent), ("nu", scene.endo)] if harmonic else []
-    abs_dbar = [abs(cx.dbar) for _, cx in kernels]  # once per complex, not per slot
-    for slot, (mu, nu) in enumerate(vectors, start=1):
-        for (name, cx), a, x in zip(kernels, abs_dbar, (mu, nu)):
-            defect = _harmonic_defect(cx, x, a)
+    if not harmonic:
+        return
+    defects = [
+        _harmonic_defect(cx, np.stack([v[i] for v in vectors], axis=-1).reshape(-1, len(vectors)), abs(cx.dbar))
+        for i, cx in enumerate((scene.tangent, scene.endo))
+    ]
+    for slot, slot_defects in enumerate(zip(*defects), start=1):
+        for name, defect in zip(("mu", "nu"), slot_defects):
             if not (defect <= SOLVE_RTOL):
                 raise VariationInputError(f"slot {slot}: {name} is not harmonic (defect {defect:.1e})")
 
@@ -198,7 +180,7 @@ def metric_g(v1: tuple, v2: tuple, scene: Scene) -> complex:
     (mu1, nu1), (mu2, nu2) = v1, v2
     S = scene.surface
     # i * (wedge pairing of nu1 with star(conj(nu2)^T)), star dz = -i dz
-    bundle_term = 1j * _pair(S, nu1, conventions.STAR_DZ * _Workspace.ct(nu2))
+    bundle_term = 1j * _pair(S, nu1, conventions.STAR_DZ * _ct(nu2))
     return ip_beltrami(mu1, mu2, S) + bundle_term
 
 
@@ -221,13 +203,11 @@ def first_variation(
     (mu1, nu1), (mu2, nu2) = v1, v2
     if system == "universal":
         d_eps = _pair(S, nu, np.conj(mu2)[:, None, None] * nu1)
-        d_eps_bar = _pair(S, mu1[:, None, None] * _Workspace.ct(nu), _Workspace.ct(nu2))
+        d_eps_bar = _pair(S, mu1[:, None, None] * _ct(nu), _ct(nu2))
     elif system == "fibered":
         w = conventions.WEDGE_AREA_FACTOR * S.area
         d_eps = complex(np.sum(w * np.conj(mu2) * np.einsum("fab,fba->f", nu1, nu)))
-        d_eps_bar = complex(
-            np.sum(w * mu1 * np.einsum("fab,fba->f", _Workspace.ct(nu), _Workspace.ct(nu2)))
-        )
+        d_eps_bar = complex(np.sum(w * mu1 * np.einsum("fab,fba->f", _ct(nu), _ct(nu2))))
     else:
         raise VariationInputError(f"unknown coordinate system {system!r}")
     return d_eps, d_eps_bar
@@ -236,76 +216,89 @@ def first_variation(
 # ---------------------------------------------------------------------------
 # second variations
 
+# The nine restricted solves of a quadruple, in the column order of its one
+# solve block: the five of the universal terms, then the four fibered-only.
+_TERM_SOLVES = ("gauge_12", "gauge_21", "opvar_proj", "opvar_mu3", "opvar_mu4",
+                "new_tei_mu3", "new_tei_mu4", "new_opvar_mu3_bar", "new_opvar_mu4_bar")
 
-def _universal_terms(ws: _Workspace, v1, v2, v3, v4) -> list:
-    (mu1, nu1), (mu2, nu2), (mu3, nu3), (mu4, nu4) = v1, v2, v3, v4
-    ct = ws.ct
-    dmu1, dmu2 = (beltrami_d_hol(mu, ws.scene) for mu in (mu1, mu2))
-    G12 = ws.gauge_potential(nu1, nu2, dmu1, dmu2, "gauge_12")
-    G21 = ws.gauge_potential(nu2, nu1, dmu2, dmu1, "gauge_21")
-    y_xi = ws.solve(ws.xi(v2, nu3), "opvar_proj")
-    y_m3 = ws.solve(ws.cx.star(ws.cx.dbar, mu3[:, None, None] * ct(nu2)), "opvar_mu3")
-    y_m4 = ws.solve(ws.cx.star(ws.cx.dbar, mu4[:, None, None] * ct(nu1)), "opvar_mu4")
-    terms = [
-        ("opvar_proj", ws.pair(ws.dD(v1, y_xi), ct(nu4))),
+
+def _term_sources(scene: Scene, vectors):
+    """Yield the (V, n, n) right-hand side of each term solve, in the
+    order of ``_TERM_SOLVES``."""
+    (mu1, nu1), (mu2, nu2), (mu3, nu3), (mu4, nu4) = vectors
+    S, cx = scene.surface, scene.endo
+    dmu1, dmu2 = (beltrami_d_hol(mu, scene) for mu in (mu1, mu2))
+    yield _gauge_source(cx, S, nu1, nu2, dmu1, dmu2)
+    yield _gauge_source(cx, S, nu2, nu1, dmu2, dmu1)
+    yield _xi(cx, vectors[1], nu3)
+    yield cx.star(cx.dbar, mu3[:, None, None] * _ct(nu2))
+    yield cx.star(cx.dbar, mu4[:, None, None] * _ct(nu1))
+    yield cx.star(cx.dhol, np.conj(mu2)[:, None, None] * nu1)
+    yield cx.star(cx.dhol, np.conj(mu1)[:, None, None] * nu2)
+    yield cx.star(cx.dbar, mu1[:, None, None] * _ct(nu2))
+    yield cx.star(cx.dbar, mu2[:, None, None] * _ct(nu1))
+
+
+def _terms(scene: Scene, vectors, y: dict) -> tuple[list, list]:
+    """The ten universal terms and the four integrals present only in the
+    fibered coordinates, from the term solves ``y`` by label."""
+    (mu1, nu1), (mu2, nu2), (mu3, nu3), (mu4, nu4) = vectors
+    S, cx = scene.surface, scene.endo
+
+    def d(label):
+        return cx.apply(cx.dhol, y[label])
+
+    universal = [
+        ("opvar_proj", _pair(S, _dD(cx, vectors[0], y["opvar_proj"]), _ct(nu4))),
         # [B G12, nu3] = -ad(nu3) G12
-        ("gauge_ad", ws.pair(-ad(ws.cx, nu3, G12), ct(nu4))),
-        ("density_cross", -ws.pair((mu1 * np.conj(mu2))[:, None, None] * nu3, ct(nu4))),
-        ("opvar_mu3", ws.pair(ws.dD(v1, y_m3), ct(nu4))),
-        ("gauge_mu3", ws.pair(mu3[:, None, None] * ws.dhol(G12), ct(nu4))),
-        ("cross_mu3", ws.pair((np.conj(mu2) * mu3)[:, None, None] * nu1, ct(nu4))),
-        ("opvar_mu4", ws.pair(nu3, ct(ws.dD(v2, y_m4)))),
-        ("gauge_mu4", ws.pair(nu3, ct(mu4[:, None, None] * ws.dhol(G21)))),
-        ("cross_mu4", ws.pair(nu3, ct((np.conj(mu1) * mu4)[:, None, None] * nu2))),
-        ("bilinear", ws.pair(mu3[:, None, None] * ct(nu2), np.conj(mu4)[:, None, None] * nu1)),
+        ("gauge_ad", _pair(S, -ad(cx, nu3, y["gauge_12"]), _ct(nu4))),
+        ("density_cross", -_pair(S, (mu1 * np.conj(mu2))[:, None, None] * nu3, _ct(nu4))),
+        ("opvar_mu3", _pair(S, _dD(cx, vectors[0], y["opvar_mu3"]), _ct(nu4))),
+        ("gauge_mu3", _pair(S, mu3[:, None, None] * d("gauge_12"), _ct(nu4))),
+        ("cross_mu3", _pair(S, (np.conj(mu2) * mu3)[:, None, None] * nu1, _ct(nu4))),
+        ("opvar_mu4", _pair(S, nu3, _ct(_dD(cx, vectors[1], y["opvar_mu4"])))),
+        ("gauge_mu4", _pair(S, nu3, _ct(mu4[:, None, None] * d("gauge_21")))),
+        ("cross_mu4", _pair(S, nu3, _ct((np.conj(mu1) * mu4)[:, None, None] * nu2))),
+        ("bilinear", _pair(S, mu3[:, None, None] * _ct(nu2), np.conj(mu4)[:, None, None] * nu1)),
     ]
-    return terms
-
-
-def _fibered_extra_terms(ws: _Workspace, v1, v2, v3, v4) -> list:
-    """The four integrals present only in the fibered coordinates."""
-    (mu1, nu1), (mu2, nu2), (mu3, nu3), (mu4, nu4) = v1, v2, v3, v4
-    ct = ws.ct
-    y_t3 = ws.solve(ws.cx.star(ws.cx.dhol, np.conj(mu2)[:, None, None] * nu1), "new_tei_mu3")
-    y_t4 = ws.solve(ws.cx.star(ws.cx.dhol, np.conj(mu1)[:, None, None] * nu2), "new_tei_mu4")
-    y_b3 = ws.solve(ws.cx.star(ws.cx.dbar, mu1[:, None, None] * ct(nu2)), "new_opvar_mu3_bar")
-    y_b4 = ws.solve(ws.cx.star(ws.cx.dbar, mu2[:, None, None] * ct(nu1)), "new_opvar_mu4_bar")
-    return [
-        ("new_tei_mu3", -ws.pair(mu3[:, None, None] * ws.dhol(y_t3), ct(nu4))),
-        ("new_tei_mu4", -ws.pair(nu3, ct(mu4[:, None, None] * ws.dhol(y_t4)))),
-        ("new_opvar_mu3_bar", -ws.pair(mu3[:, None, None] * ws.dhol(y_b3), ct(nu4))),
-        ("new_opvar_mu4_bar", -ws.pair(nu3, ct(mu4[:, None, None] * ws.dhol(y_b4)))),
+    extra = [
+        ("new_tei_mu3", -_pair(S, mu3[:, None, None] * d("new_tei_mu3"), _ct(nu4))),
+        ("new_tei_mu4", -_pair(S, nu3, _ct(mu4[:, None, None] * d("new_tei_mu4")))),
+        ("new_opvar_mu3_bar", -_pair(S, mu3[:, None, None] * d("new_opvar_mu3_bar"), _ct(nu4))),
+        ("new_opvar_mu4_bar", -_pair(S, nu3, _ct(mu4[:, None, None] * d("new_opvar_mu4_bar")))),
     ]
+    return universal, extra
 
 
 _REMOVED_IN_FIBERED = ("cross_mu3", "cross_mu4")
 
 
-def evaluate_quadruple(
-    v1: tuple,
-    v2: tuple,
-    v3: tuple,
-    v4: tuple,
-    scene: Scene,
-) -> QuadrupleReport:
+def evaluate_quadruple(v1: tuple, v2: tuple, v3: tuple, v4: tuple, scene: Scene) -> QuadrupleReport:
     """Mixed second derivative of the metric in both coordinate systems,
     and their difference, for one tangent quadruple.
 
     The ten universal (joint-coordinate) and four fibered-only terms are
-    evaluated once, with one solve per term label (nine), and the three
-    systems are views of that term table.  The fibered system drops the
-    two cross terms and adds the four solve-based integrals; the
-    difference (universal minus fibered) lists the removed cross terms
-    with plus sign and the four new terms with minus.  Every total is
-    C-linear in slots 1 and 3, conjugate-linear in slots 2 and 4, and
-    Hermitian under (1<->2, 3<->4) with conjugation.  Every slot must be
-    harmonic to SOLVE_RTOL (see ``_harmonic_defect``).
+    evaluated once, from one solve of the nine columns of ``_TERM_SOLVES``
+    (a failure names the term of its column), and the three systems are
+    views of that term table.  The fibered system drops the two cross
+    terms and adds the four solve-based integrals; the difference
+    (universal minus fibered) lists the removed cross terms with plus
+    sign and the four new terms with minus.  Every total is C-linear in
+    slots 1 and 3, conjugate-linear in slots 2 and 4, and Hermitian under
+    (1<->2, 3<->4) with conjugation.  Every slot must be harmonic to
+    SOLVE_RTOL (see ``_harmonic_defect``).
     """
     vectors = (v1, v2, v3, v4)
     _check_inputs(scene, vectors, harmonic=True)
-    ws = _Workspace(scene)
-    universal = _universal_terms(ws, *vectors)
-    extra = _fibered_extra_terms(ws, *vectors)
+    cx = scene.endo
+    h = np.empty((cx.n_vertices, cx.m, cx.m, len(_TERM_SOLVES)), dtype=complex)
+    for j, src in enumerate(_term_sources(scene, vectors)):
+        h[..., j] = src
+    try:
+        x, stats = cx.delta0_solve(h)
+    except SolverError as e:
+        raise SolverError(f"{_TERM_SOLVES[e.column or 0]}: {e}", column=e.column) from e
+    universal, extra = _terms(scene, vectors, dict(zip(_TERM_SOLVES, np.moveaxis(x, -1, 0))))
     inputs = {
         "digest": _inputs_digest([mu for mu, _ in vectors] + [nu for _, nu in vectors]),
         "mu_norms": [float(np.linalg.norm(mu)) for mu, _ in vectors],
@@ -320,7 +313,7 @@ def evaluate_quadruple(
         fibered=VariationReport("fibered", tuple(fibered)),
         difference=VariationReport("difference", tuple(difference)),
         inputs=inputs,
-        solver_stats=tuple(ws.stats),
+        solver_stats=({"terms": list(_TERM_SOLVES), **stats},),
     )
 
 
@@ -328,11 +321,7 @@ def evaluate_quadruple(
 # positivity certificate
 
 
-def positivity_certificate(
-    mu2: np.ndarray,
-    nu1: np.ndarray,
-    scene: Scene,
-) -> tuple[float, float, float]:
+def positivity_certificate(mu2: np.ndarray, nu1: np.ndarray, scene: Scene) -> tuple[float, float, float]:
     """Split of the restricted coordinate difference into two manifestly
     nonnegative pieces.
 
@@ -342,11 +331,11 @@ def positivity_certificate(
     mu3 = mu2, rest zero.
     """
     _check_inputs(scene, [(mu2, nu1)])
-    ws = _Workspace(scene)
-    h = ws.cx.star(ws.cx.dhol, np.conj(mu2)[:, None, None] * nu1)
-    x = ws.solve(h, "positivity_a")
-    term_a = complex(np.sum(ws.cx.w0.reshape(x.shape) * x * np.conj(h)))
-    term_b = _pair(ws.S, (np.abs(mu2) ** 2)[:, None, None] * nu1, _Workspace.ct(nu1))
+    cx = scene.endo
+    h = cx.star(cx.dhol, np.conj(mu2)[:, None, None] * nu1)
+    x, _ = cx.delta0_solve(h)
+    term_a = complex(np.sum(cx.w0.reshape(x.shape) * x * np.conj(h)))
+    term_b = _pair(scene.surface, (np.abs(mu2) ** 2)[:, None, None] * nu1, _ct(nu1))
     scale = max(abs(term_a), abs(term_b), 1e-300)
     if abs(term_a.imag) > 1e-10 * scale or abs(term_b.imag) > 1e-10 * scale:
         logger.warning(

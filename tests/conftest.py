@@ -3,6 +3,7 @@ import pytest
 
 from modulilab import bundle as bnd
 from modulilab.surface import build_polygon_gluing, equip_conformal, refine
+from modulilab.tangent import random_tangent
 
 
 @pytest.fixture(scope="session")
@@ -118,3 +119,10 @@ def ip(w, x, y):
 def random_cochain(rng, sites, n):
     """Gaussian End(E)-valued cochain: (sites, n, n) complex, on vertices or faces."""
     return rng.standard_normal((sites, n, n)) + 1j * rng.standard_normal((sites, n, n))
+
+
+def one_tangent(scene, seed, mu_scale=1.0, nu_scale=1.0):
+    """The harmonic tangent (mu, nu) of one seed: the one column of
+    ``random_tangent(scene, [seed])``."""
+    mu, nu = random_tangent(scene, [seed], mu_scale, nu_scale)
+    return mu[:, 0], nu[..., 0]

@@ -16,8 +16,7 @@ from modulilab import bundle as bnd
 from modulilab import cli
 from modulilab import oracle, variation as var
 from modulilab.bundle import Scene
-from modulilab.tangent import random_tangent
-from conftest import dense_delta0_inverse, ip, random_cochain
+from conftest import dense_delta0_inverse, ip, one_tangent, random_cochain
 
 
 def _line(criterion: str, ok: bool, detail: str) -> bool:
@@ -86,9 +85,9 @@ def test_criterion_04_first_variation_agreement(su2_scene):
     worst = 0.0
     biggest = 0.0
     for k in range(200):
-        v_dir = random_tangent(su2_scene, seed=3 * k)
-        v1 = random_tangent(su2_scene, seed=3 * k + 1)
-        v2 = random_tangent(su2_scene, seed=3 * k + 2)
+        v_dir = one_tangent(su2_scene, 3 * k)
+        v1 = one_tangent(su2_scene, 3 * k + 1)
+        v2 = one_tangent(su2_scene, 3 * k + 2)
         du = var.first_variation(v_dir, v1, v2, su2_scene, "universal")
         df = var.first_variation(v_dir, v1, v2, su2_scene, "fibered")
         for a, b in zip(du, df):
@@ -106,7 +105,7 @@ def test_criterion_05_second_variation_structure(su2_scene):
     worst_sum = 0.0
     worst_herm = 0.0
     for k in range(50):
-        vs = [random_tangent(su2_scene, seed=1000 + 4 * k + i) for i in range(4)]
+        vs = [one_tangent(su2_scene, 1000 + 4 * k + i) for i in range(4)]
         q = var.evaluate_quadruple(*vs, su2_scene)
         q_sw = var.evaluate_quadruple(vs[1], vs[0], vs[3], vs[2], su2_scene)
         for rep, rep_sw in ((q.universal, q_sw.universal), (q.fibered, q_sw.fibered)):
@@ -125,7 +124,7 @@ def test_criterion_05_second_variation_structure(su2_scene):
 
 
 def test_criterion_06_coordinate_difference(su2_scene):
-    vs = [random_tangent(su2_scene, seed=90 + i) for i in range(4)]
+    vs = [one_tangent(su2_scene, 90 + i) for i in range(4)]
     uni, fib, dif = var.evaluate_quadruple(*vs, su2_scene).systems
     scale = max(abs(uni.total), abs(fib.total), 1.0)
     recon = abs(dif.total - (uni.total - fib.total)) / scale
@@ -138,8 +137,8 @@ def test_criterion_06_coordinate_difference(su2_scene):
     worst_imag = 0.0
     all_positive = True
     for k in range(50):
-        nu1 = random_tangent(su2_scene, seed=5000 + 2 * k)[1]
-        mu2 = random_tangent(su2_scene, seed=5001 + 2 * k)[0]
+        nu1 = one_tangent(su2_scene, 5000 + 2 * k)[1]
+        mu2 = one_tangent(su2_scene, 5001 + 2 * k)[0]
         v1 = (zmu, nu1)
         v2 = (mu2, znu)
         d = var.evaluate_quadruple(v1, v2, v2, v1, su2_scene).difference
@@ -169,8 +168,8 @@ def test_criterion_07_positivity_decomposition(su2_scene):
     worst_recon = 0.0
     sign_ok = True
     for k in range(50):
-        nu1 = random_tangent(su2_scene, seed=7000 + 2 * k)[1]
-        mu2 = random_tangent(su2_scene, seed=7001 + 2 * k)[0]
+        nu1 = one_tangent(su2_scene, 7000 + 2 * k)[1]
+        mu2 = one_tangent(su2_scene, 7001 + 2 * k)[0]
         a, b, total = var.positivity_certificate(mu2, nu1, su2_scene)
         sign_ok = sign_ok and a >= -1e-12 * max(abs(total), 1.0) and b > 0.0
         v1 = (zmu, nu1)
@@ -198,7 +197,7 @@ def test_criterion_08_projector_derivative(su2_scene_r1):
 
 
 def test_criterion_09_rank1_mu_zero_vanishing(triv1_scene):
-    vs = [random_tangent(triv1_scene, seed=i, mu_scale=0.0) for i in range(4)]
+    vs = [one_tangent(triv1_scene, i, mu_scale=0.0) for i in range(4)]
     q = var.evaluate_quadruple(*vs, triv1_scene)
     uni, fib = q.universal, q.fibered
     worst = max(abs(v) for _, v in uni.terms + fib.terms)

@@ -653,13 +653,13 @@ def test_scene_builds_each_complex_on_first_use(surf_hyp_r1, su2_r1):
     # each of the two complexes is built once per scene, the surface's
     # geometry once per surface, and the second variations need no
     # complex beyond them; a freshly equipped surface has no cache yet
-    from modulilab.tangent import random_tangent
+    from conftest import one_tangent
     from modulilab.variation import evaluate_quadruple, positivity_certificate
 
     S = equip_conformal(surf_hyp_r1.mesh, layout="stored", density="hyperbolic")
     scene = Scene(S, su2_r1)
     assert not {"endo", "tangent"} & set(vars(scene)) and "grad_bar" not in vars(S)
-    v = random_tangent(scene, seed=0)
+    v = one_tangent(scene, 0)
     positivity_certificate(*v, scene)
     assert {"endo", "tangent"} <= set(vars(scene)) and "grad_bar" in vars(S)
     built = (S.grad_bar, scene.endo, scene.tangent)
@@ -673,11 +673,11 @@ def test_dropped_scene_frees_its_surface(fan2_r1, su2_r1):
     import gc
     import weakref
 
-    from modulilab.tangent import random_tangent
+    from conftest import one_tangent
 
     S = equip_conformal(fan2_r1, layout="stored", density="hyperbolic")
     scene = Scene(S, su2_r1)
-    v = random_tangent(scene, seed=0)
+    v = one_tangent(scene, 0)
     x, _ = scene.endo.delta0_solve(np.ones(scene.endo.w0.shape[0], dtype=complex))
     refs = [weakref.ref(obj) for obj in (S, scene.endo, scene.tangent)]
     del S, scene, v, x

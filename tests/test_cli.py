@@ -303,7 +303,12 @@ def test_second_variation_cmd_and_determinism(tmp_path, cfg_path):
         assert len(s["universal"]["terms"]) == 10
         assert len(s["fibered"]["terms"]) == 12
         assert len(s["difference"]["terms"]) == 6
-        assert len(s["solver_stats"]) == 9
+        (stats,) = s["solver_stats"]
+        assert stats["terms"] == [
+            "gauge_12", "gauge_21", "opvar_proj", "opvar_mu3", "opvar_mu4",
+            "new_tei_mu3", "new_tei_mu4", "new_opvar_mu3_bar", "new_opvar_mu4_bar",
+        ]
+        assert set(stats) == {"terms", "kernel_removed", "residual", "method", "factor_reused"}
         assert set(s["inputs_manifest"]) == {"mu_norms", "nu_norms"}
 
 
@@ -471,7 +476,7 @@ def test_solver_failure_is_a_failing_check(tmp_path, cmd):
     # names its error, and report.json stays strict JSON.  The overflow
     # warns nothing, so that warnings turned into errors change nothing.
     cases = [
-        (1e300, [0], "SolverError: mu projection: ", ()),
+        (1e300, [0], "SolverError: mu projection of tangent seed 0: ", ()),
         (1e160, [0, 1], "FloatingPointError", ()),
         (1e160, [0, 1], "FloatingPointError", ("-W", "error")),
     ]
@@ -665,9 +670,10 @@ def test_valid_typed_fields_load(tmp_path):
 
 
 def test_cli_seed_solves_once_per_term(monkeypatch, tmp_path):
-    # one CLI seed: two harmonic projections per sampled tangent (8 solves)
-    # and one solve per term label (9), on exactly two factorizations: one
-    # for End(E), one for the tangent complex
+    # one CLI seed: one harmonic projection of the block of four sampled
+    # tangents on each complex (2 solves) and one solve of the nine term
+    # columns, on exactly two factorizations: one for End(E), one for the
+    # tangent complex
     from modulilab import _complexes, cli
     from modulilab._complexes import DolbeaultComplex
 
@@ -688,12 +694,13 @@ def test_cli_seed_solves_once_per_term(monkeypatch, tmp_path):
     monkeypatch.setattr(_complexes.spla, "splu", counted_splu)
     quad = cli._sample_reports(cfg, scene, 3)
     endo, tangent = scene.endo, scene.tangent
-    assert len(calls) == 17
-    assert calls.count(tangent) == 4 and calls.count(endo) == 13
+    assert len(calls) == 3
+    assert calls.count(tangent) == 1 and calls.count(endo) == 2
     assert sorted(factored) == sorted(cx.w0.shape[0] + cx.kernel.shape[1] for cx in (endo, tangent))
-    assert all(st["factor_reused"] for st in quad.solver_stats)
-    # the five universal solves first, then the four fibered-only ones
-    assert [st["term"] for st in quad.solver_stats] == [
+    (stats,) = quad.solver_stats
+    assert stats["factor_reused"]
+    # the five universal columns first, then the four fibered-only ones
+    assert stats["terms"] == [
         "gauge_12", "gauge_21", "opvar_proj", "opvar_mu3", "opvar_mu4",
         "new_tei_mu3", "new_tei_mu4", "new_opvar_mu3_bar", "new_opvar_mu4_bar",
     ]

@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 
 from modulilab import tangent as tg
+from modulilab._complexes import SolverError
 from modulilab.calculus import ip_beltrami
-from conftest import dense_star, harmonic_basis, random_cochain
+from conftest import dense_star, harmonic_basis, one_tangent, random_cochain
 
 
 def _gaussian(rng, F):
@@ -38,7 +40,7 @@ def test_projection_orthogonal_to_exact(su2_scene, rng):
 
 
 def test_ks_center_fixes_harmonic(su2_scene):
-    mu, nu = tg.random_tangent(su2_scene, seed=3)
+    mu, nu = one_tangent(su2_scene, 3)
     out_mu, out_nu = tg.ks_center(mu, nu, su2_scene)
     assert np.linalg.norm(out_mu - mu) <= 1e-8 * np.linalg.norm(mu)
     assert np.linalg.norm(out_nu - nu) <= 1e-8 * np.linalg.norm(nu)
@@ -68,12 +70,40 @@ def test_ks_center_complex_linear(su2_scene, rng):
 
 
 def test_random_tangent_reproducible(su2_scene):
-    mu1, nu1 = tg.random_tangent(su2_scene, seed=42)
-    mu2, nu2 = tg.random_tangent(su2_scene, seed=42)
+    mu1, nu1 = one_tangent(su2_scene, 42)
+    mu2, nu2 = one_tangent(su2_scene, 42)
     assert np.array_equal(mu1, mu2)
     assert np.array_equal(nu1, nu2)
-    mu3, nu3 = tg.random_tangent(su2_scene, seed=42, mu_scale=0.0, nu_scale=0.0)
+    mu3, nu3 = one_tangent(su2_scene, 42, mu_scale=0.0, nu_scale=0.0)
     assert np.linalg.norm(mu3) == 0.0 and np.linalg.norm(nu3) == 0.0
+
+
+def test_random_tangent_block_columns_are_one_seed_draws(su2_scene):
+    # column j of a block is the one-seed draw of seeds[j], whatever the
+    # other seeds of the block are
+    F = su2_scene.surface.n_faces
+    for seeds in ([31, 7, 1000], [1000, 5, 31, 7]):
+        mu, nu = tg.random_tangent(su2_scene, seeds, mu_scale=0.5, nu_scale=2.0)
+        assert mu.shape == (F, len(seeds)) and nu.shape == (F, 2, 2, len(seeds))
+        for j, seed in enumerate(seeds):
+            one_mu, one_nu = one_tangent(su2_scene, seed, mu_scale=0.5, nu_scale=2.0)
+            assert np.linalg.norm(mu[:, j] - one_mu) <= 1e-13 * np.linalg.norm(one_mu)
+            assert np.linalg.norm(nu[..., j] - one_nu) <= 1e-13 * np.linalg.norm(one_nu)
+
+
+def test_failed_projection_names_the_tangent_seed(su2_scene, monkeypatch):
+    # only the column of seed 31 draws non-finite data: its projection
+    # fails, and the error names that seed and carries its column
+    class NanDraws:
+        def standard_normal(self, size):
+            return np.full(size, np.nan)
+
+    draw = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: NanDraws() if seed == 31 else draw(seed))
+    with pytest.raises(SolverError) as err:
+        tg.random_tangent(su2_scene, [30, 31, 32])
+    assert str(err.value) == "mu projection of tangent seed 31: solve relative residual nan exceeds 1e-08"
+    assert err.value.column == 1
 
 
 def _check_harmonic_basis(cx, smooth_dim):

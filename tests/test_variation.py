@@ -9,11 +9,12 @@ from modulilab import variation as var
 from modulilab._complexes import endo_complex
 from modulilab.calculus import beltrami_d_hol
 from modulilab.bundle import Scene
-from modulilab.tangent import random_tangent
+
+from conftest import one_tangent
 
 
 def quad(scene, base_seed, **kw):
-    return [random_tangent(scene, seed=base_seed + i, **kw) for i in range(4)]
+    return [one_tangent(scene, base_seed + i, **kw) for i in range(4)]
 
 
 def zero_tv(scene):
@@ -31,22 +32,22 @@ def scale_tv(v, lam):
 
 def test_metric_positive_definite(su2_scene):
     for seed in range(5):
-        v = random_tangent(su2_scene, seed=seed)
+        v = one_tangent(su2_scene, seed)
         g = var.metric_g(v, v, su2_scene)
         assert g.real > 0 and abs(g.imag) <= 1e-12 * g.real
 
 
 def test_metric_hermitian(su2_scene):
-    v1 = random_tangent(su2_scene, seed=1)
-    v2 = random_tangent(su2_scene, seed=2)
+    v1 = one_tangent(su2_scene, 1)
+    v2 = one_tangent(su2_scene, 2)
     g12 = var.metric_g(v1, v2, su2_scene)
     g21 = var.metric_g(v2, v1, su2_scene)
     assert abs(g12 - np.conj(g21)) <= 1e-12 * max(abs(g12), 1.0)
 
 
 def test_metric_blocks_orthogonal(su2_scene):
-    v1 = random_tangent(su2_scene, seed=3)
-    v2 = random_tangent(su2_scene, seed=4)
+    v1 = one_tangent(su2_scene, 3)
+    v2 = one_tangent(su2_scene, 4)
     zmu, znu = zero_tv(su2_scene)
     mu_only = (v1[0], znu)
     nu_only = (zmu, v2[1])
@@ -57,8 +58,8 @@ def test_metric_blocks_orthogonal(su2_scene):
 
 
 def test_first_variation_zero_direction_nu(su2_scene):
-    v1 = random_tangent(su2_scene, seed=1)
-    v2 = random_tangent(su2_scene, seed=2)
+    v1 = one_tangent(su2_scene, 1)
+    v2 = one_tangent(su2_scene, 2)
     v_dir = (v1[0], zero_tv(su2_scene)[1])
     for system in ("universal", "fibered"):
         d, db = var.first_variation(v_dir, v1, v2, su2_scene, system)
@@ -132,35 +133,30 @@ def test_shared_terms_equal(su2_scene):
 
 
 def test_evaluate_quadruple_matches_separate_evaluations(su2_scene):
-    # each system recomputed on a workspace of its own, as the term
-    # functions define it
+    # the reference: each term right-hand side solved on its own as a
+    # vector, and each system assembled from its terms as defined
     vs = quad(su2_scene, 17)
     q = var.evaluate_quadruple(*vs, su2_scene)
-
-    def workspace_terms(extra):
-        ws = var._Workspace(su2_scene)
-        terms = var._universal_terms(ws, *vs)
-        return terms, (var._fibered_extra_terms(ws, *vs) if extra else [])
-
-    shared, _ = workspace_terms(False)
-    shared_f, extra_f = workspace_terms(True)
-    shared_d, extra_d = workspace_terms(True)
+    cx = su2_scene.endo
+    y = {label: cx.delta0_solve(h)[0] for label, h in zip(var._TERM_SOLVES, var._term_sources(su2_scene, vs))}
+    shared, extra = var._terms(su2_scene, vs, y)
     removed = var._REMOVED_IN_FIBERED
     fresh = [
         shared,
-        [t for t in shared_f if t[0] not in removed] + extra_f,
-        [(f"removed_{n}", v) for n, v in shared_d if n in removed] + [(f"added_{n}", -v) for n, v in extra_d],
+        [t for t in shared if t[0] not in removed] + extra,
+        [(f"removed_{n}", v) for n, v in shared if n in removed] + [(f"added_{n}", -v) for n, v in extra],
     ]
     for rep, terms in zip(q.systems, fresh):
         scale = max(abs(v) for _, v in rep.terms)
         ref = dict(terms)
         assert [n for n, _ in rep.terms] == list(ref)
         assert max(abs(v - ref[n]) for n, v in rep.terms) <= 1e-12 * scale
-    # one solve per term label: the five universal ones, then the four
-    # fibered-only ones
-    labels = [st["term"] for st in q.solver_stats]
-    assert labels[:5] == ["gauge_12", "gauge_21", "opvar_proj", "opvar_mu3", "opvar_mu4"]
-    assert labels[5:] == [name for name, _ in extra_f]
+        assert abs(rep.total - sum(ref.values())) <= 1e-12 * scale
+    # one block solve whose columns are the term labels: the five
+    # universal ones, then the four fibered-only ones
+    (stats,) = q.solver_stats
+    assert stats["terms"][:5] == ["gauge_12", "gauge_21", "opvar_proj", "opvar_mu3", "opvar_mu4"]
+    assert stats["terms"][5:] == [name for name, _ in extra]
     uni, fib, dif = q.systems
     assert dif.total == pytest.approx(uni.total - fib.total, rel=1e-12, abs=1e-12 * abs(uni.total))
 
@@ -190,6 +186,10 @@ def test_requires_harmonic_data(su2_scene, rng):
     for bad, what in (((raw_mu, nu), "mu"), ((mu, raw_nu), "nu"), ((mu, nan_nu), "nu")):
         with pytest.raises(var.VariationInputError, match=f"slot 1: {what} is not harmonic"):
             var.evaluate_quadruple(bad, *rest, su2_scene)
+    # the slots are checked as one block, but the first failing slot in
+    # slot order is named: slot 1 nu before slot 2 mu
+    with pytest.raises(var.VariationInputError, match="slot 1: nu is not harmonic"):
+        var.evaluate_quadruple((mu, raw_nu), (raw_mu, rest[0][1]), *rest[1:], su2_scene)
     # the defect is scale-free: zero and rescaled harmonic tangents pass
     z = zero_tv(su2_scene)
     var.evaluate_quadruple(z, z, z, z, su2_scene)
@@ -205,7 +205,7 @@ def test_harmonic_defect_scale(su2_scene, rng):
         return var._harmonic_defect(cx, x, abs(cx.dbar))
 
     for seed in range(4):
-        mu, nu = random_tangent(su2_scene, seed=seed)
+        mu, nu = one_tangent(su2_scene, seed)
         assert defect(tan, mu) <= 1e-14
         assert defect(endo, nu.reshape(-1)) <= 1e-14
     raw = rng.standard_normal(F) + 1j * rng.standard_normal(F)
@@ -248,7 +248,7 @@ def test_positivity_zero_inputs(su2_scene):
     F = su2_scene.surface.n_faces
     zero_mu = np.zeros(F, dtype=complex)
     zero_nu = np.zeros((F, 2, 2), dtype=complex)
-    mu, nu = random_tangent(su2_scene, seed=1)
+    mu, nu = one_tangent(su2_scene, 1)
     assert var.positivity_certificate(zero_mu, nu, su2_scene) == (0.0, 0.0, 0.0)
     a, b, t = var.positivity_certificate(mu, zero_nu, su2_scene)
     assert a <= 1e-20 and b == 0.0 and t <= 1e-20
@@ -256,8 +256,8 @@ def test_positivity_zero_inputs(su2_scene):
 
 def test_positivity_random_presets(su2_scene):
     for seed in range(8):
-        va = random_tangent(su2_scene, seed=500 + seed)
-        vb = random_tangent(su2_scene, seed=600 + seed)
+        va = one_tangent(su2_scene, 500 + seed)
+        vb = one_tangent(su2_scene, 600 + seed)
         a, b, total = var.positivity_certificate(vb[0], va[1], su2_scene)
         assert a >= -1e-12 * max(total, 1.0)
         assert b > 0.0
@@ -265,8 +265,8 @@ def test_positivity_random_presets(su2_scene):
 
 
 def test_positivity_matches_restricted_difference(su2_scene):
-    va = random_tangent(su2_scene, seed=71)
-    vb = random_tangent(su2_scene, seed=72)
+    va = one_tangent(su2_scene, 71)
+    vb = one_tangent(su2_scene, 72)
     nu1, mu2 = va[1], vb[0]
     a, b, total = var.positivity_certificate(mu2, nu1, su2_scene)
     zmu, znu = zero_tv(su2_scene)
@@ -299,7 +299,9 @@ def test_report_json_schema(su2_scene):
         assert set(d[system]) == {"terms", "total"}
         for t in d[system]["terms"]:
             assert set(t) == {"name", "re", "im"}
-    assert len(d["solver_stats"]) == 9
+    (stats,) = d["solver_stats"]
+    assert set(stats) == {"terms", "kernel_removed", "residual", "method", "factor_reused"}
+    assert stats["terms"] == list(var._TERM_SOLVES)
     assert len(d["inputs_manifest"]["mu_norms"]) == 4
     assert json.loads(blob) == d
 
@@ -329,26 +331,26 @@ def test_operator_variation_adjoint_pair(su2_scene, rng):
     # the (0,1)-side variation is minus the exact adjoint of the
     # 0-cochain-side variation, which is what makes the Hermitian
     # pairing of the solve-based terms exact
-    ws = var._Workspace(su2_scene)
-    v = random_tangent(su2_scene, seed=77)
+    cx = su2_scene.endo
+    v = one_tangent(su2_scene, 77)
     V, F = su2_scene.surface.n_vertices, su2_scene.surface.n_faces
     f = rng.standard_normal((V, 2, 2)) + 1j * rng.standard_normal((V, 2, 2))
     a = rng.standard_normal((F, 2, 2)) + 1j * rng.standard_normal((F, 2, 2))
-    lhs = np.sum(ws.cx.w1 * ws.dD(v, f).reshape(-1) * np.conj(a.reshape(-1)))
-    rhs = np.sum(ws.cx.w0 * f.reshape(-1) * np.conj(ws.xi(v, a).reshape(-1)))
+    lhs = np.sum(cx.w1 * var._dD(cx, v, f).reshape(-1) * np.conj(a.reshape(-1)))
+    rhs = np.sum(cx.w0 * f.reshape(-1) * np.conj(var._xi(cx, v, a).reshape(-1)))
     assert abs(lhs + rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
 
 def test_gauge_potential_conjugation_symmetry(su2_scene):
     # G(a,b) and G(b,a) are pointwise conjugate transposes; this is the
     # discrete content of differentiating a Hermitian quantity
-    ws = var._Workspace(su2_scene)
-    va = random_tangent(su2_scene, seed=81)
-    vb = random_tangent(su2_scene, seed=82)
+    cx, S = su2_scene.endo, su2_scene.surface
+    va = one_tangent(su2_scene, 81)
+    vb = one_tangent(su2_scene, 82)
     (mua, nua), (mub, nub) = va, vb
     dmu_a, dmu_b = beltrami_d_hol(mua, su2_scene), beltrami_d_hol(mub, su2_scene)
-    g_ab = ws.gauge_potential(nua, nub, dmu_a, dmu_b, "ab")
-    g_ba = ws.gauge_potential(nub, nua, dmu_b, dmu_a, "ba")
+    g_ab = cx.delta0_solve(var._gauge_source(cx, S, nua, nub, dmu_a, dmu_b))[0]
+    g_ba = cx.delta0_solve(var._gauge_source(cx, S, nub, nua, dmu_b, dmu_a))[0]
     flip = np.conj(np.swapaxes(g_ba, 1, 2))
     assert np.linalg.norm(g_ab - flip) <= 1e-10 * np.linalg.norm(g_ab)
 
@@ -356,13 +358,16 @@ def test_gauge_potential_conjugation_symmetry(su2_scene):
 def test_solver_stats_log_kernel_projection(su2_scene):
     vs = quad(su2_scene, 19)
     rep = var.evaluate_quadruple(*vs, su2_scene)
-    assert len(rep.solver_stats) == 9
-    for st in rep.solver_stats:
-        assert {"term", "kernel_removed", "residual", "method", "factor_reused"} <= set(st)
-        assert "iterations" not in st
-        assert st["method"] == "splu"
-    # every solve after the first of a quadruple reuses one factorization
-    assert all(st["factor_reused"] for st in rep.solver_stats[1:])
+    # one entry: the one block solve of the nine term columns
+    (st,) = rep.solver_stats
+    assert {"terms", "kernel_removed", "residual", "method", "factor_reused"} <= set(st)
+    assert st["terms"] == list(var._TERM_SOLVES)
+    assert "iterations" not in st
+    assert st["method"] == "splu"
+    assert isinstance(st["residual"], float) and 0.0 <= st["residual"] <= 1e-8
+    assert isinstance(st["kernel_removed"], float)
+    # the term solve reuses the factorization of the tangents' projection
+    assert st["factor_reused"]
 
 
 def test_failed_term_solve_names_its_term(su2_scene, monkeypatch):
@@ -376,6 +381,26 @@ def test_failed_term_solve_names_its_term(su2_scene, monkeypatch):
         var.evaluate_quadruple(*vs, su2_scene)
     assert str(err.value).startswith("gauge_12: solve relative residual ")
     assert str(err.value).endswith(" exceeds 0e+00")
+    assert err.value.column == 0
+
+
+def test_failed_later_column_names_its_term(su2_scene, monkeypatch):
+    # a non-finite source in the opvar_mu4 column alone fails only that
+    # column of the block solve, and the error names that term
+    from modulilab import _complexes
+
+    vs = quad(su2_scene, 0)
+    sources = var._term_sources
+
+    def poisoned(scene, vectors):
+        for label, h in zip(var._TERM_SOLVES, sources(scene, vectors)):
+            yield np.full_like(h, np.nan) if label == "opvar_mu4" else h
+
+    monkeypatch.setattr(var, "_term_sources", poisoned)
+    with pytest.raises(_complexes.SolverError) as err:
+        var.evaluate_quadruple(*vs, su2_scene)
+    assert str(err.value) == "opvar_mu4: solve relative residual nan exceeds 1e-08"
+    assert err.value.column == var._TERM_SOLVES.index("opvar_mu4")
 
 
 def test_solver_stats_factor_reuse_on_fresh_complex(su2_scene, rng, monkeypatch):
@@ -405,7 +430,7 @@ def test_genus3_pipeline(rng):
     assert bnd2._commutant(c1).shape[1] == 1
     scene = Scene(S, c1)
     assert oracle.DenseFrame(scene.endo).kernel.shape[1] == 1
-    vs = [random_tangent(scene, seed=i) for i in range(4)]
+    vs = [one_tangent(scene, i) for i in range(4)]
     uni, fib, dif = var.evaluate_quadruple(*vs, scene).systems
     assert abs(dif.total - (uni.total - fib.total)) <= 1e-10 * max(abs(uni.total), 1.0)
     sw = var.evaluate_quadruple(vs[1], vs[0], vs[3], vs[2], scene).universal
@@ -450,7 +475,7 @@ def test_gauge_naturality(fan2_r1, surf_hyp_r1, su2_r1, rng):
         return mu, np.einsum("fab,fbc,fdc->fad", Gf, nu, np.conj(Gf))
 
     old, new = Scene(surf_hyp_r1, su2_r1), Scene(surf_hyp_r1, moved)
-    vs = [random_tangent(old, seed=40 + i) for i in range(4)]
+    vs = [one_tangent(old, 40 + i) for i in range(4)]
     pushed = [push(v) for v in vs]
     g_old = var.metric_g(vs[0], vs[1], old)
     g_new = var.metric_g(pushed[0], pushed[1], new)
