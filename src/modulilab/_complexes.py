@@ -116,17 +116,6 @@ class DolbeaultComplex:
         return _gram(self, self.dbar)
 
     # -- kernel-restricted solves --------------------------------------------
-    def project_off_kernel(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        """Remove each column's w0-orthogonal projection onto the kernel.
-
-        Returns the projected x and the norm of the removed part (the
-        largest over the columns).
-        """
-        K = self.kernel
-        X = self._read(x, K.shape[0])
-        coef = K.conj().T @ (self.w0[:, None] * X)
-        return _layout(X - K @ coef, x), float(np.max(_norms(coef)))
-
     @functools.cached_property
     def lu(self):
         """Sparse LU of the kernel-bordered Hermitian system
@@ -145,26 +134,28 @@ class DolbeaultComplex:
         for each column of h.
 
         One sparse LU per complex (see ``lu``), reused by every later
-        solve, and one multi-column solve for all columns; raises
+        solve, and one multi-column solve of [W0 h, 0] for all columns.
+        W0 L is Hermitian and L K = 0, so the border unknowns are the
+        kernel coefficients K^H W0 h and L x = h - K coef: the border
+        splits off the kernel, with no separate projection.  Raises
         SolverError, carrying the first failing ``column``, when
-        |L x - rhs| of a column exceeds ``SOLVE_RTOL`` times |h| of that
-        column.  The stats carry the largest residual and removed kernel
-        norm over the columns.
+        |L x + K coef - h| of a column exceeds ``SOLVE_RTOL`` times |h|
+        of that column.  The stats carry the largest residual and removed
+        kernel norm |coef| over the columns.
         """
         reused = "lu" in self.__dict__
         lu = self.lu
         H = self._read(h, self.w0.shape[0])
-        rhs, removed = self.project_off_kernel(H)
-        n = rhs.shape[0]
-        b = np.zeros((lu.shape[0], rhs.shape[1]), dtype=complex)
-        b[:n] = self.w0[:, None] * rhs
-        x = lu.solve(b)[:n]
-        # relative to h: projecting h off the kernel leaves roundoff of
-        # order eps*|h| that no x can match, which would swamp a tiny rhs
-        res = _norms(self.laplacian @ x - rhs) / np.maximum(_norms(H), 1e-300)
+        n = H.shape[0]
+        b = np.zeros((lu.shape[0], H.shape[1]), dtype=complex)
+        b[:n] = self.w0[:, None] * H
+        y = lu.solve(b)
+        x, coef = y[:n], y[n:]
+        res = _norms(self.laplacian @ x + self.kernel @ coef - H) / np.maximum(_norms(H), 1e-300)
         if not np.all(res <= SOLVE_RTOL):
             j = int(np.argmin(res <= SOLVE_RTOL))  # the first failing column
             raise SolverError(f"solve relative residual {res[j]:.3e} exceeds {SOLVE_RTOL:.0e}", column=j)
+        removed = float(np.max(_norms(coef)))
         stats = {"kernel_removed": removed, "method": "splu", "residual": float(np.max(res)), "factor_reused": reused}
         return _layout(x, h), stats
 
@@ -276,10 +267,12 @@ def vertex_to_face(cx: DolbeaultComplex, x: np.ndarray) -> np.ndarray:
 def lift_to_vertices(cx: DolbeaultComplex, S: ConformalSurface, x_face: np.ndarray) -> np.ndarray:
     """Area-weighted average of a face field onto vertices, transported
     into vertex frames: diag(1/lumped area) B^H diag(area) per m^2 entry,
-    applied through the transpose of B like ``star``; returns (V, m, m)."""
-    y = S.area[:, None, None] * x_face.reshape(cx.n_faces, cx.m, cx.m)
-    x = np.conj(cx.corner_avg.T @ np.conj(y.reshape(-1))).reshape(cx.n_vertices, cx.m, cx.m)
-    return x / S.lumped(S.area)[:, None, None]
+    applied through the transpose of B like ``star``, in the layout of
+    ``x_face`` (see ``DolbeaultComplex``)."""
+    m2 = cx.m * cx.m
+    y = np.repeat(S.area, m2)[:, None] * cx._read(x_face, cx.corner_avg.shape[0])
+    x = np.conj(cx.corner_avg.T @ np.conj(y)) / np.repeat(S.lumped(S.area), m2)[:, None]
+    return _layout(x, x_face)
 
 
 def ad(cx: DolbeaultComplex, nu: np.ndarray, f: np.ndarray) -> np.ndarray:

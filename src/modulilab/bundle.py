@@ -128,6 +128,7 @@ def from_generators(
     last face, whose holonomy is that product.  Transports: identity on a
     spanning spoke tree seeded by the recursion that makes every fan face
     flat, generator matrices on the sides; the twist lands on the last face.
+    The spoke recursion forms the relation product, and it is gated there.
     """
     g = mesh.genus
     if len(generators) != 2 * g:
@@ -143,15 +144,6 @@ def from_generators(
             raise CocycleError("generator size mismatch")
         if np.linalg.norm(G.conj().T @ G - eye) > UNITARITY_TOL:
             raise CocycleError("generator is not unitary")
-    zeta = cmath.exp(2j * cmath.pi * d / n)
-    rel = eye.copy()
-    for j in range(g):
-        A, B = gens[2 * j], gens[2 * j + 1]
-        rel = rel @ (A @ B @ A.conj().T @ B.conj().T)
-    residual = float(np.linalg.norm(rel - zeta * eye))
-    if residual > FLATNESS_TOL:
-        raise RelationError(residual)
-
     S = 4 * g
     # side s of block b = s // 4 carries (Bj^-1, Aj^-1, Bj, Aj)[s % 4] with
     # j = g - b, so the last-face holonomy is the ascending commutator
@@ -163,11 +155,14 @@ def from_generators(
     directed[1::3] = side
     given[0::3] = given[1::3] = True
     # spokes: S_0 = I and S_{i+1} = W_i S_i keeps faces 0..S-2 exactly flat;
-    # the last face then carries the full relation product.
+    # the last face then carries the full relation product, the last spoke
     spoke = eye.copy()
     for i in range(S):
         directed[3 * i] = spoke
         spoke = side[i] @ spoke
+    residual = float(np.linalg.norm(spoke - cmath.exp(2j * cmath.pi * d / n) * eye))
+    if residual > FLATNESS_TOL:
+        raise RelationError(residual)
     U = _store(mesh, directed, given)
     c = UnitaryCocycle(
         mesh=mesh,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._complexes import lift_to_vertices
+from ._complexes import _layout, lift_to_vertices
 from .bundle import Scene
 from .surface import ConformalSurface
 
@@ -23,7 +23,8 @@ def ip_beltrami(mu1: np.ndarray, mu2: np.ndarray, surface: ConformalSurface) -> 
 
 
 def beltrami_d_hol(mu: np.ndarray, scene: Scene) -> np.ndarray:
-    """Face-wise d/dz of a Beltrami coefficient (tensor weight 2).
+    """Face-wise d/dz of a Beltrami coefficient (tensor weight 2), of an
+    (F,) vector or each column of an (F, k) block, in its layout.
 
     Deterministic two-step stencil: lift to the vertex frames by
     transported area-weighted averaging, then P1-differentiate in each
@@ -35,6 +36,7 @@ def beltrami_d_hol(mu: np.ndarray, scene: Scene) -> np.ndarray:
     weight is fs[f]^2 with fs = face_spin, while D and L carry fs[f] and
     conj(fs[f]) once each, so the spin-2 operator is fs D L (conj(fs) mu).
     """
-    tangent, fs = scene.tangent, scene.surface.face_spin
-    lifted = lift_to_vertices(tangent, scene.surface, np.conj(fs) * mu)
-    return fs * (tangent.dhol @ lifted.reshape(-1))
+    tangent, fs = scene.tangent, scene.surface.face_spin[:, None]
+    M = tangent._read(mu, tangent.n_faces)
+    lifted = lift_to_vertices(tangent, scene.surface, np.conj(fs) * M)
+    return _layout(fs * tangent.apply(tangent.dhol, lifted), mu)

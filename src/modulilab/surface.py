@@ -40,7 +40,8 @@ class HalfEdgeMesh:
     (``next_index``).  ``layout`` optionally carries per-face corner
     positions of the construction layout (the stored charts, and the
     hyperbolic density policy).  ``parent`` is the mesh that ``refine``
-    subdivided into this one, to pull transports back.
+    subdivided into this one, to pull transports back.  A mesh is
+    checked once, on construction (``validate_mesh``).
     """
 
     origin: np.ndarray
@@ -49,6 +50,9 @@ class HalfEdgeMesh:
     n_vertices: int
     layout: Optional[np.ndarray] = None
     parent: Optional["HalfEdgeMesh"] = None
+
+    def __post_init__(self):
+        validate_mesh(self)
 
     @property
     def n_half_edges(self) -> int:
@@ -201,9 +205,7 @@ def build_polygon_gluing(genus: int) -> HalfEdgeMesh:
     # corners one scalar exp at a time: a vectorized exp may round differently
     corners = np.array([R * cmath.exp(2j * math.pi * k / S) for k in range(S)])
     layout = np.stack([np.zeros(S, dtype=complex), corners, np.roll(corners, -1)], axis=1)
-    mesh = HalfEdgeMesh(origin=origin, twin=twin, genus=genus, n_vertices=2, layout=layout)
-    validate_mesh(mesh)
-    return mesh
+    return HalfEdgeMesh(origin=origin, twin=twin, genus=genus, n_vertices=2, layout=layout)
 
 
 def split_half_edges(n_half_edges: int) -> tuple[np.ndarray, np.ndarray]:
@@ -231,7 +233,6 @@ def refine(mesh: HalfEdgeMesh) -> HalfEdgeMesh:
     3f+k) are, in order: (v0,m0,m2), (v1,m1,m0), (v2,m2,m1) and the
     central (m0,m1,m2).  Genus and layout shape are preserved.
     """
-    validate_mesh(mesh)
     H, F, V = mesh.n_half_edges, mesh.n_faces, mesh.n_vertices
     edge_mid = V + mesh.edge_index()  # (H,) midpoint vertex per half-edge
     origin = _children(mesh.origin.reshape(F, 3), edge_mid.reshape(F, 3)).reshape(-1)
@@ -250,7 +251,7 @@ def refine(mesh: HalfEdgeMesh) -> HalfEdgeMesh:
     if mesh.layout is not None:
         z = mesh.layout
         layout = _children(z, (z + np.roll(z, -1, axis=1)) / 2.0)
-    out = HalfEdgeMesh(
+    return HalfEdgeMesh(
         origin=origin,
         twin=twin,
         genus=mesh.genus,
@@ -258,8 +259,6 @@ def refine(mesh: HalfEdgeMesh) -> HalfEdgeMesh:
         layout=layout,
         parent=mesh,
     )
-    validate_mesh(out)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +379,6 @@ def equip_conformal(
     density: "uniform" sets rho = 1; "hyperbolic" pulls back the Poincare
     density at the stored-layout barycenter (requires a stored layout).
     """
-    validate_mesh(mesh)
     F = mesh.n_faces
     v = mesh.origin.reshape(F, 3)
     repeated = np.flatnonzero((v[:, 0] == v[:, 1]) | (v[:, 1] == v[:, 2]) | (v[:, 2] == v[:, 0]))
@@ -552,6 +550,4 @@ def load_mesh(path) -> HalfEdgeMesh:
     origin, twin = np.array([[he[h][1][k] for h in range(3 * F)] for k in (1, 2)], dtype=np.int64)
     if layout is not None:
         layout = np.array([layout[f][1][1] for f in range(F)]).view(complex)
-    mesh = HalfEdgeMesh(origin=origin, twin=twin, genus=genus, n_vertices=V, layout=layout)
-    validate_mesh(mesh)
-    return mesh
+    return HalfEdgeMesh(origin=origin, twin=twin, genus=genus, n_vertices=V, layout=layout)

@@ -36,13 +36,15 @@ def random_tangent(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reproducible block of harmonic tangents (projected Gaussian data):
     column j is drawn from its own ``default_rng(seeds[j])``, mu real,
-    mu imag, nu real, nu imag, so it does not depend on the other seeds."""
+    mu imag, nu real, nu imag, so it does not depend on the other seeds.
+    Both LUs are factored first, so no block is alive while they are."""
+    scene.tangent.lu, scene.endo.lu
     F, n, k = scene.surface.n_faces, scene.cocycle.rank, len(seeds)
     mu, nu = np.empty((F, k), dtype=complex), np.empty((F, n, n, k), dtype=complex)
     for j, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         mu[:, j] = rng.standard_normal(F) + 1j * rng.standard_normal(F)
         nu[..., j] = rng.standard_normal((F, n, n)) + 1j * rng.standard_normal((F, n, n))
-    mu *= mu_scale  # in place: no second copy of the block is alive when the LU is factored
+    mu *= mu_scale  # in place: no second copy of the block
     nu *= nu_scale
     return ks_center(mu, nu, scene, [f"tangent seed {s}" for s in seeds])

@@ -184,32 +184,17 @@ def metric_g(v1: tuple, v2: tuple, scene: Scene) -> complex:
     return ip_beltrami(mu1, mu2, S) + bundle_term
 
 
-def first_variation(
-    v_dir: tuple,
-    v1: tuple,
-    v2: tuple,
-    scene: Scene,
-    system: str = "universal",
-) -> tuple[complex, complex]:
+def first_variation(v_dir: tuple, v1: tuple, v2: tuple, scene: Scene) -> tuple[complex, complex]:
     """Holomorphic and antiholomorphic first derivatives of the metric
-    at the center, in direction ``v_dir``.
-
-    The two coordinate systems give the same integrals; they are summed
-    in different orders here so the comparison is not vacuous.
+    at the center, in direction ``v_dir``, each one wedge pairing
+    (``_pair``).  The two coordinate systems give the same integrals.
     """
     _check_inputs(scene, (v_dir, v1, v2))
     S = scene.surface
     nu = v_dir[1]
     (mu1, nu1), (mu2, nu2) = v1, v2
-    if system == "universal":
-        d_eps = _pair(S, nu, np.conj(mu2)[:, None, None] * nu1)
-        d_eps_bar = _pair(S, mu1[:, None, None] * _ct(nu), _ct(nu2))
-    elif system == "fibered":
-        w = conventions.WEDGE_AREA_FACTOR * S.area
-        d_eps = complex(np.sum(w * np.conj(mu2) * np.einsum("fab,fba->f", nu1, nu)))
-        d_eps_bar = complex(np.sum(w * mu1 * np.einsum("fab,fba->f", _ct(nu), _ct(nu2))))
-    else:
-        raise VariationInputError(f"unknown coordinate system {system!r}")
+    d_eps = _pair(S, nu, np.conj(mu2)[:, None, None] * nu1)
+    d_eps_bar = _pair(S, mu1[:, None, None] * _ct(nu), _ct(nu2))
     return d_eps, d_eps_bar
 
 
@@ -227,7 +212,7 @@ def _term_sources(scene: Scene, vectors):
     order of ``_TERM_SOLVES``."""
     (mu1, nu1), (mu2, nu2), (mu3, nu3), (mu4, nu4) = vectors
     S, cx = scene.surface, scene.endo
-    dmu1, dmu2 = (beltrami_d_hol(mu, scene) for mu in (mu1, mu2))
+    dmu1, dmu2 = beltrami_d_hol(np.stack((mu1, mu2), axis=-1), scene).T
     yield _gauge_source(cx, S, nu1, nu2, dmu1, dmu2)
     yield _gauge_source(cx, S, nu2, nu1, dmu2, dmu1)
     yield _xi(cx, vectors[1], nu3)

@@ -81,26 +81,6 @@ def test_criterion_03_oracle_equivalence(su2_scene, rng):
     assert _line("3 oracle equivalence", ok, f"max rel diff {worst:.2e} over 100 rhs")
 
 
-def test_criterion_04_first_variation_agreement(su2_scene):
-    worst = 0.0
-    biggest = 0.0
-    for k in range(200):
-        v_dir = one_tangent(su2_scene, 3 * k)
-        v1 = one_tangent(su2_scene, 3 * k + 1)
-        v2 = one_tangent(su2_scene, 3 * k + 2)
-        du = var.first_variation(v_dir, v1, v2, su2_scene, "universal")
-        df = var.first_variation(v_dir, v1, v2, su2_scene, "fibered")
-        for a, b in zip(du, df):
-            worst = max(worst, abs(a - b) / max(abs(a), 1e-8))
-            biggest = max(biggest, abs(a))
-    ok = worst <= 1e-12 and biggest > 1e-3  # values must be genuinely nonzero
-    assert _line(
-        "4 first-variation agreement",
-        ok,
-        f"max rel diff {worst:.2e} over 200 inputs (largest value {biggest:.2e})",
-    )
-
-
 def test_criterion_05_second_variation_structure(su2_scene):
     worst_sum = 0.0
     worst_herm = 0.0

@@ -165,8 +165,8 @@ def test_adjointness(su2_scene, rng):
 
 def test_delta0_inverse_roundtrip(su2_scene, rng):
     cx = su2_scene.endo
-    g = random_cochain(rng, cx.n_vertices, 2)
-    gperp, _ = cx.project_off_kernel(g.reshape(-1))
+    g = random_cochain(rng, cx.n_vertices, 2).reshape(-1)
+    gperp = g - cx.kernel @ (cx.kernel.conj().T @ (cx.w0 * g))
     back, _ = cx.delta0_solve(cx.laplacian @ gperp)
     assert np.linalg.norm(back - gperp) <= 1e-8 * np.linalg.norm(gperp)
 
@@ -189,14 +189,14 @@ def test_delta0_factorized_matches_dense_oracle(su2_scene, rng):
 
 
 def _parent_solve(cx, h):
-    """delta0_solve of a vector, written out as it was before blocks."""
-    K, n = cx.kernel, h.shape[0]
-    coef = K.conj().T @ (cx.w0 * h)
-    rhs = h - K @ coef
+    """delta0_solve of a vector, written out for one vector: the bordered
+    solve of [W0 h, 0], whose border unknowns are the kernel coefficients."""
+    n = h.shape[0]
     b = np.zeros(cx.lu.shape[0], dtype=complex)
-    b[:n] = cx.w0 * rhs
-    x = cx.lu.solve(b)[:n]
-    res = float(np.linalg.norm(cx.laplacian @ x - rhs) / max(np.linalg.norm(h), 1e-300))
+    b[:n] = cx.w0 * h
+    y = cx.lu.solve(b)
+    x, coef = y[:n], y[n:]
+    res = float(np.linalg.norm(cx.laplacian @ x + cx.kernel @ coef - h) / max(np.linalg.norm(h), 1e-300))
     return x, {"kernel_removed": float(np.linalg.norm(coef)), "method": "splu", "residual": res, "factor_reused": True}
 
 
@@ -248,7 +248,6 @@ def test_complex_methods_keep_the_callers_layout(su2_scene_r1, rng):
         calls = [
             (lambda x: cx.star(cx.dbar, x), F, V),
             (lambda x: cx.apply(cx.dbar, x), V, F),
-            (lambda x: cx.project_off_kernel(x)[0], V, V),
             (lambda x: cx.delta0_solve(x)[0], V, V),
             (cx.harmonic_project, F, F),
         ]
@@ -270,7 +269,6 @@ def test_complex_refuses_a_layout_that_does_not_fit(su2_scene_r1):
     calls = [
         (lambda x: cx.star(cx.dbar, x), np.ones(2 * N1)),
         (lambda x: cx.apply(cx.dbar, x), np.ones(2 * N0)),
-        (lambda x: cx.project_off_kernel(x), np.ones(2 * N0)),
         (lambda x: cx.delta0_solve(x), np.ones(2 * N0)),
         (lambda x: cx.apply(cx.dbar, x), np.ones((cx.n_vertices, 1, 4))),
         (lambda x: cx.star(cx.dbar, x), np.ones((cx.n_faces, 2, 2, 1, 1))),
@@ -287,6 +285,20 @@ def test_block_solve_gates_each_column(su2_scene, rng):
     verts[0, 1] = np.nan
     with pytest.raises(SolverError, match="residual nan"):
         cx.delta0_solve(verts)
+
+
+def test_kernel_removed_is_the_border_of_the_solve(su2_scene, surf_hyp, triv2_r2, rng):
+    # the border unknowns of the bordered solve are the kernel coefficients
+    # K^H W0 h of each column: kernel_removed is the largest of their norms
+    triv2 = Scene(surf_hyp, triv2_r2).endo
+    assert triv2.kernel.shape[1] == 4
+    for cx in (su2_scene.endo, triv2):
+        h = np.column_stack([random_cochain(rng, cx.n_vertices, cx.m).reshape(-1) for _ in range(3)])
+        h[:, 1] += cx.kernel @ (rng.standard_normal(cx.kernel.shape[1]) * np.sqrt(np.sum(cx.w0)))
+        coef = cx.kernel.conj().T @ (cx.w0[:, None] * h)
+        want = max(np.linalg.norm(c) for c in coef.T)
+        _, stats = cx.delta0_solve(h)
+        assert abs(stats["kernel_removed"] - want) <= 1e-12 * want
 
 
 def test_harmonic_projection_properties(su2_scene, rng):
@@ -430,6 +442,23 @@ def test_lift_is_area_weighted_adjoint_of_corner_average(request, surf, su2, rng
         lhs = np.einsum("v,vab,vab->", S.lumped(S.area), lift_to_vertices(cx, S, y), np.conj(x))
         rhs = np.einsum("f,fab,fab->", S.area, y, np.conj(vertex_to_face(cx, x)))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+
+@pytest.mark.parametrize("surf, su2", CORNER_SCENES)
+def test_lift_takes_a_block(request, surf, su2, rng):
+    # an (F, m, m, k) or (F m^2, k) block lifts, column by column, bit for
+    # bit as its per-column calls; a misfit is named by its shape
+    S, complexes = _corner_complexes(request, surf, su2)
+    for cx in complexes:
+        y = np.stack([random_cochain(rng, cx.n_faces, cx.m) for _ in range(3)], axis=-1)
+        block = lift_to_vertices(cx, S, y)
+        assert block.shape == (cx.n_vertices, cx.m, cx.m, 3)
+        for j in range(3):
+            assert np.array_equal(block[..., j], lift_to_vertices(cx, S, np.ascontiguousarray(y[..., j])))
+        assert np.array_equal(lift_to_vertices(cx, S, y.reshape(-1, 3)), block.reshape(-1, 3))
+        bad = np.ones((cx.n_faces, cx.m + 1, cx.m + 1, 3))
+        with pytest.raises(ValueError, match=re.escape(f"shape {bad.shape}")):
+            lift_to_vertices(cx, S, bad)
 
 
 @pytest.mark.parametrize("surf, su2", CORNER_SCENES)

@@ -1,6 +1,8 @@
 """Scalar calculus as the rank-1 trivial End(E) complex, the conventions
 table, the wedge pairing and the Beltrami derivative."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -280,6 +282,20 @@ def test_face_gauge_tangent_matches_twisted_reference(fan2, refinements, layout,
     lifted = lift_to_vertices(twisted, scene.surface, np.conj(fs) * mu)
     want = fs * (twisted.dhol @ lifted.reshape(-1))
     assert np.linalg.norm(beltrami_d_hol(mu, scene) - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_beltrami_d_hol_takes_a_block(surf_hyp, rng):
+    # an (F, k) block gives, column by column, its per-column calls bit for
+    # bit; a misfit is named by its shape
+    scene = _spin2(surf_hyp)
+    mu = np.column_stack([_random(rng, surf_hyp.n_faces) for _ in range(3)])
+    block = beltrami_d_hol(mu, scene)
+    assert block.shape == mu.shape
+    for j in range(3):
+        assert np.array_equal(block[:, j], beltrami_d_hol(np.ascontiguousarray(mu[:, j]), scene))
+    bad = np.ones((surf_hyp.n_faces, 2, 2, 3), dtype=complex)
+    with pytest.raises(ValueError, match=re.escape(f"shape {bad.shape}")):
+        beltrami_d_hol(bad, scene)
 
 
 @settings(max_examples=20, deadline=None)

@@ -669,6 +669,30 @@ def test_valid_typed_fields_load(tmp_path):
     assert cfg["bundle"]["n"] is None and cfg["tangent"]["mu_scale"] == 0
 
 
+def test_build_scene_validates_each_mesh_once(monkeypatch, tmp_path):
+    # su2 at r3 constructs five meshes (the fan, the fan that
+    # from_generators compares it with, and three refinements); each is
+    # validated once, on construction, and by nothing else
+    from modulilab import cli, surface
+
+    built, validated = [], []
+    init, validate = surface.HalfEdgeMesh.__init__, surface.validate_mesh
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def counted_validate(mesh):
+        validated.append(mesh)
+        validate(mesh)
+
+    monkeypatch.setattr(surface.HalfEdgeMesh, "__init__", counted_init)
+    monkeypatch.setattr(surface, "validate_mesh", counted_validate)
+    cli.build_scene(cli.load_config(_write(tmp_path, {"mesh": {**CFG_SMALL["mesh"], "refinements": 3}})))
+    assert len(built) == 5
+    assert [id(m) for m in validated] == [id(m) for m in built]
+
+
 def test_cli_seed_solves_once_per_term(monkeypatch, tmp_path):
     # one CLI seed: one harmonic projection of the block of four sampled
     # tangents on each complex (2 solves) and one solve of the nine term

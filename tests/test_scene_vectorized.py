@@ -9,6 +9,7 @@ the validators must name the same first offender.
 
 import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from modulilab.surface import (
     equip_conformal,
     next_index,
     refine,
-    validate_mesh,
     vertex_adjacency,
 )
 from test_bundle import _complex_transport_cocycle
@@ -499,13 +499,13 @@ def _with(mesh, **fields):
 
 
 def test_disconnected_mesh_named(fan2_r1):
+    # a mesh is validated on construction, so the message comes from there
     m = fan2_r1
-    two = _with(
-        m,
+    fields = dict(
         origin=np.concatenate([m.origin, m.origin + m.n_vertices]),
         twin=np.concatenate([m.twin, m.twin + m.n_half_edges]),
         n_vertices=2 * m.n_vertices,
     )
-    assert not _connected_loop(two)
-    assert _message(validate_mesh, two) == "mesh is not connected"
+    assert not _connected_loop(SimpleNamespace(n_half_edges=2 * m.n_half_edges, **fields))
+    assert _message(lambda: _with(m, **fields)) == "mesh is not connected"
 

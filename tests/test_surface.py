@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from modulilab.surface import (
     ChartError,
+    HalfEdgeMesh,
     MeshError,
     RecordFileError,
     UnsupportedGenusError,
@@ -59,6 +60,23 @@ def test_orientation_consistency(fan2_r1):
     for h in range(m.n_half_edges):
         assert m.origin[m.twin[h]] == m.origin[nxt[h]]
         assert nxt[nxt[nxt[h]]] == h
+
+
+def test_mesh_is_validated_at_construction(fan2_r1):
+    # disconnected or non-manifold data raises MeshError at construction,
+    # so no invalid HalfEdgeMesh exists to be passed on
+    m = fan2_r1
+    with pytest.raises(MeshError, match="not connected"):
+        HalfEdgeMesh(
+            origin=np.concatenate([m.origin, m.origin + m.n_vertices]),
+            twin=np.concatenate([m.twin, m.twin + m.n_half_edges]),
+            genus=m.genus,
+            n_vertices=2 * m.n_vertices,
+        )
+    twin = m.twin.copy()
+    twin[[0, 1, 2]] = [1, 2, 0]  # a twin cycle: three half-edges on one edge
+    with pytest.raises(MeshError, match="non-manifold"):
+        HalfEdgeMesh(origin=m.origin, twin=twin, genus=m.genus, n_vertices=m.n_vertices)
 
 
 @settings(max_examples=8, deadline=None)

@@ -130,3 +130,19 @@ def test_harmonic_mu_basis(su2_scene_r1):
     # Beltrami coefficients; the smooth dimension is 3g - 3
     _check_harmonic_basis(su2_scene_r1.tangent, 3 * 2 - 3)
 
+
+def test_lus_are_factored_before_the_tangent_block(surf_hyp_r1, su2_r1, monkeypatch):
+    # both LUs exist when ks_center is entered, so no tangent block is
+    # alive while SuperLU factors
+    from modulilab.bundle import Scene
+
+    scene = Scene(surf_hyp_r1, su2_r1)
+    seen, ks_center = [], tg.ks_center
+
+    def checked(mu, nu, scene, names=None):
+        seen.append(("lu" in scene.endo.__dict__, "lu" in scene.tangent.__dict__))
+        return ks_center(mu, nu, scene, names)
+
+    monkeypatch.setattr(tg, "ks_center", checked)
+    tg.random_tangent(scene, [0, 1])
+    assert seen == [(True, True)]

@@ -61,18 +61,8 @@ def test_first_variation_zero_direction_nu(su2_scene):
     v1 = one_tangent(su2_scene, 1)
     v2 = one_tangent(su2_scene, 2)
     v_dir = (v1[0], zero_tv(su2_scene)[1])
-    for system in ("universal", "fibered"):
-        d, db = var.first_variation(v_dir, v1, v2, su2_scene, system)
-        assert d == 0.0 and db == 0.0
-
-
-def test_first_variation_systems_agree(su2_scene):
-    for seed in range(10):
-        vs = quad(su2_scene, 100 + 10 * seed)
-        du = var.first_variation(vs[0], vs[1], vs[2], su2_scene, "universal")
-        df = var.first_variation(vs[0], vs[1], vs[2], su2_scene, "fibered")
-        for a, b in zip(du, df):
-            assert abs(a - b) <= 1e-12 * max(abs(a), 1e-6)
+    d, db = var.first_variation(v_dir, v1, v2, su2_scene)
+    assert d == 0.0 and db == 0.0
 
 
 def test_first_variation_hermitian_family(su2_scene):
