@@ -28,7 +28,7 @@ from .surface import (
     Kind,
     Reals,
     RecordFileError,
-    build_polygon_gluing,
+    fan_half_edges,
     read_records,
     split_half_edges,
 )
@@ -133,7 +133,7 @@ def from_generators(
     g = mesh.genus
     if len(generators) != 2 * g:
         raise CocycleError(f"need {2 * g} generators for genus {g}")
-    if g < 2 or not mesh.same_combinatorics(build_polygon_gluing(g)):
+    if g < 2 or mesh.n_vertices != 2 or not all(map(np.array_equal, (mesh.origin, mesh.twin), fan_half_edges(g))):
         raise CocycleError(
             "generator cocycles live on the 4g-gon fan; build them there and refine both together"
         )

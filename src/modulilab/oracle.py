@@ -35,11 +35,14 @@ class DenseOperator:
     domain_weight: np.ndarray
     codomain_weight: np.ndarray
 
-    def framed(self) -> np.ndarray:
-        """W_cod^{1/2} M W_dom^{-1/2}: the matrix in the weight-orthonormal
-        frames, where its weighted adjoint is the conjugate transpose."""
-        s_dom, s_cod = np.sqrt(self.domain_weight), np.sqrt(self.codomain_weight)
-        return (self.matrix * (1.0 / s_dom)[None, :]) * s_cod[:, None]
+    def framed_in_place(self) -> np.ndarray:
+        """W_cod^{1/2} M W_dom^{-1/2}, written over ``matrix`` and returned:
+        the matrix in the weight-orthonormal frames, where its weighted
+        adjoint is the conjugate transpose."""
+        M = self.matrix
+        M *= (1.0 / np.sqrt(self.domain_weight))[None, :]
+        M *= np.sqrt(self.codomain_weight)[:, None]
+        return M
 
 
 # name -> (domain weight, codomain weight, action on a flat cochain of the
@@ -60,7 +63,8 @@ MATERIALIZE_BLOCK = 32
 def materialize(op_name: str, scene: Scene, dense_cap: int = 6000) -> DenseOperator:
     """Dense matrix of an operator of the scene's End(E) complex: column
     j is the production operator applied to the j-th unit vector, fed to
-    it in blocks of ``MATERIALIZE_BLOCK`` unit columns."""
+    it in blocks of ``MATERIALIZE_BLOCK`` unit columns.  The matrix is
+    Fortran-ordered: LAPACK's layout, in which each block is contiguous."""
     if op_name not in _OPERATORS:
         raise ValueError(f"unknown operator {op_name!r}")
     dom, cod, apply = _OPERATORS[op_name]
@@ -71,7 +75,7 @@ def materialize(op_name: str, scene: Scene, dense_cap: int = 6000) -> DenseOpera
         raise DenseCapError(
             f"materialize({op_name}): dimension {dom_dim + cod_dim} exceeds dense_cap {dense_cap}"
         )
-    M = np.empty((cod_dim, dom_dim), dtype=complex)
+    M = np.empty((cod_dim, dom_dim), dtype=complex, order="F")
     for j in range(0, dom_dim, MATERIALIZE_BLOCK):
         k = min(MATERIALIZE_BLOCK, dom_dim - j)
         M[:, j : j + k] = apply(cx, np.eye(dom_dim, k, -j, dtype=complex))
@@ -100,7 +104,7 @@ class DenseFrame:
         dim = sum(cx.dbar.shape)
         if dim > dense_cap:
             raise DenseCapError(f"dense frame: dimension {dim} exceeds dense_cap {dense_cap}")
-        self.D = DenseOperator(cx.dbar.toarray(), cx.w0, cx.w1).framed()
+        self.D = DenseOperator(cx.dbar.toarray(), cx.w0, cx.w1).framed_in_place()
         self.lam, self.V = np.linalg.eigh(self.D.conj().T @ self.D)
 
     @property
@@ -121,14 +125,16 @@ def spectral_norm(X: np.ndarray, hermitian: bool = False) -> float:
     """Operator 2-norm of a dense matrix: the square root of the top
     eigenvalue of the smaller Gram matrix (X^H X or X X^H), or, for a
     matrix Hermitian by construction (``hermitian``; only its lower
-    triangle is read), the largest |eigenvalue| of X itself.
+    triangle is read), the largest |eigenvalue| of X itself.  The
+    Hermitian way overwrites X when X is Fortran-ordered, so pass it a
+    temporary; a C-ordered X is copied and left as it was.
 
     The extreme eigenvalues carry the relative accuracy of a
     backward-stable eigensolver, so this agrees with the SVD norm to
     roundoff at a fraction of its cost; through the Gram matrix, for
     norms between about 1e-150 and 1e150 (its entries are squares)."""
     if hermitian:
-        lam = scipy.linalg.eigh(X, lower=True, eigvals_only=True)
+        lam = scipy.linalg.eigh(X, lower=True, eigvals_only=True, overwrite_a=True)
         return float(max(-lam[0], lam[-1], 0.0))
     G = X.conj().T @ X if X.shape[0] >= X.shape[1] else X @ X.conj().T
     k = G.shape[0]
@@ -145,28 +151,47 @@ def certify_operators(scene: Scene, dense_cap: int = 6000) -> dict:
     in the weight-orthonormal frame against its D: the production dbar*
     against D^H, the materialized factorized projection P (P^2 = P,
     P = P^H, P D = 0, trace) and Delta0^{-1} (block solves of unit columns)
-    against the frame's Delta0^+, and the frame's kernel count."""
+    against the frame's Delta0^+, and the frame's kernel count.
+
+    With n0 = dim C^0 and n1 = dim C^{0,1}, at most two n1 x n1 buffers
+    are held at once: P and one of i (P - P^H) and P^2 - P, then, once P
+    is released, P^2 - P and its Gram matrix.  All are Fortran-ordered,
+    so BLAS and LAPACK read them in place.  The frame's V (n0 x n0) is
+    released once Delta0^+ is formed, and its D (n1 x n0) once P D is."""
     frame = DenseFrame(scene.endo, dense_cap)
-    D, lam = frame.D, frame.lam
+    D, lam, rank = frame.D, frame.lam, frame.rank
     # |D|_2 and |Delta0^+|_2 from the frame's eigenvalues
     d_norm = np.sqrt(lam[-1])
-    pinv_norm = 1.0 / lam[-frame.rank]
-    star = materialize("dbar_star", scene, dense_cap=dense_cap).framed()
-    values = {"adjointness_residual": spectral_norm(star - D.conj().T) / d_norm}
+    pinv_norm = 1.0 / lam[-rank]
+    star = materialize("dbar_star", scene, dense_cap=dense_cap).framed_in_place()
+    star -= D.conj().T
+    values = {"adjointness_residual": spectral_norm(star) / d_norm}
     del star
-    X = materialize("delta0_inverse", scene, dense_cap=dense_cap).framed()
-    values["delta0_factorized_vs_dense"] = spectral_norm(X - frame.pinv()) / pinv_norm
-    del X
-    P = materialize("projection", scene, dense_cap=dense_cap).framed()
-    return {
-        **values,
-        "projector_idempotent": spectral_norm(P @ P - P),
-        # i (P - P^H) is Hermitian by construction and has the norm of P - P^H
-        "projector_self_adjoint": spectral_norm(1j * (P - P.conj().T), hermitian=True),
-        "projector_annihilates_dbar": spectral_norm(P @ D) / d_norm,
-        "kernel_dim": int(frame.kernel.shape[1]),
-        "harmonic_nu_dim": int(round(float(np.trace(P).real))),
-    }
+    X = materialize("delta0_inverse", scene, dense_cap=dense_cap).framed_in_place()
+    X -= frame.pinv()
+    values["delta0_factorized_vs_dense"] = spectral_norm(X) / pinv_norm
+    del X, frame
+    P = materialize("projection", scene, dense_cap=dense_cap).framed_in_place()
+    PD = P @ D
+    del D
+    values["projector_annihilates_dbar"] = spectral_norm(PD) / d_norm
+    del PD
+    # i (P - P^H) is Hermitian by construction and has the norm of P - P^H
+    S = np.conjugate(P.T, out=np.empty_like(P))
+    np.subtract(P, S, out=S)
+    S *= 1j
+    values["projector_self_adjoint"] = spectral_norm(S, hermitian=True)
+    del S
+    values["harmonic_nu_dim"] = int(round(float(np.trace(P).real)))
+    R = np.matmul(P, P, out=np.empty_like(P))
+    R -= P
+    del P
+    # |R|_2^2 is the top eigenvalue of the Gram matrix R^H R, formed by
+    # zherk from R in place (the conjugate copy of R^H @ R is avoided)
+    gram = scipy.linalg.blas.zherk(1.0, R, trans=2, lower=1)
+    del R
+    values["projector_idempotent"] = math.sqrt(spectral_norm(gram, hermitian=True))
+    return {**values, "kernel_dim": int(lam.size - rank)}
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +232,13 @@ def projector_derivative_sweep(
     dP(0) = -(N U^H + U N^H), and |dP(0)|_2 = |N|_2 exactly, because
     U^H N = 0.  Each error matrix is Hermitian by construction: only its
     lower triangle is formed, and its norm is its largest |eigenvalue|.
+
+    With n1 = dim C^{0,1} and r the rank of D, the loop holds two
+    n1 x n1 buffers, the Leibniz matrix and one error matrix reused at
+    every step, and three n1 x r ones, D V_r, A V_r and the QR input of
+    the step, which the QR overwrites with Q.  All are Fortran-ordered,
+    so QR, zherk and the eigensolver work on them in place.  The frame
+    (D and V) and A are released once D V_r and A V_r are formed.
     """
     steps = [float(h) for h in steps]
     if not all(h > 0 and math.isfinite(h) for h in steps) or len(set(steps)) < 2:
@@ -219,8 +251,10 @@ def projector_derivative_sweep(
     K = frame.kernel
     A -= (A @ K) @ K.conj().T
     Vr, sigma = frame.V[:, -rank:], np.sqrt(lam[-rank:])
-    DV, AV = D @ Vr, A @ Vr
-    del A
+    # Fortran copies of the products: a matmul into a Fortran ``out`` would
+    # round differently and move the sweep's outputs
+    DV, AV = np.asfortranarray(D @ Vr), np.asfortranarray(A @ Vr)
+    del frame, D, A, K, Vr
     U = DV / sigma
     N = AV / sigma
     N -= U @ (U.conj().T @ N)
@@ -228,16 +262,19 @@ def projector_derivative_sweep(
     # lower triangle of the Leibniz matrix -(N U^H + U N^H)
     leibniz = scipy.linalg.blas.zher2k(-1.0, N, U, lower=1)
     del U, N
+    fd = np.empty_like(leibniz)
     errors = {}
     for h in steps:
-        q_minus = scipy.linalg.qr(DV - h * AV, mode="economic")[0]
-        q_plus = scipy.linalg.qr(DV + h * AV, mode="economic")[0]
-        # (P(h) - P(-h)) / 2h - leibniz, lower triangle
-        fd = scipy.linalg.blas.zherk(0.5 / h, q_minus, beta=-1.0, c=leibniz, lower=1)
-        fd = scipy.linalg.blas.zherk(-0.5 / h, q_plus, beta=1.0, c=fd, lower=1, overwrite_c=1)
-        del q_minus, q_plus
+        # (P(h) - P(-h)) / 2h - leibniz, lower triangle, with P(+-h) =
+        # I - Q Q^H and Q from the QR of DV +- h AV: first fd = Q- Q-^H / 2h
+        # - leibniz, then fd -= Q+ Q+^H / 2h
+        np.copyto(fd, leibniz)
+        for sign, alpha, beta in ((np.subtract, 0.5 / h, -1.0), (np.add, -0.5 / h, 1.0)):
+            q = h * AV
+            q = scipy.linalg.qr(sign(DV, q, out=q), mode="economic", overwrite_a=True)[0]
+            scipy.linalg.blas.zherk(alpha, q, beta=beta, c=fd, lower=1, overwrite_c=1)
+            del q
         err = spectral_norm(fd, hermitian=True)
-        del fd
         if denom == 0.0:
             errors[h] = 0.0 if err == 0.0 else float("inf")
         else:

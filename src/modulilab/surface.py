@@ -179,6 +179,21 @@ def _regular_polygon_radius(genus: int) -> float:
     return math.sqrt((c - 1.0) / (c + 1.0))  # tanh(d/2)
 
 
+def fan_half_edges(genus: int) -> tuple[np.ndarray, np.ndarray]:
+    """``origin`` and ``twin`` of the fan-triangulated 4g-gon gluing
+    (``build_polygon_gluing``), by index arithmetic: face i has the
+    half-edges (spoke_i, side_i, reversed spoke_{i+1}), and side s is
+    glued to side s XOR 2."""
+    S = 4 * genus  # polygon sides = fan faces
+    i = np.arange(S)
+    origin = np.tile(np.array([0, 1, 1], dtype=np.int64), S)
+    twin = np.empty(3 * S, dtype=np.int64)
+    twin[0::3] = 3 * ((i - 1) % S) + 2  # spoke_i appears reversed in face i-1
+    twin[2::3] = 3 * ((i + 1) % S)
+    twin[1::3] = 3 * (i ^ 2) + 1  # side s glued to side s XOR 2
+    return origin, twin
+
+
 def build_polygon_gluing(genus: int) -> HalfEdgeMesh:
     """Standard 4g-gon gluing, fan-triangulated from a center vertex.
 
@@ -194,13 +209,8 @@ def build_polygon_gluing(genus: int) -> HalfEdgeMesh:
     """
     if genus < 2:
         raise UnsupportedGenusError(f"genus must be >= 2, got {genus}")
-    S = 4 * genus  # polygon sides = fan faces
-    i = np.arange(S)
-    origin = np.tile(np.array([0, 1, 1], dtype=np.int64), S)
-    twin = np.empty(3 * S, dtype=np.int64)
-    twin[0::3] = 3 * ((i - 1) % S) + 2  # spoke_i appears reversed in face i-1
-    twin[2::3] = 3 * ((i + 1) % S)
-    twin[1::3] = 3 * (i ^ 2) + 1  # side s glued to side s XOR 2
+    S = 4 * genus
+    origin, twin = fan_half_edges(genus)
     R = _regular_polygon_radius(genus)
     # corners one scalar exp at a time: a vectorized exp may round differently
     corners = np.array([R * cmath.exp(2j * math.pi * k / S) for k in range(S)])

@@ -670,9 +670,9 @@ def test_valid_typed_fields_load(tmp_path):
 
 
 def test_build_scene_validates_each_mesh_once(monkeypatch, tmp_path):
-    # su2 at r3 constructs five meshes (the fan, the fan that
-    # from_generators compares it with, and three refinements); each is
-    # validated once, on construction, and by nothing else
+    # su2 at r3 constructs four meshes (the fan and three refinements;
+    # from_generators compares the fan's arrays without building a second
+    # one); each is validated once, on construction, and by nothing else
     from modulilab import cli, surface
 
     built, validated = [], []
@@ -689,7 +689,7 @@ def test_build_scene_validates_each_mesh_once(monkeypatch, tmp_path):
     monkeypatch.setattr(surface.HalfEdgeMesh, "__init__", counted_init)
     monkeypatch.setattr(surface, "validate_mesh", counted_validate)
     cli.build_scene(cli.load_config(_write(tmp_path, {"mesh": {**CFG_SMALL["mesh"], "refinements": 3}})))
-    assert len(built) == 5
+    assert len(built) == 4
     assert [id(m) for m in validated] == [id(m) for m in built]
 
 

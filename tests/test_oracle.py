@@ -1,5 +1,6 @@
 import ast
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +204,32 @@ def test_spectral_norm_matches_svd(rng, shape, scale, hermitian):
 
 def test_spectral_norm_of_zero_matrix():
     assert oracle.spectral_norm(np.zeros((6, 4), dtype=complex)) == 0.0
+
+
+@pytest.mark.parametrize(
+    "entry, bound",
+    [
+        (lambda scene: oracle.certify_operators(scene), 3.5),
+        (lambda scene: oracle.projector_derivative_sweep(scene.endo), 4.0),
+    ],
+    ids=["certify_operators", "projector_derivative_sweep"],
+)
+def test_dense_entry_point_peak_memory(su2_scene, entry, bound):
+    # the tracemalloc peak of one call, in units of one dense n1 x n1
+    # complex matrix (n1 = dim C^{0,1} = 512 at su2 r2, so 4 MiB): each
+    # full-size buffer is made once and freed after its last reader, and
+    # BLAS and LAPACK read it in place instead of copying it
+    n1 = su2_scene.endo.w1.shape[0]
+    assert n1 == 512
+    entry(su2_scene)  # the scene's factorizations are built and kept outside the measurement
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        entry(su2_scene)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * n1 * n1 * 16, peak / (n1 * n1 * 16)
 
 
 def svd_projector_errors(cx, steps, seed):
