@@ -64,18 +64,19 @@ class DolbeaultComplex:
     """Assembled dbar/d pair with weighted adjoints and restricted solves.
 
     ``w0``/``w1`` are the diagonal L2 weights on 0-cochains and on face
-    forms (per flattened entry).  ``dbar``/``dhol`` map 0-cochains to
-    (0,1)/(1,0) coefficients.  ``corner_avg`` (B) is the barycenter value
-    of the transported corner values, the same corner rule with weight
-    1/3 in place of the P1 gradient.  ``star`` applies weighted adjoints,
-    and ``lift_to_vertices`` the area-weighted adjoint of B.  ``laplacian``
-    is dbar* dbar, the one Laplacian every restricted solve uses; on a
-    flat bundle it equals d* d to roundoff (see ``kahler_residual``).
-    ``kernel`` holds its exact kernel as columns; it is w0-orthonormalized
-    on construction.  The complex owns the cochain layout: ``apply`` (M x),
-    ``star`` and the solves take a vector, an (N, k) block, per-site values
-    (N/m^2, m, m) or a block (N/m^2, m, m, k) of those, and answer in the
-    same layout; any other shape raises ValueError.
+    forms (per flattened entry), paired by ``inner``.  ``dbar``/``dhol`` map
+    0-cochains to (0,1)/(1,0) coefficients.  ``corner_avg`` (B) is the
+    barycenter value of the transported corner values, the same corner rule
+    with weight 1/3 in place of the P1 gradient.  ``star`` applies weighted
+    adjoints, and ``lift_to_vertices`` the area-weighted adjoint of B.
+    ``laplacian`` is dbar* dbar, the one Laplacian every restricted solve
+    uses; on a flat bundle it equals d* d to roundoff (see
+    ``kahler_residual``).  ``kernel`` holds its exact kernel as columns; it
+    is w0-orthonormalized on construction.  The complex owns the cochain
+    layout: ``apply`` (M x), ``star``, ``inner`` and the solves take a
+    vector, an (N, k) block, per-site values (N/m^2, m, m) or a block
+    (N/m^2, m, m, k) of those, and answer in that layout (``inner`` with a
+    number); any other shape raises ValueError.
     """
 
     m: int
@@ -103,6 +104,17 @@ class DolbeaultComplex:
         applied through the transpose of M; the adjoint is never stored."""
         Y = self._read(y, M.shape[0])
         return _layout(np.conj(M.T @ np.conj(self.w1[:, None] * Y)) / self.w0[:, None], y)
+
+    def inner(self, x: np.ndarray, y: np.ndarray) -> complex:
+        """sum w x conj(y) of two cochains of one shape, w = w0 or w1 by the
+        layout of x: the metric and, by the conventions, every wedge integral."""
+        if np.shape(x) != np.shape(y):
+            raise ValueError(f"cochains of shapes {np.shape(x)} and {np.shape(y)} do not pair")
+        try:
+            w, X = self.w0, self._read(x, self.w0.shape[0])
+        except ValueError:
+            w, X = self.w1, self._read(x, self.w1.shape[0])
+        return complex(np.sum(w[:, None] * X * np.conj(y.reshape(X.shape))))
 
     def _read(self, x: np.ndarray, n: int) -> np.ndarray:
         """x as an (n, k) block, for a layout of n rows (see above)."""
@@ -258,12 +270,6 @@ def endo_complex(S: ConformalSurface, transport_per_he: np.ndarray, kernel: np.n
 # pointwise machinery shared by bundle and variation code
 
 
-def vertex_to_face(cx: DolbeaultComplex, x: np.ndarray) -> np.ndarray:
-    """P1 barycenter value of a 0-cochain on each face, in the face frame:
-    B x, with x of shape (V, m, m); returns (F, m, m)."""
-    return cx.apply(cx.corner_avg, x)
-
-
 def lift_to_vertices(cx: DolbeaultComplex, S: ConformalSurface, x_face: np.ndarray) -> np.ndarray:
     """Area-weighted average of a face field onto vertices, transported
     into vertex frames: diag(1/lumped area) B^H diag(area) per m^2 entry,
@@ -276,9 +282,9 @@ def lift_to_vertices(cx: DolbeaultComplex, S: ConformalSurface, x_face: np.ndarr
 
 
 def ad(cx: DolbeaultComplex, nu: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Pointwise commutator [nu, B f] of a face field nu with a vertex
-    0-cochain f carried into the faces."""
-    fa = vertex_to_face(cx, f)
+    """Pointwise commutator [nu, B f] of a face field nu with the P1
+    barycenter values B f of a vertex 0-cochain f."""
+    fa = cx.apply(cx.corner_avg, f)
     return nu @ fa - fa @ nu
 
 

@@ -1,6 +1,6 @@
 """Beltrami coefficients on a conformal surface, (F,) complex arrays of
-per-face coefficients of dzbar (x) d/dz: their density-weighted pairing
-and their face-wise d/dz.
+per-face coefficients of dzbar (x) d/dz: their face-wise d/dz.  Their
+density-weighted pairing is the ``inner`` of the scene's tangent complex.
 
 Scalar functions and forms need no calculus of their own: they are the
 End(E)-valued cochains of the trivial line bundle (see :mod:`modulilab.bundle`).
@@ -13,13 +13,6 @@ import numpy as np
 
 from ._complexes import _layout, lift_to_vertices
 from .bundle import Scene
-from .surface import ConformalSurface
-
-
-def ip_beltrami(mu1: np.ndarray, mu2: np.ndarray, surface: ConformalSurface) -> complex:
-    """Density-weighted pairing sum rho_f A_f mu1 conj(mu2)."""
-    w = surface.density * surface.area
-    return complex(np.sum(w * mu1 * np.conj(mu2)))
 
 
 def beltrami_d_hol(mu: np.ndarray, scene: Scene) -> np.ndarray:

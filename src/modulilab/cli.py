@@ -25,7 +25,6 @@ from . import bundle as bnd
 from . import conventions, oracle, variation
 from ._complexes import SolverError, kahler_residual
 from .bundle import Scene, trivial_cocycle, su2_preset, load_cocycle
-from .calculus import ip_beltrami
 from .surface import InputError, build_polygon_gluing, equip_conformal, load_mesh, refine
 from .tangent import random_tangent
 
@@ -389,9 +388,7 @@ def cmd_positivity(cfg, scene):
             with _evaluation_failures(checks, s):
                 mu, nu = (x[..., 0] for x in random_tangent(scene, [s], **cfg["tangent"]))
                 a, b, total = variation.positivity_certificate(mu, nu, scene)
-                mu_norm = math.sqrt(ip_beltrami(mu, mu, scene.surface).real)
-                nu_norm = math.sqrt(np.sum(scene.endo.w1 * np.abs(nu.reshape(-1)) ** 2))
-                norm_product = mu_norm * nu_norm
+                norm_product = math.sqrt(scene.tangent.inner(mu, mu).real) * math.sqrt(scene.endo.inner(nu, nu).real)
                 _require_finite((("term_a", a), ("term_b", b), ("total", total), ("norm_product", norm_product)))
                 wr.writerow([s, repr(a), repr(b), repr(total)])
                 plot.write(f"{norm_product!r}\t{total!r}\n")

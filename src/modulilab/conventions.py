@@ -14,8 +14,9 @@ can drift against another.  The table:
   dbar is the discretization of -rho^{-1} d on (0,1)-coefficients;
 * wedge integration maps the dzbar^dz coefficient on a face to
   2*Area_f, which equals (-i) times the geometric integral of
-  dzbar^dz = 2i dx^dy.  Hence i times the wedge pairing (``variation._pair``)
-  of a with star(conj(a)^T) reproduces the L2 form pairing <a, a> exactly;
+  dzbar^dz = 2i dx^dy.  So a wedge integral of a with b *is* the w1
+  pairing ``DolbeaultComplex.inner(a, b^H)``, and i times that of a with
+  star(conj(a)^T) is <a, a> exactly;
 * Beltrami differentials pair with weight rho*Area_f per face;
 * `ad_star` is the exact formal adjoint of the pointwise commutator
   action; under the weights above it equals -rho^{-1}[alpha, conj(nu)^T]
@@ -28,8 +29,8 @@ from __future__ import annotations
 STAR_DZ = -1j
 STAR_DZBAR = 1j
 
-#: the wedge pairing ``variation._pair`` sends the per-face dzbar^dz coefficient to this
-#: multiple of the chart area.
+#: wedge integration sends the per-face dzbar^dz coefficient to this
+#: multiple of the chart area; equal to L2_GLOBAL_FACTOR.
 WEDGE_AREA_FACTOR = 2.0
 
 #: global factor on every L2 weight relative to the rho dx^dy volume.

@@ -74,29 +74,11 @@ class HalfEdgeMesh:
         lookup[uniq] = np.arange(uniq.size)
         return lookup[reps]
 
-    def same_combinatorics(self, other: "HalfEdgeMesh") -> bool:
-        return (
-            self.genus == other.genus
-            and self.n_vertices == other.n_vertices
-            and np.array_equal(self.origin, other.origin)
-            and np.array_equal(self.twin, other.twin)
-        )
-
 
 def next_index(n_half_edges: int) -> np.ndarray:
     """``next`` of every half-edge: ``3f+k -> 3f+(k+1)%3``."""
     h = np.arange(n_half_edges)
     return h - h % 3 + (h + 1) % 3
-
-
-def vertex_adjacency(mesh: HalfEdgeMesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Outgoing half-edges of every vertex in increasing order, as CSR:
-    vertex v leaves along ``half_edges[indptr[v]:indptr[v+1]]`` to the
-    vertices ``heads`` at the same slots."""
-    counts = np.bincount(mesh.origin, minlength=mesh.n_vertices)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    half_edges = np.argsort(mesh.origin, kind="stable")
-    return indptr, half_edges, mesh.origin[next_index(mesh.n_half_edges)][half_edges]
 
 
 def bfs_tree(indptr: np.ndarray, dst: np.ndarray) -> tuple[list, np.ndarray]:
@@ -129,9 +111,20 @@ def bfs_tree(indptr: np.ndarray, dst: np.ndarray) -> tuple[list, np.ndarray]:
     return levels, tree
 
 
+def _cycle_minima(perm: np.ndarray, longest: int) -> np.ndarray:
+    """The smallest element of the cycle of every element of a permutation
+    whose cycles have at most ``longest`` elements, by pointer doubling."""
+    low, step = np.arange(perm.size), perm
+    for _ in range(max(longest - 1, 0).bit_length()):
+        low, step = np.minimum(low, low[step]), step[step]
+    return low
+
+
 def validate_mesh(mesh: HalfEdgeMesh) -> None:
     """Raise MeshError unless the mesh is a closed, connected, oriented
-    triangulation whose Euler characteristic matches its genus."""
+    triangulation whose Euler characteristic matches its genus: its faces
+    are connected across twins, and the half-edges leaving each vertex
+    form one cycle (one fan, a disk) of h -> twin(prev(h))."""
     H = mesh.n_half_edges
     if H == 0 or H % 3 != 0:
         raise MeshError("half-edge count must be a positive multiple of 3")
@@ -150,16 +143,21 @@ def validate_mesh(mesh: HalfEdgeMesh) -> None:
     if not np.array_equal(tw[tw], ar):
         raise MeshError("twin is not an involution (non-manifold edge)")
     # twins traverse the same edge in opposite directions
-    head = org[next_index(H)]
-    if not np.array_equal(org[tw], head):
+    nxt = next_index(H)
+    if not np.array_equal(org[tw], org[nxt]):
         raise MeshError("twin endpoints inconsistent (orientation broken)")
-    # every vertex is used
-    if np.unique(org).size != mesh.n_vertices:
+    degree = np.bincount(org, minlength=mesh.n_vertices)
+    if degree.min() == 0:
         raise MeshError("unused vertex indices")
-    indptr, _, heads = vertex_adjacency(mesh)
-    levels, _ = bfs_tree(indptr, heads)
-    if sum(lvl.size for lvl in levels) != mesh.n_vertices:
+    levels, _ = bfs_tree(np.arange(0, H + 1, 3), tw // 3)
+    if sum(lvl.size for lvl in levels) != mesh.n_faces:
         raise MeshError("mesh is not connected")
+    # h -> twin(prev(h)) keeps the origin, so a cycle is no longer than a degree
+    first = np.flatnonzero(_cycle_minima(tw[nxt[nxt]], int(degree.max())) == ar)
+    if first.size != mesh.n_vertices:
+        fans = np.bincount(org[first], minlength=mesh.n_vertices)
+        v = int(np.argmax(fans > 1))
+        raise MeshError(f"vertex {v} is not a disk: the half-edges leaving it form {fans[v]} fans, not one")
     euler = mesh.n_vertices - mesh.n_edges + mesh.n_faces
     if euler != 2 - 2 * mesh.genus:
         raise MeshError(
@@ -329,10 +327,8 @@ class ConformalSurface:
         over face adjacency: tangent coefficients in chart(f) equal
         face_spin[f]/face_spin[f'] times their expression in chart(f')
         along tree paths."""
-        mesh = self.mesh
+        mesh = self.mesh  # face-connected: validate_mesh checks it
         levels, tree = bfs_tree(np.arange(0, mesh.n_half_edges + 1, 3), mesh.twin // 3)
-        if sum(lvl.size for lvl in levels) != mesh.n_faces:
-            raise ValueError("face adjacency graph is not connected")
         face_spin = np.zeros(mesh.n_faces, dtype=complex)
         face_spin[0] = 1.0
         for lvl in levels[1:]:

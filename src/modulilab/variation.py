@@ -6,10 +6,11 @@ Term calculus
 -------------
 Every displayed integral of the form  -i * integral tr(alpha ^ beta)
 with alpha a (0,1)- and beta a (1,0)-coefficient field equals, under the
-conventions table,  sum_f 2 Area_f tr(alpha_f beta_f)  (the helper
-``_pair``); "+i" integrals flip the sign.  The second variations are
-multilinear in four independent slots: C-linear in slots 1 and 3,
-conjugate-linear in slots 2 and 4.
+conventions table,  sum_f 2 Area_f tr(alpha_f beta_f),  which *is* the
+w1 pairing  ``scene.endo.inner(alpha, beta^H)``  of the End(E) complex;
+"+i" integrals flip the sign.  The second variations are multilinear in
+four independent slots: C-linear in slots 1 and 3, conjugate-linear in
+slots 2 and 4.
 
 The operator variation in direction (mu, nu) acting on 0-cochains is
 ``ad(nu) - mu d``; the companion variation acting on (0,1)-forms is the
@@ -33,7 +34,7 @@ import numpy as np
 from . import conventions
 from ._complexes import SOLVE_RTOL, DolbeaultComplex, SolverError, _norms, ad, ad_star, lift_to_vertices
 from .bundle import Scene
-from .calculus import beltrami_d_hol, ip_beltrami
+from .calculus import beltrami_d_hol
 from .surface import ConformalSurface
 
 logger = logging.getLogger(__name__)
@@ -101,13 +102,6 @@ def _inputs_digest(arrays) -> str:
     return h.hexdigest()[:16]
 
 
-def _pair(S: ConformalSurface, a01: np.ndarray, b10: np.ndarray) -> complex:
-    """-i * integral tr(a ^ b) for (F,n,n) (0,1)- and (1,0)-coefficient
-    fields: sum_f WEDGE_AREA_FACTOR Area_f tr(a_f b_f)."""
-    w = conventions.WEDGE_AREA_FACTOR * S.area
-    return complex(np.einsum("f,fab,fba->", w, a01, b10))
-
-
 def _ct(x: np.ndarray) -> np.ndarray:
     """Pointwise conjugate transpose of (sites, n, n) values."""
     return np.conj(np.swapaxes(x, 1, 2))
@@ -172,29 +166,25 @@ def _check_inputs(scene: Scene, vectors, harmonic: bool = False):
 
 
 def metric_g(v1: tuple, v2: tuple, scene: Scene) -> complex:
-    """Density-weighted Beltrami pairing plus the bundle form pairing.
-
-    The blocks are orthogonal: there is no mu-nu cross term.
-    """
+    """Density-weighted Beltrami pairing plus the bundle form pairing,
+    each the ``inner`` of its complex.  The blocks are orthogonal: there
+    is no mu-nu cross term."""
     _check_inputs(scene, (v1, v2))
     (mu1, nu1), (mu2, nu2) = v1, v2
-    S = scene.surface
-    # i * (wedge pairing of nu1 with star(conj(nu2)^T)), star dz = -i dz
-    bundle_term = 1j * _pair(S, nu1, conventions.STAR_DZ * _ct(nu2))
-    return ip_beltrami(mu1, mu2, S) + bundle_term
+    return scene.tangent.inner(mu1, mu2) + scene.endo.inner(nu1, nu2)
 
 
 def first_variation(v_dir: tuple, v1: tuple, v2: tuple, scene: Scene) -> tuple[complex, complex]:
     """Holomorphic and antiholomorphic first derivatives of the metric
-    at the center, in direction ``v_dir``, each one wedge pairing
-    (``_pair``).  The two coordinate systems give the same integrals.
+    at the center, in direction ``v_dir``, each one wedge integral
+    (``scene.endo.inner``).  The two coordinate systems give the same
+    integrals.
     """
     _check_inputs(scene, (v_dir, v1, v2))
-    S = scene.surface
-    nu = v_dir[1]
+    cx, nu = scene.endo, v_dir[1]
     (mu1, nu1), (mu2, nu2) = v1, v2
-    d_eps = _pair(S, nu, np.conj(mu2)[:, None, None] * nu1)
-    d_eps_bar = _pair(S, mu1[:, None, None] * _ct(nu), _ct(nu2))
+    d_eps = cx.inner(nu, mu2[:, None, None] * _ct(nu1))
+    d_eps_bar = cx.inner(mu1[:, None, None] * _ct(nu), nu2)
     return d_eps, d_eps_bar
 
 
@@ -228,29 +218,30 @@ def _terms(scene: Scene, vectors, y: dict) -> tuple[list, list]:
     """The ten universal terms and the four integrals present only in the
     fibered coordinates, from the term solves ``y`` by label."""
     (mu1, nu1), (mu2, nu2), (mu3, nu3), (mu4, nu4) = vectors
-    S, cx = scene.surface, scene.endo
+    cx = scene.endo
 
     def d(label):
         return cx.apply(cx.dhol, y[label])
 
     universal = [
-        ("opvar_proj", _pair(S, _dD(cx, vectors[0], y["opvar_proj"]), _ct(nu4))),
+        ("opvar_proj", cx.inner(_dD(cx, vectors[0], y["opvar_proj"]), nu4)),
         # [B G12, nu3] = -ad(nu3) G12
-        ("gauge_ad", _pair(S, -ad(cx, nu3, y["gauge_12"]), _ct(nu4))),
-        ("density_cross", -_pair(S, (mu1 * np.conj(mu2))[:, None, None] * nu3, _ct(nu4))),
-        ("opvar_mu3", _pair(S, _dD(cx, vectors[0], y["opvar_mu3"]), _ct(nu4))),
-        ("gauge_mu3", _pair(S, mu3[:, None, None] * d("gauge_12"), _ct(nu4))),
-        ("cross_mu3", _pair(S, (np.conj(mu2) * mu3)[:, None, None] * nu1, _ct(nu4))),
-        ("opvar_mu4", _pair(S, nu3, _ct(_dD(cx, vectors[1], y["opvar_mu4"])))),
-        ("gauge_mu4", _pair(S, nu3, _ct(mu4[:, None, None] * d("gauge_21")))),
-        ("cross_mu4", _pair(S, nu3, _ct((np.conj(mu1) * mu4)[:, None, None] * nu2))),
-        ("bilinear", _pair(S, mu3[:, None, None] * _ct(nu2), np.conj(mu4)[:, None, None] * nu1)),
+        ("gauge_ad", cx.inner(-ad(cx, nu3, y["gauge_12"]), nu4)),
+        ("density_cross", -cx.inner((mu1 * np.conj(mu2))[:, None, None] * nu3, nu4)),
+        ("opvar_mu3", cx.inner(_dD(cx, vectors[0], y["opvar_mu3"]), nu4)),
+        ("gauge_mu3", cx.inner(mu3[:, None, None] * d("gauge_12"), nu4)),
+        ("cross_mu3", cx.inner((np.conj(mu2) * mu3)[:, None, None] * nu1, nu4)),
+        ("opvar_mu4", cx.inner(nu3, _dD(cx, vectors[1], y["opvar_mu4"]))),
+        ("gauge_mu4", cx.inner(nu3, mu4[:, None, None] * d("gauge_21"))),
+        ("cross_mu4", cx.inner(nu3, (np.conj(mu1) * mu4)[:, None, None] * nu2)),
+        # tr(mu3 nu2^H conj(mu4) nu1) = mu3 conj(mu4) tr(nu1 nu2^H) per face
+        ("bilinear", cx.inner((mu3 * np.conj(mu4))[:, None, None] * nu1, nu2)),
     ]
     extra = [
-        ("new_tei_mu3", -_pair(S, mu3[:, None, None] * d("new_tei_mu3"), _ct(nu4))),
-        ("new_tei_mu4", -_pair(S, nu3, _ct(mu4[:, None, None] * d("new_tei_mu4")))),
-        ("new_opvar_mu3_bar", -_pair(S, mu3[:, None, None] * d("new_opvar_mu3_bar"), _ct(nu4))),
-        ("new_opvar_mu4_bar", -_pair(S, nu3, _ct(mu4[:, None, None] * d("new_opvar_mu4_bar")))),
+        ("new_tei_mu3", -cx.inner(mu3[:, None, None] * d("new_tei_mu3"), nu4)),
+        ("new_tei_mu4", -cx.inner(nu3, mu4[:, None, None] * d("new_tei_mu4"))),
+        ("new_opvar_mu3_bar", -cx.inner(mu3[:, None, None] * d("new_opvar_mu3_bar"), nu4)),
+        ("new_opvar_mu4_bar", -cx.inner(nu3, mu4[:, None, None] * d("new_opvar_mu4_bar"))),
     ]
     return universal, extra
 
@@ -310,8 +301,9 @@ def positivity_certificate(mu2: np.ndarray, nu1: np.ndarray, scene: Scene) -> tu
     """Split of the restricted coordinate difference into two manifestly
     nonnegative pieces.
 
-    term_a = <Delta0^{-1} h, h> with h = d*(mu2-bar nu1) (PSD solve);
-    term_b = sum 2 A |mu2|^2 |nu1|^2.  Their sum equals the difference
+    term_a = <Delta0^{-1} h, h>, the w0 pairing, with h = d*(mu2-bar nu1)
+    (PSD solve); term_b = <|mu2|^2 nu1, nu1>, the w1 pairing
+    (sum 2 A |mu2|^2 |nu1|^2).  Their sum equals the difference
     total of ``evaluate_quadruple`` on the restriction nu4 = nu1,
     mu3 = mu2, rest zero.
     """
@@ -319,8 +311,8 @@ def positivity_certificate(mu2: np.ndarray, nu1: np.ndarray, scene: Scene) -> tu
     cx = scene.endo
     h = cx.star(cx.dhol, np.conj(mu2)[:, None, None] * nu1)
     x, _ = cx.delta0_solve(h)
-    term_a = complex(np.sum(cx.w0.reshape(x.shape) * x * np.conj(h)))
-    term_b = _pair(scene.surface, (np.abs(mu2) ** 2)[:, None, None] * nu1, _ct(nu1))
+    term_a = cx.inner(x, h)
+    term_b = cx.inner((np.abs(mu2) ** 2)[:, None, None] * nu1, nu1)
     scale = max(abs(term_a), abs(term_b), 1e-300)
     if abs(term_a.imag) > 1e-10 * scale or abs(term_b.imag) > 1e-10 * scale:
         logger.warning(

@@ -111,6 +111,47 @@ def dense_star(cx, M):
     return np.column_stack([cx.star(M, e) for e in np.eye(M.shape[0], dtype=complex)])
 
 
+def two_sheet_mesh():
+    """Fields of two copies of the refined genus-2 fan that share only
+    vertices 0 and 1, declared genus 4: Euler's formula holds and the
+    vertices are connected, but no face of one copy meets the other."""
+    from modulilab.surface import build_polygon_gluing, refine
+
+    m = refine(build_polygon_gluing(2))
+    V, H = m.n_vertices, m.n_half_edges
+    copy = np.where(m.origin < 2, m.origin, m.origin + V - 2)
+    return dict(
+        origin=np.concatenate([m.origin, copy]),
+        twin=np.concatenate([m.twin, m.twin + H]),
+        genus=4,
+        n_vertices=2 * V - 2,
+        layout=np.concatenate([m.layout, m.layout]),
+    )
+
+
+def pinched_mesh():
+    """Fields of the twice-refined genus-2 fan with vertex 5 merged into 2
+    and vertex 8 into 3, declared genus 3: Euler's formula holds, but two
+    sheets meet at vertex 2 and at vertex 3."""
+    from modulilab.surface import build_polygon_gluing, refine
+
+    m = refine(refine(build_polygon_gluing(2)))
+    merged = np.arange(m.n_vertices)
+    merged[5], merged[8] = 2, 3
+    renumber = np.cumsum(np.isin(np.arange(m.n_vertices), (5, 8), invert=True)) - 1
+    return dict(origin=renumber[merged[m.origin]], twin=m.twin, genus=3, n_vertices=m.n_vertices - 2, layout=m.layout)
+
+
+def save_mesh_fields(fields, path):
+    """``save_mesh`` of mesh fields that ``HalfEdgeMesh`` would refuse."""
+    from types import SimpleNamespace
+
+    from modulilab.surface import save_mesh
+
+    H = fields["twin"].size
+    save_mesh(SimpleNamespace(**fields, n_half_edges=H, n_edges=H // 2, n_faces=H // 3), path)
+
+
 def ip(w, x, y):
     """Weighted L2 pairing sum w x conj(y) of two cochains, flattened."""
     return complex(np.sum(w * np.ravel(x) * np.conj(np.ravel(y))))

@@ -15,8 +15,7 @@ from modulilab.bundle import Scene
 from modulilab.calculus import beltrami_d_hol
 from modulilab.surface import equip_conformal, refine
 from modulilab.tangent import ks_center
-from modulilab.variation import _pair
-from conftest import ip
+from conftest import ip, random_cochain
 from flat_torus import mesh_from_faces, torus_surface
 from test_scene_vectorized import _geometry_loop
 
@@ -156,35 +155,57 @@ def test_mu_contract(triv1_scene, rng):
     assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
+def _wedge(S, a, b):
+    """-i * integral tr(a ^ b) of (F, n, n) (0,1)- and (1,0)-coefficient
+    fields under the conventions table: sum_f WEDGE_AREA_FACTOR A_f tr(a_f b_f)."""
+    return complex(np.einsum("f,fab,fba->", conventions.WEDGE_AREA_FACTOR * S.area, a, b))
+
+
+def _ct(x):
+    return np.conj(np.swapaxes(x, 1, 2))
+
+
 def test_wedge_trace_positivity(triv1_scene, rng):
-    S = triv1_scene.surface
+    S, cx = triv1_scene.surface, triv1_scene.endo
     nu = _random(rng, S.n_faces).reshape(-1, 1, 1)
-    star_bar = conventions.STAR_DZ * np.conj(nu)  # star(conj(nu)^T), scalar case
-    val = 1j * _pair(S, nu, star_bar)
+    val = 1j * _wedge(S, nu, conventions.STAR_DZ * _ct(nu))  # star(conj(nu)^T)
     assert val.real > 0.0 and abs(val.imag) <= 1e-12 * val.real
     # conventions self-consistency: i * wedge pairing is the L2 form pairing
-    assert abs(val - ip(triv1_scene.endo.w1, nu, nu)) <= 1e-12 * abs(val)
+    assert abs(val - cx.inner(nu, nu)) <= 1e-12 * abs(val)
 
 
-def test_wedge_trace_matrix_valued(surf_hyp, rng):
-    F, n = surf_hyp.n_faces, 2
-    nu = rng.standard_normal((F, n, n)) + 1j * rng.standard_normal((F, n, n))
-    star_bar = conventions.STAR_DZ * np.conj(np.swapaxes(nu, 1, 2))
-    val = 1j * _pair(surf_hyp, nu, star_bar)
+def test_wedge_trace_matrix_valued(su2_scene, rng):
+    # the wedge integral of a with b^H is the w1 pairing inner(a, b):
+    # C-linear in a, conjugate-linear in b
+    S, cx = su2_scene.surface, su2_scene.endo
+    nu, b = random_cochain(rng, S.n_faces, 2), random_cochain(rng, S.n_faces, 2)
+    val = 1j * _wedge(S, nu, conventions.STAR_DZ * _ct(nu))
     assert val.real > 0.0 and abs(val.imag) <= 1e-10 * val.real
+    assert abs(val - cx.inner(nu, nu)) <= 1e-12 * abs(val)
+    base = cx.inner(nu, b)
+    assert abs(_wedge(S, nu, _ct(b)) - base) <= 1e-12 * abs(base)
     lam = 0.7 + 0.1j
-    base = _pair(surf_hyp, nu, star_bar)
-    assert abs(_pair(surf_hyp, lam * nu, star_bar) - lam * base) <= 1e-12 * abs(base)
+    assert abs(cx.inner(lam * nu, b) - lam * base) <= 1e-12 * abs(base)
+    assert abs(cx.inner(nu, lam * b) - np.conj(lam) * base) <= 1e-12 * abs(base)
 
 
-def test_wedge_trace_type_error(surf_hyp, rng):
+def test_wedge_trace_type_error(su2_scene, rng):
     # the pairing needs both fields on the same faces with equal matrix sizes
-    F = surf_hyp.n_faces
-    a = rng.standard_normal((F, 2, 2)) + 0j
-    with pytest.raises(ValueError):
-        _pair(surf_hyp, a, a[:-1])
-    with pytest.raises(ValueError):
-        _pair(surf_hyp, a, np.zeros((F, 2, 3)))
+    cx = su2_scene.endo
+    a = random_cochain(rng, cx.n_faces, 2)
+    for b in (a[:-1], np.zeros((cx.n_faces, 2, 3))):
+        with pytest.raises(ValueError):
+            cx.inner(a, b)
+
+
+def test_inner_weights_by_layout(su2_scene, rng):
+    # w0 pairs 0-cochains and w1 face forms, in every layout of them
+    cx = su2_scene.endo
+    for sites, w in ((cx.n_vertices, cx.w0), (cx.n_faces, cx.w1)):
+        x, y = random_cochain(rng, sites, 2), random_cochain(rng, sites, 2)
+        want = ip(w, x, y)
+        assert abs(cx.inner(x, y) - want) <= 1e-12 * abs(want)
+        assert abs(cx.inner(x.reshape(-1), y.reshape(-1)) - want) <= 1e-12 * abs(want)
 
 
 def test_face_derivative_constant(torus8):

@@ -159,6 +159,26 @@ def test_generator_cocycle_on_refined_mesh_file_exits_2(tmp_path):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "build, defect", [("two_sheet_mesh", "mesh is not connected"), ("pinched_mesh", "vertex 2 is not a disk")],
+    ids=["two_sheets", "pinched"],
+)
+def test_non_surface_mesh_file_exits_2(tmp_path, build, defect):
+    # a mesh file that passes Euler's formula but is not a surface is
+    # refused by every command before any operator is built
+    import conftest
+    from click.testing import CliRunner
+    from modulilab import cli
+
+    mesh = tmp_path / "bad.surf"
+    conftest.save_mesh_fields(getattr(conftest, build)(), mesh)
+    p = _write(tmp_path, {"mesh": {"file": str(mesh), "refinements": 0}, "bundle": {"preset": "trivial"}})
+    for cmd in ("check-operators", "second-variation", "positivity", "projector-derivative"):
+        r = CliRunner().invoke(cli.main, [cmd, "--config", p, "--out", str(tmp_path / cmd)])
+        assert r.exit_code == 2, (cmd, r.output)
+        assert f"config error: {defect}" in r.output and not (tmp_path / cmd / "report.json").exists()
+
+
 def test_scene_error_exits_2(tmp_path):
     # a mesh file that exists but fails validation is a config-class error
     bad_mesh = tmp_path / "bad.surf"

@@ -27,8 +27,8 @@ from modulilab.surface import (
     equip_conformal,
     next_index,
     refine,
-    vertex_adjacency,
 )
+from conftest import pinched_mesh
 from test_bundle import _complex_transport_cocycle
 
 FLOAT_TOL = 1e-15
@@ -198,11 +198,11 @@ def _repeated_vertex_loop(mesh):
 
 
 def _connected_loop(mesh):
-    adj = [[] for _ in range(mesh.n_vertices)]
-    nxt = next_index(mesh.n_half_edges)
+    """Whether every face is reached from face 0 across twins."""
+    adj = [[] for _ in range(mesh.n_half_edges // 3)]
     for h in range(mesh.n_half_edges):
-        adj[mesh.origin[h]].append(int(mesh.origin[nxt[h]]))
-    seen = np.zeros(mesh.n_vertices, dtype=bool)
+        adj[h // 3].append(int(mesh.twin[h]) // 3)
+    seen = np.zeros(len(adj), dtype=bool)
     stack = [0]
     seen[0] = True
     while stack:
@@ -211,6 +211,20 @@ def _connected_loop(mesh):
                 seen[w] = True
                 stack.append(w)
     return bool(seen.all())
+
+
+def _fans_loop(mesh):
+    """Cycles of h -> twin(prev(h)) at each vertex, one walk per cycle."""
+    seen = np.zeros(mesh.twin.size, dtype=bool)
+    fans = np.zeros(mesh.n_vertices, dtype=np.int64)
+    for h in range(mesh.twin.size):
+        if not seen[h]:
+            fans[mesh.origin[h]] += 1
+            g = h
+            while not seen[g]:
+                seen[g] = True
+                g = int(mesh.twin[g - g % 3 + (g + 2) % 3])
+    return fans
 
 
 def _face_tree_loop(surface):
@@ -311,26 +325,6 @@ def _corner_operators_loop(surface, T, phase):
     return out
 
 
-def _vertex_tree_loop(mesh):
-    adj = [[] for _ in range(mesh.n_vertices)]
-    nxt = next_index(mesh.n_half_edges)
-    for h in range(mesh.n_half_edges):
-        adj[int(mesh.origin[h])].append((int(mesh.origin[nxt[h]]), h))
-    order, parent_he = [], np.full(mesh.n_vertices, -1, dtype=np.int64)
-    seen = np.zeros(mesh.n_vertices, dtype=bool)
-    seen[0] = True
-    queue = [0]
-    while queue:
-        v = queue.pop(0)
-        order.append(v)
-        for w, h in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                parent_he[w] = h
-                queue.append(w)
-    return order, parent_he
-
-
 # -- scenes ------------------------------------------------------------------------
 
 
@@ -397,11 +391,6 @@ def test_spanning_trees_match_fifo_loops(fan2, levels):
     H = mesh.n_half_edges
     _, face_tree = bfs_tree(np.arange(0, H + 1, 3), mesh.twin // 3)
     assert np.array_equal(face_tree, _face_tree_loop(S)[0])
-    indptr, out, heads = vertex_adjacency(mesh)
-    levels_v, vertex_tree = bfs_tree(indptr, heads)
-    order, parent_he = _vertex_tree_loop(mesh)
-    assert np.array_equal(np.concatenate(levels_v), order)
-    assert np.array_equal(np.where(vertex_tree >= 0, out[vertex_tree], -1), parent_he)
 
 
 def _same_bits(a, b):
@@ -508,4 +497,16 @@ def test_disconnected_mesh_named(fan2_r1):
     )
     assert not _connected_loop(SimpleNamespace(n_half_edges=2 * m.n_half_edges, **fields))
     assert _message(lambda: _with(m, **fields)) == "mesh is not connected"
+
+
+def test_pinched_vertex_named(fan2, fan2_r2):
+    # one fan of corners at every vertex of a surface; the first vertex
+    # with more is named, with its count
+    for m in (fan2, fan2_r2):
+        assert np.all(_fans_loop(m) == 1)
+    fields = pinched_mesh()
+    fans = _fans_loop(SimpleNamespace(**fields))
+    v = int(np.flatnonzero(fans > 1)[0])
+    want = f"vertex {v} is not a disk: the half-edges leaving it form {fans[v]} fans, not one"
+    assert _message(lambda: HalfEdgeMesh(**fields)) == want
 

@@ -16,7 +16,17 @@ from modulilab.surface import (
     save_mesh,
     validate_mesh,
 )
+from conftest import pinched_mesh, two_sheet_mesh
 from flat_torus import build_torus
+
+
+def _same_mesh(a, b):
+    """Equal combinatorics: origins, twins, genus and vertex count."""
+    return (
+        np.array_equal(a.origin, b.origin)
+        and np.array_equal(a.twin, b.twin)
+        and (a.genus, a.n_vertices) == (b.genus, b.n_vertices)
+    )
 
 
 def test_fan_genus2_counts(fan2):
@@ -79,6 +89,27 @@ def test_mesh_is_validated_at_construction(fan2_r1):
         HalfEdgeMesh(origin=m.origin, twin=twin, genus=m.genus, n_vertices=m.n_vertices)
 
 
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (two_sheet_mesh, "mesh is not connected"),
+        (pinched_mesh, "vertex 2 is not a disk: the half-edges leaving it form 2 fans, not one"),
+    ],
+    ids=["two_sheets", "pinched"],
+)
+def test_non_surfaces_rejected(build, message):
+    # Euler's formula holds on both and their vertex graphs are connected,
+    # but the faces of the first fall apart in two, and two sheets of the
+    # second meet at a vertex
+    fields = build()
+    V, F = fields["n_vertices"], fields["twin"].size // 3
+    assert V - 3 * F // 2 + F == 2 - 2 * fields["genus"]
+    with pytest.raises(MeshError) as err:
+        HalfEdgeMesh(**fields)
+    assert str(err.value) == message
+
+
 @settings(max_examples=8, deadline=None)
 @given(g=st.integers(min_value=2, max_value=4), levels=st.integers(min_value=0, max_value=1))
 def test_construction_invariants_property(g, levels):
@@ -128,21 +159,21 @@ def test_mesh_roundtrip(tmp_path, fan2_r1):
     p = tmp_path / "m.surf"
     save_mesh(fan2_r1, p)
     loaded = load_mesh(p)
-    assert loaded.same_combinatorics(fan2_r1)
+    assert _same_mesh(loaded, fan2_r1)
     assert loaded.layout.tobytes() == fan2_r1.layout.tobytes()
 
 
 def test_mesh_roundtrip_base(tmp_path, fan2):
     p = tmp_path / "m.surf"
     save_mesh(fan2, p)
-    assert load_mesh(p).same_combinatorics(fan2)
+    assert _same_mesh(load_mesh(p), fan2)
 
 
 def test_mesh_without_layout_loads(tmp_path, fan2):
     # layout records are optional: a file without them loads with no layout
     p = _edited(tmp_path, fan2, lambda ls: [x for x in ls if not x.startswith("layout")])
     loaded = load_mesh(p)
-    assert loaded.same_combinatorics(fan2) and loaded.layout is None
+    assert _same_mesh(loaded, fan2) and loaded.layout is None
 
 
 def test_torus_mesh_roundtrip(tmp_path):
@@ -151,7 +182,7 @@ def test_torus_mesh_roundtrip(tmp_path):
     p = tmp_path / "t.surf"
     save_mesh(m, p)
     loaded = load_mesh(p)
-    assert loaded.same_combinatorics(m)
+    assert _same_mesh(loaded, m)
     assert loaded.layout.tobytes() == m.layout.tobytes()
 
 
@@ -295,7 +326,7 @@ def test_mesh_header_rejected(tmp_path, fan2, header, message):
 def test_mesh_records_rejected(tmp_path, fan2, edit, message):
     p = _edited(tmp_path, fan2, edit)
     if message is None:
-        assert load_mesh(p).same_combinatorics(fan2)
+        assert _same_mesh(load_mesh(p), fan2)
         return
     with pytest.raises(RecordFileError, match=message):
         load_mesh(p)
