@@ -106,15 +106,11 @@ def validate_cocycle(c: UnitaryCocycle) -> None:
 
 
 def _store(mesh: HalfEdgeMesh, directed: np.ndarray, given: np.ndarray) -> np.ndarray:
-    """(H,n,n) transports from the ``given`` entries of ``directed``, so
-    that twins carry exact inverses: each twin pair keeps the entry of
-    its lower half-edge when that one is given, else of its twin."""
-    h = np.arange(mesh.n_half_edges)
-    tw = mesh.twin
-    lo = np.minimum(h, tw)
-    own = np.where(given[lo], h == lo, h != lo)
-    inverse = np.conj(np.swapaxes(directed[tw], 1, 2))
-    return np.where(own[:, None, None], directed, inverse)
+    """(H,n,n) transports: every ``given`` entry of ``directed`` as it is,
+    and on every other half-edge the exact inverse (conjugate transpose)
+    of its twin's entry.  Where both twins are given, the caller gives
+    exact inverses; ``validate_cocycle`` rejects a pair that is not."""
+    return np.where(given[:, None, None], directed, np.conj(np.swapaxes(directed[mesh.twin], 1, 2)))
 
 
 def from_generators(

@@ -105,8 +105,8 @@ def load_config(path, seed=None, out=None) -> dict:
         cfg["seeds"] = [seed]
     if out is not None:
         cfg["out"] = out
-    if not isinstance(cfg["out"], str) or not cfg["out"]:
-        raise ConfigError(f"out must be a non-empty directory path, got {cfg['out']!r}")
+    if not isinstance(cfg["out"], str) or not cfg["out"] or "\0" in cfg["out"]:
+        raise ConfigError(f"out must be a non-empty directory path without a NUL byte, got {cfg['out']!r}")
     for key in ("mesh", "bundle", "tangent"):
         if not isinstance(cfg[key], dict):
             raise ConfigError(f"{key} must be a JSON object, got {cfg[key]!r}")

@@ -67,12 +67,10 @@ class HalfEdgeMesh:
         return self.origin.shape[0] // 2
 
     def edge_index(self) -> np.ndarray:
-        """Undirected edge id per half-edge (shared with the twin)."""
-        reps = np.minimum(np.arange(self.n_half_edges), self.twin)
-        uniq = np.flatnonzero(reps == np.arange(self.n_half_edges))
-        lookup = np.full(self.n_half_edges, -1, dtype=np.int64)
-        lookup[uniq] = np.arange(uniq.size)
-        return lookup[reps]
+        """Undirected edge id per half-edge (shared with the twin): edges
+        numbered in the order of their lower half-edge."""
+        lower = np.minimum(np.arange(self.n_half_edges), self.twin)
+        return (np.cumsum(lower == np.arange(self.n_half_edges)) - 1)[lower]
 
 
 def next_index(n_half_edges: int) -> np.ndarray:
@@ -81,27 +79,26 @@ def next_index(n_half_edges: int) -> np.ndarray:
     return h - h % 3 + (h + 1) % 3
 
 
-def bfs_tree(indptr: np.ndarray, dst: np.ndarray) -> tuple[list, np.ndarray]:
-    """Breadth-first search from node 0 of a graph in CSR form, one level
-    at a time.
+def face_tree(mesh: HalfEdgeMesh) -> tuple[list, np.ndarray]:
+    """Breadth-first search over the faces of a mesh from face 0, one
+    level at a time, across twins.
 
-    Node u reaches ``dst[indptr[u]:indptr[u+1]]`` in that order.  Each
-    level scans its frontier in queue order and a newly found node keeps
-    the first slot that reaches it, so the levels and the tree are those
-    of a FIFO queue.  Returns the levels (node arrays, node 0 first) and
-    the tree slot of every node (-1 for node 0 and unreached nodes).
+    Face f reaches the faces of ``twin[3f]``, ``twin[3f+1]`` and
+    ``twin[3f+2]`` in that order.  Each level scans its frontier in queue
+    order and a newly found face keeps the first half-edge that reaches
+    it, so the levels and the tree are those of a FIFO queue.  Returns
+    the levels (face arrays, face 0 first) and the tree half-edge of
+    every face (-1 for face 0 and unreached faces).
     """
-    n = indptr.shape[0] - 1
-    tree = np.full(n, -1, dtype=np.int64)
-    seen = np.zeros(n, dtype=bool)
+    dst = mesh.twin // 3
+    tree = np.full(mesh.n_faces, -1, dtype=np.int64)
+    seen = np.zeros(mesh.n_faces, dtype=bool)
     seen[0] = True
     frontier = np.array([0], dtype=np.int64)
     levels = []
     while frontier.size:
         levels.append(frontier)
-        start = indptr[frontier]
-        count = indptr[frontier + 1] - start
-        slots = np.repeat(start - (np.cumsum(count) - count), count) + np.arange(count.sum())
+        slots = (3 * frontier[:, None] + np.arange(3)).reshape(-1)
         slots = slots[~seen[dst[slots]]]
         _, first = np.unique(dst[slots], return_index=True)
         slots = slots[np.sort(first)]
@@ -149,7 +146,7 @@ def validate_mesh(mesh: HalfEdgeMesh) -> None:
     degree = np.bincount(org, minlength=mesh.n_vertices)
     if degree.min() == 0:
         raise MeshError("unused vertex indices")
-    levels, _ = bfs_tree(np.arange(0, H + 1, 3), tw // 3)
+    levels, _ = face_tree(mesh)
     if sum(lvl.size for lvl in levels) != mesh.n_faces:
         raise MeshError("mesh is not connected")
     # h -> twin(prev(h)) keeps the origin, so a cycle is no longer than a degree
@@ -328,7 +325,7 @@ class ConformalSurface:
         face_spin[f]/face_spin[f'] times their expression in chart(f')
         along tree paths."""
         mesh = self.mesh  # face-connected: validate_mesh checks it
-        levels, tree = bfs_tree(np.arange(0, mesh.n_half_edges + 1, 3), mesh.twin // 3)
+        levels, tree = face_tree(mesh)
         face_spin = np.zeros(mesh.n_faces, dtype=complex)
         face_spin[0] = 1.0
         for lvl in levels[1:]:
@@ -383,7 +380,7 @@ def equip_conformal(
     layout: "stored" uses the construction layout carried by the mesh;
     "equilateral" gives every face the unit equilateral chart.
     density: "uniform" sets rho = 1; "hyperbolic" pulls back the Poincare
-    density at the stored-layout barycenter (requires a stored layout).
+    density at the stored-layout barycenter (requires layout "stored").
     """
     F = mesh.n_faces
     v = mesh.origin.reshape(F, 3)
@@ -407,15 +404,13 @@ def equip_conformal(
     if density == "uniform":
         rho = np.ones(F)
     elif density == "hyperbolic":
-        if mesh.layout is None:
-            raise ChartError("hyperbolic density requires a stored layout")
+        if layout != "stored":
+            raise ChartError(f"hyperbolic density requires the stored layout, got layout {layout!r}")
         bary = np.mean(mesh.layout, axis=1)
         r2 = np.abs(bary) ** 2
         if np.any(r2 >= 1.0):
             raise ChartError("stored layout leaves the unit disk")
         rho = 4.0 / (1.0 - r2) ** 2
-        if layout != "stored":
-            raise ChartError("hyperbolic density requires the stored layout charts")
     else:
         raise ChartError(f"unknown density policy {density!r}")
     rot = _edge_rotations(mesh, chart)

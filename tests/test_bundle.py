@@ -29,7 +29,7 @@ from modulilab.bundle import (
     validate_cocycle,
 )
 from modulilab.cli import TOLERANCES
-from modulilab.surface import RecordFileError, equip_conformal, refine
+from modulilab.surface import RecordFileError, build_polygon_gluing, equip_conformal, refine
 from conftest import dense_delta0_inverse, dense_star, ip, p1_dbar, random_cochain
 
 
@@ -551,6 +551,49 @@ def test_validate_cocycle_names_first_defect(su2_r1, kind, message):
     with pytest.raises(CocycleError) as err:
         validate_cocycle(c)
     assert str(err.value) == message
+
+
+def _store_calls(monkeypatch, preset, g, levels):
+    """Every ``_store`` call, arguments and result, that builds ``preset``
+    on the genus-g fan and pulls it back through ``levels`` refinements."""
+    store, calls = bnd._store, []
+
+    def recording(mesh, directed, given):
+        out = store(mesh, directed, given)
+        calls.append((mesh, directed.copy(), given.copy(), out))
+        return out
+
+    monkeypatch.setattr(bnd, "_store", recording)
+    mesh = build_polygon_gluing(g)
+    c = su2_preset(mesh) if preset == "su2" else bnd.trivial_cocycle(mesh, 2)
+    for _ in range(levels):
+        mesh = refine(mesh)
+        c = refine_cocycle(c, mesh)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("preset, g", [("su2", 2), ("su2", 3), ("trivial", 2), ("trivial", 3)])
+def test_store_keeps_given_entries_and_inverts_the_rest(monkeypatch, preset, g):
+    calls = _store_calls(monkeypatch, preset, g, 3)
+    assert len(calls) == (4 if preset == "su2" else 3)  # the generator cocycle, then r1-r3
+    for mesh, directed, given, out in calls:
+        tw, n = mesh.twin, directed.shape[1]
+        inverse = np.conj(np.swapaxes(directed[tw], 1, 2))
+        assert np.all(given | given[tw])
+        assert out[given].tobytes() == directed[given].tobytes()
+        assert out[~given].tobytes() == inverse[~given].tobytes()
+        # where both twins are given, the builders give exact inverses ...
+        both = np.flatnonzero(given & given[tw] & (np.arange(tw.size) < tw))
+        assert both.size and np.array_equal(directed[both], inverse[both])
+        # ... and a pair that is not comes back as given, for the validator
+        h, t = both[0], tw[both[0]]
+        directed[t] = -directed[t]
+        broken = bnd._store(mesh, directed, given)
+        assert broken[[h, t]].tobytes() == directed[[h, t]].tobytes()
+        c = UnitaryCocycle(mesh=mesh, rank=n, degree=0, transport=broken, marked_face=0)
+        with pytest.raises(CocycleError, match=f"^reverse transport on half-edge {h} is not the exact inverse$"):
+            validate_cocycle(c)
 
 
 def test_refine_preserves_flatness_and_irreducibility(fan2, fan2_r1):

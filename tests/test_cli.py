@@ -48,10 +48,11 @@ def test_bad_config_exits_2(tmp_path):
     p2 = tmp_path / "bad2.json"
     p2.write_text(json.dumps({"mesh": {"genus": 1}}))
     assert run_cli("check-operators", "--config", str(p2)).returncode == 2
-    # an out that is not a non-empty string or cannot be created, and a
-    # config that is not UTF-8 or nests deeper than the decoder recurses
+    # an out that is not a non-empty string, holds a NUL byte (os.makedirs
+    # raises ValueError on it) or cannot be created, and a config that is
+    # not UTF-8 or nests deeper than the decoder recurses
     (tmp_path / "file").write_text("")
-    cases = [(json.dumps({"out": out}).encode(), "out") for out in (5, None, "")]
+    cases = [(json.dumps({"out": out}).encode(), "out") for out in (5, None, "", "x\u0000y")]
     cases.append((json.dumps({"out": str(tmp_path / "file" / "out")}).encode(), "out directory"))
     cases += [(b"\xff\xfe{}", "cannot read config"), (b"[" * 200_000, "cannot read config")]
     for content, field in cases:
@@ -292,6 +293,31 @@ def test_saved_fan_mesh_file_matches_built_fan(tmp_path):
             assert r.returncode == 0, r.stdout + r.stderr
             runs.append([(out / f).read_bytes() for f in outputs[cmd]])
         assert runs[0] == runs[1], cmd
+
+
+def test_refined_mesh_file_matches_generated_mesh(tmp_path):
+    # a twice-refined genus-3 fan read from a file (load_mesh, validate_mesh
+    # and the face search on the loaded mesh) gives the outputs of the
+    # generated genus-3, refinement-2 scene byte for byte
+    from modulilab.surface import build_polygon_gluing, refine, save_mesh
+
+    mesh = tmp_path / "g3r2.surf"
+    save_mesh(refine(refine(build_polygon_gluing(3))), mesh)
+    common = {"bundle": {"preset": "trivial"}, "seeds": [0, 1]}
+    configs = {
+        "generated": {**common, "mesh": {"genus": 3, "refinements": 2}},
+        "file": {**common, "mesh": {"file": str(mesh), "refinements": 0}},
+    }
+    for cmd in ("positivity", "second-variation"):
+        runs = []
+        for name, cfg in configs.items():
+            p = tmp_path / f"{name}.json"
+            p.write_text(json.dumps(cfg))
+            out = tmp_path / cmd / name
+            r = run_cli(cmd, "--config", str(p), "--out", str(out))
+            assert r.returncode == 0, r.stdout + r.stderr
+            runs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert "report.json" in runs[0] and runs[0] == runs[1], cmd
 
 
 def test_check_operators(tmp_path, cfg_path):

@@ -22,13 +22,14 @@ from modulilab.surface import (
     MeshError,
     _edge_rotations,
     _regular_polygon_radius,
-    bfs_tree,
     build_polygon_gluing,
     equip_conformal,
+    face_tree,
     next_index,
     refine,
 )
 from conftest import pinched_mesh
+from flat_torus import build_torus
 from test_bundle import _complex_transport_cocycle
 
 FLOAT_TOL = 1e-15
@@ -126,17 +127,9 @@ def _from_generators_loop(mesh, n, gens):
 
 def _store_loop(mesh, directed, n):
     U = np.zeros((mesh.n_half_edges, n, n), dtype=complex)
-    done = np.zeros(mesh.n_half_edges, dtype=bool)
     for h in range(mesh.n_half_edges):
-        if done[h]:
-            continue
-        t = int(mesh.twin[h])
         M = directed.get(h)
-        if M is None:
-            M = directed[t].conj().T
-        U[h] = M
-        U[t] = M.conj().T
-        done[h] = done[t] = True
+        U[h] = directed[int(mesh.twin[h])].conj().T if M is None else M
     return U
 
 
@@ -228,7 +221,8 @@ def _fans_loop(mesh):
 
 
 def _face_tree_loop(surface):
-    """FIFO face tree: parent half-edge per face and the face spins."""
+    """FIFO face tree: parent half-edge per face, the face spins and the
+    faces in queue order."""
     mesh = surface.mesh
     F = mesh.n_faces
     parent_he = np.full(F, -1, dtype=np.int64)
@@ -236,9 +230,10 @@ def _face_tree_loop(surface):
     face_spin[0] = 1.0
     visited = np.zeros(F, dtype=bool)
     visited[0] = True
-    queue = [0]
+    queue, order = [0], []
     while queue:
         f = queue.pop(0)
+        order.append(f)
         for k in range(3):
             h = 3 * f + k
             ft = int(mesh.twin[h]) // 3
@@ -247,14 +242,14 @@ def _face_tree_loop(surface):
                 parent_he[ft] = h
                 face_spin[ft] = surface.edge_rotation[h] * face_spin[f]
                 queue.append(ft)
-    return parent_he, face_spin
+    return parent_he, face_spin, order
 
 
 def _geometry_loop(surface):
     mesh = surface.mesh
     F, V = mesh.n_faces, mesh.n_vertices
     cv = mesh.origin.reshape(F, 3)
-    _, face_spin = _face_tree_loop(surface)
+    _, face_spin, _ = _face_tree_loop(surface)
     ref = np.full(V, F, dtype=np.int64)
     for f in range(F):
         for k in range(3):
@@ -384,13 +379,50 @@ def test_scene_matches_loops_r1_to_r3(fan2, scene):
         assert defect <= 16 * np.finfo(float).eps * np.max(np.abs(X))
 
 
+def _check_face_tree(S):
+    levels, tree = face_tree(S.mesh)
+    parent_he, face_spin, order = _face_tree_loop(S)
+    assert np.array_equal(tree, parent_he)
+    assert np.array_equal(np.concatenate(levels), order)
+    # equal values: the loop's scalar product and the written-out one can
+    # round a zero part to opposite signs
+    assert np.array_equal(S.face_spin, face_spin)
+
+
 @pytest.mark.parametrize("levels", [1, 2, 3])
 def test_spanning_trees_match_fifo_loops(fan2, levels):
     mesh, _ = _chain(fan2, levels, bnd.su2_preset)[-1]
-    S = equip_conformal(mesh, layout="stored", density="hyperbolic")
-    H = mesh.n_half_edges
-    _, face_tree = bfs_tree(np.arange(0, H + 1, 3), mesh.twin // 3)
-    assert np.array_equal(face_tree, _face_tree_loop(S)[0])
+    _check_face_tree(equip_conformal(mesh, layout="stored", density="hyperbolic"))
+
+
+@pytest.mark.parametrize("layout", ["stored", "equilateral"])
+@pytest.mark.parametrize("base", ["genus3", "genus4", "torus3", "torus4"])
+def test_face_tree_matches_fifo_loop(base, layout):
+    # the tori are built from face triples, not by refinement: another
+    # numbering, another vertex degree and genus 1
+    if base.startswith("torus"):
+        meshes = [build_torus(int(base[-1]))]
+    else:
+        meshes = [refine(build_polygon_gluing(int(base[-1])))]
+        meshes += [refine(meshes[-1]) for _ in range(2)]
+    for mesh in meshes:
+        _check_face_tree(equip_conformal(mesh, layout=layout, density="uniform"))
+
+
+def test_face_tree_keeps_the_first_half_edge_of_its_parent():
+    # open edge 0 (a -> b) of the refined fan into a digon and fill it
+    # with faces X = (b, a, v) and Y = (a, b, v) around a new vertex v of
+    # degree 2: X and Y share two edges, and Y is found only from X
+    mesh = refine(build_polygon_gluing(2))
+    H, F, V = mesh.n_half_edges, mesh.n_faces, mesh.n_vertices
+    a, t = int(mesh.origin[0]), int(mesh.twin[0])
+    b = int(mesh.origin[t])
+    twin = np.concatenate([mesh.twin, [0, H + 5, H + 4, t, H + 2, H + 1]])
+    twin[0], twin[t] = H, H + 3
+    origin = np.concatenate([mesh.origin, [b, a, V, a, b, V]])
+    digon = HalfEdgeMesh(origin=origin, twin=twin, genus=2, n_vertices=V + 1)
+    assert face_tree(digon)[1][F + 1] == H + 1  # X's a -> v, not its v -> b
+    _check_face_tree(equip_conformal(digon, layout="equilateral", density="uniform"))
 
 
 def _same_bits(a, b):
