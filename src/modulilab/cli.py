@@ -58,9 +58,14 @@ TOLERANCES = {
     "loglog_slope_near_2": 0.2,
 }
 FD_STEPS = (1e-3, 1e-4, 1e-5)  # projector-derivative finite-difference steps
-# The largest size n^2 F/2 of a refined mesh (see _check_size): su2 at
-# genus 2 and refinement 6, the largest size run under 3 GiB.
-MAX_UNKNOWNS = 65_536
+# The largest size (n^2 + 1) F/2 of a refined mesh (see _check_size): su2
+# at genus 2 and refinement 7, whose two LUs, End(E) and tangent, fit in
+# 3 GiB in the symmetric minimum-degree order (trivial rank 1 at r8 does not).
+MAX_UNKNOWNS = 327_680
+# The largest Kronecker stack 3 F n^4 (see _check_size): trivial rank 8 at
+# r5, rank 16 at r3 and rank 32 at r1, each run under 3 GiB; rank 32 at r2
+# needs 6 GiB for the stack alone.
+MAX_KRONECKER = 100_663_296
 
 
 def _merge(base: dict, override: dict, prefix: str = "") -> dict:
@@ -147,20 +152,27 @@ def load_config(path, seed=None, out=None) -> dict:
 
 def _check_size(base: str, faces: int, n: int, refinements: int) -> None:
     """Raise ConfigError when a base mesh of ``faces`` faces at rank n,
-    refined r times, has a size n^2 F/2 = n^2 faces 4^r / 2 above
-    MAX_UNKNOWNS.  By Euler's formula, V = 2 - 2g + F/2, so the size
-    bounds the End(E) unknowns n^2 V, and unlike V (2 at r = 0 on the
-    fan) it grows with the genus.  ``base`` names the base in the
-    message.  Past 32 refinements the size is named as a lower bound,
-    taken at 32."""
+    refined r times to F = faces 4^r faces, has a size (n^2 + 1) F/2 above
+    MAX_UNKNOWNS or a Kronecker stack 3 F n^4 above MAX_KRONECKER.  By
+    Euler's formula, V = 2 - 2g + F/2, so the size bounds the unknowns
+    n^2 V + V of the End(E) and tangent complexes, both of which a run
+    factors, and unlike V (2 at r = 0 on the fan) it grows with the genus.
+    The stack is the dense (F, 3, n^2, n^2) array of Kronecker blocks that
+    the assembly forms before it keeps their nonzeros.  ``base`` names the
+    base in the message.  Past 32 refinements each count is named as a
+    lower bound, taken at 32."""
     r = min(refinements, 32)
-    count = n * n * faces * 4**r // 2
-    if count > MAX_UNKNOWNS:
-        at_least = "at least " if r < refinements else ""
-        raise ConfigError(
-            f"{base} at {refinements} refinements with rank {n} has size n^2 F/2 = "
-            f"{at_least}{count}, above the bound {MAX_UNKNOWNS} (F = {faces} * 4^r faces)"
-        )
+    F = faces * 4**r
+    at_least = "at least " if r < refinements else ""
+    for name, count, bound in (
+        ("size (n^2 + 1) F/2", (n * n + 1) * F // 2, MAX_UNKNOWNS),
+        ("Kronecker stack 3 F n^4", 3 * F * n**4, MAX_KRONECKER),
+    ):
+        if count > bound:
+            raise ConfigError(
+                f"{base} at {refinements} refinements with rank {n} has {name} = "
+                f"{at_least}{count}, above the bound {bound} (F = {faces} * 4^r faces)"
+            )
 
 
 def _integer(value, field: str) -> int:

@@ -137,9 +137,16 @@ def spectral_norm(X: np.ndarray, hermitian: bool = False) -> float:
         lam = scipy.linalg.eigh(X, lower=True, eigvals_only=True, overwrite_a=True)
         return float(max(-lam[0], lam[-1], 0.0))
     G = X.conj().T @ X if X.shape[0] >= X.shape[1] else X @ X.conj().T
+    return float(np.sqrt(_top_eigenvalue(G)))
+
+
+def _top_eigenvalue(G: np.ndarray) -> float:
+    """The largest eigenvalue of a Hermitian positive semidefinite G, from
+    its lower triangle alone, and at least 0.  It overwrites G when G is
+    Fortran-ordered, like the Hermitian way of ``spectral_norm``."""
     k = G.shape[0]
-    top = scipy.linalg.eigh(G, eigvals_only=True, subset_by_index=[k - 1, k - 1])[0]
-    return float(np.sqrt(max(top, 0.0)))
+    top = scipy.linalg.eigh(G, lower=True, eigvals_only=True, subset_by_index=[k - 1, k - 1], overwrite_a=True)
+    return max(float(top[0]), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +194,11 @@ def certify_operators(scene: Scene, dense_cap: int = 6000) -> dict:
     R -= P
     del P
     # |R|_2^2 is the top eigenvalue of the Gram matrix R^H R, formed by
-    # zherk from R in place (the conjugate copy of R^H @ R is avoided)
+    # zherk from R in place (the conjugate copy of R^H @ R is avoided); the
+    # Gram matrix is positive semidefinite, so that one eigenvalue is its norm
     gram = scipy.linalg.blas.zherk(1.0, R, trans=2, lower=1)
     del R
-    values["projector_idempotent"] = math.sqrt(spectral_norm(gram, hermitian=True))
+    values["projector_idempotent"] = math.sqrt(_top_eigenvalue(gram))
     return {**values, "kernel_dim": int(lam.size - rank)}
 
 

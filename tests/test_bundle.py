@@ -673,6 +673,16 @@ def test_exact_kernel_supports_factorized_solves(su2_scene_r1, rng):
     assert np.linalg.norm(x_lu - x_dense) <= 1e-8 * np.linalg.norm(x_dense)
 
 
+def test_symmetric_order_keeps_lu_fill_low(fan2_r2):
+    # the bordered Laplacian is Hermitian; in the minimum-degree order of
+    # B + B^H the End(E) and tangent LUs of trivial rank 1 at r4 each fill
+    # at most 0.7 of the L + U that the default COLAMD order gave
+    mesh = refine(refine(fan2_r2))
+    scene = Scene(equip_conformal(mesh, layout="equilateral", density="uniform"), bnd.trivial_cocycle(mesh, 1))
+    for cx, colamd_fill in ((scene.endo, 90_765), (scene.tangent, 99_141)):
+        assert cx.lu.L.nnz + cx.lu.U.nnz <= 0.7 * colamd_fill
+
+
 @pytest.mark.parametrize("density", ["uniform", "hyperbolic"])
 @pytest.mark.parametrize("mesh_name", ["fan2_r1", "fan2_r2"])
 def test_kahler_identity_on_flat_bundles(request, mesh_name, density):

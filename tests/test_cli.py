@@ -593,29 +593,49 @@ def test_huge_genus_is_a_failing_check_under_an_address_space_limit(tmp_path):
     r = run_cli("positivity", "--config", str(p), "--out", str(out), preexec_fn=limit)
     assert r.returncode == 2, r.stdout + r.stderr
     assert "Traceback" not in r.stderr
-    assert "800000000" in r.stderr and "65536" in r.stderr, r.stderr
+    assert "1000000000" in r.stderr and "327680" in r.stderr, r.stderr
     assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize(
     "mesh, bundle, size",
     [
-        ({"genus": 100_000_000, "refinements": 0}, {}, "800000000"),
-        ({"genus": 2, "refinements": 7}, {}, "262144"),
-        ({"genus": 3, "refinements": 6}, {"preset": "trivial", "n": 2}, "98304"),
+        ({"genus": 100_000_000, "refinements": 0}, {}, "1000000000"),
+        ({"genus": 2, "refinements": 8}, {}, "1310720"),
+        ({"genus": 3, "refinements": 7}, {}, "491520"),
         ({"genus": 2, "refinements": 10**9}, {}, "at least "),
+        ({"genus": 2, "refinements": 8}, {"preset": "trivial", "n": 1}, "524288"),
     ],
 )
 def test_size_bound_rejects_before_allocating(tmp_path, mesh, bundle, size):
-    # the size n^2 F/2 of a generated mesh is checked in load_config, in
-    # well under 0.1 s, also for a genus or a refinement count far past it
+    # the size (n^2 + 1) F/2 of a generated mesh is checked in load_config,
+    # in well under 0.1 s, also for a genus or a refinement count far past it
     import time
 
     from modulilab import cli
 
     p = _write(tmp_path, {"mesh": mesh, "bundle": bundle})
     t0 = time.perf_counter()
-    with pytest.raises(cli.ConfigError, match=f"n\\^2 F/2 = {size}.*above the bound {cli.MAX_UNKNOWNS}"):
+    with pytest.raises(cli.ConfigError, match=f"\\(n\\^2 \\+ 1\\) F/2 = {size}.*above the bound {cli.MAX_UNKNOWNS}"):
+        cli.load_config(p)
+    assert time.perf_counter() - t0 < 0.1
+
+
+@pytest.mark.parametrize(
+    "refinements, n, size",
+    [(2, 32, "402653184"), (1, 64, "1610612736")],
+)
+def test_kronecker_bound_rejects_before_allocating(tmp_path, refinements, n, size):
+    # trivial rank 32 at r2 fits the size bound, but the assembly's
+    # (F, 3, n^2, n^2) Kronecker stack would take 6 GiB; rank 64 at r1 24 GiB
+    import time
+
+    from modulilab import cli
+
+    p = _write(tmp_path, {"mesh": {"genus": 2, "refinements": refinements}, "bundle": {"preset": "trivial", "n": n}})
+    t0 = time.perf_counter()
+    match = f"Kronecker stack 3 F n\\^4 = {size}, above the bound {cli.MAX_KRONECKER}"
+    with pytest.raises(cli.ConfigError, match=match):
         cli.load_config(p)
     assert time.perf_counter() - t0 < 0.1
 
@@ -623,9 +643,12 @@ def test_size_bound_rejects_before_allocating(tmp_path, mesh, bundle, size):
 @pytest.mark.parametrize(
     "mesh, bundle",
     [
-        ({"genus": 2, "refinements": 6}, {}),  # su2 at r6: the bound itself
+        ({"genus": 2, "refinements": 7}, {}),  # su2 at r7: the size bound itself
+        ({"genus": 2, "refinements": 7}, {"preset": "trivial", "n": 2}),  # the size bound
         ({"genus": 2, "refinements": 7}, {"preset": "trivial", "n": 1}),
-        ({"genus": 3, "refinements": 5}, {}),
+        ({"genus": 3, "refinements": 6}, {}),
+        ({"genus": 2, "refinements": 3}, {"preset": "trivial", "n": 16}),  # the Kronecker bound
+        ({"genus": 2, "refinements": 5}, {"preset": "trivial", "n": 8}),  # the Kronecker bound
     ],
 )
 def test_size_bound_admits_the_ladder(tmp_path, mesh, bundle):
@@ -646,18 +669,22 @@ def test_size_bound_covers_file_backed_pairs(tmp_path):
 
     fan = build_polygon_gluing(2)
     save_mesh(fan, tmp_path / "fan.surf")
-    save_cocycle(from_generators(fan, 3, 0, [np.eye(3)] * 4), tmp_path / "rank3.gen")
+    for n in (3, 32):
+        save_cocycle(from_generators(fan, n, 0, [np.eye(n)] * 4), tmp_path / f"rank{n}.gen")
+    size, stack = f"above the bound {cli.MAX_UNKNOWNS}", f"above the bound {cli.MAX_KRONECKER}"
     cases = [
-        ({"file": str(tmp_path / "fan.surf"), "refinements": 9}, {"preset": "trivial", "n": 1}, 1_048_576),
-        ({"refinements": 6}, {"generator_file": str(tmp_path / "rank3.gen")}, 147_456),
+        ({"file": str(tmp_path / "fan.surf"), "refinements": 9}, {"preset": "trivial", "n": 1},
+         f"(n^2 + 1) F/2 = 2097152, {size}"),
+        ({"refinements": 7}, {"generator_file": str(tmp_path / "rank3.gen")}, f"(n^2 + 1) F/2 = 655360, {size}"),
+        ({"refinements": 2}, {"generator_file": str(tmp_path / "rank32.gen")}, f"3 F n^4 = 402653184, {stack}"),
     ]
-    for mesh, bundle, size in cases:
+    for mesh, bundle, message in cases:
         p = _write(tmp_path, {"mesh": mesh, "bundle": bundle})
         t0 = time.perf_counter()
         r = CliRunner().invoke(cli.main, ["positivity", "--config", p, "--out", str(tmp_path / "out")])
         assert time.perf_counter() - t0 < 1.0
         assert r.exit_code == 2, r.output
-        assert f"n^2 F/2 = {size}, above the bound {cli.MAX_UNKNOWNS}" in r.output
+        assert message in r.output
 
 
 def test_bare_memory_error_names_its_function(monkeypatch, tmp_path):
@@ -756,9 +783,9 @@ def test_cli_seed_solves_once_per_term(monkeypatch, tmp_path):
         calls.append(self)
         return solve(self, h)
 
-    def counted_splu(A):
+    def counted_splu(A, **kw):
         factored.append(A.shape[0])
-        return splu(A)
+        return splu(A, **kw)
 
     monkeypatch.setattr(DolbeaultComplex, "delta0_solve", counted)
     monkeypatch.setattr(_complexes.spla, "splu", counted_splu)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import modulilab
 from modulilab import bundle as bnd
@@ -204,6 +205,14 @@ def test_spectral_norm_matches_svd(rng, shape, scale, hermitian):
 
 def test_spectral_norm_of_zero_matrix():
     assert oracle.spectral_norm(np.zeros((6, 4), dtype=complex)) == 0.0
+
+
+def test_gram_norm_from_lower_triangle(rng):
+    # the idempotence residual reads |R|_2^2 as the top eigenvalue of the
+    # zherk Gram matrix, whose upper triangle is never written
+    R = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
+    gram = scipy.linalg.blas.zherk(1.0, R, trans=2, lower=1)
+    assert abs(np.sqrt(oracle._top_eigenvalue(gram)) - np.linalg.norm(R, 2)) <= 1e-13 * np.linalg.norm(R, 2)
 
 
 @pytest.mark.parametrize(

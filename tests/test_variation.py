@@ -399,7 +399,7 @@ def test_solver_stats_factor_reuse_on_fresh_complex(su2_scene, rng, monkeypatch)
 
     cx = endo_complex(su2_scene.surface, su2_scene.cocycle.transport, su2_scene.endo.kernel)
     factored, splu = [], _complexes.spla.splu
-    monkeypatch.setattr(_complexes.spla, "splu", lambda A: factored.append(A.shape) or splu(A))
+    monkeypatch.setattr(_complexes.spla, "splu", lambda A, **kw: factored.append(A.shape) or splu(A, **kw))
     h = rng.standard_normal(cx.w0.shape[0]) + 1j * rng.standard_normal(cx.w0.shape[0])
     reused = [cx.delta0_solve(h)[1]["factor_reused"] for _ in range(3)]
     assert reused == [False, True, True]
