@@ -136,17 +136,18 @@ class DolbeaultComplex:
 
         The matrix is Hermitian, so it is factored in SuperLU's symmetric
         mode, its columns ordered by minimum degree on the pattern of
-        B + B^H (George and Liu, SIAM Review 31, 1989).  Against the
-        default COLAMD order this cuts the fill L + U of the trivial-r4
-        complexes by about a third, and it brings su2 at refinement 7
-        under 3 GiB."""
+        B + B^H (George and Liu, SIAM Review 31, 1989), which fills less
+        than the default COLAMD order."""
         WK = sp.csr_matrix(self.w0[:, None] * self.kernel)
         WL = sp.diags(self.w0) @ self.laplacian
         B = sp.bmat([[WL, WK], [WK.conj().T, None]], format="csc")
         try:
             return spla.splu(B, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
-        except RuntimeError as e:  # exactly singular: K misses part of the kernel
-            raise SolverError(f"bordered Laplacian is singular: {e}") from e
+        except RuntimeError as e:
+            if "singular" in str(e):  # K misses part of the kernel
+                raise SolverError(f"bordered Laplacian is singular: {e}") from e
+            # SuperLU's own allocator gave out ("Can't expand MemType ...")
+            raise MemoryError(f"sparse LU of the bordered Laplacian: {e}") from e
 
     def delta0_solve(self, h: np.ndarray) -> tuple[np.ndarray, dict]:
         """Solve Laplacian x = (h projected off the kernel), x in ker^perp,

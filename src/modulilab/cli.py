@@ -58,13 +58,12 @@ TOLERANCES = {
     "loglog_slope_near_2": 0.2,
 }
 FD_STEPS = (1e-3, 1e-4, 1e-5)  # projector-derivative finite-difference steps
-# The largest size (n^2 + 1) F/2 of a refined mesh (see _check_size): su2
-# at genus 2 and refinement 7, whose two LUs, End(E) and tangent, fit in
-# 3 GiB in the symmetric minimum-degree order (trivial rank 1 at r8 does not).
+# The largest size (n^2 m^2 + 1) F/2 of a refined mesh (see _check_size):
+# its value for su2 at genus 2 and refinement 7.
 MAX_UNKNOWNS = 327_680
-# The largest Kronecker stack 3 F n^4 (see _check_size): trivial rank 8 at
-# r5, rank 16 at r3 and rank 32 at r1, each run under 3 GiB; rank 32 at r2
-# needs 6 GiB for the stack alone.
+# The largest Kronecker stack 3 F n^4 (see _check_size): its value for
+# trivial rank 8 at genus 2 and refinement 5.  CHANGES.md has the runs at
+# both bounds.
 MAX_KRONECKER = 100_663_296
 
 
@@ -150,27 +149,30 @@ def load_config(path, seed=None, out=None) -> dict:
     return cfg
 
 
-def _check_size(base: str, faces: int, n: int, refinements: int) -> None:
+def _check_size(base: str, faces: int, n: int, refinements: int, m: int = 1) -> None:
     """Raise ConfigError when a base mesh of ``faces`` faces at rank n,
-    refined r times to F = faces 4^r faces, has a size (n^2 + 1) F/2 above
-    MAX_UNKNOWNS or a Kronecker stack 3 F n^4 above MAX_KRONECKER.  By
-    Euler's formula, V = 2 - 2g + F/2, so the size bounds the unknowns
-    n^2 V + V of the End(E) and tangent complexes, both of which a run
-    factors, and unlike V (2 at r = 0 on the fan) it grows with the genus.
-    The stack is the dense (F, 3, n^2, n^2) array of Kronecker blocks that
-    the assembly forms before it keeps their nonzeros.  ``base`` names the
-    base in the message.  Past 32 refinements each count is named as a
-    lower bound, taken at 32."""
+    refined r times to F = faces 4^r faces, has a size (n^2 m^2 + 1) F/2
+    above MAX_UNKNOWNS or a Kronecker stack 3 F n^4 above MAX_KRONECKER.
+    m is the most nonzeros in a row of any transport T: 1 for the
+    presets, whose transports are monomial, up to n for a generator file.
+    By Euler's formula, V = 2 - 2g + F/2, so the size bounds n^2 m^2 V + V:
+    the End(E) unknowns, each with the m^2 nonzeros per neighbour that a
+    block X -> T X T^H puts in its row, and the tangent unknowns, the two
+    complexes that a run factors.  Unlike V (2 at r = 0 on the fan) it
+    grows with the genus.  The stack is the dense (F, 3, n^2, n^2) array of
+    Kronecker blocks that the assembly forms before it keeps their
+    nonzeros.  ``base`` names the base in the message.  Past 32
+    refinements each count is named as a lower bound, taken at 32."""
     r = min(refinements, 32)
     F = faces * 4**r
     at_least = "at least " if r < refinements else ""
     for name, count, bound in (
-        ("size (n^2 + 1) F/2", (n * n + 1) * F // 2, MAX_UNKNOWNS),
+        ("size (n^2 m^2 + 1) F/2", (n * n * m * m + 1) * F // 2, MAX_UNKNOWNS),
         ("Kronecker stack 3 F n^4", 3 * F * n**4, MAX_KRONECKER),
     ):
         if count > bound:
             raise ConfigError(
-                f"{base} at {refinements} refinements with rank {n} has {name} = "
+                f"{base} at {refinements} refinements with rank {n} and m = {m} has {name} = "
                 f"{at_least}{count}, above the bound {bound} (F = {faces} * 4^r faces)"
             )
 
@@ -199,7 +201,8 @@ def build_scene(cfg: dict) -> Scene:
         c0 = trivial_cocycle(mesh, bcfg["n"] or 1)
     if bcfg["n"] is not None and bcfg["n"] != c0.rank:
         raise ConfigError(f"bundle.n is {bcfg['n']}, but the configured cocycle has rank {c0.rank}")
-    _check_size("the base pair", mesh.n_faces, c0.rank, mcfg["refinements"])
+    m = int(np.count_nonzero(c0.transport, axis=2).max())  # refinement keeps each row's nonzeros
+    _check_size("the base pair", mesh.n_faces, c0.rank, mcfg["refinements"], m)
     for _ in range(mcfg["refinements"]):
         child = refine(mesh)
         c0 = bnd.refine_cocycle(c0, child)

@@ -142,10 +142,9 @@ def spectral_norm(X: np.ndarray, hermitian: bool = False) -> float:
 
 def _top_eigenvalue(G: np.ndarray) -> float:
     """The largest eigenvalue of a Hermitian positive semidefinite G, from
-    its lower triangle alone, and at least 0.  It overwrites G when G is
-    Fortran-ordered, like the Hermitian way of ``spectral_norm``."""
+    its lower triangle alone, and at least 0."""
     k = G.shape[0]
-    top = scipy.linalg.eigh(G, lower=True, eigvals_only=True, subset_by_index=[k - 1, k - 1], overwrite_a=True)
+    top = scipy.linalg.eigh(G, eigvals_only=True, subset_by_index=[k - 1, k - 1], overwrite_a=True)
     return max(float(top[0]), 0.0)
 
 
@@ -195,7 +194,8 @@ def certify_operators(scene: Scene, dense_cap: int = 6000) -> dict:
     del P
     # |R|_2^2 is the top eigenvalue of the Gram matrix R^H R, formed by
     # zherk from R in place (the conjugate copy of R^H @ R is avoided); the
-    # Gram matrix is positive semidefinite, so that one eigenvalue is its norm
+    # Gram matrix is positive semidefinite, so that one eigenvalue is its
+    # norm, and it is Fortran-ordered, so the eigensolver overwrites it
     gram = scipy.linalg.blas.zherk(1.0, R, trans=2, lower=1)
     del R
     values["projector_idempotent"] = math.sqrt(_top_eigenvalue(gram))

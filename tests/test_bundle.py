@@ -673,6 +673,28 @@ def test_exact_kernel_supports_factorized_solves(su2_scene_r1, rng):
     assert np.linalg.norm(x_lu - x_dense) <= 1e-8 * np.linalg.norm(x_dense)
 
 
+@pytest.mark.parametrize(
+    "superlu, error, message",
+    [
+        ("Factor is exactly singular", SolverError, "bordered Laplacian is singular: Factor"),
+        ("Can't expand MemType 0: jcol 7", MemoryError, "sparse LU of the bordered Laplacian: Can't expand"),
+    ],
+)
+def test_lu_tells_a_singular_matrix_from_an_exhausted_allocator(su2_scene_r1, monkeypatch, superlu, error, message):
+    # SuperLU raises RuntimeError both for an exactly singular matrix and
+    # when its allocator gives out; only the first is a singular Laplacian
+    from modulilab import _complexes
+
+    def fail(A, **kw):
+        raise RuntimeError(superlu)
+
+    monkeypatch.setattr(_complexes.spla, "splu", fail)
+    scene = su2_scene_r1
+    cx = endo_complex(scene.surface, scene.cocycle.transport, scene.endo.kernel)
+    with pytest.raises(error, match=message):
+        cx.lu
+
+
 def test_symmetric_order_keeps_lu_fill_low(fan2_r2):
     # the bordered Laplacian is Hermitian; in the minimum-degree order of
     # B + B^H the End(E) and tangent LUs of trivial rank 1 at r4 each fill

@@ -608,26 +608,28 @@ def test_huge_genus_is_a_failing_check_under_an_address_space_limit(tmp_path):
     ],
 )
 def test_size_bound_rejects_before_allocating(tmp_path, mesh, bundle, size):
-    # the size (n^2 + 1) F/2 of a generated mesh is checked in load_config,
-    # in well under 0.1 s, also for a genus or a refinement count far past it
+    # the size (n^2 m^2 + 1) F/2 of a generated mesh is checked in
+    # load_config, in well under 0.1 s, also for a genus or a refinement
+    # count far past it
     import time
 
     from modulilab import cli
 
     p = _write(tmp_path, {"mesh": mesh, "bundle": bundle})
     t0 = time.perf_counter()
-    with pytest.raises(cli.ConfigError, match=f"\\(n\\^2 \\+ 1\\) F/2 = {size}.*above the bound {cli.MAX_UNKNOWNS}"):
+    with pytest.raises(cli.ConfigError, match=f"\\(n\\^2 m\\^2 \\+ 1\\) F/2 = {size}.*above the bound {cli.MAX_UNKNOWNS}"):
         cli.load_config(p)
     assert time.perf_counter() - t0 < 0.1
 
 
 @pytest.mark.parametrize(
     "refinements, n, size",
-    [(2, 32, "402653184"), (1, 64, "1610612736")],
+    [(2, 32, "402653184"), (1, 33, "113848416"), (1, 64, "1610612736")],
 )
 def test_kronecker_bound_rejects_before_allocating(tmp_path, refinements, n, size):
     # trivial rank 32 at r2 fits the size bound, but the assembly's
-    # (F, 3, n^2, n^2) Kronecker stack would take 6 GiB; rank 64 at r1 24 GiB
+    # (F, 3, n^2, n^2) Kronecker stack would take 6 GiB; rank 64 at r1 24 GiB;
+    # rank 33 is the first rank refused at r1, the coarsest mesh that runs
     import time
 
     from modulilab import cli
@@ -646,9 +648,13 @@ def test_kronecker_bound_rejects_before_allocating(tmp_path, refinements, n, siz
         ({"genus": 2, "refinements": 7}, {}),  # su2 at r7: the size bound itself
         ({"genus": 2, "refinements": 7}, {"preset": "trivial", "n": 2}),  # the size bound
         ({"genus": 2, "refinements": 7}, {"preset": "trivial", "n": 1}),
+        ({"genus": 5, "refinements": 7}, {"preset": "trivial", "n": 1}),  # rank 1 at the size bound
+        ({"genus": 20_480, "refinements": 1}, {"preset": "trivial", "n": 1}),  # the same F at r1
+        ({"genus": 4, "refinements": 6}, {"preset": "trivial", "n": 3}),  # rank 3 at the size bound
         ({"genus": 3, "refinements": 6}, {}),
         ({"genus": 2, "refinements": 3}, {"preset": "trivial", "n": 16}),  # the Kronecker bound
         ({"genus": 2, "refinements": 5}, {"preset": "trivial", "n": 8}),  # the Kronecker bound
+        ({"genus": 2, "refinements": 1}, {"preset": "trivial", "n": 32}),  # the Kronecker bound
     ],
 )
 def test_size_bound_admits_the_ladder(tmp_path, mesh, bundle):
@@ -671,11 +677,16 @@ def test_size_bound_covers_file_backed_pairs(tmp_path):
     save_mesh(fan, tmp_path / "fan.surf")
     for n in (3, 32):
         save_cocycle(from_generators(fan, n, 0, [np.eye(n)] * 4), tmp_path / f"rank{n}.gen")
+    # dense rank-2 generators: every entry of each transport is nonzero, m = 2
+    A, B = np.array([[1, 1], [1, -1]]) / np.sqrt(2), np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)
+    save_cocycle(from_generators(fan, 2, 0, [A, A, B, B]), tmp_path / "dense2.gen")
     size, stack = f"above the bound {cli.MAX_UNKNOWNS}", f"above the bound {cli.MAX_KRONECKER}"
     cases = [
         ({"file": str(tmp_path / "fan.surf"), "refinements": 9}, {"preset": "trivial", "n": 1},
-         f"(n^2 + 1) F/2 = 2097152, {size}"),
-        ({"refinements": 7}, {"generator_file": str(tmp_path / "rank3.gen")}, f"(n^2 + 1) F/2 = 655360, {size}"),
+         f"(n^2 m^2 + 1) F/2 = 2097152, {size}"),
+        ({"refinements": 7}, {"generator_file": str(tmp_path / "rank3.gen")}, f"(n^2 m^2 + 1) F/2 = 655360, {size}"),
+        ({"refinements": 7}, {"generator_file": str(tmp_path / "dense2.gen")},
+         f"rank 2 and m = 2 has size (n^2 m^2 + 1) F/2 = 1114112, {size}"),
         ({"refinements": 2}, {"generator_file": str(tmp_path / "rank32.gen")}, f"3 F n^4 = 402653184, {stack}"),
     ]
     for mesh, bundle, message in cases:
@@ -685,6 +696,35 @@ def test_size_bound_covers_file_backed_pairs(tmp_path):
         assert time.perf_counter() - t0 < 1.0
         assert r.exit_code == 2, r.output
         assert message in r.output
+
+
+def test_size_bound_counts_transport_nonzeros():
+    # a transport with m nonzeros in a row puts m^2 in each row of its
+    # End(E) block: dense rank-2 transports fit at r6 but not at r7, where
+    # the monomial su2 preset fits
+    from modulilab import cli
+
+    cli._check_size("fan", 8, 2, 6, m=2)
+    cli._check_size("fan", 8, 2, 7, m=1)
+    with pytest.raises(cli.ConfigError, match="m = 2 has size \\(n\\^2 m\\^2 \\+ 1\\) F/2 = 1114112"):
+        cli._check_size("fan", 8, 2, 7, m=2)
+
+
+def test_rank_45_at_r0_is_refused_before_assembly(tmp_path):
+    # trivial rank 45 on the unrefined fan fits both bounds (its stack is
+    # 3 F n^4 = 98,415,000), but the fan's faces repeat a vertex, so the run
+    # exits 2 before anything of that size is allocated
+    import time
+
+    from click.testing import CliRunner
+    from modulilab import cli
+
+    p = _write(tmp_path, {"mesh": {"genus": 2, "refinements": 0}, "bundle": {"preset": "trivial", "n": 45}})
+    t0 = time.perf_counter()
+    r = CliRunner().invoke(cli.main, ["positivity", "--config", p, "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - t0 < 1.0
+    assert r.exit_code == 2, r.output
+    assert "repeated vertices" in r.output
 
 
 def test_bare_memory_error_names_its_function(monkeypatch, tmp_path):
