@@ -47,12 +47,16 @@ def _assemble(weights, T, corner_vertex, n_vertices) -> tuple[sp.csr_matrix, ...
     """Sparse (F*m^2) x (V*m^2) operators X -> sum_k w[f,k] T X_v T^H,
     v = corner_vertex[f,k], T = T[f,k], one per corner weight w in
     ``weights``, broadcast to (F,3).  Row-major vec(T X T^H) is
-    kron(T, conj T) vec(X): the Kronecker blocks are formed once and only
-    their nonzero entries enter the operators, which store no zeros."""
-    F, m2 = T.shape[0], T.shape[-1] ** 2
-    blocks = np.einsum("fkac,fkbd->fkabcd", T, np.conj(T)).reshape(F, 3, m2, m2)
-    f, k, i, j = np.nonzero(blocks)
-    vals, entries = blocks[f, k, i, j], (f * m2 + i, corner_vertex[f, k] * m2 + j)
+    kron(T, conj T) vec(X), entry ((a,b), (c,d)) = T[a,c] conj T[b,d]:
+    it is formed over the p nonzero columns of each row of T only (p = 1
+    for monomial T), and only its nonzero values enter the operators."""
+    F, n, p = T.shape[0], T.shape[-1], np.count_nonzero(T, axis=-1).max()
+    col = np.argsort(T == 0, axis=-1, kind="stable")[..., :p]  # nonzero columns first, in order
+    t = np.take_along_axis(T, col, axis=-1)
+    prods = np.einsum("fkap,fkbq->fkabpq", t, np.conj(t))
+    f, k, a, b, i, j = np.nonzero(prods)
+    m2, vals = n * n, prods[f, k, a, b, i, j]
+    entries = (f * m2 + a * n + b, corner_vertex[f, k] * m2 + col[f, k, a, i] * n + col[f, k, b, j])
     shape = (F * m2, n_vertices * m2)
     return tuple(
         sp.csr_matrix((np.broadcast_to(w, (F, 3))[f, k] * vals, entries), shape=shape, dtype=complex) for w in weights
@@ -71,12 +75,13 @@ class DolbeaultComplex:
     adjoints, and ``lift_to_vertices`` the area-weighted adjoint of B.
     ``laplacian`` is dbar* dbar, the one Laplacian every restricted solve
     uses; on a flat bundle it equals d* d to roundoff (see
-    ``kahler_residual``).  ``kernel`` holds its exact kernel as columns; it
-    is w0-orthonormalized on construction.  The complex owns the cochain
-    layout: ``apply`` (M x), ``star``, ``inner`` and the solves take a
-    vector, an (N, k) block, per-site values (N/m^2, m, m) or a block
-    (N/m^2, m, m, k) of those, and answer in that layout (``inner`` with a
-    number); any other shape raises ValueError.
+    ``kahler_residual``).  Its exact ``kernel`` K is the orthonormal m^2 x k
+    ``commutant`` C tiled over the vertices, sparse, over sqrt(sum_v w_v):
+    K^H W0 K = I, as w0 is w_v on each of vertex v's m^2 entries.  The
+    complex owns the cochain layout: ``apply`` (M x), ``star``, ``inner``
+    and the solves take a vector, an (N, k) block, per-site values
+    (N/m^2, m, m) or a block (N/m^2, m, m, k) of those, and answer in that
+    layout (``inner`` with a number); any other shape raises ValueError.
     """
 
     m: int
@@ -87,12 +92,7 @@ class DolbeaultComplex:
     dbar: sp.csr_matrix
     dhol: sp.csr_matrix
     corner_avg: sp.csr_matrix
-    kernel: np.ndarray
-
-    def __post_init__(self):
-        s = np.sqrt(self.w0)
-        K = np.asarray(self.kernel, dtype=complex).reshape(s.shape[0], -1)
-        self.kernel = np.linalg.qr(s[:, None] * K)[0] / s[:, None]
+    commutant: np.ndarray
 
     # -- operators and adjoints ------------------------------------------------
     def apply(self, M: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
@@ -127,6 +127,11 @@ class DolbeaultComplex:
     def laplacian(self) -> sp.csr_matrix:
         return _gram(self, self.dbar)
 
+    @functools.cached_property
+    def kernel(self) -> sp.csr_matrix:
+        C = self.commutant
+        return sp.kron(np.ones((self.n_vertices, 1)), C, format="csr") / np.sqrt(np.sum(self.w0) / len(C))
+
     # -- kernel-restricted solves --------------------------------------------
     @functools.cached_property
     def lu(self):
@@ -138,15 +143,15 @@ class DolbeaultComplex:
         mode, its columns ordered by minimum degree on the pattern of
         B + B^H (George and Liu, SIAM Review 31, 1989), which fills less
         than the default COLAMD order."""
-        WK = sp.csr_matrix(self.w0[:, None] * self.kernel)
+        WK = sp.diags(self.w0) @ self.kernel
         WL = sp.diags(self.w0) @ self.laplacian
         B = sp.bmat([[WL, WK], [WK.conj().T, None]], format="csc")
         try:
             return spla.splu(B, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
-        except RuntimeError as e:
+        except (RuntimeError, SystemError) as e:
             if "singular" in str(e):  # K misses part of the kernel
                 raise SolverError(f"bordered Laplacian is singular: {e}") from e
-            # SuperLU's own allocator gave out ("Can't expand MemType ...")
+            # SuperLU's allocator gave out ("Can't expand MemType", or gstrf's "invalid arguments")
             raise MemoryError(f"sparse LU of the bordered Laplacian: {e}") from e
 
     def delta0_solve(self, h: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -213,10 +218,10 @@ def kahler_residual(cx: DolbeaultComplex) -> float:
 # complex builders
 
 
-def _build(S: ConformalSurface, T, w0, w1, kernel, phase=1.0) -> DolbeaultComplex:
+def _build(S: ConformalSurface, T, w0, w1, commutant, phase=1.0) -> DolbeaultComplex:
     """Complex whose value at corner (f,k) is phase[f] T X T^H with T =
-    T[f,k], (F,3,m,m), a unit ``phase`` per face (F,) or 1, and the L2
-    weights ``w0``/``w1`` per flattened entry."""
+    T[f,k], (F,3,m,m), a unit ``phase`` per face (F,) or 1, the L2
+    weights ``w0``/``w1`` per flattened entry and the kernel's ``commutant``."""
     V, cv = S.n_vertices, S.corner_vertex
     p = np.reshape(phase, (-1, 1))
     dbar, dhol, corner_avg = _assemble((p * S.grad_bar, p * np.conj(S.grad_bar), p / 3.0), T, cv, V)
@@ -229,7 +234,7 @@ def _build(S: ConformalSurface, T, w0, w1, kernel, phase=1.0) -> DolbeaultComple
         dbar=dbar,
         dhol=dhol,
         corner_avg=corner_avg,
-        kernel=kernel,
+        commutant=commutant,
     )
 
 
@@ -244,7 +249,7 @@ def tangent_complex(S: ConformalSurface) -> DolbeaultComplex:
     """
     T = np.ones(S.corner_vertex.shape + (1, 1), dtype=complex)
     rho = S.density
-    return _build(S, T, S.lumped(rho**2 * S.area), rho * S.area, np.ones(S.n_vertices), S.face_spin)
+    return _build(S, T, S.lumped(rho**2 * S.area), rho * S.area, np.ones((1, 1)), S.face_spin)
 
 
 def corner_transports(S: ConformalSurface, transport_per_he: np.ndarray) -> np.ndarray:
@@ -261,17 +266,17 @@ def corner_transports(S: ConformalSurface, transport_per_he: np.ndarray) -> np.n
     return np.where(step == 0, np.eye(n), np.where(step == 1, U, U[:, [1, 2, 0]] @ U))
 
 
-def endo_complex(S: ConformalSurface, transport_per_he: np.ndarray, kernel: np.ndarray) -> DolbeaultComplex:
+def endo_complex(S: ConformalSurface, transport_per_he: np.ndarray, commutant: np.ndarray) -> DolbeaultComplex:
     """End(E)-valued complex for a unitary edge-transport field.
 
     ``transport_per_he[h]`` maps the frame at origin(h) to the frame at
     head(h); values conjugate as T X T^H, so central phases drop out.
-    ``kernel`` holds the covariant-constant sections as columns.
+    ``commutant`` holds the covariant constants' values at a vertex.
     """
     T = corner_transports(S, transport_per_he)
     gf, m2 = conventions.L2_GLOBAL_FACTOR, T.shape[-1] ** 2
     w0, w1 = np.repeat(gf * S.lumped(S.density * S.area), m2), np.repeat(gf * S.area, m2)
-    return _build(S, T, w0, w1, kernel)
+    return _build(S, T, w0, w1, commutant)
 
 
 # ---------------------------------------------------------------------------

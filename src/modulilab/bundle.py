@@ -243,16 +243,16 @@ def _commutant(c: UnitaryCocycle) -> np.ndarray:
     """Orthonormal basis (columns, row-major vec) of the matrices X with
     U X = X U for every transport: the null space of the n^2 x n^2 Gram
     matrix sum_h A_h^H A_h, A_h = U_h (x) I - I (x) U_h^T, summed over
-    the distinct transports (keyed by their bytes) times their counts."""
+    the distinct transports (keyed by their bytes; repeats would only
+    reweight it).  A_h^H A_h = 2 I - M_h - M_h^H, M_h = U_h (x) conj U_h,
+    and sum_h M_h is one product of the stacked transports."""
     n = c.rank
     U = np.ascontiguousarray(c.transport)
     keys = U.reshape(len(U), -1).view(f"V{U[0].nbytes}")[:, 0]
-    _, first, count = np.unique(keys, return_index=True, return_counts=True)
-    U, eye = U[first], np.eye(n)
-    A = np.einsum("hab,cd->hacbd", U, eye) - np.einsum("ab,hdc->hacbd", eye, U)
-    A = A.reshape(-1, n * n, n * n)
-    G = np.einsum("h,hki,hkj->ij", count, A.conj(), A)
-    lam, vecs = np.linalg.eigh(0.5 * (G + G.conj().T))
+    U = U[np.unique(keys, return_index=True)[1]].reshape(-1, n * n)
+    M = (U.T @ np.conj(U)).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    G = 2 * len(U) * np.eye(n * n) - (M + M.conj().T)
+    lam, vecs = np.linalg.eigh(G)
     k = int(np.sum(lam <= COMMUTANT_REL_TOL * max(float(lam[-1]), 1.0)))
     return vecs[:, :k]
 
@@ -265,7 +265,7 @@ def operators(S: ConformalSurface, c: UnitaryCocycle) -> DolbeaultComplex:
     """The End(E)-valued complex of ``c`` on a surface.  Its exact kernel,
     the covariant constants, is the commutant at every vertex: an X that
     commutes with every transport satisfies U X U^H = X on every edge."""
-    return endo_complex(S, c.transport, np.tile(_commutant(c), (S.n_vertices, 1)))
+    return endo_complex(S, c.transport, _commutant(c))
 
 
 @dataclass(frozen=True, eq=False)

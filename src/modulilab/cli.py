@@ -61,10 +61,8 @@ FD_STEPS = (1e-3, 1e-4, 1e-5)  # projector-derivative finite-difference steps
 # The largest size (n^2 m^2 + 1) F/2 of a refined mesh (see _check_size):
 # its value for su2 at genus 2 and refinement 7.
 MAX_UNKNOWNS = 327_680
-# The largest Kronecker stack 3 F n^4 (see _check_size): its value for
-# trivial rank 8 at genus 2 and refinement 5.  CHANGES.md has the runs at
-# both bounds.
-MAX_KRONECKER = 100_663_296
+# The largest rank n, the largest measured.  CHANGES.md has the runs at both bounds.
+MAX_RANK = 32
 
 
 def _merge(base: dict, override: dict, prefix: str = "") -> dict:
@@ -150,31 +148,27 @@ def load_config(path, seed=None, out=None) -> dict:
 
 
 def _check_size(base: str, faces: int, n: int, refinements: int, m: int = 1) -> None:
-    """Raise ConfigError when a base mesh of ``faces`` faces at rank n,
-    refined r times to F = faces 4^r faces, has a size (n^2 m^2 + 1) F/2
-    above MAX_UNKNOWNS or a Kronecker stack 3 F n^4 above MAX_KRONECKER.
-    m is the most nonzeros in a row of any transport T: 1 for the
-    presets, whose transports are monomial, up to n for a generator file.
-    By Euler's formula, V = 2 - 2g + F/2, so the size bounds n^2 m^2 V + V:
-    the End(E) unknowns, each with the m^2 nonzeros per neighbour that a
-    block X -> T X T^H puts in its row, and the tangent unknowns, the two
+    """Raise ConfigError when the rank n is above MAX_RANK (it bounds the
+    commutant's n^2 x n^2 Gram matrix, the one n^4 object of a run), or
+    when a base mesh of ``faces`` faces, refined r times to F = faces 4^r
+    faces, has a size (n^2 m^2 + 1) F/2 above MAX_UNKNOWNS.  m is the most
+    nonzeros in a row of any transport T: 1 for the presets, whose
+    transports are monomial, up to n for a generator file.  By Euler's
+    formula, V = 2 - 2g + F/2, so the size bounds n^2 m^2 V + V: the
+    End(E) unknowns, each with the m^2 nonzeros per neighbour that a block
+    X -> T X T^H puts in its row, and the tangent unknowns, the two
     complexes that a run factors.  Unlike V (2 at r = 0 on the fan) it
-    grows with the genus.  The stack is the dense (F, 3, n^2, n^2) array of
-    Kronecker blocks that the assembly forms before it keeps their
-    nonzeros.  ``base`` names the base in the message.  Past 32
-    refinements each count is named as a lower bound, taken at 32."""
+    grows with the genus.  ``base`` names the base in the message.  Past
+    32 refinements the size is named as a lower bound, taken at 32."""
+    if n > MAX_RANK:
+        raise ConfigError(f"{base} has rank {n}, above the bound MAX_RANK = {MAX_RANK}")
     r = min(refinements, 32)
-    F = faces * 4**r
-    at_least = "at least " if r < refinements else ""
-    for name, count, bound in (
-        ("size (n^2 m^2 + 1) F/2", (n * n * m * m + 1) * F // 2, MAX_UNKNOWNS),
-        ("Kronecker stack 3 F n^4", 3 * F * n**4, MAX_KRONECKER),
-    ):
-        if count > bound:
-            raise ConfigError(
-                f"{base} at {refinements} refinements with rank {n} and m = {m} has {name} = "
-                f"{at_least}{count}, above the bound {bound} (F = {faces} * 4^r faces)"
-            )
+    size = (n * n * m * m + 1) * faces * 4**r // 2
+    if size > MAX_UNKNOWNS:
+        raise ConfigError(
+            f"{base} at {refinements} refinements with rank {n} and m = {m} has size (n^2 m^2 + 1) F/2 = "
+            f"{'at least ' if r < refinements else ''}{size}, above the bound {MAX_UNKNOWNS} (F = {faces} * 4^r faces)"
+        )
 
 
 def _integer(value, field: str) -> int:

@@ -1,7 +1,9 @@
+import dataclasses
 import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from modulilab import bundle as bnd
 from modulilab import oracle
@@ -77,41 +79,101 @@ def test_commutant_dimensions(fan2_r2, su2_r2, triv1_r2, triv2_r2):
     assert _commutant(triv2_r2).shape[1] == 4
 
 
-def test_commutant_allocates_no_per_half_edge_stack(fan2_r2):
-    # the Gram matrix sums over the distinct transports: no (H, n^2, n^2)
-    # Kronecker stack, whose n^4 entries per half-edge would be 16x the
-    # transports themselves at rank 4
+def _traced_peak(fn):
+    """The tracemalloc peak, in bytes, of one call of ``fn``."""
     import tracemalloc
 
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _haar(rng, n):
+    """A Haar-distributed U(n) matrix."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _generator_cocycle(mesh, n, d, gens):
+    """The cocycle of ``gens`` on the fan that ``mesh`` was refined from,
+    refined down to ``mesh``."""
+    chain = [mesh]
+    while chain[-1].parent is not None:
+        chain.append(chain[-1].parent)
+    c = from_generators(chain[-1], n, d, gens)
+    for child in reversed(chain[:-1]):
+        c = refine_cocycle(c, child)
+    return c
+
+
+def _haar_u3_cocycle(mesh):
+    """Rank-3 generator cocycle (A, A, B, B) with Haar U(3) matrices A, B:
+    dense transports and a scalar commutant."""
+    rng = np.random.default_rng(3)
+    A, B = _haar(rng, 3), _haar(rng, 3)
+    return _generator_cocycle(mesh, 3, 0, [A, A, B, B])
+
+
+def test_commutant_allocates_no_per_half_edge_stack(fan2, fan2_r2):
+    # the Gram matrix is one product of the stacked distinct transports:
+    # no (H, n^2, n^2) or (h, n^2, n^2) Kronecker stack, whose n^4 entries
+    # per half-edge would be 16x the transports themselves at rank 4.  On
+    # the fan's Haar U(3) cocycle (H = 24, 17 distinct) the peak stays
+    # within a few n^4 + H n^2 entries, where h n^4 alone would be 3.6x that
     c = bnd.trivial_cocycle(refine(fan2_r2), 4)
-    tracemalloc.start()
-    try:
-        assert _commutant(c).shape[1] == 16
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: _commutant(c))
     assert peak <= 4 * c.transport.nbytes, (peak, c.transport.nbytes)
+    c = _haar_u3_cocycle(fan2)
+    assert _commutant(c).shape[1] == 1
+    entries = 3**4 + c.transport.size
+    peak = _traced_peak(lambda: _commutant(c))
+    assert peak <= 4 * 16 * entries, (peak, entries)
 
 
-def test_endo_assembly_allocates_one_kronecker_stack(fan2_r2):
-    # the three face operators share one (F, 3, n^2, n^2) Kronecker stack
-    # and take only its nonzero entries: no stack per operator and no row
-    # or column index arrays the size of the stack
-    import tracemalloc
-
-    mesh = refine(fan2_r2)
-    S = equip_conformal(mesh, layout="equilateral", density="uniform")
-    c = bnd.trivial_cocycle(mesh, 4)
-    kernel = np.tile(_commutant(c), (S.n_vertices, 1))
+def test_endo_assembly_peak_is_a_multiple_of_its_nonzeros(fan2_r2):
+    # the corner products are formed over each transport row's nonzero
+    # columns only: at trivial rank 8 the peak of the whole build is a
+    # small multiple of the F 3 n^2 m^2 complex values the three operators
+    # keep (m = 1), where one dense (F, 3, n^2, n^2) Kronecker stack would
+    # be n^2 = 64 times them
+    S = equip_conformal(fan2_r2, layout="equilateral", density="uniform")
+    c = bnd.trivial_cocycle(fan2_r2, 8)
+    C = _commutant(c)
     S.grad_bar  # geometry is computed and kept before the window opens
-    stack = S.n_faces * 3 * 4**4 * 16
-    tracemalloc.start()
-    try:
-        endo_complex(S, c.transport, kernel)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * stack, (peak, stack)
+    nonzero_bytes = S.n_faces * 3 * 8**2 * 16
+    peak = _traced_peak(lambda: endo_complex(S, c.transport, C))
+    assert peak <= 16 * nonzero_bytes, (peak, nonzero_bytes)
+
+
+@pytest.mark.parametrize("center", ["su2", "trivial3", "haar3"])
+def test_kernel_is_the_commutant_tiled_over_vertices(request, surf_hyp_r1, center, rng):
+    # both complexes keep their kernel as the commutant tiled over the
+    # vertices and scaled: w0-orthonormal, with V nnz(C) entries, and the
+    # solves give what a kernel w0-orthonormalized by a dense QR gives
+    c = {
+        "su2": lambda: request.getfixturevalue("su2_r1"),
+        "trivial3": lambda: bnd.trivial_cocycle(surf_hyp_r1.mesh, 3),
+        "haar3": lambda: _haar_u3_cocycle(surf_hyp_r1.mesh),
+    }[center]()
+    scene = Scene(surf_hyp_r1, c)
+    for cx in (scene.endo, scene.tangent):
+        K, V = cx.kernel, cx.n_vertices
+        assert sp.issparse(K)
+        gram = (K.conj().T @ sp.diags(cx.w0) @ K).toarray()
+        assert np.max(np.abs(gram - np.eye(K.shape[1]))) <= 1e-14
+        assert K.nnz == V * np.count_nonzero(cx.commutant)
+        s = np.sqrt(cx.w0)[:, None]
+        qr = dataclasses.replace(cx)
+        qr.kernel = np.linalg.qr(s * np.tile(cx.commutant, (V, 1)))[0] / s
+        h = np.column_stack([rng.standard_normal(K.shape[0]) + 1j * rng.standard_normal(K.shape[0]) for _ in range(2)])
+        h[:, 1] += K @ rng.standard_normal(K.shape[1])
+        (x, stats), (x_qr, stats_qr) = cx.delta0_solve(h), qr.delta0_solve(h)
+        assert np.linalg.norm(x - x_qr) <= 1e-12 * np.linalg.norm(x_qr)
+        assert abs(stats["kernel_removed"] - stats_qr["kernel_removed"]) <= 1e-13 * stats_qr["kernel_removed"]
+        assert abs(stats["residual"] - stats_qr["residual"]) <= 1e-14
 
 
 def test_rank1_any_cocycle_irreducible(fan2):
@@ -382,16 +444,10 @@ def _complex_transport_cocycle(mesh):
     """Rank-2 cocycle with the su2 pair on the first handle and a commuting
     random U(2) pair (W, W) on the second, so that the conjugation action
     T X T^H of the corner transports is not real."""
-    chain = [mesh]
-    while chain[-1].parent is not None:
-        chain.append(chain[-1].parent)
     rng = np.random.default_rng(7)
     W = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
     gens = [np.array([[0, 1j], [1j, 0]]), np.array([[0, 1], [-1, 0]], dtype=complex), W, W]
-    c = from_generators(chain[-1], 2, 1, gens)
-    for child in reversed(chain[:-1]):
-        c = refine_cocycle(c, child)
-    return c
+    return _generator_cocycle(mesh, 2, 1, gens)
 
 
 def _corner_complexes(request, surf, su2):
@@ -427,7 +483,7 @@ def test_lift_inverts_corner_average_on_kernel(request, surf, su2):
     S, complexes = _corner_complexes(request, surf, su2)
     for cx in complexes:
         for k in range(cx.kernel.shape[1]):
-            x = cx.kernel[:, k].reshape(-1, cx.m, cx.m)
+            x = cx.kernel[:, [k]].toarray().reshape(-1, cx.m, cx.m)
             back = lift_to_vertices(cx, S, cx.apply(cx.corner_avg, x))
             assert np.linalg.norm(back - x) <= 1e-12 * np.linalg.norm(x)
 
@@ -665,7 +721,7 @@ def test_exact_kernel_supports_factorized_solves(su2_scene_r1, rng):
     cx = su2_scene_r1.endo
     K = cx.kernel
     assert K.shape[1] == 1
-    assert np.linalg.norm(cx.laplacian @ K) <= 1e-12
+    assert np.linalg.norm((cx.laplacian @ K).toarray()) <= 1e-12
     h = rng.standard_normal(K.shape[0]) + 1j * rng.standard_normal(K.shape[0])
     x_dense = dense_delta0_inverse(cx) @ h
     x_lu, st = cx.delta0_solve(h)
@@ -690,7 +746,7 @@ def test_lu_tells_a_singular_matrix_from_an_exhausted_allocator(su2_scene_r1, mo
 
     monkeypatch.setattr(_complexes.spla, "splu", fail)
     scene = su2_scene_r1
-    cx = endo_complex(scene.surface, scene.cocycle.transport, scene.endo.kernel)
+    cx = endo_complex(scene.surface, scene.cocycle.transport, scene.endo.commutant)
     with pytest.raises(error, match=message):
         cx.lu
 
@@ -722,18 +778,17 @@ def test_kahler_identity_fails_off_flat_bundles(surf_hyp_r1, rng):
     # two Laplacians then differ at order one
     H = surf_hyp_r1.mesh.n_half_edges
     U = np.linalg.qr(rng.standard_normal((H, 2, 2)) + 1j * rng.standard_normal((H, 2, 2)))[0]
-    V = surf_hyp_r1.n_vertices
-    identity = np.broadcast_to(np.eye(2), (V, 2, 2)).reshape(-1, 1)
+    identity = np.eye(2).reshape(-1, 1) / np.sqrt(2)
     assert kahler_residual(endo_complex(surf_hyp_r1, U, identity)) > 1e-2
 
 
 def test_incomplete_kernel_fails_residual_gate(surf_hyp, triv2_r2, rng):
     # a bordered system missing one of the four kernel directions cannot
     # reach the residual gate: the solve must refuse, not return garbage
-    K = np.tile(_commutant(triv2_r2), (surf_hyp.n_vertices, 1))
-    assert K.shape[1] == 4
-    cx = endo_complex(surf_hyp, triv2_r2.transport, K[:, :3])
-    h = rng.standard_normal(K.shape[0]) + 1j * rng.standard_normal(K.shape[0])
+    C = _commutant(triv2_r2)
+    assert C.shape[1] == 4
+    cx = endo_complex(surf_hyp, triv2_r2.transport, C[:, :3])
+    h = rng.standard_normal(cx.w0.shape[0]) + 1j * rng.standard_normal(cx.w0.shape[0])
     with pytest.raises(SolverError, match="residual"):
         cx.delta0_solve(h)
 

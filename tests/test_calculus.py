@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
@@ -265,12 +266,14 @@ def test_beltrami_d_hol_matches_two_step_stencil(request, surf, rng):
 
 def _twisted_tangent(S):
     """The tangent complex twisted per corner by the loop reference's
-    corner_spin, whose kernel is the vertex gauge face_spin[ref(v)]."""
+    corner_spin, whose kernel is the vertex gauge face_spin[ref(v)]: not
+    a constant tiled over the vertices, so it is set in place of the
+    complex's own kernel, w0-normalized like it."""
     loop = _geometry_loop(S)
     spin, cv, V = loop["corner_spin"], S.corner_vertex, S.n_vertices
     T = np.ones(cv.shape + (1, 1), dtype=complex)
     dbar, dhol, corner_avg = _assemble((S.grad_bar * spin, np.conj(S.grad_bar) * spin, spin / 3.0), T, cv, V)
-    return DolbeaultComplex(
+    cx = DolbeaultComplex(
         m=1,
         n_vertices=V,
         n_faces=S.n_faces,
@@ -279,8 +282,11 @@ def _twisted_tangent(S):
         dbar=dbar,
         dhol=dhol,
         corner_avg=corner_avg,
-        kernel=loop["face_spin"][loop["vertex_ref_face"]],
+        commutant=np.ones((1, 1)),
     )
+    gauge = loop["face_spin"][loop["vertex_ref_face"]]
+    cx.kernel = sp.csr_matrix(gauge[:, None] / np.sqrt(np.sum(cx.w0)))
+    return cx
 
 
 @pytest.mark.parametrize("refinements", [1, 2, 3, 4])

@@ -622,22 +622,18 @@ def test_size_bound_rejects_before_allocating(tmp_path, mesh, bundle, size):
     assert time.perf_counter() - t0 < 0.1
 
 
-@pytest.mark.parametrize(
-    "refinements, n, size",
-    [(2, 32, "402653184"), (1, 33, "113848416"), (1, 64, "1610612736")],
-)
-def test_kronecker_bound_rejects_before_allocating(tmp_path, refinements, n, size):
-    # trivial rank 32 at r2 fits the size bound, but the assembly's
-    # (F, 3, n^2, n^2) Kronecker stack would take 6 GiB; rank 64 at r1 24 GiB;
-    # rank 33 is the first rank refused at r1, the coarsest mesh that runs
+@pytest.mark.parametrize("refinements, n", [(0, 33), (1, 33), (1, 64)])
+def test_rank_bound_rejects_before_allocating(tmp_path, refinements, n):
+    # rank 33 fits the size bound at r0 and r1, but it is past the largest
+    # rank measured; the commutant's n^2 x n^2 Gram matrix is the one
+    # object of n^4 entries a run forms
     import time
 
     from modulilab import cli
 
     p = _write(tmp_path, {"mesh": {"genus": 2, "refinements": refinements}, "bundle": {"preset": "trivial", "n": n}})
     t0 = time.perf_counter()
-    match = f"Kronecker stack 3 F n\\^4 = {size}, above the bound {cli.MAX_KRONECKER}"
-    with pytest.raises(cli.ConfigError, match=match):
+    with pytest.raises(cli.ConfigError, match=f"has rank {n}, above the bound MAX_RANK = {cli.MAX_RANK}$"):
         cli.load_config(p)
     assert time.perf_counter() - t0 < 0.1
 
@@ -652,9 +648,11 @@ def test_kronecker_bound_rejects_before_allocating(tmp_path, refinements, n, siz
         ({"genus": 20_480, "refinements": 1}, {"preset": "trivial", "n": 1}),  # the same F at r1
         ({"genus": 4, "refinements": 6}, {"preset": "trivial", "n": 3}),  # rank 3 at the size bound
         ({"genus": 3, "refinements": 6}, {}),
-        ({"genus": 2, "refinements": 3}, {"preset": "trivial", "n": 16}),  # the Kronecker bound
-        ({"genus": 2, "refinements": 5}, {"preset": "trivial", "n": 8}),  # the Kronecker bound
-        ({"genus": 2, "refinements": 1}, {"preset": "trivial", "n": 32}),  # the Kronecker bound
+        ({"genus": 2, "refinements": 3}, {"preset": "trivial", "n": 16}),
+        ({"genus": 2, "refinements": 5}, {"preset": "trivial", "n": 8}),  # rank 8 at the size bound
+        ({"genus": 2, "refinements": 1}, {"preset": "trivial", "n": 32}),
+        ({"genus": 2, "refinements": 3}, {"preset": "trivial", "n": 32}),  # the rank bound at the size bound
+        ({"genus": 2, "refinements": 4}, {"preset": "trivial", "n": 16}),  # rank 16 at the size bound
     ],
 )
 def test_size_bound_admits_the_ladder(tmp_path, mesh, bundle):
@@ -680,14 +678,14 @@ def test_size_bound_covers_file_backed_pairs(tmp_path):
     # dense rank-2 generators: every entry of each transport is nonzero, m = 2
     A, B = np.array([[1, 1], [1, -1]]) / np.sqrt(2), np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)
     save_cocycle(from_generators(fan, 2, 0, [A, A, B, B]), tmp_path / "dense2.gen")
-    size, stack = f"above the bound {cli.MAX_UNKNOWNS}", f"above the bound {cli.MAX_KRONECKER}"
+    size = f"above the bound {cli.MAX_UNKNOWNS}"
     cases = [
         ({"file": str(tmp_path / "fan.surf"), "refinements": 9}, {"preset": "trivial", "n": 1},
          f"(n^2 m^2 + 1) F/2 = 2097152, {size}"),
         ({"refinements": 7}, {"generator_file": str(tmp_path / "rank3.gen")}, f"(n^2 m^2 + 1) F/2 = 655360, {size}"),
         ({"refinements": 7}, {"generator_file": str(tmp_path / "dense2.gen")},
          f"rank 2 and m = 2 has size (n^2 m^2 + 1) F/2 = 1114112, {size}"),
-        ({"refinements": 2}, {"generator_file": str(tmp_path / "rank32.gen")}, f"3 F n^4 = 402653184, {stack}"),
+        ({"refinements": 4}, {"generator_file": str(tmp_path / "rank32.gen")}, f"(n^2 m^2 + 1) F/2 = 1049600, {size}"),
     ]
     for mesh, bundle, message in cases:
         p = _write(tmp_path, {"mesh": mesh, "bundle": bundle})
@@ -710,16 +708,15 @@ def test_size_bound_counts_transport_nonzeros():
         cli._check_size("fan", 8, 2, 7, m=2)
 
 
-def test_rank_45_at_r0_is_refused_before_assembly(tmp_path):
-    # trivial rank 45 on the unrefined fan fits both bounds (its stack is
-    # 3 F n^4 = 98,415,000), but the fan's faces repeat a vertex, so the run
-    # exits 2 before anything of that size is allocated
+def test_rank_32_at_r0_is_refused_before_assembly(tmp_path):
+    # trivial rank 32 on the unrefined fan fits both bounds, but the fan's
+    # faces repeat a vertex, so the run exits 2 before anything is assembled
     import time
 
     from click.testing import CliRunner
     from modulilab import cli
 
-    p = _write(tmp_path, {"mesh": {"genus": 2, "refinements": 0}, "bundle": {"preset": "trivial", "n": 45}})
+    p = _write(tmp_path, {"mesh": {"genus": 2, "refinements": 0}, "bundle": {"preset": "trivial", "n": 32}})
     t0 = time.perf_counter()
     r = CliRunner().invoke(cli.main, ["positivity", "--config", p, "--out", str(tmp_path / "out")])
     assert time.perf_counter() - t0 < 1.0
@@ -744,6 +741,28 @@ def test_bare_memory_error_names_its_function(monkeypatch, tmp_path):
     rep = _strict_json((out / "report.json").read_text())
     assert rep["failures"] == ["evaluated_seed0", "evaluated_seed1"]
     assert [c["message"] for c in rep["checks"]] == ["MemoryError in DolbeaultComplex.lu"] * 2
+
+
+def test_superlu_system_error_is_a_failing_check(monkeypatch, tmp_path):
+    # scipy's SuperLU wrapper raises SystemError ("gstrf was called with
+    # invalid arguments") when it fails near the memory limit: it is named
+    # a MemoryError of the LU and recorded per seed, with no traceback
+    from click.testing import CliRunner
+    from modulilab import cli
+    from modulilab import _complexes
+
+    def failing(*args, **kwargs):
+        raise SystemError("gstrf was called with invalid arguments")
+
+    monkeypatch.setattr(_complexes.spla, "splu", failing)
+    out = tmp_path / "out"
+    r = CliRunner().invoke(cli.main, ["positivity", "--config", _write(tmp_path, CFG_SMALL), "--out", str(out)])
+    assert r.exit_code == 1, r.output
+    assert "Traceback" not in r.output and isinstance(r.exception, SystemExit)
+    rep = _strict_json((out / "report.json").read_text())
+    assert rep["failures"] == ["evaluated_seed0", "evaluated_seed1"]
+    message = "MemoryError: sparse LU of the bordered Laplacian: gstrf was called with invalid arguments"
+    assert [c["message"] for c in rep["checks"]] == [message] * 2
 
 
 def test_failed_seed_leaves_the_others_running(monkeypatch, tmp_path):

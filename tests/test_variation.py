@@ -397,7 +397,7 @@ def test_solver_stats_factor_reuse_on_fresh_complex(su2_scene, rng, monkeypatch)
     # one LU per complex, shared by every solve and the harmonic projector
     from modulilab import _complexes
 
-    cx = endo_complex(su2_scene.surface, su2_scene.cocycle.transport, su2_scene.endo.kernel)
+    cx = endo_complex(su2_scene.surface, su2_scene.cocycle.transport, su2_scene.endo.commutant)
     factored, splu = [], _complexes.spla.splu
     monkeypatch.setattr(_complexes.spla, "splu", lambda A, **kw: factored.append(A.shape) or splu(A, **kw))
     h = rng.standard_normal(cx.w0.shape[0]) + 1j * rng.standard_normal(cx.w0.shape[0])
