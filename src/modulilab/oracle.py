@@ -126,8 +126,9 @@ def spectral_norm(X: np.ndarray, hermitian: bool = False) -> float:
     eigenvalue of the smaller Gram matrix (X^H X or X X^H), or, for a
     matrix Hermitian by construction (``hermitian``; only its lower
     triangle is read), the largest |eigenvalue| of X itself.  The
-    Hermitian way overwrites X when X is Fortran-ordered, so pass it a
-    temporary; a C-ordered X is copied and left as it was.
+    Hermitian way overwrites the lower triangle and the diagonal of X
+    when X is Fortran-ordered, and leaves its strictly upper triangle as
+    it was; a C-ordered X is copied and left as it was.
 
     The extreme eigenvalues carry the relative accuracy of a
     backward-stable eigensolver, so this agrees with the SVD norm to
@@ -206,6 +207,29 @@ def certify_operators(scene: Scene, dense_cap: int = 6000) -> dict:
 # projector-derivative identity
 
 
+# columns per panel that ``_mirror_triangle`` copies at once
+MIRROR_PANEL = 64
+
+
+def _mirror_triangle(buf: np.ndarray, to_upper: bool) -> None:
+    """Write over one strict triangle of a square ``buf`` the conjugate
+    transpose of the other: the strictly upper triangle from the lower one
+    (``to_upper``) or the reverse.  The diagonal is left as it is.  It
+    goes in column panels of ``MIRROR_PANEL``, so no temporary is larger
+    than one panel."""
+    n = buf.shape[0]
+    for c0 in range(0, n, MIRROR_PANEL):
+        c1 = min(c0 + MIRROR_PANEL, n)
+        if to_upper:
+            np.conjugate(buf[c0:c1, :c0].T, out=buf[:c0, c0:c1])
+            i, j = np.triu_indices(c1 - c0, 1)
+        else:
+            np.conjugate(buf[c0:c1, c1:].T, out=buf[c1:, c0:c1])
+            i, j = np.tril_indices(c1 - c0, -1)
+        block = buf[c0:c1, c0:c1]
+        block[i, j] = np.conjugate(block[j, i])
+
+
 def projector_derivative_sweep(
     cx: DolbeaultComplex,
     steps=(1e-3, 1e-4, 1e-5),
@@ -241,11 +265,16 @@ def projector_derivative_sweep(
     U^H N = 0.  Each error matrix is Hermitian by construction: only its
     lower triangle is formed, and its norm is its largest |eigenvalue|.
 
-    With n1 = dim C^{0,1} and r the rank of D, the loop holds two
-    n1 x n1 buffers, the Leibniz matrix and one error matrix reused at
-    every step, and three n1 x r ones, D V_r, A V_r and the QR input of
-    the step, which the QR overwrites with Q.  All are Fortran-ordered,
-    so QR, zherk and the eigensolver work on them in place.  The frame
+    With n1 = dim C^{0,1} and r the rank of D, the loop holds one
+    n1 x n1 buffer.  Its strictly upper triangle keeps the conjugate
+    transpose of the Leibniz matrix's lower triangle, and an n1-vector
+    its diagonal; each step restores the lower triangle and diagonal
+    from them, and zherk and the eigensolver, which write nothing above
+    the diagonal, turn those into the step's error matrix and consume
+    it.  It also holds three n1 x r blocks, D V_r, A V_r and the QR
+    input of the step, which the QR overwrites with Q.  All are
+    Fortran-ordered, so QR, zherk and the eigensolver work on them in
+    place.  A is filled in place from its two real draws, and the frame
     (D and V) and A are released once D V_r and A V_r are formed.
     """
     steps = [float(h) for h in steps]
@@ -254,7 +283,9 @@ def projector_derivative_sweep(
     frame = DenseFrame(cx, dense_cap)
     D, lam, rank = frame.D, frame.lam, frame.rank
     rng = np.random.default_rng(seed)
-    A = rng.standard_normal(D.shape) + 1j * rng.standard_normal(D.shape)
+    A = np.empty(D.shape, dtype=complex)
+    A.real = rng.standard_normal(D.shape)
+    A.imag = rng.standard_normal(D.shape)
     A *= np.sqrt(2.0 * np.sqrt(lam[-1]) * np.sqrt(lam[-rank])) / max(spectral_norm(A), 1e-300)
     K = frame.kernel
     A -= (A @ K) @ K.conj().T
@@ -267,22 +298,27 @@ def projector_derivative_sweep(
     N = AV / sigma
     N -= U @ (U.conj().T @ N)
     denom = spectral_norm(N)
-    # lower triangle of the Leibniz matrix -(N U^H + U N^H)
-    leibniz = scipy.linalg.blas.zher2k(-1.0, N, U, lower=1)
+    # lower triangle of the Leibniz matrix -(N U^H + U N^H); its conjugate
+    # transpose goes into the strictly upper triangle, which no step
+    # writes, and its diagonal into ``diag``
+    buf = scipy.linalg.blas.zher2k(-1.0, N, U, lower=1)
     del U, N
-    fd = np.empty_like(leibniz)
+    diag = buf.diagonal().copy()
+    _mirror_triangle(buf, to_upper=True)
     errors = {}
     for h in steps:
         # (P(h) - P(-h)) / 2h - leibniz, lower triangle, with P(+-h) =
-        # I - Q Q^H and Q from the QR of DV +- h AV: first fd = Q- Q-^H / 2h
-        # - leibniz, then fd -= Q+ Q+^H / 2h
-        np.copyto(fd, leibniz)
+        # I - Q Q^H and Q from the QR of DV +- h AV: first the Leibniz lower
+        # triangle and diagonal are restored, then buf = Q- Q-^H / 2h -
+        # leibniz, then buf -= Q+ Q+^H / 2h
+        _mirror_triangle(buf, to_upper=False)
+        np.fill_diagonal(buf, diag)
         for sign, alpha, beta in ((np.subtract, 0.5 / h, -1.0), (np.add, -0.5 / h, 1.0)):
             q = h * AV
             q = scipy.linalg.qr(sign(DV, q, out=q), mode="economic", overwrite_a=True)[0]
-            scipy.linalg.blas.zherk(alpha, q, beta=beta, c=fd, lower=1, overwrite_c=1)
+            scipy.linalg.blas.zherk(alpha, q, beta=beta, c=buf, lower=1, overwrite_c=1)
             del q
-        err = spectral_norm(fd, hermitian=True)
+        err = spectral_norm(buf, hermitian=True)
         if denom == 0.0:
             errors[h] = 0.0 if err == 0.0 else float("inf")
         else:

@@ -215,11 +215,37 @@ def test_gram_norm_from_lower_triangle(rng):
     assert abs(np.sqrt(oracle._top_eigenvalue(gram)) - np.linalg.norm(R, 2)) <= 1e-13 * np.linalg.norm(R, 2)
 
 
+def test_hermitian_kernels_keep_the_strict_upper_triangle(rng):
+    # the projector sweep keeps the Leibniz matrix in the strictly upper
+    # triangle of the buffer its error matrices are formed in, so zherk and
+    # the Hermitian eigensolver must work on that buffer in place and write
+    # only its lower triangle and diagonal; spectral_norm(buf, hermitian=True)
+    # is eigh(buf, lower=True, eigvals_only=True, overwrite_a=True)
+    n = 40
+    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    buf = np.asfortranarray(X + X.conj().T)
+    upper = np.triu_indices(n, 1)
+    before = buf.copy(order="F")
+    q = np.asfortranarray(rng.standard_normal((n, 7)) + 1j * rng.standard_normal((n, 7)))
+    out = scipy.linalg.blas.zherk(0.5, q, beta=-1.0, c=buf, lower=1, overwrite_c=1)
+    assert np.shares_memory(out, buf)
+    assert buf[upper].tobytes() == before[upper].tobytes()
+    assert np.allclose(np.tril(buf), np.tril(0.5 * q @ q.conj().T - before), rtol=0.0, atol=1e-12)
+    for norm in (
+        lambda a: oracle.spectral_norm(a, hermitian=True),
+        lambda a: scipy.linalg.eigh(a, lower=True, eigvals_only=True, overwrite_a=True),
+    ):
+        work = before.copy(order="F")
+        norm(work)
+        assert not np.array_equal(np.tril(work), np.tril(before))  # overwritten: no copy was taken
+        assert work[upper].tobytes() == before[upper].tobytes()
+
+
 @pytest.mark.parametrize(
     "entry, bound",
     [
         (lambda scene: oracle.certify_operators(scene), 3.5),
-        (lambda scene: oracle.projector_derivative_sweep(scene.endo), 4.0),
+        (lambda scene: oracle.projector_derivative_sweep(scene.endo), 3.0),
     ],
     ids=["certify_operators", "projector_derivative_sweep"],
 )
@@ -276,6 +302,61 @@ def test_projector_sweep_matches_svd_reference(surf_hyp_r1, su2_r1, fan2_r1, pre
         assert abs(sweep["errors"][1e-4] - ref[1e-4]) <= 1e-3 * ref[1e-4], seed
         assert sweep["errors"][1e-4] <= TOLS["fd_error_at_1e-4"], seed
         assert abs(sweep["slope"] - 2.0) <= TOLS["loglog_slope_near_2"], seed
+
+
+def two_buffer_sweep(cx, steps, seed):
+    """``oracle.projector_derivative_sweep`` as it was with two n1 x n1
+    buffers: the Leibniz matrix in one, copied into an error buffer at
+    every step, and A summed from two real draws."""
+    frame = oracle.DenseFrame(cx)
+    D, lam, rank = frame.D, frame.lam, frame.rank
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal(D.shape) + 1j * rng.standard_normal(D.shape)
+    A *= np.sqrt(2.0 * np.sqrt(lam[-1]) * np.sqrt(lam[-rank])) / max(oracle.spectral_norm(A), 1e-300)
+    K = frame.kernel
+    A -= (A @ K) @ K.conj().T
+    Vr, sigma = frame.V[:, -rank:], np.sqrt(lam[-rank:])
+    DV, AV = np.asfortranarray(D @ Vr), np.asfortranarray(A @ Vr)
+    U = DV / sigma
+    N = AV / sigma
+    N -= U @ (U.conj().T @ N)
+    denom = oracle.spectral_norm(N)
+    leibniz = scipy.linalg.blas.zher2k(-1.0, N, U, lower=1)
+    fd = np.empty_like(leibniz)
+    errors = {}
+    for h in steps:
+        np.copyto(fd, leibniz)
+        for sign, alpha, beta in ((np.subtract, 0.5 / h, -1.0), (np.add, -0.5 / h, 1.0)):
+            q = h * AV
+            q = scipy.linalg.qr(sign(DV, q, out=q), mode="economic", overwrite_a=True)[0]
+            scipy.linalg.blas.zherk(alpha, q, beta=beta, c=fd, lower=1, overwrite_c=1)
+        errors[h] = float(oracle.spectral_norm(fd, hermitian=True) / denom)
+    hs = np.array(sorted(errors))
+    es = np.array([errors[h] for h in hs])
+    slope = float(np.polyfit(np.log(hs), np.log(np.maximum(es, 1e-300)), 1)[0])
+    return {"errors": errors, "slope": slope}
+
+
+@pytest.mark.parametrize(
+    "case, seeds",
+    [("su2_r1", range(4)), ("trivial3_r1", range(4)), ("su2_r2", [0])],
+)
+def test_projector_sweep_matches_two_buffer_reference(request, case, seeds):
+    # the mirrored Leibniz triangle restores each step's start exactly, so
+    # the one-buffer sweep reproduces the two-buffer errors and slope bit
+    # for bit
+    if case == "su2_r2":
+        cx = request.getfixturevalue("su2_scene").endo
+    else:
+        S = request.getfixturevalue("surf_hyp_r1")
+        if case == "su2_r1":
+            cocycle = request.getfixturevalue("su2_r1")
+        else:
+            cocycle = bnd.trivial_cocycle(request.getfixturevalue("fan2_r1"), 3)
+        cx = Scene(S, cocycle).endo
+    steps = (1e-3, 1e-4, 1e-5)
+    for seed in seeds:
+        assert oracle.projector_derivative_sweep(cx, steps, seed=seed) == two_buffer_sweep(cx, steps, seed), seed
 
 
 def test_torus_mesh_valid():
