@@ -37,7 +37,7 @@ DEFAULTS = {
     "mesh": {"genus": 2, "refinements": 2, "layout": "stored", "density": "uniform", "file": None},
     "bundle": {"preset": "su2", "n": None, "generator_file": None},
     "seeds": [0, 1, 2, 3],
-    "dense_cap": 6000,
+    "dense_cap": oracle.DENSE_CAP,
     "tangent": {"mu_scale": 1.0, "nu_scale": 1.0},
     "out": "out",
 }
@@ -54,10 +54,9 @@ TOLERANCES = {
     "term_a_nonneg": 1e-12,  # times max(|total|, 1)
     "total_positive": 0.5,  # value 0 when the total is positive, else 1
     "evaluated": 0.5,  # value 1: a solve, input check or finiteness check failed
-    "fd_error_at_1e-4": 1e-6,  # the error at FD_STEPS[1]
+    "fd_error_at_1e-4": 1e-6,  # the error at oracle.FD_STEPS[1]
     "loglog_slope_near_2": 0.2,
 }
-FD_STEPS = (1e-3, 1e-4, 1e-5)  # projector-derivative finite-difference steps
 # The largest size (n^2 m^2 + 1) F/2 of a refined mesh (see _check_size):
 # its value for su2 at genus 2 and refinement 7.
 MAX_UNKNOWNS = 327_680
@@ -410,16 +409,14 @@ def cmd_positivity(cfg, scene):
 @_command("projector-derivative")
 def cmd_projector_derivative(cfg, scene):
     """Finite-difference projector-derivative identity over step sizes."""
-    sweep = oracle.projector_derivative_sweep(
-        scene.endo, steps=FD_STEPS, seed=cfg["seeds"][0], dense_cap=cfg["dense_cap"]
-    )
+    sweep = oracle.projector_derivative_sweep(scene.endo, seed=cfg["seeds"][0], dense_cap=cfg["dense_cap"])
     with open(os.path.join(cfg["out"], "fd_errors.csv"), "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["step", "rel_error"])
         for h in sorted(sweep["errors"], reverse=True):
             wr.writerow([repr(h), repr(sweep["errors"][h])])
     checks = [
-        _check("fd_error_at_1e-4", sweep["errors"][FD_STEPS[1]]),
+        _check("fd_error_at_1e-4", sweep["errors"][oracle.FD_STEPS[1]]),
         _check("loglog_slope_near_2", abs(sweep["slope"] - 2.0)),
     ]
     return _finish(cfg["out"], "projector-derivative", checks, {"slope": sweep["slope"]})

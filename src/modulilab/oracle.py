@@ -29,6 +29,9 @@ class DenseCapError(InputError, ValueError):
     """Requested dense computation exceeds the configured dense cap."""
 
 
+DENSE_CAP = 6000  # default bound on dim C^0 + dim C^{0,1}; DenseFrame alone checks it
+
+
 @dataclass(frozen=True)
 class DenseOperator:
     matrix: np.ndarray
@@ -60,21 +63,18 @@ _OPERATORS = {
 MATERIALIZE_BLOCK = 32
 
 
-def materialize(op_name: str, scene: Scene, dense_cap: int = 6000) -> DenseOperator:
+def materialize(op_name: str, scene: Scene) -> DenseOperator:
     """Dense matrix of an operator of the scene's End(E) complex: column
     j is the production operator applied to the j-th unit vector, fed to
     it in blocks of ``MATERIALIZE_BLOCK`` unit columns.  The matrix is
-    Fortran-ordered: LAPACK's layout, in which each block is contiguous."""
+    Fortran-ordered: LAPACK's layout, in which each block is contiguous.
+    Its size is gated by the ``DenseFrame`` that callers build first."""
     if op_name not in _OPERATORS:
         raise ValueError(f"unknown operator {op_name!r}")
     dom, cod, apply = _OPERATORS[op_name]
     cx = scene.endo
     dom_w, cod_w = getattr(cx, dom), getattr(cx, cod)
     dom_dim, cod_dim = dom_w.shape[0], cod_w.shape[0]
-    if dom_dim + cod_dim > dense_cap:
-        raise DenseCapError(
-            f"materialize({op_name}): dimension {dom_dim + cod_dim} exceeds dense_cap {dense_cap}"
-        )
     M = np.empty((cod_dim, dom_dim), dtype=complex, order="F")
     for j in range(0, dom_dim, MATERIALIZE_BLOCK):
         k = min(MATERIALIZE_BLOCK, dom_dim - j)
@@ -100,7 +100,7 @@ class DenseFrame:
     harmonic projector is I - D Delta0^+ D^H.
     Raises DenseCapError when dim C^0 + dim C^{0,1} exceeds ``dense_cap``."""
 
-    def __init__(self, cx: DolbeaultComplex, dense_cap: int = 6000):
+    def __init__(self, cx: DolbeaultComplex, dense_cap: int = DENSE_CAP):
         dim = sum(cx.dbar.shape)
         if dim > dense_cap:
             raise DenseCapError(f"dense frame: dimension {dim} exceeds dense_cap {dense_cap}")
@@ -122,13 +122,15 @@ class DenseFrame:
 
 
 def spectral_norm(X: np.ndarray, hermitian: bool = False) -> float:
-    """Operator 2-norm of a dense matrix: the square root of the top
-    eigenvalue of the smaller Gram matrix (X^H X or X X^H), or, for a
-    matrix Hermitian by construction (``hermitian``; only its lower
-    triangle is read), the largest |eigenvalue| of X itself.  The
-    Hermitian way overwrites the lower triangle and the diagonal of X
-    when X is Fortran-ordered, and leaves its strictly upper triangle as
-    it was; a C-ordered X is copied and left as it was.
+    """Operator 2-norm of a dense complex matrix: the square root of the
+    top eigenvalue of the smaller Gram matrix (X^H X or X X^H, the lower
+    triangle that zherk forms, reading a Fortran-ordered X in place and
+    leaving it as it was), or, for a matrix Hermitian by construction
+    (``hermitian``; only its lower triangle is read), the largest
+    |eigenvalue| of X itself.  The Hermitian way overwrites the lower
+    triangle and the diagonal of X when X is Fortran-ordered, and leaves
+    its strictly upper triangle as it was; a C-ordered X is copied and
+    left as it was.
 
     The extreme eigenvalues carry the relative accuracy of a
     backward-stable eigensolver, so this agrees with the SVD norm to
@@ -137,28 +139,24 @@ def spectral_norm(X: np.ndarray, hermitian: bool = False) -> float:
     if hermitian:
         lam = scipy.linalg.eigh(X, lower=True, eigvals_only=True, overwrite_a=True)
         return float(max(-lam[0], lam[-1], 0.0))
-    G = X.conj().T @ X if X.shape[0] >= X.shape[1] else X @ X.conj().T
-    return float(np.sqrt(_top_eigenvalue(G)))
-
-
-def _top_eigenvalue(G: np.ndarray) -> float:
-    """The largest eigenvalue of a Hermitian positive semidefinite G, from
-    its lower triangle alone, and at least 0."""
+    G = scipy.linalg.blas.zherk(1.0, X, trans=2 if X.shape[0] >= X.shape[1] else 0, lower=1)
     k = G.shape[0]
     top = scipy.linalg.eigh(G, eigvals_only=True, subset_by_index=[k - 1, k - 1], overwrite_a=True)
-    return max(float(top[0]), 0.0)
+    return math.sqrt(max(float(top[0]), 0.0))
 
 
 # ---------------------------------------------------------------------------
 # dense certification
 
 
-def certify_operators(scene: Scene, dense_cap: int = 6000) -> dict:
+def certify_operators(scene: Scene, dense_cap: int = DENSE_CAP) -> dict:
     """Dense values of the operator suite of the scene's End(E) complex,
     in the weight-orthonormal frame against its D: the production dbar*
     against D^H, the materialized factorized projection P (P^2 = P,
     P = P^H, P D = 0, trace) and Delta0^{-1} (block solves of unit columns)
-    against the frame's Delta0^+, and the frame's kernel count.
+    against the frame's Delta0^+, and the frame's kernel count.  The
+    frame's check of ``dense_cap`` comes before any other dense work, and
+    every norm is a ``spectral_norm``.
 
     With n0 = dim C^0 and n1 = dim C^{0,1}, at most two n1 x n1 buffers
     are held at once: P and one of i (P - P^H) and P^2 - P, then, once P
@@ -170,15 +168,15 @@ def certify_operators(scene: Scene, dense_cap: int = 6000) -> dict:
     # |D|_2 and |Delta0^+|_2 from the frame's eigenvalues
     d_norm = np.sqrt(lam[-1])
     pinv_norm = 1.0 / lam[-rank]
-    star = materialize("dbar_star", scene, dense_cap=dense_cap).framed_in_place()
+    star = materialize("dbar_star", scene).framed_in_place()
     star -= D.conj().T
     values = {"adjointness_residual": spectral_norm(star) / d_norm}
     del star
-    X = materialize("delta0_inverse", scene, dense_cap=dense_cap).framed_in_place()
+    X = materialize("delta0_inverse", scene).framed_in_place()
     X -= frame.pinv()
     values["delta0_factorized_vs_dense"] = spectral_norm(X) / pinv_norm
     del X, frame
-    P = materialize("projection", scene, dense_cap=dense_cap).framed_in_place()
+    P = materialize("projection", scene).framed_in_place()
     PD = P @ D
     del D
     values["projector_annihilates_dbar"] = spectral_norm(PD) / d_norm
@@ -193,18 +191,15 @@ def certify_operators(scene: Scene, dense_cap: int = 6000) -> dict:
     R = np.matmul(P, P, out=np.empty_like(P))
     R -= P
     del P
-    # |R|_2^2 is the top eigenvalue of the Gram matrix R^H R, formed by
-    # zherk from R in place (the conjugate copy of R^H @ R is avoided); the
-    # Gram matrix is positive semidefinite, so that one eigenvalue is its
-    # norm, and it is Fortran-ordered, so the eigensolver overwrites it
-    gram = scipy.linalg.blas.zherk(1.0, R, trans=2, lower=1)
-    del R
-    values["projector_idempotent"] = math.sqrt(_top_eigenvalue(gram))
+    values["projector_idempotent"] = spectral_norm(R)
     return {**values, "kernel_dim": int(lam.size - rank)}
 
 
 # ---------------------------------------------------------------------------
 # projector-derivative identity
+
+
+FD_STEPS = (1e-3, 1e-4, 1e-5)  # the sweep's steps; the CLI gates the error at the middle one
 
 
 # columns per panel that ``_mirror_triangle`` copies at once
@@ -232,9 +227,9 @@ def _mirror_triangle(buf: np.ndarray, to_upper: bool) -> None:
 
 def projector_derivative_sweep(
     cx: DolbeaultComplex,
-    steps=(1e-3, 1e-4, 1e-5),
+    steps=FD_STEPS,
     seed: int = 0,
-    dense_cap: int = 6000,
+    dense_cap: int = DENSE_CAP,
 ) -> dict:
     """Finite-difference check of the projector derivative identity
     dP = -P A Delta0^{-1} D* - D Delta0^{-1} A* P  for D(t) = D + t A,

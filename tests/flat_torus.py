@@ -77,7 +77,7 @@ def torus_surface(m: int) -> ConformalSurface:
     return equip_conformal(build_torus(m), layout="stored", density="uniform")
 
 
-def torus_spectral_crosscheck(rank: int = 1, sizes=(4, 8, 16), dense_cap: int = 6000) -> dict:
+def torus_spectral_crosscheck(rank: int = 1, sizes=(4, 8, 16)) -> dict:
     """Compare the mesh harmonic projector with the continuum answer.
 
     On the flat torus with the trivial bundle the continuum harmonic
@@ -96,7 +96,7 @@ def torus_spectral_crosscheck(rank: int = 1, sizes=(4, 8, 16), dense_cap: int = 
         const = np.broadcast_to(np.eye(n), (F, n, n)).reshape(-1)
         r_const = np.linalg.norm(cx.star(cx.dbar, const))
         # projector algebra on the dense materialization
-        P = materialize("projection", scene, dense_cap=dense_cap).matrix
+        P = materialize("projection", scene).matrix
         r_idem = spectral_norm(P @ P - P)
         # smooth test form: coefficient exp(2 pi i (x+y)/m) sampled at barycenters;
         # its continuum harmonic projection is zero (nonzero Fourier mode).

@@ -26,7 +26,7 @@ def _line(criterion: str, ok: bool, detail: str) -> bool:
 
 def test_criterion_01_operator_algebra(su2_scene, rng):
     t0 = time.time()
-    P = oracle.materialize("projection", su2_scene, dense_cap=6000)
+    P = oracle.materialize("projection", su2_scene)
     s1 = np.sqrt(P.codomain_weight)
     Ms = (P.matrix * (1.0 / s1)[None, :]) * s1[:, None]
     e_idem = np.linalg.norm(Ms @ Ms - Ms, 2)

@@ -108,11 +108,18 @@ def test_non_integer_genus_exits_2(tmp_path):
 
 @pytest.mark.parametrize("cmd", ["check-operators", "projector-derivative"])
 def test_dense_cap_exceeded_exits_2(tmp_path, cmd):
-    out = tmp_path / "out"
-    r = run_cli(cmd, "--config", _write(tmp_path, {"dense_cap": 10}), "--out", str(out))
-    assert r.returncode == 2, r.stderr
-    assert "dense_cap" in r.stderr and "Traceback" not in r.stderr
-    assert not (out / "report.json").exists()
+    # the dense frame's check, dim C^0 + dim C^{0,1} <= dense_cap, is the one
+    # gate of both dense commands: on CFG_SMALL that sum is 56 + 128 = 184
+    for cap in (10, 183):
+        out = tmp_path / f"out{cap}"
+        r = run_cli(cmd, "--config", _write(tmp_path, {"dense_cap": cap}), "--out", str(out))
+        assert r.returncode == 2, r.stderr
+        assert "dense_cap" in r.stderr and "Traceback" not in r.stderr
+        assert not (out / "report.json").exists()
+    out = tmp_path / "out184"
+    r = run_cli(cmd, "--config", _write(tmp_path, {"dense_cap": 184}), "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    assert _strict_json((out / "report.json").read_text())["failures"] == []
 
 
 @pytest.mark.parametrize("entry", ["0.5x", "nan"])

@@ -108,10 +108,17 @@ def test_closed_form_kernels_match_dense(fan2, refinements, builder):
 
 
 def test_dense_cap(su2_scene_r1):
-    with pytest.raises(oracle.DenseCapError):
-        oracle.materialize("dbar_star", su2_scene_r1, dense_cap=10)
-    with pytest.raises(oracle.DenseCapError):
-        oracle.certify_operators(su2_scene_r1, dense_cap=10)
+    # the frame's check is the one gate of both dense certifications; on
+    # this scene dim C^0 + dim C^{0,1} = 56 + 128 = 184
+    cx = su2_scene_r1.endo
+    assert cx.dbar.shape == (128, 56)
+    for certify in (
+        lambda cap: oracle.certify_operators(su2_scene_r1, dense_cap=cap),
+        lambda cap: oracle.projector_derivative_sweep(cx, dense_cap=cap),
+    ):
+        certify(184)
+        with pytest.raises(oracle.DenseCapError):
+            certify(183)
 
 
 def test_certify_operators_values(su2_scene_r1):
@@ -189,7 +196,13 @@ def test_dense_algebra_only_in_oracle():
 
 @pytest.mark.parametrize(
     "shape, scale, hermitian",
-    [((40, 17), 1.0, False), ((17, 40), 1.0, False), ((30, 30), 1.0, True), ((25, 12), 1e-15, False)],
+    [
+        ((40, 17), 1.0, False),
+        ((17, 40), 1.0, False),
+        ((30, 30), 1.0, True),
+        ((25, 12), 1e-15, False),
+        ((30, 30), 1.0, False),  # square, not Hermitian
+    ],
 )
 def test_spectral_norm_matches_svd(rng, shape, scale, hermitian):
     X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -197,7 +210,11 @@ def test_spectral_norm_matches_svd(rng, shape, scale, hermitian):
         X = X + X.conj().T
     X *= scale
     ref = np.linalg.norm(X, 2)
-    assert abs(oracle.spectral_norm(X) - ref) <= 1e-13 * ref
+    for order in ("C", "F"):
+        # the Gram way reads X (in place when Fortran-ordered) and writes nothing
+        Y = X.copy(order=order)
+        assert abs(oracle.spectral_norm(Y) - ref) <= 1e-13 * ref
+        assert Y.tobytes() == X.tobytes()
     if hermitian:
         # from the lower triangle alone
         assert abs(oracle.spectral_norm(np.tril(X), hermitian=True) - ref) <= 1e-13 * ref
@@ -205,14 +222,6 @@ def test_spectral_norm_matches_svd(rng, shape, scale, hermitian):
 
 def test_spectral_norm_of_zero_matrix():
     assert oracle.spectral_norm(np.zeros((6, 4), dtype=complex)) == 0.0
-
-
-def test_gram_norm_from_lower_triangle(rng):
-    # the idempotence residual reads |R|_2^2 as the top eigenvalue of the
-    # zherk Gram matrix, whose upper triangle is never written
-    R = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
-    gram = scipy.linalg.blas.zherk(1.0, R, trans=2, lower=1)
-    assert abs(np.sqrt(oracle._top_eigenvalue(gram)) - np.linalg.norm(R, 2)) <= 1e-13 * np.linalg.norm(R, 2)
 
 
 def test_hermitian_kernels_keep_the_strict_upper_triangle(rng):
