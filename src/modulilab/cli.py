@@ -13,6 +13,7 @@ import contextlib
 import copy
 import csv
 import functools
+import gc
 import json
 import math
 import os
@@ -422,5 +423,13 @@ def cmd_projector_derivative(cfg, scene):
     return _finish(cfg["out"], "projector-derivative", checks, {"slope": sweep["slope"]})
 
 
-if __name__ == "__main__":
+def run():
+    """The process entry point: ``main`` after ``gc.freeze()``, so the
+    interpreter's final collections skip the objects the imports left.
+    Frozen objects are never collected, so in-process callers use ``main``."""
+    gc.freeze()
     main()
+
+
+if __name__ == "__main__":
+    run()

@@ -97,15 +97,19 @@ class DenseFrame:
     D = W1^{1/2} dbar W0^{-1/2}, with the eigendecomposition (lam
     ascending, V) of D^H D = W0^{1/2} Delta0 W0^{-1/2}; its top ``rank``
     eigenvalues are nonzero.  ``pinv`` is the framed Delta0^+; the
-    harmonic projector is I - D Delta0^+ D^H.
+    harmonic projector is I - D Delta0^+ D^H.  D and V are
+    Fortran-ordered: zherk reads D in place to form the lower triangle of
+    D^H D, and divide-and-conquer (LAPACK's zheevd, whose eigenvectors are
+    orthonormal to roundoff) decomposes it over itself.
     Raises DenseCapError when dim C^0 + dim C^{0,1} exceeds ``dense_cap``."""
 
     def __init__(self, cx: DolbeaultComplex, dense_cap: int = DENSE_CAP):
         dim = sum(cx.dbar.shape)
         if dim > dense_cap:
             raise DenseCapError(f"dense frame: dimension {dim} exceeds dense_cap {dense_cap}")
-        self.D = DenseOperator(cx.dbar.toarray(), cx.w0, cx.w1).framed_in_place()
-        self.lam, self.V = np.linalg.eigh(self.D.conj().T @ self.D)
+        self.D = DenseOperator(cx.dbar.toarray(order="F"), cx.w0, cx.w1).framed_in_place()
+        G = scipy.linalg.blas.zherk(1.0, self.D, trans=2, lower=1)
+        self.lam, self.V = scipy.linalg.eigh(G, lower=True, overwrite_a=True, check_finite=False, driver="evd")
 
     @property
     def kernel(self) -> np.ndarray:

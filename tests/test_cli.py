@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -48,6 +49,9 @@ def test_bad_config_exits_2(tmp_path):
     p2 = tmp_path / "bad2.json"
     p2.write_text(json.dumps({"mesh": {"genus": 1}}))
     assert run_cli("check-operators", "--config", str(p2)).returncode == 2
+    r = run_cli("positivity", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "out"))
+    assert r.returncode == 2
+    assert "cannot read config" in r.stderr and "Traceback" not in r.stderr
     # an out that is not a non-empty string, holds a NUL byte (os.makedirs
     # raises ValueError on it) or cannot be created, and a config that is
     # not UTF-8 or nests deeper than the decoder recurses
@@ -924,6 +928,36 @@ def test_shipped_configs_smoke(tmp_path, config, cmd):
     if cmd == "check-operators":
         (kahler,) = [c for c in report["checks"] if c["name"] == "kahler_identity"]
         assert kahler["pass"] and kahler["value"] <= 1e-12
+
+
+def test_run_freezes_before_it_dispatches(monkeypatch):
+    from modulilab import cli
+
+    counts = []
+    monkeypatch.setattr(cli, "main", lambda: counts.append(gc.get_freeze_count()))
+    try:
+        cli.run()
+    finally:
+        gc.unfreeze()
+    assert counts and counts[0] > 0
+
+
+@pytest.mark.parametrize("cmd", ["positivity", "second-variation"])
+def test_module_entry_matches_in_process_main(tmp_path, cfg_path, cmd):
+    # the process entry (run, through python -m) and an in-process call of
+    # main write the same bytes; main itself freezes nothing
+    from click.testing import CliRunner
+
+    from modulilab import cli
+
+    r = run_cli(cmd, "--config", cfg_path, "--out", str(tmp_path / "module"))
+    assert r.returncode == 0, r.stdout + r.stderr
+    inproc = CliRunner().invoke(cli.main, [cmd, "--config", cfg_path, "--out", str(tmp_path / "main")])
+    assert inproc.exit_code == 0, inproc.output
+    assert gc.get_freeze_count() == 0
+    assert inproc.stdout == r.stdout
+    module, main = ({f.name: f.read_bytes() for f in (tmp_path / d).iterdir()} for d in ("module", "main"))
+    assert "report.json" in module and module == main
 
 
 TRACED_SPANS = {

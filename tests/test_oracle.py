@@ -107,6 +107,22 @@ def test_closed_form_kernels_match_dense(fan2, refinements, builder):
     assert abs(overlap - 1.0) <= 1e-10
 
 
+def test_frame_eigenvectors_are_orthonormal_at_r3(fan2_r2, su2_r2):
+    # the frame's divide-and-conquer eigendecomposition at genus-2 su2 r3
+    # (n0 = 1,016): orthonormal and a residual at roundoff (about 8e-15
+    # and 5e-15; MRRR's eigenvectors are off by about 1.3e-12)
+    mesh = refine(fan2_r2)
+    S = equip_conformal(mesh, layout="stored", density="hyperbolic")
+    cx = Scene(S, bnd.refine_cocycle(su2_r2, mesh)).endo
+    frame = oracle.DenseFrame(cx)
+    D, lam, V = frame.D, frame.lam, frame.V
+    n0 = V.shape[0]
+    assert n0 == 1016 and V.flags.f_contiguous
+    assert np.linalg.norm(V.conj().T @ V - np.eye(n0), 2) <= 1e-13
+    assert np.linalg.norm((D.conj().T @ D) @ V - V * lam, 2) <= 1e-13 * lam[-1]
+    assert frame.kernel.shape[1] == cx.kernel.shape[1]
+
+
 def test_dense_cap(su2_scene_r1):
     # the frame's check is the one gate of both dense certifications; on
     # this scene dim C^0 + dim C^{0,1} = 56 + 128 = 184
