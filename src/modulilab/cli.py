@@ -55,8 +55,8 @@ TOLERANCES = {
     "term_a_nonneg": 1e-12,  # times max(|total|, 1)
     "total_positive": 0.5,  # value 0 when the total is positive, else 1
     "evaluated": 0.5,  # value 1: a solve, input check or finiteness check failed
-    "fd_error_at_1e-4": 1e-6,  # the error at oracle.FD_STEPS[1]
-    "loglog_slope_near_2": 0.2,
+    "fd_error_geometric_at_1e-4": 1e-6,  # the error at variation.FD_STEPS[-1]
+    "loglog_slope_geometric_near_2": 0.2,
 }
 # The largest size (n^2 m^2 + 1) F/2 of a refined mesh (see _check_size):
 # its value for su2 at genus 2 and refinement 7.
@@ -409,16 +409,18 @@ def cmd_positivity(cfg, scene):
 
 @_command("projector-derivative")
 def cmd_projector_derivative(cfg, scene):
-    """Finite-difference projector-derivative identity over step sizes."""
-    sweep = oracle.projector_derivative_sweep(scene.endo, seed=cfg["seeds"][0], dense_cap=cfg["dense_cap"])
+    """Finite-difference projector-derivative identity along the
+    deformation of the center, over step sizes."""
+    sweep = variation.projector_derivative_sweep(scene, seed=cfg["seeds"][0])
+    _require_finite((("slope", sweep["slope"]), *((f"error at step {h!r}", e) for h, e in sweep["errors"].items())))
     with open(os.path.join(cfg["out"], "fd_errors.csv"), "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["step", "rel_error"])
         for h in sorted(sweep["errors"], reverse=True):
             wr.writerow([repr(h), repr(sweep["errors"][h])])
     checks = [
-        _check("fd_error_at_1e-4", sweep["errors"][oracle.FD_STEPS[1]]),
-        _check("loglog_slope_near_2", abs(sweep["slope"] - 2.0)),
+        _check("fd_error_geometric_at_1e-4", sweep["errors"][variation.FD_STEPS[-1]]),
+        _check("loglog_slope_geometric_near_2", abs(sweep["slope"] - 2.0)),
     ]
     return _finish(cfg["out"], "projector-derivative", checks, {"slope": sweep["slope"]})
 

@@ -6,10 +6,9 @@ computation goes through one weight-orthonormal frame per complex
 (``DenseFrame``), in which weighted adjoints are conjugate transposes:
 the eigendecomposition of D^H D there, with one kernel rule, gives the
 pseudo-inverse of the Laplacian, the harmonic projector, the kernel
-count, the singular values and vectors of D, and the range bases of the
-projector sweep; no SVD is taken.  This is the only module that does
-dense linear algebra; ``certify_operators`` and
-``projector_derivative_sweep`` are the dense certifications the CLI runs.
+count and the singular values of D; no SVD is taken.  This is the only
+module that does dense linear algebra; ``certify_operators`` is the
+dense certification the CLI runs.
 """
 
 from __future__ import annotations
@@ -197,132 +196,3 @@ def certify_operators(scene: Scene, dense_cap: int = DENSE_CAP) -> dict:
     del P
     values["projector_idempotent"] = spectral_norm(R)
     return {**values, "kernel_dim": int(lam.size - rank)}
-
-
-# ---------------------------------------------------------------------------
-# projector-derivative identity
-
-
-FD_STEPS = (1e-3, 1e-4, 1e-5)  # the sweep's steps; the CLI gates the error at the middle one
-
-
-# columns per panel that ``_mirror_triangle`` copies at once
-MIRROR_PANEL = 64
-
-
-def _mirror_triangle(buf: np.ndarray, to_upper: bool) -> None:
-    """Write over one strict triangle of a square ``buf`` the conjugate
-    transpose of the other: the strictly upper triangle from the lower one
-    (``to_upper``) or the reverse.  The diagonal is left as it is.  It
-    goes in column panels of ``MIRROR_PANEL``, so no temporary is larger
-    than one panel."""
-    n = buf.shape[0]
-    for c0 in range(0, n, MIRROR_PANEL):
-        c1 = min(c0 + MIRROR_PANEL, n)
-        if to_upper:
-            np.conjugate(buf[c0:c1, :c0].T, out=buf[:c0, c0:c1])
-            i, j = np.triu_indices(c1 - c0, 1)
-        else:
-            np.conjugate(buf[c0:c1, c1:].T, out=buf[c1:, c0:c1])
-            i, j = np.tril_indices(c1 - c0, -1)
-        block = buf[c0:c1, c0:c1]
-        block[i, j] = np.conjugate(block[j, i])
-
-
-def projector_derivative_sweep(
-    cx: DolbeaultComplex,
-    steps=FD_STEPS,
-    seed: int = 0,
-    dense_cap: int = DENSE_CAP,
-) -> dict:
-    """Finite-difference check of the projector derivative identity
-    dP = -P A Delta0^{-1} D* - D Delta0^{-1} A* P  for D(t) = D + t A,
-    over step sizes: the relative operator-norm error of the central
-    difference at each step plus the fitted log-log slope (expect 2).
-
-    Works in the weight-orthonormal frame, where adjoints are plain
-    conjugate transposes, from the frame's one eigendecomposition.  The
-    random perturbation is composed with (I - kernel projector) so the
-    covariant-constant kernel persists along the family, matching the
-    geometric deformations.  ``cx`` is the End(E) complex of a scene.
-    Raises ValueError unless ``steps`` are positive and at least two of
-    them are distinct: a slope needs two points.
-
-    Two errors set the scale of A: truncation grows like
-    (|A|/sigma_min)^2 h^2 (sigma_min the smallest nonzero singular value
-    of D) and roundoff like kappa eps / h (kappa = |D|_2 / sigma_min).
-    |A| = sqrt(2 |D|_2 sigma_min), between the two scales, keeps the
-    first under the gate at 1e-4 and the second under the truncation at
-    1e-5; |D|_2 and sigma_min are read off the frame's eigenvalues.
-
-    D(t) annihilates ker D, so with V_r the frame's nonzero eigenvectors
-    the columns of (D + tA) V_r span the range of D(t), and P(t) = I -
-    Q Q^H with Q from their Householder QR.  That keeps the roundoff at
-    kappa eps, not the kappa^2 of (D + tA)^H (D + tA).  With U = D V_r
-    Sigma^-1 (the left singular vectors) and N = P(0) A V_r Sigma^-1,
-    dP(0) = -(N U^H + U N^H), and |dP(0)|_2 = |N|_2 exactly, because
-    U^H N = 0.  Each error matrix is Hermitian by construction: only its
-    lower triangle is formed, and its norm is its largest |eigenvalue|.
-
-    With n1 = dim C^{0,1} and r the rank of D, the loop holds one
-    n1 x n1 buffer.  Its strictly upper triangle keeps the conjugate
-    transpose of the Leibniz matrix's lower triangle, and an n1-vector
-    its diagonal; each step restores the lower triangle and diagonal
-    from them, and zherk and the eigensolver, which write nothing above
-    the diagonal, turn those into the step's error matrix and consume
-    it.  It also holds three n1 x r blocks, D V_r, A V_r and the QR
-    input of the step, which the QR overwrites with Q.  All are
-    Fortran-ordered, so QR, zherk and the eigensolver work on them in
-    place.  A is filled in place from its two real draws, and the frame
-    (D and V) and A are released once D V_r and A V_r are formed.
-    """
-    steps = [float(h) for h in steps]
-    if not all(h > 0 and math.isfinite(h) for h in steps) or len(set(steps)) < 2:
-        raise ValueError(f"projector sweep needs at least two distinct positive finite steps, got {steps}")
-    frame = DenseFrame(cx, dense_cap)
-    D, lam, rank = frame.D, frame.lam, frame.rank
-    rng = np.random.default_rng(seed)
-    A = np.empty(D.shape, dtype=complex)
-    A.real = rng.standard_normal(D.shape)
-    A.imag = rng.standard_normal(D.shape)
-    A *= np.sqrt(2.0 * np.sqrt(lam[-1]) * np.sqrt(lam[-rank])) / max(spectral_norm(A), 1e-300)
-    K = frame.kernel
-    A -= (A @ K) @ K.conj().T
-    Vr, sigma = frame.V[:, -rank:], np.sqrt(lam[-rank:])
-    # Fortran copies of the products: a matmul into a Fortran ``out`` would
-    # round differently and move the sweep's outputs
-    DV, AV = np.asfortranarray(D @ Vr), np.asfortranarray(A @ Vr)
-    del frame, D, A, K, Vr
-    U = DV / sigma
-    N = AV / sigma
-    N -= U @ (U.conj().T @ N)
-    denom = spectral_norm(N)
-    # lower triangle of the Leibniz matrix -(N U^H + U N^H); its conjugate
-    # transpose goes into the strictly upper triangle, which no step
-    # writes, and its diagonal into ``diag``
-    buf = scipy.linalg.blas.zher2k(-1.0, N, U, lower=1)
-    del U, N
-    diag = buf.diagonal().copy()
-    _mirror_triangle(buf, to_upper=True)
-    errors = {}
-    for h in steps:
-        # (P(h) - P(-h)) / 2h - leibniz, lower triangle, with P(+-h) =
-        # I - Q Q^H and Q from the QR of DV +- h AV: first the Leibniz lower
-        # triangle and diagonal are restored, then buf = Q- Q-^H / 2h -
-        # leibniz, then buf -= Q+ Q+^H / 2h
-        _mirror_triangle(buf, to_upper=False)
-        np.fill_diagonal(buf, diag)
-        for sign, alpha, beta in ((np.subtract, 0.5 / h, -1.0), (np.add, -0.5 / h, 1.0)):
-            q = h * AV
-            q = scipy.linalg.qr(sign(DV, q, out=q), mode="economic", overwrite_a=True)[0]
-            scipy.linalg.blas.zherk(alpha, q, beta=beta, c=buf, lower=1, overwrite_c=1)
-            del q
-        err = spectral_norm(buf, hermitian=True)
-        if denom == 0.0:
-            errors[h] = 0.0 if err == 0.0 else float("inf")
-        else:
-            errors[h] = float(err / denom)
-    hs = np.array(sorted(errors))
-    es = np.array([errors[h] for h in hs])
-    slope = float(np.polyfit(np.log(hs), np.log(np.maximum(es, 1e-300)), 1)[0])
-    return {"errors": errors, "slope": slope}

@@ -1,6 +1,8 @@
 """Metric on the moduli of (surface, flat bundle) pairs and its first and
-second variations in the two coordinate systems, with per-term reports.
-Tangents are ``(mu, nu)`` pairs of arrays (see :mod:`modulilab.tangent`).
+second variations in the two coordinate systems, with per-term reports,
+and the finite-difference check of the projector derivative along the
+operator variation.  Tangents are ``(mu, nu)`` pairs of arrays (see
+:mod:`modulilab.tangent`).
 
 Term calculus
 -------------
@@ -25,17 +27,21 @@ Hermitian symmetry of the totals holds to roundoff.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import conventions
 from ._complexes import SOLVE_RTOL, DolbeaultComplex, SolverError, _norms, ad, ad_star, lift_to_vertices
 from .bundle import Scene
 from .calculus import beltrami_d_hol
 from .surface import ConformalSurface
+from .tangent import random_tangent
 
 logger = logging.getLogger(__name__)
 
@@ -319,3 +325,101 @@ def positivity_certificate(mu2: np.ndarray, nu1: np.ndarray, scene: Scene) -> tu
             "positivity terms have imaginary parts %.3e / %.3e", term_a.imag, term_b.imag
         )
     return float(term_a.real), float(term_b.real), float(term_a.real + term_b.real)
+
+
+# ---------------------------------------------------------------------------
+# projector derivative along the deformation
+
+
+FD_STEPS = (1e-2, 1e-3, 1e-4)  # the sweep's steps; the CLI gates the error at the last one
+PROBE_COLUMNS = 8
+
+
+def _deformation_matrix(cx: DolbeaultComplex, v: tuple) -> sp.csr_matrix:
+    """The sparse matrix of ``_dD(cx, v, .)``: blockdiag_f(nu_f (x) I -
+    I (x) nu_f^T) B - diag(mu) d, with B = ``corner_avg``, on the row-major
+    vec of each face's m x m value."""
+    mu, nu = v
+    F, m = cx.n_faces, cx.m
+    eye = np.eye(m)
+    blocks = np.einsum("fac,bd->fabcd", nu, eye) - np.einsum("ac,fdb->fabcd", eye, nu)
+    ad_nu = sp.bsr_matrix((blocks.reshape(F, m * m, m * m), np.arange(F), np.arange(F + 1)))
+    return (ad_nu @ cx.corner_avg - sp.diags(np.repeat(mu, m * m)) @ cx.dhol).tocsr()
+
+
+def _weighted_frobenius(cx: DolbeaultComplex, M: sp.csr_matrix) -> float:
+    """(sum_ij w1_i |M_ij|^2 / w0_j)^(1/2): the Frobenius norm of a
+    face-valued operator M of ``cx`` between its weighted spaces."""
+    return math.sqrt(float(cx.w1 @ (abs(M).power(2) @ (1.0 / cx.w0))))
+
+
+def _columns(fn, X: np.ndarray) -> np.ndarray:
+    """``fn`` applied to each column of a block, stacked back as a block."""
+    return np.stack([fn(X[..., j]) for j in range(X.shape[-1])], axis=-1)
+
+
+def _sweep_inputs(scene: Scene, seed: int) -> tuple:
+    """The tangent v, the matrix A of ``_dD(cx, v, .)`` and the probe
+    block Z of ``projector_derivative_sweep`` at ``seed`` (see there)."""
+    cx = scene.endo
+    mu, nu = random_tangent(scene, [seed])
+    v = (mu[:, 0], nu[..., 0])
+    A = _deformation_matrix(cx, v)
+    scale = _weighted_frobenius(cx, cx.dbar) / max(_weighted_frobenius(cx, A), 1e-300)
+    rng = np.random.default_rng((1, seed))  # a stream apart from the tangent's default_rng(seed)
+    shape = (cx.n_faces, cx.m, cx.m, PROBE_COLUMNS)
+    Z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return (scale * v[0], scale * v[1]), scale * A, Z
+
+
+def projector_derivative_sweep(scene: Scene, seed: int = 0, steps=FD_STEPS) -> dict:
+    """Finite-difference check of the projector derivative identity
+    dP = -P A Delta0^+ D* - D Delta0^+ A* P  (Golub and Pereyra, SIAM J.
+    Numer. Anal. 10, 1973) along the paper's deformation of the center,
+    D(t) = dbar + t A with A the sparse matrix of ``_dD(cx, v, .)``: the
+    relative error of the central difference at each step, on a probe
+    block, plus the fitted log-log slope (expect 2).  ``cx`` is the
+    scene's End(E) complex.  Raises ValueError unless ``steps`` are
+    positive and at least two of them are distinct: a slope needs two
+    points.
+
+    The tangent v is ``random_tangent(scene, [seed])`` at unit scales,
+    rescaled so that A has the weighted Frobenius norm of dbar
+    (``_weighted_frobenius``).  The probe Z is a Gaussian
+    (F, m, m, ``PROBE_COLUMNS``) block from its own stream of the seed.
+
+    Both sides use the production operators only.  The Leibniz side is
+    -P(0) ``_dD``(v, Delta0^+ dbar* Z) + dbar Delta0^+ ``_xi``(v, P(0) Z),
+    as A* = -``_xi``(v, .), with Delta0^+ = ``delta0_solve`` and P(0) =
+    ``harmonic_project``.  P(+-h) Z is ``harmonic_project`` of the complex
+    with dbar replaced by D(+-h): the same bordered LU, kernel border and
+    residual gate as every other solve.  The replaced complex's ``dhol``
+    is not deformed, and none of its methods used here reads it.  For an
+    irreducible center the kernel persists along D(t): ad(nu) kills the
+    scalars and d the constants.  For a reducible one the kernel border
+    restricts every solve to K^perp, so P(t) is the projector of D(t) on
+    K^perp, whose derivative at 0 is the same Leibniz expression.
+
+    The error at step h is |FD(h) - Leibniz| / |Leibniz|, each norm that
+    of ``cx.inner`` over the whole probe block.
+    """
+    steps = [float(h) for h in steps]
+    if not all(h > 0 and math.isfinite(h) for h in steps) or len(set(steps)) < 2:
+        raise ValueError(f"projector sweep needs at least two distinct positive finite steps, got {steps}")
+    cx = scene.endo
+    v, A, Z = _sweep_inputs(scene, seed)
+    x, _ = cx.delta0_solve(cx.star(cx.dbar, Z))
+    # P(0) Z = Z - dbar x is ``harmonic_project(Z)`` from the solve it would repeat
+    y, _ = cx.delta0_solve(_columns(lambda a: _xi(cx, v, a), Z - cx.apply(cx.dbar, x)))
+    leibniz = cx.apply(cx.dbar, y) - cx.harmonic_project(_columns(lambda f: _dD(cx, v, f), x))
+    denom = math.sqrt(cx.inner(leibniz, leibniz).real)
+    errors = {}
+    for h in steps:
+        plus, minus = (dataclasses.replace(cx, dbar=(cx.dbar + t * A).tocsr()).harmonic_project(Z) for t in (h, -h))
+        fd = (plus - minus) / (2.0 * h) - leibniz
+        err = math.sqrt(cx.inner(fd, fd).real)
+        errors[h] = err / denom if denom else (0.0 if err == 0.0 else math.inf)
+    hs = np.array(sorted(errors))
+    es = np.array([errors[h] for h in hs])
+    slope = float(np.polyfit(np.log(hs), np.log(np.maximum(es, 1e-300)), 1)[0])
+    return {"errors": errors, "slope": slope}

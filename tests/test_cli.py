@@ -110,10 +110,10 @@ def test_non_integer_genus_exits_2(tmp_path):
     assert "mesh.genus" in r.stderr and "Traceback" not in r.stderr
 
 
-@pytest.mark.parametrize("cmd", ["check-operators", "projector-derivative"])
+@pytest.mark.parametrize("cmd", ["check-operators"])
 def test_dense_cap_exceeded_exits_2(tmp_path, cmd):
     # the dense frame's check, dim C^0 + dim C^{0,1} <= dense_cap, is the one
-    # gate of both dense commands: on CFG_SMALL that sum is 56 + 128 = 184
+    # gate of the dense command: on CFG_SMALL that sum is 56 + 128 = 184
     for cap in (10, 183):
         out = tmp_path / f"out{cap}"
         r = run_cli(cmd, "--config", _write(tmp_path, {"dense_cap": cap}), "--out", str(out))
@@ -424,10 +424,28 @@ def test_projector_derivative_cmd(tmp_path, cfg_path):
     r = run_cli("projector-derivative", "--config", cfg_path, "--out", str(out))
     assert r.returncode == 0
     rep = json.loads((out / "report.json").read_text())
+    assert [c["name"] for c in rep["checks"]] == ["fd_error_geometric_at_1e-4", "loglog_slope_geometric_near_2"]
     assert abs(rep["slope"] - 2.0) <= 0.2
     lines = (out / "fd_errors.csv").read_text().strip().splitlines()
     assert lines[0] == "step,rel_error"
-    assert len(lines) == 4
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [1e-2, 1e-3, 1e-4]
+
+
+def test_projector_derivative_ignores_dense_cap(tmp_path):
+    # the sweep builds no dense frame, so dense_cap bounds check-operators alone
+    out = tmp_path / "out"
+    r = run_cli("projector-derivative", "--config", _write(tmp_path, {"dense_cap": 10}), "--out", str(out))
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert _strict_json((out / "report.json").read_text())["failures"] == []
+
+
+def test_projector_derivative_outputs_repeat(tmp_path, cfg_path):
+    runs = [tmp_path / "first", tmp_path / "again"]
+    for out in runs:
+        r = run_cli("projector-derivative", "--config", cfg_path, "--out", str(out))
+        assert r.returncode == 0, r.stdout + r.stderr
+    for name in ("report.json", "fd_errors.csv"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
 
 # adjoint_trials and oracle_rhs are no longer config keys: whatever their
@@ -969,7 +987,7 @@ TRACED_SPANS = {
     },
     "positivity": {"cli.cmd_positivity", "variation.positivity_certificate"},
     "check-operators": {"cli.cmd_check_operators", "oracle.certify_operators", "oracle.materialize"},
-    "projector-derivative": {"cli.cmd_projector_derivative", "oracle.projector_derivative_sweep"},
+    "projector-derivative": {"cli.cmd_projector_derivative", "variation.projector_derivative_sweep"},
 }
 
 

@@ -10,6 +10,7 @@ import scipy.linalg
 import modulilab
 from modulilab import bundle as bnd
 from modulilab import oracle
+from modulilab import variation as var
 from modulilab._complexes import DolbeaultComplex
 from modulilab.bundle import Scene
 from modulilab.cli import TOLERANCES
@@ -124,17 +125,13 @@ def test_frame_eigenvectors_are_orthonormal_at_r3(fan2_r2, su2_r2):
 
 
 def test_dense_cap(su2_scene_r1):
-    # the frame's check is the one gate of both dense certifications; on
+    # the frame's check is the one gate of the dense certification; on
     # this scene dim C^0 + dim C^{0,1} = 56 + 128 = 184
     cx = su2_scene_r1.endo
     assert cx.dbar.shape == (128, 56)
-    for certify in (
-        lambda cap: oracle.certify_operators(su2_scene_r1, dense_cap=cap),
-        lambda cap: oracle.projector_derivative_sweep(cx, dense_cap=cap),
-    ):
-        certify(184)
-        with pytest.raises(oracle.DenseCapError):
-            certify(183)
+    oracle.certify_operators(su2_scene_r1, dense_cap=184)
+    with pytest.raises(oracle.DenseCapError):
+        oracle.certify_operators(su2_scene_r1, dense_cap=183)
 
 
 def test_certify_operators_values(su2_scene_r1):
@@ -241,11 +238,10 @@ def test_spectral_norm_of_zero_matrix():
 
 
 def test_hermitian_kernels_keep_the_strict_upper_triangle(rng):
-    # the projector sweep keeps the Leibniz matrix in the strictly upper
-    # triangle of the buffer its error matrices are formed in, so zherk and
-    # the Hermitian eigensolver must work on that buffer in place and write
-    # only its lower triangle and diagonal; spectral_norm(buf, hermitian=True)
-    # is eigh(buf, lower=True, eigvals_only=True, overwrite_a=True)
+    # zherk and the Hermitian eigensolver work on a Fortran-ordered buffer
+    # in place and write only its lower triangle and diagonal, as the
+    # docstring of spectral_norm(buf, hermitian=True), which is
+    # eigh(buf, lower=True, eigvals_only=True, overwrite_a=True), states
     n = 40
     X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     buf = np.asfortranarray(X + X.conj().T)
@@ -268,11 +264,8 @@ def test_hermitian_kernels_keep_the_strict_upper_triangle(rng):
 
 @pytest.mark.parametrize(
     "entry, bound",
-    [
-        (lambda scene: oracle.certify_operators(scene), 3.5),
-        (lambda scene: oracle.projector_derivative_sweep(scene.endo), 3.0),
-    ],
-    ids=["certify_operators", "projector_derivative_sweep"],
+    [(lambda scene: oracle.certify_operators(scene), 3.5)],
+    ids=["certify_operators"],
 )
 def test_dense_entry_point_peak_memory(su2_scene, entry, bound):
     # the tracemalloc peak of one call, in units of one dense n1 x n1
@@ -292,96 +285,45 @@ def test_dense_entry_point_peak_memory(su2_scene, entry, bound):
     assert peak <= bound * n1 * n1 * 16, peak / (n1 * n1 * 16)
 
 
-def svd_projector_errors(cx, steps, seed):
-    """The projector-derivative errors of ``oracle.projector_derivative_sweep``
-    computed the independent way: P(t) = I - U_r U_r^H from the thin SVD
-    of D + tA, the Leibniz matrix from the frame's pseudo-inverse, and
-    every norm from the SVD."""
+def svd_projector_errors(scene, steps, seed):
+    """The errors of ``variation.projector_derivative_sweep`` computed the
+    dense way, in the weight-orthonormal frame and from the sweep's own
+    tangent, A and probe: P(t) = I - U_r U_r^H from the thin SVD of
+    (D + tA) restricted to the complement of the frame's kernel, the
+    Leibniz matrix from the frame's pseudo-inverse, and Frobenius norms on
+    the framed probe."""
+    cx = scene.endo
+    _, A, Z = var._sweep_inputs(scene, seed)
     frame = oracle.DenseFrame(cx)
-    D, rank = frame.D, frame.rank
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal(D.shape) + 1j * rng.standard_normal(D.shape)
-    A *= np.sqrt(2.0 * np.linalg.norm(D, 2) * np.sqrt(frame.lam[-rank])) / np.linalg.norm(A, 2)
-    K = frame.kernel
-    A = A - (A @ K) @ K.conj().T
+    D, rank, K = frame.D, frame.rank, frame.kernel
+    A = oracle.DenseOperator(A.toarray(order="F"), cx.w0, cx.w1).framed_in_place()
+    Zf = np.sqrt(cx.w1)[:, None] * Z.reshape(len(cx.w1), -1)
+    deflate = np.eye(D.shape[1]) - K @ K.conj().T
 
     def projector(t):
-        U = np.linalg.svd(D + t * A, full_matrices=False)[0][:, :rank]
+        U = np.linalg.svd((D + t * A) @ deflate, full_matrices=False)[0][:, :rank]
         return np.eye(D.shape[0]) - U @ U.conj().T
 
     pinv0, P0 = frame.pinv(), projector(0.0)
-    leibniz = -P0 @ A @ pinv0 @ D.conj().T - D @ pinv0 @ A.conj().T @ P0
-    denom = np.linalg.norm(leibniz, 2)
-    return {h: np.linalg.norm((projector(h) - projector(-h)) / (2 * h) - leibniz, 2) / denom for h in steps}
+    leibniz = (-P0 @ A @ pinv0 @ D.conj().T - D @ pinv0 @ A.conj().T @ P0) @ Zf
+    denom = np.linalg.norm(leibniz)
+    return {h: np.linalg.norm((projector(h) - projector(-h)) @ Zf / (2 * h) - leibniz) / denom for h in steps}
 
 
 @pytest.mark.parametrize("preset", ["su2", "trivial3"])
 def test_projector_sweep_matches_svd_reference(surf_hyp_r1, su2_r1, fan2_r1, preset):
-    # QR range bases and norms from the frame reproduce the SVD
-    # projectors' error at the gated step, and both gates pass
+    # the sparse sweep (bordered LU solves along the deformation) and the
+    # dense SVD projectors of the same D(t) give the same error at the
+    # gated step, and both gates pass; rank-3 trivial is reducible, so its
+    # kernel does not persist along D(t)
     cocycle = su2_r1 if preset == "su2" else bnd.trivial_cocycle(fan2_r1, 3)
-    cx = Scene(surf_hyp_r1, cocycle).endo
+    scene = Scene(surf_hyp_r1, cocycle)
     for seed in range(8):
-        sweep = oracle.projector_derivative_sweep(cx, steps=(1e-3, 1e-4, 1e-5), seed=seed)
-        ref = svd_projector_errors(cx, (1e-4,), seed)
+        sweep = var.projector_derivative_sweep(scene, seed=seed)
+        ref = svd_projector_errors(scene, (1e-4,), seed)
         assert abs(sweep["errors"][1e-4] - ref[1e-4]) <= 1e-3 * ref[1e-4], seed
-        assert sweep["errors"][1e-4] <= TOLS["fd_error_at_1e-4"], seed
-        assert abs(sweep["slope"] - 2.0) <= TOLS["loglog_slope_near_2"], seed
-
-
-def two_buffer_sweep(cx, steps, seed):
-    """``oracle.projector_derivative_sweep`` as it was with two n1 x n1
-    buffers: the Leibniz matrix in one, copied into an error buffer at
-    every step, and A summed from two real draws."""
-    frame = oracle.DenseFrame(cx)
-    D, lam, rank = frame.D, frame.lam, frame.rank
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal(D.shape) + 1j * rng.standard_normal(D.shape)
-    A *= np.sqrt(2.0 * np.sqrt(lam[-1]) * np.sqrt(lam[-rank])) / max(oracle.spectral_norm(A), 1e-300)
-    K = frame.kernel
-    A -= (A @ K) @ K.conj().T
-    Vr, sigma = frame.V[:, -rank:], np.sqrt(lam[-rank:])
-    DV, AV = np.asfortranarray(D @ Vr), np.asfortranarray(A @ Vr)
-    U = DV / sigma
-    N = AV / sigma
-    N -= U @ (U.conj().T @ N)
-    denom = oracle.spectral_norm(N)
-    leibniz = scipy.linalg.blas.zher2k(-1.0, N, U, lower=1)
-    fd = np.empty_like(leibniz)
-    errors = {}
-    for h in steps:
-        np.copyto(fd, leibniz)
-        for sign, alpha, beta in ((np.subtract, 0.5 / h, -1.0), (np.add, -0.5 / h, 1.0)):
-            q = h * AV
-            q = scipy.linalg.qr(sign(DV, q, out=q), mode="economic", overwrite_a=True)[0]
-            scipy.linalg.blas.zherk(alpha, q, beta=beta, c=fd, lower=1, overwrite_c=1)
-        errors[h] = float(oracle.spectral_norm(fd, hermitian=True) / denom)
-    hs = np.array(sorted(errors))
-    es = np.array([errors[h] for h in hs])
-    slope = float(np.polyfit(np.log(hs), np.log(np.maximum(es, 1e-300)), 1)[0])
-    return {"errors": errors, "slope": slope}
-
-
-@pytest.mark.parametrize(
-    "case, seeds",
-    [("su2_r1", range(4)), ("trivial3_r1", range(4)), ("su2_r2", [0])],
-)
-def test_projector_sweep_matches_two_buffer_reference(request, case, seeds):
-    # the mirrored Leibniz triangle restores each step's start exactly, so
-    # the one-buffer sweep reproduces the two-buffer errors and slope bit
-    # for bit
-    if case == "su2_r2":
-        cx = request.getfixturevalue("su2_scene").endo
-    else:
-        S = request.getfixturevalue("surf_hyp_r1")
-        if case == "su2_r1":
-            cocycle = request.getfixturevalue("su2_r1")
-        else:
-            cocycle = bnd.trivial_cocycle(request.getfixturevalue("fan2_r1"), 3)
-        cx = Scene(S, cocycle).endo
-    steps = (1e-3, 1e-4, 1e-5)
-    for seed in seeds:
-        assert oracle.projector_derivative_sweep(cx, steps, seed=seed) == two_buffer_sweep(cx, steps, seed), seed
+        assert sweep["errors"][1e-4] <= TOLS["fd_error_geometric_at_1e-4"], seed
+        assert abs(sweep["slope"] - 2.0) <= TOLS["loglog_slope_geometric_near_2"], seed
 
 
 def test_torus_mesh_valid():

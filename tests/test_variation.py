@@ -9,6 +9,8 @@ from modulilab import variation as var
 from modulilab._complexes import endo_complex
 from modulilab.calculus import beltrami_d_hol
 from modulilab.bundle import Scene
+from modulilab.cli import TOLERANCES
+from modulilab.surface import equip_conformal, refine
 
 from conftest import one_tangent
 
@@ -482,34 +484,60 @@ def test_gauge_naturality(fan2_r1, surf_hyp_r1, su2_r1, rng):
 
 
 def test_projector_derivative_small_error(su2_scene_r1):
-    sweep = oracle.projector_derivative_sweep(su2_scene_r1.endo, steps=(1e-3, 1e-4), seed=0)
+    sweep = var.projector_derivative_sweep(su2_scene_r1, seed=0, steps=(1e-3, 1e-4))
     assert sweep["errors"][1e-4] <= 1e-6
 
 
 def test_projector_derivative_slope(su2_scene_r1):
-    sweep = oracle.projector_derivative_sweep(su2_scene_r1.endo, steps=(1e-3, 1e-4, 1e-5), seed=0)
+    sweep = var.projector_derivative_sweep(su2_scene_r1, seed=0)
     assert abs(sweep["slope"] - 2.0) <= 0.2
 
 
 def test_projector_derivative_sweep_matches_single_steps(su2_scene_r1):
-    # the sweep shares one frame across its steps; each error must not
-    # depend on which other steps the sweep holds
-    steps = (1e-3, 1e-4, 1e-5)
-    sweep = oracle.projector_derivative_sweep(su2_scene_r1.endo, steps=steps, seed=3)
+    # each error must not depend on which other steps the sweep holds
+    steps = var.FD_STEPS
+    sweep = var.projector_derivative_sweep(su2_scene_r1, seed=3, steps=steps)
     for h in steps:
-        pair = oracle.projector_derivative_sweep(su2_scene_r1.endo, steps=(h, 2.0 * h), seed=3)
+        pair = var.projector_derivative_sweep(su2_scene_r1, seed=3, steps=(h, 2.0 * h))
         assert abs(sweep["errors"][h] - pair["errors"][h]) <= 1e-12 * pair["errors"][h]
-
-
-def test_projector_derivative_sweep_honours_dense_cap(su2_scene_r1):
-    with pytest.raises(ValueError, match="dense"):
-        oracle.projector_derivative_sweep(su2_scene_r1.endo, steps=(1e-3, 1e-4), dense_cap=10)
 
 
 @pytest.mark.parametrize("steps", [(1e-3,), (1e-4, 1e-4), (1e-3, 0.0), (1e-3, -1e-4)])
 def test_projector_derivative_sweep_needs_two_distinct_positive_steps(su2_scene_r1, steps):
     with pytest.raises(ValueError, match="two distinct positive"):
-        oracle.projector_derivative_sweep(su2_scene_r1.endo, steps=steps)
+        var.projector_derivative_sweep(su2_scene_r1, steps=steps)
+
+
+@pytest.fixture(scope="module")
+def su2_pairs(surf_hyp_r1, su2_r1, surf_hyp, su2_r2):
+    """(surface, su2 cocycle) of the stored hyperbolic fan at r1-r3."""
+    mesh = refine(surf_hyp.mesh)
+    S3 = equip_conformal(mesh, layout="stored", density="hyperbolic")
+    return {1: (surf_hyp_r1, su2_r1), 2: (surf_hyp, su2_r2), 3: (S3, bnd.refine_cocycle(su2_r2, mesh))}
+
+
+@pytest.mark.parametrize("refinements", [1, 2, 3])
+@pytest.mark.parametrize("bundle", ["su2", "trivial1", "trivial2"])
+def test_projector_derivative_geometric_gates(su2_pairs, bundle, refinements):
+    # both gates of the command hold for an irreducible center and for
+    # reducible ones (trivial rank 2: the kernel does not persist along D(t))
+    S, cocycle = su2_pairs[refinements]
+    if bundle != "su2":
+        cocycle = bnd.trivial_cocycle(S.mesh, int(bundle[-1]))
+    sweep = var.projector_derivative_sweep(Scene(S, cocycle), seed=0)
+    assert sweep["errors"][var.FD_STEPS[-1]] <= TOLERANCES["fd_error_geometric_at_1e-4"]
+    assert abs(sweep["slope"] - 2.0) <= TOLERANCES["loglog_slope_geometric_near_2"]
+
+
+def test_deformation_matrix_matches_dD(su2_scene, rng):
+    # the sparse A of the finite-difference side is the operator variation
+    # that the Leibniz side applies through _dD
+    cx = su2_scene.endo
+    v = one_tangent(su2_scene, 11)
+    A = var._deformation_matrix(cx, v)
+    f = rng.standard_normal((cx.n_vertices, 2, 2, 8)) + 1j * rng.standard_normal((cx.n_vertices, 2, 2, 8))
+    via_dD = np.stack([var._dD(cx, v, f[..., j]) for j in range(8)], axis=-1)
+    assert np.linalg.norm(cx.apply(A, f) - via_dD) <= 1e-14 * np.linalg.norm(via_dD)
 
 
 def test_projector_derivative_harmonic_orthogonality(su2_scene_r1, rng):
