@@ -502,6 +502,17 @@ def test_projector_derivative_sweep_matches_single_steps(su2_scene_r1):
         assert abs(sweep["errors"][h] - pair["errors"][h]) <= 1e-12 * pair["errors"][h]
 
 
+def test_projector_derivative_sweep_builds_no_dense_frame(su2_scene_r1, monkeypatch):
+    # the sweep takes no dense_cap: it must pass both gates without the dense frame
+    def refuse(*args, **kwargs):
+        raise AssertionError("the projector sweep built a dense frame")
+
+    monkeypatch.setattr(oracle.DenseFrame, "__init__", refuse)
+    sweep = var.projector_derivative_sweep(su2_scene_r1, seed=0)
+    assert sweep["errors"][var.FD_STEPS[-1]] <= TOLERANCES["fd_error_geometric_at_1e-4"]
+    assert abs(sweep["slope"] - 2.0) <= TOLERANCES["loglog_slope_geometric_near_2"]
+
+
 @pytest.mark.parametrize("steps", [(1e-3,), (1e-4, 1e-4), (1e-3, 0.0), (1e-3, -1e-4)])
 def test_projector_derivative_sweep_needs_two_distinct_positive_steps(su2_scene_r1, steps):
     with pytest.raises(ValueError, match="two distinct positive"):
