@@ -280,7 +280,7 @@ def endo_complex(S: ConformalSurface, transport_per_he: np.ndarray, commutant: n
 
 
 # ---------------------------------------------------------------------------
-# pointwise machinery shared by bundle and variation code
+# pointwise machinery, each in the layout of its per-site input or block
 
 
 def lift_to_vertices(cx: DolbeaultComplex, S: ConformalSurface, x_face: np.ndarray) -> np.ndarray:
@@ -294,16 +294,19 @@ def lift_to_vertices(cx: DolbeaultComplex, S: ConformalSurface, x_face: np.ndarr
     return _layout(x, x_face)
 
 
+def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-site commutator ab - ba of (sites, m, m) values, either of them
+    a block (sites, m, m, k), in the layout of the block."""
+    return np.einsum("sab...,sbc...->sac...", a, b) - np.einsum("sab...,sbc...->sac...", b, a)
+
+
 def ad(cx: DolbeaultComplex, nu: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Pointwise commutator [nu, B f] of a face field nu with the P1
-    barycenter values B f of a vertex 0-cochain f."""
-    fa = cx.apply(cx.corner_avg, f)
-    return nu @ fa - fa @ nu
+    barycenter values B f of a vertex 0-cochain f or a block of them."""
+    return _commutator(nu, cx.apply(cx.corner_avg, f))
 
 
 def ad_star(cx: DolbeaultComplex, nu: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Exact weighted adjoint of ``ad(cx, nu, .)``:
     W0^-1 B^H W1 (nu^H alpha - alpha nu^H)."""
-    nu_h = np.conj(np.swapaxes(nu, 1, 2))
-    comm = nu_h @ alpha - alpha @ nu_h
-    return cx.star(cx.corner_avg, comm)
+    return cx.star(cx.corner_avg, _commutator(np.conj(np.swapaxes(nu, 1, 2)), alpha))

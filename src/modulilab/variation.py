@@ -37,7 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import conventions
-from ._complexes import SOLVE_RTOL, DolbeaultComplex, SolverError, _norms, ad, ad_star, lift_to_vertices
+from ._complexes import SOLVE_RTOL, DolbeaultComplex, SolverError, _commutator, _norms, ad, ad_star, lift_to_vertices
 from .bundle import Scene
 from .calculus import beltrami_d_hol
 from .surface import ConformalSurface
@@ -109,32 +109,33 @@ def _inputs_digest(arrays) -> str:
 
 
 def _ct(x: np.ndarray) -> np.ndarray:
-    """Pointwise conjugate transpose of (sites, n, n) values."""
+    """Pointwise conjugate transpose of (sites, n, n) values or a block."""
     return np.conj(np.swapaxes(x, 1, 2))
 
 
 # -- operator variations and the gauge source --------------------------------
+# Each takes per-site values or a block of them and answers in that layout.
 
 
 def _dD(cx: DolbeaultComplex, v: tuple, f_vert: np.ndarray) -> np.ndarray:
-    """(ad(nu) - mu d) applied to a vertex 0-cochain."""
+    """(ad(nu) - mu d) applied to a vertex 0-cochain or a block of them."""
     mu, nu = v
-    return ad(cx, nu, f_vert) - mu[:, None, None] * cx.apply(cx.dhol, f_vert)
+    return ad(cx, nu, f_vert) - mu.reshape((-1,) + (1,) * (f_vert.ndim - 1)) * cx.apply(cx.dhol, f_vert)
 
 
 def _xi(cx: DolbeaultComplex, v: tuple, alpha: np.ndarray) -> np.ndarray:
-    """d*(mu-bar alpha) - ad_star(nu, alpha) on a (0,1)-form."""
+    """d*(mu-bar alpha) - ad_star(nu, alpha) on a (0,1)-form or a block."""
     mu, nu = v
-    return cx.star(cx.dhol, np.conj(mu)[:, None, None] * alpha) - ad_star(cx, nu, alpha)
+    return cx.star(cx.dhol, np.conj(mu).reshape((-1,) + (1,) * (alpha.ndim - 1)) * alpha) - ad_star(cx, nu, alpha)
 
 
 def _gauge_source(cx: DolbeaultComplex, S: ConformalSurface, nua, nub, dmu_a, dmu_b) -> np.ndarray:
-    """The lifted gauge-Hessian source for slot pair (a, b), from each
-    slot's nu and the spin-2 derivative of its mu; Delta0^{-1} of it is
-    the gauge potential G_ab."""
+    """The lifted gauge-Hessian source for slot pair (a, b), or a block of
+    pairs (nu (F, n, n, k), dmu (F, k)), from each slot's nu and the spin-2
+    derivative of its mu; Delta0^{-1} of it is the gauge potential G_ab."""
     ctb = _ct(nub)
-    src = nua @ ctb - ctb @ nua - dmu_a[:, None, None] * ctb - np.conj(dmu_b)[:, None, None] * nua
-    src *= conventions.GAUGE_SOURCE_CALIBRATION / S.density[:, None, None]
+    src = _commutator(nua, ctb) - dmu_a[:, None, None] * ctb - np.conj(dmu_b)[:, None, None] * nua
+    src *= conventions.GAUGE_SOURCE_CALIBRATION / S.density.reshape((-1,) + (1,) * (src.ndim - 1))
     return lift_to_vertices(cx, S, src)
 
 
@@ -208,9 +209,8 @@ def _term_sources(scene: Scene, vectors):
     order of ``_TERM_SOLVES``."""
     (mu1, nu1), (mu2, nu2), (mu3, nu3), (mu4, nu4) = vectors
     S, cx = scene.surface, scene.endo
-    dmu1, dmu2 = beltrami_d_hol(np.stack((mu1, mu2), axis=-1), scene).T
-    yield _gauge_source(cx, S, nu1, nu2, dmu1, dmu2)
-    yield _gauge_source(cx, S, nu2, nu1, dmu2, dmu1)
+    nus, dmus = np.stack((nu1, nu2), axis=-1), beltrami_d_hol(np.stack((mu1, mu2), axis=-1), scene)
+    yield from np.moveaxis(_gauge_source(cx, S, nus, nus[..., ::-1], dmus, dmus[:, ::-1]), -1, 0)
     yield _xi(cx, vectors[1], nu3)
     yield cx.star(cx.dbar, mu3[:, None, None] * _ct(nu2))
     yield cx.star(cx.dbar, mu4[:, None, None] * _ct(nu1))
@@ -353,11 +353,6 @@ def _weighted_frobenius(cx: DolbeaultComplex, M: sp.csr_matrix) -> float:
     return math.sqrt(float(cx.w1 @ (abs(M).power(2) @ (1.0 / cx.w0))))
 
 
-def _columns(fn, X: np.ndarray) -> np.ndarray:
-    """``fn`` applied to each column of a block, stacked back as a block."""
-    return np.stack([fn(X[..., j]) for j in range(X.shape[-1])], axis=-1)
-
-
 def _sweep_inputs(scene: Scene, seed: int) -> tuple:
     """The tangent v, the matrix A of ``_dD(cx, v, .)`` and the probe
     block Z of ``projector_derivative_sweep`` at ``seed`` (see there)."""
@@ -372,16 +367,14 @@ def _sweep_inputs(scene: Scene, seed: int) -> tuple:
     return (scale * v[0], scale * v[1]), scale * A, Z
 
 
-def projector_derivative_sweep(scene: Scene, seed: int = 0, steps=FD_STEPS) -> dict:
+def projector_derivative_sweep(scene: Scene, seed: int) -> dict:
     """Finite-difference check of the projector derivative identity
     dP = -P A Delta0^+ D* - D Delta0^+ A* P  (Golub and Pereyra, SIAM J.
     Numer. Anal. 10, 1973) along the paper's deformation of the center,
     D(t) = dbar + t A with A the sparse matrix of ``_dD(cx, v, .)``: the
-    relative error of the central difference at each step, on a probe
-    block, plus the fitted log-log slope (expect 2).  ``cx`` is the
-    scene's End(E) complex.  Raises ValueError unless ``steps`` are
-    positive and at least two of them are distinct: a slope needs two
-    points.
+    relative error of the central difference at each of ``FD_STEPS``, on
+    a probe block, plus the fitted log-log slope (expect 2).  ``cx`` is
+    the scene's End(E) complex.
 
     The tangent v is ``random_tangent(scene, [seed])`` at unit scales,
     rescaled so that A has the weighted Frobenius norm of dbar
@@ -403,18 +396,15 @@ def projector_derivative_sweep(scene: Scene, seed: int = 0, steps=FD_STEPS) -> d
     The error at step h is |FD(h) - Leibniz| / |Leibniz|, each norm that
     of ``cx.inner`` over the whole probe block.
     """
-    steps = [float(h) for h in steps]
-    if not all(h > 0 and math.isfinite(h) for h in steps) or len(set(steps)) < 2:
-        raise ValueError(f"projector sweep needs at least two distinct positive finite steps, got {steps}")
     cx = scene.endo
     v, A, Z = _sweep_inputs(scene, seed)
     x, _ = cx.delta0_solve(cx.star(cx.dbar, Z))
     # P(0) Z = Z - dbar x is ``harmonic_project(Z)`` from the solve it would repeat
-    y, _ = cx.delta0_solve(_columns(lambda a: _xi(cx, v, a), Z - cx.apply(cx.dbar, x)))
-    leibniz = cx.apply(cx.dbar, y) - cx.harmonic_project(_columns(lambda f: _dD(cx, v, f), x))
+    y, _ = cx.delta0_solve(_xi(cx, v, Z - cx.apply(cx.dbar, x)))
+    leibniz = cx.apply(cx.dbar, y) - cx.harmonic_project(_dD(cx, v, x))
     denom = math.sqrt(cx.inner(leibniz, leibniz).real)
     errors = {}
-    for h in steps:
+    for h in FD_STEPS:
         plus, minus = (dataclasses.replace(cx, dbar=(cx.dbar + t * A).tocsr()).harmonic_project(Z) for t in (h, -h))
         fd = (plus - minus) / (2.0 * h) - leibniz
         err = math.sqrt(cx.inner(fd, fd).real)
