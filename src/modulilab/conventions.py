@@ -20,8 +20,8 @@ can drift against another.  The table:
 * Beltrami differentials pair with weight rho*Area_f per face;
 * `ad_star` is the exact formal adjoint of the pointwise commutator
   action; under the weights above it equals -rho^{-1}[alpha, conj(nu)^T]
-  averaged onto vertices, i.e. the calibration constant is -1 relative
-  to the raw commutator with conj(nu)^T.
+  averaged onto vertices.  The -1 follows from the adjoint itself, so no
+  constant here carries it.
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ WEDGE_AREA_FACTOR = 2.0
 #: global factor on every L2 weight relative to the rho dx^dy volume.
 L2_GLOBAL_FACTOR = 2.0
 
-#: ad_star(nu, .) = AD_STAR_CALIBRATION * rho^{-1} [., conj(nu)^T], vertex-averaged.
-AD_STAR_CALIBRATION = -1.0
-
 #: the gauge-Hessian source keeps the derivation constant +1 on
 #: rho^{-1}([nu1, conj(nu2)^T] - (d mu1) conj(nu2)^T - conj(d mu2) nu1).
 GAUGE_SOURCE_CALIBRATION = 1.0
@@ -52,7 +49,6 @@ def digest(density_policy: str) -> dict:
         "star_dzbar": "+i",
         "wedge_area_factor": WEDGE_AREA_FACTOR,
         "l2_global_factor": L2_GLOBAL_FACTOR,
-        "ad_star_calibration": AD_STAR_CALIBRATION,
         "gauge_source_calibration": GAUGE_SOURCE_CALIBRATION,
         "scalar_weight": "2 * rho * area / 3 per corner",
         "form_weight": "2 * area",

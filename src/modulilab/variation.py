@@ -28,7 +28,6 @@ Hermitian symmetry of the totals holds to roundoff.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import logging
 import math
 from dataclasses import dataclass
@@ -75,16 +74,14 @@ class VariationReport:
 
 @dataclass(frozen=True)
 class QuadrupleReport:
-    """The three systems of one tangent quadruple, with the inputs (the
-    norms of the four slots plus a content digest) and the stats of the
-    one term solve that all three share, labelled with the nine terms of
-    its columns."""
+    """The three systems of one tangent quadruple and the stats of the one
+    term solve that all three share, labelled with the nine terms of its
+    columns."""
 
     universal: VariationReport
     fibered: VariationReport
     difference: VariationReport
-    inputs: dict
-    solver_stats: tuple
+    solver_stats: dict
 
     @property
     def systems(self) -> tuple[VariationReport, VariationReport, VariationReport]:
@@ -92,20 +89,8 @@ class QuadrupleReport:
 
     def to_json_dict(self) -> dict:
         d = {rep.coordinate_system: rep.to_json_dict() for rep in self.systems}
-        d["inputs_digest"] = self.inputs["digest"]
-        d["inputs_manifest"] = {k: v for k, v in self.inputs.items() if k != "digest"}
-        d["solver_stats"] = list(self.solver_stats)
+        d["solver_stats"] = self.solver_stats
         return d
-
-
-def _inputs_digest(arrays) -> str:
-    """First 16 hex digits of the SHA-256 of the exact complex128 bytes of
-    ``arrays``: equal inputs give equal digests, and a change of one ulp
-    in any entry changes the digest (no tolerance for roundoff)."""
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(np.ascontiguousarray(a, dtype=complex).tobytes())
-    return h.hexdigest()[:16]
 
 
 def _ct(x: np.ndarray) -> np.ndarray:
@@ -281,11 +266,6 @@ def evaluate_quadruple(v1: tuple, v2: tuple, v3: tuple, v4: tuple, scene: Scene)
     except SolverError as e:
         raise SolverError(f"{_TERM_SOLVES[e.column or 0]}: {e}", column=e.column) from e
     universal, extra = _terms(scene, vectors, dict(zip(_TERM_SOLVES, np.moveaxis(x, -1, 0))))
-    inputs = {
-        "digest": _inputs_digest([mu for mu, _ in vectors] + [nu for _, nu in vectors]),
-        "mu_norms": [float(np.linalg.norm(mu)) for mu, _ in vectors],
-        "nu_norms": [float(np.linalg.norm(nu)) for _, nu in vectors],
-    }
     table = dict(universal)
     fibered = [(name, val) for name, val in universal if name not in _REMOVED_IN_FIBERED] + extra
     difference = [(f"removed_{name}", table[name]) for name in _REMOVED_IN_FIBERED]
@@ -294,8 +274,7 @@ def evaluate_quadruple(v1: tuple, v2: tuple, v3: tuple, v4: tuple, scene: Scene)
         universal=VariationReport("universal", tuple(universal)),
         fibered=VariationReport("fibered", tuple(fibered)),
         difference=VariationReport("difference", tuple(difference)),
-        inputs=inputs,
-        solver_stats=({"terms": list(_TERM_SOLVES), **stats},),
+        solver_stats={"terms": list(_TERM_SOLVES), **stats},
     )
 
 

@@ -287,23 +287,37 @@ def test_keys_that_a_file_decides_are_still_checked(tmp_path):
 
 def test_saved_fan_mesh_file_matches_built_fan(tmp_path):
     # the mesh file keeps its layout: a saved fan under the default
-    # stored layout gives the genus-built scene's outputs byte for byte
+    # stored layout, the saved su2 generators, or both give the
+    # genus-built su2 scene's output files byte for byte.  So a report
+    # cannot record how its center pair was given (no config digest).
+    from modulilab.bundle import save_cocycle, su2_preset
     from modulilab.surface import build_polygon_gluing, save_mesh
 
-    mesh = tmp_path / "fan.surf"
-    save_mesh(build_polygon_gluing(2), mesh)
+    fan = build_polygon_gluing(2)
+    save_mesh(fan, tmp_path / "fan.surf")
+    save_cocycle(su2_preset(fan), tmp_path / "su2.gen")
     shipped = json.loads((CONFIGS / "genus2_su2.json").read_text())
-    from_file = tmp_path / "from_file.json"
-    from_file.write_text(json.dumps({**shipped, "mesh": {**shipped["mesh"], "file": str(mesh)}}))
-    outputs = {"second-variation": ["report.json", "terms.csv"], "positivity": ["report.json", "positivity.csv"]}
-    for cmd in outputs:
-        runs = []
-        for name, cfg in (("shipped", str(CONFIGS / "genus2_su2.json")), ("file", str(from_file))):
+    mesh_file = {**shipped["mesh"], "file": str(tmp_path / "fan.surf")}
+    gen_file = {**shipped["bundle"], "generator_file": str(tmp_path / "su2.gen")}
+    variants = {
+        "mesh": {"mesh": mesh_file},
+        "generators": {"bundle": gen_file},
+        "both": {"mesh": mesh_file, "bundle": gen_file},
+    }
+    configs = {"shipped": CONFIGS / "genus2_su2.json"}
+    for name, change in variants.items():
+        configs[name] = tmp_path / f"{name}.json"
+        configs[name].write_text(json.dumps({**shipped, **change}))
+    for cmd in ("second-variation", "positivity"):
+        runs = {}
+        for name, cfg in configs.items():
             out = tmp_path / cmd / name
-            r = run_cli(cmd, "--config", cfg, "--seed", "0", "--out", str(out))
+            r = run_cli(cmd, "--config", str(cfg), "--seed", "0", "--out", str(out))
             assert r.returncode == 0, r.stdout + r.stderr
-            runs.append([(out / f).read_bytes() for f in outputs[cmd]])
-        assert runs[0] == runs[1], cmd
+            runs[name] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        assert "report.json" in runs["shipped"]
+        for name in variants:
+            assert runs[name] == runs["shipped"], (cmd, name)
 
 
 def test_refined_mesh_file_matches_generated_mesh(tmp_path):
@@ -348,25 +362,25 @@ def test_second_variation_cmd_and_determinism(tmp_path, cfg_path):
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
     assert (out1 / "terms.csv").read_bytes() == (out2 / "terms.csv").read_bytes()
     rep = json.loads((out1 / "report.json").read_text())
-    # inputs, solver stats and conventions are written once; each system
-    # holds only its terms and total
+    # conventions are written once; a sample is its seed, its three
+    # systems and the stats of its one term solve, and each system holds
+    # only its terms and total
     assert set(rep) == {"checks", "command", "conventions_digest", "failures", "passed", "samples"}
     assert rep["conventions_digest"]["density_policy"] == "hyperbolic"
     assert [s["seed"] for s in rep["samples"]] == [0, 1]
     for s in rep["samples"]:
-        assert set(s) == {"seed", "universal", "fibered", "difference", "inputs_digest", "inputs_manifest", "solver_stats"}
+        assert set(s) == {"seed", "universal", "fibered", "difference", "solver_stats"}
         for system in ("universal", "fibered", "difference"):
             assert set(s[system]) == {"terms", "total"}
         assert len(s["universal"]["terms"]) == 10
         assert len(s["fibered"]["terms"]) == 12
         assert len(s["difference"]["terms"]) == 6
-        (stats,) = s["solver_stats"]
+        stats = s["solver_stats"]
         assert stats["terms"] == [
             "gauge_12", "gauge_21", "opvar_proj", "opvar_mu3", "opvar_mu4",
             "new_tei_mu3", "new_tei_mu4", "new_opvar_mu3_bar", "new_opvar_mu4_bar",
         ]
         assert set(stats) == {"terms", "kernel_removed", "residual", "method", "factor_reused"}
-        assert set(s["inputs_manifest"]) == {"mu_norms", "nu_norms"}
 
 
 def test_trivial_rank1_mu_zero_totals_vanish(tmp_path):
@@ -882,7 +896,7 @@ def test_cli_seed_solves_once_per_term(monkeypatch, tmp_path):
     assert len(calls) == 3
     assert calls.count(tangent) == 1 and calls.count(endo) == 2
     assert sorted(factored) == sorted(cx.w0.shape[0] + cx.kernel.shape[1] for cx in (endo, tangent))
-    (stats,) = quad.solver_stats
+    stats = quad.solver_stats
     assert stats["factor_reused"]
     # the five universal columns first, then the four fibered-only ones
     assert stats["terms"] == [
