@@ -1,17 +1,17 @@
 """Batch driver: config ingestion, experiment execution, report persistence.
 
-Exit codes: 0 all asserted invariants pass, 1 numerical assertion
-failure (machine-readable failure list in report.json), 2 config or
-input error (any ``surface.InputError``), mapped in one place: ``_command``.
-Reports are deterministic for a fixed seed list: keys are sorted and no
-timestamps are written.
+Each command writes one file, report.json, holding every number it
+computed; ``_command`` writes it.  Exit codes: 0 all asserted invariants
+pass, 1 numerical assertion failure (machine-readable failure list in
+report.json), 2 config or input error (any ``surface.InputError``),
+mapped in one place: ``_command``.  Reports are deterministic for a fixed
+seed list: keys are sorted and no timestamps are written.
 """
 
 from __future__ import annotations
 
 import contextlib
 import copy
-import csv
 import functools
 import gc
 import json
@@ -205,23 +205,15 @@ def build_scene(cfg: dict) -> Scene:
     return Scene(S, c0)
 
 
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-
-
-def _finish(out_dir: str, name: str, checks: list[dict], extra: dict | None = None) -> int:
+def _finish(out_dir: str, name: str, checks: list[dict], fields: dict) -> int:
+    """Write the report.json of command ``name``: its checks, their
+    failures and its report ``fields``; echo each check; return the exit
+    code, 0 if every check passes, else 1."""
     failures = [c for c in checks if not c["pass"]]
-    payload = {
-        "command": name,
-        "checks": checks,
-        "failures": [c["name"] for c in failures],
-        "passed": not failures,
-    }
-    if extra:
-        payload.update(extra)
-    _write_json(os.path.join(out_dir, "report.json"), payload)
+    report = {"command": name, "checks": checks, "failures": [c["name"] for c in failures], "passed": not failures}
+    with open(os.path.join(out_dir, "report.json"), "w") as fh:
+        json.dump({**report, **fields}, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
     for c in checks:
         status = "PASS" if c["pass"] else "FAIL"
         message = f": {c['message']}" if "message" in c else ""
@@ -284,12 +276,13 @@ def main():
 
 
 def _command(name: str):
-    """Register ``fn(cfg, scene) -> exit code`` as the command ``name`` of
-    ``main`` with --config, --seed and --out: load the config, create the
-    out directory, build the scene, run ``fn``.  Any InputError exits 2
-    with its message; an evaluation failure that the scene build or ``fn``
-    lets through is the one failing check ``evaluated`` of its
-    report.json, exit 1."""
+    """Register ``fn(cfg, scene) -> (checks, fields)`` as the command
+    ``name`` of ``main`` with --config, --seed and --out: load the config,
+    create the out directory, build the scene, run ``fn`` and write its
+    checks and report fields to report.json, exit 0 if every check passes,
+    else 1.  Any InputError exits 2 with its message; an evaluation
+    failure that the scene build or ``fn`` lets through is the one failing
+    check ``evaluated`` of the report, exit 1."""
 
     def register(fn):
         @main.command(name)
@@ -304,11 +297,10 @@ def _command(name: str):
                     os.makedirs(cfg["out"], exist_ok=True)
                 except OSError as e:
                     raise ConfigError(f"cannot create the out directory {cfg['out']!r}: {e}") from None
-                failed = []
-                with _evaluation_failures(failed):
-                    code = fn(cfg, build_scene(cfg))
-                if failed:
-                    code = _finish(cfg["out"], name, failed)
+                checks, fields = [], {}
+                with _evaluation_failures(checks):  # a failure leaves checks bound to this list
+                    checks, fields = fn(cfg, build_scene(cfg))
+                code = _finish(cfg["out"], name, checks, fields)
             except InputError as e:
                 click.echo(f"config error: {e}", err=True)
                 code = 2
@@ -345,8 +337,7 @@ def cmd_check_operators(cfg, scene):
         "faces": S.n_faces,
         "vertices": S.n_vertices,
     }
-    extra = {"kernel_dim": kdim, "commutant_dim": cdim, "diagnostics": diagnostics}
-    return _finish(cfg["out"], "check-operators", checks, extra)
+    return checks, {"kernel_dim": kdim, "commutant_dim": cdim, "diagnostics": diagnostics}
 
 
 def _sample_reports(cfg, scene, seed):
@@ -361,68 +352,54 @@ def cmd_second_variation(cfg, scene):
     """Sample harmonic tangent quadruples; emit both coordinate systems
     and their difference per sample."""
     checks, samples = [], []
-    with open(os.path.join(cfg["out"], "terms.csv"), "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["seed", "system", "term", "re", "im"])
-        for s in cfg["seeds"]:
-            with _evaluation_failures(checks, s):
-                quad = _sample_reports(cfg, scene, s)
-                _require_finite(
-                    (f"{rep.coordinate_system} {name}", val)
-                    for rep in quad.systems
-                    for name, val in (*rep.terms, ("total", rep.total))
-                )
-                for rep in quad.systems:
-                    for name, val in rep.terms:
-                        wr.writerow([s, rep.coordinate_system, name, repr(val.real), repr(val.imag)])
-                uni, fib, diff = quad.systems
-                recon = abs(diff.total - (uni.total - fib.total))
-                scale = max(abs(uni.total), abs(fib.total), 1.0)
-                checks.append(_check("difference_reconciles", recon / scale, seed=s))
-                samples.append({"seed": s, **quad.to_json_dict()})
-    extra = {"conventions_digest": conventions.digest(scene.surface.density_policy), "samples": samples}
-    return _finish(cfg["out"], "second-variation", checks, extra)
+    for s in cfg["seeds"]:
+        with _evaluation_failures(checks, s):
+            quad = _sample_reports(cfg, scene, s)
+            _require_finite(
+                (f"{rep.coordinate_system} {name}", val)
+                for rep in quad.systems
+                for name, val in (*rep.terms, ("total", rep.total))
+            )
+            uni, fib, diff = quad.systems
+            recon = abs(diff.total - (uni.total - fib.total))
+            scale = max(abs(uni.total), abs(fib.total), 1.0)
+            checks.append(_check("difference_reconciles", recon / scale, seed=s))
+            samples.append({"seed": s, **quad.to_json_dict()})
+    return checks, {"conventions_digest": conventions.digest(scene.surface.density_policy), "samples": samples}
 
 
 @_command("positivity")
 def cmd_positivity(cfg, scene):
-    """Positivity certificate over seeded samples, with CSV and plot data."""
-    checks, rows = [], []
-    with open(os.path.join(cfg["out"], "positivity.csv"), "w", newline="") as fh, \
-            open(os.path.join(cfg["out"], "plotdata.tsv"), "w") as plot:
-        wr = csv.writer(fh)
-        wr.writerow(["seed", "term_a", "term_b", "total"])
-        plot.write("norm_product\ttotal\n")
-        for s in cfg["seeds"]:
-            with _evaluation_failures(checks, s):
-                mu, nu = (x[..., 0] for x in random_tangent(scene, [s], **cfg["tangent"]))
-                a, b, total = variation.positivity_certificate(mu, nu, scene)
-                norm_product = math.sqrt(scene.tangent.inner(mu, mu).real) * math.sqrt(scene.endo.inner(nu, nu).real)
-                _require_finite((("term_a", a), ("term_b", b), ("total", total), ("norm_product", norm_product)))
-                wr.writerow([s, repr(a), repr(b), repr(total)])
-                plot.write(f"{norm_product!r}\t{total!r}\n")
-                checks.append(_check("term_a_nonneg", max(0.0, -a), seed=s, scale=max(abs(total), 1.0)))
-                checks.append(_check("total_positive", 0.0 if total > 0 else 1.0, seed=s))
-                rows.append([float(s), float(a), float(b), float(total)])
-    return _finish(cfg["out"], "positivity", checks, {"rows": rows})
+    """Positivity certificate over seeded samples: per seed, the terms and
+    total in ``rows`` and the product of the Beltrami and form norms in
+    ``norm_products``."""
+    checks, rows, norm_products = [], [], []
+    for s in cfg["seeds"]:
+        with _evaluation_failures(checks, s):
+            mu, nu = (x[..., 0] for x in random_tangent(scene, [s], **cfg["tangent"]))
+            a, b, total = variation.positivity_certificate(mu, nu, scene)
+            norm_product = math.sqrt(scene.tangent.inner(mu, mu).real) * math.sqrt(scene.endo.inner(nu, nu).real)
+            _require_finite((("term_a", a), ("term_b", b), ("total", total), ("norm_product", norm_product)))
+            checks.append(_check("term_a_nonneg", max(0.0, -a), seed=s, scale=max(abs(total), 1.0)))
+            checks.append(_check("total_positive", 0.0 if total > 0 else 1.0, seed=s))
+            rows.append([float(s), float(a), float(b), float(total)])
+            norm_products.append([float(s), float(norm_product)])
+    return checks, {"rows": rows, "norm_products": norm_products}
 
 
 @_command("projector-derivative")
 def cmd_projector_derivative(cfg, scene):
     """Finite-difference projector-derivative identity along the
-    deformation of the center, over step sizes."""
+    deformation of the center, over step sizes: ``errors`` holds each
+    ``[step, relative error]``, largest step first."""
     sweep = variation.projector_derivative_sweep(scene, seed=cfg["seeds"][0])
-    _require_finite((("slope", sweep["slope"]), *((f"error at step {h!r}", e) for h, e in sweep["errors"].items())))
-    with open(os.path.join(cfg["out"], "fd_errors.csv"), "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["step", "rel_error"])
-        for h in sorted(sweep["errors"], reverse=True):
-            wr.writerow([repr(h), repr(sweep["errors"][h])])
+    errors = [[h, float(sweep["errors"][h])] for h in sorted(sweep["errors"], reverse=True)]
+    _require_finite((("slope", sweep["slope"]), *((f"error at step {h!r}", e) for h, e in errors)))
     checks = [
         _check("fd_error_geometric_at_1e-4", sweep["errors"][variation.FD_STEPS[-1]]),
         _check("loglog_slope_geometric_near_2", abs(sweep["slope"] - 2.0)),
     ]
-    return _finish(cfg["out"], "projector-derivative", checks, {"slope": sweep["slope"]})
+    return checks, {"errors": errors, "slope": sweep["slope"]}
 
 
 def run():

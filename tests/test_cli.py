@@ -360,7 +360,6 @@ def test_second_variation_cmd_and_determinism(tmp_path, cfg_path):
     r2 = run_cli("second-variation", "--config", cfg_path, "--out", str(out2))
     assert r1.returncode == 0 and r2.returncode == 0
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
-    assert (out1 / "terms.csv").read_bytes() == (out2 / "terms.csv").read_bytes()
     rep = json.loads((out1 / "report.json").read_text())
     # conventions are written once; a sample is its seed, its three
     # systems and the stats of its one term solve, and each system holds
@@ -381,6 +380,15 @@ def test_second_variation_cmd_and_determinism(tmp_path, cfg_path):
             "new_tei_mu3", "new_tei_mu4", "new_opvar_mu3_bar", "new_opvar_mu4_bar",
         ]
         assert set(stats) == {"terms", "kernel_removed", "residual", "method", "factor_reused"}
+
+
+@pytest.mark.parametrize("cmd", ["check-operators", "second-variation", "positivity", "projector-derivative"])
+def test_each_command_writes_only_its_report(tmp_path, cfg_path, cmd):
+    # every number a command computes is in report.json, its one file
+    out = tmp_path / "out"
+    r = run_cli(cmd, "--config", cfg_path, "--out", str(out))
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert [f.name for f in out.iterdir()] == ["report.json"]
 
 
 def test_trivial_rank1_mu_zero_totals_vanish(tmp_path):
@@ -406,31 +414,30 @@ def test_positivity_cmd(tmp_path, cfg_path):
     out = tmp_path / "out"
     r = run_cli("positivity", "--config", cfg_path, "--out", str(out))
     assert r.returncode == 0
-    lines = (out / "positivity.csv").read_text().strip().splitlines()
-    assert lines[0] == "seed,term_a,term_b,total"
-    assert len(lines) == 3
-    for line in lines[1:]:
-        _, a, b, total = line.split(",")
-        assert float(a) >= -1e-12 and float(b) > 0 and float(total) > 0
-    plot = (out / "plotdata.tsv").read_text().strip().splitlines()
-    assert plot[0] == "norm_product\ttotal"
+    rep = json.loads((out / "report.json").read_text())
+    assert [row[0] for row in rep["rows"]] == [p[0] for p in rep["norm_products"]] == [0.0, 1.0]
+    for (_, a, b, total), (_, norm_product) in zip(rep["rows"], rep["norm_products"]):
+        assert a >= -1e-12 and b > 0 and total > 0 and norm_product > 0
 
 
 @pytest.mark.parametrize("scale", ["mu_scale", "nu_scale"])
 def test_positivity_honours_tangent_scales(tmp_path, scale):
     # term_a and term_b are quadratic in mu and in nu: doubling either
-    # scale multiplies every row by 4
-    rows = {}
+    # scale multiplies every row by 4; the norm product is linear in each,
+    # so doubling either scale doubles it
+    reps = {}
     for factor in (1.0, 2.0):
         p = _write(tmp_path, {"tangent": {scale: factor}})
         out = tmp_path / f"out{factor}"
         r = run_cli("positivity", "--config", p, "--out", str(out))
         assert r.returncode == 0, r.stdout + r.stderr
-        rows[factor] = json.loads((out / "report.json").read_text())["rows"]
-    for base, scaled in zip(rows[1.0], rows[2.0]):
-        assert scaled[0] == base[0]
-        for b, x in zip(base[1:], scaled[1:]):
-            assert abs(x - 4.0 * b) <= 1e-12 * abs(4.0 * b)
+        reps[factor] = json.loads((out / "report.json").read_text())
+    for key, power in (("rows", 4.0), ("norm_products", 2.0)):
+        assert reps[1.0][key] and len(reps[1.0][key]) == len(reps[2.0][key]), key
+        for base, scaled in zip(reps[1.0][key], reps[2.0][key]):
+            assert scaled[0] == base[0]
+            for b, x in zip(base[1:], scaled[1:]):
+                assert abs(x - power * b) <= 1e-12 * abs(power * b), key
 
 
 def test_projector_derivative_cmd(tmp_path, cfg_path):
@@ -440,9 +447,8 @@ def test_projector_derivative_cmd(tmp_path, cfg_path):
     rep = json.loads((out / "report.json").read_text())
     assert [c["name"] for c in rep["checks"]] == ["fd_error_geometric_at_1e-4", "loglog_slope_geometric_near_2"]
     assert abs(rep["slope"] - 2.0) <= 0.2
-    lines = (out / "fd_errors.csv").read_text().strip().splitlines()
-    assert lines[0] == "step,rel_error"
-    assert [float(line.split(",")[0]) for line in lines[1:]] == [1e-2, 1e-3, 1e-4]
+    assert [h for h, _ in rep["errors"]] == [1e-2, 1e-3, 1e-4]
+    assert rep["errors"][-1][1] == rep["checks"][0]["value"]
 
 
 def test_projector_derivative_ignores_dense_cap(tmp_path):
@@ -458,8 +464,7 @@ def test_projector_derivative_outputs_repeat(tmp_path, cfg_path):
     for out in runs:
         r = run_cli("projector-derivative", "--config", cfg_path, "--out", str(out))
         assert r.returncode == 0, r.stdout + r.stderr
-    for name in ("report.json", "fd_errors.csv"):
-        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+    assert (runs[0] / "report.json").read_bytes() == (runs[1] / "report.json").read_bytes()
 
 
 # adjoint_trials and oracle_rhs are no longer config keys: whatever their
@@ -578,9 +583,8 @@ def test_solver_failure_is_a_failing_check(tmp_path, cmd):
         rep = _strict_json((out / "report.json").read_text())
         assert rep["failures"] == [f"evaluated_seed{s}" for s in seeds]
         assert all(error in c["message"] for c in rep["checks"])
-        assert rep["samples" if cmd == "second-variation" else "rows"] == []
-        csv_name = "terms.csv" if cmd == "second-variation" else "positivity.csv"
-        assert len((out / csv_name).read_text().splitlines()) == 1
+        for key in ("samples",) if cmd == "second-variation" else ("rows", "norm_products"):
+            assert rep[key] == [], key
 
 
 def test_solver_failure_outside_the_seeds_is_a_failing_check(monkeypatch, tmp_path):
@@ -809,8 +813,9 @@ def test_superlu_system_error_is_a_failing_check(monkeypatch, tmp_path):
 
 
 def test_failed_seed_leaves_the_others_running(monkeypatch, tmp_path):
-    # a seed whose solve fails is left out of samples and terms.csv; the
-    # seeds after it still run, and the command exits 1
+    # a seed whose solve fails is left out of samples; the seeds after it
+    # still run, with the samples of a run without it, and the command
+    # exits 1
     from click.testing import CliRunner
     from modulilab import cli
     from modulilab._complexes import SolverError
@@ -833,8 +838,11 @@ def test_failed_seed_leaves_the_others_running(monkeypatch, tmp_path):
         "difference_reconciles_seed0", "evaluated_seed1", "difference_reconciles_seed2"
     ]
     assert [s["seed"] for s in rep["samples"]] == [0, 2]
-    rows = (out / "terms.csv").read_text().splitlines()[1:]
-    assert {row.split(",")[0] for row in rows} == {"0", "2"}
+    clean = tmp_path / "clean"
+    p = _write(tmp_path, {"seeds": [0, 2]})
+    r = CliRunner().invoke(cli.main, ["second-variation", "--config", p, "--out", str(clean)])
+    assert r.exit_code == 0, r.output
+    assert json.loads((clean / "report.json").read_text())["samples"] == rep["samples"]
 
 
 def test_valid_typed_fields_load(tmp_path):
