@@ -1,7 +1,8 @@
 """Dense brute-force materializations: ground truth for equivalence tests.
 
 Operators are materialized by applying the production operators of a
-scene's End(E) complex to blocks of unit vectors.  Every dense spectral
+scene's End(E) complex to blocks of unit vectors (the projector checks
+stream them, materializing nothing).  Every dense spectral
 computation goes through one weight-orthonormal frame per complex
 (``DenseFrame``), in which weighted adjoints are conjugate transposes:
 the eigendecomposition of D^H D there, with one kernel rule, gives the
@@ -142,9 +143,14 @@ def spectral_norm(X: np.ndarray, hermitian: bool = False) -> float:
     if hermitian:
         lam = scipy.linalg.eigh(X, lower=True, eigvals_only=True, overwrite_a=True)
         return float(max(-lam[0], lam[-1], 0.0))
-    G = scipy.linalg.blas.zherk(1.0, X, trans=2 if X.shape[0] >= X.shape[1] else 0, lower=1)
+    return _gram_norm(scipy.linalg.blas.zherk(1.0, X, trans=2 if X.shape[0] >= X.shape[1] else 0, lower=1))
+
+
+def _gram_norm(G: np.ndarray, lower: bool = True) -> float:
+    """Square root of the top eigenvalue of the Gram matrix in the lower (or
+    upper) triangle of G, found over it and the diagonal; the other is kept."""
     k = G.shape[0]
-    top = scipy.linalg.eigh(G, eigvals_only=True, subset_by_index=[k - 1, k - 1], overwrite_a=True)
+    top = scipy.linalg.eigh(G, lower=lower, eigvals_only=True, subset_by_index=[k - 1, k - 1], overwrite_a=True)
     return math.sqrt(max(float(top[0]), 0.0))
 
 
@@ -155,44 +161,58 @@ def spectral_norm(X: np.ndarray, hermitian: bool = False) -> float:
 def certify_operators(scene: Scene, dense_cap: int = DENSE_CAP) -> dict:
     """Dense values of the operator suite of the scene's End(E) complex,
     in the weight-orthonormal frame against its D: the production dbar*
-    against D^H, the materialized factorized projection P (P^2 = P,
-    P = P^H, P D = 0, trace) and Delta0^{-1} (block solves of unit columns)
-    against the frame's Delta0^+, and the frame's kernel count.  The
-    frame's check of ``dense_cap`` comes before any other dense work, and
-    every norm is a ``spectral_norm``.
+    against D^H, Delta0^{-1} (block solves of unit columns) against the
+    frame's Delta0^+, the factorized projection P (P D = 0, P^2 = P,
+    P = P^H, trace) and the frame's kernel count.  The frame's check of
+    ``dense_cap`` comes before any other dense work, and every norm is an
+    exact 2-norm from the eigenvalues of a Gram matrix or of i (P - P^H).
 
-    With n0 = dim C^0 and n1 = dim C^{0,1}, at most two n1 x n1 buffers
-    are held at once: P and one of i (P - P^H) and P^2 - P, then, once P
-    is released, P^2 - P and its Gram matrix.  All are Fortran-ordered,
-    so BLAS and LAPACK read them in place.  The frame's V (n0 x n0) is
-    released once Delta0^+ is formed, and its D (n1 x n0) once P D is."""
-    frame = DenseFrame(scene.endo, dense_cap)
-    D, lam, rank = frame.D, frame.lam, frame.rank
+    With n0 = dim C^0 and n1 = dim C^{0,1}, one n1 x n1 buffer W is held,
+    once the frame's D (n1 x n0) is released; P D, P^2 - P and P are not
+    materialized.  P is applied through the production solves to D's
+    columns over D, then twice to each block of unit columns, filling
+    W's upper triangle with the Gram matrix of P^2 - P and its lower one
+    with i (P - P^H).  All buffers are Fortran-ordered, worked on in place
+    by BLAS and LAPACK; Delta0^+ is subtracted through the frame's V."""
+    cx, blas, B = scene.endo, scipy.linalg.blas, MATERIALIZE_BLOCK
+    frame = DenseFrame(cx, dense_cap)
+    D, lam, rank, V = frame.D, frame.lam, frame.rank, frame.V
     # |D|_2 and |Delta0^+|_2 from the frame's eigenvalues
     d_norm = np.sqrt(lam[-1])
     pinv_norm = 1.0 / lam[-rank]
     star = materialize("dbar_star", scene).framed_in_place()
-    star -= D.conj().T
+    star.real -= D.real.T  # star - D^H
+    star.imag += D.imag.T
     values = {"adjointness_residual": spectral_norm(star) / d_norm}
     del star
     X = materialize("delta0_inverse", scene).framed_in_place()
-    X -= frame.pinv()
+    V *= np.where(_nonzero(lam), 1.0 / np.sqrt(np.maximum(lam, 1e-300)), 0.0)[None, :]
+    X = blas.zgemm(-1.0, V, V, trans_b=2, beta=1.0, c=X, overwrite_c=1)  # X - Delta0^+
     values["delta0_factorized_vs_dense"] = spectral_norm(X) / pinv_norm
-    del X, frame
-    P = materialize("projection", scene).framed_in_place()
-    PD = P @ D
+    del X, V, frame
+    s1 = np.sqrt(cx.w1)[:, None]
+    n1, n0 = D.shape
+    for j in range(0, n0, B):
+        D[:, j : j + B] = s1 * cx.harmonic_project(D[:, j : j + B] / s1)
+    values["projector_annihilates_dbar"] = spectral_norm(D) / d_norm
     del D
-    values["projector_annihilates_dbar"] = spectral_norm(PD) / d_norm
-    del PD
-    # i (P - P^H) is Hermitian by construction and has the norm of P - P^H
-    S = np.conjugate(P.T, out=np.empty_like(P))
-    np.subtract(P, S, out=S)
-    S *= 1j
-    values["projector_self_adjoint"] = spectral_norm(S, hermitian=True)
-    del S
-    values["harmonic_nu_dim"] = int(round(float(np.trace(P).real)))
-    R = np.matmul(P, P, out=np.empty_like(P))
-    R -= P
-    del P
-    values["projector_idempotent"] = spectral_norm(R)
+    # a block E of unit columns at a time: zherk adds the Gram matrix of
+    # (P^2 - P) E to W's upper triangle, and i (P - P^H) fills its strict
+    # lower one, where P[r, c] (r > c) waits for column r
+    W = np.empty((n1, n1), dtype=complex, order="F")
+    diag = np.empty(n1, dtype=complex)
+    for j in range(0, n1, B):
+        J = slice(j, min(j + B, n1))
+        Y = cx.harmonic_project(np.eye(n1, J.stop - j, -j, dtype=complex) / s1)
+        Z = s1 * (cx.harmonic_project(Y) - Y)  # (P^2 - P) E in the frame
+        W = blas.zherk(1.0, Z, beta=float(j > 0), c=W, lower=0, overwrite_c=1)
+        Y *= s1  # P E in the frame
+        W[J, :j] = 1j * (W[J, :j] - Y[:j].conj().T)
+        W[J.stop :, J] = Y[J.stop :]
+        W[J, J] = np.triu(W[J, J]) + np.tril(1j * (Y[J] - Y[J].conj().T), -1)
+        diag[J] = Y[J].diagonal()
+    values["projector_idempotent"] = _gram_norm(W, lower=False)
+    values["harmonic_nu_dim"] = int(round(float(np.sum(diag.real))))
+    np.fill_diagonal(W, -2.0 * diag.imag)  # the diagonal of i (P - P^H)
+    values["projector_self_adjoint"] = spectral_norm(W, hermitian=True)
     return {**values, "kernel_dim": int(lam.size - rank)}

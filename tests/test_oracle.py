@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import re
 import tracemalloc
 from pathlib import Path
@@ -148,6 +149,45 @@ def test_certify_operators_values(su2_scene_r1):
     assert dense["harmonic_nu_dim"] == harmonic_basis(su2_scene_r1.endo).shape[1]
 
 
+@pytest.mark.parametrize("face_weights", ["area", "varied"])
+@pytest.mark.parametrize("broken", [False, True], ids=["exact", "broken"])
+@pytest.mark.parametrize("preset", ["su2", "trivial3"])
+def test_streamed_projector_checks_match_dense_products(
+    monkeypatch, surf_hyp_r1, su2_r1, fan2_r1, preset, broken, face_weights
+):
+    # certify_operators applies P through the production solves block by
+    # block and never forms P, P^2 - P, P - P^H or P D; the dense products of
+    # the materialized P give the same three values, roundoff-sized for the
+    # factorized P and of order 0.1 for one that is none of idempotent,
+    # self-adjoint (off and on the diagonal) and zero on D: P + 0.1 S + 0.05i,
+    # S a cyclic shift
+    if broken:
+        project = DolbeaultComplex.harmonic_project
+
+        def perturbed(self, a):
+            return project(self, a) + 0.1 * np.roll(a, 1, axis=0) + 0.05j * a
+
+        monkeypatch.setattr(DolbeaultComplex, "harmonic_project", perturbed)
+    scene = Scene(surf_hyp_r1, su2_r1 if preset == "su2" else bnd.trivial_cocycle(fan2_r1, 3))
+    if face_weights == "varied":
+        # every face of this layout has one area, so the frame's W1^{1/2} is a
+        # scalar, which a linear P commutes with; varied face weights make the
+        # complex tell a missing or misplaced W1^{1/2} apart
+        cx = scene.endo
+        scene.__dict__["endo"] = dataclasses.replace(cx, w1=cx.w1 * np.linspace(0.5, 2.0, cx.w1.size))
+    dense = oracle.certify_operators(scene)
+    P = oracle.materialize("projection", scene).framed_in_place()
+    D = oracle.DenseFrame(scene.endo).D
+    products = {
+        "projector_idempotent": np.linalg.norm(P @ P - P, 2),
+        "projector_self_adjoint": np.linalg.norm(P - P.conj().T, 2),
+        "projector_annihilates_dbar": np.linalg.norm(P @ D, 2) / np.linalg.norm(D, 2),
+    }
+    for name, value in products.items():
+        assert (value > 0.01) == broken, name
+        assert abs(dense[name] - value) <= 1e-13 * max(value, 1.0), name
+
+
 # Each rewritten check must see a break of the operator it certifies: a
 # fresh scene (its own complexes), one operator broken, and the matching
 # value over its gate.
@@ -262,16 +302,38 @@ def test_hermitian_kernels_keep_the_strict_upper_triangle(rng):
         assert work[upper].tobytes() == before[upper].tobytes()
 
 
+def test_upper_triangle_kernels_keep_the_strict_lower_triangle(rng):
+    # certify_operators keeps i (P - P^H) in the strict lower triangle of its
+    # one buffer while zherk accumulates a Gram matrix in the upper triangle
+    # and the top eigenvalue is taken over it, in place
+    n = 40
+    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    buf = np.asfortranarray(X)
+    lower = np.tril_indices(n, -1)
+    before = buf.copy(order="F")
+    q = np.asfortranarray(rng.standard_normal((n, 7)) + 1j * rng.standard_normal((n, 7)))
+    out = scipy.linalg.blas.zherk(1.0, q, beta=0.0, c=buf, lower=0, overwrite_c=1)
+    assert np.shares_memory(out, buf)
+    assert buf[lower].tobytes() == before[lower].tobytes()
+    assert np.allclose(np.triu(buf), np.triu(q @ q.conj().T), rtol=0.0, atol=1e-12)
+    gram = buf.copy(order="F")
+    ref = np.linalg.norm(q, 2)
+    assert abs(oracle._gram_norm(buf, lower=False) - ref) <= 1e-13 * ref
+    assert not np.array_equal(np.triu(buf), np.triu(gram))  # overwritten: no copy was taken
+    assert buf[lower].tobytes() == before[lower].tobytes()
+
+
 @pytest.mark.parametrize(
     "entry, bound",
-    [(lambda scene: oracle.certify_operators(scene), 3.5)],
+    [(lambda scene: oracle.certify_operators(scene), 1.6)],
     ids=["certify_operators"],
 )
 def test_dense_entry_point_peak_memory(su2_scene, entry, bound):
     # the tracemalloc peak of one call, in units of one dense n1 x n1
-    # complex matrix (n1 = dim C^{0,1} = 512 at su2 r2, so 4 MiB): each
-    # full-size buffer is made once and freed after its last reader, and
-    # BLAS and LAPACK read it in place instead of copying it
+    # complex matrix (n1 = dim C^{0,1} = 512 at su2 r2, so 4 MiB): one
+    # full-size buffer, made once and used in place by BLAS and LAPACK,
+    # plus the frame's n1 x n0 D and n0 x n0 V (n0 = dim C^0 = 248) and
+    # the n0 x n0 Gram matrices, none of them held with the full-size one
     n1 = su2_scene.endo.w1.shape[0]
     assert n1 == 512
     entry(su2_scene)  # the scene's factorizations are built and kept outside the measurement
