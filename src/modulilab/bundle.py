@@ -30,6 +30,7 @@ from .surface import (
     RecordFileError,
     fan_half_edges,
     read_records,
+    refine,
     split_half_edges,
 )
 
@@ -58,10 +59,11 @@ class CocycleError(InputError):
 class UnitaryCocycle:
     """Per-half-edge unitary transports with one central-twist face.
 
-    ``transport[h]`` maps the frame at origin(h) to the frame at
-    head(h); ``transport[twin(h)]`` is stored as the exact conjugate
-    transpose.  ``generators`` keeps the defining matrices of a cocycle
-    on the 4g-gon fan for serialization; refinement drops them.
+    ``transport[h]`` (complex) maps the frame at origin(h) to the frame
+    at head(h); each builder writes ``transport[twin(h)]`` as its exact
+    conjugate transpose, which ``validate_cocycle`` checks with ``==``.
+    ``generators`` keeps the defining matrices of a cocycle on the
+    4g-gon fan for serialization; refinement drops them.
     """
 
     mesh: HalfEdgeMesh
@@ -105,14 +107,6 @@ def validate_cocycle(c: UnitaryCocycle) -> None:
         raise CocycleError(f"face {int(bad[0])} holonomy violates flatness/twist")
 
 
-def _store(mesh: HalfEdgeMesh, directed: np.ndarray, given: np.ndarray) -> np.ndarray:
-    """(H,n,n) transports: every ``given`` entry of ``directed`` as it is,
-    and on every other half-edge the exact inverse (conjugate transpose)
-    of its twin's entry.  Where both twins are given, the caller gives
-    exact inverses; ``validate_cocycle`` rejects a pair that is not."""
-    return np.where(given[:, None, None], directed, np.conj(np.swapaxes(directed[mesh.twin], 1, 2)))
-
-
 def from_generators(
     mesh: HalfEdgeMesh, n: int, d: int, generators: Sequence[np.ndarray]
 ) -> UnitaryCocycle:
@@ -121,10 +115,10 @@ def from_generators(
     ``generators`` is (A1, B1, ..., Ag, Bg).  The matrices must satisfy
     the ascending relation product (A1 B1 A1^-1 B1^-1)...(Ag Bg Ag^-1 Bg^-1)
     = exp(2 pi i d/n) I to ``FLATNESS_TOL``, the flatness gate of the
-    last face, whose holonomy is that product.  Transports: identity on a
-    spanning spoke tree seeded by the recursion that makes every fan face
-    flat, generator matrices on the sides; the twist lands on the last face.
-    The spoke recursion forms the relation product, and it is gated there.
+    last face, whose holonomy is that product.  Transports: generator
+    matrices on the sides and, on the spokes, the recursion that makes
+    every fan face flat; the twist lands on the last face.  The spoke
+    recursion forms the relation product, and it is gated there.
     """
     g = mesh.genus
     if len(generators) != 2 * g:
@@ -143,23 +137,21 @@ def from_generators(
     S = 4 * g
     # side s of block b = s // 4 carries (Bj^-1, Aj^-1, Bj, Aj)[s % 4] with
     # j = g - b, so the last-face holonomy is the ascending commutator
-    # product; twins receive inverses automatically.
+    # product; side s and its twin s XOR 2 carry exact inverses.
     A, B = np.stack(gens[0::2]), np.stack(gens[1::2])
     side = np.stack([B.conj().swapaxes(1, 2), A.conj().swapaxes(1, 2), B, A], axis=1)[::-1].reshape(S, n, n)
-    directed = np.zeros((3 * S, n, n), dtype=complex)
-    given = np.zeros(3 * S, dtype=bool)
-    directed[1::3] = side
-    given[0::3] = given[1::3] = True
     # spokes: S_0 = I and S_{i+1} = W_i S_i keeps faces 0..S-2 exactly flat;
     # the last face then carries the full relation product, the last spoke
-    spoke = eye.copy()
+    spokes = np.empty((S + 1, n, n), dtype=complex)
+    spokes[0] = eye
     for i in range(S):
-        directed[3 * i] = spoke
-        spoke = side[i] @ spoke
-    residual = float(np.linalg.norm(spoke - cmath.exp(2j * cmath.pi * d / n) * eye))
+        spokes[i + 1] = side[i] @ spokes[i]
+    residual = float(np.linalg.norm(spokes[S] - cmath.exp(2j * cmath.pi * d / n) * eye))
     if residual > FLATNESS_TOL:
         raise RelationError(residual)
-    U = _store(mesh, directed, given)
+    # face i is (S_i, side_i, S_{i+1}^H), and the last face closes on S_0
+    spokes[S] = spokes[0]
+    U = np.stack([spokes[:S], side, np.conj(np.swapaxes(spokes[1:], 1, 2))], axis=1).reshape(3 * S, n, n)
     c = UnitaryCocycle(
         mesh=mesh,
         rank=n,
@@ -174,7 +166,7 @@ def from_generators(
 
 def trivial_cocycle(mesh: HalfEdgeMesh, n: int = 1) -> UnitaryCocycle:
     H = mesh.n_half_edges
-    U = np.broadcast_to(np.eye(n), (H, n, n)).copy()
+    U = np.broadcast_to(np.eye(n, dtype=complex), (H, n, n)).copy()
     return UnitaryCocycle(
         mesh=mesh, rank=n, degree=0, transport=U, marked_face=0, generators=None
     )
@@ -195,44 +187,36 @@ def su2_preset(mesh: HalfEdgeMesh) -> UnitaryCocycle:
     return from_generators(mesh, 2, 1, gens)
 
 
-def refine_cocycle(c: UnitaryCocycle, child: HalfEdgeMesh) -> UnitaryCocycle:
-    """Pull a cocycle back through one 1-to-4 refinement.
+def refine_cocycle(c: UnitaryCocycle) -> UnitaryCocycle:
+    """Pull a cocycle back through one 1-to-4 refinement of its mesh:
+    the result lives on ``surface.refine(c.mesh)``.
 
-    Each parent half-edge splits into (U, I); the midline from the
-    corner face at origin(h_k) gets U[h_k]^H so corner faces are exactly
-    flat.  The central child face inherits the parent holonomy, so the
-    twist moves to the central child of the old marked face.
+    Each parent edge splits once, in its canonical direction h < twin(h),
+    into (U[h], I), and the reverse halves carry the conjugate
+    transposes.  The midline of each corner face closes it exactly, and
+    the central face carries the reverse midlines.  The central child
+    face inherits the parent holonomy, so the twist moves to the central
+    child of the old marked face.
     """
-    if child.parent is not c.mesh:
-        raise CocycleError("child mesh was not refined from the cocycle's mesh")
-    mesh = c.mesh
-    n = c.rank
+    mesh, n = c.mesh, c.rank
     H = mesh.n_half_edges
     tw = mesh.twin
     first, second = split_half_edges(H)
-    # split each parent edge once: full transport on the origin half of the
-    # canonical direction, identity on the half into the head
-    lo = np.flatnonzero(np.arange(H) < tw)
-    directed = np.zeros((4 * H, n, n), dtype=complex)
-    directed[first[lo]] = c.transport[lo]
-    directed[second[lo]] = np.eye(n)
-    directed[first[tw[lo]]] = np.eye(n)
-    directed[second[tw[lo]]] = np.conj(np.swapaxes(c.transport[lo], 1, 2))
-    given = np.zeros(4 * H, dtype=bool)
-    given[first] = True
-    given[second[lo]] = True
-    # midline m_k -> m_{k-1} closes each corner face exactly; the central
-    # face then carries a conjugate of the parent holonomy.
-    faces = directed.reshape(mesh.n_faces, 4, 3, n, n)
-    # corner face k: (v_k -> m_k) @ (m_{k-1} -> v_k), inverted
+    lo = (np.arange(H) < tw)[:, None, None]
+    eye = np.eye(n)
+    U = np.empty((4 * H, n, n), dtype=complex)
+    U[first] = np.where(lo, c.transport, eye)
+    U[second] = np.where(lo, eye, np.conj(np.swapaxes(c.transport[tw], 1, 2)))
+    faces = U.reshape(mesh.n_faces, 4, 3, n, n)
+    # corner face k: (v_k -> m_k) @ (m_{k-1} -> v_k), inverted, closes it
+    # exactly; central half-edge j twins the midline of corner j + 1
     faces[:, :3, 1] = np.conj(np.swapaxes(faces[:, :3, 0] @ faces[:, :3, 2], -1, -2))
-    given.reshape(mesh.n_faces, 4, 3)[:, :3, 1] = True
-    U2 = _store(child, directed, given)
+    faces[:, 3] = np.conj(np.swapaxes(faces[:, [1, 2, 0], 1], -1, -2))
     out = UnitaryCocycle(
-        mesh=child,
+        mesh=refine(mesh),
         rank=n,
         degree=c.degree,
-        transport=U2,
+        transport=U,
         marked_face=4 * c.marked_face + 3,
     )
     validate_cocycle(out)

@@ -26,7 +26,7 @@ from . import bundle as bnd
 from . import conventions, oracle, variation
 from ._complexes import SolverError, kahler_residual
 from .bundle import Scene, trivial_cocycle, su2_preset, load_cocycle
-from .surface import InputError, build_polygon_gluing, equip_conformal, load_mesh, refine
+from .surface import InputError, build_polygon_gluing, equip_conformal, load_mesh
 from .tangent import random_tangent
 
 
@@ -198,10 +198,8 @@ def build_scene(cfg: dict) -> Scene:
     m = int(np.count_nonzero(c0.transport, axis=2).max())  # refinement keeps each row's nonzeros
     _check_size("the base pair", mesh.n_faces, c0.rank, mcfg["refinements"], m)
     for _ in range(mcfg["refinements"]):
-        child = refine(mesh)
-        c0 = bnd.refine_cocycle(c0, child)
-        mesh = child
-    S = equip_conformal(mesh, layout=mcfg["layout"], density=mcfg["density"])
+        c0 = bnd.refine_cocycle(c0)
+    S = equip_conformal(c0.mesh, layout=mcfg["layout"], density=mcfg["density"])
     return Scene(S, c0)
 
 

@@ -49,11 +49,10 @@ class DenseOperator:
 
 
 # name -> (domain weight, codomain weight, action on a flat cochain of the
-# End(E) complex cx): the three operators certify_operators materializes
+# End(E) complex cx): the two operators certify_operators materializes
 _OPERATORS = {
     "dbar_star": ("w1", "w0", lambda cx, x: cx.star(cx.dbar, x)),
     "delta0_inverse": ("w0", "w0", lambda cx, x: cx.delta0_solve(x)[0]),
-    "projection": ("w1", "w1", lambda cx, x: cx.harmonic_project(x)),
 }
 
 
@@ -96,11 +95,11 @@ class DenseFrame:
     """dbar of a complex in the weight-orthonormal frame,
     D = W1^{1/2} dbar W0^{-1/2}, with the eigendecomposition (lam
     ascending, V) of D^H D = W0^{1/2} Delta0 W0^{-1/2}; its top ``rank``
-    eigenvalues are nonzero.  ``pinv`` is the framed Delta0^+; the
-    harmonic projector is I - D Delta0^+ D^H.  D and V are
-    Fortran-ordered: zherk reads D in place to form the lower triangle of
-    D^H D, and divide-and-conquer (LAPACK's zheevd, whose eigenvectors are
-    orthonormal to roundoff) decomposes it over itself.
+    eigenvalues are nonzero, and on them it gives the framed Delta0^+
+    (V lam^-1 V^H) and the harmonic projector I - D Delta0^+ D^H.  D and
+    V are Fortran-ordered: zherk reads D in place to form the lower
+    triangle of D^H D, and divide-and-conquer (LAPACK's zheevd, whose
+    eigenvectors are orthonormal to roundoff) decomposes it over itself.
     Raises DenseCapError when dim C^0 + dim C^{0,1} exceeds ``dense_cap``."""
 
     def __init__(self, cx: DolbeaultComplex, dense_cap: int = DENSE_CAP):
@@ -119,10 +118,6 @@ class DenseFrame:
     @property
     def rank(self) -> int:
         return int(np.sum(_nonzero(self.lam)))
-
-    def pinv(self) -> np.ndarray:
-        inv = np.where(_nonzero(self.lam), 1.0 / np.maximum(self.lam, 1e-300), 0.0)
-        return (self.V * inv[None, :]) @ self.V.conj().T
 
 
 def spectral_norm(X: np.ndarray, hermitian: bool = False) -> float:

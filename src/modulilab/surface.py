@@ -39,9 +39,8 @@ class HalfEdgeMesh:
     oppositely oriented mate; ``next`` of ``3f+k`` is ``3f+(k+1)%3``
     (``next_index``).  ``layout`` optionally carries per-face corner
     positions of the construction layout (the stored charts, and the
-    hyperbolic density policy).  ``parent`` is the mesh that ``refine``
-    subdivided into this one, to pull transports back.  A mesh is
-    checked once, on construction (``validate_mesh``).
+    hyperbolic density policy).  A mesh is checked once, on
+    construction (``validate_mesh``).
     """
 
     origin: np.ndarray
@@ -49,7 +48,6 @@ class HalfEdgeMesh:
     genus: int
     n_vertices: int
     layout: Optional[np.ndarray] = None
-    parent: Optional["HalfEdgeMesh"] = None
 
     def __post_init__(self):
         validate_mesh(self)
@@ -262,7 +260,6 @@ def refine(mesh: HalfEdgeMesh) -> HalfEdgeMesh:
         genus=mesh.genus,
         n_vertices=V + H // 2,
         layout=layout,
-        parent=mesh,
     )
 
 

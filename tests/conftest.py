@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from modulilab import bundle as bnd
-from modulilab.surface import build_polygon_gluing, equip_conformal, refine
+from modulilab.surface import build_polygon_gluing, equip_conformal
 from modulilab.tangent import random_tangent
 
 
@@ -12,13 +12,13 @@ def fan2():
 
 
 @pytest.fixture(scope="session")
-def fan2_r1(fan2):
-    return refine(fan2)
+def fan2_r1(su2_r1):
+    return su2_r1.mesh
 
 
 @pytest.fixture(scope="session")
-def fan2_r2(fan2_r1):
-    return refine(fan2_r1)
+def fan2_r2(su2_r2):
+    return su2_r2.mesh
 
 
 @pytest.fixture(scope="session")
@@ -37,15 +37,13 @@ def surf_hyp_r1(fan2_r1):
 
 
 @pytest.fixture(scope="session")
-def su2_r2(fan2, fan2_r1, fan2_r2):
-    c = bnd.su2_preset(fan2)
-    c = bnd.refine_cocycle(c, fan2_r1)
-    return bnd.refine_cocycle(c, fan2_r2)
+def su2_r2(su2_r1):
+    return bnd.refine_cocycle(su2_r1)
 
 
 @pytest.fixture(scope="session")
-def su2_r1(fan2, fan2_r1):
-    return bnd.refine_cocycle(bnd.su2_preset(fan2), fan2_r1)
+def su2_r1(fan2):
+    return bnd.refine_cocycle(bnd.su2_preset(fan2))
 
 
 @pytest.fixture(scope="session")
@@ -87,12 +85,27 @@ def p1_dbar(S):
     return D
 
 
+def frame_pinv(frame):
+    """The framed Delta0^+ of a dense frame: V lam^-1 V^H on the
+    eigenvalues its kernel rule keeps."""
+    from modulilab.oracle import _nonzero
+
+    inv = np.where(_nonzero(frame.lam), 1.0 / np.maximum(frame.lam, 1e-300), 0.0)
+    return (frame.V * inv[None, :]) @ frame.V.conj().T
+
+
 def dense_delta0_inverse(cx):
     """Delta0^+ of a complex in cochain coordinates, from the dense frame."""
     from modulilab.oracle import DenseFrame
 
     s0 = np.sqrt(cx.w0)
-    return (DenseFrame(cx).pinv() * s0[None, :]) / s0[:, None]
+    return (frame_pinv(DenseFrame(cx)) * s0[None, :]) / s0[:, None]
+
+
+def dense_projection(cx):
+    """The harmonic projector of a complex as a dense matrix in cochain
+    coordinates: the production ``harmonic_project`` of every unit column."""
+    return cx.harmonic_project(np.eye(cx.w1.shape[0], dtype=complex))
 
 
 def harmonic_basis(cx):

@@ -10,8 +10,9 @@ from typing import Optional
 import numpy as np
 
 from modulilab.bundle import Scene, trivial_cocycle
-from modulilab.oracle import materialize, spectral_norm
+from modulilab.oracle import spectral_norm
 from modulilab.surface import ConformalSurface, HalfEdgeMesh, MeshError, equip_conformal, validate_mesh
+from conftest import dense_projection
 
 
 def mesh_from_faces(faces, genus: int, layout: Optional[np.ndarray] = None) -> HalfEdgeMesh:
@@ -96,7 +97,7 @@ def torus_spectral_crosscheck(rank: int = 1, sizes=(4, 8, 16)) -> dict:
         const = np.broadcast_to(np.eye(n), (F, n, n)).reshape(-1)
         r_const = np.linalg.norm(cx.star(cx.dbar, const))
         # projector algebra on the dense materialization
-        P = materialize("projection", scene).matrix
+        P = dense_projection(cx)
         r_idem = spectral_norm(P @ P - P)
         # smooth test form: coefficient exp(2 pi i (x+y)/m) sampled at barycenters;
         # its continuum harmonic projection is zero (nonzero Fourier mode).

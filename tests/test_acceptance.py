@@ -16,7 +16,7 @@ from modulilab import bundle as bnd
 from modulilab import cli
 from modulilab import oracle, variation as var
 from modulilab.bundle import Scene
-from conftest import dense_delta0_inverse, ip, one_tangent, random_cochain
+from conftest import dense_delta0_inverse, dense_projection, ip, one_tangent, random_cochain
 
 
 def _line(criterion: str, ok: bool, detail: str) -> bool:
@@ -26,12 +26,11 @@ def _line(criterion: str, ok: bool, detail: str) -> bool:
 
 def test_criterion_01_operator_algebra(su2_scene, rng):
     t0 = time.time()
-    P = oracle.materialize("projection", su2_scene)
-    s1 = np.sqrt(P.codomain_weight)
-    Ms = (P.matrix * (1.0 / s1)[None, :]) * s1[:, None]
+    cx = su2_scene.endo
+    s1 = np.sqrt(cx.w1)
+    Ms = oracle.DenseOperator(dense_projection(cx), cx.w1, cx.w1).framed_in_place()
     e_idem = np.linalg.norm(Ms @ Ms - Ms, 2)
     e_sa = np.linalg.norm(Ms - Ms.conj().T, 2)
-    cx = su2_scene.endo
     D = cx.dbar.toarray()
     Ds = (D * s1[:, None]) / np.sqrt(cx.w0)[None, :]
     e_pd = np.linalg.norm(Ms @ Ds, 2) / np.linalg.norm(Ds, 2)

@@ -98,15 +98,14 @@ def _haar(rng, n):
 
 
 def _generator_cocycle(mesh, n, d, gens):
-    """The cocycle of ``gens`` on the fan that ``mesh`` was refined from,
-    refined down to ``mesh``."""
-    chain = [mesh]
-    while chain[-1].parent is not None:
-        chain.append(chain[-1].parent)
-    c = from_generators(chain[-1], n, d, gens)
-    for child in reversed(chain[:-1]):
-        c = refine_cocycle(c, child)
-    return c
+    """The cocycle of ``gens`` on the fan of the genus of ``mesh``, refined
+    to the size of ``mesh`` and rebound to it: ``mesh`` must be that fan,
+    refined."""
+    c = from_generators(build_polygon_gluing(mesh.genus), n, d, gens)
+    while c.mesh.n_faces < mesh.n_faces:
+        c = refine_cocycle(c)
+    assert np.array_equal(c.mesh.twin, mesh.twin)
+    return dataclasses.replace(c, mesh=mesh)
 
 
 def _haar_u3_cocycle(mesh):
@@ -206,8 +205,7 @@ def test_rank1_trivial_reduces_to_scalar(triv1_scene, rng):
 def test_rank1_gauge_cocycle_reduces_to_scalar(fan2_r1, surf_hyp_r1, rng):
     # End(E) of any line bundle is trivial: the conjugation kills phases
     phases = [np.array([[np.exp(1j * t)]]) for t in (0.9, -0.2, 0.5, 1.7)]
-    c = from_generators(fan2_r1.parent, 1, 0, phases)
-    c = refine_cocycle(c, fan2_r1)
+    c = _generator_cocycle(fan2_r1, 1, 0, phases)
     cx_b = Scene(surf_hyp_r1, c).endo
     assert np.max(np.abs(cx_b.dbar.toarray() - p1_dbar(surf_hyp_r1))) <= 1e-14
 
@@ -609,51 +607,31 @@ def test_validate_cocycle_names_first_defect(su2_r1, kind, message):
     assert str(err.value) == message
 
 
-def _store_calls(monkeypatch, preset, g, levels):
-    """Every ``_store`` call, arguments and result, that builds ``preset``
-    on the genus-g fan and pulls it back through ``levels`` refinements."""
-    store, calls = bnd._store, []
-
-    def recording(mesh, directed, given):
-        out = store(mesh, directed, given)
-        calls.append((mesh, directed.copy(), given.copy(), out))
-        return out
-
-    monkeypatch.setattr(bnd, "_store", recording)
-    mesh = build_polygon_gluing(g)
-    c = su2_preset(mesh) if preset == "su2" else bnd.trivial_cocycle(mesh, 2)
-    for _ in range(levels):
-        mesh = refine(mesh)
-        c = refine_cocycle(c, mesh)
-    monkeypatch.undo()
-    return calls
-
-
-@pytest.mark.parametrize("preset, g", [("su2", 2), ("su2", 3), ("trivial", 2), ("trivial", 3)])
-def test_store_keeps_given_entries_and_inverts_the_rest(monkeypatch, preset, g):
-    calls = _store_calls(monkeypatch, preset, g, 3)
-    assert len(calls) == (4 if preset == "su2" else 3)  # the generator cocycle, then r1-r3
-    for mesh, directed, given, out in calls:
-        tw, n = mesh.twin, directed.shape[1]
-        inverse = np.conj(np.swapaxes(directed[tw], 1, 2))
-        assert np.all(given | given[tw])
-        assert out[given].tobytes() == directed[given].tobytes()
-        assert out[~given].tobytes() == inverse[~given].tobytes()
-        # where both twins are given, the builders give exact inverses ...
-        both = np.flatnonzero(given & given[tw] & (np.arange(tw.size) < tw))
-        assert both.size and np.array_equal(directed[both], inverse[both])
-        # ... and a pair that is not comes back as given, for the validator
-        h, t = both[0], tw[both[0]]
-        directed[t] = -directed[t]
-        broken = bnd._store(mesh, directed, given)
-        assert broken[[h, t]].tobytes() == directed[[h, t]].tobytes()
-        c = UnitaryCocycle(mesh=mesh, rank=n, degree=0, transport=broken, marked_face=0)
-        with pytest.raises(CocycleError, match=f"^reverse transport on half-edge {h} is not the exact inverse$"):
-            validate_cocycle(c)
+@pytest.mark.parametrize("center", ["su2_g2", "su2_g3", "complex_transport", "trivial1", "trivial2", "trivial3"])
+def test_builders_write_every_transport(center):
+    # the fan builders and refine_cocycle write every transport, in
+    # complex128, with each reverse half-edge the exact conjugate
+    # transpose; refine_cocycle refines its own mesh as refine does
+    fan = build_polygon_gluing(3 if center == "su2_g3" else 2)
+    if center.startswith("su2"):
+        c = su2_preset(fan)
+    elif center == "complex_transport":
+        c = _complex_transport_cocycle(fan)
+    else:
+        c = bnd.trivial_cocycle(fan, int(center[-1]))
+    for r in range(4):
+        if r:
+            mesh, c = refine(c.mesh), refine_cocycle(c)
+            for field in ("origin", "twin", "layout"):
+                assert np.array_equal(getattr(c.mesh, field), getattr(mesh, field)), field
+        U = c.transport
+        assert U.dtype == np.complex128
+        assert np.array_equal(U[c.mesh.twin], np.conj(np.swapaxes(U, 1, 2)))
+        validate_cocycle(c)
 
 
-def test_refine_preserves_flatness_and_irreducibility(fan2, fan2_r1):
-    c = refine_cocycle(su2_preset(fan2), fan2_r1)
+def test_refine_preserves_flatness_and_irreducibility(fan2):
+    c = refine_cocycle(su2_preset(fan2))
     validate_cocycle(c)
     assert _commutant(c).shape[1] == 1
     assert c.marked_face == 4 * su2_preset(fan2).marked_face + 3
@@ -668,10 +646,10 @@ def test_cocycle_roundtrip(tmp_path, fan2):
     assert (loaded.rank, loaded.degree, loaded.marked_face) == (2, 1, 7)
 
 
-def test_refined_cocycle_does_not_serialize(tmp_path, fan2_r1):
+def test_refined_cocycle_does_not_serialize(tmp_path, fan2):
     # generators describe a cocycle on the fan; a refined cocycle keeps
     # none, so it cannot write a file that no mesh loads
-    c = refine_cocycle(su2_preset(fan2_r1.parent), fan2_r1)
+    c = refine_cocycle(su2_preset(fan2))
     assert c.generators is None
     with pytest.raises(CocycleError, match="only generator-built cocycles serialize"):
         save_cocycle(c, tmp_path / "r1.coc")
@@ -793,16 +771,16 @@ def test_incomplete_kernel_fails_residual_gate(surf_hyp, triv2_r2, rng):
         cx.delta0_solve(h)
 
 
-def test_cocycle_rejects_mismatched_surface(surf_hyp, fan2_r1):
-    c = bnd.refine_cocycle(su2_preset(fan2_r1.parent), fan2_r1)
+def test_cocycle_rejects_mismatched_surface(surf_hyp, fan2):
+    c = bnd.refine_cocycle(su2_preset(fan2))
     with pytest.raises(CocycleError):
         Scene(surf_hyp, c)
 
 
-def test_generators_need_the_fan(fan2_r1):
+def test_generators_need_the_fan(fan2, fan2_r1):
     # generator cocycles are built on the 4g-gon fan and refined with it;
     # a refined mesh of the same genus has other combinatorics
-    gens = su2_preset(fan2_r1.parent).generators
+    gens = su2_preset(fan2).generators
     with pytest.raises(CocycleError, match="4g-gon fan"):
         from_generators(fan2_r1, 2, 1, gens)
 

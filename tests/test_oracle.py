@@ -16,7 +16,7 @@ from modulilab._complexes import DolbeaultComplex
 from modulilab.bundle import Scene
 from modulilab.cli import TOLERANCES
 from modulilab.surface import equip_conformal, refine
-from conftest import dense_delta0_inverse, harmonic_basis, p1_dbar, random_cochain
+from conftest import dense_delta0_inverse, dense_projection, frame_pinv, harmonic_basis, p1_dbar, random_cochain
 from flat_torus import build_torus, torus_spectral_crosscheck
 
 
@@ -49,7 +49,6 @@ def test_materialize_all_operators(su2_scene_r1, rng):
     cases = [
         ("dbar_star", F, lambda x: cx.star(cx.dbar, x)),
         ("delta0_inverse", V, lambda x: cx.delta0_solve(x)[0]),
-        ("projection", F, cx.harmonic_project),
     ]
     for name, sites, apply in cases:
         op = oracle.materialize(name, su2_scene_r1)
@@ -109,13 +108,13 @@ def test_closed_form_kernels_match_dense(fan2, refinements, builder):
     assert abs(overlap - 1.0) <= 1e-10
 
 
-def test_frame_eigenvectors_are_orthonormal_at_r3(fan2_r2, su2_r2):
+def test_frame_eigenvectors_are_orthonormal_at_r3(su2_r2):
     # the frame's divide-and-conquer eigendecomposition at genus-2 su2 r3
     # (n0 = 1,016): orthonormal and a residual at roundoff (about 8e-15
     # and 5e-15; MRRR's eigenvectors are off by about 1.3e-12)
-    mesh = refine(fan2_r2)
-    S = equip_conformal(mesh, layout="stored", density="hyperbolic")
-    cx = Scene(S, bnd.refine_cocycle(su2_r2, mesh)).endo
+    c = bnd.refine_cocycle(su2_r2)
+    S = equip_conformal(c.mesh, layout="stored", density="hyperbolic")
+    cx = Scene(S, c).endo
     frame = oracle.DenseFrame(cx)
     D, lam, V = frame.D, frame.lam, frame.V
     n0 = V.shape[0]
@@ -176,7 +175,7 @@ def test_streamed_projector_checks_match_dense_products(
         cx = scene.endo
         scene.__dict__["endo"] = dataclasses.replace(cx, w1=cx.w1 * np.linspace(0.5, 2.0, cx.w1.size))
     dense = oracle.certify_operators(scene)
-    P = oracle.materialize("projection", scene).framed_in_place()
+    P = oracle.DenseOperator(dense_projection(scene.endo), scene.endo.w1, scene.endo.w1).framed_in_place()
     D = oracle.DenseFrame(scene.endo).D
     products = {
         "projector_idempotent": np.linalg.norm(P @ P - P, 2),
@@ -366,7 +365,7 @@ def svd_projector_errors(scene, steps, seed):
         U = np.linalg.svd((D + t * A) @ deflate, full_matrices=False)[0][:, :rank]
         return np.eye(D.shape[0]) - U @ U.conj().T
 
-    pinv0, P0 = frame.pinv(), projector(0.0)
+    pinv0, P0 = frame_pinv(frame), projector(0.0)
     leibniz = (-P0 @ A @ pinv0 @ D.conj().T - D @ pinv0 @ A.conj().T @ P0) @ Zf
     denom = np.linalg.norm(leibniz)
     return {h: np.linalg.norm((projector(h) - projector(-h)) @ Zf / (2 * h) - leibniz) / denom for h in steps}

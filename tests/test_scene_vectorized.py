@@ -329,13 +329,13 @@ def _chain(base, levels, cocycle):
     mesh, c = base, cocycle(base)
     out = []
     for _ in range(levels):
-        child = refine(mesh)
+        parent, c = c, bnd.refine_cocycle(c)
+        child = c.mesh
         origin, twin, layout = _refine_loop(mesh)
         assert np.array_equal(child.origin, origin)
         assert np.array_equal(child.twin, twin)
         assert np.array_equal(child.layout, layout)
-        ref = _refine_cocycle_loop(c, child)
-        c = bnd.refine_cocycle(c, child)
+        ref = _refine_cocycle_loop(parent, child)
         assert np.max(np.abs(c.transport - ref)) <= FLOAT_TOL
         mesh = child
         out.append((mesh, c))
@@ -461,12 +461,12 @@ def test_generator_transports_match_loop_bit_for_bit(g, preset):
 )
 def test_operators_match_corner_loop(g, kind):
     fan = build_polygon_gluing(g)
-    mesh = refine(fan)
     if kind == "conjugated":
         c = bnd.from_generators(fan, 2, 1, _conjugated_su2(g, np.random.default_rng(g)))
     else:
         c = bnd.su2_preset(fan)
-    c = bnd.refine_cocycle(c, mesh)
+    c = bnd.refine_cocycle(c)
+    mesh = c.mesh
     if kind == "trivial_rank3":
         c = bnd.trivial_cocycle(mesh, 3)
     S = equip_conformal(mesh, layout="stored", density="hyperbolic")

@@ -353,8 +353,3 @@ def test_huge_genus_header_sizes_nothing(tmp_path):
         with pytest.raises(RecordFileError, match="^line 2: he record needs 5 fields, got 6$") as e:
             load_mesh(p)
         assert len(str(e.value)) < 200
-
-
-def test_refinement_record_links_parent(fan2, fan2_r1):
-    assert fan2_r1.parent is fan2
-    assert fan2.parent is None

@@ -10,9 +10,9 @@ from modulilab._complexes import ad, ad_star, endo_complex
 from modulilab.calculus import beltrami_d_hol
 from modulilab.bundle import Scene
 from modulilab.cli import TOLERANCES
-from modulilab.surface import equip_conformal, refine
+from modulilab.surface import equip_conformal
 
-from conftest import one_tangent
+from conftest import frame_pinv, one_tangent
 
 
 def quad(scene, base_seed, **kw):
@@ -436,13 +436,12 @@ def test_solver_stats_factor_reuse_on_fresh_complex(su2_scene, rng, monkeypatch)
 def test_genus3_pipeline(rng):
     # the whole stack runs at higher genus with the padded preset
     from modulilab import bundle as bnd2
-    from modulilab.surface import build_polygon_gluing, equip_conformal, refine
+    from modulilab.surface import build_polygon_gluing, equip_conformal
 
     m0 = build_polygon_gluing(3)
     c0 = bnd2.su2_preset(m0)
-    m1 = refine(m0)
-    c1 = bnd2.refine_cocycle(c0, m1)
-    S = equip_conformal(m1, layout="stored", density="hyperbolic")
+    c1 = bnd2.refine_cocycle(c0)
+    S = equip_conformal(c1.mesh, layout="stored", density="hyperbolic")
     assert bnd2._commutant(c1).shape[1] == 1
     scene = Scene(S, c1)
     assert oracle.DenseFrame(scene.endo).kernel.shape[1] == 1
@@ -531,9 +530,9 @@ def test_projector_derivative_sweep_builds_no_dense_frame(su2_scene_r1, monkeypa
 @pytest.fixture(scope="module")
 def su2_pairs(surf_hyp_r1, su2_r1, surf_hyp, su2_r2):
     """(surface, su2 cocycle) of the stored hyperbolic fan at r1-r3."""
-    mesh = refine(surf_hyp.mesh)
-    S3 = equip_conformal(mesh, layout="stored", density="hyperbolic")
-    return {1: (surf_hyp_r1, su2_r1), 2: (surf_hyp, su2_r2), 3: (S3, bnd.refine_cocycle(su2_r2, mesh))}
+    c3 = bnd.refine_cocycle(su2_r2)
+    S3 = equip_conformal(c3.mesh, layout="stored", density="hyperbolic")
+    return {1: (surf_hyp_r1, su2_r1), 2: (surf_hyp, su2_r2), 3: (S3, c3)}
 
 
 @pytest.mark.parametrize("refinements", [1, 2, 3])
@@ -564,7 +563,7 @@ def test_projector_derivative_harmonic_orthogonality(su2_scene_r1, rng):
     # dP applied to a harmonic form, paired against a harmonic form,
     # vanishes (the family fixes dbar_star on harmonics at first order)
     frame = oracle.DenseFrame(su2_scene_r1.endo)
-    D, K, pinv = frame.D, frame.kernel, frame.pinv()
+    D, K, pinv = frame.D, frame.kernel, frame_pinv(frame)
     P = np.eye(D.shape[0]) - D @ pinv @ D.conj().T
     A = rng.standard_normal(D.shape) + 1j * rng.standard_normal(D.shape)
     A -= (A @ K) @ K.conj().T
