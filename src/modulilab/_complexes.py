@@ -197,8 +197,8 @@ def _layout(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _norms(X: np.ndarray) -> np.ndarray:
-    """Column 2-norms, each the norm of that 1-D column as for a vector."""
-    return np.array([np.linalg.norm(c) for c in X.T])
+    """Column 2-norms."""
+    return np.linalg.norm(X, axis=0)
 
 
 def _gram(cx: DolbeaultComplex, M: sp.csr_matrix) -> sp.csr_matrix:

@@ -27,7 +27,6 @@ from .surface import (
     InputError,
     Kind,
     Reals,
-    RecordFileError,
     fan_half_edges,
     read_records,
     refine,
@@ -291,7 +290,7 @@ def generator_names(genus: int) -> tuple:
 
 
 def save_cocycle(c: UnitaryCocycle, path) -> None:
-    """Write ``cocycle n d``, ``gen <name> <2 n^2 reals>`` per generator and ``twist <face>``."""
+    """Write ``cocycle n d`` and ``gen <name> <2 n^2 reals>`` per generator."""
     if c.generators is None:
         raise CocycleError("only generator-built cocycles serialize")
     with open(path, "w") as fh:
@@ -299,23 +298,18 @@ def save_cocycle(c: UnitaryCocycle, path) -> None:
         for name, G in zip(generator_names(c.mesh.genus), c.generators):
             nums = " ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in G.ravel())
             fh.write(f"gen {name} {nums}\n")
-        fh.write(f"twist {c.marked_face}\n")
 
 
 def load_cocycle(mesh: HalfEdgeMesh, path) -> UnitaryCocycle:
     """Build the cocycle of a generator file written by ``save_cocycle``
     on the fan ``mesh``; ``surface.read_records`` lists what it rejects.
-    Each of a1, b1, ..., ag, bg needs one ``gen`` record, and ``twist``
-    must name the face that ``from_generators`` marks."""
+    Each of a1, b1, ..., ag, bg needs one ``gen`` record; the twist lands
+    on the face that ``from_generators`` marks."""
     names = generator_names(mesh.genus)
 
     def body(head):
-        return {"gen": Kind((names, Reals(2 * head[0] ** 2))), "twist": Kind(("integer",))}
+        return {"gen": Kind((names, Reals(2 * head[0] ** 2)))}
 
     records = read_records(path, "cocycle", Kind(("count", "integer")), body)
     n, d = records["cocycle"][1]
-    c = from_generators(mesh, n, d, [records["gen"][x][1][1].view(complex).reshape(n, n) for x in names])
-    line, (twist,) = records["twist"]
-    if twist != c.marked_face:
-        raise RecordFileError(f"twist face {twist} is not the marked face {c.marked_face}", line)
-    return c
+    return from_generators(mesh, n, d, [records["gen"][x][1][1].view(complex).reshape(n, n) for x in names])

@@ -40,7 +40,6 @@ DEFAULTS = {
     "seeds": [0, 1, 2, 3],
     "dense_cap": oracle.DENSE_CAP,
     "tangent": {"mu_scale": 1.0, "nu_scale": 1.0},
-    "out": "out",
 }
 
 # The gate of every check, by check name (a per-seed check drops its
@@ -90,9 +89,9 @@ def _json_object(pairs: list) -> dict:
     return out
 
 
-def load_config(path, seed=None, out=None) -> dict:
-    """The config at ``path`` laid over DEFAULTS; ``seed`` and ``out``
-    (the --seed and --out flags) override ``seeds`` and ``out``."""
+def load_config(path, seed=None) -> dict:
+    """The config at ``path`` laid over DEFAULTS; ``seed`` (the --seed
+    flag) overrides ``seeds``."""
     cfg = copy.deepcopy(DEFAULTS)
     if path is not None:
         try:
@@ -105,10 +104,6 @@ def load_config(path, seed=None, out=None) -> dict:
         cfg = _merge(cfg, user)
     if seed is not None:
         cfg["seeds"] = [seed]
-    if out is not None:
-        cfg["out"] = out
-    if not isinstance(cfg["out"], str) or not cfg["out"] or "\0" in cfg["out"]:
-        raise ConfigError(f"out must be a non-empty directory path without a NUL byte, got {cfg['out']!r}")
     for key in ("mesh", "bundle", "tangent"):
         if not isinstance(cfg[key], dict):
             raise ConfigError(f"{key} must be a JSON object, got {cfg[key]!r}")
@@ -276,29 +271,29 @@ def main():
 def _command(name: str):
     """Register ``fn(cfg, scene) -> (checks, fields)`` as the command
     ``name`` of ``main`` with --config, --seed and --out: load the config,
-    create the out directory, build the scene, run ``fn`` and write its
-    checks and report fields to report.json, exit 0 if every check passes,
-    else 1.  Any InputError exits 2 with its message; an evaluation
-    failure that the scene build or ``fn`` lets through is the one failing
-    check ``evaluated`` of the report, exit 1."""
+    create the --out directory (default ``out``), build the scene, run
+    ``fn`` and write its checks and report fields to report.json, exit 0
+    if every check passes, else 1.  Any InputError exits 2 with its
+    message; an evaluation failure that the scene build or ``fn`` lets
+    through is the one failing check ``evaluated`` of the report, exit 1."""
 
     def register(fn):
         @main.command(name)
         @click.option("--config", "config_path", type=click.Path(), default=None)
         @click.option("--seed", type=int, default=None)
-        @click.option("--out", type=click.Path(), default=None)
+        @click.option("--out", type=click.Path(), default="out")
         @functools.wraps(fn)
         def command(config_path, seed, out):
             try:
-                cfg = load_config(config_path, seed=seed, out=out)
+                cfg = load_config(config_path, seed=seed)
                 try:
-                    os.makedirs(cfg["out"], exist_ok=True)
+                    os.makedirs(out, exist_ok=True)
                 except OSError as e:
-                    raise ConfigError(f"cannot create the out directory {cfg['out']!r}: {e}") from None
+                    raise ConfigError(f"cannot create the out directory {out!r}: {e}") from None
                 checks, fields = [], {}
                 with _evaluation_failures(checks):  # a failure leaves checks bound to this list
                     checks, fields = fn(cfg, build_scene(cfg))
-                code = _finish(cfg["out"], name, checks, fields)
+                code = _finish(out, name, checks, fields)
             except InputError as e:
                 click.echo(f"config error: {e}", err=True)
                 code = 2
@@ -330,7 +325,7 @@ def cmd_check_operators(cfg, scene):
     g, n = S.mesh.genus, c.rank
     diagnostics = {
         "harmonic_nu_dim": dense["harmonic_nu_dim"],
-        "smooth_endo_dim": n * n * (g - 1) + 1,
+        "smooth_endo_dim": n * n * (g - 1) + cdim,  # Riemann-Roch for flat End(E): h^1 = n^2 (g - 1) + h^0
         "smooth_beltrami_dim": 3 * g - 3,
         "faces": S.n_faces,
         "vertices": S.n_vertices,

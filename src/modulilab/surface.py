@@ -514,14 +514,14 @@ def read_records(path, header: str, head: Kind, body) -> dict:
 
 
 def save_mesh(mesh: HalfEdgeMesh, path) -> None:
-    """Write ``surf V E F genus``, one ``he h origin twin next face``
-    record per half-edge and, when the mesh has a layout, one ``layout f
-    z0re z0im z1re z1im z2re z2im`` record per face in repr floats."""
-    nxt = next_index(mesh.n_half_edges)
+    """Write ``surf V E F genus``, one ``he h origin twin`` record per
+    half-edge (half-edge h lies in face h // 3) and, when the mesh has a
+    layout, one ``layout f z0re z0im z1re z1im z2re z2im`` record per face
+    in repr floats."""
     with open(path, "w") as fh:
         fh.write(f"surf {mesh.n_vertices} {mesh.n_edges} {mesh.n_faces} {mesh.genus}\n")
         for h in range(mesh.n_half_edges):
-            fh.write(f"he {h} {int(mesh.origin[h])} {int(mesh.twin[h])} {int(nxt[h])} {h // 3}\n")
+            fh.write(f"he {h} {int(mesh.origin[h])} {int(mesh.twin[h])}\n")
         for f, z in enumerate([] if mesh.layout is None else np.asarray(mesh.layout, dtype=complex)):
             fh.write(f"layout {f} " + " ".join(repr(float(x)) for x in z.view(float)) + "\n")
 
@@ -529,22 +529,19 @@ def save_mesh(mesh: HalfEdgeMesh, path) -> None:
 def load_mesh(path) -> HalfEdgeMesh:
     """Read a mesh written by ``save_mesh``; ``read_records`` lists what
     it rejects.  The header must describe a closed triangulated surface
-    (2E = 3F and V - E + F = 2 - 2 genus), the half-edges come three per
-    face with cyclic ``next``, and the layout covers every face or none."""
+    (2E = 3F and V - E + F = 2 - 2 genus), and the layout covers every
+    face or none."""
 
     def body(header):
         V, E, F, genus = header
         if 2 * E != 3 * F or V - E + F != 2 - 2 * genus:
             raise ValueError(f"V, E, F = {V}, {E}, {F} do not close up to a surface of genus {genus}")
-        he = Kind((range(3 * F), range(V), range(3 * F), "integer", "integer"))
+        he = Kind((range(3 * F), range(V), range(3 * F)))
         return {"he": he, "layout": Kind((range(F), Reals(6)), required=False)}
 
     records = read_records(path, "surf", Kind(("count",) * 4), body)
     V, _, F, genus = records["surf"][1]
     he, layout = records["he"], records.get("layout")
-    for h, (line, (_, _, _, nxt, face)) in he.items():
-        if face != h // 3 or nxt != 3 * (h // 3) + (h + 1) % 3:
-            raise RecordFileError("half-edges must be grouped 3 per face with cyclic next", line)
     origin, twin = np.array([[he[h][1][k] for h in range(3 * F)] for k in (1, 2)], dtype=np.int64)
     if layout is not None:
         layout = np.array([layout[f][1][1] for f in range(F)]).view(complex)

@@ -663,26 +663,24 @@ def _set_field(lines, index, field, value):
     return lines
 
 
-# the su2 generator file: line 1 is the header, lines 2-5 the gen
-# records of a1, b1, a2, b2 and line 6 the twist record
+# the su2 generator file: line 1 is the header and lines 2-5 the gen
+# records of a1, b1, a2, b2
 @pytest.mark.parametrize(
     "edit, message",
     [
         (lambda ls: _set_field(ls, 1, 1, "a9"), "line 2: gen record: name 'a9' is not one of a1, b1, a2, b2"),
         (lambda ls: ls[:5] + ls[4:], "line 6: repeated gen record for b2"),
-        (lambda ls: _set_field(ls, 5, 1, "banana"), "line 6: twist record: non-integer entry in 'banana'"),
-        (lambda ls: _set_field(ls, 5, 1, "3"), "line 6: twist face 3 is not the marked face 7"),
         (lambda ls: ls[:3] + ls[4:], "^missing gen record for a2$"),
-        (lambda ls: ls[:5], "^missing twist record$"),
-        (lambda ls: ls + ls[5:], "line 7: repeated twist record"),
+        # the twist record that older files carried
+        (lambda ls: ls + ["twist 7"], "line 6: unknown record 'twist'$"),
         (lambda ls: _set_field(ls, 0, 1, "0"), "line 1: cocycle record: 0 is out of range 1.."),
         (lambda ls: ls[1:2] + ls[:1] + ls[2:], "line 1: unknown record 'gen' before 'cocycle'"),
         (lambda ls: [ls[0], ls[1] + " 0.0"] + ls[2:], "line 2: gen record needs 9 fields, got 10"),
         (lambda ls: _set_field(ls, 2, 4, "1e400"), "line 3: gen record: non-finite entry"),
     ],
     ids=[
-        "unknown_name", "repeated_name", "twist_not_integer", "twist_wrong_face", "missing_gen",
-        "missing_twist", "repeated_twist", "zero_rank", "before_header", "gen_count", "overflow",
+        "unknown_name", "repeated_name", "missing_gen", "old_twist_record", "zero_rank", "before_header",
+        "gen_count", "overflow",
     ],
 )
 def test_load_cocycle_rejects(tmp_path, fan2, edit, message):

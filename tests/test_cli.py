@@ -52,18 +52,22 @@ def test_bad_config_exits_2(tmp_path):
     r = run_cli("positivity", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "out"))
     assert r.returncode == 2
     assert "cannot read config" in r.stderr and "Traceback" not in r.stderr
-    # an out that is not a non-empty string, holds a NUL byte (os.makedirs
-    # raises ValueError on it) or cannot be created, and a config that is
-    # not UTF-8 or nests deeper than the decoder recurses
-    (tmp_path / "file").write_text("")
-    cases = [(json.dumps({"out": out}).encode(), "out") for out in (5, None, "", "x\u0000y")]
-    cases.append((json.dumps({"out": str(tmp_path / "file" / "out")}).encode(), "out directory"))
+    # a config that names out (the --out flag sets the out directory), and
+    # a config that is not UTF-8 or nests deeper than the decoder recurses
+    cases = [(json.dumps({"out": out}).encode(), "unknown config key out") for out in (5, None, "", "x\u0000y")]
     cases += [(b"\xff\xfe{}", "cannot read config"), (b"[" * 200_000, "cannot read config")]
     for content, field in cases:
         p.write_bytes(content)
         r = run_cli("positivity", "--config", str(p))
         assert r.returncode == 2, r.stderr
         assert field in r.stderr and "Traceback" not in r.stderr
+    # an --out directory that cannot be created, or is empty
+    (tmp_path / "file").write_text("")
+    p.write_text("{}")
+    for out in (str(tmp_path / "file" / "out"), ""):
+        r = run_cli("positivity", "--config", str(p), "--out", out)
+        assert r.returncode == 2, r.stderr
+        assert "out directory" in r.stderr and "Traceback" not in r.stderr
 
 
 @pytest.mark.parametrize(
@@ -352,6 +356,25 @@ def test_check_operators(tmp_path, cfg_path):
     rep = json.loads((out / "report.json").read_text())
     assert rep["passed"] and rep["failures"] == []
     assert rep["kernel_dim"] == rep["commutant_dim"] == 1
+
+
+@pytest.mark.parametrize(
+    "bundle, dim",
+    [({"preset": "su2"}, 5), ({"preset": "trivial"}, 2), ({"preset": "trivial", "n": 2}, 8)],
+    ids=["su2", "trivial_rank1", "trivial_rank2"],
+)
+def test_smooth_endo_dim_counts_the_commutant(tmp_path, bundle, dim):
+    # h^1 of the flat End(E) is n^2 (g - 1) + h^0 with h^0 the commutant
+    # dimension: 1 for su2 and trivial rank 1, 4 for trivial rank 2
+    from click.testing import CliRunner
+    from modulilab import cli
+
+    out = tmp_path / "out"
+    p = _write(tmp_path, {"bundle": bundle})
+    r = CliRunner().invoke(cli.main, ["check-operators", "--config", p, "--out", str(out)])
+    assert r.exit_code == 0, r.output
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["diagnostics"]["smooth_endo_dim"] == dim
 
 
 def test_second_variation_cmd_and_determinism(tmp_path, cfg_path):

@@ -307,15 +307,16 @@ def test_mesh_header_rejected(tmp_path, fan2, header, message):
         (lambda ls: ls[1:2] + ls[:1] + ls[2:], "line 1: unknown record 'he' before 'surf'"),
         (lambda ls: ls[:2] + ls[:1] + ls[2:], "line 3: repeated surf record"),
         (lambda ls: ["# a comment", ""] + ls, None),
-        # a trailing label, as older files carried, is a sixth field
-        (_labelled(8, "c1"), "line 9: he record needs 5 fields, got 6$"),
-        (_labelled(8, "a0"), "line 9: he record needs 5 fields, got 6$"),
-        (_labelled(8, "a01"), "line 9: he record needs 5 fields, got 6$"),
-        (_labelled(8, "a3"), "line 9: he record needs 5 fields, got 6$"),
-        (_labelled(8, "b10"), "line 9: he record needs 5 fields, got 6$"),
-        (_labelled(8, "a\u00b2"), "line 9: he record needs 5 fields, got 6$"),
-        (lambda ls: _labelled(23, "a1")(_labelled(8, "b2")(ls)), "line 9: he record needs 5 fields, got 6$"),
-        (lambda ls: _set_field(ls, 8, 4, "9"), "line 9: half-edges must be grouped 3 per face"),
+        # a trailing label, as older files carried, is a fourth field
+        (_labelled(8, "c1"), "line 9: he record needs 3 fields, got 4$"),
+        (_labelled(8, "a0"), "line 9: he record needs 3 fields, got 4$"),
+        (_labelled(8, "a01"), "line 9: he record needs 3 fields, got 4$"),
+        (_labelled(8, "a3"), "line 9: he record needs 3 fields, got 4$"),
+        (_labelled(8, "b10"), "line 9: he record needs 3 fields, got 4$"),
+        (_labelled(8, "a\u00b2"), "line 9: he record needs 3 fields, got 4$"),
+        (lambda ls: _labelled(23, "a1")(_labelled(8, "b2")(ls)), "line 9: he record needs 3 fields, got 4$"),
+        # an old record that still carries next and face
+        (_labelled(1, "1 0"), "line 2: he record needs 3 fields, got 5$"),
         (lambda ls: _set_field(ls, 8, 2, "2"), "line 9: he record: 2 is out of range 0..1"),
     ],
     ids=[
@@ -334,7 +335,7 @@ def test_mesh_records_rejected(tmp_path, fan2, edit, message):
 
 def test_huge_genus_header_sizes_nothing(tmp_path):
     # a header that closes up at genus 10**6 is rejected without building
-    # anything of the genus's size, and a sixth field gets a short message
+    # anything of the genus's size, and extra fields get a short message
     import tracemalloc
 
     header = "surf 2 6000000 4000000 1000000\n"
@@ -350,6 +351,6 @@ def test_huge_genus_header_sizes_nothing(tmp_path):
     assert peak < 10_000_000
     for token in ("zz", "a1000001", "q" * 10_000):
         p.write_text(header + f"he 0 0 1 1 0 {token}\n")
-        with pytest.raises(RecordFileError, match="^line 2: he record needs 5 fields, got 6$") as e:
+        with pytest.raises(RecordFileError, match="^line 2: he record needs 3 fields, got 6$") as e:
             load_mesh(p)
         assert len(str(e.value)) < 200
