@@ -1,8 +1,9 @@
 """Dense brute-force materializations: ground truth for equivalence tests.
 
-Operators are materialized by applying the production operators of a
-scene's End(E) complex to blocks of unit vectors (the projector checks
-stream them, materializing nothing).  Every dense spectral
+``_columns`` materializes a production operator of a scene's End(E)
+complex by applying it to blocks of unit vectors, and ``_framed`` moves
+the matrix into the weight-orthonormal frames (the projector checks
+stream their blocks, materializing nothing).  Every dense spectral
 computation goes through one weight-orthonormal frame per complex
 (``DenseFrame``), in which weighted adjoints are conjugate transposes:
 the eigendecomposition of D^H D there, with one kernel rule, gives the
@@ -15,7 +16,6 @@ dense certification the CLI runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -32,53 +32,32 @@ class DenseCapError(InputError, ValueError):
 DENSE_CAP = 6000  # default bound on dim C^0 + dim C^{0,1}; DenseFrame alone checks it
 
 
-@dataclass(frozen=True)
-class DenseOperator:
-    matrix: np.ndarray
-    domain_weight: np.ndarray
-    codomain_weight: np.ndarray
-
-    def framed_in_place(self) -> np.ndarray:
-        """W_cod^{1/2} M W_dom^{-1/2}, written over ``matrix`` and returned:
-        the matrix in the weight-orthonormal frames, where its weighted
-        adjoint is the conjugate transpose."""
-        M = self.matrix
-        M *= (1.0 / np.sqrt(self.domain_weight))[None, :]
-        M *= np.sqrt(self.codomain_weight)[:, None]
-        return M
+def _framed(M: np.ndarray, domain_weight: np.ndarray, codomain_weight: np.ndarray) -> np.ndarray:
+    """W_cod^{1/2} M W_dom^{-1/2}, written over M and returned: the matrix
+    in the weight-orthonormal frames, where its weighted adjoint is the
+    conjugate transpose."""
+    M *= (1.0 / np.sqrt(domain_weight))[None, :]
+    M *= np.sqrt(codomain_weight)[:, None]
+    return M
 
 
-# name -> (domain weight, codomain weight, action on a flat cochain of the
-# End(E) complex cx): the two operators certify_operators materializes
-_OPERATORS = {
-    "dbar_star": ("w1", "w0", lambda cx, x: cx.star(cx.dbar, x)),
-    "delta0_inverse": ("w0", "w0", lambda cx, x: cx.delta0_solve(x)[0]),
-}
-
-
-# unit columns per block that ``materialize`` feeds the production
-# methods: wide enough to amortize their per-call cost, narrow enough that
-# a block's temporaries stay far below the dense matrices being filled
+# unit columns per block that ``_columns`` feeds the production methods:
+# wide enough to amortize their per-call cost, narrow enough that a
+# block's temporaries stay far below the dense matrices being filled
 MATERIALIZE_BLOCK = 32
 
 
-def materialize(op_name: str, scene: Scene) -> DenseOperator:
-    """Dense matrix of an operator of the scene's End(E) complex: column
-    j is the production operator applied to the j-th unit vector, fed to
-    it in blocks of ``MATERIALIZE_BLOCK`` unit columns.  The matrix is
-    Fortran-ordered: LAPACK's layout, in which each block is contiguous.
-    Its size is gated by the ``DenseFrame`` that callers build first."""
-    if op_name not in _OPERATORS:
-        raise ValueError(f"unknown operator {op_name!r}")
-    dom, cod, apply = _OPERATORS[op_name]
-    cx = scene.endo
-    dom_w, cod_w = getattr(cx, dom), getattr(cx, cod)
-    dom_dim, cod_dim = dom_w.shape[0], cod_w.shape[0]
-    M = np.empty((cod_dim, dom_dim), dtype=complex, order="F")
-    for j in range(0, dom_dim, MATERIALIZE_BLOCK):
-        k = min(MATERIALIZE_BLOCK, dom_dim - j)
-        M[:, j : j + k] = apply(cx, np.eye(dom_dim, k, -j, dtype=complex))
-    return DenseOperator(matrix=M, domain_weight=dom_w, codomain_weight=cod_w)
+def _columns(apply, n_in: int, n_out: int) -> np.ndarray:
+    """Dense n_out x n_in matrix of a production operator: column j is
+    ``apply`` of the j-th unit vector, fed to it in blocks of
+    ``MATERIALIZE_BLOCK`` unit columns.  The matrix is Fortran-ordered:
+    LAPACK's layout, in which each block is contiguous.  Its size is gated
+    by the ``DenseFrame`` that callers build first."""
+    M = np.empty((n_out, n_in), dtype=complex, order="F")
+    for j in range(0, n_in, MATERIALIZE_BLOCK):
+        k = min(MATERIALIZE_BLOCK, n_in - j)
+        M[:, j : j + k] = apply(np.eye(n_in, k, -j, dtype=complex))
+    return M
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +85,7 @@ class DenseFrame:
         dim = sum(cx.dbar.shape)
         if dim > dense_cap:
             raise DenseCapError(f"dense frame: dimension {dim} exceeds dense_cap {dense_cap}")
-        self.D = DenseOperator(cx.dbar.toarray(order="F"), cx.w0, cx.w1).framed_in_place()
+        self.D = _framed(cx.dbar.toarray(order="F"), cx.w0, cx.w1)
         G = scipy.linalg.blas.zherk(1.0, self.D, trans=2, lower=1)
         self.lam, self.V = scipy.linalg.eigh(G, lower=True, overwrite_a=True, check_finite=False, driver="evd")
 
@@ -172,21 +151,21 @@ def certify_operators(scene: Scene, dense_cap: int = DENSE_CAP) -> dict:
     cx, blas, B = scene.endo, scipy.linalg.blas, MATERIALIZE_BLOCK
     frame = DenseFrame(cx, dense_cap)
     D, lam, rank, V = frame.D, frame.lam, frame.rank, frame.V
+    n1, n0 = D.shape
     # |D|_2 and |Delta0^+|_2 from the frame's eigenvalues
     d_norm = np.sqrt(lam[-1])
     pinv_norm = 1.0 / lam[-rank]
-    star = materialize("dbar_star", scene).framed_in_place()
+    star = _framed(_columns(lambda E: cx.star(cx.dbar, E), n1, n0), cx.w1, cx.w0)
     star.real -= D.real.T  # star - D^H
     star.imag += D.imag.T
     values = {"adjointness_residual": spectral_norm(star) / d_norm}
     del star
-    X = materialize("delta0_inverse", scene).framed_in_place()
+    X = _framed(_columns(lambda E: cx.delta0_solve(E)[0], n0, n0), cx.w0, cx.w0)
     V *= np.where(_nonzero(lam), 1.0 / np.sqrt(np.maximum(lam, 1e-300)), 0.0)[None, :]
     X = blas.zgemm(-1.0, V, V, trans_b=2, beta=1.0, c=X, overwrite_c=1)  # X - Delta0^+
     values["delta0_factorized_vs_dense"] = spectral_norm(X) / pinv_norm
     del X, V, frame
     s1 = np.sqrt(cx.w1)[:, None]
-    n1, n0 = D.shape
     for j in range(0, n0, B):
         D[:, j : j + B] = s1 * cx.harmonic_project(D[:, j : j + B] / s1)
     values["projector_annihilates_dbar"] = spectral_norm(D) / d_norm

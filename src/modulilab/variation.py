@@ -295,7 +295,10 @@ def positivity_certificate(mu2: np.ndarray, nu1: np.ndarray, scene: Scene) -> tu
     _check_inputs(scene, [(mu2, nu1)])
     cx = scene.endo
     h = cx.star(cx.dhol, np.conj(mu2)[:, None, None] * nu1)
-    x, _ = cx.delta0_solve(h)
+    try:
+        x, _ = cx.delta0_solve(h)
+    except SolverError as e:
+        raise SolverError(f"term_a: {e}", column=e.column) from e
     term_a = cx.inner(x, h)
     term_b = cx.inner((np.abs(mu2) ** 2)[:, None, None] * nu1, nu1)
     scale = max(abs(term_a), abs(term_b), 1e-300)

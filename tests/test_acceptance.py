@@ -28,7 +28,7 @@ def test_criterion_01_operator_algebra(su2_scene, rng):
     t0 = time.time()
     cx = su2_scene.endo
     s1 = np.sqrt(cx.w1)
-    Ms = oracle.DenseOperator(dense_projection(cx), cx.w1, cx.w1).framed_in_place()
+    Ms = oracle._framed(dense_projection(cx), cx.w1, cx.w1)
     e_idem = np.linalg.norm(Ms @ Ms - Ms, 2)
     e_sa = np.linalg.norm(Ms - Ms.conj().T, 2)
     D = cx.dbar.toarray()

@@ -419,6 +419,23 @@ def test_failed_later_column_names_its_term(su2_scene, monkeypatch):
     assert err.value.column == var._TERM_SOLVES.index("opvar_mu4")
 
 
+def test_failed_positivity_solve_names_term_a(su2_scene, monkeypatch):
+    # the one solve of positivity_certificate is term_a's, and its failure
+    # says so, keeping the failing column
+    from modulilab import _complexes
+
+    mu2, nu1 = one_tangent(su2_scene, 72)[0], one_tangent(su2_scene, 71)[1]
+
+    def failing(self, h):
+        raise _complexes.SolverError("solve relative residual nan exceeds 1e-08", column=0)
+
+    monkeypatch.setattr(_complexes.DolbeaultComplex, "delta0_solve", failing)
+    with pytest.raises(_complexes.SolverError) as err:
+        var.positivity_certificate(mu2, nu1, su2_scene)
+    assert str(err.value) == "term_a: solve relative residual nan exceeds 1e-08"
+    assert err.value.column == 0
+
+
 def test_solver_stats_factor_reuse_on_fresh_complex(su2_scene, rng, monkeypatch):
     # one LU per complex, shared by every solve and the harmonic projector
     from modulilab import _complexes
