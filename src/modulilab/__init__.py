@@ -5,6 +5,33 @@ two coordinate systems."""
 
 __version__ = "0.1.0"
 
+
+def _keep_numpy_submodules_lazy():
+    """Bind each numpy submodule not yet imported as a lazy module, which
+    runs on its first attribute access, as numpy's own ``__getattr__``
+    would.  scipy's ``array_api_compat`` clones numpy by ``hasattr`` on
+    every name ``dir(numpy)`` lists, which ran all of them (``numpy.f2py``,
+    ``numpy.testing``, ...); both process entries import this package, and
+    scipy with it, before ``cli.run``.  The ``setattr`` keeps ``import
+    numpy.testing as t`` from recursing through ``numpy.__getattr__``."""
+    import importlib.util
+    import sys
+
+    import numpy
+
+    for name in sorted(set(dir(numpy)) - set(vars(numpy))):
+        full = f"numpy.{name}"
+        if full in sys.modules or (spec := importlib.util.find_spec(full)) is None:
+            continue
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(numpy, name, module)
+
+
+_keep_numpy_submodules_lazy()
+
 from .surface import (
     HalfEdgeMesh,
     ConformalSurface,

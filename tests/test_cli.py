@@ -1023,6 +1023,54 @@ def test_module_entry_matches_in_process_main(tmp_path, cfg_path, cmd):
     assert "report.json" in module and module == main
 
 
+# a submodule bound by importlib.util.LazyLoader keeps its lazy class until
+# its first attribute access runs it
+_LOADED = "lambda name: type(sys.modules.get(name)) is types.ModuleType"
+
+
+@pytest.mark.parametrize("cmd", ["positivity", "second-variation"])
+def test_cli_child_leaves_unused_numpy_submodules_unloaded(tmp_path, cmd):
+    # scipy clones numpy by hasattr on every name numpy lists; the package
+    # keeps those it never uses from running, through a whole command
+    script = f"""
+import runpy, sys, types
+loaded = {_LOADED}
+sys.argv = ["modulilab", *sys.argv[1:]]
+try:
+    runpy.run_module("modulilab.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exit:
+    print(exit.code, [name for name in ("numpy.f2py", "numpy.testing") if loaded(name)])
+"""
+    args = [cmd, "--config", str(CONFIGS / "genus2_su2.json"), "--out", str(tmp_path / "out")]
+    r = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True)
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert r.stdout.splitlines()[-1] == "0 []"
+
+
+def test_lazy_numpy_submodules_load_on_first_use():
+    script = f"""
+import sys, types
+loaded = {_LOADED}
+import numpy.ctypeslib
+before = numpy.ctypeslib
+used = ("testing", "ma", "polynomial")
+lazy = [f"numpy.{{name}}" for name in used if name not in vars(numpy)]
+import modulilab
+assert numpy.ctypeslib is before and sys.modules["numpy.ctypeslib"] is before
+assert lazy and not any(loaded(name) for name in lazy)
+numpy.testing.assert_allclose(numpy.ones(2), [1.0, 1.0])
+from numpy.testing import assert_array_equal
+assert_array_equal(numpy.arange(2), [0, 1])
+assert numpy.ma.masked_array([1, 2]).sum() == 3
+assert numpy.polynomial.Polynomial([1, 2])(1) == 3
+import numpy.testing as testing
+assert testing is sys.modules["numpy.testing"] is numpy.testing
+assert all(loaded(f"numpy.{{name}}") for name in used)
+"""
+    r = subprocess.run([sys.executable, "-W", "error", "-c", script], capture_output=True, text=True)
+    assert r.returncode == 0, r.stdout + r.stderr
+
+
 TRACED_SPANS = {
     "second-variation": {
         "cli.cmd_second_variation",
